@@ -139,7 +139,7 @@ def summarize(rows: list[dict], scored_key: str = "pred_logdensity") -> dict:
     scored = [r for r in rows if r.get("y") is not None and r.get(scored_key) is not None]
     summary = {"rows": len(rows), "scored": len(scored)}
     if scored:
-        sq = [(r["y"] - r["pred_mean"]) ** 2 for r in scored]
+        sq = [e * e for e in (r["y"] - r["pred_mean"] for r in scored)]  # e ** 2 raises OverflowError
         lls = [r[scored_key] for r in scored]
         summary["rmse"] = math.sqrt(sum(sq) / len(sq))
         summary["mean_nlpd"] = -sum(lls) / len(lls)
@@ -151,11 +151,22 @@ def summarize(rows: list[dict], scored_key: str = "pred_logdensity") -> dict:
     return summary
 
 
+def finite_or_null(value):
+    """Replace every non-finite float in a JSON-bound structure with None."""
+    if isinstance(value, dict):
+        return {k: finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_report(out, columns: list[str], rows: list[dict], summary: dict) -> None:
     out.write(",".join(columns) + "\n")
     for r in rows:
         out.write(",".join(fmt(r.get(c)) for c in columns) + "\n")
-    out.write(json.dumps(summary) + "\n")
+    out.write(json.dumps(finite_or_null(summary), allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ import numpy as np
 from . import kernels, linear_filter
 from .errors import ConfigurationError
 
-MODELS = ("exact", "linear", "markov", "sparse", "vsgp", "ensemble")
-
 KERNEL_ALIASES = {
     "se": "se",
     "rbf": "se",

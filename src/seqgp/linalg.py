@@ -74,6 +74,30 @@ def solve_psd(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> np.nd
     return chol_solve(L, b)
 
 
+def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, noise_var: float):
+    """Condition N(mean, cov) on one observation y = h^T x + N(0, noise_var).
+
+    With s = cov h and v = h^T s + noise_var the optimal-gain update is
+    mean + s (y - h^T mean) / v and cov - s s^T / v, formed as one fresh
+    array and symmetrized in place.  The inputs are never modified.
+
+    Returns
+    -------
+    (mean, cov, pred_mean, pred_var) : the conditioned moments and the
+    predictive moments of y (``pred_var`` includes ``noise_var``).
+    """
+    s = cov @ h
+    pred_mean = float(h @ mean)
+    pred_var = float(h @ s) + noise_var
+    gain = s / pred_var
+    new_mean = mean + gain * (y - pred_mean)
+    new_cov = np.outer(gain, s)
+    np.subtract(cov, new_cov, out=new_cov)
+    new_cov += new_cov.T
+    new_cov *= 0.5
+    return new_mean, new_cov, pred_mean, pred_var
+
+
 def gaussian_loglik(y: float, mean: float, var: float) -> float:
     """log N(y | mean, var) for scalar arguments."""
     if var <= 0.0:

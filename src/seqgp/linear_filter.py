@@ -4,8 +4,9 @@ The model is y_t = phi(x_t)^T theta_t + noise with theta evolving under one
 of four dynamics: static (theta fixed), random walk (isotropic diffusion),
 back-to-prior forgetting (geometric blend toward the prior), or a general
 scalar-autoregressive form with control input and arbitrary process noise.
-Conjugate updates use the Joseph-stabilized covariance form so the belief
-stays symmetric PSD over arbitrarily long streams; non-conjugate likelihoods
+Conjugate updates go through the shared rank-one kernel
+``linalg.scalar_update`` (P - s s^T / v, symmetrized), which keeps the belief
+symmetric PSD over long streams; non-conjugate likelihoods
 (Bernoulli-logit, Poisson-log) are folded in through a one-dimensional
 Laplace step on the marginal of f_t = phi^T theta.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
-from .linalg import chol_jitter, gaussian_loglik, symmetrize
+from .linalg import chol_jitter, gaussian_loglik, scalar_update, symmetrize
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: fl
 
     The predictive log density is evaluated before conditioning, i.e. it is
     log N(y | phi^T mean, phi^T cov phi + noise_var) of the incoming belief.
-    Covariance uses the Joseph form, which preserves symmetry and positive
-    semidefiniteness under roundoff.
+    The covariance update is the optimal-gain rank-one downdate of
+    ``linalg.scalar_update``, returned exactly symmetric.
     """
     if noise_var <= 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
@@ -122,18 +123,8 @@ def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: fl
     if phi.shape[0] != belief.dim:
         raise ShapeError(f"feature vector has length {phi.shape[0]}, belief has {belief.dim}")
 
-    s = belief.cov @ phi
-    pred_var = float(phi @ s) + noise_var
-    pred_mean = float(phi @ belief.mean)
-    loglik = gaussian_loglik(y, pred_mean, pred_var)
-
-    gain = s / pred_var
-    mean = belief.mean + gain * (y - pred_mean)
-    # Joseph: (I - K phi^T) P (I - K phi^T)^T + noise * K K^T, expanded in
-    # rank-one terms so the update stays O(F^2).
-    c = float(phi @ s)
-    cov = belief.cov - np.outer(gain, s) - np.outer(s, gain) + (c + noise_var) * np.outer(gain, gain)
-    return GaussianBelief(mean, symmetrize(cov)), loglik
+    mean, cov, pred_mean, pred_var = scalar_update(belief.mean, belief.cov, phi, y, noise_var)
+    return GaussianBelief(mean, cov), gaussian_loglik(y, pred_mean, pred_var)
 
 
 def predict_f(belief: GaussianBelief, phi: np.ndarray):

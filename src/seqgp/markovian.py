@@ -26,7 +26,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import Kernel, as_points, gram
-from .linalg import chol_jitter, gaussian_loglik, symmetrize
+from .linalg import chol_jitter, gaussian_loglik, scalar_update, symmetrize
 
 # [6/6] Pade numerator coefficients for the matrix exponential
 _PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
@@ -207,7 +207,9 @@ class MarkovStepper:
 
     Used by the batch filter below and by the CLI's record-at-a-time loop.
     Discretizations are memoized per step length, so regularly sampled
-    streams pay for one matrix exponential.
+    streams pay for one matrix exponential.  A zero-length step after the
+    first row leaves the state untouched (A = I, Q = 0 is exact on a
+    symmetric covariance) and records the shared identity as its transition.
     """
 
     def __init__(self, sde: LtiSde, noise_var: float):
@@ -218,7 +220,8 @@ class MarkovStepper:
         self.mean = np.zeros(sde.dim)
         self.cov = sde.stationary.copy()
         self.time: float | None = None
-        self.last_transition = np.eye(sde.dim)
+        self._identity = np.eye(sde.dim)
+        self.last_transition = self._identity
         self.flops = 0
         self._steps: dict[float, DiscreteStep] = {}
 
@@ -227,6 +230,10 @@ class MarkovStepper:
         delta = 0.0 if self.time is None else t - self.time
         if delta < 0.0:
             raise DataError(f"timestamps decrease ({self.time} -> {t})")
+        if delta == 0.0 and self.time is not None:
+            self.last_transition = self._identity
+            self.flops += _flops_predict(self.sde.dim)
+            return
         step = self._steps.get(delta)
         if step is None:
             step = discretize(self.sde, delta)
@@ -245,20 +252,13 @@ class MarkovStepper:
         return float(h @ self.mean), float(h @ self.cov @ h)
 
     def update(self, y: float, row: int = 0) -> float:
-        """Joseph-form measurement update; returns the predictive log density."""
+        """Scalar Kalman update through ``linalg.scalar_update``; returns the
+        predictive log density."""
         if not np.isfinite(y):
             raise DataError(f"non-finite observation {y!r}")
-        h = self.sde.obs[row]
-        s = self.cov @ h
-        pred_var = float(h @ s) + self.noise_var
-        pred_mean = float(h @ self.mean)
+        mean, cov, pred_mean, pred_var = scalar_update(self.mean, self.cov, self.sde.obs[row], y, self.noise_var)
         ll = gaussian_loglik(y, pred_mean, pred_var)
-        gain = s / pred_var
-        self.mean = self.mean + gain * (y - pred_mean)
-        c = float(h @ s)
-        self.cov = symmetrize(
-            self.cov - np.outer(gain, s) - np.outer(s, gain) + (c + self.noise_var) * np.outer(gain, gain)
-        )
+        self.mean, self.cov = mean, cov
         self.flops += _flops_update(self.sde.dim)
         return ll
 

@@ -122,6 +122,10 @@ class MarkovRunner:
         self.stepper = markovian.MarkovStepper(sde, noise_var)
         self.noise_var = noise_var
         self.locations = locations  # (N_s, D) when spatiotemporal
+        self._loc_index: dict[tuple, int] = {}  # exact coordinates -> first matching row
+        if locations is not None:
+            for i, loc in enumerate(locations.tolist()):
+                self._loc_index.setdefault(tuple(loc), i)
         self.keep_history = keep_history
         self.history: list[tuple] = []  # (pred_mean, pred_cov, A, mean, cov, obs_row)
         self.approximate_loglik = False
@@ -137,6 +141,9 @@ class MarkovRunner:
             return 0
         if rec.x is None:
             raise DataError(f"row {rec.row}: spatiotemporal model needs x columns")
+        idx = self._loc_index.get(tuple(rec.x.tolist()))
+        if idx is not None:
+            return idx
         dist = np.linalg.norm(self.locations - rec.x[None, :], axis=1)
         idx = int(np.argmin(dist))
         scale = 1.0 + float(np.linalg.norm(self.locations[idx]))
@@ -152,7 +159,8 @@ class MarkovRunner:
             self.stepper.advance(rec.t)
         except DataError as exc:
             raise DataError(f"row {rec.row}: {exc}") from exc
-        pred_mean, pred_cov = self.stepper.mean.copy(), self.stepper.cov.copy()
+        if self.keep_history:
+            pred_mean, pred_cov = self.stepper.mean.copy(), self.stepper.cov.copy()
         mean, var = self.stepper.predict_obs(row)
         ll = None
         if rec.y is not None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
 from .kernels import GRAM_JITTER, Kernel, as_points, eval_kernel, gram
-from .linalg import chol_solve, gaussian_loglik, symmetrize
+from .linalg import chol_solve, gaussian_loglik, scalar_update, symmetrize
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,11 @@ def sparse_update(state: SparseState, x, y: float, noise_var: float):
     h, q = _projection(state, x)
     r = noise_var + (q if state.include_residual else 0.0)
 
-    s = state.cov @ h
-    pred_var = float(h @ s) + r
-    pred_mean = float(h @ state.mean)
+    mean, cov, pred_mean, pred_var = scalar_update(state.mean, state.cov, h, y, r)
     loglik = gaussian_loglik(y, pred_mean, pred_var)
-
-    gain = s / pred_var
-    mean = state.mean + gain * (y - pred_mean)
-    c = float(h @ s)
-    cov = state.cov - np.outer(gain, s) - np.outer(s, gain) + (c + r) * np.outer(gain, gain)
     m_ind = state.n_inducing
     flops = 6 * m_ind * m_ind + 10 * m_ind
-    return replace(state, mean=mean, cov=symmetrize(cov), step_flops=flops), loglik
+    return replace(state, mean=mean, cov=cov, step_flops=flops), loglik
 
 
 def sparse_predict(state: SparseState, x):

@@ -114,6 +114,17 @@ class TestRun:
         assert summary["rows"] == 0 and summary["scored"] == 0
         assert "NaN" not in out and "nan" not in out.split("\n")[-2]
 
+    def test_overflowing_residual_gives_strict_json_summary(self):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        args = ["run", "model=markov", "kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.2"]
+        code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,1e200\n2,0.3\n")
+        assert code == 0, err
+        summary = json.loads(out.splitlines()[-1], parse_constant=reject)
+        assert summary["scored"] == 3
+        assert summary["rmse"] is None and summary["total_loglik"] is None
+
     def test_summary_recomputable_from_rows(self):
         rng = np.random.default_rng(71)
         csv = "t,y\n" + "".join(f"{i * 0.25},{repr(float(v))}\n" for i, v in enumerate(rng.standard_normal(30)))

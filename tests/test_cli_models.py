@@ -100,6 +100,21 @@ class TestSpatiotemporal:
         for row, m in zip(rows, mean):
             assert row["smoothed_mean"] == pytest.approx(float(m), abs=1e-5)
 
+    def test_location_within_tolerance_resolves_to_nearest(self, tmp_path):
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text("x1\n0.0\n1.0\n")
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2",
+                f"spatial.locations={loc_file}", "spatial.kernel.family=se"]
+        near = 1.0 + 1e-12
+        assert near != 1.0
+        code_exact, out_exact, _ = run_cli(args, stdin_text="t,x1,y\n0,0.0,0.5\n0,1.0,1.0\n")
+        code_near, out_near, err = run_cli(args, stdin_text=f"t,x1,y\n0,0.0,0.5\n0,{near!r},1.0\n")
+        assert code_exact == 0 and code_near == 0, err
+        _, rows_exact, _ = parse_report(out_exact)
+        _, rows_near, _ = parse_report(out_near)
+        for key in ("pred_mean", "pred_var", "pred_logdensity"):
+            assert rows_near[1][key] == rows_exact[1][key]
+
     def test_unknown_location_is_data_error(self, tmp_path):
         loc_file = tmp_path / "locations.csv"
         loc_file.write_text("x1\n0.0\n1.0\n")

@@ -297,3 +297,63 @@ class TestScaling:
             res = markovian.kalman_filter(sde, t, y, 0.1)
             per_step.append(res.flops / n)
         assert abs(per_step[1] / per_step[0] - 1.0) < 0.05
+
+
+class TestStepShortcuts:
+    def test_zero_step_advance_skips_discretize_and_keeps_state(self, monkeypatch):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.2, 0.8)), 0.1)
+        stepper.advance(0.0)
+        stepper.advance(0.4)
+        stepper.update(0.7)
+        stepper._steps.clear()  # a cached zero step must not be what saves the call
+        calls = []
+        real = markovian.discretize
+        monkeypatch.setattr(markovian, "discretize", lambda sde, delta: calls.append(delta) or real(sde, delta))
+        mean, cov = stepper.mean, stepper.cov
+        mean0, cov0 = mean.copy(), cov.copy()
+        stepper.advance(0.4)
+        assert calls == []
+        assert stepper.mean is mean and stepper.cov is cov
+        np.testing.assert_array_equal(stepper.mean, mean0)
+        np.testing.assert_array_equal(stepper.cov, cov0)
+        np.testing.assert_array_equal(stepper.last_transition, np.eye(2))
+
+    def test_repeated_timestamp_flops_match_per_step_accounting(self):
+        sde = markovian.build_lti(kernels.matern32(1.0, 0.7))
+        t = np.repeat(np.arange(50) * 0.25, 4)
+        y = np.sin(t)
+        y[::7] = np.nan
+        res = markovian.kalman_filter(sde, t, y, 0.2)
+        d = sde.dim
+        distinct_steps = 2  # the first row's zero step, then 0.25
+        expected = (
+            distinct_steps * markovian._flops_discretize(d)
+            + t.size * markovian._flops_predict(d)
+            + int(np.isfinite(y).sum()) * markovian._flops_update(d)
+        )
+        assert res.flops == expected
+
+    def test_repeated_timestamps_match_exact_gp(self):
+        kernel = kernels.matern32(1.0, 0.7)
+        rng = np.random.default_rng(31)
+        t = np.repeat(np.arange(12) * 0.3, 3)
+        y = rng.standard_normal(t.size)
+        res = markovian.kalman_filter(markovian.build_lti(kernel), t, y, 0.2)
+        lml = exact.log_marginal_likelihood(kernel, 0.2, t, y)
+        assert res.loglik_total == pytest.approx(lml, abs=1e-8)
+        smoothed = markovian.rts_smoother(markovian.build_lti(kernel), res)
+        post = exact.posterior(kernel, 0.2, t, y, t)
+        np.testing.assert_allclose(smoothed.means[:, 0], post.mean, atol=1e-7)
+
+
+class TestLongStream:
+    def test_update_long_stream_stays_psd(self):
+        rng = np.random.default_rng(17)
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.25)
+        for i in range(20_000):
+            stepper.advance(0.125 * i)
+            stepper.update(float(rng.standard_normal()))
+        cov = stepper.cov
+        np.testing.assert_array_equal(cov, cov.T)
+        min_eig = float(np.linalg.eigvalsh(cov).min())
+        assert min_eig >= -1e-9 * np.trace(cov) / cov.shape[0]

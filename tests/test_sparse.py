@@ -209,3 +209,14 @@ class TestChooseInducing:
     def test_too_many_inducing_rejected(self):
         with pytest.raises(ConfigurationError):
             sparse.choose_inducing(np.arange(4.0), 5, seed=0)
+
+
+class TestLongStream:
+    def test_update_long_stream_stays_psd(self):
+        rng = np.random.default_rng(18)
+        st = sparse.init_sparse(kernels.matern32(1.0, 0.8), np.linspace(0.0, 4.0, 6))
+        for _ in range(20_000):
+            st, _ = sparse.sparse_update(st, float(rng.uniform(0.0, 4.0)), float(rng.standard_normal()), 0.25)
+        np.testing.assert_array_equal(st.cov, st.cov.T)
+        min_eig = float(np.linalg.eigvalsh(st.cov).min())
+        assert min_eig >= -1e-9 * np.trace(st.cov) / st.n_inducing
