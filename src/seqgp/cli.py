@@ -91,6 +91,8 @@ def ingest_csv(stream) -> tuple[list[str], list[StreamRecord]]:
                 vals[name] = float(cell)
             except ValueError as exc:
                 raise DataError(f"row {row}, column {name}: malformed number {cell!r}") from exc
+            if not math.isfinite(vals[name]):
+                raise DataError(f"row {row}, column {name}: non-finite value {cell!r}")
         t = vals.get("t")
         if "t" in cols and t is None:
             raise DataError(f"row {row}: missing t value")

@@ -37,12 +37,12 @@ class ExactPosterior:
 
 
 def _noisy_train_factor(kernel: Kernel, noise_var: float, X: np.ndarray):
+    """K_oo and the jittered lower Cholesky factor of K_oo + noise_var I."""
     if noise_var <= 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
     K = kernel.gram(X)
-    Ky = K + noise_var * np.eye(K.shape[0])
-    L, _ = chol_jitter(Ky, scale=kernel.total_variance)
-    return L
+    L, _ = chol_jitter(K + noise_var * np.eye(K.shape[0]), scale=kernel.total_variance)
+    return K, L
 
 
 def posterior(kernel: Kernel, noise_var: float, X_train, y, X_test) -> ExactPosterior:
@@ -59,10 +59,7 @@ def posterior(kernel: Kernel, noise_var: float, X_train, y, X_test) -> ExactPost
     if y.shape[0] < 1:
         raise ShapeError("need at least one training point")
 
-    if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
-    K_oo = kernel.gram(Xo)
-    L, _ = chol_jitter(K_oo + noise_var * np.eye(K_oo.shape[0]), scale=kernel.total_variance)
+    K_oo, L = _noisy_train_factor(kernel, noise_var, Xo)
     if X_test is X_train:
         K_so = K_ss = K_oo  # common oracle pattern: predict back at the training inputs
     else:
@@ -85,7 +82,7 @@ def log_marginal_likelihood(kernel: Kernel, noise_var: float, X, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if Xo.shape[0] != y.shape[0]:
         raise ShapeError(f"{Xo.shape[0]} training inputs but {y.shape[0]} targets")
-    L = _noisy_train_factor(kernel, noise_var, Xo)
+    _, L = _noisy_train_factor(kernel, noise_var, Xo)
     alpha = chol_solve(L, y)
     return -0.5 * float(y @ alpha) - 0.5 * chol_logdet(L) - 0.5 * y.size * LOG_2PI
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtpsv
 from scipy.special import logsumexp
 
 from . import ensemble as ens
-from . import exact, features, linear_filter, markovian, sparse
+from . import features, linear_filter, markovian, sparse
 from .config import (
     build_dynamics,
     build_kernel,
@@ -31,7 +32,7 @@ from .config import (
     load_locations,
     member_configs,
 )
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, NumericalError
 from .kernels import eval_kernel
 from .linalg import gaussian_loglik
 
@@ -60,31 +61,78 @@ class StepResult:
 
 
 class ExactRunner:
-    """Growing-batch exact GP: refit posterior on all past points each step."""
+    """Exact GP grown one observation at a time by extending a Cholesky factor.
+
+    The state is the lower factor L of K_oo + noise_var I over the n observed
+    inputs X, and z = L^-1 y.  A row at x solves v = L^-1 k(X, x) once, which
+    costs O(n^2), and predicts mean = v.z, var = kappa(x, x) - v.v.  A y-bearing
+    row then appends [v, sqrt(var + noise_var)] as row n of L and the
+    standardized residual (y - mean) / sqrt(var + noise_var) to z; the new
+    pivot is the predictive variance that scoring already requires to be
+    positive.  A predict-only row leaves the state untouched.
+
+    L is kept in packed storage: row i of L occupies ``packed[i(i+1)/2 :
+    (i+1)(i+2)/2]``, which is BLAS upper-packed storage of L^T, so a new row
+    is an append and the triangular solve runs on a contiguous prefix.
+    Memory is O(n^2); every buffer grows geometrically.
+    """
 
     def __init__(self, kernel, noise_var: float):
+        if noise_var <= 0.0:
+            raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
         self.kernel = kernel
         self.noise_var = noise_var
-        self.xs: list[np.ndarray] = []
-        self.ys: list[float] = []
+        self.n = 0  # observations folded in
+        self.inputs = np.zeros((0, 0))  # X, rows [:n] in use
+        self.packed = np.zeros(0)  # packed L, entries [:n(n+1)/2] in use
+        self.z = np.zeros(0)  # L^-1 y, entries [:n] in use
         self.flops = 0
         self.approximate_loglik = False
 
+    @property
+    def factor(self) -> np.ndarray:
+        """The lower factor L as a dense (n, n) array (a copy)."""
+        L = np.zeros((self.n, self.n))
+        L[np.tril_indices(self.n)] = self.packed[: self.n * (self.n + 1) // 2]
+        return L
+
     def step(self, rec: StreamRecord) -> StepResult:
         x = rec.point
-        if not self.xs:
-            mean, var = 0.0, float(eval_kernel(self.kernel, x, x))
-        else:
-            post = exact.posterior(self.kernel, self.noise_var, np.array(self.xs), np.array(self.ys), x.reshape(1, -1))
-            mean, var = float(post.mean[0]), float(post.covariance[0, 0])
-        n = len(self.xs)
-        self.flops += n**3 // 3 + n * n + 10
+        n = self.n
+        kxx = float(eval_kernel(self.kernel, x, x))
+        k = self.kernel.gram(self.inputs[:n], x.reshape(1, -1)).ravel() if n else np.zeros(0)
+        if not (np.isfinite(kxx) and np.all(np.isfinite(k))):
+            raise NumericalError("kernel has non-finite entries")
+        v = dtpsv(n, self.packed[: n * (n + 1) // 2], k, trans=1, overwrite_x=1) if n else k
+        mean, var = float(v @ self.z[:n]), kxx - float(v @ v)
+        self.flops += n * n + 4 * n + 10
         if rec.y is None:
             return StepResult(mean, var, None)
         ll = gaussian_loglik(rec.y, mean, var + self.noise_var)
-        self.xs.append(x)
-        self.ys.append(rec.y)
+        pivot = float(np.sqrt(var + self.noise_var))
+        self._append(x, v, pivot, (rec.y - mean) / pivot)
         return StepResult(mean, var, ll)
+
+    def _append(self, x: np.ndarray, v: np.ndarray, pivot: float, z_new: float) -> None:
+        n = self.n
+        if n == self.z.size:
+            cap = max(16, 2 * n)
+            self.inputs = _grown(self.inputs, (cap, x.size))
+            self.packed = _grown(self.packed, (cap * (cap + 1) // 2,))
+            self.z = _grown(self.z, (cap,))
+        start = n * (n + 1) // 2
+        self.packed[start : start + n] = v
+        self.packed[start + n] = pivot
+        self.inputs[n] = x
+        self.z[n] = z_new
+        self.n = n + 1
+
+
+def _grown(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """A zero buffer of ``shape`` whose leading block holds ``buf``."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, s) for s in buf.shape)] = buf
+    return out
 
 
 class LinearRunner:
@@ -245,7 +293,11 @@ class EnsembleRunner:
         if self.state.combiner == "bma":
             self.state = ens.bma_update(self.state, lls)
         else:
-            self.state = ens.stacking_update(self.state, np.exp(lls))
+            # The EG step is invariant to scaling every density, so shift by the
+            # best member before exponentiating: far-out members must not all
+            # underflow to 0.  With no finite log density the step is skipped.
+            shift = np.max(lls) if np.any(np.isfinite(lls)) else 0.0
+            self.state = ens.stacking_update(self.state, np.exp(lls - shift))
         return StepResult(mix_mean, mix_var, mix_ll, weights=self.state.weights)
 
 

@@ -243,6 +243,20 @@ class TestExitCodes:
         assert code == 3
         assert "row 3" in err
 
+    @pytest.mark.parametrize("args, csv, column", [
+        (["model=markov", "kernel.family=matern12", "noise_var=0.1"], "t,y\n0,0.1\nnan,0.2\n", "t"),
+        (["model=exact", "kernel.family=se", "noise_var=0.1"], "t,y\n0,0.1\ninf,0.2\n", "t"),
+        (["model=exact", "kernel.family=se", "noise_var=0.1"], "x1,x2,y\n0,1,0.1\n1,-inf,0.2\n", "x2"),
+        (["model=linear", "kernel.family=se", "features.F=8", "noise_var=0.1", "--seed", "0"],
+         "x1,y\n0,0.1\nNaN,0.2\n", "x1"),
+        (["model=exact", "kernel.family=se", "noise_var=0.1"], "t,y\n0,0.1\n1,inf\n", "y"),
+    ])
+    def test_non_finite_cell_is_3_with_row_and_column(self, args, csv, column):
+        code, out, err = run_cli(["run", *args], stdin_text=csv)
+        assert code == 3
+        assert f"row 2, column {column}: non-finite value" in err
+        assert out == ""
+
     def test_numerical_error_is_4(self):
         code, _, err = run_cli(
             ["run", "model=linear", "kernel.family=se", "features.kind=rff", "features.F=8",

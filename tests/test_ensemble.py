@@ -1,9 +1,12 @@
 """Online model combination: BMA recursion, stacking, mixture moments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from seqgp import ensemble as ens
+from seqgp.runners import EnsembleRunner, StepResult, StreamRecord
 from seqgp.errors import ConfigurationError, DataError
 
 
@@ -162,3 +165,33 @@ class TestInit:
             ens.init_ensemble(0, "bma")
         with pytest.raises(ConfigurationError):
             ens.init_ensemble(2, "mean")
+
+
+class _FixedScoreMember:
+    """Runner stand-in whose every row scores the same log density."""
+
+    approximate_loglik = False
+    flops = 0
+
+    def __init__(self, loglik):
+        self.loglik = loglik
+
+    def step(self, rec):
+        return StepResult(0.0, 1.0, self.loglik)
+
+
+class TestStackingRunner:
+    def test_far_out_members_still_move_the_weights(self):
+        # exp(-800) and exp(-840) both underflow to 0 in double precision
+        runner = EnsembleRunner([_FixedScoreMember(-800.0), _FixedScoreMember(-840.0)], "stacking")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
+        assert res.weights[0] > 0.5 > res.weights[1]
+        assert res.weights.sum() == pytest.approx(1.0)
+
+    def test_no_finite_member_density_skips_the_step(self):
+        runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "stacking")
+        with pytest.warns(UserWarning, match="stacking step skipped"):
+            res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
+        np.testing.assert_array_equal(res.weights, [0.5, 0.5])

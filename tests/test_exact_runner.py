@@ -1,0 +1,111 @@
+"""Exact-GP runner: the incrementally extended Cholesky factor against the batch oracle."""
+
+import numpy as np
+import pytest
+
+from conftest import run_cli
+from seqgp import exact, kernels
+from seqgp.errors import ConfigurationError, NumericalError
+from seqgp.runners import ExactRunner, StreamRecord
+
+NOISE_VAR = 0.05
+
+
+def stream(seed, n, dim=None, predict_share=0.1):
+    """Seeded records: time inputs (dim=None) or dim-D x inputs, some without y."""
+    rng = np.random.default_rng(seed)
+    if dim is None:
+        pts = np.cumsum(rng.uniform(0.01, 0.1, n))[:, None]
+    else:
+        pts = rng.uniform(-2.0, 2.0, (n, dim))
+    ys = np.sin(3.0 * pts.sum(axis=1)) + 0.2 * rng.standard_normal(n)
+    scored = rng.uniform(size=n) >= predict_share
+    return [
+        StreamRecord(row=i + 1, t=float(p[0]) if dim is None else None, x=None if dim is None else p,
+                     y=float(ys[i]) if scored[i] else None)
+        for i, p in enumerate(pts)
+    ]
+
+
+def assert_matches_batch_oracle(kernel, records):
+    runner = ExactRunner(kernel, NOISE_VAR)
+    X, y, total = [], [], 0.0
+    for rec in records:
+        res = runner.step(rec)
+        if X:
+            post = exact.posterior(kernel, NOISE_VAR, np.array(X), np.array(y), rec.point.reshape(1, -1))
+            mean, var = float(post.mean[0]), float(post.covariance[0, 0])
+        else:
+            mean, var = 0.0, kernel.total_variance
+        np.testing.assert_allclose(res.mean, mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(res.var, var, rtol=1e-10, atol=1e-12)
+        if rec.y is not None:
+            total += res.logdensity
+            X.append(rec.point)
+            y.append(rec.y)
+    # chain rule: the scored log densities telescope to the log marginal likelihood
+    assert total == pytest.approx(exact.log_marginal_likelihood(kernel, NOISE_VAR, np.array(X), np.array(y)),
+                                  abs=1e-8)
+    return runner, np.array(X)
+
+
+class TestAgainstBatchOracle:
+    def test_every_prefix_of_a_time_stream(self):
+        records = stream(11, 200)
+        assert 10 <= sum(r.y is None for r in records) <= 35
+        kernel = kernels.matern32(1.3, 0.4)
+        runner, X = assert_matches_batch_oracle(kernel, records)
+        L_batch = np.linalg.cholesky(kernel.gram(X) + NOISE_VAR * np.eye(X.shape[0]))
+        np.testing.assert_allclose(runner.factor, L_batch, rtol=1e-10, atol=1e-12)
+
+    def test_two_dimensional_inputs(self):
+        assert_matches_batch_oracle(kernels.se(0.8, 0.9), stream(12, 120, dim=2))
+
+
+class TestState:
+    def test_predict_only_rows_leave_the_factor_unchanged(self):
+        runner = ExactRunner(kernels.se(1.0, 0.5), NOISE_VAR)
+        for rec in stream(13, 30, predict_share=0.0):
+            runner.step(rec)
+        before = (runner.n, runner.factor, runner.z.copy(), runner.inputs.copy())
+        res = runner.step(StreamRecord(row=31, t=5.0, x=None, y=None))
+        assert res.logdensity is None
+        after = (runner.n, runner.factor, runner.z, runner.inputs)
+        assert before[0] == after[0] == 30
+        for a, b in zip(before[1:], after[1:]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_step_flops_grow_quadratically(self):
+        runner = ExactRunner(kernels.matern12(1.0, 1.0), NOISE_VAR)
+        step_flops = []
+        for rec in stream(14, 401, predict_share=0.0):
+            before = runner.flops
+            runner.step(rec)
+            step_flops.append(runner.flops - before)
+        ratio = step_flops[400] / step_flops[200]  # n = 400 vs n = 200 observations
+        assert 3.5 < ratio < 4.5  # quadratic: 4; a refactorization per row would give 8
+
+    def test_non_positive_noise_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="noise_var must be positive"):
+            ExactRunner(kernels.se(), 0.0)
+
+    def test_non_finite_kernel_entries_are_numerical_errors(self):
+        runner = ExactRunner(kernels.se(), NOISE_VAR)
+        runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.3))
+        with pytest.raises(NumericalError, match="non-finite"):
+            runner.step(StreamRecord(row=2, t=float("nan"), x=None, y=0.1))
+
+
+class TestIllConditionedStream:
+    """SE kernel, 40 rows at spacing 1e-3: the Gram is numerically rank-deficient."""
+
+    CSV = "t,y\n" + "".join(f"{t!r},{float(np.sin(2.0 * np.pi * t))!r}\n" for t in (np.arange(40) * 1e-3).tolist())
+
+    def test_tiny_noise_still_runs(self):
+        code, _, err = run_cli(["run", "model=exact", "kernel.family=se", "noise_var=1e-12"], stdin_text=self.CSV)
+        assert code == 0, err
+
+    def test_vanishing_noise_is_a_numerical_error(self):
+        code, _, err = run_cli(["run", "model=exact", "kernel.family=se", "noise_var=1e-16"], stdin_text=self.CSV)
+        assert code == 4
+        assert "non-positive predictive variance" in err
