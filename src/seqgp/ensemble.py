@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError, DataError
 
@@ -38,6 +37,22 @@ class EnsembleState:
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-D array, bit for bit as scipy's logsumexp:
+    log1p(sum(exp(a - a_max)) over the m non-maximal terms / m) + log(m) + a_max,
+    falling back to log(sum(exp(a))) when that is not finite."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    is_max = a == a_max
+    m = float(np.count_nonzero(is_max))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+        out = np.log1p(s / m if s else s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
 
 
 def _normalize(log_w: np.ndarray) -> np.ndarray:

@@ -92,9 +92,7 @@ def predict_step(belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
     if dynamics.mode == "random_walk":
         return GaussianBelief(belief.mean, belief.cov + dynamics.sigma_rw2 * np.eye(belief.dim))
     if dynamics.mode == "b2p":
-        lam = dynamics.lambda_forget
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigurationError(f"forgetting factor must lie in [0, 1], got {lam}")
+        lam = dynamics.lambda_forget  # range checked once, by b2p()
         mean = math.sqrt(lam) * belief.mean
         cov = lam * belief.cov + (1.0 - lam) * dynamics.prior_var * np.eye(belief.dim)
         return GaussianBelief(mean, cov)

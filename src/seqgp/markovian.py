@@ -205,14 +205,17 @@ def _flops_update(d: int) -> int:
 class MarkovStepper:
     """Streaming filter state: advance to a timestamp, then optionally update.
 
-    Used by the batch filter below and by the CLI's record-at-a-time loop.
-    Discretizations are memoized per step length, so regularly sampled
-    streams pay for one matrix exponential.  A zero-length step after the
-    first row leaves the state untouched (A = I, Q = 0 is exact on a
-    symmetric covariance) and records the shared identity as its transition.
+    ``step`` is the one per-row routine of the batch filter below and of the
+    CLI's record-at-a-time loop.  Discretizations are memoized per step
+    length, so regularly sampled streams pay for one matrix exponential.  A
+    zero-length step after the first row leaves the state untouched (A = I,
+    Q = 0 is exact on a symmetric covariance) and records the shared
+    identity as its transition.  With ``keep_history`` each step appends its
+    moments to ``history`` by reference: no state array is ever modified in
+    place, only rebound.
     """
 
-    def __init__(self, sde: LtiSde, noise_var: float):
+    def __init__(self, sde: LtiSde, noise_var: float, keep_history: bool = False):
         if noise_var <= 0.0:
             raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
         self.sde = sde
@@ -224,6 +227,7 @@ class MarkovStepper:
         self.last_transition = self._identity
         self.flops = 0
         self._steps: dict[float, DiscreteStep] = {}
+        self.history: list[tuple] | None = [] if keep_history else None
 
     def advance(self, t: float) -> None:
         """Propagate the state to time ``t`` (>= the current time)."""
@@ -262,6 +266,41 @@ class MarkovStepper:
         self.flops += _flops_update(self.sde.dim)
         return ll
 
+    def step(self, t: float, y: float | None = None, row: int = 0):
+        """Advance to ``t`` and update on ``y`` unless it is None; returns the
+        latent predictive (mean, var) through observation row ``row`` and the
+        log density of ``y`` (None on a predict-only row)."""
+        self.advance(t)
+        pred_mean, pred_cov = self.mean, self.cov
+        mean, var = self.predict_obs(row)
+        ll = None if y is None else self.update(y, row)
+        if self.history is not None:
+            self.history.append((pred_mean, pred_cov, self.last_transition, self.mean, self.cov, row, ll))
+        return mean, var, ll
+
+    def result(self, times) -> FilterResult:
+        """Stack the recorded history into a ``FilterResult`` over ``times``."""
+        if self.history is None:
+            raise ConfigurationError("the filter history requires keep_history=True")
+        n, d = len(self.history), self.sde.dim
+        pred_means, pred_covs, transitions, means, covs, rows, lls = zip(*self.history) if n else ((),) * 7
+        logliks = np.array([np.nan if ll is None else ll for ll in lls], dtype=float)
+        total = 0.0  # left to right, as the scores arrived (sum() compensates on Python >= 3.12)
+        for ll in lls:
+            total += 0.0 if ll is None else ll
+        return FilterResult(
+            times=np.asarray(times, dtype=float),
+            pred_means=np.array(pred_means).reshape(n, d),
+            pred_covs=np.array(pred_covs).reshape(n, d, d),
+            means=np.array(means).reshape(n, d),
+            covs=np.array(covs).reshape(n, d, d),
+            transitions=list(transitions),
+            obs_rows=np.array(rows, dtype=int),
+            logliks=logliks,
+            loglik_total=total,
+            flops=self.flops,
+        )
+
 
 @dataclass
 class FilterResult:
@@ -290,45 +329,17 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     y = np.asarray(values, dtype=float).ravel()
     if t.shape != y.shape:
         raise DataError(f"{t.size} timestamps but {y.size} values")
-    n = t.size
-    rows = np.zeros(n, dtype=int) if obs_rows is None else np.asarray(obs_rows, dtype=int).ravel()
+    rows = np.zeros(t.size, dtype=int) if obs_rows is None else np.asarray(obs_rows, dtype=int).ravel()
+    if rows.shape != t.shape:
+        raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
+    down = np.flatnonzero(t[1:] < t[:-1]) + 1
+    if down.size:
+        raise DataError(f"timestamps decrease at step {down[0]} ({t[down[0] - 1]} -> {t[down[0]]})")
 
-    stepper = MarkovStepper(sde, noise_var)
-    d = sde.dim
-    pred_means = np.empty((n, d))
-    pred_covs = np.empty((n, d, d))
-    means = np.empty((n, d))
-    covs = np.empty((n, d, d))
-    logliks = np.full(n, np.nan)
-    transitions = []
-    total = 0.0
-
-    for i in range(n):
-        if i > 0 and t[i] < t[i - 1]:
-            raise DataError(f"timestamps decrease at step {i} ({t[i - 1]} -> {t[i]})")
-        stepper.advance(t[i])
-        pred_means[i] = stepper.mean
-        pred_covs[i] = stepper.cov
-        transitions.append(stepper.last_transition)
-        if np.isfinite(y[i]):
-            ll = stepper.update(y[i], rows[i])
-            logliks[i] = ll
-            total += ll
-        means[i] = stepper.mean
-        covs[i] = stepper.cov
-
-    return FilterResult(
-        times=t,
-        pred_means=pred_means,
-        pred_covs=pred_covs,
-        means=means,
-        covs=covs,
-        transitions=transitions,
-        obs_rows=rows,
-        logliks=logliks,
-        loglik_total=total,
-        flops=stepper.flops,
-    )
+    stepper = MarkovStepper(sde, noise_var, keep_history=True)
+    for ti, yi, row in zip(t, y, rows):
+        stepper.step(ti, yi if np.isfinite(yi) else None, row)
+    return stepper.result(t)
 
 
 @dataclass

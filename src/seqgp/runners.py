@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
-from scipy.special import logsumexp
 
 from . import ensemble as ens
 from . import features, linear_filter, markovian, sparse
@@ -167,15 +166,12 @@ class MarkovRunner:
     """Continuous-time state-space filter; optionally keeps history for smoothing."""
 
     def __init__(self, sde, noise_var: float, locations=None, keep_history: bool = False):
-        self.stepper = markovian.MarkovStepper(sde, noise_var)
-        self.noise_var = noise_var
+        self.stepper = markovian.MarkovStepper(sde, noise_var, keep_history=keep_history)
         self.locations = locations  # (N_s, D) when spatiotemporal
         self._loc_index: dict[tuple, int] = {}  # exact coordinates -> first matching row
         if locations is not None:
             for i, loc in enumerate(locations.tolist()):
                 self._loc_index.setdefault(tuple(loc), i)
-        self.keep_history = keep_history
-        self.history: list[tuple] = []  # (pred_mean, pred_cov, A, mean, cov, obs_row)
         self.approximate_loglik = False
 
     @property
@@ -204,54 +200,30 @@ class MarkovRunner:
             raise DataError(f"row {rec.row}: markov model needs a t column")
         row = self._obs_row(rec)
         try:
-            self.stepper.advance(rec.t)
+            return StepResult(*self.stepper.step(rec.t, rec.y, row))
         except DataError as exc:
             raise DataError(f"row {rec.row}: {exc}") from exc
-        if self.keep_history:
-            pred_mean, pred_cov = self.stepper.mean.copy(), self.stepper.cov.copy()
-        mean, var = self.stepper.predict_obs(row)
-        ll = None
-        if rec.y is not None:
-            ll = self.stepper.update(rec.y, row)
-        if self.keep_history:
-            transition = self.stepper.last_transition
-            self.history.append((pred_mean, pred_cov, transition, self.stepper.mean.copy(), self.stepper.cov.copy(), row))
-        return StepResult(mean, var, ll)
 
     def smooth(self, times) -> list[tuple[float, float]]:
         """Backward pass over the stored history; per-row smoothed (mean, var)."""
-        if not self.keep_history:
+        if self.stepper.history is None:
             raise ConfigurationError("smoothing requires keep_history=True")
-        n = len(self.history)
-        if n == 0:
-            return []
-        result = markovian.FilterResult(
-            times=np.asarray(times, dtype=float),
-            pred_means=np.array([h[0] for h in self.history]).reshape(n, -1),
-            pred_covs=np.array([h[1] for h in self.history]),
-            means=np.array([h[3] for h in self.history]).reshape(n, -1),
-            covs=np.array([h[4] for h in self.history]),
-            transitions=[h[2] for h in self.history],
-            obs_rows=np.array([h[5] for h in self.history], dtype=int),
-            logliks=np.full(n, np.nan),
-            loglik_total=0.0,
-            flops=0,
-        )
+        result = self.stepper.result(times)
         smoothed = markovian.rts_smoother(self.stepper.sde, result)
         out = []
-        for i in range(n):
-            h = self.stepper.sde.obs[result.obs_rows[i]]
+        for i, row in enumerate(result.obs_rows):
+            h = self.stepper.sde.obs[row]
             out.append((float(h @ smoothed.means[i]), float(h @ smoothed.covs[i] @ h)))
         return out
 
 
 class SparseRunner:
-    """Fixed-inducing-set recursion; ``vsgp`` switches to information-form updates."""
+    """Fixed-inducing-set recursion, one rank-one update per observation; also
+    ``model=vsgp``, whose one-row information-form update is the same update."""
 
-    def __init__(self, kernel, noise_var: float, inducing, include_residual: bool, vsgp: bool = False):
+    def __init__(self, kernel, noise_var: float, inducing, include_residual: bool):
         self.state = sparse.init_sparse(kernel, inducing, include_residual)
         self.noise_var = noise_var
-        self.vsgp = vsgp
         self.flops = 0
         self.approximate_loglik = False
 
@@ -260,11 +232,7 @@ class SparseRunner:
         mean, var = sparse.sparse_predict(self.state, x)
         if rec.y is None:
             return StepResult(mean, var, None)
-        if self.vsgp:
-            ll = gaussian_loglik(rec.y, mean, var + self.noise_var)
-            self.state = sparse.vsgp_info_update(self.state, x.reshape(1, -1), [rec.y], self.noise_var)
-        else:
-            self.state, ll = sparse.sparse_update(self.state, x, rec.y, self.noise_var)
+        self.state, ll = sparse.sparse_update(self.state, x, rec.y, self.noise_var)
         self.flops += self.state.step_flops
         return StepResult(mean, var, ll)
 
@@ -289,7 +257,7 @@ class EnsembleRunner:
         if rec.y is None:
             return StepResult(mix_mean, mix_var, None, weights=self.state.weights)
         lls = np.array([r.logdensity for r in results])
-        mix_ll = float(logsumexp(self.state.log_weights + lls))
+        mix_ll = ens.logsumexp(self.state.log_weights + lls)
         if self.state.combiner == "bma":
             self.state = ens.bma_update(self.state, lls)
         else:
@@ -364,7 +332,7 @@ def _build_markov(cfg, records):
     return MarkovRunner(sde, noise_var, locations=locations, keep_history=keep)
 
 
-def _build_sparse(cfg, records, vsgp=False):
+def _build_sparse(cfg, records):
     kernel = build_kernel(cfg)
     noise_var = get_float(cfg, "noise_var", required=True)
     explicit = cfg.get("sparse.inducing")
@@ -383,7 +351,7 @@ def _build_sparse(cfg, records, vsgp=False):
             raise ConfigurationError("sparse.seed: required for k-means seeding of multi-D inducing inputs")
         inducing = sparse.choose_inducing(pts, n_inducing, 0 if seed is None else seed)
     residual = get_bool(cfg, "sparse.residual", default=True)
-    return SparseRunner(kernel, noise_var, inducing, residual, vsgp=vsgp)
+    return SparseRunner(kernel, noise_var, inducing, residual)
 
 
 def _build_ensemble(cfg, records):
@@ -405,6 +373,6 @@ MODELS_BUILDABLE = {
     "linear": _build_linear,
     "markov": _build_markov,
     "sparse": _build_sparse,
-    "vsgp": lambda cfg, records: _build_sparse(cfg, records, vsgp=True),
+    "vsgp": _build_sparse,
     "ensemble": _build_ensemble,
 }

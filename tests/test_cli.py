@@ -207,6 +207,23 @@ class TestFitExact:
         assert summary["kernel"]["lengthscale"] in (0.2, 1.0, 5.0)
 
 
+    def test_test_rows_factor_the_training_gram_once(self, monkeypatch):
+        rng = np.random.default_rng(76)
+        X = np.sort(rng.uniform(0, 4, 60))
+        y = np.sin(X) + 0.1 * rng.standard_normal(60)
+        csv = "t,y\n" + "".join(f"{repr(float(a))},{repr(float(b))}\n" for a, b in zip(X, y)) + "2.5,\n"
+        calls = []
+        real = exact.chol_jitter
+        monkeypatch.setattr(exact, "chol_jitter", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        code, out, _ = run_cli(["fit-exact", "model=exact", "kernel.family=matern32", "noise_var=0.05"],
+                               stdin_text=csv)
+        assert code == 0
+        assert calls == [(60, 60)]
+        _, rows, summary = parse_report(out)
+        assert len(rows) == 1
+        assert summary["log_marginal"] == exact.log_marginal_likelihood(kernels.matern32(), 0.05, X, y)
+
+
 class TestCheck:
     def test_check_passes_for_valid_config(self):
         code, out, _ = run_cli(["check", "kernel.family=matern32", "kernel.lengthscale=1.2",

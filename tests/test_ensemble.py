@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
 from seqgp.runners import EnsembleRunner, StepResult, StreamRecord
@@ -33,6 +34,21 @@ def eg_oracle(density_matrix, k_members):
         w = w / w.sum()
         path.append(w.copy())
     return np.array(path)
+
+
+class TestLogsumexp:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(2_000):
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), rng.integers(1, 12))
+            cases += [a, np.append(a, a.max()), np.full(a.size, a[0]), np.append(a, -np.inf)]
+        cases += [rng.normal(size=300), np.full(200, -3.0), np.array([-np.inf, -np.inf]), np.array([np.inf, 1.0])]
+        for a in cases:
+            assert ens.logsumexp(a) == scipy_logsumexp(a)
+
+    def test_nan_propagates(self):
+        assert np.isnan(ens.logsumexp(np.array([np.nan, 1.0])))
 
 
 class TestBma:

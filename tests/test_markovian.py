@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from seqgp import exact, kernels, markovian
+from seqgp.runners import MarkovRunner, StreamRecord
 from seqgp.errors import ConfigurationError, DataError, UnsupportedKernelError
 
 MARKOV_KERNELS = [
@@ -164,6 +165,11 @@ class TestKalmanFilter:
         sde = markovian.build_lti(kernels.matern12())
         with pytest.raises(DataError, match="step 2"):
             markovian.kalman_filter(sde, [0.0, 1.0, 0.5], [0.0, 0.0, 0.0], 0.1)
+
+    def test_obs_rows_length_must_match(self):
+        sde = markovian.build_lti(kernels.matern12())
+        with pytest.raises(DataError, match="observation rows"):
+            markovian.kalman_filter(sde, [0.0, 1.0], [0.1, 0.2], 0.1, obs_rows=[0])
 
     def test_equal_timestamps_allowed(self):
         sde = markovian.build_lti(kernels.matern12())
@@ -357,3 +363,49 @@ class TestLongStream:
         np.testing.assert_array_equal(cov, cov.T)
         min_eig = float(np.linalg.eigvalsh(cov).min())
         assert min_eig >= -1e-9 * np.trace(cov) / cov.shape[0]
+
+
+class TestStepperHistory:
+    def test_runner_smoothing_is_the_batch_filter_and_smoother(self):
+        # repeated timestamps (zero steps share state arrays) and predict-only
+        # rows (pred and filtered moments are the same objects) in one stream
+        sde = markovian.build_lti(kernels.matern32(1.1, 0.6))
+        rng = np.random.default_rng(41)
+        t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 40)), rng.integers(1, 4, 40))
+        y = np.sin(t) + 0.2 * rng.standard_normal(t.size)
+        y[rng.random(t.size) < 0.25] = np.nan
+        runner = MarkovRunner(sde, 0.2, keep_history=True)
+        h = sde.obs[0]
+        predicted, filtered = [], []  # snapshots: the record is kept by reference
+        for i, (ti, yi) in enumerate(zip(t, y), start=1):
+            res = runner.step(StreamRecord(row=i, t=float(ti), x=None, y=None if np.isnan(yi) else float(yi)))
+            predicted.append((res.mean, res.var))
+            filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
+        record = runner.stepper.result(t)
+        assert predicted == [(float(h @ m), float(h @ c @ h)) for m, c in zip(record.pred_means, record.pred_covs)]
+        np.testing.assert_array_equal(record.means, np.array([m for m, _ in filtered]))
+        np.testing.assert_array_equal(record.covs, np.array([c for _, c in filtered]))
+        streamed = runner.smooth(t)
+
+        res = markovian.kalman_filter(sde, t, y, 0.2)
+        sm = markovian.rts_smoother(sde, res)
+        batch = [(float(h @ m), float(h @ c @ h)) for m, c in zip(sm.means, sm.covs)]
+        np.testing.assert_array_equal(np.array(streamed), np.array(batch))
+
+    def test_stepper_without_history_records_nothing(self):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1)
+        for i in range(5_000):
+            stepper.step(0.01 * i, None if i % 5 == 0 else 0.3)
+        assert stepper.history is None
+        with pytest.raises(ConfigurationError):
+            stepper.result(np.arange(5_000) * 0.01)
+
+    def test_step_returns_prior_moments_and_score(self):
+        sde = markovian.build_lti(kernels.matern32(1.3, 0.9))
+        stepper = markovian.MarkovStepper(sde, 0.25, keep_history=True)
+        assert stepper.step(0.0) == (0.0, pytest.approx(1.3), None)
+        mean, var, ll = stepper.step(0.5, 0.8)
+        assert ll == pytest.approx(-0.5 * (np.log(2 * np.pi * (var + 0.25)) + (0.8 - mean) ** 2 / (var + 0.25)))
+        pred_mean, pred_cov, A, post_mean, post_cov, row, rec_ll = stepper.history[-1]
+        assert float(sde.obs[0] @ pred_mean) == mean and float(sde.obs[0] @ pred_cov @ sde.obs[0]) == var
+        assert post_mean is stepper.mean and post_cov is stepper.cov and (row, rec_ll) == (0, ll)
