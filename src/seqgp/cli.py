@@ -176,6 +176,17 @@ def write_report(out, columns: list[str], rows: list[dict], summary: dict) -> No
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _input_cells(rec) -> dict:
+    """A report row holding the record's ``t`` and ``x1..xD`` cells, as read."""
+    row = {}
+    if rec.t is not None:
+        row["t"] = rec.t
+    if rec.x is not None:
+        for i, v in enumerate(rec.x, start=1):
+            row[f"x{i}"] = v
+    return row
+
+
 def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     t0 = time.perf_counter()
     cols, records = ingest_csv(in_stream)
@@ -185,12 +196,7 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     rows = []
     for rec in records:
         res = runner.step(rec)
-        row = {}
-        if rec.t is not None:
-            row["t"] = rec.t
-        if rec.x is not None:
-            for i, v in enumerate(rec.x, start=1):
-                row[f"x{i}"] = v
+        row = _input_cells(rec)
         row["y"] = rec.y
         row["pred_mean"] = res.mean
         row["pred_var"] = res.var
@@ -254,12 +260,7 @@ def cmd_fit_exact(cfg: dict, in_stream, out_stream) -> int:
         post = exact.posterior(kernel, noise_var, X, y, Xs)
         weights = post.weights
         for i, rec in enumerate(test):
-            row = {}
-            if rec.t is not None:
-                row["t"] = rec.t
-            if rec.x is not None:
-                for j, v in enumerate(rec.x, start=1):
-                    row[f"x{j}"] = v
+            row = _input_cells(rec)
             row["mean"] = float(post.mean[i])
             row["var"] = float(post.covariance[i, i])
             if get_bool(cfg, "emit_weights", default=False):

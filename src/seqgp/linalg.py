@@ -68,12 +68,6 @@ def chol_logdet(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def solve_psd(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Solve the SPD system A x = b via jittered Cholesky."""
-    L, _ = chol_jitter(a, scale)
-    return chol_solve(L, b)
-
-
 def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, noise_var: float):
     """Condition N(mean, cov) on one observation y = h^T x + N(0, noise_var).
 

@@ -11,9 +11,10 @@ covariance P_inf:
   channel.  Mixtures stack blocks diagonally with sqrt-weight observation
   rows.
 
-Exact discretization over an irregular step uses A = expm(F*dt) and
-Q = P_inf - A P_inf A^T, after which Kalman filtering and Rauch-Tung-
-Striebel smoothing give exact GP inference in O(N d^3).
+Exact discretization over an irregular step uses A = expm(F*dt), computed
+by ``scipy.linalg.expm``, and Q = P_inf - A P_inf A^T, after which Kalman
+filtering and Rauch-Tung-Striebel smoothing give exact GP inference in
+O(N d^3).
 """
 
 from __future__ import annotations
@@ -22,38 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
-from .kernels import Kernel, as_points, gram
+from .kernels import HmComponent, Kernel, as_points, gram
 from .linalg import chol_jitter, gaussian_loglik, scalar_update, symmetrize
-
-# [6/6] Pade numerator coefficients for the matrix exponential
-_PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
-
-
-def expm_fixed(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a fixed Pade order.
-
-    The order is pinned so the kernel-SDE duality holds to 1e-8 for every
-    supported state dimension (d <= ~20); for these small matrices this is
-    an order of magnitude cheaper per call than a general-purpose expm.
-    """
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = a / (2.0**squarings)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    eye = np.eye(n)
-    even = _PADE6[0] * eye + _PADE6[2] * a2 + _PADE6[4] * a4 + _PADE6[6] * a6
-    odd = a @ (_PADE6[1] * eye + _PADE6[3] * a2 + _PADE6[5] * a4)
-    result = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
 
 @dataclass(frozen=True)
 class LtiSde:
@@ -75,6 +49,9 @@ class LtiSde:
 class DiscreteStep:
     transition: np.ndarray  # A = expm(F * dt)
     noise_cov: np.ndarray  # Q, symmetric PSD
+
+
+_MATERN_NU = {"matern12": 0.5, "matern32": 1.5}
 
 
 def _matern_block(nu: float, sigma2: float, lengthscale: float):
@@ -121,37 +98,23 @@ def _hm_block(phase: float, nu: float, sigma2: float, lengthscale: float):
 def build_lti(kernel: Kernel) -> LtiSde:
     """State-space representation of a Markovian-supported kernel.
 
+    A Matern-1/2 or Matern-3/2 kernel is the one-component, zero-phase,
+    unit-weight Hida-Matern mixture.  Every model stacks its component
+    blocks diagonally and reads them through sqrt-weight observation rows.
     Squared-exponential and spectral-mixture kernels have no exact
     finite-dimensional SDE and are rejected.
     """
-    if kernel.family == "matern12":
-        F, L, H, q, P = _matern_block(0.5, kernel.sigma_f2, kernel.lengthscale)
-    elif kernel.family == "matern32":
-        F, L, H, q, P = _matern_block(1.5, kernel.sigma_f2, kernel.lengthscale)
+    if kernel.family in _MATERN_NU:
+        comps = (HmComponent(1.0, 0.0, _MATERN_NU[kernel.family], kernel.lengthscale, kernel.sigma_f2),)
     elif kernel.family == "hida_matern":
-        blocks = [_hm_block(c.phase, c.nu, c.sigma2, c.lengthscale) for c in kernel.hm_components]
-        dims = [b[0].shape[0] for b in blocks]
-        noise_dims = [b[1].shape[1] for b in blocks]
-        d, m = sum(dims), sum(noise_dims)
-        F = np.zeros((d, d))
-        L = np.zeros((d, m))
-        q = np.zeros((m, m))
-        P = np.zeros((d, d))
-        H = np.zeros((1, d))
-        i = j = 0
-        for comp, (Fb, Lb, Hb, qb, Pb) in zip(kernel.hm_components, blocks):
-            di, mi = Fb.shape[0], Lb.shape[1]
-            F[i : i + di, i : i + di] = Fb
-            L[i : i + di, j : j + mi] = Lb
-            q[j : j + mi, j : j + mi] = qb
-            P[i : i + di, i : i + di] = Pb
-            H[0, i : i + di] = math.sqrt(comp.weight) * Hb[0]
-            i += di
-            j += mi
+        comps = kernel.hm_components
     else:
         raise UnsupportedKernelError(
             f"kernel family {kernel.family!r} has no exact finite-dimensional SDE"
         )
+    blocks = [_hm_block(c.phase, c.nu, c.sigma2, c.lengthscale) for c in comps]
+    F, L, _, q, P = (block_diag(*parts) for parts in zip(*blocks))
+    H = np.hstack([math.sqrt(c.weight) * b[2] for c, b in zip(comps, blocks)])
     return LtiSde(drift=F, noise_loading=L, obs=H, diffusion=q, stationary=P)
 
 
@@ -172,19 +135,13 @@ def stationary_covariance(sde: LtiSde) -> np.ndarray:
 def discretize(sde: LtiSde, delta: float) -> DiscreteStep:
     """Exact transition over a step of length ``delta`` >= 0.
 
-    A = expm(F * delta) (closed form when d = 1, scaling-and-squaring Pade
-    otherwise); Q = P_inf - A P_inf A^T, which is exact for a stationary
-    initial law.
+    A = expm(F * delta) by ``scipy.linalg.expm``; Q = P_inf - A P_inf A^T,
+    which is exact for a stationary initial law.  A zero step gives A = I
+    and Q = 0 exactly.
     """
     if delta < 0.0:
         raise DataError(f"negative time step {delta}")
-    d = sde.dim
-    if delta == 0.0:
-        return DiscreteStep(np.eye(d), np.zeros((d, d)))
-    if d == 1:
-        A = np.array([[math.exp(sde.drift[0, 0] * delta)]])
-    else:
-        A = expm_fixed(sde.drift * delta)
+    A = expm(sde.drift * delta)
     Q = sde.stationary - A @ sde.stationary @ A.T
     return DiscreteStep(A, symmetrize(Q))
 
@@ -338,7 +295,7 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
 
     stepper = MarkovStepper(sde, noise_var, keep_history=True)
     for ti, yi, row in zip(t, y, rows):
-        stepper.step(ti, yi if np.isfinite(yi) else None, row)
+        stepper.step(ti, None if np.isnan(yi) else yi, row)
     return stepper.result(t)
 
 

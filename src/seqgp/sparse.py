@@ -27,8 +27,7 @@ from .linalg import chol_solve, gaussian_loglik, scalar_update, symmetrize
 class SparseState:
     kernel: Kernel
     inducing: np.ndarray  # (M, D)
-    k_uu: np.ndarray  # prior Gram over inducing inputs (with jitter)
-    k_factor: np.ndarray  # its lower Cholesky factor, cached for all solves
+    k_factor: np.ndarray  # lower Cholesky factor of the jittered inducing Gram K_uu
     mean: np.ndarray  # (M,) posterior mean of u
     cov: np.ndarray  # (M, M) posterior covariance of u
     include_residual: bool
@@ -85,7 +84,6 @@ def init_sparse(kernel: Kernel, inducing, include_residual: bool = True) -> Spar
     return SparseState(
         kernel=kernel,
         inducing=Z,
-        k_uu=K,
         k_factor=L,
         mean=np.zeros(Z.shape[0]),
         cov=K.copy(),

@@ -41,9 +41,8 @@ class TestBuildLti:
     def test_hida_matern_zero_phase_is_plain_matern(self):
         hm = markovian.build_lti(kernels.hida_matern([(1.0, 0.0, 1.5, 0.9, 1.3)]))
         plain = markovian.build_lti(kernels.matern32(1.3, 0.9))
-        np.testing.assert_allclose(hm.drift, plain.drift)
-        np.testing.assert_allclose(hm.obs, plain.obs)
-        np.testing.assert_allclose(hm.stationary, plain.stationary)
+        for field in ("drift", "noise_loading", "obs", "diffusion", "stationary"):
+            np.testing.assert_array_equal(getattr(hm, field), getattr(plain, field))
 
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedKernelError):
@@ -106,12 +105,44 @@ class TestStationaryCovariance:
         np.testing.assert_allclose(P[1:, 0], 0.0, atol=1e-12)
 
 
+ZERO_STEP_SDES = {
+    "matern12": markovian.build_lti(kernels.matern12(1.0, 1.0)),
+    "matern32": markovian.build_lti(kernels.matern32(1.0, 1.0)),
+    "mixture": markovian.build_lti(kernels.hida_matern(
+        [(0.5, 1.5, 1.5, 1.0, 1.0), (0.3, 0.0, 1.5, 2.0, 1.0), (0.2, 0.8, 0.5, 0.5, 1.0)])),
+    "spacetime": markovian.build_spatiotemporal(kernels.matern32(1.0, 1.0), kernels.se(1.0, 0.7), [[0.0], [0.5]]),
+}
+
+
+def matern32_transition(lengthscale, delta):
+    """Closed-form exp(F delta) of the Matern-3/2 drift [[0, 1], [-lam^2, -2 lam]]."""
+    lam = np.sqrt(3.0) / lengthscale
+    return np.exp(-lam * delta) * np.array([[1 + lam * delta, delta], [-lam * lam * delta, 1 - lam * delta]])
+
+
 class TestDiscretize:
-    def test_zero_step(self):
-        sde = markovian.build_lti(kernels.matern32(1.0, 1.0))
+    @pytest.mark.parametrize("name", ZERO_STEP_SDES)
+    def test_zero_step(self, name):
+        sde = ZERO_STEP_SDES[name]
         step = markovian.discretize(sde, 0.0)
-        np.testing.assert_array_equal(step.transition, np.eye(2))
-        np.testing.assert_array_equal(step.noise_cov, np.zeros((2, 2)))
+        np.testing.assert_array_equal(step.transition, np.eye(sde.dim))
+        np.testing.assert_array_equal(step.noise_cov, np.zeros((sde.dim, sde.dim)))
+
+    @pytest.mark.parametrize("delta", [1e-6, 0.01, 0.3, 1.0, 2.5, 7.0])
+    def test_matern32_transition_closed_form(self, delta):
+        sde = markovian.build_lti(kernels.matern32(1.4, 0.8))
+        np.testing.assert_allclose(markovian.discretize(sde, delta).transition, matern32_transition(0.8, delta),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.3, 1.0, 2.5])
+    def test_phased_block_is_matern_times_rotation(self, delta):
+        # the rotation generator commutes with the Matern drift (x) I, so
+        # exp(F delta) = A_matern (x) R(b delta)
+        phase = 2.3
+        phased = markovian.build_lti(kernels.hida_matern([(1.0, phase, 1.5, 0.8, 1.4)]))
+        c, s = np.cos(phase * delta), np.sin(phase * delta)
+        expected = np.kron(matern32_transition(0.8, delta), np.array([[c, -s], [s, c]]))
+        np.testing.assert_allclose(markovian.discretize(phased, delta).transition, expected, rtol=0, atol=1e-14)
 
     def test_ou_half_step_values(self):
         sde = markovian.build_lti(kernels.matern12(1.0, 1.0))
@@ -170,6 +201,12 @@ class TestKalmanFilter:
         sde = markovian.build_lti(kernels.matern12())
         with pytest.raises(DataError, match="observation rows"):
             markovian.kalman_filter(sde, [0.0, 1.0], [0.1, 0.2], 0.1, obs_rows=[0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_is_rejected_not_skipped(self, bad):
+        sde = markovian.build_lti(kernels.matern12())
+        with pytest.raises(DataError, match="non-finite observation"):
+            markovian.kalman_filter(sde, [0.0, 1.0, 2.0], [0.1, bad, 0.2], 0.1)
 
     def test_equal_timestamps_allowed(self):
         sde = markovian.build_lti(kernels.matern12())
