@@ -10,6 +10,8 @@ search) on the y-bearing rows and predicts the rest.  ``check`` runs a
 quick invariant battery against the configured model.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical error.
+A data or numerical error raised while ``run`` steps a row names its 1-based
+row.
 """
 
 from __future__ import annotations
@@ -195,7 +197,11 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
 
     rows = []
     for rec in records:
-        res = runner.step(rec)
+        try:
+            res = runner.step(rec)
+        except (DataError, NumericalError) as exc:
+            exc.args = (f"row {rec.row}: {exc}",)  # same class and detail, now naming the row
+            raise
         row = _input_cells(rec)
         row["y"] = rec.y
         row["pred_mean"] = res.mean

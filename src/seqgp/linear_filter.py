@@ -85,16 +85,26 @@ def init_belief(n_features: int, prior_var: float) -> GaussianBelief:
     return GaussianBelief(np.zeros(n_features), prior_var * np.eye(n_features))
 
 
+def _plus_diagonal(cov: np.ndarray, c: float) -> np.ndarray:
+    """Add c to the diagonal of the fresh array ``cov`` in place and return it.
+
+    Equal entry for entry to ``cov + c * np.eye(n)``, whose off-diagonal +0.0
+    changes no value, without building an n x n identity on every step.
+    """
+    cov.flat[:: cov.shape[0] + 1] += c
+    return cov
+
+
 def predict_step(belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
     """Propagate the belief through one step of the dynamics."""
     if dynamics.mode == "static":
         return belief
     if dynamics.mode == "random_walk":
-        return GaussianBelief(belief.mean, belief.cov + dynamics.sigma_rw2 * np.eye(belief.dim))
+        return GaussianBelief(belief.mean, _plus_diagonal(belief.cov.copy(), dynamics.sigma_rw2))
     if dynamics.mode == "b2p":
         lam = dynamics.lambda_forget  # range checked once, by b2p()
         mean = math.sqrt(lam) * belief.mean
-        cov = lam * belief.cov + (1.0 - lam) * dynamics.prior_var * np.eye(belief.dim)
+        cov = _plus_diagonal(lam * belief.cov, (1.0 - lam) * dynamics.prior_var)
         return GaussianBelief(mean, cov)
     if dynamics.mode == "general":
         u = np.zeros(belief.dim) if dynamics.u is None else dynamics.u

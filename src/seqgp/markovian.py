@@ -187,8 +187,10 @@ class MarkovStepper:
         self.history: list[tuple] | None = [] if keep_history else None
 
     def advance(self, t: float) -> None:
-        """Propagate the state to time ``t`` (>= the current time)."""
+        """Propagate the state to time ``t`` (finite, >= the current time)."""
         delta = 0.0 if self.time is None else t - self.time
+        if not (math.isfinite(t) and math.isfinite(delta)):
+            raise DataError(f"non-finite timestamp or step ({self.time} -> {t})")
         if delta < 0.0:
             raise DataError(f"timestamps decrease ({self.time} -> {t})")
         if delta == 0.0 and self.time is not None:
@@ -276,11 +278,12 @@ class FilterResult:
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
     """Forward filter over an ordered stream of scalar observations.
 
-    ``times`` must be non-decreasing (a decreasing stamp raises DataError
-    naming the step).  A NaN in ``values`` marks a predict-only step: the
-    state advances to that time without a measurement update.  ``obs_rows``
-    selects which observation row of ``sde.obs`` each step uses (always row
-    0 for temporal models).  Starts from the stationary law N(0, P_inf).
+    ``times`` must be finite and non-decreasing (a non-finite or decreasing
+    stamp raises DataError naming the step).  A NaN in ``values`` marks a
+    predict-only step: the state advances to that time without a measurement
+    update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
+    step uses (always row 0 for temporal models).  Starts from the
+    stationary law N(0, P_inf).
     """
     t = np.asarray(times, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()
@@ -289,6 +292,9 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     rows = np.zeros(t.size, dtype=int) if obs_rows is None else np.asarray(obs_rows, dtype=int).ravel()
     if rows.shape != t.shape:
         raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise DataError(f"non-finite timestamp at step {bad[0]} ({t[bad[0]]})")
     down = np.flatnonzero(t[1:] < t[:-1]) + 1
     if down.size:
         raise DataError(f"timestamps decrease at step {down[0]} ({t[down[0] - 1]} -> {t[down[0]]})")

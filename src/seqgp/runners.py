@@ -184,7 +184,7 @@ class MarkovRunner:
                 raise ConfigurationError("markov model is time-only; spatial input needs spatial.locations")
             return 0
         if rec.x is None:
-            raise DataError(f"row {rec.row}: spatiotemporal model needs x columns")
+            raise DataError("spatiotemporal model needs x columns")
         idx = self._loc_index.get(tuple(rec.x.tolist()))
         if idx is not None:
             return idx
@@ -192,17 +192,13 @@ class MarkovRunner:
         idx = int(np.argmin(dist))
         scale = 1.0 + float(np.linalg.norm(self.locations[idx]))
         if dist[idx] > 1e-9 * scale:
-            raise DataError(f"row {rec.row}: location {rec.x} is not in spatial.locations")
+            raise DataError(f"location {rec.x} is not in spatial.locations")
         return idx
 
     def step(self, rec: StreamRecord) -> StepResult:
         if rec.t is None:
-            raise DataError(f"row {rec.row}: markov model needs a t column")
-        row = self._obs_row(rec)
-        try:
-            return StepResult(*self.stepper.step(rec.t, rec.y, row))
-        except DataError as exc:
-            raise DataError(f"row {rec.row}: {exc}") from exc
+            raise DataError("markov model needs a t column")
+        return StepResult(*self.stepper.step(rec.t, rec.y, self._obs_row(rec)))
 
     def smooth(self, times) -> list[tuple[float, float]]:
         """Backward pass over the stored history; per-row smoothed (mean, var)."""
@@ -229,10 +225,11 @@ class SparseRunner:
 
     def step(self, rec: StreamRecord) -> StepResult:
         x = rec.point
-        mean, var = sparse.sparse_predict(self.state, x)
+        proj = sparse._projection(self.state, x)  # shared: the update leaves it unchanged
+        mean, var = sparse.sparse_predict(self.state, x, proj)
         if rec.y is None:
             return StepResult(mean, var, None)
-        self.state, ll = sparse.sparse_update(self.state, x, rec.y, self.noise_var)
+        self.state, ll = sparse.sparse_update(self.state, x, rec.y, self.noise_var, proj)
         self.flops += self.state.step_flops
         return StepResult(mean, var, ll)
 

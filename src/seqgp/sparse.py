@@ -103,17 +103,19 @@ def _projection(state: SparseState, x):
     return h, max(q, 0.0)
 
 
-def sparse_update(state: SparseState, x, y: float, noise_var: float):
+def sparse_update(state: SparseState, x, y: float, noise_var: float, projection=None):
     """Fold one observation into the belief; returns (state, pred_loglik).
 
     The effective observation is y = h^T u + noise, with variance noise_var
     plus the residual q(x) when the state carries the residual correction.
+    ``projection`` is ``_projection(state, x)`` when the caller already has
+    it; the projection depends only on the frozen kernel and inducing set.
     """
     if noise_var <= 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
     if not np.all(np.isfinite(np.atleast_1d(x))) or not np.isfinite(y):
         raise DataError(f"non-finite observation ({x!r}, {y!r})")
-    h, q = _projection(state, x)
+    h, q = _projection(state, x) if projection is None else projection
     r = noise_var + (q if state.include_residual else 0.0)
 
     mean, cov, pred_mean, pred_var = scalar_update(state.mean, state.cov, h, y, r)
@@ -123,9 +125,12 @@ def sparse_update(state: SparseState, x, y: float, noise_var: float):
     return replace(state, mean=mean, cov=cov, step_flops=flops), loglik
 
 
-def sparse_predict(state: SparseState, x):
-    """Predictive (mean, var) of f(x): mean = h^T m, var = h^T S h (+ residual)."""
-    h, q = _projection(state, x)
+def sparse_predict(state: SparseState, x, projection=None):
+    """Predictive (mean, var) of f(x): mean = h^T m, var = h^T S h (+ residual).
+
+    ``projection`` is ``_projection(state, x)``, as in ``sparse_update``.
+    """
+    h, q = _projection(state, x) if projection is None else projection
     mean = float(h @ state.mean)
     var = float(h @ state.cov @ h)
     if state.include_residual:

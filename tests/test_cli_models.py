@@ -127,6 +127,16 @@ class TestSpatiotemporal:
         assert code == 3
         assert "not in spatial.locations" in err
 
+    def test_unknown_location_names_its_row_once(self, tmp_path):
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text("x1\n0.0\n1.0\n")
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2",
+                f"spatial.locations={loc_file}", "spatial.kernel.family=se"]
+        code, _, err = run_cli(args, stdin_text="t,x1,y\n0,1.0,1.0\n1,0.37,0.5\n")
+        assert code == 3
+        assert "row 2: location" in err
+        assert err.count("row ") == 1
+
 
 class TestStackingEnsemble:
     def test_stacking_combiner_runs_and_keeps_simplex(self):

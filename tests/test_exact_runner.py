@@ -109,3 +109,4 @@ class TestIllConditionedStream:
         code, _, err = run_cli(["run", "model=exact", "kernel.family=se", "noise_var=1e-16"], stdin_text=self.CSV)
         assert code == 4
         assert "non-positive predictive variance" in err
+        assert "row " in err

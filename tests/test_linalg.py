@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from seqgp.linalg import scalar_update, symmetrize
+from seqgp.linalg import chol_solve, scalar_update, symmetrize
 
 
 def joseph_update(mean, cov, h, y, noise_var):
@@ -36,18 +37,72 @@ class TestScalarUpdate:
         assert got[2] == pytest.approx(ref[2], rel=1e-12)
         assert got[3] == pytest.approx(ref[3], rel=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 8, 128])
+    @pytest.mark.parametrize("d", [1, 8, 128, 256])
     def test_covariance_exactly_symmetric(self, d):
         mean, cov, h, y = random_belief(d, seed=10 + d)
         cov[0, -1] += 1e-13  # an input that is not bit-symmetric
         _, new_cov, _, _ = scalar_update(mean, cov, h, y, 0.3)
         np.testing.assert_array_equal(new_cov, new_cov.T)
 
-    def test_inputs_unchanged(self):
-        mean, cov, h, y = random_belief(16, seed=3)
+    @pytest.mark.parametrize("d", [1, 8, 16, 128, 256])
+    def test_inputs_unchanged(self, d):
+        mean, cov, h, y = random_belief(d, seed=3)
         mean0, cov0, h0 = mean.copy(), cov.copy(), h.copy()
         new_mean, new_cov, _, _ = scalar_update(mean, cov, h, y, 0.3)
         np.testing.assert_array_equal(mean, mean0)
         np.testing.assert_array_equal(cov, cov0)
         np.testing.assert_array_equal(h, h0)
         assert new_mean is not mean and new_cov is not cov
+
+    @pytest.mark.parametrize("d", [1, 8, 128, 256])
+    def test_bit_equal_to_the_plain_symmetric_part(self, d):
+        mean, cov, h, y = random_belief(d, seed=20 + d)
+        cov[0, -1] += 1e-13  # not bit-symmetric, so the order of the add shows
+        s = cov @ h
+        pred_var = float(h @ s) + 0.3
+        gain = s / pred_var
+        diff = cov - np.outer(gain, s)
+        new_mean, new_cov, pred_mean, got_var = scalar_update(mean, cov, h, y, 0.3)
+        np.testing.assert_array_equal(new_cov, 0.5 * (diff + diff.T))
+        np.testing.assert_array_equal(new_mean, mean + gain * (y - float(h @ mean)))
+        assert (pred_mean, got_var) == (float(h @ mean), pred_var)
+        assert new_cov.flags.c_contiguous
+
+
+def lower_factor(m, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, m))
+    return np.linalg.cholesky(A @ A.T + m * np.eye(m))
+
+
+class TestCholSolve:
+    """``chol_solve`` against the two ``solve_triangular`` calls it replaces."""
+
+    @pytest.mark.parametrize("m", [1, 2, 32, 64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs_shape", [(), (3,)], ids=["1d", "2d"])
+    def test_bit_equal_to_solve_triangular(self, m, order, rhs_shape):
+        L = np.asarray(lower_factor(m, seed=m), order=order)
+        assert L.flags.c_contiguous if order == "C" else L.flags.f_contiguous
+        rng = np.random.default_rng(100 + m)
+        for _ in range(50):
+            b = rng.standard_normal((m, *rhs_shape))
+            b0 = b.copy()
+            y = solve_triangular(L, b, lower=True, check_finite=False)
+            ref = solve_triangular(L.T, y, lower=False, check_finite=False)
+            got = chol_solve(L, b)
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(b, b0)
+
+    def test_solves_the_system(self):
+        L = lower_factor(16, seed=5)
+        b = np.random.default_rng(6).standard_normal((16, 4))
+        np.testing.assert_allclose(L @ L.T @ chol_solve(L, b), b, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_on_the_diagonal_is_a_linalg_error(self, order):
+        L = lower_factor(8, seed=7)
+        L[3, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            chol_solve(np.asarray(L, order=order), np.ones(8))

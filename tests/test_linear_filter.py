@@ -85,6 +85,28 @@ class TestDynamics:
             assert gap_after == pytest.approx(lam * gap_before, rel=1e-9)
             b = nxt
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_random_walk_adds_to_the_diagonal_bit_for_bit(self, order):
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((256, 256))
+        cov = np.asarray(A @ A.T / 256.0, order=order)
+        b = lf.GaussianBelief(rng.standard_normal(256), cov)
+        cov0, mean0 = cov.copy(), b.mean.copy()
+        out = lf.predict_step(b, lf.random_walk(1e-4))
+        np.testing.assert_array_equal(out.cov, cov0 + 1e-4 * np.eye(256))
+        np.testing.assert_array_equal(b.cov, cov0)
+        np.testing.assert_array_equal(out.mean, mean0)
+        assert out.cov is not b.cov
+
+    def test_b2p_adds_to_the_diagonal_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((32, 32))
+        b = lf.GaussianBelief(rng.standard_normal(32), A @ A.T / 32.0)
+        cov0 = b.cov.copy()
+        out = lf.predict_step(b, lf.b2p(0.9, prior_var=1.7))
+        np.testing.assert_array_equal(out.cov, 0.9 * cov0 + (1.0 - 0.9) * 1.7 * np.eye(32))
+        np.testing.assert_array_equal(b.cov, cov0)
+
     def test_lambda_out_of_range(self):
         with pytest.raises(ConfigurationError):
             lf.b2p(1.5, 1.0)

@@ -197,6 +197,17 @@ class TestKalmanFilter:
         with pytest.raises(DataError, match="step 2"):
             markovian.kalman_filter(sde, [0.0, 1.0, 0.5], [0.0, 0.0, 0.0], 0.1)
 
+    @pytest.mark.parametrize("times, step", [
+        ([0.0, np.nan, 1.0], 1),
+        ([np.nan, 0.0, 1.0], 0),
+        ([0.0, 1.0, np.inf], 2),
+        ([-np.inf, 0.0, 1.0], 0),
+    ])
+    def test_non_finite_timestamps_name_the_step(self, times, step):
+        sde = markovian.build_lti(kernels.matern32())
+        with pytest.raises(DataError, match=f"non-finite timestamp at step {step}"):
+            markovian.kalman_filter(sde, times, [0.1, 0.2, 0.3], 0.1)
+
     def test_obs_rows_length_must_match(self):
         sde = markovian.build_lti(kernels.matern12())
         with pytest.raises(DataError, match="observation rows"):
@@ -360,6 +371,25 @@ class TestStepShortcuts:
         np.testing.assert_array_equal(stepper.mean, mean0)
         np.testing.assert_array_equal(stepper.cov, cov0)
         np.testing.assert_array_equal(stepper.last_transition, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_advance_rejects_a_non_finite_timestamp(self, bad):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.2, 0.8)), 0.1)
+        with pytest.raises(DataError, match="non-finite"):
+            stepper.advance(bad)  # first row: no step to compare against yet
+        assert stepper.time is None
+        stepper.advance(0.4)
+        mean, cov, flops = stepper.mean, stepper.cov, stepper.flops
+        with pytest.raises(DataError, match="non-finite"):
+            stepper.advance(bad)
+        assert stepper.time == 0.4 and stepper.flops == flops
+        assert stepper.mean is mean and stepper.cov is cov
+
+    def test_advance_rejects_an_overflowing_step(self):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1)
+        stepper.advance(-1e308)
+        with pytest.raises(DataError, match="non-finite"):
+            stepper.advance(1e308)
 
     def test_repeated_timestamp_flops_match_per_step_accounting(self):
         sde = markovian.build_lti(kernels.matern32(1.0, 0.7))

@@ -5,6 +5,7 @@ import pytest
 
 from seqgp import exact, kernels, sparse
 from seqgp.errors import ConfigurationError, DataError
+from seqgp.runners import SparseRunner, StreamRecord
 
 THREE_KERNELS = [
     kernels.se(1.0, 0.6),
@@ -148,6 +149,50 @@ class TestSparsePredict:
         post = exact.posterior(k, noise, X, y, Xs)
         means = np.array([sparse.sparse_predict(st, x)[0] for x in Xs])
         assert np.abs(means - post.mean).max() < 0.05
+
+
+class TestSparseRunner:
+    """``SparseRunner.step`` computes the projection once and shares it."""
+
+    @staticmethod
+    def records(n=120):
+        X, y = stream(seed=48, n=n)
+        hidden = np.random.default_rng(49).random(n) < 0.15
+        return [StreamRecord(i + 1, float(x), None, None if skip else float(v))
+                for i, (x, v, skip) in enumerate(zip(X, y, hidden))]
+
+    def test_one_projection_per_row(self, monkeypatch):
+        calls = []
+        projection = sparse._projection
+
+        def counted(state, x):
+            calls.append(x)
+            return projection(state, x)
+
+        monkeypatch.setattr(sparse, "_projection", counted)
+        recs = self.records()
+        runner = SparseRunner(kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16), True)
+        for i, rec in enumerate(recs, start=1):
+            runner.step(rec)
+            assert len(calls) == i
+        assert any(rec.y is None for rec in recs)
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_bit_equal_to_separate_predict_and_update(self, residual):
+        kernel, noise, Z = kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16)
+        runner = SparseRunner(kernel, noise, Z, residual)
+        state = sparse.init_sparse(kernel, Z, residual)
+        for rec in self.records():
+            got = runner.step(rec)
+            # the two-projection sequence: each call projects x itself
+            mean, var = sparse.sparse_predict(state, rec.point)
+            ll = None
+            if rec.y is not None:
+                state, ll = sparse.sparse_update(state, rec.point, rec.y, noise)
+            assert (got.mean, got.var, got.logdensity) == (mean, var, ll)
+            np.testing.assert_array_equal(runner.state.mean, state.mean)
+            np.testing.assert_array_equal(runner.state.cov, state.cov)
+            assert runner.state.step_flops == state.step_flops
 
 
 class TestVsgpInfoUpdate:
