@@ -333,11 +333,14 @@ def cmd_check(cfg: dict, out_stream) -> int:
         report("markov.lyapunov_residual", float(np.abs(resid).max()) < 1e-9,
                f"residual {np.abs(resid).max():.3e}")
         scale = max(kernel.lengthscale, max((c.lengthscale for c in kernel.hm_components), default=0.0))
-        worst = 0.0
+        worst = closed = 0.0
         for delta in np.arange(0.0, 5.0 * scale + 1e-12, 0.5 * scale):
-            duality = float((sde.obs @ expm(sde.drift * delta) @ sde.stationary @ sde.obs.T)[0, 0])
+            A = expm(sde.drift * delta)
+            duality = float((sde.obs @ A @ sde.stationary @ sde.obs.T)[0, 0])
             worst = max(worst, abs(duality - eval_kernel(kernel, 0.0, delta)))
+            closed = max(closed, float(np.abs(markovian.transition(sde, delta) - A).max()))
         report("markov.kernel_sde_duality", worst < 1e-8, f"max |H e^(Fd) P H' - kappa| = {worst:.3e}")
+        report("markov.transition_closed_form", closed < 1e-12, f"max |transition - expm| = {closed:.3e}")
 
     if get_str(cfg, "features.kind") == "rff":
         fmap = features.sample_rff(kernel, int(cfg.get("features.F", 64)), int(cfg.get("features.seed", cfg.get("seed", 0))))

@@ -11,10 +11,20 @@ covariance P_inf:
   channel.  Mixtures stack blocks diagonally with sqrt-weight observation
   rows.
 
-Exact discretization over an irregular step uses A = expm(F*dt), computed
-by ``scipy.linalg.expm``, and Q = P_inf - A P_inf A^T, after which Kalman
-filtering and Rauch-Tung-Striebel smoothing give exact GP inference in
-O(N d^3).
+Every block's generator is -lambda I + N + b J, with N nilpotent (N = 0 for
+Matern-1/2, N^2 = 0 for Matern-3/2) and J the rotation generator, all three
+commuting, so the exact transition over any step has the closed form
+
+    A = expm(F dt) = exp(-lambda dt) (I + N dt) (cos(b dt) I + sin(b dt) J).
+
+``build_lti`` records the constant matrices {I, J, N, NJ} of each block and
+its pole -lambda + i b; ``transition`` forms A as one product of that basis
+with the weights {1, dt} exp((-lambda + i b) dt), real and imaginary parts.
+No matrix exponential is computed and nothing is cached per step length.
+The filter's predict adds Q = P_inf - A P_inf A^T without forming it, and
+Kalman filtering and Rauch-Tung-Striebel smoothing give exact GP inference
+in O(N d^3).  ``scipy.linalg.expm`` stays the reference that the tests and
+``seqgp check`` compare ``transition`` against.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
+from scipy.linalg import block_diag, lapack, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import HmComponent, Kernel, as_points, gram
@@ -32,13 +42,22 @@ from .linalg import chol_jitter, gaussian_loglik, scalar_update, symmetrize
 @dataclass(frozen=True)
 class LtiSde:
     """Continuous-time model: drift F (d,d), noise loading L (d,m), diffusion
-    spectral density q (m,m), observation rows H (n_obs,d), stationary P_inf."""
+    spectral density q (m,m), observation rows H (n_obs,d), stationary P_inf.
+
+    ``basis`` (d*d, 4*n_blocks) holds the flattened transition basis, zero
+    outside each block: columns 2j and 2j+1 are I and J of block j, and
+    columns 2(n_blocks+j) and 2(n_blocks+j)+1 are its N and NJ.  ``poles``
+    holds each block's -lambda + i b (decay lambda, rotation rate b).  A model
+    built by hand without them has no closed-form transition.
+    """
 
     drift: np.ndarray
     noise_loading: np.ndarray
     obs: np.ndarray
     diffusion: np.ndarray
     stationary: np.ndarray
+    basis: np.ndarray | None = None
+    poles: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -47,7 +66,7 @@ class LtiSde:
 
 @dataclass(frozen=True)
 class DiscreteStep:
-    transition: np.ndarray  # A = expm(F * dt)
+    transition: np.ndarray  # A = expm(F * dt), in closed form
     noise_cov: np.ndarray  # Q, symmetric PSD
 
 
@@ -71,28 +90,36 @@ def _matern_block(nu: float, sigma2: float, lengthscale: float):
         P = np.diag([sigma2, lam * lam * sigma2])
     else:
         raise UnsupportedKernelError(f"no state space for Matern smoothness {nu}")
-    return F, L, H, q, P
+    return F, L, H, q, P, lam
+
+
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])  # J: d/dt of R(b t) = b J R(b t)
 
 
 def _hm_block(phase: float, nu: float, sigma2: float, lengthscale: float):
-    """Phase-shifted Matern block.
+    """Phase-shifted Matern block and its transition basis.
 
     For b > 0 the state is doubled: the generator gains a commuting rotation
-    term I (x) [[0, -b], [b, 0]], so exp(F t) factors into the Matern decay
-    times a rotation and H (x) [1, 0] reads off cos(b t) * matern(t).  A zero
-    phase keeps the plain Matern block (the rotation channel is redundant).
+    term I (x) b J, so exp(F t) factors into the Matern decay times a rotation
+    and H (x) [1, 0] reads off cos(b t) * matern(t).  A zero phase keeps the
+    plain Matern block (the rotation channel is redundant) and a zero J.
+    Returns (F, L, H, q, P, basis, lambda), basis = (I, J, N, NJ) with
+    N = F_matern + lambda I nilpotent.
     """
-    F, L, H, q, P = _matern_block(nu, sigma2, lengthscale)
-    if phase == 0.0:
-        return F, L, H, q, P
+    F, L, H, q, P, lam = _matern_block(nu, sigma2, lengthscale)
     d = F.shape[0]
-    rot = np.array([[0.0, -phase], [phase, 0.0]])
-    F2 = np.kron(F, np.eye(2)) + np.kron(np.eye(d), rot)
+    eye = np.eye(d)
+    nil = F + lam * eye
+    if phase == 0.0:
+        zero = np.zeros((d, d))
+        return F, L, H, q, P, (eye, zero, nil, zero), lam
+    F2 = np.kron(F, np.eye(2)) + np.kron(eye, phase * _ROTATION)
     L2 = np.kron(L, np.eye(2))
     H2 = np.kron(H, np.array([[1.0, 0.0]]))
     q2 = np.kron(q, np.eye(2))
     P2 = np.kron(P, np.eye(2))
-    return F2, L2, H2, q2, P2
+    basis = tuple(np.kron(a, b) for a in (eye, nil) for b in (np.eye(2), _ROTATION))
+    return F2, L2, H2, q2, P2, basis, lam
 
 
 def build_lti(kernel: Kernel) -> LtiSde:
@@ -112,10 +139,20 @@ def build_lti(kernel: Kernel) -> LtiSde:
         raise UnsupportedKernelError(
             f"kernel family {kernel.family!r} has no exact finite-dimensional SDE"
         )
-    blocks = [_hm_block(c.phase, c.nu, c.sigma2, c.lengthscale) for c in comps]
-    F, L, _, q, P = (block_diag(*parts) for parts in zip(*blocks))
-    H = np.hstack([math.sqrt(c.weight) * b[2] for c, b in zip(comps, blocks)])
-    return LtiSde(drift=F, noise_loading=L, obs=H, diffusion=q, stationary=P)
+    Fs, Ls, Hs, qs, Ps, bases, lams = zip(*(_hm_block(c.phase, c.nu, c.sigma2, c.lengthscale) for c in comps))
+    F, L, q, P = (block_diag(*parts) for parts in (Fs, Ls, qs, Ps))
+    H = np.hstack([math.sqrt(c.weight) * h for c, h in zip(comps, Hs)])
+    # every block's (I, J), then every block's (N, NJ), each zero outside its block
+    basis = [block_diag(*(mats[kind] if k == j else np.zeros_like(mats[0]) for k, mats in enumerate(bases)))
+             for pair in (0, 2) for j in range(len(bases)) for kind in (pair, pair + 1)]
+    poles = np.array([complex(-lam, c.phase) for c, lam in zip(comps, lams)])
+    return LtiSde(drift=F, noise_loading=L, obs=H, diffusion=q, stationary=P,
+                  basis=_flat_basis(basis), poles=poles)
+
+
+def _flat_basis(mats) -> np.ndarray:
+    """(d*d, K) matrix whose column k is the row-major flattening of mats[k]."""
+    return np.ascontiguousarray(np.stack(mats).reshape(len(mats), -1).T)
 
 
 def stationary_covariance(sde: LtiSde) -> np.ndarray:
@@ -132,18 +169,35 @@ def stationary_covariance(sde: LtiSde) -> np.ndarray:
     return symmetrize(P)
 
 
-def discretize(sde: LtiSde, delta: float) -> DiscreteStep:
-    """Exact transition over a step of length ``delta`` >= 0.
+def transition(sde: LtiSde, delta: float) -> np.ndarray:
+    """A = expm(F * delta) in closed form, for any real ``delta``.
 
-    A = expm(F * delta) by ``scipy.linalg.expm``; Q = P_inf - A P_inf A^T,
-    which is exact for a stationary initial law.  A zero step gives A = I
-    and Q = 0 exactly.
+    Block by block A is exp(-lambda delta) (I + N delta) (cos(b delta) I +
+    sin(b delta) J), so the whole matrix is ``sde.basis`` times the weights
+    {1, delta} exp(-lambda delta) {cos, sin}(b delta), and the cos/sin pair
+    of a block is the real/imaginary pair of exp(pole * delta): one complex
+    exponential and one matrix-vector product, whatever the number of
+    blocks.  A zero step gives A = I exactly.
+    """
+    if sde.basis is None:
+        raise ConfigurationError("the state-space model has no closed-form transition basis")
+    rotated = np.exp(delta * sde.poles).view(float)  # (cos, sin) pairs, block by block
+    d = sde.dim
+    return (sde.basis @ np.concatenate((rotated, delta * rotated))).reshape(d, d)
+
+
+def discretize(sde: LtiSde, delta: float) -> DiscreteStep:
+    """Exact transition and process noise over a step of length ``delta`` >= 0.
+
+    A = ``transition(sde, delta)``; Q = P_inf - A P_inf A^T, which is exact
+    for a stationary initial law.  A zero step gives A = I and Q = 0 exactly.
+    The filter never forms Q (``MarkovStepper.advance`` folds it into the
+    predict); this is the step as one object, for tests and callers.
     """
     if delta < 0.0:
         raise DataError(f"negative time step {delta}")
-    A = expm(sde.drift * delta)
-    Q = sde.stationary - A @ sde.stationary @ A.T
-    return DiscreteStep(A, symmetrize(Q))
+    A = transition(sde, delta)
+    return DiscreteStep(A, symmetrize(sde.stationary - A @ sde.stationary @ A.T))
 
 
 # approximate flop accounting: fixed per-step costs used to verify scaling
@@ -163,13 +217,13 @@ class MarkovStepper:
     """Streaming filter state: advance to a timestamp, then optionally update.
 
     ``step`` is the one per-row routine of the batch filter below and of the
-    CLI's record-at-a-time loop.  Discretizations are memoized per step
-    length, so regularly sampled streams pay for one matrix exponential.  A
-    zero-length step after the first row leaves the state untouched (A = I,
-    Q = 0 is exact on a symmetric covariance) and records the shared
-    identity as its transition.  With ``keep_history`` each step appends its
-    moments to ``history`` by reference: no state array is ever modified in
-    place, only rebound.
+    CLI's record-at-a-time loop.  Each step of nonzero length computes its
+    transition in closed form, so memory does not grow with the number of
+    distinct step lengths.  A zero-length step after the first row leaves the
+    state untouched (A = I, Q = 0 is exact on a symmetric covariance) and
+    records the shared identity as its transition.  With ``keep_history``
+    each step appends its moments to ``history`` by reference: no state array
+    is ever modified in place, only rebound.
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, keep_history: bool = False):
@@ -183,11 +237,14 @@ class MarkovStepper:
         self._identity = np.eye(sde.dim)
         self.last_transition = self._identity
         self.flops = 0
-        self._steps: dict[float, DiscreteStep] = {}
         self.history: list[tuple] | None = [] if keep_history else None
 
     def advance(self, t: float) -> None:
-        """Propagate the state to time ``t`` (finite, >= the current time)."""
+        """Propagate the state to time ``t`` (finite, >= the current time).
+
+        The predicted covariance is P_inf + A (cov - P_inf) A^T, which is
+        A cov A^T + Q with Q = P_inf - A P_inf A^T, without forming Q.
+        """
         delta = 0.0 if self.time is None else t - self.time
         if not (math.isfinite(t) and math.isfinite(delta)):
             raise DataError(f"non-finite timestamp or step ({self.time} -> {t})")
@@ -197,17 +254,13 @@ class MarkovStepper:
             self.last_transition = self._identity
             self.flops += _flops_predict(self.sde.dim)
             return
-        step = self._steps.get(delta)
-        if step is None:
-            step = discretize(self.sde, delta)
-            self._steps[delta] = step
-            self.flops += _flops_discretize(self.sde.dim)
-        A = step.transition
+        A = transition(self.sde, delta)
+        P = self.sde.stationary
         self.mean = A @ self.mean
-        self.cov = symmetrize(A @ self.cov @ A.T + step.noise_cov)
+        self.cov = symmetrize(P + A @ (self.cov - P) @ A.T)
         self.time = t
         self.last_transition = A
-        self.flops += _flops_predict(self.sde.dim)
+        self.flops += _flops_discretize(self.sde.dim) + _flops_predict(self.sde.dim)
 
     def predict_obs(self, row: int = 0):
         """Latent predictive (mean, var) through observation row ``row``."""
@@ -327,10 +380,10 @@ def rts_smoother(sde: LtiSde, result: FilterResult) -> SmootherResult:
         A = result.transitions[k + 1]
         Pf = result.covs[k]
         Pp = result.pred_covs[k + 1]
-        try:
-            G = np.linalg.solve(Pp, A @ Pf).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular predicted covariance at step {k + 1}") from exc
+        _, _, X, info = lapack.dgesv(Pp, A @ Pf, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"singular predicted covariance at step {k + 1}")
+        G = X.T
         sm[k] = result.means[k] + G @ (sm[k + 1] - result.pred_means[k + 1])
         sc[k] = symmetrize(Pf + G @ (sc[k + 1] - Pp) @ G.T)
     return SmootherResult(sm, sc)
@@ -343,7 +396,8 @@ def build_spatiotemporal(temporal_kernel: Kernel, spatial_kernel: Kernel, locati
     drift and loading); spatial correlation enters through the diffusion,
     Sigma_SS (x) q, where Sigma_SS is the spatial Gram normalized to unit
     diagonal so the process variance is carried once, by the temporal block.
-    Observation row i reads the leading state component at location i.
+    Observation row i reads the leading state component at location i.  The
+    transition is kron(I, A_base), so each basis matrix is kron(I, T_j).
     """
     locs = as_points(locations)
     n_s = locs.shape[0]
@@ -359,4 +413,6 @@ def build_spatiotemporal(temporal_kernel: Kernel, spatial_kernel: Kernel, locati
         obs=np.kron(eye, base.obs),
         diffusion=np.kron(S, base.diffusion),
         stationary=np.kron(S, base.stationary),
+        basis=_flat_basis([np.kron(eye, T) for T in base.basis.T.reshape(-1, base.dim, base.dim)]),
+        poles=base.poles,
     )

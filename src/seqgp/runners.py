@@ -206,11 +206,10 @@ class MarkovRunner:
             raise ConfigurationError("smoothing requires keep_history=True")
         result = self.stepper.result(times)
         smoothed = markovian.rts_smoother(self.stepper.sde, result)
-        out = []
-        for i, row in enumerate(result.obs_rows):
-            h = self.stepper.sde.obs[row]
-            out.append((float(h @ smoothed.means[i]), float(h @ smoothed.covs[i] @ h)))
-        return out
+        H = self.stepper.sde.obs[result.obs_rows]
+        means = np.einsum("ij,ij->i", H, smoothed.means)
+        variances = np.einsum("ij,ijk,ik->i", H, smoothed.covs, H)
+        return list(zip(means.tolist(), variances.tolist()))
 
 
 class SparseRunner:

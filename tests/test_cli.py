@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import parse_report, run_cli
-from seqgp import cli, exact, features, kernels, linear_filter as lf
+from seqgp import cli, exact, features, kernels, linear_filter as lf, markovian
 from seqgp.errors import DataError
 
 
@@ -231,6 +231,24 @@ class TestCheck:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("kernel_args", [
+        ["kernel.family=matern12", "kernel.lengthscale=0.7"],
+        ["kernel.family=matern32", "kernel.lengthscale=1.2"],
+        ["kernel.family=hida_matern", "kernel.hm_components=0.5:1.5:1.5:1.0:1.0;0.3:0.0:1.5:2.0:1.0;0.2:0.8:0.5:0.5:1.0"],
+    ])
+    def test_check_compares_closed_form_transition_with_expm(self, kernel_args):
+        code, out, _ = run_cli(["check", *kernel_args])
+        assert code == 0
+        assert "ok markov.transition_closed_form\n" in out
+
+    def test_check_fails_on_a_wrong_transition(self, monkeypatch):
+        real = markovian.transition
+        monkeypatch.setattr(markovian, "transition", lambda sde, delta: real(sde, 1.001 * delta))
+        code, out, _ = run_cli(["check", "kernel.family=matern32", "kernel.lengthscale=1.2"])
+        assert code == 4
+        assert "FAIL markov.transition_closed_form max |transition - expm| = " in out
+        assert "1 check(s) failed" in out
 
 
 class TestExitCodes:

@@ -1,12 +1,14 @@
 """State-space GP: builders, discretization, filtering, smoothing, space-time."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from seqgp import exact, kernels, markovian
 from seqgp.runners import MarkovRunner, StreamRecord
-from seqgp.errors import ConfigurationError, DataError, UnsupportedKernelError
+from seqgp.errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 
 MARKOV_KERNELS = [
     kernels.matern12(1.0, 1.0),
@@ -162,6 +164,26 @@ class TestDiscretize:
             markovian.discretize(sde, -0.1)
 
 
+class TestTransition:
+    @pytest.mark.parametrize("name", ZERO_STEP_SDES)
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 50.0, 1e6])
+    def test_closed_form_matches_expm(self, name, delta):
+        sde = ZERO_STEP_SDES[name]
+        np.testing.assert_allclose(markovian.transition(sde, delta), expm(sde.drift * delta), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ZERO_STEP_SDES)
+    def test_discretize_noise_is_stationary_gap(self, name):
+        sde = ZERO_STEP_SDES[name]
+        A = expm(sde.drift * 0.7)
+        step = markovian.discretize(sde, 0.7)
+        np.testing.assert_allclose(step.noise_cov, sde.stationary - A @ sde.stationary @ A.T, rtol=0, atol=1e-13)
+
+    def test_hand_built_model_has_no_closed_form(self):
+        sde = markovian.LtiSde(*(np.eye(1) for _ in range(5)))
+        with pytest.raises(ConfigurationError, match="closed-form"):
+            markovian.transition(sde, 0.5)
+
+
 class TestKalmanFilter:
     def test_single_observation_conjugate_oracle(self):
         kernel = kernels.matern32(1.4, 0.9)
@@ -264,6 +286,13 @@ class TestRtsSmoother:
         with pytest.raises(DataError):
             markovian.rts_smoother(sde, res)
 
+    def test_singular_predicted_covariance_names_the_step(self):
+        sde = markovian.build_lti(kernels.matern32())
+        res = markovian.kalman_filter(sde, [0.0, 0.5, 1.0], [0.1, 0.2, 0.3], 0.1)
+        res.pred_covs[2] = 0.0
+        with pytest.raises(NumericalError, match="singular predicted covariance at step 2"):
+            markovian.rts_smoother(sde, res)
+
     def test_missing_observations_match_exact_gp_without_them(self):
         kernel = kernels.matern12(1.0, 0.8)
         sde = markovian.build_lti(kernel)
@@ -359,10 +388,9 @@ class TestStepShortcuts:
         stepper.advance(0.0)
         stepper.advance(0.4)
         stepper.update(0.7)
-        stepper._steps.clear()  # a cached zero step must not be what saves the call
         calls = []
-        real = markovian.discretize
-        monkeypatch.setattr(markovian, "discretize", lambda sde, delta: calls.append(delta) or real(sde, delta))
+        real = markovian.transition
+        monkeypatch.setattr(markovian, "transition", lambda sde, delta: calls.append(delta) or real(sde, delta))
         mean, cov = stepper.mean, stepper.cov
         mean0, cov0 = mean.copy(), cov.copy()
         stepper.advance(0.4)
@@ -398,9 +426,9 @@ class TestStepShortcuts:
         y[::7] = np.nan
         res = markovian.kalman_filter(sde, t, y, 0.2)
         d = sde.dim
-        distinct_steps = 2  # the first row's zero step, then 0.25
+        charged_steps = 50  # the first row, then each of the 49 steps of 0.25
         expected = (
-            distinct_steps * markovian._flops_discretize(d)
+            charged_steps * markovian._flops_discretize(d)
             + t.size * markovian._flops_predict(d)
             + int(np.isfinite(y).sum()) * markovian._flops_update(d)
         )
@@ -459,6 +487,24 @@ class TestStepperHistory:
         batch = [(float(h @ m), float(h @ c @ h)) for m, c in zip(sm.means, sm.covs)]
         np.testing.assert_array_equal(np.array(streamed), np.array(batch))
 
+    @pytest.mark.parametrize("name", ["mixture", "spacetime"])
+    def test_runner_smoothing_projects_like_the_row_loop(self, name):
+        sde = ZERO_STEP_SDES[name]
+        locations = np.array([[0.0], [0.5]]) if name == "spacetime" else None
+        rng = np.random.default_rng(43)
+        t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 60)), 2)
+        rows = np.tile([0, 1], 60) if locations is not None else np.zeros(t.size, dtype=int)
+        y = rng.standard_normal(t.size)
+        y[::5] = np.nan
+        runner = MarkovRunner(sde, 0.2, locations=locations, keep_history=True)
+        for i, (ti, yi, row) in enumerate(zip(t, y, rows), start=1):
+            x = None if locations is None else locations[row]
+            runner.step(StreamRecord(row=i, t=float(ti), x=x, y=None if np.isnan(yi) else float(yi)))
+        streamed = np.array(runner.smooth(t))
+        sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
+        loop = np.array([(sde.obs[r] @ m, sde.obs[r] @ c @ sde.obs[r]) for r, m, c in zip(rows, sm.means, sm.covs)])
+        np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
+
     def test_stepper_without_history_records_nothing(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1)
         for i in range(5_000):
@@ -466,6 +512,22 @@ class TestStepperHistory:
         assert stepper.history is None
         with pytest.raises(ConfigurationError):
             stepper.result(np.arange(5_000) * 0.01)
+
+    def test_stepper_memory_is_flat_in_irregular_stream_length(self):
+        # every step length is distinct; nothing may be kept per step
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.2)
+        steps = np.random.default_rng(42).uniform(0.01, 0.05, 20_000)
+        times, values = np.cumsum(steps).tolist(), np.sin(np.cumsum(steps)).tolist()
+        tracemalloc.start()
+        try:
+            for i in range(20_000):
+                stepper.step(times[i], values[i])
+                if i + 1 == 2_000:
+                    early = tracemalloc.get_traced_memory()[1]
+            late = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert late - early < 64 * 1024
 
     def test_step_returns_prior_moments_and_score(self):
         sde = markovian.build_lti(kernels.matern32(1.3, 0.9))
