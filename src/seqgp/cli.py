@@ -199,6 +199,8 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     for rec in records:
         try:
             res = runner.step(rec)
+            if not (math.isfinite(res.mean) and math.isfinite(res.var)):
+                raise NumericalError(f"non-finite prediction: mean {res.mean!r}, variance {res.var!r}")
         except (DataError, NumericalError) as exc:
             exc.args = (f"row {rec.row}: {exc}",)  # same class and detail, now naming the row
             raise
@@ -362,7 +364,7 @@ def cmd_check(cfg: dict, out_stream) -> int:
     report("dynamics.b2p_lambda0_is_prior",
            np.allclose(reset.mean, 0.0, atol=1e-12) and np.allclose(reset.cov, prior_var * np.eye(2), atol=1e-12))
     rw = linear_filter.predict_step(belief, linear_filter.random_walk(0.03))
-    gen = linear_filter.predict_step(belief, linear_filter.general(1.0, np.zeros(2), 0.03 * np.eye(2)))
+    gen = linear_filter.predict_step(belief, linear_filter.general(1.0, 0.0, 0.03))
     report("dynamics.general_matches_random_walk",
            np.allclose(rw.mean, gen.mean, atol=1e-12) and np.allclose(rw.cov, gen.cov, atol=1e-12))
 

@@ -9,6 +9,8 @@ self-contained model config.  Errors carry the offending field path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels, linear_filter
@@ -62,16 +64,24 @@ def get_str(cfg: dict, key: str, default=None, choices=None, required=False) -> 
     return value
 
 
+def _number(key: str, token: str) -> float:
+    """Parse one finite number for ``key``; nan and inf are configuration errors."""
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key}: expected a number, got {token!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key}: non-finite value {token!r}")
+    return value
+
+
 def get_float(cfg: dict, key: str, default=None, required=False) -> float | None:
     value = cfg.get(key)
     if value is None:
         if required:
             raise ConfigurationError(f"{key}: required key is missing")
         return default
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: expected a number, got {value!r}") from exc
+    return _number(key, value)
 
 
 def get_int(cfg: dict, key: str, default=None, required=False) -> int | None:
@@ -102,10 +112,7 @@ def get_float_list(cfg: dict, key: str) -> list[float] | None:
     value = cfg.get(key)
     if value is None:
         return None
-    try:
-        return [float(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: expected comma-separated numbers, got {value!r}") from exc
+    return [_number(key, tok) for tok in value.split(",") if tok.strip()]
 
 
 def _parse_components(key: str, value: str, n_fields: int) -> list[tuple]:
@@ -117,10 +124,7 @@ def _parse_components(key: str, value: str, n_fields: int) -> list[tuple]:
         fields = part.split(":")
         if len(fields) != n_fields:
             raise ConfigurationError(f"{key}: component {part!r} needs {n_fields} colon-separated fields")
-        try:
-            comps.append(tuple(float(f) for f in fields))
-        except ValueError as exc:
-            raise ConfigurationError(f"{key}: non-numeric field in component {part!r}") from exc
+        comps.append(tuple(_number(key, f) for f in fields))
     if not comps:
         raise ConfigurationError(f"{key}: no components given")
     return comps
@@ -150,32 +154,28 @@ def build_kernel(cfg: dict, prefix: str = "kernel.") -> kernels.Kernel:
         raise ConfigurationError(f"{prefix}*: {exc}") from exc
 
 
-def build_dynamics(cfg: dict, prior_var: float, n_features: int) -> linear_filter.Dynamics:
-    """Weight dynamics from ``dynamics.*`` keys (scalar u and C = c*I for general)."""
+def build_dynamics(cfg: dict, prior_var: float) -> linear_filter.Dynamics:
+    """Weight dynamics from ``dynamics.*`` keys; errors name the offending key."""
     mode = get_str(
         cfg, "dynamics.mode", default="static",
         choices={"static", "random_walk", "b2p", "general"},
     )
-    if mode == "static":
-        return linear_filter.static()
-    if mode == "random_walk":
-        s = get_float(cfg, "dynamics.sigma_rw2", required=True)
-        try:
-            return linear_filter.random_walk(s)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"dynamics.sigma_rw2: {exc}") from exc
-    if mode == "b2p":
-        lam = get_float(cfg, "dynamics.lambda", required=True)
-        try:
-            return linear_filter.b2p(lam, prior_var)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"dynamics.lambda: {exc}") from exc
-    a = get_float(cfg, "dynamics.a", default=1.0)
-    u = get_float(cfg, "dynamics.u", default=0.0)
-    c = get_float(cfg, "dynamics.c", default=0.0)
-    if c < 0.0:
-        raise ConfigurationError(f"dynamics.c: process-noise scale must be nonnegative, got {c}")
-    return linear_filter.general(a, np.full(n_features, u), c * np.eye(n_features))
+    try:
+        if mode == "static":
+            return linear_filter.static()
+        if mode == "random_walk":
+            return linear_filter.random_walk(get_float(cfg, "dynamics.sigma_rw2", required=True))
+        if mode == "b2p":
+            return linear_filter.b2p(get_float(cfg, "dynamics.lambda", required=True), prior_var)
+        return linear_filter.general(
+            get_float(cfg, "dynamics.a", default=1.0),
+            get_float(cfg, "dynamics.u", default=0.0),
+            get_float(cfg, "dynamics.c", default=0.0),
+        )
+    except ConfigurationError as exc:
+        if str(exc).startswith("dynamics."):
+            raise
+        raise ConfigurationError(f"dynamics.{exc}") from exc
 
 
 def member_configs(cfg: dict) -> list[dict[str, str]]:

@@ -1,9 +1,9 @@
 """Bayesian linear filtering over feature weights.
 
-The model is y_t = phi(x_t)^T theta_t + noise with theta evolving under one
-of four dynamics: static (theta fixed), random walk (isotropic diffusion),
-back-to-prior forgetting (geometric blend toward the prior), or a general
-scalar-autoregressive form with control input and arbitrary process noise.
+The model is y_t = phi(x_t)^T theta_t + noise with theta_k = a*theta_{k-1}
++ u + N(0, c*I): static (theta fixed), random walk (isotropic diffusion),
+back-to-prior forgetting (geometric blend toward the prior) and the general
+scalar autoregression with control input are settings of (a, u, c).
 Conjugate updates go through the shared rank-one kernel
 ``linalg.scalar_update`` (P - s s^T / v, symmetrized), which keeps the belief
 symmetric PSD over long streams; non-conjugate likelihoods
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
-from .linalg import chol_jitter, gaussian_loglik, scalar_update, symmetrize
+from .linalg import chol_jitter, gaussian_loglik, scalar_update
 
 
 @dataclass(frozen=True)
@@ -37,43 +37,54 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class Dynamics:
-    """Per-step evolution of the weight vector.
+    """One step theta -> a*theta + u + N(0, c*I), built only by the constructors below.
 
-    mode "general" applies mean -> a*mean + u, cov -> a^2*cov + C; the other
-    modes are special cases kept explicit because they are the ones a config
-    names directly.
+    The belief maps to (mean_scale*m + shift, cov_scale*P + noise*I); b2p keeps
+    cov_scale = lambda, as sqrt(lambda)**2 can differ from it in the last bit.
     """
 
-    mode: str  # "static" | "random_walk" | "b2p" | "general"
-    sigma_rw2: float = 0.0
-    lambda_forget: float = 1.0
-    prior_var: float = 1.0  # sigma_f^2 the b2p mode reverts toward
-    a: float = 1.0
-    u: np.ndarray | None = None
-    C: np.ndarray | None = None
+    mean_scale: float
+    cov_scale: float
+    shift: float
+    noise: float
+
+
+_IDENTITY = Dynamics(1.0, 1.0, 0.0, 0.0)
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name}: must be finite, got {value!r}")
+    return float(value)
 
 
 def static() -> Dynamics:
-    return Dynamics(mode="static")
+    return _IDENTITY
 
 
 def random_walk(sigma_rw2: float) -> Dynamics:
-    if sigma_rw2 < 0.0:
-        raise ConfigurationError(f"sigma_rw2 must be nonnegative, got {sigma_rw2}")
-    return Dynamics(mode="random_walk", sigma_rw2=sigma_rw2)
+    if not 0.0 <= sigma_rw2 < math.inf:
+        raise ConfigurationError(f"sigma_rw2: must be finite and nonnegative, got {sigma_rw2}")
+    return Dynamics(1.0, 1.0, 0.0, sigma_rw2)
 
 
 def b2p(lambda_forget: float, prior_var: float) -> Dynamics:
-    """Back-to-prior forgetting: a = sqrt(lambda), C = (1 - lambda) * prior_var * I."""
+    """Back-to-prior forgetting: a = sqrt(lambda), u = 0, c = (1 - lambda) * prior_var."""
     if not 0.0 <= lambda_forget <= 1.0:
-        raise ConfigurationError(f"forgetting factor must lie in [0, 1], got {lambda_forget}")
-    if prior_var <= 0.0:
-        raise ConfigurationError(f"prior_var must be positive, got {prior_var}")
-    return Dynamics(mode="b2p", lambda_forget=lambda_forget, prior_var=prior_var)
+        raise ConfigurationError(f"lambda: forgetting factor must lie in [0, 1], got {lambda_forget}")
+    if not 0.0 < prior_var < math.inf:
+        raise ConfigurationError(f"prior_var: must be finite and positive, got {prior_var}")
+    return Dynamics(math.sqrt(lambda_forget), lambda_forget, 0.0, (1.0 - lambda_forget) * prior_var)
 
 
-def general(a: float, u: np.ndarray, C: np.ndarray) -> Dynamics:
-    return Dynamics(mode="general", a=a, u=np.asarray(u, dtype=float), C=np.asarray(C, dtype=float))
+def general(a: float, u: float, c: float) -> Dynamics:
+    a, u, c = _finite("a", a), _finite("u", u), _finite("c", c)
+    if c < 0.0:
+        raise ConfigurationError(f"c: process-noise scale must be nonnegative, got {c}")
+    try:
+        return Dynamics(a, a**2, u, c)
+    except OverflowError:
+        raise ConfigurationError(f"a: a**2 overflows, got {a!r}") from None
 
 
 def init_belief(n_features: int, prior_var: float) -> GaussianBelief:
@@ -96,23 +107,11 @@ def _plus_diagonal(cov: np.ndarray, c: float) -> np.ndarray:
 
 
 def predict_step(belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
-    """Propagate the belief through one step of the dynamics."""
-    if dynamics.mode == "static":
+    """Propagate the belief one step (identity returns ``belief``); the result stays exactly symmetric."""
+    if dynamics == _IDENTITY:
         return belief
-    if dynamics.mode == "random_walk":
-        return GaussianBelief(belief.mean, _plus_diagonal(belief.cov.copy(), dynamics.sigma_rw2))
-    if dynamics.mode == "b2p":
-        lam = dynamics.lambda_forget  # range checked once, by b2p()
-        mean = math.sqrt(lam) * belief.mean
-        cov = _plus_diagonal(lam * belief.cov, (1.0 - lam) * dynamics.prior_var)
-        return GaussianBelief(mean, cov)
-    if dynamics.mode == "general":
-        u = np.zeros(belief.dim) if dynamics.u is None else dynamics.u
-        C = np.zeros((belief.dim, belief.dim)) if dynamics.C is None else dynamics.C
-        mean = dynamics.a * belief.mean + u
-        cov = dynamics.a**2 * belief.cov + C
-        return GaussianBelief(mean, symmetrize(cov))
-    raise ConfigurationError(f"unknown dynamics mode {dynamics.mode!r}")
+    mean = dynamics.mean_scale * belief.mean + dynamics.shift
+    return GaussianBelief(mean, _plus_diagonal(dynamics.cov_scale * belief.cov, dynamics.noise))
 
 
 def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: float):
@@ -179,6 +178,8 @@ class Likelihood:
     loglik: callable
     d1: callable
     d2: callable
+    in_support: callable  # y -> bool
+    support: str
 
 
 def _sigmoid(f):
@@ -190,6 +191,8 @@ BERNOULLI_LOGIT = Likelihood(
     loglik=lambda y, f: y * f - np.logaddexp(0.0, f),
     d1=lambda y, f: y - _sigmoid(f),
     d2=lambda y, f: -_sigmoid(f) * (1.0 - _sigmoid(f)),
+    in_support=lambda y: y in (0.0, 1.0),
+    support="0 or 1",
 )
 
 POISSON_LOG = Likelihood(
@@ -197,6 +200,8 @@ POISSON_LOG = Likelihood(
     loglik=lambda y, f: y * f - np.exp(f) - math.lgamma(y + 1.0),
     d1=lambda y, f: y - np.exp(f),
     d2=lambda y, f: -np.exp(f),
+    in_support=lambda y: y >= 0.0 and float(y).is_integer(),
+    support="a nonnegative integer",
 )
 
 LIKELIHOODS = {lik.name: lik for lik in (BERNOULLI_LOGIT, POISSON_LOG)}
@@ -247,6 +252,8 @@ def update_nonconjugate(belief: GaussianBelief, phi: np.ndarray, y: float, likel
     if likelihood not in LIKELIHOODS:
         raise ConfigurationError(f"unknown likelihood {likelihood!r}; choose from {sorted(LIKELIHOODS)}")
     lik = LIKELIHOODS[likelihood]
+    if not lik.in_support(y):
+        raise DataError(f"{likelihood} needs y to be {lik.support}, got {y!r}")
     m0, v0 = predict_f(belief, phi)
     f_hat, curvature = laplace_1d(m0, v0, y, lik)
 

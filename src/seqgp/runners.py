@@ -308,7 +308,7 @@ def _build_linear(cfg, records):
         if str(exc).startswith("features."):
             raise
         raise ConfigurationError(f"features.*: {exc}") from exc
-    dynamics = build_dynamics(cfg, fmap.weight_prior_var, fmap.n_features)
+    dynamics = build_dynamics(cfg, fmap.weight_prior_var)
     likelihood = get_str(cfg, "likelihood", default="gaussian",
                          choices={"gaussian"} | set(linear_filter.LIKELIHOODS))
     return LinearRunner(fmap, dynamics, get_float(cfg, "noise_var", required=True), likelihood)

@@ -220,7 +220,7 @@ def test_criterion_08_dynamics_algebra():
     np.testing.assert_allclose(r.mean, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(r.cov, prior_var * np.eye(3), atol=1e-12)
     rw = lf.predict_step(belief, lf.random_walk(0.07))
-    gen = lf.predict_step(belief, lf.general(1.0, np.zeros(3), 0.07 * np.eye(3)))
+    gen = lf.predict_step(belief, lf.general(1.0, 0.0, 0.07))
     np.testing.assert_allclose(gen.mean, rw.mean, atol=1e-12)
     np.testing.assert_allclose(gen.cov, rw.cov, atol=1e-12)
     report("criterion-08 dynamics algebra", time.perf_counter() - t0)

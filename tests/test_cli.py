@@ -18,6 +18,32 @@ WORKED_ARGS = [
     f"kernel.lengthscale={1.0 / math.sqrt(2.0)}", "noise_var=1e-10",
 ]
 
+LINEAR_ARGS = ["model=linear", "kernel.family=se", "features.kind=rff", "features.F=8", "noise_var=0.1", "--seed", "0"]
+
+# mode -> (config overrides, library constructor, and (a, cov_scale, u, c) of
+# theta_k = a*theta_{k-1} + u + N(0, c*I) written out by hand), each given the
+# weight prior variance v0
+LINEAR_DYNAMICS = {
+    "static": ([], lambda v0: lf.static(), lambda v0: (1.0, 1.0, 0.0, 0.0)),
+    "random_walk": (["dynamics.mode=random_walk", "dynamics.sigma_rw2=0.01"],
+                    lambda v0: lf.random_walk(0.01), lambda v0: (1.0, 1.0, 0.0, 0.01)),
+    "b2p": (["dynamics.mode=b2p", "dynamics.lambda=0.9"],
+            lambda v0: lf.b2p(0.9, v0), lambda v0: (math.sqrt(0.9), 0.9, 0.0, 0.1 * v0)),
+    "general": (["dynamics.mode=general", "dynamics.a=0.95", "dynamics.u=0.05", "dynamics.c=0.003"],
+                lambda v0: lf.general(0.95, 0.05, 0.003), lambda v0: (0.95, 0.95**2, 0.05, 0.003)),
+}
+
+
+class FixedGram:
+    """Kernel stand-in with a precomputed Gram; ``exact`` reads only ``gram`` and ``total_variance``."""
+
+    def __init__(self, K):
+        self.K = K
+        self.total_variance = float(np.mean(np.diag(K)))
+
+    def gram(self, X, X2=None):
+        return self.K
+
 
 class TestIngest:
     def test_two_rows(self):
@@ -55,26 +81,68 @@ class TestRun:
         assert rows[3]["pred_mean"] == pytest.approx(float(post.mean[0]), abs=1e-3)
         assert summary["rows"] == 4 and summary["scored"] == 3
 
-    def test_static_linear_run_matches_library_loop_bit_for_bit(self):
+    @pytest.mark.parametrize("mode", sorted(LINEAR_DYNAMICS))
+    def test_linear_run_matches_library_loop_bit_for_bit(self, mode):
         rng = np.random.default_rng(70)
         X = rng.uniform(0, 2, 20)
         y = rng.standard_normal(20)
         csv = "t,y\n" + "".join(f"{repr(float(a))},{repr(float(b))}\n" for a, b in zip(X, y))
+        overrides, build, _ = LINEAR_DYNAMICS[mode]
         args = ["run", "model=linear", "kernel.family=se", "kernel.lengthscale=0.5",
-                "features.kind=rff", "features.F=32", "features.seed=5", "noise_var=0.2"]
+                "features.kind=rff", "features.F=32", "features.seed=5", "noise_var=0.2", *overrides]
         code, out, _ = run_cli(args, stdin_text=csv)
         assert code == 0
         _, rows, _ = parse_report(out)
 
         fmap = features.sample_rff(kernels.se(1.0, 0.5), 32, seed=5)
+        dynamics = build(fmap.weight_prior_var)
         belief = lf.init_belief(32, fmap.weight_prior_var)
         for i, row in enumerate(rows):
             phi = features.featurize(fmap, X[i])
+            belief = lf.predict_step(belief, dynamics)
             mean, var = lf.predict_f(belief, phi)
             belief, ll = lf.update_step(belief, phi, y[i], 0.2)
             assert row["pred_mean"] == mean  # bit-for-bit via repr round-trip
             assert row["pred_var"] == var
             assert row["pred_logdensity"] == ll
+
+    @pytest.mark.parametrize("mode", sorted(LINEAR_DYNAMICS))
+    def test_linear_run_obeys_chain_rule(self, mode):
+        # theta_k = a*theta_{k-1} + u + N(0, c*I), ticking once per y-row k,
+        # makes f_k = phi_k^T theta_k a Gaussian process over y-rows with mean
+        # phi_k^T 1 * s_k (s_k = a*s_{k-1} + u) and covariance
+        # phi_j^T phi_k * a^|j-k| * v_min(j,k) (v_k = cov_scale*v_{k-1} + c)
+        rng = np.random.default_rng(72)
+        n = 100
+        t = np.sort(rng.uniform(0.0, 3.0, n))
+        y = np.sin(2.0 * t) + 0.3 * rng.standard_normal(n)
+        observed = rng.uniform(size=n) >= 0.1
+        csv = "t,y\n" + "".join(
+            f"{float(ti)!r},{float(yi)!r}\n" if obs else f"{float(ti)!r},\n" for ti, yi, obs in zip(t, y, observed)
+        )
+        overrides, _, implied = LINEAR_DYNAMICS[mode]
+        args = ["run", "model=linear", "kernel.family=se", "kernel.sigma_f2=1.5", "kernel.lengthscale=0.5",
+                "features.kind=rff", "features.F=16", "features.seed=5", "noise_var=0.1", *overrides]
+        code, out, err = run_cli(args, stdin_text=csv)
+        assert code == 0, err
+        _, rows, _ = parse_report(out)
+        scored = np.array([r["pred_logdensity"] for r in rows if r["y"] is not None])
+
+        fmap = features.sample_rff(kernels.se(1.5, 0.5), 16, seed=5)
+        a, cov_scale, u, c = implied(fmap.weight_prior_var)
+        phi = features.featurize_many(fmap, t[observed])
+        m = phi.shape[0]
+        v, s = np.empty(m), np.empty(m)
+        v_prev, s_prev = fmap.weight_prior_var, 0.0
+        for k in range(m):
+            v[k] = v_prev = cov_scale * v_prev + c
+            s[k] = s_prev = a * s_prev + u
+        k = np.arange(m)
+        K = (phi @ phi.T) * a ** np.abs(k[:, None] - k[None, :]) * v[np.minimum.outer(k, k)]
+        resid = y[observed] - phi.sum(axis=1) * s
+        for p in (m // 2, m):
+            expected = exact.log_marginal_likelihood(FixedGram(K[:p, :p]), 0.1, np.arange(p, dtype=float), resid[:p])
+            assert float(np.sum(scored[:p])) == pytest.approx(expected, abs=1e-6)
 
     def test_determinism_modulo_wall_time(self):
         args = ["run", "model=linear", "kernel.family=se", "features.kind=rff",
@@ -300,6 +368,47 @@ class TestExitCodes:
         )
         assert code == 4
         assert "numerical error" in err
+
+    @pytest.mark.parametrize("args, message", [
+        ([*LINEAR_ARGS, "dynamics.mode=random_walk", "dynamics.sigma_rw2=nan"], "dynamics.sigma_rw2: non-finite value"),
+        ([*LINEAR_ARGS, "dynamics.mode=general", "dynamics.a=nan"], "dynamics.a: non-finite value"),
+        ([*LINEAR_ARGS, "dynamics.mode=general", "dynamics.a=1e200"], "dynamics.a: a**2 overflows"),
+        (["model=markov", "kernel.family=matern32", "kernel.lengthscale=nan", "noise_var=0.1"],
+         "kernel.lengthscale: non-finite value"),
+        (["model=markov", "kernel.family=matern32", "noise_var=nan"], "noise_var: non-finite value"),
+        (["model=exact", "kernel.family=se", "noise_var=inf"], "noise_var: non-finite value"),
+        (["model=markov", "kernel.family=hm", "kernel.hm_components=1:0:0.5:inf:1", "noise_var=0.1"],
+         "kernel.hm_components: non-finite value"),
+        (["grid.lengthscale=0.5,nan", "kernel.family=se", "noise_var=0.1"], "grid.lengthscale: non-finite value"),
+    ])
+    def test_bad_config_number_is_2_with_key(self, args, message):
+        command = "fit-exact" if args[0].startswith("grid.") else "run"
+        code, out, err = run_cli([command, *args], stdin_text="t,y\n0,0.1\n1,0.2\n")
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("dynamics", [
+        ["dynamics.mode=general", "dynamics.a=1e100"],
+        ["dynamics.mode=random_walk", "dynamics.sigma_rw2=1e308"],
+    ])
+    def test_non_finite_prediction_is_4_with_row(self, dynamics):
+        code, out, err = run_cli(["run", *LINEAR_ARGS, *dynamics], stdin_text="t,y\n0,0.1\n1,0.2\n2,0.3\n")
+        assert code == 4
+        assert "row 2: non-finite prediction" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("likelihood, y", [
+        ("poisson_log", "-1"), ("poisson_log", "1.5"), ("bernoulli_logit", "2"), ("bernoulli_logit", "0.5"),
+    ])
+    def test_observation_outside_likelihood_support_is_3_with_row(self, likelihood, y):
+        code, out, err = run_cli(["run", *LINEAR_ARGS, f"likelihood={likelihood}"],
+                                 stdin_text=f"t,y\n0,1\n1,{y}\n")
+        assert code == 3
+        assert f"row 2: {likelihood} needs y to be" in err
+        assert out == ""
 
     def test_missing_seed_for_rff_is_2(self):
         code, _, err = run_cli(

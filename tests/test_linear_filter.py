@@ -67,7 +67,7 @@ class TestDynamics:
     def test_general_reduces_to_random_walk(self):
         b = lf.GaussianBelief(np.array([0.7, 0.1]), np.array([[0.6, 0.2], [0.2, 0.9]]))
         rw = lf.predict_step(b, lf.random_walk(0.04))
-        gen = lf.predict_step(b, lf.general(1.0, np.zeros(2), 0.04 * np.eye(2)))
+        gen = lf.predict_step(b, lf.general(1.0, 0.0, 0.04))
         np.testing.assert_allclose(gen.mean, rw.mean, atol=1e-12)
         np.testing.assert_allclose(gen.cov, rw.cov, atol=1e-12)
 
@@ -106,6 +106,17 @@ class TestDynamics:
         out = lf.predict_step(b, lf.b2p(0.9, prior_var=1.7))
         np.testing.assert_array_equal(out.cov, 0.9 * cov0 + (1.0 - 0.9) * 1.7 * np.eye(32))
         np.testing.assert_array_equal(b.cov, cov0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: lf.random_walk(float("nan")), lambda: lf.random_walk(float("inf")), lambda: lf.random_walk(-1e-3),
+        lambda: lf.b2p(float("nan"), 1.0), lambda: lf.b2p(0.5, float("inf")),
+        lambda: lf.general(float("nan"), 0.0, 0.0), lambda: lf.general(1.0, float("-inf"), 0.0),
+        lambda: lf.general(1.0, 0.0, float("inf")), lambda: lf.general(1.0, 0.0, -0.1),
+        lambda: lf.general(1e200, 0.0, 0.0),
+    ])
+    def test_constructors_reject_non_finite_and_negative_noise(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,11 @@
 """Algebraic invariants under randomized inputs (hypothesis)."""
 
+import json
+import math
+
 import numpy as np
+import pytest
+from conftest import run_cli
 from hypothesis import given, settings, strategies as st
 
 from seqgp import ensemble as ens
@@ -85,3 +90,36 @@ def test_mixture_density_is_convex_combination(densities):
     _, _, dens = ens.mixture_predict(state, np.zeros(len(densities)), np.ones(len(densities)), densities)
     slack = 1e-9 * max(densities)  # weights carry ~1 ulp of renormalization error
     assert min(densities) - slack <= dens <= max(densities) + slack
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+config_number = st.sampled_from(["nan", "inf", "-inf", "1e308", "1e200", "1e100", "-1", "0", "1", "0.5", "1e-300"]) \
+    | st.floats(min_value=-3.0, max_value=3.0, **finite).map(repr)
+cell = st.sampled_from(["", "0", "1", "2", "3", "-1", "0.5", "1e60", "-1e60"]) \
+    | st.floats(min_value=-5.0, max_value=5.0, **finite).map(repr)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose: the run must still exit cleanly
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["static", "random_walk", "b2p", "general"]),
+       likelihood=st.sampled_from(["gaussian", "bernoulli_logit", "poisson_log"]),
+       params=st.fixed_dictionaries({key: config_number for key in (
+           "noise_var", "dynamics.sigma_rw2", "dynamics.lambda", "dynamics.a", "dynamics.u", "dynamics.c")}),
+       ys=st.lists(cell, max_size=8))
+def test_linear_cli_exits_cleanly_on_any_config(mode, likelihood, params, ys):
+    args = ["run", "model=linear", "kernel.family=se", "features.kind=rff", "features.F=4", "features.seed=0",
+            f"dynamics.mode={mode}", f"likelihood={likelihood}", *(f"{k}={v}" for k, v in params.items())]
+    csv = "t,y\n" + "".join(f"{0.25 * i},{y}\n" for i, y in enumerate(ys))
+    code, out, err = run_cli(args, stdin_text=csv)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code == 0:
+        lines = out.splitlines()
+        json.loads(lines[-1], parse_constant=_reject_constant)
+        header = lines[0].split(",")
+        for line in lines[1:-1]:
+            row = dict(zip(header, line.split(",")))
+            assert math.isfinite(float(row["pred_mean"])) and math.isfinite(float(row["pred_var"]))
