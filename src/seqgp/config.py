@@ -154,6 +154,13 @@ def build_kernel(cfg: dict, prefix: str = "kernel.") -> kernels.Kernel:
         raise ConfigurationError(f"{prefix}*: {exc}") from exc
 
 
+# The dynamics.* key each constructor argument is read from.
+_DYNAMICS_KEYS = {
+    "sigma_rw2": "dynamics.sigma_rw2", "lambda_forget": "dynamics.lambda",
+    "a": "dynamics.a", "u": "dynamics.u", "c": "dynamics.c",
+}
+
+
 def build_dynamics(cfg: dict, prior_var: float) -> linear_filter.Dynamics:
     """Weight dynamics from ``dynamics.*`` keys; errors name the offending key."""
     mode = get_str(
@@ -173,9 +180,10 @@ def build_dynamics(cfg: dict, prior_var: float) -> linear_filter.Dynamics:
             get_float(cfg, "dynamics.c", default=0.0),
         )
     except ConfigurationError as exc:
-        if str(exc).startswith("dynamics."):
+        key = _DYNAMICS_KEYS.get(exc.param)
+        if key is None:
             raise
-        raise ConfigurationError(f"dynamics.{exc}") from exc
+        raise ConfigurationError(f"{key}: {exc}") from exc
 
 
 def member_configs(cfg: dict) -> list[dict[str, str]]:
@@ -221,7 +229,9 @@ def load_locations(path: str) -> np.ndarray:
             rows.append([float(tok) for tok in ln.split(",")])
         except ValueError as exc:
             raise ConfigurationError(f"spatial.locations: bad row {ln!r}") from exc
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2:
+    if len({len(r) for r in rows}) != 1:
         raise ConfigurationError("spatial.locations: rows have inconsistent lengths")
+    arr = np.asarray(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"spatial.locations: non-finite coordinate in {path!r}")
     return arr

@@ -10,7 +10,15 @@ class SeqgpError(Exception):
 
 
 class ConfigurationError(SeqgpError):
-    """Invalid model/hyperparameter configuration (bad value, missing key)."""
+    """Invalid model/hyperparameter configuration (bad value, missing key).
+
+    ``param`` may name the library argument at fault, so that a caller can
+    report the configuration key it read that argument from.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class DataError(SeqgpError):

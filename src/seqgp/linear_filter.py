@@ -54,7 +54,7 @@ _IDENTITY = Dynamics(1.0, 1.0, 0.0, 0.0)
 
 def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
-        raise ConfigurationError(f"{name}: must be finite, got {value!r}")
+        raise ConfigurationError(f"{name} must be finite, got {value!r}", param=name)
     return float(value)
 
 
@@ -64,27 +64,27 @@ def static() -> Dynamics:
 
 def random_walk(sigma_rw2: float) -> Dynamics:
     if not 0.0 <= sigma_rw2 < math.inf:
-        raise ConfigurationError(f"sigma_rw2: must be finite and nonnegative, got {sigma_rw2}")
+        raise ConfigurationError(f"sigma_rw2 must be finite and nonnegative, got {sigma_rw2}", param="sigma_rw2")
     return Dynamics(1.0, 1.0, 0.0, sigma_rw2)
 
 
 def b2p(lambda_forget: float, prior_var: float) -> Dynamics:
     """Back-to-prior forgetting: a = sqrt(lambda), u = 0, c = (1 - lambda) * prior_var."""
     if not 0.0 <= lambda_forget <= 1.0:
-        raise ConfigurationError(f"lambda: forgetting factor must lie in [0, 1], got {lambda_forget}")
+        raise ConfigurationError(f"forgetting factor must lie in [0, 1], got {lambda_forget}", param="lambda_forget")
     if not 0.0 < prior_var < math.inf:
-        raise ConfigurationError(f"prior_var: must be finite and positive, got {prior_var}")
+        raise ConfigurationError(f"prior_var must be finite and positive, got {prior_var}", param="prior_var")
     return Dynamics(math.sqrt(lambda_forget), lambda_forget, 0.0, (1.0 - lambda_forget) * prior_var)
 
 
 def general(a: float, u: float, c: float) -> Dynamics:
     a, u, c = _finite("a", a), _finite("u", u), _finite("c", c)
     if c < 0.0:
-        raise ConfigurationError(f"c: process-noise scale must be nonnegative, got {c}")
+        raise ConfigurationError(f"process-noise scale c must be nonnegative, got {c}", param="c")
     try:
         return Dynamics(a, a**2, u, c)
     except OverflowError:
-        raise ConfigurationError(f"a: a**2 overflows, got {a!r}") from None
+        raise ConfigurationError(f"a**2 overflows, got a = {a!r}", param="a") from None
 
 
 def init_belief(n_features: int, prior_var: float) -> GaussianBelief:

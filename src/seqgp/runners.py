@@ -26,6 +26,7 @@ from .config import (
     build_kernel,
     get_bool,
     get_float,
+    get_float_list,
     get_int,
     get_str,
     load_locations,
@@ -331,12 +332,11 @@ def _build_markov(cfg, records):
 def _build_sparse(cfg, records):
     kernel = build_kernel(cfg)
     noise_var = get_float(cfg, "noise_var", required=True)
-    explicit = cfg.get("sparse.inducing")
+    explicit = get_float_list(cfg, "sparse.inducing")
     if explicit is not None:
-        try:
-            inducing = np.array([float(tok) for tok in explicit.split(",")]).reshape(-1, 1)
-        except ValueError as exc:
-            raise ConfigurationError(f"sparse.inducing: expected comma-separated numbers") from exc
+        if not explicit:
+            raise ConfigurationError("sparse.inducing: expected comma-separated numbers")
+        inducing = np.array(explicit).reshape(-1, 1)
     else:
         n_inducing = get_int(cfg, "sparse.M", required=True)
         pts = _input_points(records)

@@ -373,6 +373,11 @@ class TestExitCodes:
         ([*LINEAR_ARGS, "dynamics.mode=random_walk", "dynamics.sigma_rw2=nan"], "dynamics.sigma_rw2: non-finite value"),
         ([*LINEAR_ARGS, "dynamics.mode=general", "dynamics.a=nan"], "dynamics.a: non-finite value"),
         ([*LINEAR_ARGS, "dynamics.mode=general", "dynamics.a=1e200"], "dynamics.a: a**2 overflows"),
+        ([*LINEAR_ARGS, "dynamics.mode=general", "dynamics.c=-0.1"], "dynamics.c: process-noise scale"),
+        ([*LINEAR_ARGS, "dynamics.mode=random_walk", "dynamics.sigma_rw2=-1"], "dynamics.sigma_rw2: sigma_rw2 must"),
+        ([*LINEAR_ARGS, "dynamics.mode=b2p", "dynamics.lambda=1.5"], "dynamics.lambda: forgetting factor"),
+        (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.inducing=0,nan"],
+         "sparse.inducing: non-finite value"),
         (["model=markov", "kernel.family=matern32", "kernel.lengthscale=nan", "noise_var=0.1"],
          "kernel.lengthscale: non-finite value"),
         (["model=markov", "kernel.family=matern32", "noise_var=nan"], "noise_var: non-finite value"),

@@ -127,6 +127,20 @@ class TestSpatiotemporal:
         assert code == 3
         assert "not in spatial.locations" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("x1\n0.0\nnan\n", "non-finite coordinate"),
+        ("x1\n0.0\n1.0,2.0\n", "rows have inconsistent lengths"),
+    ])
+    def test_bad_locations_file_is_2(self, tmp_path, text, message):
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text(text)
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2",
+                f"spatial.locations={loc_file}", "spatial.kernel.family=se"]
+        code, out, err = run_cli(args, stdin_text="t,x1,y\n0,0.0,0.5\n")
+        assert code == 2
+        assert f"spatial.locations: {message}" in err
+        assert "Traceback" not in err and out == ""
+
     def test_unknown_location_names_its_row_once(self, tmp_path):
         loc_file = tmp_path / "locations.csv"
         loc_file.write_text("x1\n0.0\n1.0\n")

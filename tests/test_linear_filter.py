@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqgp import exact, features, kernels, linear_filter as lf
+from seqgp.config import build_dynamics
 from seqgp.errors import ConfigurationError, DataError, NumericalError, ShapeError
 
 
@@ -117,6 +118,15 @@ class TestDynamics:
     def test_constructors_reject_non_finite_and_negative_noise(self, build):
         with pytest.raises(ConfigurationError):
             build()
+
+    def test_build_dynamics_names_only_config_keys(self):
+        with pytest.raises(ConfigurationError, match=r"^dynamics\.c: ") as info:
+            build_dynamics({"dynamics.mode": "general", "dynamics.c": "-1"}, 1.0)
+        assert info.value.param is None
+        # prior_var is not read from a dynamics.* key, so its error passes through unprefixed
+        with pytest.raises(ConfigurationError, match=r"^prior_var must be finite") as info:
+            build_dynamics({"dynamics.mode": "b2p", "dynamics.lambda": "0.5"}, 0.0)
+        assert info.value.param == "prior_var"
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ConfigurationError):
