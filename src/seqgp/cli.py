@@ -33,6 +33,8 @@ from .config import (
     get_float,
     get_float_list,
     get_str,
+    keyed,
+    member_configs,
     parse_config_text,
     parse_overrides,
 )
@@ -109,24 +111,28 @@ def ingest_csv(stream) -> tuple[list[str], list[StreamRecord]]:
     return cols, records
 
 
-def validate_stream_for_model(cfg: dict, cols: list[str], records: list[StreamRecord]) -> None:
+def validate_stream_for_model(cfg: dict, cols: list[str]) -> None:
+    """Check the input columns against the model, and each ensemble member's
+    against the member, before any row is read by a runner."""
     model = get_str(cfg, "model", required=True)
+    if model == "ensemble":
+        for i, block in enumerate(member_configs(cfg), start=1):
+            if block.get("model") == "ensemble":
+                raise ConfigurationError(f"member.{i}.model: ensembles cannot nest")
+            with keyed(prefix=f"member.{i}."):
+                validate_stream_for_model(block, cols)
+        return
     has_t = "t" in cols
     has_x = any(c.startswith("x") for c in cols)
     if model == "markov":
         if not has_t:
-            raise ConfigurationError("model=markov needs a t column")
+            raise ConfigurationError("model: markov needs a t column")
         if has_x and get_str(cfg, "spatial.locations") is None:
-            raise ConfigurationError("model=markov is time-only; x columns need spatial.locations")
+            raise ConfigurationError("spatial.locations: required for x columns; markov is time-only without it")
         if not has_x and get_str(cfg, "spatial.locations") is not None:
-            raise ConfigurationError("spatial.locations is set but the input has no x columns")
-        last = None
-        for rec in records:
-            if last is not None and rec.t < last:
-                raise DataError(f"row {rec.row}: timestamps must be non-decreasing for markov models")
-            last = rec.t
+            raise ConfigurationError("spatial.locations: set, but the input has no x columns")
     elif has_t and has_x:
-        raise ConfigurationError(f"model={model} takes either t or x1..xD, not both")
+        raise ConfigurationError(f"model: {model} takes either t or x1..xD, not both")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +198,11 @@ def _input_cells(rec) -> dict:
 def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     t0 = time.perf_counter()
     cols, records = ingest_csv(in_stream)
-    validate_stream_for_model(cfg, cols, records)
+    validate_stream_for_model(cfg, cols)
     runner = build_runner(cfg, records)
+    smooth = get_bool(cfg, "emit_smoothed", default=False)
+    if smooth and not hasattr(runner, "smooth"):
+        raise ConfigurationError("emit_smoothed: only markov models support smoothing")
 
     rows = []
     for rec in records:
@@ -219,9 +228,7 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
         n_members = max(len([k for k in r if k.startswith("weight_")]) for r in rows)
         out_cols += [f"weight_{k}" for k in range(1, n_members + 1)]
 
-    if get_bool(cfg, "emit_smoothed", default=False):
-        if not hasattr(runner, "smooth"):
-            raise ConfigurationError("emit_smoothed: only markov models support smoothing")
+    if smooth:
         smoothed = runner.smooth([r.t for r in records])
         for row, (sm, sv) in zip(rows, smoothed):
             row["smoothed_mean"] = sm

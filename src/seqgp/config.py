@@ -10,6 +10,7 @@ self-contained model config.  Errors carry the offending field path.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -130,13 +131,37 @@ def _parse_components(key: str, value: str, n_fields: int) -> list[tuple]:
     return comps
 
 
+# The config key each library argument is read from; ``keyed`` names it.
+PARAM_KEYS = {
+    "noise_var": "noise_var", "family": "kernel.family",
+    "n_features": "features.F", "halfwidth": "features.L",
+    "n_inducing": "sparse.M", "inducing": "sparse.inducing", "locations": "spatial.locations",
+    "sigma_rw2": "dynamics.sigma_rw2", "lambda_forget": "dynamics.lambda",
+    "a": "dynamics.a", "u": "dynamics.u", "c": "dynamics.c",
+}
+
+
+@contextmanager
+def keyed(table=PARAM_KEYS, prefix=""):
+    """Re-raise a ``ConfigurationError`` as ``<prefix><key>: <message>``, ``key`` being what
+    ``table`` maps its ``param`` to.  An error that names its key already (``param``
+    None) gains only the prefix; one whose ``param`` no key feeds passes through."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        key = table.get(exc.param)
+        if key is None and exc.param is not None:
+            raise
+        raise type(exc)(f"{prefix}{key}: {exc}" if key else f"{prefix}{exc}") from exc
+
+
 def build_kernel(cfg: dict, prefix: str = "kernel.") -> kernels.Kernel:
     """Assemble a Kernel from ``<prefix>family`` and its hyperparameter keys."""
     name = get_str(cfg, prefix + "family", required=True)
     family = KERNEL_ALIASES.get(name.lower())
     if family is None:
         raise ConfigurationError(f"{prefix}family: unknown kernel {name!r} (choose from {sorted(set(KERNEL_ALIASES))})")
-    try:
+    with keyed({field: prefix + field for field in ("sigma_f2", "lengthscale", "sm_components", "hm_components")}):
         if family in ("se", "matern12", "matern32"):
             return kernels.Kernel(
                 family,
@@ -148,42 +173,26 @@ def build_kernel(cfg: dict, prefix: str = "kernel.") -> kernels.Kernel:
             return kernels.spectral_mixture(_parse_components(prefix + "sm_components", raw, 3))
         raw = get_str(cfg, prefix + "hm_components", required=True)
         return kernels.hida_matern(_parse_components(prefix + "hm_components", raw, 5))
-    except ConfigurationError as exc:
-        if str(exc).startswith(prefix):
-            raise
-        raise ConfigurationError(f"{prefix}*: {exc}") from exc
 
 
-# The dynamics.* key each constructor argument is read from.
-_DYNAMICS_KEYS = {
-    "sigma_rw2": "dynamics.sigma_rw2", "lambda_forget": "dynamics.lambda",
-    "a": "dynamics.a", "u": "dynamics.u", "c": "dynamics.c",
-}
-
-
+@keyed()
 def build_dynamics(cfg: dict, prior_var: float) -> linear_filter.Dynamics:
     """Weight dynamics from ``dynamics.*`` keys; errors name the offending key."""
     mode = get_str(
         cfg, "dynamics.mode", default="static",
         choices={"static", "random_walk", "b2p", "general"},
     )
-    try:
-        if mode == "static":
-            return linear_filter.static()
-        if mode == "random_walk":
-            return linear_filter.random_walk(get_float(cfg, "dynamics.sigma_rw2", required=True))
-        if mode == "b2p":
-            return linear_filter.b2p(get_float(cfg, "dynamics.lambda", required=True), prior_var)
-        return linear_filter.general(
-            get_float(cfg, "dynamics.a", default=1.0),
-            get_float(cfg, "dynamics.u", default=0.0),
-            get_float(cfg, "dynamics.c", default=0.0),
-        )
-    except ConfigurationError as exc:
-        key = _DYNAMICS_KEYS.get(exc.param)
-        if key is None:
-            raise
-        raise ConfigurationError(f"{key}: {exc}") from exc
+    if mode == "static":
+        return linear_filter.static()
+    if mode == "random_walk":
+        return linear_filter.random_walk(get_float(cfg, "dynamics.sigma_rw2", required=True))
+    if mode == "b2p":
+        return linear_filter.b2p(get_float(cfg, "dynamics.lambda", required=True), prior_var)
+    return linear_filter.general(
+        get_float(cfg, "dynamics.a", default=1.0),
+        get_float(cfg, "dynamics.u", default=0.0),
+        get_float(cfg, "dynamics.c", default=0.0),
+    )
 
 
 def member_configs(cfg: dict) -> list[dict[str, str]]:
@@ -200,7 +209,7 @@ def member_configs(cfg: dict) -> list[dict[str, str]]:
             raise ConfigurationError(f"{key}: member indices are 1-based")
         members.setdefault(idx, {})[parts[2]] = value
     if not members:
-        raise ConfigurationError("ensemble model needs member.<k>.* keys")
+        raise ConfigurationError("model: ensemble needs member.<k>.* keys")
     indices = sorted(members)
     if indices != list(range(1, len(indices) + 1)):
         raise ConfigurationError(f"member indices must be 1..K without gaps, got {indices}")

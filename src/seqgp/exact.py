@@ -39,7 +39,7 @@ class ExactPosterior:
 def _noisy_train_factor(kernel: Kernel, noise_var: float, X: np.ndarray):
     """K_oo and the jittered lower Cholesky factor of K_oo + noise_var I."""
     if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     K = kernel.gram(X)
     L, _ = chol_jitter(K + noise_var * np.eye(K.shape[0]), scale=kernel.total_variance)
     return K, L

@@ -56,7 +56,7 @@ def _sample_frequencies(kernel: Kernel, n_freq: int, rng: np.random.Generator) -
         # the PSD is the symmetrized mixture: flip sign with probability 1/2
         sign = np.where(rng.random(n_freq) < 0.5, -1.0, 1.0)
         return (sign * s).reshape(-1, 1)
-    raise UnsupportedKernelError(f"no spectral sampler for kernel family {kernel.family!r}")
+    raise UnsupportedKernelError(f"no spectral sampler for kernel family {kernel.family!r}", param="family")
 
 
 def sample_rff(kernel: Kernel, n_features: int, seed: int) -> FeatureMap:
@@ -66,7 +66,7 @@ def sample_rff(kernel: Kernel, n_features: int, seed: int) -> FeatureMap:
     table bit for bit.
     """
     if n_features < 2 or n_features % 2 != 0:
-        raise ConfigurationError(f"RFF feature count must be even and >= 2, got {n_features}")
+        raise ConfigurationError(f"RFF feature count must be even and >= 2, got {n_features}", param="n_features")
     rng = np.random.default_rng(seed)
     freqs = _sample_frequencies(kernel, n_features // 2, rng)
     return FeatureMap(
@@ -88,9 +88,9 @@ def build_hsgp(kernel: Kernel, n_features: int, halfwidth: float) -> FeatureMap:
     sum_k phi_k(x) phi_k(x') reconstructs kappa(x, x') with unit weight prior.
     """
     if n_features < 1:
-        raise ConfigurationError(f"HSGP feature count must be >= 1, got {n_features}")
+        raise ConfigurationError(f"HSGP feature count must be >= 1, got {n_features}", param="n_features")
     if halfwidth <= 0.0:
-        raise ConfigurationError(f"HSGP halfwidth must be positive, got {halfwidth}")
+        raise ConfigurationError(f"HSGP halfwidth must be positive, got {halfwidth}", param="halfwidth")
     k = np.arange(1, n_features + 1)
     omega = k * math.pi / (2.0 * halfwidth)
     weights = np.sqrt(2.0 * math.pi * eval_psd(kernel, omega))

@@ -62,36 +62,40 @@ class Kernel:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigurationError(f"unknown kernel family {self.family!r}")
+            raise ConfigurationError(f"unknown kernel family {self.family!r}", param="family")
         if self.family in ("se", "matern12", "matern32"):
             if self.sigma_f2 <= 0.0:
-                raise ConfigurationError(f"sigma_f2 must be positive, got {self.sigma_f2}")
+                raise ConfigurationError(f"sigma_f2 must be positive, got {self.sigma_f2}", param="sigma_f2")
             if self.lengthscale <= 0.0:
-                raise ConfigurationError(f"lengthscale must be positive, got {self.lengthscale}")
+                raise ConfigurationError(f"lengthscale must be positive, got {self.lengthscale}", param="lengthscale")
+            _check_scale(self.sigma_f2, self.lengthscale, "lengthscale")
         elif self.family == "spectral_mixture":
             if not self.sm_components:
-                raise ConfigurationError("spectral_mixture needs at least one component")
+                raise ConfigurationError("spectral_mixture needs at least one component", param="sm_components")
             for c in self.sm_components:
                 if c.weight < 0.0:
-                    raise ConfigurationError(f"SM weight must be nonnegative, got {c.weight}")
+                    raise ConfigurationError(f"SM weight must be nonnegative, got {c.weight}", param="sm_components")
                 if c.freq_var <= 0.0:
-                    raise ConfigurationError(f"SM frequency variance must be positive, got {c.freq_var}")
+                    raise ConfigurationError(f"SM frequency variance must be positive, got {c.freq_var}",
+                                             param="sm_components")
             if sum(c.weight for c in self.sm_components) <= 0.0:
-                raise ConfigurationError("SM weights must not all be zero")
+                raise ConfigurationError("SM weights must not all be zero", param="sm_components")
         elif self.family == "hida_matern":
             if not self.hm_components:
-                raise ConfigurationError("hida_matern needs at least one component")
+                raise ConfigurationError("hida_matern needs at least one component", param="hm_components")
             for c in self.hm_components:
                 if c.weight < 0.0:
-                    raise ConfigurationError(f"HM weight must be nonnegative, got {c.weight}")
+                    raise ConfigurationError(f"HM weight must be nonnegative, got {c.weight}", param="hm_components")
                 if c.phase < 0.0:
-                    raise ConfigurationError(f"HM phase shift must be nonnegative, got {c.phase}")
+                    raise ConfigurationError(f"HM phase shift must be nonnegative, got {c.phase}",
+                                             param="hm_components")
                 if c.nu not in (0.5, 1.5):
-                    raise ConfigurationError(f"HM smoothness must be 1/2 or 3/2, got {c.nu}")
+                    raise ConfigurationError(f"HM smoothness must be 1/2 or 3/2, got {c.nu}", param="hm_components")
                 if c.lengthscale <= 0.0 or c.sigma2 <= 0.0:
-                    raise ConfigurationError("HM lengthscale and variance must be positive")
+                    raise ConfigurationError("HM lengthscale and variance must be positive", param="hm_components")
+                _check_scale(c.sigma2, c.lengthscale, "hm_components")
             if sum(c.weight for c in self.hm_components) <= 0.0:
-                raise ConfigurationError("HM weights must not all be zero")
+                raise ConfigurationError("HM weights must not all be zero", param="hm_components")
 
     @property
     def total_variance(self) -> float:
@@ -107,6 +111,17 @@ class Kernel:
 
     def gram(self, X, X2=None) -> np.ndarray:
         return gram(self, X, X2)
+
+
+def _check_scale(sigma2: float, lengthscale: float, param: str) -> None:
+    """Reject a lengthscale whose l^2 or Matern-3/2 constant (sqrt(3)/l)^3 sigma2
+    is not a finite float, so that no power taken for a kernel constant (SE
+    exponent, Matern drift and diffusion, spectral density) overflows."""
+    ell, lam = float(lengthscale), math.sqrt(3.0) / float(lengthscale)
+    if not (math.isfinite(ell * ell) and math.isfinite(lam * lam * lam * float(sigma2))):
+        raise ConfigurationError(
+            f"lengthscale {lengthscale!r} with variance {sigma2!r} overflows l**2 or (sqrt(3)/l)**3 * variance",
+            param=param)
 
 
 def se(sigma_f2: float = 1.0, lengthscale: float = 1.0) -> Kernel:

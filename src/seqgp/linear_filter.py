@@ -90,9 +90,9 @@ def general(a: float, u: float, c: float) -> Dynamics:
 def init_belief(n_features: int, prior_var: float) -> GaussianBelief:
     """Prior belief theta ~ N(0, prior_var * I)."""
     if n_features < 1:
-        raise ConfigurationError(f"n_features must be >= 1, got {n_features}")
+        raise ConfigurationError(f"n_features must be >= 1, got {n_features}", param="n_features")
     if prior_var <= 0.0:
-        raise ConfigurationError(f"prior_var must be positive, got {prior_var}")
+        raise ConfigurationError(f"prior_var must be positive, got {prior_var}", param="prior_var")
     return GaussianBelief(np.zeros(n_features), prior_var * np.eye(n_features))
 
 
@@ -123,7 +123,7 @@ def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: fl
     ``linalg.scalar_update``, returned exactly symmetric.
     """
     if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     if not np.isfinite(y):
         raise DataError(f"non-finite observation {y!r}")
     phi = np.asarray(phi, dtype=float).ravel()
@@ -154,7 +154,7 @@ def static_batch_posterior(Phi: np.ndarray, y: np.ndarray, noise_var: float, pri
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     n_feat = Phi.shape[1]
     prec = Phi.T @ Phi / noise_var + np.eye(n_feat) / prior_var
     L, _ = chol_jitter(prec, scale=1.0 / prior_var)

@@ -89,7 +89,7 @@ def _matern_block(nu: float, sigma2: float, lengthscale: float):
         q = np.array([[4.0 * lam**3 * sigma2]])
         P = np.diag([sigma2, lam * lam * sigma2])
     else:
-        raise UnsupportedKernelError(f"no state space for Matern smoothness {nu}")
+        raise UnsupportedKernelError(f"no state space for Matern smoothness {nu}", param="family")
     return F, L, H, q, P, lam
 
 
@@ -137,7 +137,7 @@ def build_lti(kernel: Kernel) -> LtiSde:
         comps = kernel.hm_components
     else:
         raise UnsupportedKernelError(
-            f"kernel family {kernel.family!r} has no exact finite-dimensional SDE"
+            f"kernel family {kernel.family!r} has no exact finite-dimensional SDE", param="family"
         )
     Fs, Ls, Hs, qs, Ps, bases, lams = zip(*(_hm_block(c.phase, c.nu, c.sigma2, c.lengthscale) for c in comps))
     F, L, q, P = (block_diag(*parts) for parts in (Fs, Ls, qs, Ps))
@@ -228,7 +228,7 @@ class MarkovStepper:
 
     def __init__(self, sde: LtiSde, noise_var: float, keep_history: bool = False):
         if noise_var <= 0.0:
-            raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+            raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.sde = sde
         self.noise_var = noise_var
         self.mean = np.zeros(sde.dim)
@@ -402,7 +402,7 @@ def build_spatiotemporal(temporal_kernel: Kernel, spatial_kernel: Kernel, locati
     locs = as_points(locations)
     n_s = locs.shape[0]
     if n_s < 1:
-        raise ConfigurationError("need at least one spatial location")
+        raise ConfigurationError("need at least one spatial location", param="locations")
     base = build_lti(temporal_kernel)
     S = gram(spatial_kernel, locs) / spatial_kernel.total_variance
     chol_jitter(S, scale=1.0)  # factorization failure -> NumericalError

@@ -29,6 +29,7 @@ from .config import (
     get_float_list,
     get_int,
     get_str,
+    keyed,
     load_locations,
     member_configs,
 )
@@ -79,7 +80,7 @@ class ExactRunner:
 
     def __init__(self, kernel, noise_var: float):
         if noise_var <= 0.0:
-            raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+            raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.kernel = kernel
         self.noise_var = noise_var
         self.n = 0  # observations folded in
@@ -139,6 +140,8 @@ class LinearRunner:
     """Basis-expansion filter with configurable weight dynamics and likelihood."""
 
     def __init__(self, fmap, dynamics, noise_var: float, likelihood: str = "gaussian"):
+        if likelihood == "gaussian" and noise_var <= 0.0:
+            raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.fmap = fmap
         self.dynamics = dynamics
         self.noise_var = noise_var
@@ -164,7 +167,10 @@ class LinearRunner:
 
 
 class MarkovRunner:
-    """Continuous-time state-space filter; optionally keeps history for smoothing."""
+    """Continuous-time state-space filter; optionally keeps history for smoothing.
+
+    Every row carries ``t``, and ``x`` exactly when ``locations`` is given;
+    ``cli.validate_stream_for_model`` checks the columns before any row."""
 
     def __init__(self, sde, noise_var: float, locations=None, keep_history: bool = False):
         self.stepper = markovian.MarkovStepper(sde, noise_var, keep_history=keep_history)
@@ -181,11 +187,7 @@ class MarkovRunner:
 
     def _obs_row(self, rec: StreamRecord) -> int:
         if self.locations is None:
-            if rec.x is not None:
-                raise ConfigurationError("markov model is time-only; spatial input needs spatial.locations")
             return 0
-        if rec.x is None:
-            raise DataError("spatiotemporal model needs x columns")
         idx = self._loc_index.get(tuple(rec.x.tolist()))
         if idx is not None:
             return idx
@@ -197,14 +199,10 @@ class MarkovRunner:
         return idx
 
     def step(self, rec: StreamRecord) -> StepResult:
-        if rec.t is None:
-            raise DataError("markov model needs a t column")
         return StepResult(*self.stepper.step(rec.t, rec.y, self._obs_row(rec)))
 
     def smooth(self, times) -> list[tuple[float, float]]:
         """Backward pass over the stored history; per-row smoothed (mean, var)."""
-        if self.stepper.history is None:
-            raise ConfigurationError("smoothing requires keep_history=True")
         result = self.stepper.result(times)
         smoothed = markovian.rts_smoother(self.stepper.sde, result)
         H = self.stepper.sde.obs[result.obs_rows]
@@ -218,6 +216,8 @@ class SparseRunner:
     ``model=vsgp``, whose one-row information-form update is the same update."""
 
     def __init__(self, kernel, noise_var: float, inducing, include_residual: bool):
+        if noise_var <= 0.0:
+            raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.state = sparse.init_sparse(kernel, inducing, include_residual)
         self.noise_var = noise_var
         self.flops = 0
@@ -279,10 +279,12 @@ def _input_points(records: list[StreamRecord]) -> np.ndarray:
     return np.array([r.point for r in records])
 
 
-def build_runner(cfg: dict, records: list[StreamRecord]):
-    """Construct the model runner a validated config describes."""
-    model = get_str(cfg, "model", required=True, choices=set(MODELS_BUILDABLE))
-    return MODELS_BUILDABLE[model](cfg, records)
+def build_runner(cfg: dict, records: list[StreamRecord], prefix: str = ""):
+    """Construct the model runner a validated config describes; a configuration
+    error names its key, after ``prefix`` for an ensemble member."""
+    with keyed(prefix=prefix):
+        model = get_str(cfg, "model", required=True, choices=set(MODELS_BUILDABLE))
+        return MODELS_BUILDABLE[model](cfg, records)
 
 
 def _build_exact(cfg, records):
@@ -294,21 +296,13 @@ def _build_linear(cfg, records):
     kernel = build_kernel(cfg)
     kind = get_str(cfg, "features.kind", default="rff", choices={"rff", "hsgp"})
     n_feat = get_int(cfg, "features.F", required=True)
-    try:
-        if kind == "rff":
-            fmap = features.sample_rff(kernel, n_feat, _require_seed(cfg, "features.seed"))
-        else:
-            halfwidth = get_float(cfg, "features.L")
-            if halfwidth is None:
-                pts = _input_points(records)
-                if pts.shape[0] == 0:
-                    raise ConfigurationError("features.L: required when the input stream is empty")
-                halfwidth = 4.0 * float(np.max(np.abs(pts)))
-            fmap = features.build_hsgp(kernel, n_feat, halfwidth)
-    except ConfigurationError as exc:
-        if str(exc).startswith("features."):
-            raise
-        raise ConfigurationError(f"features.*: {exc}") from exc
+    if kind == "rff":
+        fmap = features.sample_rff(kernel, n_feat, _require_seed(cfg, "features.seed"))
+    else:
+        halfwidth = get_float(cfg, "features.L")
+        if halfwidth is None:  # 0 on an empty stream, which build_hsgp rejects
+            halfwidth = 4.0 * float(np.max(np.abs(_input_points(records)), initial=0.0))
+        fmap = features.build_hsgp(kernel, n_feat, halfwidth)
     dynamics = build_dynamics(cfg, fmap.weight_prior_var)
     likelihood = get_str(cfg, "likelihood", default="gaussian",
                          choices={"gaussian"} | set(linear_filter.LIKELIHOODS))
@@ -334,14 +328,10 @@ def _build_sparse(cfg, records):
     noise_var = get_float(cfg, "noise_var", required=True)
     explicit = get_float_list(cfg, "sparse.inducing")
     if explicit is not None:
-        if not explicit:
-            raise ConfigurationError("sparse.inducing: expected comma-separated numbers")
         inducing = np.array(explicit).reshape(-1, 1)
     else:
         n_inducing = get_int(cfg, "sparse.M", required=True)
         pts = _input_points(records)
-        if pts.shape[0] == 0:
-            raise ConfigurationError("sparse.M: cannot place inducing inputs on an empty stream")
         seed = get_int(cfg, "sparse.seed", default=get_int(cfg, "seed"))
         if pts.shape[1] > 1 and seed is None:
             raise ConfigurationError("sparse.seed: required for k-means seeding of multi-D inducing inputs")
@@ -354,13 +344,7 @@ def _build_ensemble(cfg, records):
     combiner = get_str(cfg, "ensemble.combiner", default="bma", choices={"bma", "stacking"})
     members = []
     for i, block in enumerate(member_configs(cfg), start=1):
-        model = get_str(block, "model", required=True)
-        if model == "ensemble":
-            raise ConfigurationError(f"member.{i}.model: ensembles cannot nest")
-        try:
-            members.append(build_runner(block, records))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"member.{i}.{exc}") from exc
+        members.append(build_runner(block, records, f"member.{i}."))
     return EnsembleRunner(members, combiner)
 
 

@@ -43,9 +43,9 @@ def choose_inducing(X, n_inducing: int, seed: int) -> np.ndarray:
     pts = as_points(X)
     n, d = pts.shape
     if n_inducing < 1:
-        raise ConfigurationError(f"need at least one inducing input, got {n_inducing}")
+        raise ConfigurationError(f"need at least one inducing input, got {n_inducing}", param="n_inducing")
     if n_inducing > n:
-        raise ConfigurationError(f"{n_inducing} inducing inputs but only {n} data points")
+        raise ConfigurationError(f"{n_inducing} inducing inputs but only {n} data points", param="n_inducing")
     if d == 1:
         qs = (np.arange(n_inducing) + 0.5) / n_inducing
         return np.quantile(pts[:, 0], qs).reshape(-1, 1)
@@ -68,14 +68,14 @@ def init_sparse(kernel: Kernel, inducing, include_residual: bool = True) -> Spar
     """Prior state over u: mean 0, covariance the inducing Gram (jittered)."""
     Z = as_points(inducing)
     if Z.shape[0] < 1:
-        raise ConfigurationError("need at least one inducing input")
+        raise ConfigurationError("need at least one inducing input", param="inducing")
     if Z.shape[0] > 1:
         diff = Z[:, None, :] - Z[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         np.fill_diagonal(dist, np.inf)
         scale = getattr(kernel, "lengthscale", 1.0)
         if dist.min() <= 1e-8 * scale:
-            raise ConfigurationError(f"duplicate inducing inputs (min distance {dist.min():.3e})")
+            raise ConfigurationError(f"duplicate inducing inputs (min distance {dist.min():.3e})", param="inducing")
     K = gram(kernel, Z) + GRAM_JITTER * kernel.total_variance * np.eye(Z.shape[0])
     try:
         L = np.linalg.cholesky(K)
@@ -112,7 +112,7 @@ def sparse_update(state: SparseState, x, y: float, noise_var: float, projection=
     it; the projection depends only on the frozen kernel and inducing set.
     """
     if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     if not np.all(np.isfinite(np.atleast_1d(x))) or not np.isfinite(y):
         raise DataError(f"non-finite observation ({x!r}, {y!r})")
     h, q = _projection(state, x) if projection is None else projection
@@ -147,7 +147,7 @@ def vsgp_info_update(state: SparseState, X, y, noise_var: float) -> SparseState:
     single sequential update, and two half-batches equal one full batch.
     """
     if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
+        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     pts = as_points(X)
     y = np.asarray(y, dtype=float).ravel()
     if pts.shape[0] != y.shape[0]:

@@ -385,6 +385,16 @@ class TestExitCodes:
         (["model=markov", "kernel.family=hm", "kernel.hm_components=1:0:0.5:inf:1", "noise_var=0.1"],
          "kernel.hm_components: non-finite value"),
         (["grid.lengthscale=0.5,nan", "kernel.family=se", "noise_var=0.1"], "grid.lengthscale: non-finite value"),
+        (["model=markov", "kernel.family=matern32", "kernel.lengthscale=1e-300", "noise_var=0.1"],
+         "kernel.lengthscale: lengthscale 1e-300 with variance 1.0 overflows"),
+        (["model=markov", "kernel.family=matern32", "kernel.lengthscale=1e-200", "noise_var=0.1"],
+         "kernel.lengthscale: lengthscale 1e-200 with variance 1.0 overflows"),
+        (["model=markov", "kernel.family=hm", "kernel.hm_components=1:1:1.5:1e-300:1", "noise_var=0.1"],
+         "kernel.hm_components: lengthscale 1e-300 with variance 1.0 overflows"),
+        (["model=linear", "features.kind=hsgp", "kernel.family=matern32", "kernel.lengthscale=1e-200",
+          "features.F=8", "noise_var=0.1"], "kernel.lengthscale: lengthscale 1e-200 with variance 1.0 overflows"),
+        (["model=exact", "kernel.family=se", "kernel.lengthscale=1e200", "noise_var=0.1"],
+         "kernel.lengthscale: lengthscale 1e+200 with variance 1.0 overflows"),
     ])
     def test_bad_config_number_is_2_with_key(self, args, message):
         command = "fit-exact" if args[0].startswith("grid.") else "run"
@@ -392,6 +402,36 @@ class TestExitCodes:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("args, csv, key", [
+        (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.M=0"], "t,y\n0,0.1\n", "sparse.M"),
+        (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.inducing=1,1"], "t,y\n0,0.1\n",
+         "sparse.inducing"),
+        (["model=markov", "kernel.family=se", "noise_var=0.1"], "t,y\n0,0.1\n", "kernel.family"),
+        (["model=linear", "kernel.family=hm", "kernel.hm_components=1:0:0.5:1:1", "features.F=8", "noise_var=0.1",
+          "--seed", "0"], "t,y\n0,0.1\n", "kernel.family"),
+        (["model=exact", "kernel.family=se", "kernel.lengthscale=0", "noise_var=0.1"], "t,y\n0,0.1\n",
+         "kernel.lengthscale"),
+        (["model=linear", "kernel.family=se", "features.F=3", "noise_var=0.1", "--seed", "0"], "t,y\n0,0.1\n",
+         "features.F"),
+        (["model=ensemble", "member.1.model=sparse", "member.1.kernel.family=se", "member.1.noise_var=0.1",
+          "member.1.sparse.M=0"], "t,y\n0,0.1\n", "member.1.sparse.M"),
+        (["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12", "member.1.noise_var=0.1",
+          "member.2.model=exact", "member.2.kernel.family=se", "member.2.noise_var=0.1"], "x1,y\n0,0.1\n",
+         "member.1.model"),
+        (["model=ensemble", "member.1.noise_var=0.1"], "t,y\n0,0.1\n", "member.1.model"),
+        (["model=ensemble", "member.1.model=ensemble"], "t,y\n0,0.1\n", "member.1.model"),
+        # noise_var and emit_smoothed are checked before the first row is stepped
+        (["model=linear", "kernel.family=se", "features.F=8", "noise_var=0", "--seed", "0"], "t,y\n0,\n1,\n",
+         "noise_var"),
+        (["model=sparse", "kernel.family=se", "noise_var=0", "sparse.M=1"], "t,y\n0,\n1,\n", "noise_var"),
+        ([*LINEAR_ARGS, "likelihood=poisson_log", "emit_smoothed=true"], "t,y\n0,-1\n", "emit_smoothed"),
+    ])
+    def test_config_error_names_its_key(self, args, csv, key):
+        code, out, err = run_cli(["run", *args], stdin_text=csv)
+        assert code == 2
+        assert err.startswith(f"seqgp: configuration error: {key}: ")
         assert out == ""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point

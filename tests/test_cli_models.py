@@ -1,13 +1,32 @@
 """CLI end-to-end coverage for the remaining model families and I/O paths."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import parse_report, run_cli
-from seqgp import exact, kernels
+from seqgp import exact, kernels, sparse
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name):
+    """Load a benchmark module by path; ``oracle`` imports ``workloads`` by name."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _perfbench_module("workloads")
+oracle = _perfbench_module("oracle")
 
 
 def make_csv(ts, ys):
@@ -213,3 +232,73 @@ class TestExactModelPredictOnly:
         assert rows[0]["pred_mean"] == 0.0
         assert rows[0]["pred_var"] == pytest.approx(2.0)
         assert rows[0]["pred_logdensity"] is None
+
+
+HM_ARG = "kernel.hm_components=" + ";".join(":".join(repr(v) for v in c) for c in workloads.HM_COMPONENTS)
+GRID = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+# route -> (seqgp run overrides, the Grams of the y-bearing rows (t, x) the
+# route implies, given every row's t); a BMA route has one Gram per member
+ORACLE_ROUTES = {
+    "markov-m12": (["model=markov", "kernel.family=matern12", "kernel.lengthscale=0.7"],
+                   lambda t, x, t_all: [kernels.gram(kernels.matern12(1.0, 0.7), t)]),
+    "markov-m32": (["model=markov", "kernel.family=matern32", "kernel.sigma_f2=1.3", "kernel.lengthscale=0.9"],
+                   lambda t, x, t_all: [kernels.gram(kernels.matern32(1.3, 0.9), t)]),
+    "markov-hm": (["model=markov", "kernel.family=hm", HM_ARG],
+                  lambda t, x, t_all: [kernels.gram(kernels.hida_matern(workloads.HM_COMPONENTS), t)]),
+    "spacetime-2x2": (["model=markov", "kernel.family=matern32", "kernel.lengthscale=2.0",
+                       "spatial.kernel.family=se", "spatial.kernel.sigma_f2=2.0", "spatial.kernel.lengthscale=0.8"],
+                      lambda t, x, t_all: [kernels.gram(kernels.matern32(1.0, 2.0), t)
+                                           * kernels.gram(kernels.se(2.0, 0.8), x) / 2.0]),
+    "sparse": (["model=sparse", "kernel.family=matern32", "sparse.M=12"],
+               lambda t, x, t_all: [oracle._sparse_gram(kernels.matern32(), sparse.choose_inducing(t_all, 12, 0), t)]),
+    "vsgp": (["model=vsgp", "kernel.family=matern32", "sparse.M=8"],
+             lambda t, x, t_all: [oracle._sparse_gram(kernels.matern32(), sparse.choose_inducing(t_all, 8, 0), t)]),
+    "exact": (["model=exact", "kernel.family=se", "kernel.lengthscale=0.8"],
+              lambda t, x, t_all: [kernels.gram(kernels.se(1.0, 0.8), t)]),
+    "bma": (["model=ensemble", "ensemble.combiner=bma",
+             "member.1.model=markov", "member.1.kernel.family=matern12", f"member.1.noise_var={workloads.NOISE_VAR}",
+             "member.2.model=exact", "member.2.kernel.family=se", f"member.2.noise_var={workloads.NOISE_VAR}"],
+            lambda t, x, t_all: [kernels.gram(kernels.matern12(), t), kernels.gram(kernels.se(), t)]),
+}
+
+
+class TestChainRuleOracle:
+    """Summed ``pred_logdensity`` over a prefix is the exact-GP log evidence of
+    its y-bearing rows under the Gram the route implies; for BMA, the log of
+    the prior-weighted member evidences."""
+
+    @pytest.mark.parametrize("route", sorted(ORACLE_ROUTES))
+    def test_run_obeys_chain_rule(self, route, tmp_path):
+        rng = np.random.default_rng(90)
+        overrides, grams = ORACLE_ROUTES[route]
+        args = ["run", *overrides, f"noise_var={workloads.NOISE_VAR}"]
+        if route.startswith("spacetime"):
+            steps = np.round(np.sort(rng.uniform(0.0, 10.0, 38)), 1)
+            t = np.repeat(steps, len(GRID))
+            x = GRID[np.concatenate([rng.permutation(len(GRID)) for _ in steps])]
+            (tmp_path / "locations.csv").write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in GRID))
+            args.append(f"spatial.locations={tmp_path / 'locations.csv'}")
+        else:
+            t = np.round(np.sort(rng.uniform(0.0, 10.0, 150)), 1)  # rounding repeats about a third of the stamps
+            x = None
+        n = t.size
+        y = np.sin(t) + math.sqrt(workloads.NOISE_VAR) * rng.standard_normal(n)
+        observed = rng.uniform(size=n) >= 0.1
+        header = "t,y" if x is None else "t,x1,x2,y"
+        inputs = t.reshape(-1, 1) if x is None else np.column_stack([t, x])
+        csv = header + "\n" + "".join(
+            ",".join(repr(float(v)) for v in cells) + (f",{float(yi)!r}\n" if obs else ",\n")
+            for cells, yi, obs in zip(inputs, y, observed))
+        code, out, err = run_cli(args, stdin_text=csv)
+        assert code == 0, err
+        _, rows, _ = parse_report(out)
+        scores = np.array([0.0 if r["pred_logdensity"] is None else r["pred_logdensity"] for r in rows])
+        assert np.count_nonzero(scores) == np.count_nonzero(observed)
+
+        for p in (n // 3, 2 * n // 3, n):
+            obs = observed[:p]
+            lmls = [oracle._lml(K, y[:p][obs])
+                    for K in grams(t[:p][obs], None if x is None else x[:p][obs], t.reshape(-1, 1))]
+            expected = float(logsumexp(lmls) - math.log(len(lmls)))
+            assert float(np.sum(scores[:p])) == pytest.approx(expected, abs=1e-6)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from seqgp import kernels
+from seqgp.config import build_kernel
 from seqgp.errors import ConfigurationError, ShapeError
 
 # the worked four-point example: kappa(t, t') = exp(-(t - t')^2),
@@ -70,6 +71,24 @@ class TestEvalKernel:
             kernels.hida_matern([(1.0, -0.1, 0.5, 1.0, 1.0)])
         with pytest.raises(ConfigurationError):
             kernels.hida_matern([(1.0, 0.0, 2.5, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("build, param", [
+        (lambda: kernels.se(sigma_f2=0.0), "sigma_f2"),
+        (lambda: kernels.matern32(lengthscale=1e-300), "lengthscale"),
+        (lambda: kernels.se(lengthscale=1e200), "lengthscale"),
+        (lambda: kernels.spectral_mixture([(0.5, 1.0, 0.0)]), "sm_components"),
+        (lambda: kernels.hida_matern([(1.0, 0.0, 0.5, 1e-300, 1.0)]), "hm_components"),
+    ])
+    def test_errors_carry_the_field(self, build, param):
+        with pytest.raises(ConfigurationError) as info:
+            build()
+        assert info.value.param == param
+
+    def test_build_kernel_names_prefixed_keys(self):
+        cfg = {"spatial.kernel.family": "se", "spatial.kernel.lengthscale": "0"}
+        with pytest.raises(ConfigurationError, match=r"^spatial\.kernel\.lengthscale: lengthscale must") as info:
+            build_kernel(cfg, prefix="spatial.kernel.")
+        assert info.value.param is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,62 @@ def test_linear_cli_exits_cleanly_on_any_config(mode, likelihood, params, ys):
     code, out, err = run_cli(args, stdin_text=csv)
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
+    if code == 0:
+        lines = out.splitlines()
+        json.loads(lines[-1], parse_constant=_reject_constant)
+        header = lines[0].split(",")
+        for line in lines[1:-1]:
+            row = dict(zip(header, line.split(",")))
+            assert math.isfinite(float(row["pred_mean"])) and math.isfinite(float(row["pred_var"]))
+
+
+config_int = st.sampled_from(["0", "1", "2", "3", "4", "8", "-1"]) | config_number
+time_cell = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]).map(repr)
+# every key a configuration error may name here, after an optional member.<k>.
+CONFIG_KEYS = {"model", "noise_var", "kernel.family", "kernel.lengthscale", "kernel.sigma_f2", "kernel.hm_components",
+               "sparse.M", "sparse.inducing", "features.F", "features.L"}
+CONFIG_ERROR = re.compile(r"seqgp: configuration error: (member\.[12]\.)?([\w.]+): ")
+
+
+def _model_args(model, p):
+    kernel = [f"kernel.lengthscale={p['lengthscale']}", f"kernel.sigma_f2={p['sigma_f2']}"]
+    common = [f"noise_var={p['noise_var']}"]
+    if model in ("matern12", "matern32"):
+        return ["model=markov", f"kernel.family={model}", *kernel, *common]
+    if model == "hm":
+        comps = f"1:0.5:1.5:{p['lengthscale']}:{p['sigma_f2']};0.5:0:0.5:1:1"
+        return ["model=markov", "kernel.family=hm", f"kernel.hm_components={comps}", *common]
+    if model in ("sparse", "vsgp"):
+        return [f"model={model}", "kernel.family=matern32", *kernel, *common, f"sparse.M={p['M']}"]
+    if model == "exact":
+        return ["model=exact", "kernel.family=se", *kernel, *common]
+    # linear HSGP; features.L is sometimes left to its default, read from the inputs
+    halfwidth = [] if p["L"] == "1" else [f"features.L={p['L']}"]
+    return ["model=linear", "features.kind=hsgp", "kernel.family=matern32", *kernel, *common,
+            f"features.F={p['F']}", *halfwidth]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose: the run must still exit cleanly
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(["matern12", "matern32", "hm", "sparse", "vsgp", "exact", "hsgp", "ensemble"]),
+       params=st.fixed_dictionaries({key: config_number for key in ("lengthscale", "sigma_f2", "noise_var", "L")}
+                                    | {key: config_int for key in ("M", "F")}),
+       rows=st.lists(st.tuples(time_cell, cell), max_size=6), ordered=st.booleans())
+def test_every_model_exits_cleanly_on_any_config_and_stream(model, params, rows, ordered):
+    if model == "ensemble":
+        args = ["model=ensemble", *(f"member.1.{a}" for a in _model_args("matern32", params)),
+                *(f"member.2.{a}" for a in _model_args("sparse", params))]
+    else:
+        args = _model_args(model, params)
+    if ordered:  # otherwise stamps may repeat and decrease as drawn
+        rows = sorted(rows, key=lambda r: float(r[0]))
+    csv = "t,y\n" + "".join(f"{t},{y}\n" for t, y in rows)
+    code, out, err = run_cli(["run", *args], stdin_text=csv)
+    assert code in (0, 2, 3, 4), err
+    if code == 2:
+        match = CONFIG_ERROR.match(err)
+        assert match and match.group(2) in CONFIG_KEYS, err
+        assert (match.group(1) is not None) == (model == "ensemble"), err
     if code == 0:
         lines = out.splitlines()
         json.loads(lines[-1], parse_constant=_reject_constant)
