@@ -32,6 +32,7 @@ from .config import (
     get_bool,
     get_float,
     get_float_list,
+    get_int,
     get_str,
     keyed,
     member_configs,
@@ -245,6 +246,11 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     return 0
 
 
+# the config key each Kernel field of a grid cell is read from
+GRID_KEYS = {"sigma_f2": "grid.sigma_f2", "lengthscale": "grid.lengthscale"}
+
+
+@keyed()
 def cmd_fit_exact(cfg: dict, in_stream, out_stream) -> int:
     t0 = time.perf_counter()
     cols, records = ingest_csv(in_stream)
@@ -259,13 +265,14 @@ def cmd_fit_exact(cfg: dict, in_stream, out_stream) -> int:
     y = np.array([r.y for r in train])
 
     grids = {}
-    for name in ("sigma_f2", "lengthscale"):
-        values = get_float_list(cfg, f"grid.{name}")
+    for name, key in GRID_KEYS.items():
+        values = get_float_list(cfg, key)
         if values is not None:
             grids[name] = values
     grid_table = None
     if grids:
-        kernel, table = exact.grid_search(kernel, noise_var, X, y, grids)
+        with keyed(GRID_KEYS):
+            kernel, table = exact.grid_search(kernel, noise_var, X, y, grids)
         grid_table = [{"params": params, "log_marginal": score} for params, score in table]
 
     rows = []
@@ -329,6 +336,7 @@ def _check_kernel(kernel, report):
     report("kernel.psd_nonnegative_even", bool(np.all(S >= 0.0) and np.allclose(S, S[::-1])))
 
 
+@keyed()
 def cmd_check(cfg: dict, out_stream) -> int:
     failures: list[str] = []
     report = functools.partial(_report, out_stream, failures)
@@ -352,13 +360,14 @@ def cmd_check(cfg: dict, out_stream) -> int:
         report("markov.transition_closed_form", closed < 1e-12, f"max |transition - expm| = {closed:.3e}")
 
     if get_str(cfg, "features.kind") == "rff":
-        fmap = features.sample_rff(kernel, int(cfg.get("features.F", 64)), int(cfg.get("features.seed", cfg.get("seed", 0))))
+        seed = get_int(cfg, "features.seed", default=get_int(cfg, "seed", default=0))
+        fmap = features.sample_rff(kernel, get_int(cfg, "features.F", default=64), seed)
         norms = [abs(float(features.featurize(fmap, x) @ features.featurize(fmap, x)) - 1.0)
                  for x in (-1.3, 0.0, 2.7)]
         report("features.rff_unit_norm", max(norms) < 1e-12, f"max |phi.phi - 1| = {max(norms):.3e}")
     if get_str(cfg, "features.kind") == "hsgp":
         L = get_float(cfg, "features.L", default=1.0)
-        fmap = features.build_hsgp(kernel, int(cfg.get("features.F", 64)), L)
+        fmap = features.build_hsgp(kernel, get_int(cfg, "features.F", default=64), L)
         edge = max(np.abs(features.featurize(fmap, -L)).max(), np.abs(features.featurize(fmap, L)).max())
         report("features.hsgp_boundary", edge < 1e-10, f"max |phi(+-L)| = {edge:.3e}")
 

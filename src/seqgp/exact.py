@@ -97,8 +97,11 @@ def grid_search(kernel_template: Kernel, noise_var: float, X, y, grids: dict):
 
     Raises NumericalError if every grid cell fails numerically.
     """
-    if not grids or any(len(v) == 0 for v in grids.values()):
+    if not grids:
         raise ConfigurationError("grids must be non-empty")
+    for name, values in grids.items():
+        if len(values) == 0:
+            raise ConfigurationError(f"the grid for {name} has no values", param=name)
     names = list(grids.keys())
     table = []
     best = None  # (score, lengthscale, sigma_f2, kernel)

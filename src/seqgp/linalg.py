@@ -8,7 +8,7 @@ matrices are handled by a bounded jitter escalation on the diagonal.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import NumericalError
 
@@ -99,31 +99,35 @@ def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, no
     """Condition N(mean, cov) on one observation y = h^T x + N(0, noise_var).
 
     With s = cov h and v = h^T s + noise_var the optimal-gain update is
-    mean + s (y - h^T mean) / v and cov - s s^T / v, formed as one fresh
-    array X and symmetrized as 0.5 (X^T + X).  The transpose is copied out
-    before the add because an in-place ``X += X.T`` reads an operand that
-    overlaps its output, which numpy answers by buffering it: at d = 256
-    that add alone costs several times the copy-then-add.  Of the forms
-    timed, the copy form is the fastest at d = 8 to 256 and within about a
-    microsecond at d = 1, and since IEEE addition is commutative its bits
-    are those of any other form of 0.5 (X + X^T).  The inputs are never
-    modified.
+    mean + s (y - h^T mean) / v and cov - s s^T / v.  The covariance is one
+    BLAS k = 1 ``dgemm`` run in place on a fresh C-ordered copy of ``cov``,
+    seen by BLAS as its F-ordered transpose: the result is C-contiguous and
+    owns its data, which matters where a history keeps every step.  The GEMM
+    forms each product s_i s_j once and scales it, so entries (i, j) and
+    (j, i) add the same rounded number: a bit-symmetric ``cov`` gives a
+    bit-symmetric result (the tests check this across BLAS tile sizes).  No
+    symmetrizing pass follows, so an asymmetric ``cov`` is not repaired; every
+    producer of a covariance in this package makes it bit-symmetric.  The
+    inputs are never modified.
 
     Returns
     -------
     (mean, cov, pred_mean, pred_var) : the conditioned moments and the
     predictive moments of y (``pred_var`` includes ``noise_var``).
+
+    Raises
+    ------
+    NumericalError
+        if ``pred_var`` is not positive, before it is divided by.
     """
     s = cov @ h
     pred_mean = float(h @ mean)
     pred_var = float(h @ s) + noise_var
-    gain = s / pred_var
-    new_mean = mean + gain * (y - pred_mean)
-    diff = np.outer(gain, s)
-    np.subtract(cov, diff, out=diff)
-    new_cov = diff.T.copy()
-    new_cov += diff
-    new_cov *= 0.5
+    if pred_var <= 0.0:
+        raise NumericalError(f"non-positive predictive variance {pred_var!r}")
+    new_mean = mean + (s / pred_var) * (y - pred_mean)
+    new_cov = np.array(cov, dtype=float, order="C")  # new_cov.T: the F-ordered matrix BLAS updates in place
+    blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=new_cov.T, overwrite_c=1)
     return new_mean, new_cov, pred_mean, pred_var
 
 

@@ -5,8 +5,8 @@ The model is y_t = phi(x_t)^T theta_t + noise with theta_k = a*theta_{k-1}
 back-to-prior forgetting (geometric blend toward the prior) and the general
 scalar autoregression with control input are settings of (a, u, c).
 Conjugate updates go through the shared rank-one kernel
-``linalg.scalar_update`` (P - s s^T / v, symmetrized), which keeps the belief
-symmetric PSD over long streams; non-conjugate likelihoods
+``linalg.scalar_update`` (P - s s^T / v as one BLAS call), which keeps a
+bit-symmetric belief bit-symmetric over long streams; non-conjugate likelihoods
 (Bernoulli-logit, Poisson-log) are folded in through a one-dimensional
 Laplace step on the marginal of f_t = phi^T theta.
 """
@@ -107,7 +107,7 @@ def _plus_diagonal(cov: np.ndarray, c: float) -> np.ndarray:
 
 
 def predict_step(belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
-    """Propagate the belief one step (identity returns ``belief``); the result stays exactly symmetric."""
+    """Propagate the belief one step (identity returns ``belief``); a bit-symmetric covariance stays so."""
     if dynamics == _IDENTITY:
         return belief
     mean = dynamics.mean_scale * belief.mean + dynamics.shift
@@ -120,7 +120,7 @@ def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: fl
     The predictive log density is evaluated before conditioning, i.e. it is
     log N(y | phi^T mean, phi^T cov phi + noise_var) of the incoming belief.
     The covariance update is the optimal-gain rank-one downdate of
-    ``linalg.scalar_update``, returned exactly symmetric.
+    ``linalg.scalar_update``, bit-symmetric when ``belief.cov`` is.
     """
     if noise_var <= 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
@@ -218,8 +218,8 @@ def laplace_1d(prior_mean: float, prior_var: float, y: float, lik: Likelihood):
     iterations.  Returns (f_hat, curvature) where curvature is the negative
     second derivative of the log posterior at the mode.
     """
-    if not prior_var > 0.0 or not np.isfinite(prior_var):
-        raise NumericalError(f"prior variance on f must be finite and positive, got {prior_var}")
+    if not 0.0 < prior_var < math.inf or 1.0 / prior_var == math.inf:
+        raise NumericalError(f"prior variance on f must be finite, positive and of finite precision, got {prior_var}")
     f = prior_mean
     for _ in range(NEWTON_MAX_ITER):
         g = float(lik.d1(y, f)) - (f - prior_mean) / prior_var

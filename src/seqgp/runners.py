@@ -337,13 +337,19 @@ def _build_sparse(cfg, records):
             raise ConfigurationError("sparse.seed: required for k-means seeding of multi-D inducing inputs")
         inducing = sparse.choose_inducing(pts, n_inducing, 0 if seed is None else seed)
     residual = get_bool(cfg, "sparse.residual", default=True)
-    return SparseRunner(kernel, noise_var, inducing, residual)
+    # inducing inputs placed from sparse.M that coincide are blamed on sparse.M
+    with keyed({"inducing": "sparse.inducing" if explicit is not None else "sparse.M"}):
+        return SparseRunner(kernel, noise_var, inducing, residual)
 
 
 def _build_ensemble(cfg, records):
     combiner = get_str(cfg, "ensemble.combiner", default="bma", choices={"bma", "stacking"})
     members = []
     for i, block in enumerate(member_configs(cfg), start=1):
+        with keyed(prefix=f"member.{i}."):
+            # a smoothed member would keep its whole history for columns no report has
+            if get_bool(block, "emit_smoothed", default=False):
+                raise ConfigurationError("emit_smoothed: ensemble members are not smoothed")
         members.append(build_runner(block, records, f"member.{i}."))
     return EnsembleRunner(members, combiner)
 

@@ -427,12 +427,33 @@ class TestExitCodes:
          "noise_var"),
         (["model=sparse", "kernel.family=se", "noise_var=0", "sparse.M=1"], "t,y\n0,\n1,\n", "noise_var"),
         ([*LINEAR_ARGS, "likelihood=poisson_log", "emit_smoothed=true"], "t,y\n0,-1\n", "emit_smoothed"),
+        # a smoothed member would keep its whole history for nothing
+        (["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12", "member.1.noise_var=0.1",
+          "member.1.emit_smoothed=true"], "t,y\n0,0.1\n1,0.2\n", "member.1.emit_smoothed"),
+        # inducing inputs placed from sparse.M that coincide
+        (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.M=2"], "t,y\n0,0.1\n0,0.2\n", "sparse.M"),
     ])
     def test_config_error_names_its_key(self, args, csv, key):
         code, out, err = run_cli(["run", *args], stdin_text=csv)
         assert code == 2
         assert err.startswith(f"seqgp: configuration error: {key}: ")
         assert out == ""
+
+    @pytest.mark.parametrize("args, key", [
+        (["check", "kernel.family=se", "features.kind=rff", "features.F=abc"], "features.F"),
+        (["check", "kernel.family=se", "features.kind=rff", "features.seed=1.5"], "features.seed"),
+        (["check", "kernel.family=se", "features.kind=rff", "features.F=3"], "features.F"),
+        (["check", "kernel.family=se", "features.kind=hsgp", "features.F=3", "features.L=-1"], "features.L"),
+        (["fit-exact", "kernel.family=se", "grid.lengthscale=-1,1", "noise_var=0.1"], "grid.lengthscale"),
+        (["fit-exact", "kernel.family=se", "grid.sigma_f2=0", "noise_var=0.1"], "grid.sigma_f2"),
+        (["fit-exact", "kernel.family=se", "grid.lengthscale=,", "noise_var=0.1"], "grid.lengthscale"),
+        (["fit-exact", "kernel.family=se", "noise_var=0"], "noise_var"),
+    ])
+    def test_check_and_fit_exact_name_their_keys(self, args, key):
+        code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,0.2\n")
+        assert code == 2
+        assert err.startswith(f"seqgp: configuration error: {key}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("dynamics", [

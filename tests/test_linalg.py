@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from seqgp.errors import NumericalError
 from seqgp.linalg import chol_solve, scalar_update, symmetrize
 
 
@@ -37,12 +38,15 @@ class TestScalarUpdate:
         assert got[2] == pytest.approx(ref[2], rel=1e-12)
         assert got[3] == pytest.approx(ref[3], rel=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 8, 128, 256])
-    def test_covariance_exactly_symmetric(self, d):
-        mean, cov, h, y = random_belief(d, seed=10 + d)
-        cov[0, -1] += 1e-13  # an input that is not bit-symmetric
-        _, new_cov, _, _ = scalar_update(mean, cov, h, y, 0.3)
-        np.testing.assert_array_equal(new_cov, new_cov.T)
+    def test_bit_symmetric_input_gives_bit_symmetric_c_contiguous_output(self):
+        # sizes on both sides of the BLAS tile edges, gains from small to large
+        for d in [*range(1, 71), 97, 127, 129, 255, 257]:
+            mean, cov, h, y = random_belief(d, seed=10 + d)
+            assert np.array_equal(cov, cov.T)
+            for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+                _, new_cov, _, _ = scalar_update(mean, cov, scale * h, y, 0.3)
+                assert np.array_equal(new_cov, new_cov.T), (d, scale)
+                assert new_cov.flags.c_contiguous and new_cov.flags.owndata, (d, scale)
 
     @pytest.mark.parametrize("d", [1, 8, 16, 128, 256])
     def test_inputs_unchanged(self, d):
@@ -55,18 +59,20 @@ class TestScalarUpdate:
         assert new_mean is not mean and new_cov is not cov
 
     @pytest.mark.parametrize("d", [1, 8, 128, 256])
-    def test_bit_equal_to_the_plain_symmetric_part(self, d):
+    def test_plain_formulas(self, d):
         mean, cov, h, y = random_belief(d, seed=20 + d)
-        cov[0, -1] += 1e-13  # not bit-symmetric, so the order of the add shows
         s = cov @ h
         pred_var = float(h @ s) + 0.3
-        gain = s / pred_var
-        diff = cov - np.outer(gain, s)
         new_mean, new_cov, pred_mean, got_var = scalar_update(mean, cov, h, y, 0.3)
-        np.testing.assert_array_equal(new_cov, 0.5 * (diff + diff.T))
-        np.testing.assert_array_equal(new_mean, mean + gain * (y - float(h @ mean)))
+        np.testing.assert_array_equal(new_mean, mean + s / pred_var * (y - float(h @ mean)))
         assert (pred_mean, got_var) == (float(h @ mean), pred_var)
-        assert new_cov.flags.c_contiguous
+        ulp = np.spacing(np.abs(cov).max())
+        np.testing.assert_allclose(new_cov, cov - np.outer(s, s) / pred_var, rtol=0, atol=4 * ulp)
+
+    def test_non_positive_predictive_variance_is_a_numerical_error(self):
+        # h^T cov h = -noise_var: v = 0, which the update would divide by
+        with pytest.raises(NumericalError, match="non-positive predictive variance"):
+            scalar_update(np.zeros(1), np.array([[-0.3]]), np.ones(1), 1.0, 0.3)
 
 
 def lower_factor(m, seed):

@@ -34,6 +34,22 @@ class TestInitAndPredict:
         assert mean == 0.0
         assert var == pytest.approx(1.7, rel=1e-12)
 
+    @pytest.mark.parametrize("dynamics", [
+        lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
+    ], ids=["static", "random_walk", "b2p", "general"])
+    def test_every_covariance_producer_is_bit_symmetric(self, dynamics):
+        # ``linalg.scalar_update`` keeps a bit-symmetric covariance bit-symmetric
+        # and repairs nothing, so each producer must make one
+        fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
+        b = lf.init_belief(64, fmap.weight_prior_var)
+        assert np.array_equal(b.cov, b.cov.T)
+        rng = np.random.default_rng(4)
+        for x in rng.uniform(-2.0, 2.0, 20):
+            b = lf.predict_step(b, dynamics)
+            assert np.array_equal(b.cov, b.cov.T)
+            b, _ = lf.update_step(b, features.featurize(fmap, x), float(np.sin(x)), 0.1)
+            assert np.array_equal(b.cov, b.cov.T)
+
     def test_predict_f_zero_features(self):
         b = lf.init_belief(4, 1.0)
         assert lf.predict_f(b, np.zeros(4)) == (0.0, 0.0)
@@ -306,6 +322,12 @@ class TestNonConjugate:
         with pytest.raises(NumericalError) as excinfo:
             lf.update_nonconjugate(b, np.array([1.0]), 1e60, "poisson_log")
         assert "last_iterate" in excinfo.value.detail
+
+    @pytest.mark.parametrize("prior_var", [0.0, -1.0, float("nan"), float("inf"), 2.2e-309])
+    def test_prior_variance_without_a_finite_precision_is_a_numerical_error(self, prior_var):
+        # a subnormal variance has an infinite precision: log(2 pi / curvature) would raise ValueError
+        with pytest.raises(NumericalError, match="prior variance on f"):
+            lf.laplace_1d(0.0, prior_var, 0.0, lf.BERNOULLI_LOGIT)
 
     def test_unknown_likelihood(self):
         with pytest.raises(ConfigurationError):

@@ -122,6 +122,27 @@ def matern32_transition(lengthscale, delta):
     return np.exp(-lam * delta) * np.array([[1 + lam * delta, delta], [-lam * lam * delta, 1 - lam * delta]])
 
 
+class TestStepperSymmetry:
+    """``linalg.scalar_update`` keeps a bit-symmetric covariance bit-symmetric and
+    repairs nothing, so the stepper's initial and predicted covariances must be."""
+
+    @pytest.mark.parametrize("sde", [
+        *(markovian.build_lti(k) for k in MARKOV_KERNELS),
+        markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8),
+                                       [[0.0, 0.0], [0.5, 0.1], [1.1, -0.4], [2.0, 0.3]]),
+    ], ids=["m12", "m32", "hm", "spacetime"])
+    def test_covariance_is_bit_symmetric_at_init_and_after_every_step(self, sde):
+        stepper = markovian.MarkovStepper(sde, 0.1)
+        assert np.array_equal(stepper.cov, stepper.cov.T)
+        rng = np.random.default_rng(5)
+        n_obs = sde.obs.shape[0]
+        for i, t in enumerate(np.cumsum(rng.exponential(0.4, 40))):
+            stepper.advance(float(t))
+            assert np.array_equal(stepper.cov, stepper.cov.T)
+            stepper.update(float(rng.standard_normal()), i % n_obs)
+            assert np.array_equal(stepper.cov, stepper.cov.T)
+
+
 class TestDiscretize:
     @pytest.mark.parametrize("name", ZERO_STEP_SDES)
     def test_zero_step(self, name):
