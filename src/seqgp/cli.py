@@ -146,13 +146,13 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def summarize(rows: list[dict], scored_key: str = "pred_logdensity") -> dict:
+def summarize(rows: list[dict]) -> dict:
     """Summary statistics recomputable from the emitted rows."""
-    scored = [r for r in rows if r.get("y") is not None and r.get(scored_key) is not None]
+    scored = [r for r in rows if r.get("y") is not None and r.get("pred_logdensity") is not None]
     summary = {"rows": len(rows), "scored": len(scored)}
     if scored:
         sq = [e * e for e in (r["y"] - r["pred_mean"] for r in scored)]  # e ** 2 raises OverflowError
-        lls = [r[scored_key] for r in scored]
+        lls = [r["pred_logdensity"] for r in scored]
         summary["rmse"] = math.sqrt(sum(sq) / len(sq))
         summary["mean_nlpd"] = -sum(lls) / len(lls)
         summary["total_loglik"] = sum(lls)
@@ -225,12 +225,11 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
         rows.append(row)
 
     out_cols = [c for c in cols if c != "y"] + ["y", "pred_mean", "pred_var", "pred_logdensity"]
-    if rows and any("weight_1" in r for r in rows):
-        n_members = max(len([k for k in r if k.startswith("weight_")]) for r in rows)
-        out_cols += [f"weight_{k}" for k in range(1, n_members + 1)]
+    if rows:  # an ensemble gives every row the same weight_1..weight_K cells
+        out_cols += [c for c in rows[0] if c.startswith("weight_")]
 
     if smooth:
-        smoothed = runner.smooth([r.t for r in records])
+        smoothed = runner.smooth()
         for row, (sm, sv) in zip(rows, smoothed):
             row["smoothed_mean"] = sm
             row["smoothed_var"] = sv
@@ -341,6 +340,15 @@ def cmd_check(cfg: dict, out_stream) -> int:
     failures: list[str] = []
     report = functools.partial(_report, out_stream, failures)
     kernel = build_kernel(cfg)
+    # every key is read before the first line is written
+    kind = get_str(cfg, "features.kind", choices={"rff", "hsgp"})
+    n_feat = get_int(cfg, "features.F", default=64)
+    if kind == "rff":
+        seed = get_int(cfg, "features.seed", default=get_int(cfg, "seed", default=0))
+        fmap = features.sample_rff(kernel, n_feat, seed)
+    elif kind == "hsgp":
+        L = get_float(cfg, "features.L", default=1.0)
+        fmap = features.build_hsgp(kernel, n_feat, L)
     _check_kernel(kernel, report)
 
     if kernel.family in ("matern12", "matern32", "hida_matern"):
@@ -359,15 +367,11 @@ def cmd_check(cfg: dict, out_stream) -> int:
         report("markov.kernel_sde_duality", worst < 1e-8, f"max |H e^(Fd) P H' - kappa| = {worst:.3e}")
         report("markov.transition_closed_form", closed < 1e-12, f"max |transition - expm| = {closed:.3e}")
 
-    if get_str(cfg, "features.kind") == "rff":
-        seed = get_int(cfg, "features.seed", default=get_int(cfg, "seed", default=0))
-        fmap = features.sample_rff(kernel, get_int(cfg, "features.F", default=64), seed)
+    if kind == "rff":
         norms = [abs(float(features.featurize(fmap, x) @ features.featurize(fmap, x)) - 1.0)
                  for x in (-1.3, 0.0, 2.7)]
         report("features.rff_unit_norm", max(norms) < 1e-12, f"max |phi.phi - 1| = {max(norms):.3e}")
-    if get_str(cfg, "features.kind") == "hsgp":
-        L = get_float(cfg, "features.L", default=1.0)
-        fmap = features.build_hsgp(kernel, get_int(cfg, "features.F", default=64), L)
+    if kind == "hsgp":
         edge = max(np.abs(features.featurize(fmap, -L)).max(), np.abs(features.featurize(fmap, L)).max())
         report("features.hsgp_boundary", edge < 1e-10, f"max |phi(+-L)| = {edge:.3e}")
 

@@ -221,12 +221,12 @@ class MarkovStepper:
     transition in closed form, so memory does not grow with the number of
     distinct step lengths.  A zero-length step after the first row leaves the
     state untouched (A = I, Q = 0 is exact on a symmetric covariance) and
-    records the shared identity as its transition.  With ``keep_history``
-    each step appends its moments to ``history`` by reference: no state array
-    is ever modified in place, only rebound.
+    records the shared identity as its transition.  ``history_rows`` = N
+    allocates ``history``, one ``FilterResult`` of N rows, and step k copies its
+    moments into row k: the rows are copies, 3d^2 + 2d + 3 doubles each.
     """
 
-    def __init__(self, sde: LtiSde, noise_var: float, keep_history: bool = False):
+    def __init__(self, sde: LtiSde, noise_var: float, history_rows: int | None = None):
         if noise_var <= 0.0:
             raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.sde = sde
@@ -237,7 +237,13 @@ class MarkovStepper:
         self._identity = np.eye(sde.dim)
         self.last_transition = self._identity
         self.flops = 0
-        self.history: list[tuple] | None = [] if keep_history else None
+        self.history: FilterResult | None = None
+        self.rows_written = 0
+        if history_rows is not None:
+            n, d = history_rows, sde.dim
+            self.history = FilterResult(np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d)),
+                                        np.empty((n, d, d)), np.empty((n, d, d)), np.empty(n, dtype=int),
+                                        np.empty(n), 0.0, 0)
 
     def advance(self, t: float) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time).
@@ -282,46 +288,41 @@ class MarkovStepper:
         """Advance to ``t`` and update on ``y`` unless it is None; returns the
         latent predictive (mean, var) through observation row ``row`` and the
         log density of ``y`` (None on a predict-only row)."""
+        k, h = self.rows_written, self.history
+        if h is not None and k == h.times.size:
+            raise DataError(f"the history holds {k} rows; step {k + 1} does not fit")
         self.advance(t)
-        pred_mean, pred_cov = self.mean, self.cov
         mean, var = self.predict_obs(row)
+        if h is not None:
+            h.times[k], h.obs_rows[k], h.transitions[k] = t, row, self.last_transition
+            h.pred_means[k], h.pred_covs[k] = self.mean, self.cov
         ll = None if y is None else self.update(y, row)
-        if self.history is not None:
-            self.history.append((pred_mean, pred_cov, self.last_transition, self.mean, self.cov, row, ll))
+        if h is not None:
+            h.means[k], h.covs[k], h.logliks[k] = self.mean, self.cov, np.nan if ll is None else ll
+            h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
+            self.rows_written = k + 1
         return mean, var, ll
 
-    def result(self, times) -> FilterResult:
-        """Stack the recorded history into a ``FilterResult`` over ``times``."""
+    def result(self) -> FilterResult:
+        """The history rows written so far, as views of ``history`` (no copy)."""
         if self.history is None:
-            raise ConfigurationError("the filter history requires keep_history=True")
-        n, d = len(self.history), self.sde.dim
-        pred_means, pred_covs, transitions, means, covs, rows, lls = zip(*self.history) if n else ((),) * 7
-        logliks = np.array([np.nan if ll is None else ll for ll in lls], dtype=float)
-        total = 0.0  # left to right, as the scores arrived (sum() compensates on Python >= 3.12)
-        for ll in lls:
-            total += 0.0 if ll is None else ll
-        return FilterResult(
-            times=np.asarray(times, dtype=float),
-            pred_means=np.array(pred_means).reshape(n, d),
-            pred_covs=np.array(pred_covs).reshape(n, d, d),
-            means=np.array(means).reshape(n, d),
-            covs=np.array(covs).reshape(n, d, d),
-            transitions=list(transitions),
-            obs_rows=np.array(rows, dtype=int),
-            logliks=logliks,
-            loglik_total=total,
-            flops=self.flops,
-        )
+            raise ConfigurationError("the filter history requires history_rows")
+        h, n = self.history, self.rows_written
+        return FilterResult(h.times[:n], h.pred_means[:n], h.pred_covs[:n], h.means[:n], h.covs[:n],
+                            h.transitions[:n], h.obs_rows[:n], h.logliks[:n], h.loglik_total, self.flops)
 
 
 @dataclass
 class FilterResult:
+    """Per-step filter moments, one row per step: what the smoother reads, and what
+    ``emit_smoothed`` keeps for each input row until the backward pass."""
+
     times: np.ndarray  # (N,)
     pred_means: np.ndarray  # (N, d) prior to each update
     pred_covs: np.ndarray  # (N, d, d)
     means: np.ndarray  # (N, d) filtered
     covs: np.ndarray  # (N, d, d)
-    transitions: list  # per-step A
+    transitions: np.ndarray  # (N, d, d) per-step A
     obs_rows: np.ndarray  # (N,) index of the H row used per step
     logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
     loglik_total: float
@@ -352,10 +353,10 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     if down.size:
         raise DataError(f"timestamps decrease at step {down[0]} ({t[down[0] - 1]} -> {t[down[0]]})")
 
-    stepper = MarkovStepper(sde, noise_var, keep_history=True)
+    stepper = MarkovStepper(sde, noise_var, history_rows=t.size)
     for ti, yi, row in zip(t, y, rows):
         stepper.step(ti, None if np.isnan(yi) else yi, row)
-    return stepper.result(t)
+    return stepper.result()
 
 
 @dataclass

@@ -172,8 +172,8 @@ class MarkovRunner:
     Every row carries ``t``, and ``x`` exactly when ``locations`` is given;
     ``cli.validate_stream_for_model`` checks the columns before any row."""
 
-    def __init__(self, sde, noise_var: float, locations=None, keep_history: bool = False):
-        self.stepper = markovian.MarkovStepper(sde, noise_var, keep_history=keep_history)
+    def __init__(self, sde, noise_var: float, locations=None, history_rows: int | None = None):
+        self.stepper = markovian.MarkovStepper(sde, noise_var, history_rows=history_rows)
         self.locations = locations  # (N_s, D) when spatiotemporal
         self._loc_index: dict[tuple, int] = {}  # exact coordinates -> first matching row
         if locations is not None:
@@ -201,9 +201,9 @@ class MarkovRunner:
     def step(self, rec: StreamRecord) -> StepResult:
         return StepResult(*self.stepper.step(rec.t, rec.y, self._obs_row(rec)))
 
-    def smooth(self, times) -> list[tuple[float, float]]:
+    def smooth(self) -> list[tuple[float, float]]:
         """Backward pass over the stored history; per-row smoothed (mean, var)."""
-        result = self.stepper.result(times)
+        result = self.stepper.result()
         smoothed = markovian.rts_smoother(self.stepper.sde, result)
         H = self.stepper.sde.obs[result.obs_rows]
         means = np.einsum("ij,ij->i", H, smoothed.means)
@@ -313,14 +313,14 @@ def _build_markov(cfg, records):
     kernel = build_kernel(cfg)
     noise_var = get_float(cfg, "noise_var", required=True)
     loc_path = get_str(cfg, "spatial.locations")
-    keep = get_bool(cfg, "emit_smoothed", default=False)
+    rows = len(records) if get_bool(cfg, "emit_smoothed", default=False) else None
     if loc_path is None:
         sde = markovian.build_lti(kernel)
-        return MarkovRunner(sde, noise_var, keep_history=keep)
+        return MarkovRunner(sde, noise_var, history_rows=rows)
     locations = load_locations(loc_path)
     spatial_kernel = build_kernel(cfg, prefix="spatial.kernel.")
     sde = markovian.build_spatiotemporal(kernel, spatial_kernel, locations)
-    return MarkovRunner(sde, noise_var, locations=locations, keep_history=keep)
+    return MarkovRunner(sde, noise_var, locations=locations, history_rows=rows)
 
 
 def _build_sparse(cfg, records):

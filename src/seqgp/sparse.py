@@ -72,9 +72,9 @@ def init_sparse(kernel: Kernel, inducing, include_residual: bool = True) -> Spar
     if Z.shape[0] > 1:
         diff = Z[:, None, :] - Z[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        spread = dist.max()  # coincidence is judged on the set's own scale, not the kernel's
         np.fill_diagonal(dist, np.inf)
-        scale = getattr(kernel, "lengthscale", 1.0)
-        if dist.min() <= 1e-8 * scale:
+        if dist.min() <= 1e-8 * spread:
             raise ConfigurationError(f"duplicate inducing inputs (min distance {dist.min():.3e})", param="inducing")
     K = gram(kernel, Z) + GRAM_JITTER * kernel.total_variance * np.eye(Z.shape[0])
     try:

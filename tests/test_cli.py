@@ -218,6 +218,22 @@ class TestRun:
         # final smoothed value equals the filtered posterior at the last step
         assert rows[-1]["smoothed_var"] < rows[-1]["pred_var"]
 
+    def test_markov_emit_smoothed_on_header_only_input(self):
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.3", "emit_smoothed=true"]
+        code, out, err = run_cli(args, stdin_text="t,y\n")
+        assert code == 0, err
+        header, rows, summary = parse_report(out)
+        assert header[-2:] == ["smoothed_mean", "smoothed_var"]
+        assert rows == [] and summary["rows"] == 0
+
+    def test_empty_ensemble_stream_has_no_weight_columns(self):
+        args = ["run", "model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
+                "member.1.noise_var=0.2", "member.2.model=markov", "member.2.kernel.family=matern32",
+                "member.2.noise_var=0.2"]
+        code, out, err = run_cli(args, stdin_text="t,y\n")
+        assert code == 0, err
+        assert out.splitlines()[0] == "t,y,pred_mean,pred_var,pred_logdensity"
+
     def test_ensemble_run_emits_simplex_weights(self):
         rng = np.random.default_rng(73)
         csv = "t,y\n" + "".join(
@@ -317,6 +333,20 @@ class TestCheck:
         assert code == 4
         assert "FAIL markov.transition_closed_form max |transition - expm| = " in out
         assert "1 check(s) failed" in out
+
+
+    @pytest.mark.parametrize("args", [
+        ["kernel.family=se", "features.kind=rff", "features.F=abc"],
+        ["kernel.family=matern12", "features.kind=rff", "features.seed=1.5"],
+        ["kernel.family=se", "features.kind=rff", "features.F=3"],
+        ["kernel.family=se", "features.kind=hsgp", "features.F=3", "features.L=-1"],
+        ["kernel.family=se", "features.kind=bogus"],
+    ])
+    def test_bad_features_key_writes_no_line(self, args):
+        code, out, err = run_cli(["check", *args])
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("seqgp: configuration error: features.")
 
 
 class TestExitCodes:
@@ -475,6 +505,24 @@ class TestExitCodes:
         assert code == 3
         assert f"row 2: {likelihood} needs y to be" in err
         assert out == ""
+
+    def test_inducing_inputs_far_apart_on_their_own_scale_run_under_any_lengthscale(self):
+        args = ["run", "model=sparse", "kernel.family=se", "kernel.lengthscale=1e100", "noise_var=0.1",
+                "sparse.inducing=0,1"]
+        code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,0.2\n")
+        assert code == 0, err
+        assert parse_report(out)[2]["scored"] == 2
+
+    @pytest.mark.parametrize("placement, key", [
+        (["sparse.inducing=0,1,1"], "sparse.inducing"),
+        (["sparse.inducing=5,5"], "sparse.inducing"),
+        (["sparse.M=2"], "sparse.M"),
+    ])
+    def test_coincident_inducing_inputs_are_2(self, placement, key):
+        args = ["run", "model=sparse", "kernel.family=se", "kernel.lengthscale=1e100", "noise_var=0.1", *placement]
+        code, out, err = run_cli(args, stdin_text="t,y\n3,0.1\n3,0.2\n")
+        assert code == 2
+        assert err.startswith(f"seqgp: configuration error: {key}: duplicate inducing inputs")
 
     def test_missing_seed_for_rff_is_2(self):
         code, _, err = run_cli(

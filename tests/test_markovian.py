@@ -307,6 +307,13 @@ class TestRtsSmoother:
         with pytest.raises(DataError):
             markovian.rts_smoother(sde, res)
 
+    def test_zero_row_stream(self):
+        sde = markovian.build_lti(kernels.matern32())
+        res = markovian.kalman_filter(sde, [], [], 0.1)
+        assert res.means.shape == (0, 2) and res.transitions.shape == (0, 2, 2) and res.loglik_total == 0.0
+        sm = markovian.rts_smoother(sde, res)
+        assert sm.means.shape == (0, 2) and sm.covs.shape == (0, 2, 2)
+
     def test_singular_predicted_covariance_names_the_step(self):
         sde = markovian.build_lti(kernels.matern32())
         res = markovian.kalman_filter(sde, [0.0, 0.5, 1.0], [0.1, 0.2, 0.3], 0.1)
@@ -490,18 +497,18 @@ class TestStepperHistory:
         t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 40)), rng.integers(1, 4, 40))
         y = np.sin(t) + 0.2 * rng.standard_normal(t.size)
         y[rng.random(t.size) < 0.25] = np.nan
-        runner = MarkovRunner(sde, 0.2, keep_history=True)
+        runner = MarkovRunner(sde, 0.2, history_rows=t.size)
         h = sde.obs[0]
-        predicted, filtered = [], []  # snapshots: the record is kept by reference
+        predicted, filtered = [], []  # snapshots of the state after each step
         for i, (ti, yi) in enumerate(zip(t, y), start=1):
             res = runner.step(StreamRecord(row=i, t=float(ti), x=None, y=None if np.isnan(yi) else float(yi)))
             predicted.append((res.mean, res.var))
             filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
-        record = runner.stepper.result(t)
+        record = runner.stepper.result()
         assert predicted == [(float(h @ m), float(h @ c @ h)) for m, c in zip(record.pred_means, record.pred_covs)]
         np.testing.assert_array_equal(record.means, np.array([m for m, _ in filtered]))
         np.testing.assert_array_equal(record.covs, np.array([c for _, c in filtered]))
-        streamed = runner.smooth(t)
+        streamed = runner.smooth()
 
         res = markovian.kalman_filter(sde, t, y, 0.2)
         sm = markovian.rts_smoother(sde, res)
@@ -517,11 +524,11 @@ class TestStepperHistory:
         rows = np.tile([0, 1], 60) if locations is not None else np.zeros(t.size, dtype=int)
         y = rng.standard_normal(t.size)
         y[::5] = np.nan
-        runner = MarkovRunner(sde, 0.2, locations=locations, keep_history=True)
+        runner = MarkovRunner(sde, 0.2, locations=locations, history_rows=t.size)
         for i, (ti, yi, row) in enumerate(zip(t, y, rows), start=1):
             x = None if locations is None else locations[row]
             runner.step(StreamRecord(row=i, t=float(ti), x=x, y=None if np.isnan(yi) else float(yi)))
-        streamed = np.array(runner.smooth(t))
+        streamed = np.array(runner.smooth())
         sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
         loop = np.array([(sde.obs[r] @ m, sde.obs[r] @ c @ sde.obs[r]) for r, m, c in zip(rows, sm.means, sm.covs)])
         np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
@@ -532,7 +539,7 @@ class TestStepperHistory:
             stepper.step(0.01 * i, None if i % 5 == 0 else 0.3)
         assert stepper.history is None
         with pytest.raises(ConfigurationError):
-            stepper.result(np.arange(5_000) * 0.01)
+            stepper.result()
 
     def test_stepper_memory_is_flat_in_irregular_stream_length(self):
         # every step length is distinct; nothing may be kept per step
@@ -552,10 +559,53 @@ class TestStepperHistory:
 
     def test_step_returns_prior_moments_and_score(self):
         sde = markovian.build_lti(kernels.matern32(1.3, 0.9))
-        stepper = markovian.MarkovStepper(sde, 0.25, keep_history=True)
+        stepper = markovian.MarkovStepper(sde, 0.25, history_rows=2)
         assert stepper.step(0.0) == (0.0, pytest.approx(1.3), None)
         mean, var, ll = stepper.step(0.5, 0.8)
         assert ll == pytest.approx(-0.5 * (np.log(2 * np.pi * (var + 0.25)) + (0.8 - mean) ** 2 / (var + 0.25)))
-        pred_mean, pred_cov, A, post_mean, post_cov, row, rec_ll = stepper.history[-1]
+        record = stepper.result()
+        pred_mean, pred_cov, post_mean, post_cov = (record.pred_means[-1], record.pred_covs[-1],
+                                                    record.means[-1], record.covs[-1])
         assert float(sde.obs[0] @ pred_mean) == mean and float(sde.obs[0] @ pred_cov @ sde.obs[0]) == var
-        assert post_mean is stepper.mean and post_cov is stepper.cov and (row, rec_ll) == (0, ll)
+        assert np.array_equal(post_mean, stepper.mean) and np.array_equal(post_cov, stepper.cov)
+        assert (record.obs_rows[-1], record.logliks[-1]) == (0, ll)
+
+    def test_history_rows_are_copies_and_result_is_a_view(self):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.2, history_rows=5)
+        for i in range(3):
+            stepper.step(0.1 * i, 0.3 if i else None)
+        record = stepper.result()
+        assert record.times.tolist() == [0.0, 0.1, 0.2] and record.means.shape == (3, 2)
+        assert np.isnan(record.logliks[0]) and record.loglik_total == record.logliks[1] + record.logliks[2]
+        for name in ("times", "pred_means", "pred_covs", "means", "covs", "transitions", "obs_rows", "logliks"):
+            assert np.shares_memory(getattr(record, name), getattr(stepper.history, name))
+        assert not np.shares_memory(stepper.history.covs, stepper.cov)
+        assert not np.shares_memory(stepper.history.means, stepper.mean)
+
+    def test_step_past_the_history_is_a_data_error(self):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_rows=1)
+        stepper.step(0.0, 0.2)
+        with pytest.raises(DataError, match="holds 1 rows"):
+            stepper.step(1.0, 0.3)
+        assert stepper.time == 0.0 and stepper.result().times.tolist() == [0.0]
+
+    def test_smoothing_memory_per_step_is_bounded(self):
+        # the d = 8 benchmark mixture; the floor per step is the record's 3d^2 + 2d + 3 doubles plus the
+        # smoother's d^2 + d
+        sde = markovian.build_lti(kernels.hida_matern(
+            [(0.5, 1.5, 1.5, 1.0, 1.0), (0.3, 0.0, 1.5, 2.0, 1.0), (0.2, 0.8, 0.5, 0.5, 1.0)]))
+        assert sde.dim == 8
+        rng = np.random.default_rng(44)
+
+        def traced_peak(n):
+            t = np.cumsum(rng.uniform(0.01, 0.05, n))
+            y = np.sin(t)
+            tracemalloc.start()
+            try:
+                markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_step = (traced_peak(20_000) - traced_peak(2_000)) / 18_000
+        assert per_step <= 2.5 * 1024

@@ -46,6 +46,14 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             sparse.init_sparse(kernels.se(), [[0.0], [0.0], [1.0]])
 
+    def test_duplicate_limit_follows_the_spread_of_the_inputs(self):
+        # distinct on their own scale: accepted whatever the lengthscale
+        for kernel, inducing in ((kernels.se(1.0, 1e100), [[0.0], [1.0]]), (kernels.se(), [[0.0], [1e-9]])):
+            assert sparse.init_sparse(kernel, inducing).n_inducing == 2
+        # within 1e-8 of the largest pairwise distance: a duplicate, even under a tiny lengthscale
+        with pytest.raises(ConfigurationError, match="duplicate inducing inputs"):
+            sparse.init_sparse(kernels.se(1.0, 1e-12), [[0.0], [1e-9], [1.0]])
+
 
 class TestSparseUpdate:
     def test_scalar_conjugate_oracle_at_inducing_point(self):
