@@ -11,7 +11,9 @@ quick invariant battery against the configured model.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical error.
 A data or numerical error raised while ``run`` steps a row names its 1-based
-row.
+row.  An ``--input`` or ``--output`` path that cannot be opened, and an
+output closed by its reader before the report is written (a broken pipe),
+are configuration errors naming the option.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -425,26 +428,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open(path: str, mode: str, option: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"{option}: cannot open {path!r}: {exc.strerror or exc}") from exc
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at devnull after a broken pipe, so that the
+    interpreter's flush of stdout at exit cannot raise again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stand-in stream without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _dispatch(args, cfg: dict, out) -> int:
+    if args.command == "check":
+        return cmd_check(cfg, out)
+    ins = sys.stdin if args.input == "-" else _open(args.input, "r", "--input")
+    try:
+        if args.command == "run":
+            return cmd_run(cfg, ins, out)
+        return cmd_fit_exact(cfg, ins, out)
+    finally:
+        if ins is not sys.stdin:
+            ins.close()
+
+
 def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     args.overrides = list(args.overrides) + list(extra)
     try:
         cfg = _load_config(args)
-        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+        out = sys.stdout if args.output == "-" else _open(args.output, "w", "--output")
         try:
-            if args.command == "check":
-                return cmd_check(cfg, out)
-            ins = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-            try:
-                if args.command == "run":
-                    return cmd_run(cfg, ins, out)
-                return cmd_fit_exact(cfg, ins, out)
-            finally:
-                if ins is not sys.stdin:
-                    ins.close()
+            code = _dispatch(args, cfg, out)
+            out.flush()  # a reader gone from a buffered stdout fails here, not in the flush at exit
+            return code
         finally:
             if out is not sys.stdout:
                 out.close()
+    except BrokenPipeError:
+        if args.output == "-":
+            _stdout_to_devnull()
+        print("seqgp: configuration error: --output: closed by its reader before the report was written",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigurationError as exc:
         print(f"seqgp: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,6 +3,12 @@
 All posterior computations in this package solve SPD systems through a
 Cholesky factor instead of forming explicit inverses.  Near-singular
 matrices are handled by a bounded jitter escalation on the diagonal.
+
+The scalar Kalman step of every filter route is ``observe`` (forms s = P h
+once) followed by ``condition``, the one implementation of the update.
+``condition`` overwrites the mean and covariance its caller owns; every
+other function here is pure, ``scalar_update`` included, which conditions
+one fresh copy.
 """
 
 from __future__ import annotations
@@ -95,20 +101,60 @@ def chol_logdet(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, noise_var: float):
-    """Condition N(mean, cov) on one observation y = h^T x + N(0, noise_var).
+def observe(mean: np.ndarray, cov: np.ndarray, h: np.ndarray):
+    """One observation row's latent predictive moments and the product a Kalman
+    update needs, formed once: (h^T mean, h^T s, s) with s = cov h.  Pure."""
+    s = cov @ h
+    return float(h @ mean), float(h @ s), s
 
-    With s = cov h and v = h^T s + noise_var the optimal-gain update is
-    mean + s (y - h^T mean) / v and cov - s s^T / v.  The covariance is one
-    BLAS k = 1 ``dgemm`` run in place on a fresh C-ordered copy of ``cov``,
-    seen by BLAS as its F-ordered transpose: the result is C-contiguous and
-    owns its data, which matters where a history keeps every step.  The GEMM
-    forms each product s_i s_j once and scales it, so entries (i, j) and
-    (j, i) add the same rounded number: a bit-symmetric ``cov`` gives a
-    bit-symmetric result (the tests check this across BLAS tile sizes).  No
+
+def condition(mean: np.ndarray, cov: np.ndarray, observed, y: float, noise_var: float) -> float:
+    """Condition N(mean, cov) in place on one observation y = h^T x + N(0, noise_var).
+
+    ``observed`` is (h^T mean, v, s) from one observe step on this very belief
+    and row: s = cov h, and v its latent predictive variance (h^T s, to which
+    a caller may add latent variance of its own, such as a sparse residual).
+    With pred_var = v + noise_var the optimal-gain update is mean += s (y -
+    h^T mean) / pred_var and cov -= s s^T / pred_var.  The caller owns
+    ``mean`` and ``cov``; both are overwritten, and s must not share memory
+    with them.  The covariance is one BLAS k = 1 ``dgemm`` with
+    ``overwrite_c``, run on ``cov`` as BLAS sees it, its F-ordered transpose.
+    f2py would silently run it on a copy of any other layout and drop the
+    result, so ``cov`` must be a writeable C-contiguous float64 array.  The
+    GEMM forms each product s_i s_j once and scales it, so entries (i, j) and
+    (j, i) add the same rounded number: a bit-symmetric ``cov`` stays
+    bit-symmetric (the tests check this across BLAS tile sizes).  No
     symmetrizing pass follows, so an asymmetric ``cov`` is not repaired; every
-    producer of a covariance in this package makes it bit-symmetric.  The
-    inputs are never modified.
+    producer of a covariance in this package makes it bit-symmetric.
+
+    Returns
+    -------
+    pred_var : the predictive variance of y, v + noise_var.
+
+    Raises
+    ------
+    NumericalError
+        if ``pred_var`` is not positive, before anything is modified.
+    ValueError
+        if ``cov`` cannot be updated in place, before anything is modified.
+    """
+    pred_mean, var, s = observed
+    pred_var = var + noise_var
+    if pred_var <= 0.0:
+        raise NumericalError(f"non-positive predictive variance {pred_var!r}")
+    if not (cov.flags.c_contiguous and cov.flags.writeable and cov.dtype == np.float64):
+        raise ValueError("condition updates cov in place: it must be a writeable C-contiguous float64 array")
+    mean += (s / pred_var) * (y - pred_mean)
+    blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=cov.T, overwrite_c=1)
+    return pred_var
+
+
+def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, noise_var: float):
+    """Condition N(mean, cov) on one observation y = h^T x + N(0, noise_var), purely.
+
+    ``condition`` applied to one fresh copy of the belief, after ``observe``:
+    the inputs are never modified, and the returned covariance is
+    C-contiguous and owns its data.
 
     Returns
     -------
@@ -120,15 +166,10 @@ def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, no
     NumericalError
         if ``pred_var`` is not positive, before it is divided by.
     """
-    s = cov @ h
-    pred_mean = float(h @ mean)
-    pred_var = float(h @ s) + noise_var
-    if pred_var <= 0.0:
-        raise NumericalError(f"non-positive predictive variance {pred_var!r}")
-    new_mean = mean + (s / pred_var) * (y - pred_mean)
-    new_cov = np.array(cov, dtype=float, order="C")  # new_cov.T: the F-ordered matrix BLAS updates in place
-    blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=new_cov.T, overwrite_c=1)
-    return new_mean, new_cov, pred_mean, pred_var
+    observed = observe(mean, cov, h)
+    new_mean, new_cov = np.array(mean, dtype=float), np.array(cov, dtype=float, order="C")
+    pred_var = condition(new_mean, new_cov, observed, y, noise_var)
+    return new_mean, new_cov, observed[0], pred_var
 
 
 def gaussian_loglik(y: float, mean: float, var: float) -> float:

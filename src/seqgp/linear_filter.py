@@ -4,11 +4,17 @@ The model is y_t = phi(x_t)^T theta_t + noise with theta_k = a*theta_{k-1}
 + u + N(0, c*I): static (theta fixed), random walk (isotropic diffusion),
 back-to-prior forgetting (geometric blend toward the prior) and the general
 scalar autoregression with control input are settings of (a, u, c).
-Conjugate updates go through the shared rank-one kernel
-``linalg.scalar_update`` (P - s s^T / v as one BLAS call), which keeps a
-bit-symmetric belief bit-symmetric over long streams; non-conjugate likelihoods
-(Bernoulli-logit, Poisson-log) are folded in through a one-dimensional
-Laplace step on the marginal of f_t = phi^T theta.
+Conjugate updates go through the shared rank-one kernel ``linalg.condition``
+(P - s s^T / v as one BLAS call), which keeps a bit-symmetric belief
+bit-symmetric over long streams; non-conjugate likelihoods (Bernoulli-logit,
+Poisson-log) are folded in through a one-dimensional Laplace step on the
+marginal of f_t = phi^T theta.
+
+``predict_step``, ``predict_f``, ``update_step`` and ``update_nonconjugate``
+are pure: they return new beliefs and never modify their arguments.  A
+caller that owns a belief (``runners.LinearRunner``) advances it with
+``predict_in_place`` and conditions it with ``condition_in_place``, which
+overwrite its mean and covariance with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
-from .linalg import chol_jitter, gaussian_loglik, scalar_update
+from .linalg import chol_jitter, condition, gaussian_loglik, observe, scalar_update
 
 
 @dataclass(frozen=True)
@@ -96,22 +102,33 @@ def init_belief(n_features: int, prior_var: float) -> GaussianBelief:
     return GaussianBelief(np.zeros(n_features), prior_var * np.eye(n_features))
 
 
-def _plus_diagonal(cov: np.ndarray, c: float) -> np.ndarray:
-    """Add c to the diagonal of the fresh array ``cov`` in place and return it.
+def _predict_into(out: GaussianBelief, belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
+    """Write the predicted moments of ``belief`` into the arrays of ``out``,
+    which may be ``belief`` itself, and return ``out``.
 
-    Equal entry for entry to ``cov + c * np.eye(n)``, whose off-diagonal +0.0
-    changes no value, without building an n x n identity on every step.
+    The noise goes onto the diagonal only: equal entry for entry to adding
+    ``noise * np.eye(n)``, whose off-diagonal +0.0 changes no value, without
+    building an n x n identity on every step.
     """
-    cov.flat[:: cov.shape[0] + 1] += c
-    return cov
+    mean, cov = out.mean, out.cov
+    np.multiply(belief.mean, dynamics.mean_scale, out=mean)
+    mean += dynamics.shift
+    np.multiply(belief.cov, dynamics.cov_scale, out=cov)
+    cov.flat[:: cov.shape[0] + 1] += dynamics.noise
+    return out
 
 
 def predict_step(belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
     """Propagate the belief one step (identity returns ``belief``); a bit-symmetric covariance stays so."""
     if dynamics == _IDENTITY:
         return belief
-    mean = dynamics.mean_scale * belief.mean + dynamics.shift
-    return GaussianBelief(mean, _plus_diagonal(dynamics.cov_scale * belief.cov, dynamics.noise))
+    return _predict_into(GaussianBelief(np.empty(belief.mean.shape), np.empty(belief.cov.shape)), belief, dynamics)
+
+
+def predict_in_place(belief: GaussianBelief, dynamics: Dynamics) -> None:
+    """``predict_step`` on a belief the caller owns, overwriting its mean and covariance."""
+    if dynamics != _IDENTITY:
+        _predict_into(belief, belief, dynamics)
 
 
 def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: float):
@@ -134,14 +151,37 @@ def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: fl
     return GaussianBelief(mean, cov), gaussian_loglik(y, pred_mean, pred_var)
 
 
-def predict_f(belief: GaussianBelief, phi: np.ndarray):
-    """Latent predictive (mean, var) of f = phi^T theta; noise-free."""
+def observe_f(belief: GaussianBelief, phi: np.ndarray):
+    """One observe step: the latent predictive (mean, var) of f = phi^T theta
+    and s = cov phi, formed once (``linalg.observe``).  Pure."""
     phi = np.asarray(phi, dtype=float).ravel()
     if phi.shape[0] != belief.dim:
         raise ShapeError(f"feature vector has length {phi.shape[0]}, belief has {belief.dim}")
-    mean = float(phi @ belief.mean)
-    var = float(phi @ belief.cov @ phi)
+    return observe(belief.mean, belief.cov, phi)
+
+
+def predict_f(belief: GaussianBelief, phi: np.ndarray):
+    """Latent predictive (mean, var) of f = phi^T theta; noise-free."""
+    mean, var, _ = observe_f(belief, phi)
     return mean, var
+
+
+def condition_in_place(belief: GaussianBelief, observed, y: float, likelihood: str, noise_var: float) -> float:
+    """Condition a belief the caller owns on y, overwriting its mean and covariance.
+
+    ``observed`` is ``observe_f(belief, phi)`` of this belief.  Under the
+    Gaussian likelihood this is ``update_step``'s arithmetic and returns its
+    predictive log density; otherwise it is ``update_nonconjugate``'s, whose
+    Laplace pseudo-observation reuses the same s, and returns its approximate
+    log density.
+    """
+    if likelihood == "gaussian":
+        if not math.isfinite(y):
+            raise DataError(f"non-finite observation {y!r}")
+        return gaussian_loglik(y, observed[0], condition(belief.mean, belief.cov, observed, y, noise_var))
+    pseudo_y, pseudo_var, approx_loglik = laplace_observation(observed[0], observed[1], y, likelihood)
+    condition(belief.mean, belief.cov, observed, pseudo_y, pseudo_var)
+    return approx_loglik
 
 
 def static_batch_posterior(Phi: np.ndarray, y: np.ndarray, noise_var: float, prior_var: float) -> GaussianBelief:
@@ -239,25 +279,21 @@ def laplace_1d(prior_mean: float, prior_var: float, y: float, lik: Likelihood):
     return f, curvature
 
 
-def update_nonconjugate(belief: GaussianBelief, phi: np.ndarray, y: float, likelihood: str):
-    """Laplace update for a non-Gaussian observation; returns (belief, approx_loglik).
+def laplace_observation(m0: float, v0: float, y: float, likelihood: str):
+    """Gaussian pseudo-observation of y on f ~ N(m0, v0) under a non-conjugate likelihood.
 
-    The F-dimensional problem collapses to the 1-D marginal of f = phi^T
-    theta (exact for a rank-one observation).  The mode and curvature of the
-    1-D posterior become an effective Gaussian pseudo-observation, which is
-    then applied with the ordinary conjugate update.  The returned log
-    density is the Laplace approximation of log p(y | past), not an exact
-    predictive score.
+    The mode and curvature of the 1-D posterior of f become an effective
+    observation (pseudo_y, pseudo_var) with the same score and curvature as the
+    likelihood.  Returns (pseudo_y, pseudo_var, approx_loglik), the last the
+    Laplace approximation of log p(y | past), not an exact predictive score.
     """
     if likelihood not in LIKELIHOODS:
         raise ConfigurationError(f"unknown likelihood {likelihood!r}; choose from {sorted(LIKELIHOODS)}")
     lik = LIKELIHOODS[likelihood]
     if not lik.in_support(y):
         raise DataError(f"{likelihood} needs y to be {lik.support}, got {y!r}")
-    m0, v0 = predict_f(belief, phi)
     f_hat, curvature = laplace_1d(m0, v0, y, lik)
 
-    # pseudo-observation with the same score and curvature as the likelihood
     d2 = float(lik.d2(y, f_hat))
     if not d2 < 0.0 or not np.isfinite(f_hat - float(lik.d1(y, f_hat)) / d2):
         # curvature underflow in the far tail (|f_hat| beyond ~745)
@@ -267,11 +303,22 @@ def update_nonconjugate(belief: GaussianBelief, phi: np.ndarray, y: float, likel
         )
     pseudo_var = -1.0 / d2
     pseudo_y = f_hat - float(lik.d1(y, f_hat)) / d2
-    updated, _ = update_step(belief, phi, pseudo_y, pseudo_var)
-
     approx_loglik = (
         float(lik.loglik(y, f_hat))
         + gaussian_loglik(f_hat, m0, v0)
         + 0.5 * math.log(2.0 * math.pi / curvature)
     )
+    return pseudo_y, pseudo_var, approx_loglik
+
+
+def update_nonconjugate(belief: GaussianBelief, phi: np.ndarray, y: float, likelihood: str):
+    """Laplace update for a non-Gaussian observation; returns (belief, approx_loglik).
+
+    The F-dimensional problem collapses to the 1-D marginal of f = phi^T
+    theta (exact for a rank-one observation).  Its ``laplace_observation`` is
+    then applied with the ordinary conjugate update.
+    """
+    m0, v0 = predict_f(belief, phi)
+    pseudo_y, pseudo_var, approx_loglik = laplace_observation(m0, v0, y, likelihood)
+    updated, _ = update_step(belief, phi, pseudo_y, pseudo_var)
     return updated, approx_loglik

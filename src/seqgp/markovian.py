@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag, lapack, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import HmComponent, Kernel, as_points, gram
-from .linalg import chol_jitter, gaussian_loglik, scalar_update, symmetrize
+from .linalg import chol_jitter, condition, gaussian_loglik, symmetrize
 
 @dataclass(frozen=True)
 class LtiSde:
@@ -48,7 +49,8 @@ class LtiSde:
     outside each block: columns 2j and 2j+1 are I and J of block j, and
     columns 2(n_blocks+j) and 2(n_blocks+j)+1 are its N and NJ.  ``poles``
     holds each block's -lambda + i b (decay lambda, rotation rate b).  A model
-    built by hand without them has no closed-form transition.
+    built by hand without them has no closed-form transition.  ``obs_support``
+    is derived from ``obs``, for every model however it was built.
     """
 
     drift: np.ndarray
@@ -62,6 +64,13 @@ class LtiSde:
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
+
+    @cached_property
+    def obs_support(self) -> tuple:
+        """Per observation row, (indices, weights): the positions of its nonzero
+        entries and their values.  A space-time row, kron(I, [1, 0]), has one;
+        a Hida-Matern row has one per component."""
+        return tuple((idx, row[idx]) for row in self.obs for idx in (np.flatnonzero(row),))
 
 
 @dataclass(frozen=True)
@@ -224,6 +233,15 @@ class MarkovStepper:
     records the shared identity as its transition.  ``history_rows`` = N
     allocates ``history``, one ``FilterResult`` of N rows, and step k copies its
     moments into row k: the rows are copies, 3d^2 + 2d + 3 doubles each.
+
+    The stepper owns ``mean`` and ``cov``.  ``update`` conditions both in place
+    (``linalg.condition``), and a zero-length ``advance`` leaves them as they
+    are; an ``advance`` of nonzero length replaces them with new arrays.
+    Callers read them, copy what they keep, and never write them.  A history
+    row is the only copy a step makes.  ``predict_obs`` forms s = cov h once
+    through the row's nonzero entries (``LtiSde.obs_support``) and keeps it for
+    the ``update`` on the same row that follows; ``advance`` and ``update``
+    drop it, so a later update never reads an s of an earlier state.
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_rows: int | None = None):
@@ -237,6 +255,7 @@ class MarkovStepper:
         self._identity = np.eye(sde.dim)
         self.last_transition = self._identity
         self.flops = 0
+        self._observed: tuple | None = None  # (row, observe(row)) of the current state
         self.history: FilterResult | None = None
         self.rows_written = 0
         if history_rows is not None:
@@ -251,6 +270,7 @@ class MarkovStepper:
         The predicted covariance is P_inf + A (cov - P_inf) A^T, which is
         A cov A^T + Q with Q = P_inf - A P_inf A^T, without forming Q.
         """
+        self._observed = None
         delta = 0.0 if self.time is None else t - self.time
         if not (math.isfinite(t) and math.isfinite(delta)):
             raise DataError(f"non-finite timestamp or step ({self.time} -> {t})")
@@ -268,21 +288,38 @@ class MarkovStepper:
         self.last_transition = A
         self.flops += _flops_discretize(self.sde.dim) + _flops_predict(self.sde.dim)
 
+    def _observe(self, row: int):
+        """``linalg.observe`` through row ``row`` of ``sde.obs``, from its nonzero
+        entries: s = cov h gathers rows of cov (equal to its columns, as cov is
+        bit-symmetric), and h^T mean and h^T s read only those entries.  A row
+        with one nonzero w_i makes s the scaled row w_i cov[i], bit-equal to
+        cov @ h."""
+        idx, w = self.sde.obs_support[row]
+        if idx.size == 1:
+            i, wi = idx[0], w[0]
+            s = self.cov[i] * wi
+            return float(self.mean[i] * wi), float(s[i] * wi), s
+        s = w @ self.cov[idx]
+        return float(w @ self.mean[idx]), float(w @ s[idx]), s
+
     def predict_obs(self, row: int = 0):
-        """Latent predictive (mean, var) through observation row ``row``."""
-        h = self.sde.obs[row]
-        return float(h @ self.mean), float(h @ self.cov @ h)
+        """Latent predictive (mean, var) through observation row ``row``; keeps
+        s = cov h for an ``update`` on the same row before the next ``advance``."""
+        observed = self._observe(row)
+        self._observed = (row, observed)
+        return observed[0], observed[1]
 
     def update(self, y: float, row: int = 0) -> float:
-        """Scalar Kalman update through ``linalg.scalar_update``; returns the
-        predictive log density."""
-        if not np.isfinite(y):
+        """Scalar Kalman update of the stepper's own state, in place
+        (``linalg.condition``); returns the predictive log density.  Reuses the
+        s of a ``predict_obs`` on this row and state, and forms it otherwise."""
+        kept, self._observed = self._observed, None
+        if not math.isfinite(y):
             raise DataError(f"non-finite observation {y!r}")
-        mean, cov, pred_mean, pred_var = scalar_update(self.mean, self.cov, self.sde.obs[row], y, self.noise_var)
-        ll = gaussian_loglik(y, pred_mean, pred_var)
-        self.mean, self.cov = mean, cov
+        observed = kept[1] if kept is not None and kept[0] == row else self._observe(row)
+        pred_var = condition(self.mean, self.cov, observed, y, self.noise_var)
         self.flops += _flops_update(self.sde.dim)
-        return ll
+        return gaussian_loglik(y, observed[0], pred_var)
 
     def step(self, t: float, y: float | None = None, row: int = 0):
         """Advance to ``t`` and update on ``y`` unless it is None; returns the

@@ -137,7 +137,12 @@ def _grown(buf: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class LinearRunner:
-    """Basis-expansion filter with configurable weight dynamics and likelihood."""
+    """Basis-expansion filter with configurable weight dynamics and likelihood.
+
+    The runner owns ``belief``: a y-row advances it in place, forms s = P phi
+    once and conditions it in place (``linear_filter.predict_in_place``,
+    ``observe_f``, ``condition_in_place``).  A predict-only row leaves it as
+    it is."""
 
     def __init__(self, fmap, dynamics, noise_var: float, likelihood: str = "gaussian"):
         if likelihood == "gaussian" and noise_var <= 0.0:
@@ -152,18 +157,16 @@ class LinearRunner:
 
     def step(self, rec: StreamRecord) -> StepResult:
         phi = features.featurize(self.fmap, rec.point)
-        predicted = linear_filter.predict_step(self.belief, self.dynamics)
-        mean, var = linear_filter.predict_f(predicted, phi)
         n = self.fmap.n_features
         self.flops += 6 * n * n + 8 * n
         if rec.y is None:
             # pure query: the dynamics tick is tied to observation events
+            mean, var = linear_filter.predict_f(linear_filter.predict_step(self.belief, self.dynamics), phi)
             return StepResult(mean, var, None)
-        if self.likelihood == "gaussian":
-            self.belief, ll = linear_filter.update_step(predicted, phi, rec.y, self.noise_var)
-        else:
-            self.belief, ll = linear_filter.update_nonconjugate(predicted, phi, rec.y, self.likelihood)
-        return StepResult(mean, var, ll)
+        linear_filter.predict_in_place(self.belief, self.dynamics)
+        observed = linear_filter.observe_f(self.belief, phi)
+        ll = linear_filter.condition_in_place(self.belief, observed, rec.y, self.likelihood, self.noise_var)
+        return StepResult(observed[0], observed[1], ll)
 
 
 class MarkovRunner:
@@ -213,25 +216,28 @@ class MarkovRunner:
 
 class SparseRunner:
     """Fixed-inducing-set recursion, one rank-one update per observation; also
-    ``model=vsgp``, whose one-row information-form update is the same update."""
+    ``model=vsgp``, whose one-row information-form update is the same update.
+
+    The runner owns ``state``: a row projects its input and forms s = S h once
+    (``sparse.sparse_observe``), and a y-row conditions the state's arrays in
+    place (``sparse.condition_in_place``)."""
 
     def __init__(self, kernel, noise_var: float, inducing, include_residual: bool):
         if noise_var <= 0.0:
             raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.state = sparse.init_sparse(kernel, inducing, include_residual)
         self.noise_var = noise_var
+        self.update_flops = sparse.update_flops(self.state.n_inducing)
         self.flops = 0
         self.approximate_loglik = False
 
     def step(self, rec: StreamRecord) -> StepResult:
-        x = rec.point
-        proj = sparse._projection(self.state, x)  # shared: the update leaves it unchanged
-        mean, var = sparse.sparse_predict(self.state, x, proj)
+        observed = sparse.sparse_observe(self.state, sparse._projection(self.state, rec.point))
         if rec.y is None:
-            return StepResult(mean, var, None)
-        self.state, ll = sparse.sparse_update(self.state, x, rec.y, self.noise_var, proj)
-        self.flops += self.state.step_flops
-        return StepResult(mean, var, ll)
+            return StepResult(observed[0], observed[1], None)
+        ll = sparse.condition_in_place(self.state, observed, rec.y, self.noise_var)
+        self.flops += self.update_flops
+        return StepResult(observed[0], observed[1], ll)
 
 
 class EnsembleRunner:

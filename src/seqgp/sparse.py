@@ -10,17 +10,25 @@ With ``include_residual`` (the default) the leftover conditional variance
 q(x) = kappa(x, x) - k^T K_uu^{-1} k is treated as extra observation noise
 and restored in predictions, so the prior is recovered exactly away from the
 inducing set; switching it off reproduces the bare recursion.
+
+``sparse_predict``, ``sparse_update`` and ``vsgp_info_update`` are pure: they
+return new states and never modify their arguments.  A caller that owns a
+state (``runners.SparseRunner``) observes it once per row with
+``sparse_observe`` and conditions it with ``condition_in_place``, which
+overwrites the state's ``mean`` and ``cov`` arrays; ``step_flops`` then keeps
+the value it had, and the caller counts ``update_flops`` per update itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
 from .kernels import GRAM_JITTER, Kernel, as_points, eval_kernel, gram
-from .linalg import chol_solve, gaussian_loglik, scalar_update, symmetrize
+from .linalg import chol_solve, condition, gaussian_loglik, observe, symmetrize
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,40 @@ def _projection(state: SparseState, x):
     return h, max(q, 0.0)
 
 
+def update_flops(n_inducing: int) -> int:
+    """Flops of one sequential update over M inducing values; t-independent."""
+    return 6 * n_inducing * n_inducing + 10 * n_inducing
+
+
+def sparse_observe(state: SparseState, projection):
+    """One observe step through ``projection`` = ``_projection(state, x)``.
+
+    Returns (mean, var, s): the predictive moments of f(x) that
+    ``sparse_predict`` returns, mean = h^T m and var = h^T S h (+ the residual
+    q), and s = S h, formed once for ``condition_in_place``.  Pure.
+    """
+    h, q = projection
+    mean, var, s = observe(state.mean, state.cov, h)
+    return mean, var + q if state.include_residual else var, s
+
+
+def condition_in_place(state: SparseState, observed, y: float, noise_var: float) -> float:
+    """Fold y into a state the caller owns, overwriting ``state.mean`` and ``state.cov``.
+
+    ``observed`` is ``sparse_observe`` of this state at the row's input: the
+    effective observation is y = h^T u + noise, whose predictive variance is
+    ``observed``'s var (residual included) plus noise_var.  Returns the
+    predictive log density of y.
+    """
+    if not math.isfinite(y):
+        raise DataError(f"non-finite observation {y!r}")
+    return gaussian_loglik(y, observed[0], condition(state.mean, state.cov, observed, y, noise_var))
+
+
 def sparse_update(state: SparseState, x, y: float, noise_var: float, projection=None):
     """Fold one observation into the belief; returns (state, pred_loglik).
 
-    The effective observation is y = h^T u + noise, with variance noise_var
-    plus the residual q(x) when the state carries the residual correction.
+    ``condition_in_place`` applied to one fresh copy of the state.
     ``projection`` is ``_projection(state, x)`` when the caller already has
     it; the projection depends only on the frozen kernel and inducing set.
     """
@@ -115,14 +152,10 @@ def sparse_update(state: SparseState, x, y: float, noise_var: float, projection=
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     if not np.all(np.isfinite(np.atleast_1d(x))) or not np.isfinite(y):
         raise DataError(f"non-finite observation ({x!r}, {y!r})")
-    h, q = _projection(state, x) if projection is None else projection
-    r = noise_var + (q if state.include_residual else 0.0)
-
-    mean, cov, pred_mean, pred_var = scalar_update(state.mean, state.cov, h, y, r)
-    loglik = gaussian_loglik(y, pred_mean, pred_var)
-    m_ind = state.n_inducing
-    flops = 6 * m_ind * m_ind + 10 * m_ind
-    return replace(state, mean=mean, cov=cov, step_flops=flops), loglik
+    observed = sparse_observe(state, _projection(state, x) if projection is None else projection)
+    updated = replace(state, mean=state.mean.copy(), cov=np.array(state.cov, order="C"),
+                      step_flops=update_flops(state.n_inducing))
+    return updated, condition_in_place(updated, observed, y, noise_var)
 
 
 def sparse_predict(state: SparseState, x, projection=None):
@@ -130,11 +163,7 @@ def sparse_predict(state: SparseState, x, projection=None):
 
     ``projection`` is ``_projection(state, x)``, as in ``sparse_update``.
     """
-    h, q = _projection(state, x) if projection is None else projection
-    mean = float(h @ state.mean)
-    var = float(h @ state.cov @ h)
-    if state.include_residual:
-        var += q
+    mean, var, _ = sparse_observe(state, _projection(state, x) if projection is None else projection)
     return mean, var
 
 

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,11 +353,57 @@ class TestCheck:
         assert err.startswith("seqgp: configuration error: features.")
 
 
+MARKOV_RUN = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestExitCodes:
     def test_config_error_is_2(self):
         code, _, err = run_cli(["run", "model=warp"], stdin_text="t,y\n0,1\n")
         assert code == 2
         assert "configuration error" in err
+
+    def test_output_closed_by_its_reader_is_2_with_one_line(self, monkeypatch):
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("t,y\n0,0.1\n1,0.2\n"))
+        assert cli.main(MARKOV_RUN) == 2
+        assert err.getvalue().splitlines() == [
+            "seqgp: configuration error: --output: closed by its reader before the report was written"]
+
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    def test_broken_pipe_on_a_real_stdout_exits_2_without_a_traceback(self, unbuffered):
+        # the pipe has no reader from the start; a buffered stdout first fails when it is flushed, and the
+        # interpreter's flush at exit must not raise again
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": SRC}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "seqgp.cli", *MARKOV_RUN], input="t,y\n0,0.1\n1,0.2\n",
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "seqgp: configuration error: --output: closed by its reader before the report was written"]
+
+    @pytest.mark.parametrize("option", ["--input", "--output"])
+    def test_path_that_cannot_be_opened_is_2_naming_the_option(self, option, tmp_path):
+        missing = str(tmp_path / "no" / "such.csv")
+        code, out, err = run_cli(["run", option, missing, *MARKOV_RUN[1:]], stdin_text="t,y\n0,0.1\n")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"seqgp: configuration error: {option}: cannot open {missing!r}: "
+                                    "No such file or directory"]
 
     def test_markov_with_x_columns_is_config_error(self):
         code, _, err = run_cli(

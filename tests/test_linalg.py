@@ -1,11 +1,11 @@
-"""The shared rank-one Kalman update kernel."""
+"""The shared rank-one Kalman update kernel: ``observe`` then ``condition``, and its pure wrapper."""
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from seqgp.errors import NumericalError
-from seqgp.linalg import chol_solve, scalar_update, symmetrize
+from seqgp.linalg import chol_solve, condition, observe, scalar_update, symmetrize
 
 
 def joseph_update(mean, cov, h, y, noise_var):
@@ -73,6 +73,47 @@ class TestScalarUpdate:
         # h^T cov h = -noise_var: v = 0, which the update would divide by
         with pytest.raises(NumericalError, match="non-positive predictive variance"):
             scalar_update(np.zeros(1), np.array([[-0.3]]), np.ones(1), 1.0, 0.3)
+
+
+class TestCondition:
+    """The in-place kernel that ``scalar_update`` applies to its one copy."""
+
+    @pytest.mark.parametrize("d", [1, 8, 128, 256])
+    def test_overwrites_the_callers_arrays_with_the_pure_result(self, d):
+        mean, cov, h, y = random_belief(d, seed=30 + d)
+        ref_mean, ref_cov, ref_pred_mean, ref_pred_var = scalar_update(mean, cov, h, y, 0.3)
+        observed = observe(mean, cov, h)
+        assert observed[0] == ref_pred_mean
+        np.testing.assert_array_equal(observed[2], cov @ h)
+        mean_id, cov_id = id(mean), id(cov)
+        assert condition(mean, cov, observed, y, 0.3) == ref_pred_var
+        assert (id(mean), id(cov)) == (mean_id, cov_id)
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(cov, ref_cov)
+        assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("layout", ["F", "read-only", "float32"])
+    def test_a_covariance_it_cannot_update_in_place_is_rejected_unchanged(self, layout):
+        # f2py would run dgemm on a silent copy of such an array and the update would be lost
+        mean, cov, h, y = random_belief(16, seed=4)
+        observed = observe(mean, cov, h)
+        if layout == "F":
+            cov = np.asfortranarray(cov)
+        elif layout == "read-only":
+            cov.flags.writeable = False
+        else:
+            cov = cov.astype(np.float32)
+        mean0, cov0 = mean.copy(), cov.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            condition(mean, cov, observed, y, 0.3)
+        np.testing.assert_array_equal(mean, mean0)
+        np.testing.assert_array_equal(cov, cov0)
+
+    def test_non_positive_predictive_variance_leaves_the_belief_unchanged(self):
+        mean, cov = np.zeros(1), np.array([[-0.3]])
+        with pytest.raises(NumericalError, match="non-positive predictive variance"):
+            condition(mean, cov, observe(mean, cov, np.ones(1)), 1.0, 0.3)
+        assert mean.tolist() == [0.0] and cov.tolist() == [[-0.3]]
 
 
 def lower_factor(m, seed):

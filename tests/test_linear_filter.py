@@ -6,6 +6,7 @@ import pytest
 from seqgp import exact, features, kernels, linear_filter as lf
 from seqgp.config import build_dynamics
 from seqgp.errors import ConfigurationError, DataError, NumericalError, ShapeError
+from seqgp.runners import LinearRunner, StreamRecord
 
 
 def quad_posterior(m0, v0, y, lik, n=10_000):
@@ -57,6 +58,58 @@ class TestInitAndPredict:
     def test_predict_f_shape_error(self):
         with pytest.raises(ShapeError):
             lf.predict_f(lf.init_belief(4, 1.0), np.ones(3))
+
+
+class TestLinearRunner:
+    """The runner advances and conditions the belief it owns in place, with the
+    arithmetic of the pure fold through ``predict_step``, ``predict_f`` and the
+    update functions."""
+
+    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson_log"])
+    @pytest.mark.parametrize("dynamics", [
+        lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
+    ], ids=["static", "random_walk", "b2p", "general"])
+    def test_matches_the_pure_fold(self, dynamics, likelihood):
+        fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
+        rng = np.random.default_rng(11)
+        x = np.sort(rng.uniform(-2.0, 2.0, 60))
+        y = rng.poisson(1.5, x.size).astype(float) if likelihood == "poisson_log" else np.sin(x)
+        recs = [StreamRecord(i + 1, float(xi), None, None if i % 7 == 3 else float(yi))
+                for i, (xi, yi) in enumerate(zip(x, y))]
+        runner = LinearRunner(fmap, dynamics, 0.1, likelihood)
+        mean_id, cov_id = id(runner.belief.mean), id(runner.belief.cov)
+        belief = lf.init_belief(64, fmap.weight_prior_var)
+        for rec in recs:
+            got = runner.step(rec)
+            phi = features.featurize(fmap, rec.point)
+            predicted = lf.predict_step(belief, dynamics)
+            mean, var = lf.predict_f(predicted, phi)
+            assert (got.mean, got.var) == (pytest.approx(mean, rel=1e-12, abs=1e-12),
+                                           pytest.approx(var, rel=1e-12, abs=1e-12))
+            if rec.y is None:
+                assert got.logdensity is None
+            else:
+                if likelihood == "gaussian":
+                    belief, ll = lf.update_step(predicted, phi, rec.y, 0.1)
+                else:
+                    belief, ll = lf.update_nonconjugate(predicted, phi, rec.y, likelihood)
+                assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(runner.belief.mean, belief.mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(runner.belief.cov, belief.cov, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
+        assert (id(runner.belief.mean), id(runner.belief.cov)) == (mean_id, cov_id)
+
+    def test_predict_in_place_is_predict_step(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((16, 16))
+        for dynamics in (lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003)):
+            b = lf.GaussianBelief(rng.standard_normal(16), A @ A.T / 16.0)
+            ref = lf.predict_step(b, dynamics)
+            mean, cov = b.mean, b.cov
+            lf.predict_in_place(b, dynamics)
+            assert b.mean is mean and b.cov is cov
+            np.testing.assert_array_equal(b.mean, ref.mean)
+            np.testing.assert_array_equal(b.cov, ref.cov)
 
 
 class TestDynamics:

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from seqgp import exact, kernels, markovian
+from seqgp.linalg import gaussian_loglik, scalar_update, symmetrize
 from seqgp.runners import MarkovRunner, StreamRecord
 from seqgp.errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 
@@ -123,7 +124,7 @@ def matern32_transition(lengthscale, delta):
 
 
 class TestStepperSymmetry:
-    """``linalg.scalar_update`` keeps a bit-symmetric covariance bit-symmetric and
+    """``linalg.condition`` keeps a bit-symmetric covariance bit-symmetric and
     repairs nothing, so the stepper's initial and predicted covariances must be."""
 
     @pytest.mark.parametrize("sde", [
@@ -141,6 +142,96 @@ class TestStepperSymmetry:
             assert np.array_equal(stepper.cov, stepper.cov.T)
             stepper.update(float(rng.standard_normal()), i % n_obs)
             assert np.array_equal(stepper.cov, stepper.cov.T)
+
+
+SPACETIME_SDE = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8),
+                                               [[0.0, 0.0], [0.5, 0.1], [1.1, -0.4], [2.0, 0.3]])
+
+
+def stepped(sde, n=25, seed=6):
+    """A stepper after n irregular steps that cycle through the observation rows."""
+    stepper = markovian.MarkovStepper(sde, 0.1)
+    rng = np.random.default_rng(seed)
+    for i, t in enumerate(np.cumsum(rng.exponential(0.3, n))):
+        stepper.step(float(t), float(rng.standard_normal()), i % sde.obs.shape[0])
+    return stepper
+
+
+def assert_within_ulps(got, ref, magnitude, ulps=4):
+    """|got - ref| <= ulps * spacing(magnitude), entry by entry."""
+    assert np.all(np.abs(np.asarray(got) - ref) <= ulps * np.spacing(magnitude)), (got, ref)
+
+
+class TestObserveStep:
+    """``MarkovStepper`` forms s = cov h once per row, from the row's nonzero entries."""
+
+    def test_space_time_rows_read_one_entry_bit_equal_to_the_product(self):
+        sde = SPACETIME_SDE
+        assert [(idx.tolist(), w.tolist()) for idx, w in sde.obs_support] == [([2 * i], [1.0]) for i in range(4)]
+        stepper = stepped(sde)
+        for row, h in enumerate(sde.obs):
+            mean, var, s = stepper._observe(row)
+            np.testing.assert_array_equal(s, stepper.cov @ h)
+            assert (mean, var) == (float(h @ stepper.mean), float(h @ stepper.cov @ h))
+
+    def test_hida_matern_rows_gather_within_4_ulp_of_the_product(self):
+        sde = ZERO_STEP_SDES["mixture"]
+        idx, w = sde.obs_support[0]
+        assert idx.tolist() == [0, 4, 6]  # one entry per component: 3 of 8
+        np.testing.assert_array_equal(w, sde.obs[0, idx])
+        h = sde.obs[0]
+        for seed in range(5):
+            stepper = stepped(sde, seed=seed)
+            mean, var, s = stepper._observe(0)
+            ref_s = stepper.cov @ h
+            assert_within_ulps(s, ref_s, np.abs(w) @ np.abs(stepper.cov[idx]))
+            assert_within_ulps(mean, h @ stepper.mean, np.abs(w) @ np.abs(stepper.mean[idx]))
+            assert_within_ulps(var, h @ ref_s, np.abs(w) @ np.abs(ref_s[idx]))
+
+    def test_hand_built_model_derives_its_row_structure_from_obs(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((4, 4))
+        P = symmetrize(A @ A.T + np.eye(4))
+        obs = np.array([[0.0, 2.0, 0.0, -0.5], [1.0, 0.0, 0.0, 0.0]])
+        sde = markovian.LtiSde(drift=-np.eye(4), noise_loading=np.eye(4), obs=obs, diffusion=2.0 * np.eye(4),
+                               stationary=P)
+        assert [(idx.tolist(), w.tolist()) for idx, w in sde.obs_support] == [([1, 3], [2.0, -0.5]), ([0], [1.0])]
+        for row in (0, 1):
+            stepper = markovian.MarkovStepper(sde, 0.2)  # no advance: a hand-built model has no transition
+            pred_mean, var = stepper.predict_obs(row)
+            ll = stepper.update(0.7, row)
+            mean, cov, ref_mean, pred_var = scalar_update(np.zeros(4), P, obs[row], 0.7, 0.2)
+            assert pred_mean == ref_mean
+            assert_within_ulps(var + 0.2, pred_var, pred_var)
+            assert ll == pytest.approx(gaussian_loglik(0.7, ref_mean, pred_var), rel=1e-14)
+            np.testing.assert_allclose(stepper.mean, mean, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(stepper.cov, cov, rtol=0, atol=1e-15)
+            assert np.array_equal(stepper.cov, stepper.cov.T)
+
+    def test_update_never_reuses_an_s_of_another_state_or_row(self):
+        sde = SPACETIME_SDE  # bit-equal gathers: every update must match the pure one exactly
+
+        def check_update(stepper, y, row):
+            mean, cov, pred_mean, pred_var = scalar_update(stepper.mean, stepper.cov, sde.obs[row], y, 0.1)
+            state = stepper.mean, stepper.cov
+            assert stepper.update(y, row) == gaussian_loglik(y, pred_mean, pred_var)
+            assert stepper.mean is state[0] and stepper.cov is state[1]  # conditioned in place
+            np.testing.assert_array_equal(stepper.mean, mean)
+            np.testing.assert_array_equal(stepper.cov, cov)
+
+        stepper = stepped(sde)
+        stepper.predict_obs(1)
+        stepper.advance(stepper.time + 0.4)  # a new state: the s kept for row 1 is stale
+        check_update(stepper, 0.3, 1)
+        stepper.predict_obs(0)
+        check_update(stepper, -0.2, 2)  # another row
+        check_update(stepper, 0.5, 3)  # no predict_obs since the last update
+        stepper.predict_obs(1)
+        check_update(stepper, 0.1, 1)  # the kept s, on the state it was formed on
+        check_update(stepper, 0.2, 1)  # that update consumed it
+        stepper.predict_obs(2)
+        stepper.advance(stepper.time)  # a zero-length step keeps the state
+        check_update(stepper, -0.4, 2)
 
 
 class TestDiscretize:

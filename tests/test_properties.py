@@ -128,17 +128,29 @@ def test_linear_cli_exits_cleanly_on_any_config(mode, likelihood, params, ys):
 
 config_int = st.sampled_from(["0", "1", "2", "3", "4", "8", "-1"]) | config_number
 time_cell = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]).map(repr)
+GRID = (0.0, 0.5, 1.5)  # the space-time model's locations; 1.0 and -0.5 lie off the grid
+location_cell = st.sampled_from([*GRID, 1.0, -0.5]).map(repr)
 # every key a configuration error may name here, after an optional member.<k>.
 CONFIG_KEYS = {"model", "noise_var", "kernel.family", "kernel.lengthscale", "kernel.sigma_f2", "kernel.hm_components",
                "sparse.M", "sparse.inducing", "features.F", "features.L"}
 CONFIG_ERROR = re.compile(r"seqgp: configuration error: (member\.[12]\.)?([\w.]+): ")
 
 
-def _model_args(model, p):
+@pytest.fixture(scope="module")
+def grid_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spacetime") / "locations.csv"
+    path.write_text("x1\n" + "".join(f"{x!r}\n" for x in GRID), encoding="utf-8")
+    return str(path)
+
+
+def _model_args(model, p, grid_file=None):
     kernel = [f"kernel.lengthscale={p['lengthscale']}", f"kernel.sigma_f2={p['sigma_f2']}"]
     common = [f"noise_var={p['noise_var']}"]
     if model in ("matern12", "matern32"):
         return ["model=markov", f"kernel.family={model}", *kernel, *common]
+    if model == "spacetime":
+        return ["model=markov", "kernel.family=matern32", *kernel, *common, f"spatial.locations={grid_file}",
+                "spatial.kernel.family=se"]
     if model == "hm":
         comps = f"1:0.5:1.5:{p['lengthscale']}:{p['sigma_f2']};0.5:0:0.5:1:1"
         return ["model=markov", "kernel.family=hm", f"kernel.hm_components={comps}", *common]
@@ -154,19 +166,23 @@ def _model_args(model, p):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose: the run must still exit cleanly
 @settings(max_examples=300, deadline=None)
-@given(model=st.sampled_from(["matern12", "matern32", "hm", "sparse", "vsgp", "exact", "hsgp", "ensemble"]),
+@given(model=st.sampled_from(["matern12", "matern32", "hm", "spacetime", "sparse", "vsgp", "exact", "hsgp",
+                               "ensemble"]),
        params=st.fixed_dictionaries({key: config_number for key in ("lengthscale", "sigma_f2", "noise_var", "L")}
                                     | {key: config_int for key in ("M", "F")}),
-       rows=st.lists(st.tuples(time_cell, cell), max_size=6), ordered=st.booleans())
-def test_every_model_exits_cleanly_on_any_config_and_stream(model, params, rows, ordered):
+       rows=st.lists(st.tuples(time_cell, cell, location_cell), max_size=6), ordered=st.booleans())
+def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, params, rows, ordered):
     if model == "ensemble":
         args = ["model=ensemble", *(f"member.1.{a}" for a in _model_args("matern32", params)),
                 *(f"member.2.{a}" for a in _model_args("sparse", params))]
     else:
-        args = _model_args(model, params)
+        args = _model_args(model, params, grid_file)
     if ordered:  # otherwise stamps may repeat and decrease as drawn
         rows = sorted(rows, key=lambda r: float(r[0]))
-    csv = "t,y\n" + "".join(f"{t},{y}\n" for t, y in rows)
+    if model == "spacetime":
+        csv = "t,x1,y\n" + "".join(f"{t},{x},{y}\n" for t, y, x in rows)
+    else:
+        csv = "t,y\n" + "".join(f"{t},{y}\n" for t, y, _ in rows)
     code, out, err = run_cli(["run", *args], stdin_text=csv)
     assert code in (0, 2, 3, 4), err
     if code == 2:

@@ -5,7 +5,7 @@ import pytest
 
 from seqgp import exact, kernels, sparse
 from seqgp.errors import ConfigurationError, DataError
-from seqgp.runners import SparseRunner, StreamRecord
+from seqgp.runners import SparseRunner, StreamRecord, build_runner
 
 THREE_KERNELS = [
     kernels.se(1.0, 0.6),
@@ -193,6 +193,7 @@ class TestSparseRunner:
         kernel, noise, Z = kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16)
         runner = SparseRunner(kernel, noise, Z, residual)
         state = sparse.init_sparse(kernel, Z, residual)
+        flops = 0
         for rec in self.records():
             got = runner.step(rec)
             # the two-projection sequence: each call projects x itself
@@ -200,10 +201,36 @@ class TestSparseRunner:
             ll = None
             if rec.y is not None:
                 state, ll = sparse.sparse_update(state, rec.point, rec.y, noise)
+                flops += state.step_flops
             assert (got.mean, got.var, got.logdensity) == (mean, var, ll)
             np.testing.assert_array_equal(runner.state.mean, state.mean)
             np.testing.assert_array_equal(runner.state.cov, state.cov)
-            assert runner.state.step_flops == state.step_flops
+            assert runner.flops == flops
+
+
+    @pytest.mark.parametrize("model", ["sparse", "vsgp"])
+    def test_built_runner_conditions_its_state_in_place_like_the_pure_fold(self, model):
+        recs = self.records()
+        cfg = {"model": model, "kernel.family": "matern32", "kernel.lengthscale": "0.7", "noise_var": "0.1",
+               "sparse.M": "12"}
+        runner = build_runner(cfg, recs)
+        mean_id, cov_id = id(runner.state.mean), id(runner.state.cov)
+        state = sparse.init_sparse(runner.state.kernel, runner.state.inducing, True)
+        for rec in recs:
+            got = runner.step(rec)
+            mean, var = sparse.sparse_predict(state, rec.point)
+            ll = None
+            if rec.y is not None:
+                state, ll = sparse.sparse_update(state, rec.point, rec.y, 0.1)
+                assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
+            else:
+                assert got.logdensity is None
+            assert (got.mean, got.var) == (pytest.approx(mean, rel=1e-12, abs=1e-12),
+                                           pytest.approx(var, rel=1e-12, abs=1e-12))
+            np.testing.assert_allclose(runner.state.mean, state.mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(runner.state.cov, state.cov, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(runner.state.cov, runner.state.cov.T)
+        assert (id(runner.state.mean), id(runner.state.cov)) == (mean_id, cov_id)
 
 
 class TestVsgpInfoUpdate:
