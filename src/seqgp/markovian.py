@@ -23,8 +23,9 @@ with the weights {1, dt} exp((-lambda + i b) dt), real and imaginary parts.
 No matrix exponential is computed and nothing is cached per step length.
 The filter's predict adds Q = P_inf - A P_inf A^T without forming it, and
 Kalman filtering and Rauch-Tung-Striebel smoothing give exact GP inference
-in O(N d^3).  ``scipy.linalg.expm`` stays the reference that the tests and
-``seqgp check`` compare ``transition`` against.
+in O(N d^3); the smoother forms every A from the filter record's timestamps
+and overwrites its filtered moments.  ``scipy.linalg.expm`` stays the
+reference that the tests and ``seqgp check`` compare ``transition`` against.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def stationary_covariance(sde: LtiSde) -> np.ndarray:
     return symmetrize(P)
 
 
-def transition(sde: LtiSde, delta: float) -> np.ndarray:
+def transition(sde: LtiSde, delta) -> np.ndarray:
     """A = expm(F * delta) in closed form, for any real ``delta``.
 
     Block by block A is exp(-lambda delta) (I + N delta) (cos(b delta) I +
@@ -186,13 +187,18 @@ def transition(sde: LtiSde, delta: float) -> np.ndarray:
     {1, delta} exp(-lambda delta) {cos, sin}(b delta), and the cos/sin pair
     of a block is the real/imaginary pair of exp(pole * delta): one complex
     exponential and one matrix-vector product, whatever the number of
-    blocks.  A zero step gives A = I exactly.
+    blocks.  A zero step gives A = I exactly.  A 1-D array of N steps gives the
+    (N, d, d) stack, row k bit-equal to ``transition(sde, delta[k])``: each row
+    goes through the same matrix-vector product.
     """
     if sde.basis is None:
         raise ConfigurationError("the state-space model has no closed-form transition basis")
-    rotated = np.exp(delta * sde.poles).view(float)  # (cos, sin) pairs, block by block
+    z = np.asarray(delta, dtype=float)
+    z = z[:, None] if z.ndim else z  # one step per row; a scalar stays 0-d
+    rotated = np.exp(z * sde.poles).view(float)  # (cos, sin) pairs, block by block
+    weights = np.concatenate((rotated, z * rotated), axis=-1)
     d = sde.dim
-    return (sde.basis @ np.concatenate((rotated, delta * rotated))).reshape(d, d)
+    return (sde.basis @ weights[..., None]).reshape(z.shape[:1] + (d, d))
 
 
 def discretize(sde: LtiSde, delta: float) -> DiscreteStep:
@@ -229,10 +235,10 @@ class MarkovStepper:
     CLI's record-at-a-time loop.  Each step of nonzero length computes its
     transition in closed form, so memory does not grow with the number of
     distinct step lengths.  A zero-length step after the first row leaves the
-    state untouched (A = I, Q = 0 is exact on a symmetric covariance) and
-    records the shared identity as its transition.  ``history_rows`` = N
-    allocates ``history``, one ``FilterResult`` of N rows, and step k copies its
-    moments into row k: the rows are copies, 3d^2 + 2d + 3 doubles each.
+    state untouched (A = I, Q = 0 is exact on a symmetric covariance).
+    ``history_rows`` = N allocates ``history``, one ``FilterResult`` of N rows,
+    and step k copies its moments into row k: the rows are copies, 2d^2 + 2d + 3
+    doubles each, and hold no transition.
 
     The stepper owns ``mean`` and ``cov``.  ``update`` conditions both in place
     (``linalg.condition``), and a zero-length ``advance`` leaves them as they
@@ -252,8 +258,6 @@ class MarkovStepper:
         self.mean = np.zeros(sde.dim)
         self.cov = sde.stationary.copy()
         self.time: float | None = None
-        self._identity = np.eye(sde.dim)
-        self.last_transition = self._identity
         self.flops = 0
         self._observed: tuple | None = None  # (row, observe(row)) of the current state
         self.history: FilterResult | None = None
@@ -261,8 +265,7 @@ class MarkovStepper:
         if history_rows is not None:
             n, d = history_rows, sde.dim
             self.history = FilterResult(np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d)),
-                                        np.empty((n, d, d)), np.empty((n, d, d)), np.empty(n, dtype=int),
-                                        np.empty(n), 0.0, 0)
+                                        np.empty((n, d, d)), np.empty(n, dtype=int), np.empty(n), 0.0, 0)
 
     def advance(self, t: float) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time).
@@ -277,7 +280,6 @@ class MarkovStepper:
         if delta < 0.0:
             raise DataError(f"timestamps decrease ({self.time} -> {t})")
         if delta == 0.0 and self.time is not None:
-            self.last_transition = self._identity
             self.flops += _flops_predict(self.sde.dim)
             return
         A = transition(self.sde, delta)
@@ -285,7 +287,6 @@ class MarkovStepper:
         self.mean = A @ self.mean
         self.cov = symmetrize(P + A @ (self.cov - P) @ A.T)
         self.time = t
-        self.last_transition = A
         self.flops += _flops_discretize(self.sde.dim) + _flops_predict(self.sde.dim)
 
     def _observe(self, row: int):
@@ -331,7 +332,7 @@ class MarkovStepper:
         self.advance(t)
         mean, var = self.predict_obs(row)
         if h is not None:
-            h.times[k], h.obs_rows[k], h.transitions[k] = t, row, self.last_transition
+            h.times[k], h.obs_rows[k] = t, row
             h.pred_means[k], h.pred_covs[k] = self.mean, self.cov
         ll = None if y is None else self.update(y, row)
         if h is not None:
@@ -346,20 +347,20 @@ class MarkovStepper:
             raise ConfigurationError("the filter history requires history_rows")
         h, n = self.history, self.rows_written
         return FilterResult(h.times[:n], h.pred_means[:n], h.pred_covs[:n], h.means[:n], h.covs[:n],
-                            h.transitions[:n], h.obs_rows[:n], h.logliks[:n], h.loglik_total, self.flops)
+                            h.obs_rows[:n], h.logliks[:n], h.loglik_total, self.flops)
 
 
 @dataclass
 class FilterResult:
     """Per-step filter moments, one row per step: what the smoother reads, and what
-    ``emit_smoothed`` keeps for each input row until the backward pass."""
+    ``emit_smoothed`` keeps for each input row until the backward pass.  Step k's
+    transition is ``transition(sde, times[k] - times[k - 1])``, so none is stored."""
 
     times: np.ndarray  # (N,)
     pred_means: np.ndarray  # (N, d) prior to each update
     pred_covs: np.ndarray  # (N, d, d)
-    means: np.ndarray  # (N, d) filtered
+    means: np.ndarray  # (N, d) filtered; smoothed after rts_smoother
     covs: np.ndarray  # (N, d, d)
-    transitions: np.ndarray  # (N, d, d) per-step A
     obs_rows: np.ndarray  # (N,) index of the H row used per step
     logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
     loglik_total: float
@@ -373,8 +374,8 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     stamp raises DataError naming the step).  A NaN in ``values`` marks a
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
-    step uses (always row 0 for temporal models).  Starts from the
-    stationary law N(0, P_inf).
+    step uses (always row 0 for temporal models; a row that ``sde.obs``
+    lacks is a DataError naming the step).  Starts from the stationary law N(0, P_inf).
     """
     t = np.asarray(times, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()
@@ -383,6 +384,9 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     rows = np.zeros(t.size, dtype=int) if obs_rows is None else np.asarray(obs_rows, dtype=int).ravel()
     if rows.shape != t.shape:
         raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
+    bad = np.flatnonzero((rows < 0) | (rows >= sde.obs.shape[0]))
+    if bad.size:
+        raise DataError(f"observation row {rows[bad[0]]} at step {bad[0]} is not in [0, {sde.obs.shape[0]})")
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise DataError(f"non-finite timestamp at step {bad[0]} ({t[bad[0]]})")
@@ -396,35 +400,25 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     return stepper.result()
 
 
-@dataclass
-class SmootherResult:
-    means: np.ndarray  # (N, d)
-    covs: np.ndarray  # (N, d, d)
-
-
-def rts_smoother(sde: LtiSde, result: FilterResult) -> SmootherResult:
-    """Backward Rauch-Tung-Striebel pass over a completed filter result."""
-    if result.pred_covs is None or len(result.transitions) != result.times.size:
-        raise DataError("filter result is missing the stored per-step moments")
+def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
+    """Backward Rauch-Tung-Striebel pass over a completed filter result, in place:
+    every transition comes from one ``transition`` call on ``np.diff(result.times)``,
+    and step k, which reads only its own filtered moments and step k + 1, writes
+    its smoothed moments over ``result.means`` and ``result.covs``.  Returns
+    ``result``; its filtered moments are gone afterwards."""
     n = result.times.size
-    d = sde.dim
-    sm = np.empty((n, d))
-    sc = np.empty((n, d, d))
-    if n == 0:
-        return SmootherResult(sm, sc)
-    sm[-1] = result.means[-1]
-    sc[-1] = result.covs[-1]
+    if any(len(moments) != n for moments in (result.pred_means, result.pred_covs, result.means, result.covs)):
+        raise DataError("filter result is missing the stored per-step moments")
+    transitions = transition(sde, np.diff(result.times))  # row k: step k -> k + 1
     for k in range(n - 2, -1, -1):
-        A = result.transitions[k + 1]
-        Pf = result.covs[k]
-        Pp = result.pred_covs[k + 1]
-        _, _, X, info = lapack.dgesv(Pp, A @ Pf, overwrite_b=1)
+        Pf, Pp = result.covs[k], result.pred_covs[k + 1]
+        _, _, X, info = lapack.dgesv(Pp, transitions[k] @ Pf, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"singular predicted covariance at step {k + 1}")
         G = X.T
-        sm[k] = result.means[k] + G @ (sm[k + 1] - result.pred_means[k + 1])
-        sc[k] = symmetrize(Pf + G @ (sc[k + 1] - Pp) @ G.T)
-    return SmootherResult(sm, sc)
+        result.means[k] += G @ (result.means[k + 1] - result.pred_means[k + 1])
+        result.covs[k] = symmetrize(Pf + G @ (result.covs[k + 1] - Pp) @ G.T)
+    return result
 
 
 def build_spatiotemporal(temporal_kernel: Kernel, spatial_kernel: Kernel, locations) -> LtiSde:

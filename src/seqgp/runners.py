@@ -205,12 +205,11 @@ class MarkovRunner:
         return StepResult(*self.stepper.step(rec.t, rec.y, self._obs_row(rec)))
 
     def smooth(self) -> list[tuple[float, float]]:
-        """Backward pass over the stored history; per-row smoothed (mean, var)."""
-        result = self.stepper.result()
-        smoothed = markovian.rts_smoother(self.stepper.sde, result)
+        """Backward pass over the stored history, in place; per-row smoothed (mean, var)."""
+        result = markovian.rts_smoother(self.stepper.sde, self.stepper.result())
         H = self.stepper.sde.obs[result.obs_rows]
-        means = np.einsum("ij,ij->i", H, smoothed.means)
-        variances = np.einsum("ij,ijk,ik->i", H, smoothed.covs, H)
+        means = np.einsum("ij,ij->i", H, result.means)
+        variances = np.einsum("ij,ijk,ik->i", H, result.covs, H)
         return list(zip(means.tolist(), variances.tolist()))
 
 
