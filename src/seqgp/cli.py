@@ -2,9 +2,11 @@
 
 Input is CSV with a header naming either a time column ``t``, input columns
 ``x1..xD``, or both (spatiotemporal), plus a target column ``y``; an empty
-``y`` cell marks a predict-only row.  ``run`` streams the rows through the
-configured model prequentially (predict, score, then update) and writes CSV
-rows followed by one line-delimited JSON summary record.  ``fit-exact``
+``y`` cell marks a predict-only row.  ``run`` reads the rows into float
+columns and runs them through the configured model in chunks of CHUNK_ROWS:
+the model prepares a chunk's input-only work in one call, then each row goes
+prequentially (predict, score, then update).  It writes CSV rows followed by
+one line-delimited JSON summary record.  ``fit-exact``
 fits the batch exact-GP oracle (optionally after a marginal-likelihood grid
 search) on the y-bearing rows and predicts the rest.  ``check`` runs a
 quick invariant battery against the configured model.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -44,11 +47,18 @@ from .config import (
 )
 from .errors import ConfigurationError, DataError, NumericalError, SeqgpError
 from .kernels import eval_kernel, eval_psd, gram
-from .runners import StreamRecord, build_runner
+from .runners import Columns, build_runner
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# Rows per chunk: the CSV is parsed, runners prepare their input-only work, and
+# the report is formatted this many rows at a time.  At F = 256 features the
+# prepared feature block is 512 KiB.
+CHUNK_ROWS = 256
+# report columns left empty on a row without y
+BLANK_WITHOUT_Y = ("y", "pred_logdensity")
 
 
 # ---------------------------------------------------------------------------
@@ -75,44 +85,71 @@ def parse_header(line: str) -> list[str]:
     return cols
 
 
-def ingest_csv(stream) -> tuple[list[str], list[StreamRecord]]:
-    """Parse a CSV stream of records; returns (column names, records)."""
+def _parse_rows(lines: list[str], cols: list[str], first_row: int) -> np.ndarray:
+    """Parse a block of non-blank lines row by row and cell by cell: raises the
+    first bad row's error, naming its 1-based row and column; an empty ``y``
+    cell reads as NaN."""
+    vals = np.empty((len(lines), len(cols)))
+    for row, line in enumerate(lines, start=first_row):
+        cells = [c.strip() for c in line.rstrip("\n").split(",")]
+        if len(cells) != len(cols):
+            raise DataError(f"row {row}: expected {len(cols)} cells, got {len(cells)}")
+        parsed = {}
+        for name, cell in zip(cols, cells):
+            if cell == "":
+                parsed[name] = None
+                continue
+            try:
+                parsed[name] = float(cell)
+            except ValueError as exc:
+                raise DataError(f"row {row}, column {name}: malformed number {cell!r}") from exc
+            if not math.isfinite(parsed[name]):
+                raise DataError(f"row {row}, column {name}: non-finite value {cell!r}")
+        if "t" in parsed and parsed["t"] is None:
+            raise DataError(f"row {row}: missing t value")
+        if any(parsed[c] is None for c in cols if c.startswith("x")):
+            raise DataError(f"row {row}: missing input coordinate")
+        vals[row - first_row] = [math.nan if v is None else v for v in parsed.values()]
+    return vals
+
+
+def _parse_block(lines: list[str], cols: list[str], first_row: int) -> np.ndarray:
+    """(len(lines), len(cols)) floats, read with ``float`` in one pass over the
+    block's cells; an empty ``y`` cell reads as NaN.  A block with any bad cell
+    is parsed again row by row (``_parse_rows``), which raises its error."""
+    n_cols, y_col = len(cols), cols.index("y")
+    if any(line.count(",") != n_cols - 1 for line in lines):
+        return _parse_rows(lines, cols, first_row)
+    cells = ",".join(lines).split(",")
+    blank = [i for i, cell in enumerate(cells[y_col::n_cols]) if not cell.strip()]
+    for i in blank:
+        cells[i * n_cols + y_col] = "nan"
+    try:
+        vals = np.fromiter(map(float, cells), dtype=float, count=len(cells)).reshape(-1, n_cols)
+    except ValueError:
+        return _parse_rows(lines, cols, first_row)
+    finite = np.isfinite(vals)
+    finite[blank, y_col] = True
+    return vals if finite.all() else _parse_rows(lines, cols, first_row)
+
+
+def ingest_csv(stream) -> tuple[list[str], Columns]:
+    """Parse a CSV stream into float columns, CHUNK_ROWS lines at a time;
+    returns (column names, the rows as ``Columns``)."""
     header = stream.readline()
     if not header.strip():
         raise DataError("empty input: expected a header row naming t|x1..xD and y")
     cols = parse_header(header)
-    n_x = sum(1 for c in cols if c.startswith("x"))
-    records = []
-    row = 0
-    for line in stream:
-        if not line.strip():
-            continue
-        row += 1
-        cells = [c.strip() for c in line.rstrip("\n").split(",")]
-        if len(cells) != len(cols):
-            raise DataError(f"row {row}: expected {len(cols)} cells, got {len(cells)}")
-        vals = {}
-        for name, cell in zip(cols, cells):
-            if cell == "":
-                vals[name] = None
-                continue
-            try:
-                vals[name] = float(cell)
-            except ValueError as exc:
-                raise DataError(f"row {row}, column {name}: malformed number {cell!r}") from exc
-            if not math.isfinite(vals[name]):
-                raise DataError(f"row {row}, column {name}: non-finite value {cell!r}")
-        t = vals.get("t")
-        if "t" in cols and t is None:
-            raise DataError(f"row {row}: missing t value")
-        x = None
-        if n_x:
-            parts = [vals[f"x{i}"] for i in range(1, n_x + 1)]
-            if any(p is None for p in parts):
-                raise DataError(f"row {row}: missing input coordinate")
-            x = np.array(parts)
-        records.append(StreamRecord(row=row, t=t, x=x, y=vals.get("y")))
-    return cols, records
+    blocks, n = [], 0
+    while lines := list(itertools.islice(stream, CHUNK_ROWS)):
+        lines = [line for line in lines if line.strip()]
+        blocks.append(_parse_block(lines, cols, n + 1))
+        n += len(lines)
+    vals = np.concatenate(blocks) if blocks else np.empty((0, len(cols)))
+    n_x = sum(c.startswith("x") for c in cols)
+    t = vals[:, cols.index("t")] if "t" in cols else None
+    x = vals[:, [cols.index(f"x{i}") for i in range(1, n_x + 1)]] if n_x else None
+    return cols, Columns(1, t, x, vals[:, cols.index("y")])
 
 
 def validate_stream_for_model(cfg: dict, cols: list[str]) -> None:
@@ -143,19 +180,15 @@ def validate_stream_for_model(cfg: dict, cols: list[str]) -> None:
 # report
 # ---------------------------------------------------------------------------
 
-def fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
-def summarize(rows: list[dict]) -> dict:
-    """Summary statistics recomputable from the emitted rows."""
-    scored = [r for r in rows if r.get("y") is not None and r.get("pred_logdensity") is not None]
-    summary = {"rows": len(rows), "scored": len(scored)}
-    if scored:
-        sq = [e * e for e in (r["y"] - r["pred_mean"] for r in scored)]  # e ** 2 raises OverflowError
-        lls = [r["pred_logdensity"] for r in scored]
+def summarize(y: np.ndarray, pred_mean: np.ndarray, pred_logdensity: np.ndarray) -> dict:
+    """Summary statistics recomputable from the emitted rows: the scored rows
+    are those with a ``y``, and each sum is the built-in ``sum`` in row order."""
+    scored = ~np.isnan(y)
+    summary = {"rows": int(y.size), "scored": int(scored.sum())}
+    if summary["scored"]:
+        with np.errstate(over="ignore"):
+            sq = [e * e for e in (y[scored] - pred_mean[scored]).tolist()]  # e ** 2 raises OverflowError
+        lls = pred_logdensity[scored].tolist()
         summary["rmse"] = math.sqrt(sum(sq) / len(sq))
         summary["mean_nlpd"] = -sum(lls) / len(lls)
         summary["total_loglik"] = sum(lls)
@@ -177,10 +210,23 @@ def finite_or_null(value):
     return value
 
 
-def write_report(out, columns: list[str], rows: list[dict], summary: dict) -> None:
+def write_report(out, columns: dict, summary: dict, blank: np.ndarray | None = None) -> None:
+    """Write the header, one CSV line per row and the summary line.  ``columns``
+    maps each header name to a float column, written with ``repr``; the cells
+    of rows marked in ``blank`` stay empty in the ``y`` and
+    ``pred_logdensity`` columns.  Rows are formatted CHUNK_ROWS at a time."""
     out.write(",".join(columns) + "\n")
-    for r in rows:
-        out.write(",".join(fmt(r.get(c)) for c in columns) + "\n")
+    n = len(next(iter(columns.values())))
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        cells = []
+        for name, values in columns.items():
+            col = list(map(repr, values[start:stop].tolist()))
+            if blank is not None and name in BLANK_WITHOUT_Y:
+                for i in np.flatnonzero(blank[start:stop]).tolist():
+                    col[i] = ""
+            cells.append(col)
+        out.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
     out.write(json.dumps(finite_or_null(summary), allow_nan=False) + "\n")
 
 
@@ -188,63 +234,60 @@ def write_report(out, columns: list[str], rows: list[dict], summary: dict) -> No
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _input_cells(rec) -> dict:
-    """A report row holding the record's ``t`` and ``x1..xD`` cells, as read."""
-    row = {}
-    if rec.t is not None:
-        row["t"] = rec.t
-    if rec.x is not None:
-        for i, v in enumerate(rec.x, start=1):
-            row[f"x{i}"] = v
-    return row
+def _input_columns(cols: list[str], data: Columns) -> dict:
+    """The report's ``t`` and ``x1..xD`` columns, in the input's header order."""
+    return {c: data.t if c == "t" else data.x[:, int(c[1:]) - 1] for c in cols if c != "y"}
 
 
 def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     t0 = time.perf_counter()
-    cols, records = ingest_csv(in_stream)
+    cols, data = ingest_csv(in_stream)
     validate_stream_for_model(cfg, cols)
-    runner = build_runner(cfg, records)
+    runner = build_runner(cfg, data)
     smooth = get_bool(cfg, "emit_smoothed", default=False)
     if smooth and not hasattr(runner, "smooth"):
         raise ConfigurationError("emit_smoothed: only markov models support smoothing")
 
-    rows = []
-    for rec in records:
+    n = len(data)
+    pred_mean, pred_var, pred_logdensity = np.empty(n), np.empty(n), np.full(n, np.nan)
+    weights = None
+    for start in range(0, n, CHUNK_ROWS):
+        chunk = data.rows(start, min(start + CHUNK_ROWS, n))
+        row = chunk.first_row
         try:
-            res = runner.step(rec)
-            if not (math.isfinite(res.mean) and math.isfinite(res.var)):
-                raise NumericalError(f"non-finite prediction: mean {res.mean!r}, variance {res.var!r}")
+            runner.prepare(chunk)
+            for rec in chunk.records():
+                row = rec.row
+                res = runner.step(rec)
+                if not (math.isfinite(res.mean) and math.isfinite(res.var)):
+                    raise NumericalError(f"non-finite prediction: mean {res.mean!r}, variance {res.var!r}")
+                i = row - 1
+                pred_mean[i], pred_var[i] = res.mean, res.var
+                if res.logdensity is not None:
+                    pred_logdensity[i] = res.logdensity
+                if res.weights is not None:
+                    if weights is None:
+                        weights = np.empty((n, res.weights.size))
+                    weights[i] = res.weights
         except (DataError, NumericalError) as exc:
-            exc.args = (f"row {rec.row}: {exc}",)  # same class and detail, now naming the row
+            exc.args = (f"row {row}: {exc}",)  # same class and detail, now naming the row
             raise
-        row = _input_cells(rec)
-        row["y"] = rec.y
-        row["pred_mean"] = res.mean
-        row["pred_var"] = res.var
-        row["pred_logdensity"] = res.logdensity
-        if res.weights is not None:
-            for k, w in enumerate(res.weights, start=1):
-                row[f"weight_{k}"] = w
-        rows.append(row)
 
-    out_cols = [c for c in cols if c != "y"] + ["y", "pred_mean", "pred_var", "pred_logdensity"]
-    if rows:  # an ensemble gives every row the same weight_1..weight_K cells
-        out_cols += [c for c in rows[0] if c.startswith("weight_")]
-
+    columns = _input_columns(cols, data)
+    columns.update(y=data.y, pred_mean=pred_mean, pred_var=pred_var, pred_logdensity=pred_logdensity)
+    if weights is not None:  # an ensemble gives every row the same weight_1..weight_K cells
+        columns.update((f"weight_{k}", weights[:, k - 1]) for k in range(1, weights.shape[1] + 1))
     if smooth:
         smoothed = runner.smooth()
-        for row, (sm, sv) in zip(rows, smoothed):
-            row["smoothed_mean"] = sm
-            row["smoothed_var"] = sv
-        out_cols += ["smoothed_mean", "smoothed_var"]
+        columns.update(smoothed_mean=smoothed[:, 0], smoothed_var=smoothed[:, 1])
 
-    summary = summarize(rows)
+    summary = summarize(data.y, pred_mean, pred_logdensity)
     summary["model"] = get_str(cfg, "model", required=True)
     summary["flops"] = int(runner.flops)
     if runner.approximate_loglik:
         summary["loglik_approximate"] = True
     summary["wall_time_s"] = time.perf_counter() - t0
-    write_report(out_stream, out_cols, rows, summary)
+    write_report(out_stream, columns, summary, blank=np.isnan(data.y))
     return 0
 
 
@@ -255,16 +298,15 @@ GRID_KEYS = {"sigma_f2": "grid.sigma_f2", "lengthscale": "grid.lengthscale"}
 @keyed()
 def cmd_fit_exact(cfg: dict, in_stream, out_stream) -> int:
     t0 = time.perf_counter()
-    cols, records = ingest_csv(in_stream)
-    train = [r for r in records if r.y is not None]
-    test = [r for r in records if r.y is None]
-    if not train:
+    cols, data = ingest_csv(in_stream)
+    observed = ~np.isnan(data.y)
+    if not observed.any():
         raise DataError("fit-exact needs at least one row with a y value")
     noise_var = get_float(cfg, "noise_var", required=True)
     kernel = build_kernel(cfg)
 
-    X = np.array([r.point for r in train])
-    y = np.array([r.y for r in train])
+    X = data.points[observed]
+    y = data.y[observed]
 
     grids = {}
     for name, key in GRID_KEYS.items():
@@ -277,36 +319,28 @@ def cmd_fit_exact(cfg: dict, in_stream, out_stream) -> int:
             kernel, table = exact.grid_search(kernel, noise_var, X, y, grids)
         grid_table = [{"params": params, "log_marginal": score} for params, score in table]
 
-    rows = []
-    weights = None
-    if test:
-        Xs = np.array([r.point for r in test])
-        post = exact.posterior(kernel, noise_var, X, y, Xs)
+    test = Columns(1, *(None if c is None else c[~observed] for c in (data.t, data.x, data.y)))
+    weights = np.empty((0, X.shape[0]))
+    columns = _input_columns(cols, test)
+    columns.update(mean=np.empty(0), var=np.empty(0))
+    if len(test):
+        post = exact.posterior(kernel, noise_var, X, y, test.points)
+        columns.update(mean=post.mean, var=np.diagonal(post.covariance))
         weights = post.weights
-        for i, rec in enumerate(test):
-            row = _input_cells(rec)
-            row["mean"] = float(post.mean[i])
-            row["var"] = float(post.covariance[i, i])
-            if get_bool(cfg, "emit_weights", default=False):
-                for j, w in enumerate(weights[i], start=1):
-                    row[f"w{j}"] = float(w)
-            rows.append(row)
-
-    out_cols = [c for c in cols if c != "y"] + ["mean", "var"]
     if get_bool(cfg, "emit_weights", default=False):
-        out_cols += [f"w{j}" for j in range(1, len(train) + 1)]
+        columns.update((f"w{j}", weights[:, j - 1]) for j in range(1, X.shape[0] + 1))
 
     summary = {
-        "rows": len(rows),
-        "n_train": len(train),
+        "rows": len(test),
+        "n_train": X.shape[0],
         # the posterior's log_marginal is the same formula on the same factor
-        "log_marginal": post.log_marginal if test else exact.log_marginal_likelihood(kernel, noise_var, X, y),
+        "log_marginal": post.log_marginal if len(test) else exact.log_marginal_likelihood(kernel, noise_var, X, y),
         "kernel": {"family": kernel.family, "sigma_f2": kernel.sigma_f2, "lengthscale": kernel.lengthscale},
     }
     if grid_table is not None:
         summary["grid_table"] = grid_table
     summary["wall_time_s"] = time.perf_counter() - t0
-    write_report(out_stream, out_cols, rows, summary)
+    write_report(out_stream, columns, summary)
     return 0
 
 

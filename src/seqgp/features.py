@@ -110,7 +110,13 @@ def featurize_many(fmap: FeatureMap, X) -> np.ndarray:
     if pts.shape[1] != fmap.input_dim:
         raise ShapeError(f"feature map expects {fmap.input_dim}-dimensional inputs, got {pts.shape[1]}")
     if fmap.kind == "rff":
-        z = pts @ fmap.frequencies.T  # (n, F/2)
+        # z = pts @ frequencies.T, summed coordinate by coordinate in elementwise
+        # steps: a row's features then do not depend on the rows batched with it,
+        # which a matrix product does not promise beyond D = 1
+        freqs = fmap.frequencies
+        z = pts[:, :1] * freqs[:, 0]  # (n, F/2)
+        for d in range(1, fmap.input_dim):
+            z += pts[:, d : d + 1] * freqs[:, d]
         out = np.empty((pts.shape[0], fmap.n_features))
         out[:, 0::2] = np.sin(z)
         out[:, 1::2] = np.cos(z)

@@ -166,6 +166,19 @@ def predict_f(belief: GaussianBelief, phi: np.ndarray):
     return mean, var
 
 
+def predict_f_ahead(belief: GaussianBelief, dynamics: Dynamics, phi: np.ndarray):
+    """``predict_f(predict_step(belief, dynamics), phi)`` without forming the
+    predicted belief: from s = cov phi, one matvec, the mean is mean_scale
+    phi^T m + shift sum(phi) and the variance cov_scale phi^T s + noise phi^T
+    phi.  Equal to that composition up to rounding, and bit-equal for static
+    dynamics.  Pure."""
+    mean, var, _ = observe_f(belief, phi)
+    if dynamics == _IDENTITY:
+        return mean, var
+    return (dynamics.mean_scale * mean + dynamics.shift * float(phi.sum()),
+            dynamics.cov_scale * var + dynamics.noise * float(phi @ phi))
+
+
 def condition_in_place(belief: GaussianBelief, observed, y: float, likelihood: str, noise_var: float) -> float:
     """Condition a belief the caller owns on y, overwriting its mean and covariance.
 

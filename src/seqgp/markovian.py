@@ -267,11 +267,13 @@ class MarkovStepper:
             self.history = FilterResult(np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d)),
                                         np.empty((n, d, d)), np.empty(n, dtype=int), np.empty(n), 0.0, 0)
 
-    def advance(self, t: float) -> None:
+    def advance(self, t: float, prepared: tuple | None = None) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time).
 
         The predicted covariance is P_inf + A (cov - P_inf) A^T, which is
         A cov A^T + Q with Q = P_inf - A P_inf A^T, without forming Q.
+        ``prepared`` = (delta, A) is a transition the caller formed in advance
+        (``transition(sde, delta)``); it is used when this step has length delta.
         """
         self._observed = None
         delta = 0.0 if self.time is None else t - self.time
@@ -282,7 +284,7 @@ class MarkovStepper:
         if delta == 0.0 and self.time is not None:
             self.flops += _flops_predict(self.sde.dim)
             return
-        A = transition(self.sde, delta)
+        A = prepared[1] if prepared is not None and prepared[0] == delta else transition(self.sde, delta)
         P = self.sde.stationary
         self.mean = A @ self.mean
         self.cov = symmetrize(P + A @ (self.cov - P) @ A.T)
@@ -294,8 +296,11 @@ class MarkovStepper:
         entries: s = cov h gathers rows of cov (equal to its columns, as cov is
         bit-symmetric), and h^T mean and h^T s read only those entries.  A row
         with one nonzero w_i makes s the scaled row w_i cov[i], bit-equal to
-        cov @ h."""
-        idx, w = self.sde.obs_support[row]
+        cov @ h.  A row outside [0, n_obs) is a DataError."""
+        support = self.sde.obs_support
+        if not 0 <= row < len(support):
+            raise DataError(f"observation row {row} is not in [0, {len(support)})")
+        idx, w = support[row]
         if idx.size == 1:
             i, wi = idx[0], w[0]
             s = self.cov[i] * wi
@@ -322,14 +327,15 @@ class MarkovStepper:
         self.flops += _flops_update(self.sde.dim)
         return gaussian_loglik(y, observed[0], pred_var)
 
-    def step(self, t: float, y: float | None = None, row: int = 0):
-        """Advance to ``t`` and update on ``y`` unless it is None; returns the
-        latent predictive (mean, var) through observation row ``row`` and the
-        log density of ``y`` (None on a predict-only row)."""
+    def step(self, t: float, y: float | None = None, row: int = 0, prepared: tuple | None = None):
+        """Advance to ``t`` (with ``advance``'s ``prepared`` transition) and update
+        on ``y`` unless it is None; returns the latent predictive (mean, var)
+        through observation row ``row`` and the log density of ``y`` (None on a
+        predict-only row)."""
         k, h = self.rows_written, self.history
         if h is not None and k == h.times.size:
             raise DataError(f"the history holds {k} rows; step {k + 1} does not fit")
-        self.advance(t)
+        self.advance(t, prepared)
         mean, var = self.predict_obs(row)
         if h is not None:
             h.times[k], h.obs_rows[k] = t, row

@@ -1,20 +1,27 @@
-"""Record-at-a-time model runners behind the streaming CLI.
+"""Chunk-at-a-time model runners behind the streaming CLI.
 
-Every runner exposes ``step(record) -> StepResult`` following the
-prequential protocol: predict at the record's input, score the target if
-one is present, then (and only then) fold the observation into the state.
-Rows without a target are pure queries and never change the belief; for the
+Every runner exposes ``prepare(chunk)`` and ``step(record) -> StepResult``.
+``prepare`` does the work that depends only on the inputs of a chunk of rows
+(``Columns``), in one call per chunk: the sparse projections, the feature
+rows, the Markov transitions and observation rows.  It never reads ``y``.
+``step`` then follows the prequential protocol row by row: predict at the
+record's input, score the target if one is present, then (and only then)
+fold the observation into the state.  A record of the prepared chunk reads
+its prepared row; any other record, such as one a library caller builds, is
+first prepared as a chunk of one, so both run the same arithmetic.  Rows
+without a target are pure queries and never change the belief; for the
 Markovian models the state still advances to the row's timestamp, since the
 model lives in continuous time.
 
 Runner construction happens after the whole input is parsed (the CLI reads
-its CSV up front), which lets the sparse models place inducing inputs on
-the observed input quantiles without peeking at any target value.
+its CSV into columns up front), which lets the sparse models place inducing
+inputs on the observed input quantiles, and the HSGP basis size its domain,
+without peeking at any target value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
@@ -38,12 +45,13 @@ from .kernels import eval_kernel
 from .linalg import gaussian_loglik
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamRecord:
     row: int  # 1-based data row in the input
     t: float | None
     x: np.ndarray | None
     y: float | None
+    chunk: Columns | None = field(default=None, repr=False, compare=False)  # the Columns it was read from
 
     @property
     def point(self) -> np.ndarray:
@@ -51,6 +59,65 @@ class StreamRecord:
         if self.x is not None:
             return self.x
         return np.array([self.t])
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Rows ``first_row`` .. ``first_row + n - 1`` (1-based) of a stream as float
+    columns: ``t`` (n,) and ``x`` (n, D), each None when the input has no such
+    column, and ``y`` (n,), where NaN marks a predict-only row."""
+
+    first_row: int
+    t: np.ndarray | None
+    x: np.ndarray | None
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def points(self) -> np.ndarray:
+        """Model inputs, one row each: the x rows, or the timestamps as 1-D points."""
+        return self.x if self.x is not None else self.t[:, None]
+
+    def rows(self, start: int, stop: int) -> Columns:
+        """Rows [start, stop) counted from this block's first row, as views."""
+        t = None if self.t is None else self.t[start:stop]
+        x = None if self.x is None else self.x[start:stop]
+        return Columns(self.first_row + start, t, x, self.y[start:stop])
+
+    def records(self):
+        """One ``StreamRecord`` per row, each tied to this block for ``step``."""
+        n = len(self)
+        ts = [None] * n if self.t is None else self.t.tolist()
+        xs = [None] * n if self.x is None else self.x
+        ys = [None if v != v else v for v in self.y.tolist()]
+        for row, t, x, y in zip(range(self.first_row, self.first_row + n), ts, xs, ys):
+            yield StreamRecord(row, t, x, y, self)
+
+    @classmethod
+    def of(cls, records: list[StreamRecord]) -> Columns:
+        """The inputs of one or more records as a block, numbered from the first record's row."""
+        first = records[0]
+        t = None if first.t is None else np.array([r.t for r in records], dtype=float)
+        x = None if first.x is None else np.array([r.x for r in records], dtype=float)
+        y = np.array([np.nan if r.y is None else r.y for r in records], dtype=float)
+        return cls(first.row, t, x, y)
+
+
+class _Prepared:
+    """What ``prepare`` last read: the chunk whose records ``step`` serves from it."""
+
+    _chunk: Columns | None = None
+
+    def _index(self, rec: StreamRecord) -> int:
+        """Position of ``rec`` in the prepared chunk; a record of any other chunk,
+        or of none, is prepared alone first."""
+        chunk = rec.chunk
+        if chunk is None or chunk is not self._chunk:
+            self.prepare(Columns.of([rec]))
+            return 0
+        return rec.row - chunk.first_row
 
 
 @dataclass
@@ -97,6 +164,9 @@ class ExactRunner:
         L[np.tril_indices(self.n)] = self.packed[: self.n * (self.n + 1) // 2]
         return L
 
+    def prepare(self, chunk: Columns) -> None:
+        """Nothing: every row's work reads the factor that the rows before it grew."""
+
     def step(self, rec: StreamRecord) -> StepResult:
         x = rec.point
         n = self.n
@@ -136,13 +206,15 @@ def _grown(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-class LinearRunner:
+class LinearRunner(_Prepared):
     """Basis-expansion filter with configurable weight dynamics and likelihood.
 
-    The runner owns ``belief``: a y-row advances it in place, forms s = P phi
+    ``prepare`` forms the chunk's feature rows in one ``featurize_many``.  The
+    runner owns ``belief``: a y-row advances it in place, forms s = P phi
     once and conditions it in place (``linear_filter.predict_in_place``,
     ``observe_f``, ``condition_in_place``).  A predict-only row leaves it as
-    it is."""
+    it is and reads the predicted moments of f from one matvec
+    (``linear_filter.predict_f_ahead``)."""
 
     def __init__(self, fmap, dynamics, noise_var: float, likelihood: str = "gaussian"):
         if likelihood == "gaussian" and noise_var <= 0.0:
@@ -155,13 +227,18 @@ class LinearRunner:
         self.flops = 0
         self.approximate_loglik = likelihood != "gaussian"
 
+    def prepare(self, chunk: Columns) -> None:
+        self._phi = features.featurize_many(self.fmap, chunk.points)
+        self._chunk = chunk
+
     def step(self, rec: StreamRecord) -> StepResult:
-        phi = features.featurize(self.fmap, rec.point)
+        i = self._index(rec)
+        phi = self._phi[i]
         n = self.fmap.n_features
         self.flops += 6 * n * n + 8 * n
         if rec.y is None:
             # pure query: the dynamics tick is tied to observation events
-            mean, var = linear_filter.predict_f(linear_filter.predict_step(self.belief, self.dynamics), phi)
+            mean, var = linear_filter.predict_f_ahead(self.belief, self.dynamics, phi)
             return StepResult(mean, var, None)
         linear_filter.predict_in_place(self.belief, self.dynamics)
         observed = linear_filter.observe_f(self.belief, phi)
@@ -169,11 +246,17 @@ class LinearRunner:
         return StepResult(observed[0], observed[1], ll)
 
 
-class MarkovRunner:
+class MarkovRunner(_Prepared):
     """Continuous-time state-space filter; optionally keeps history for smoothing.
 
     Every row carries ``t``, and ``x`` exactly when ``locations`` is given;
-    ``cli.validate_stream_for_model`` checks the columns before any row."""
+    ``cli.validate_stream_for_model`` checks the columns before any row.
+    ``prepare`` takes each row's step from the previous row's time (the
+    stepper's time for the chunk's first row), stacks the transitions of the
+    rows that move the clock in one ``markovian.transition`` call, and looks
+    up each row's observation row; a zero step needs no transition.  A row
+    whose step or location is not valid gets nothing prepared, so its own
+    ``step`` raises the error, after every row before it has run."""
 
     def __init__(self, sde, noise_var: float, locations=None, history_rows: int | None = None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_rows=history_rows)
@@ -182,6 +265,7 @@ class MarkovRunner:
         if locations is not None:
             for i, loc in enumerate(locations.tolist()):
                 self._loc_index.setdefault(tuple(loc), i)
+        self._smoothed = False
         self.approximate_loglik = False
 
     @property
@@ -201,23 +285,48 @@ class MarkovRunner:
             raise DataError(f"location {rec.x} is not in spatial.locations")
         return idx
 
-    def step(self, rec: StreamRecord) -> StepResult:
-        return StepResult(*self.stepper.step(rec.t, rec.y, self._obs_row(rec)))
+    def prepare(self, chunk: Columns) -> None:
+        t = chunk.t
+        prev = self.stepper.time
+        deltas = np.diff(t, prepend=t[:1] if prev is None else prev)
+        moving = np.flatnonzero(deltas > 0.0)
+        steps = [None] * len(chunk)  # per row, (delta, A) of a step that moves the clock
+        for i, delta, A in zip(moving.tolist(), deltas[moving].tolist(),
+                               markovian.transition(self.stepper.sde, deltas[moving])):
+            steps[i] = (delta, A)
+        self._steps = steps
+        self._rows = None
+        if self.locations is not None:  # None marks a row whose location is not an exact match
+            self._rows = [self._loc_index.get(loc) for loc in map(tuple, chunk.x.tolist())]
+        self._chunk = chunk
 
-    def smooth(self) -> list[tuple[float, float]]:
-        """Backward pass over the stored history, in place; per-row smoothed (mean, var)."""
+    def step(self, rec: StreamRecord) -> StepResult:
+        i = self._index(rec)
+        row = 0 if self._rows is None else self._rows[i]
+        if row is None:
+            row = self._obs_row(rec)
+        return StepResult(*self.stepper.step(rec.t, rec.y, row, self._steps[i]))
+
+    def smooth(self) -> np.ndarray:
+        """Backward pass over the stored history, in place: an (N, 2) array of each
+        row's smoothed (mean, var).  The pass overwrites the filtered moments it
+        reads, so a runner smooths once; a second call raises."""
+        if self._smoothed:
+            raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
         result = markovian.rts_smoother(self.stepper.sde, self.stepper.result())
+        self._smoothed = True
         H = self.stepper.sde.obs[result.obs_rows]
         means = np.einsum("ij,ij->i", H, result.means)
         variances = np.einsum("ij,ijk,ik->i", H, result.covs, H)
-        return list(zip(means.tolist(), variances.tolist()))
+        return np.column_stack((means, variances))
 
 
-class SparseRunner:
+class SparseRunner(_Prepared):
     """Fixed-inducing-set recursion, one rank-one update per observation; also
     ``model=vsgp``, whose one-row information-form update is the same update.
 
-    The runner owns ``state``: a row projects its input and forms s = S h once
+    ``prepare`` projects the chunk's inputs in one ``sparse.projections``
+    call.  The runner owns ``state``: a row forms s = S h once
     (``sparse.sparse_observe``), and a y-row conditions the state's arrays in
     place (``sparse.condition_in_place``)."""
 
@@ -230,8 +339,14 @@ class SparseRunner:
         self.flops = 0
         self.approximate_loglik = False
 
+    def prepare(self, chunk: Columns) -> None:
+        H, q = sparse.projections(self.state, chunk.points)
+        self._h, self._q = H, q.tolist()
+        self._chunk = chunk
+
     def step(self, rec: StreamRecord) -> StepResult:
-        observed = sparse.sparse_observe(self.state, sparse._projection(self.state, rec.point))
+        i = self._index(rec)
+        observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))
         if rec.y is None:
             return StepResult(observed[0], observed[1], None)
         ll = sparse.condition_in_place(self.state, observed, rec.y, self.noise_var)
@@ -250,6 +365,10 @@ class EnsembleRunner:
     @property
     def flops(self) -> int:
         return sum(m.flops for m in self.members)
+
+    def prepare(self, chunk: Columns) -> None:
+        for m in self.members:
+            m.prepare(chunk)
 
     def step(self, rec: StreamRecord) -> StepResult:
         results = [m.step(rec) for m in self.members]
@@ -278,26 +397,27 @@ def _require_seed(cfg: dict, key: str) -> int:
     return seed
 
 
-def _input_points(records: list[StreamRecord]) -> np.ndarray:
-    if not records:
+def _input_points(data: Columns) -> np.ndarray:
+    if not len(data):
         return np.zeros((0, 1))
-    return np.array([r.point for r in records])
+    return data.points
 
 
-def build_runner(cfg: dict, records: list[StreamRecord], prefix: str = ""):
-    """Construct the model runner a validated config describes; a configuration
-    error names its key, after ``prefix`` for an ensemble member."""
+def build_runner(cfg: dict, data: Columns, prefix: str = ""):
+    """Construct the model runner a validated config describes, for the stream
+    ``data`` (whose inputs place inducing points and size the HSGP domain); a
+    configuration error names its key, after ``prefix`` for an ensemble member."""
     with keyed(prefix=prefix):
         model = get_str(cfg, "model", required=True, choices=set(MODELS_BUILDABLE))
-        return MODELS_BUILDABLE[model](cfg, records)
+        return MODELS_BUILDABLE[model](cfg, data)
 
 
-def _build_exact(cfg, records):
+def _build_exact(cfg, data):
     kernel = build_kernel(cfg)
     return ExactRunner(kernel, get_float(cfg, "noise_var", required=True))
 
 
-def _build_linear(cfg, records):
+def _build_linear(cfg, data):
     kernel = build_kernel(cfg)
     kind = get_str(cfg, "features.kind", default="rff", choices={"rff", "hsgp"})
     n_feat = get_int(cfg, "features.F", required=True)
@@ -306,7 +426,7 @@ def _build_linear(cfg, records):
     else:
         halfwidth = get_float(cfg, "features.L")
         if halfwidth is None:  # 0 on an empty stream, which build_hsgp rejects
-            halfwidth = 4.0 * float(np.max(np.abs(_input_points(records)), initial=0.0))
+            halfwidth = 4.0 * float(np.max(np.abs(_input_points(data)), initial=0.0))
         fmap = features.build_hsgp(kernel, n_feat, halfwidth)
     dynamics = build_dynamics(cfg, fmap.weight_prior_var)
     likelihood = get_str(cfg, "likelihood", default="gaussian",
@@ -314,11 +434,11 @@ def _build_linear(cfg, records):
     return LinearRunner(fmap, dynamics, get_float(cfg, "noise_var", required=True), likelihood)
 
 
-def _build_markov(cfg, records):
+def _build_markov(cfg, data):
     kernel = build_kernel(cfg)
     noise_var = get_float(cfg, "noise_var", required=True)
     loc_path = get_str(cfg, "spatial.locations")
-    rows = len(records) if get_bool(cfg, "emit_smoothed", default=False) else None
+    rows = len(data) if get_bool(cfg, "emit_smoothed", default=False) else None
     if loc_path is None:
         sde = markovian.build_lti(kernel)
         return MarkovRunner(sde, noise_var, history_rows=rows)
@@ -328,7 +448,7 @@ def _build_markov(cfg, records):
     return MarkovRunner(sde, noise_var, locations=locations, history_rows=rows)
 
 
-def _build_sparse(cfg, records):
+def _build_sparse(cfg, data):
     kernel = build_kernel(cfg)
     noise_var = get_float(cfg, "noise_var", required=True)
     explicit = get_float_list(cfg, "sparse.inducing")
@@ -336,7 +456,7 @@ def _build_sparse(cfg, records):
         inducing = np.array(explicit).reshape(-1, 1)
     else:
         n_inducing = get_int(cfg, "sparse.M", required=True)
-        pts = _input_points(records)
+        pts = _input_points(data)
         seed = get_int(cfg, "sparse.seed", default=get_int(cfg, "seed"))
         if pts.shape[1] > 1 and seed is None:
             raise ConfigurationError("sparse.seed: required for k-means seeding of multi-D inducing inputs")
@@ -347,7 +467,7 @@ def _build_sparse(cfg, records):
         return SparseRunner(kernel, noise_var, inducing, residual)
 
 
-def _build_ensemble(cfg, records):
+def _build_ensemble(cfg, data):
     combiner = get_str(cfg, "ensemble.combiner", default="bma", choices={"bma", "stacking"})
     members = []
     for i, block in enumerate(member_configs(cfg), start=1):
@@ -355,7 +475,7 @@ def _build_ensemble(cfg, records):
             # a smoothed member would keep its whole history for columns no report has
             if get_bool(block, "emit_smoothed", default=False):
                 raise ConfigurationError("emit_smoothed: ensemble members are not smoothed")
-        members.append(build_runner(block, records, f"member.{i}."))
+        members.append(build_runner(block, data, f"member.{i}."))
     return EnsembleRunner(members, combiner)
 
 

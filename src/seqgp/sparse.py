@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
-from .kernels import GRAM_JITTER, Kernel, as_points, eval_kernel, gram
+from .kernels import GRAM_JITTER, Kernel, as_points, gram, kappa_of_distance
 from .linalg import chol_solve, condition, gaussian_loglik, observe, symmetrize
 
 
@@ -100,15 +100,31 @@ def init_sparse(kernel: Kernel, inducing, include_residual: bool = True) -> Spar
     )
 
 
+def projections(state: SparseState, X):
+    """h = K_uu^{-1} k(x) and the residual variance q = kappa(x,x) - k^T h for
+    every row x of the points ``X``: (H (n, M), q (n,)).
+
+    One ``gram`` and one two-sided triangular solve for the whole batch.  A
+    row's (h, q) does not depend on the rows batched with it: each Gram entry
+    is computed on its own, q is a row-wise sum, and LAPACK's triangular solve
+    gives a right-hand side the same bits in any batch of two or more, so a
+    lone row is solved as two equal right-hand sides (a single one takes
+    another path, with other roundings).
+    """
+    X = as_points(X)
+    if X.shape[1] != state.inducing.shape[1]:
+        raise ShapeError(f"input has dimension {X.shape[1]}, inducing inputs {state.inducing.shape[1]}")
+    K = gram(state.kernel, X, state.inducing)  # (n, M)
+    rhs = K.T if K.shape[0] > 1 else np.repeat(K.T, 2, axis=1)
+    H = chol_solve(state.k_factor, rhs).T[: K.shape[0]]
+    q = float(kappa_of_distance(state.kernel, 0.0)) - np.sum(K * H, axis=1)
+    return H, np.maximum(q, 0.0)
+
+
 def _projection(state: SparseState, x):
-    """h = K_uu^{-1} k(x) and the residual variance q = kappa(x,x) - k^T h."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != state.inducing.shape[1]:
-        raise ShapeError(f"input has dimension {x.shape[0]}, inducing inputs {state.inducing.shape[1]}")
-    k = gram(state.kernel, x.reshape(1, -1), state.inducing)[0]
-    h = chol_solve(state.k_factor, k)
-    q = float(eval_kernel(state.kernel, x, x)) - float(k @ h)
-    return h, max(q, 0.0)
+    """``projections`` of the one point ``x``: (h, q)."""
+    H, q = projections(state, np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1))
+    return H[0], float(q[0])
 
 
 def update_flops(n_inducing: int) -> int:
@@ -190,8 +206,8 @@ def vsgp_info_update(state: SparseState, X, y, noise_var: float) -> SparseState:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("posterior covariance lost positive definiteness") from exc
     info = prec @ state.mean
-    for xi, yi in zip(pts, y):
-        h, q = _projection(state, xi)
+    H, qs = projections(state, pts)
+    for h, q, yi in zip(H, qs.tolist(), y):
         r = noise_var + (q if state.include_residual else 0.0)
         prec += np.outer(h, h) / r
         info += h * (yi / r)

@@ -1,0 +1,169 @@
+"""``seqgp run`` in chunks: every chunk size gives the same report, and a runner
+stepped record by record, with no ``prepare``, gives the same cells."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from conftest import parse_report, run_cli
+from seqgp import cli, sparse
+from seqgp.config import parse_overrides
+from seqgp.runners import StreamRecord, build_runner
+
+ENSEMBLE = ["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
+            "member.2.model=linear", "member.2.kernel.family=matern32", "member.2.features.kind=rff",
+            "member.2.features.F=16", "member.2.features.seed=1", "member.2.dynamics.mode=random_walk",
+            "member.2.dynamics.sigma_rw2=0.001", "member.3.model=sparse", "member.3.kernel.family=matern32",
+            "member.3.sparse.M=6", "member.4.model=vsgp", "member.4.kernel.family=matern32",
+            "member.4.sparse.M=4"] + [f"member.{k}.noise_var=0.1" for k in range(1, 5)]
+
+# name -> (input columns, config overrides); "LOCATIONS" is replaced by a locations file
+MODELS = {
+    "exact": ("t", ["model=exact", "kernel.family=matern32", "noise_var=0.1"]),
+    "linear_rff": ("t", ["model=linear", "kernel.family=se", "features.kind=rff", "features.F=16",
+                         "features.seed=3", "noise_var=0.1", "dynamics.mode=b2p", "dynamics.lambda=0.95"]),
+    "linear_hsgp": ("t", ["model=linear", "kernel.family=matern32", "features.kind=hsgp", "features.F=12",
+                          "noise_var=0.1", "dynamics.mode=general", "dynamics.a=0.99", "dynamics.u=0.01",
+                          "dynamics.c=0.001"]),
+    "markov": ("t", ["model=markov", "kernel.family=matern32", "noise_var=0.1", "emit_smoothed=true"]),
+    "markov_spacetime": ("tx", ["model=markov", "kernel.family=matern32", "noise_var=0.1", "emit_smoothed=true",
+                                "spatial.locations=LOCATIONS", "spatial.kernel.family=se"]),
+    "sparse": ("t", ["model=sparse", "kernel.family=matern32", "sparse.M=7", "noise_var=0.1"]),
+    "sparse_2d": ("x", ["model=sparse", "kernel.family=se", "sparse.M=5", "sparse.seed=2", "noise_var=0.1"]),
+    "vsgp": ("t", ["model=vsgp", "kernel.family=matern32", "sparse.M=5", "noise_var=0.1"]),
+    "ensemble": ("t", ENSEMBLE),
+}
+
+LOCATIONS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+
+
+def stream(columns: str, n: int = 41, seed: int = 3) -> str:
+    """A CSV of n rows: repeated timestamps (zero steps inside and across chunks),
+    every seventh row predict-only."""
+    rng = np.random.default_rng(seed)
+    t = np.repeat(np.cumsum(rng.uniform(0.05, 0.4, n)), 2)[:n]
+    x = LOCATIONS[rng.integers(0, len(LOCATIONS), n)] if columns == "tx" else rng.uniform(-1.0, 1.0, (n, 2))
+    y = np.sin(3.0 * t) + 0.3 * rng.standard_normal(n)
+    header = {"t": ["t"], "x": ["x1", "x2"], "tx": ["t", "x1", "x2"]}[columns] + ["y"]
+    lines = [",".join(header)]
+    for i in range(n):
+        cells = [repr(float(t[i]))] if "t" in columns else []
+        cells += [repr(float(v)) for v in x[i]] if "x" in columns else []
+        lines.append(",".join(cells + ["" if i % 7 == 3 else repr(float(y[i]))]))
+    return "\n".join(lines) + "\n"
+
+
+def model_args(name, tmp_path):
+    columns, args = MODELS[name]
+    if "spatial.locations=LOCATIONS" in args:
+        path = tmp_path / "locations.csv"
+        path.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in LOCATIONS.tolist()))
+        args = [f"spatial.locations={path}" if a == "spatial.locations=LOCATIONS" else a for a in args]
+    return columns, args
+
+
+def without_wall_time(report: str):
+    lines = report.splitlines()
+    summary = json.loads(lines[-1])
+    summary.pop("wall_time_s")
+    return lines[:-1], summary
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_every_chunk_size_gives_the_same_report(name, tmp_path, monkeypatch):
+    columns, args = model_args(name, tmp_path)
+    csv = stream(columns)
+    reports = []
+    for rows in (1, 3, cli.CHUNK_ROWS):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        code, out, err = run_cli(["run", *args], stdin_text=csv)
+        assert code == 0, err
+        reports.append(without_wall_time(out))
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0][0]) == 42
+
+
+def test_each_member_projects_each_chunk_once(monkeypatch):
+    sizes = []
+    projections = sparse.projections
+    monkeypatch.setattr(sparse, "projections", lambda state, X: sizes.append(len(X)) or projections(state, X))
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 16)
+    code, _, err = run_cli(["run", *ENSEMBLE], stdin_text=stream("t"))
+    assert code == 0, err
+    assert sizes == [16, 16, 16, 16, 9, 9]  # chunk by chunk, the sparse member and then the vsgp member
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_bare_records_step_like_the_chunked_run(name, tmp_path, monkeypatch):
+    columns, args = model_args(name, tmp_path)
+    csv = stream(columns)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 16)
+    code, out, err = run_cli(["run", *args], stdin_text=csv)
+    assert code == 0, err
+    _, rows, _ = parse_report(out)
+
+    _, data = cli.ingest_csv(io.StringIO(csv))
+    runner = build_runner(parse_overrides(args), data)
+    for i, row in enumerate(rows):
+        y = None if np.isnan(data.y[i]) else float(data.y[i])
+        t = None if data.t is None else float(data.t[i])
+        x = None if data.x is None else data.x[i].copy()
+        res = runner.step(StreamRecord(i + 1, t, x, y))
+        assert (res.mean, res.var, res.logdensity) == (row["pred_mean"], row["pred_var"], row["pred_logdensity"])
+        if res.weights is not None:
+            assert res.weights.tolist() == [row[f"weight_{k}"] for k in range(1, res.weights.size + 1)]
+
+
+@pytest.mark.parametrize("csv, stderr", [
+    ("t,y\n0,1\n1,2,3\n", "row 2: expected 2 cells, got 3"),
+    ("t,y\n0,1\n1\n", "row 2: expected 2 cells, got 1"),
+    ("t,y\n0,1\n1,abc\n", "row 2, column y: malformed number 'abc'"),
+    ("t,y\n0,nan\n", "row 1, column y: non-finite value 'nan'"),
+    ("t,y\ninf,1\n", "row 1, column t: non-finite value 'inf'"),
+    ("x1,y\n-inf,1\n", "row 1, column x1: non-finite value '-inf'"),
+    ("t,y\n0,1\n,1\n", "row 2: missing t value"),
+    ("x1,x2,y\n0.5,1,1\n0.5,,1\n", "row 2: missing input coordinate"),
+    ("t,y\n\n0,1\n  \n1,oops\n", "row 2, column y: malformed number 'oops'"),
+    ("t,y\n,abc\n", "row 1, column y: malformed number 'abc'"),
+    ("t,y\n0x10,1\n", "row 1, column t: malformed number '0x10'"),
+    ("t,y\n−1,1\n", "row 1, column t: malformed number '−1'"),
+], ids=["extra_cell", "missing_cell", "malformed", "nan", "inf", "neg_inf_x", "missing_t", "missing_x",
+        "blank_lines", "cell_order", "hex", "unicode_minus"])
+def test_bad_cell_exits_3_with_the_row_parsers_message(csv, stderr):
+    args = ["model=exact", "kernel.family=matern32", "noise_var=0.1"]
+    code, out, err = run_cli(["run", *args], stdin_text=csv)
+    assert (code, out, err) == (3, "", f"seqgp: data error: {stderr}\n")
+
+
+@pytest.mark.parametrize("csv, cells", [
+    ("t,y\n 0 , 1 \n\t1,\t2\r\n\n2 ,\n", [("0.0", "1.0"), ("1.0", "2.0"), ("2.0", "")]),
+    ("t,y\n1_0,2_5\n+.5,-1e-3\n", [("10.0", "25.0"), ("0.5", "-0.001")]),
+    ("t,y\n١٢,1\n", [("12.0", "1.0")]),
+], ids=["whitespace_and_blank_lines", "underscores_and_signs", "unicode_digits"])
+def test_cells_read_as_float_reads_them(csv, cells):
+    code, out, err = run_cli(["run", "model=exact", "kernel.family=matern32", "noise_var=0.1"], stdin_text=csv)
+    assert code == 0, err
+    assert [tuple(line.split(",")[:2]) for line in out.splitlines()[1:-1]] == cells
+
+
+def test_bad_cell_after_the_first_chunk_names_its_row(monkeypatch):
+    lines = ["t,y"]
+    for i in range(1, 41):
+        lines.append(f"{i},{0.1 * i!r}" if i != 37 else f"{i},0.5.1")
+        if i % 9 == 0:
+            lines.append("")  # blank lines are not rows
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 8)
+    code, out, err = run_cli(["run", "model=exact", "kernel.family=matern32", "noise_var=0.1"],
+                             stdin_text="\n".join(lines) + "\n")
+    assert (code, out) == (3, "")
+    assert err == "seqgp: data error: row 37, column y: malformed number '0.5.1'\n"
+
+
+def test_step_error_after_the_first_chunk_names_its_row(monkeypatch):
+    csv = "t,y\n" + "".join(f"{36 - i if i == 35 else i},0.1\n" for i in range(40))
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 8)
+    code, out, err = run_cli(["run", "model=markov", "kernel.family=matern32", "noise_var=0.1"], stdin_text=csv)
+    assert (code, out) == (3, "")
+    assert err == "seqgp: data error: row 36: timestamps decrease (34.0 -> 1.0)\n"

@@ -51,14 +51,15 @@ class FixedGram:
 
 class TestIngest:
     def test_two_rows(self):
-        cols, recs = cli.ingest_csv(io.StringIO("t,y\n0,1.5\n2,0.5\n"))
+        cols, data = cli.ingest_csv(io.StringIO("t,y\n0,1.5\n2,0.5\n"))
         assert cols == ["t", "y"]
-        assert len(recs) == 2
-        assert recs[0].t == 0.0 and recs[0].y == 1.5
+        assert len(data) == 2 and data.first_row == 1
+        assert data.t[0] == 0.0 and data.y[0] == 1.5
+        assert data.x is None
 
     def test_missing_y_marks_predict_only(self):
-        _, recs = cli.ingest_csv(io.StringIO("t,y\n0,1.5\n2,\n"))
-        assert recs[1].y is None
+        _, data = cli.ingest_csv(io.StringIO("t,y\n0,1.5\n2,\n"))
+        assert np.isnan(data.y[1]) and not np.isnan(data.y[0])
 
     def test_malformed_number_names_row_and_column(self):
         with pytest.raises(DataError, match="row 2, column y"):
@@ -69,8 +70,9 @@ class TestIngest:
             cli.ingest_csv(io.StringIO("t,z,y\n0,1,2\n"))
 
     def test_x_columns(self):
-        _, recs = cli.ingest_csv(io.StringIO("x1,x2,y\n0.5,1.0,2.0\n"))
-        np.testing.assert_array_equal(recs[0].x, [0.5, 1.0])
+        _, data = cli.ingest_csv(io.StringIO("x1,x2,y\n0.5,1.0,2.0\n"))
+        np.testing.assert_array_equal(data.x[0], [0.5, 1.0])
+        assert data.t is None
 
 
 class TestRun:

@@ -80,7 +80,24 @@ class TestRff:
             features.featurize(fmap, np.array([1.0, 2.0]))
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_row_does_not_depend_on_its_batch(self, dim):
+        rng = np.random.default_rng(dim)
+        fmap = features.FeatureMap("rff", 14, dim, 1.0, frequencies=rng.standard_normal((7, dim)), seed=0)
+        X = rng.uniform(-3.0, 3.0, (40, dim))
+        rows = np.array([features.featurize(fmap, x) for x in X])
+        for size in (2, 3, 40):
+            batched = np.vstack([features.featurize_many(fmap, X[i : i + size]) for i in range(0, 40, size)])
+            np.testing.assert_array_equal(batched, rows)
+
+
 class TestHsgp:
+    def test_a_row_does_not_depend_on_its_batch(self):
+        fmap = features.build_hsgp(kernels.matern32(1.0, 0.4), 21, 5.0)
+        X = np.random.default_rng(4).uniform(-4.0, 4.0, 40)
+        rows = np.array([features.featurize(fmap, x) for x in X])
+        np.testing.assert_array_equal(features.featurize_many(fmap, X), rows)
+
     def test_first_basis_value_at_origin(self):
         # k=1, L=1, x=0: sin(pi/2) = 1, so phi_1(0) = sqrt(S(pi/2))
         k = kernels.se(1.0, 0.5)

@@ -99,6 +99,20 @@ class TestLinearRunner:
             assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
         assert (id(runner.belief.mean), id(runner.belief.cov)) == (mean_id, cov_id)
 
+    @pytest.mark.parametrize("dynamics", [
+        lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
+    ], ids=["static", "random_walk", "b2p", "general"])
+    def test_predict_f_ahead_is_predict_f_of_predict_step(self, dynamics):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((32, 32))
+        b = lf.GaussianBelief(rng.standard_normal(32), A @ A.T / 32.0)
+        for phi in rng.standard_normal((10, 32)):
+            got = lf.predict_f_ahead(b, dynamics, phi)
+            ref = lf.predict_f(lf.predict_step(b, dynamics), phi)
+            if dynamics == lf.static():
+                assert got == ref
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
     def test_predict_in_place_is_predict_step(self):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((16, 16))

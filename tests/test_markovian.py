@@ -650,6 +650,22 @@ class TestStepperHistory:
         loop = np.array([(sde.obs[r] @ m, sde.obs[r] @ c @ sde.obs[r]) for r, m, c in zip(rows, sm.means, sm.covs)])
         np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
 
+    def test_second_smoothing_raises(self):
+        runner = MarkovRunner(markovian.build_lti(kernels.matern32(1.0, 1.0)), 0.1, history_rows=5)
+        for i in range(5):
+            runner.step(StreamRecord(row=i + 1, t=0.3 * i, x=None, y=0.1 * i))
+        assert runner.smooth().shape == (5, 2)
+        smoothed = runner.stepper.result().means.copy()
+        with pytest.raises(ConfigurationError, match="already smoothed"):
+            runner.smooth()
+        np.testing.assert_array_equal(runner.stepper.result().means, smoothed)
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_step_rejects_a_row_the_model_lacks(self, row):
+        stepper = markovian.MarkovStepper(ZERO_STEP_SDES["spacetime"], 0.1)  # two observation rows
+        with pytest.raises(DataError, match=rf"observation row {row} is not in \[0, 2\)"):
+            stepper.step(0.0, 0.2, row=row)
+
     def test_stepper_without_history_records_nothing(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1)
         for i in range(5_000):

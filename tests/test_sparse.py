@@ -5,7 +5,7 @@ import pytest
 
 from seqgp import exact, kernels, sparse
 from seqgp.errors import ConfigurationError, DataError
-from seqgp.runners import SparseRunner, StreamRecord, build_runner
+from seqgp.runners import Columns, SparseRunner, StreamRecord, build_runner
 
 THREE_KERNELS = [
     kernels.se(1.0, 0.6),
@@ -172,15 +172,28 @@ class TestSparseRunner:
         return [StreamRecord(i + 1, float(x), None, None if skip else float(v))
                 for i, (x, v, skip) in enumerate(zip(X, y, hidden))]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_projection_of_a_row_does_not_depend_on_its_batch(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        state = sparse.init_sparse(kernels.matern32(1.0, 0.7), rng.uniform(0.0, 4.0, (16, dim)), True)
+        X = rng.uniform(-1.0, 5.0, (40, dim))
+        rows = [sparse._projection(state, x) for x in X]
+        for size in (1, 2, 3, 7, 40):
+            for start in range(0, 40, size):
+                H, q = sparse.projections(state, X[start : start + size])
+                for i, (h, qi) in enumerate(zip(H, q.tolist()), start=start):
+                    np.testing.assert_array_equal(h, rows[i][0])
+                    assert qi == rows[i][1]
+
     def test_one_projection_per_row(self, monkeypatch):
         calls = []
-        projection = sparse._projection
+        projections = sparse.projections
 
-        def counted(state, x):
-            calls.append(x)
-            return projection(state, x)
+        def counted(state, X):
+            calls.extend(X)
+            return projections(state, X)
 
-        monkeypatch.setattr(sparse, "_projection", counted)
+        monkeypatch.setattr(sparse, "projections", counted)
         recs = self.records()
         runner = SparseRunner(kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16), True)
         for i, rec in enumerate(recs, start=1):
@@ -213,7 +226,7 @@ class TestSparseRunner:
         recs = self.records()
         cfg = {"model": model, "kernel.family": "matern32", "kernel.lengthscale": "0.7", "noise_var": "0.1",
                "sparse.M": "12"}
-        runner = build_runner(cfg, recs)
+        runner = build_runner(cfg, Columns.of(recs))
         mean_id, cov_id = id(runner.state.mean), id(runner.state.cov)
         state = sparse.init_sparse(runner.state.kernel, runner.state.inducing, True)
         for rec in recs:
