@@ -278,7 +278,11 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     if weights is not None:  # an ensemble gives every row the same weight_1..weight_K cells
         columns.update((f"weight_{k}", weights[:, k - 1]) for k in range(1, weights.shape[1] + 1))
     if smooth:
-        smoothed = runner.smooth()
+        try:
+            smoothed = runner.smooth()
+        except NumericalError as exc:  # the smoother names its step; history row k is input row k + 1
+            exc.args = (f"row {exc.detail['step'] + 1}: {exc}",)
+            raise
         columns.update(smoothed_mean=smoothed[:, 0], smoothed_var=smoothed[:, 1])
 
     summary = summarize(data.y, pred_mean, pred_logdensity)

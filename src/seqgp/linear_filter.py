@@ -108,12 +108,17 @@ def _predict_into(out: GaussianBelief, belief: GaussianBelief, dynamics: Dynamic
 
     The noise goes onto the diagonal only: equal entry for entry to adding
     ``noise * np.eye(n)``, whose off-diagonal +0.0 changes no value, without
-    building an n x n identity on every step.
+    building an n x n identity on every step.  A unit ``cov_scale`` (random
+    walk, or ``general`` with a = +-1) skips the n x n multiply, as x * 1.0 == x
+    for every double.
     """
     mean, cov = out.mean, out.cov
     np.multiply(belief.mean, dynamics.mean_scale, out=mean)
     mean += dynamics.shift
-    np.multiply(belief.cov, dynamics.cov_scale, out=cov)
+    if dynamics.cov_scale != 1.0:
+        np.multiply(belief.cov, dynamics.cov_scale, out=cov)
+    elif cov is not belief.cov:
+        np.copyto(cov, belief.cov)
     cov.flat[:: cov.shape[0] + 1] += dynamics.noise
     return out
 

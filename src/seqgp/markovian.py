@@ -21,11 +21,14 @@ commuting, so the exact transition over any step has the closed form
 its pole -lambda + i b; ``transition`` forms A as one product of that basis
 with the weights {1, dt} exp((-lambda + i b) dt), real and imaginary parts.
 No matrix exponential is computed and nothing is cached per step length.
-The filter's predict adds Q = P_inf - A P_inf A^T without forming it, and
-Kalman filtering and Rauch-Tung-Striebel smoothing give exact GP inference
-in O(N d^3); the smoother forms every A from the filter record's timestamps
-and overwrites its filtered moments.  ``scipy.linalg.expm`` stays the
-reference that the tests and ``seqgp check`` compare ``transition`` against.
+``predict`` adds Q = P_inf - A P_inf A^T without forming it, for one state
+or a stack of states, and Kalman filtering and Rauch-Tung-Striebel smoothing
+give exact GP inference in O(N d^3).  The filter record keeps only the
+filtered moments; the smoother walks back over it in blocks of rows, forms
+each block's transitions from the stored timestamps, recomputes the predicted
+moments with the forward pass's ``predict``, and overwrites the filtered
+moments with the smoothed ones.  ``scipy.linalg.expm`` stays the reference
+that the tests and ``seqgp check`` compare ``transition`` against.
 """
 
 from __future__ import annotations
@@ -215,6 +218,19 @@ def discretize(sde: LtiSde, delta: float) -> DiscreteStep:
     return DiscreteStep(A, symmetrize(sde.stationary - A @ sde.stationary @ A.T))
 
 
+def predict(sde: LtiSde, A: np.ndarray, mean: np.ndarray, cov: np.ndarray):
+    """Predicted moments over transition ``A``: (A mean, P_inf + A (cov - P_inf) A^T),
+    which is A cov A^T + Q with Q = P_inf - A P_inf A^T, without forming Q.
+
+    One state (A (d,d), mean (d,), cov (d,d)) or a stack of n ((n,d,d), (n,d),
+    (n,d,d)).  A stacked ``np.matmul`` runs each matrix through the same BLAS
+    call as the 2-D product, so stacked row k is bit-equal to the call on row k
+    alone: the smoother's predicted moments are the forward pass's.
+    """
+    P = sde.stationary
+    return (A @ mean[..., None])[..., 0], symmetrize(P + A @ (cov - P) @ np.swapaxes(A, -1, -2))
+
+
 # approximate flop accounting: fixed per-step costs used to verify scaling
 def _flops_discretize(d: int) -> int:
     return 30 * d**3
@@ -237,8 +253,8 @@ class MarkovStepper:
     distinct step lengths.  A zero-length step after the first row leaves the
     state untouched (A = I, Q = 0 is exact on a symmetric covariance).
     ``history_rows`` = N allocates ``history``, one ``FilterResult`` of N rows,
-    and step k copies its moments into row k: the rows are copies, 2d^2 + 2d + 3
-    doubles each, and hold no transition.
+    and step k copies its filtered moments into row k: the rows are copies,
+    d^2 + d + 3 doubles each, and hold no transition and no predicted moment.
 
     The stepper owns ``mean`` and ``cov``.  ``update`` conditions both in place
     (``linalg.condition``), and a zero-length ``advance`` leaves them as they
@@ -264,14 +280,13 @@ class MarkovStepper:
         self.rows_written = 0
         if history_rows is not None:
             n, d = history_rows, sde.dim
-            self.history = FilterResult(np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d)),
-                                        np.empty((n, d, d)), np.empty(n, dtype=int), np.empty(n), 0.0, 0)
+            self.history = FilterResult(np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty(n, dtype=int),
+                                        np.empty(n), 0.0, 0)
 
     def advance(self, t: float, prepared: tuple | None = None) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time).
 
-        The predicted covariance is P_inf + A (cov - P_inf) A^T, which is
-        A cov A^T + Q with Q = P_inf - A P_inf A^T, without forming Q.
+        The predicted moments are ``predict``'s over the step's transition.
         ``prepared`` = (delta, A) is a transition the caller formed in advance
         (``transition(sde, delta)``); it is used when this step has length delta.
         """
@@ -285,9 +300,7 @@ class MarkovStepper:
             self.flops += _flops_predict(self.sde.dim)
             return
         A = prepared[1] if prepared is not None and prepared[0] == delta else transition(self.sde, delta)
-        P = self.sde.stationary
-        self.mean = A @ self.mean
-        self.cov = symmetrize(P + A @ (self.cov - P) @ A.T)
+        self.mean, self.cov = predict(self.sde, A, self.mean, self.cov)
         self.time = t
         self.flops += _flops_discretize(self.sde.dim) + _flops_predict(self.sde.dim)
 
@@ -337,11 +350,9 @@ class MarkovStepper:
             raise DataError(f"the history holds {k} rows; step {k + 1} does not fit")
         self.advance(t, prepared)
         mean, var = self.predict_obs(row)
-        if h is not None:
-            h.times[k], h.obs_rows[k] = t, row
-            h.pred_means[k], h.pred_covs[k] = self.mean, self.cov
         ll = None if y is None else self.update(y, row)
         if h is not None:
+            h.times[k], h.obs_rows[k] = t, row
             h.means[k], h.covs[k], h.logliks[k] = self.mean, self.cov, np.nan if ll is None else ll
             h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
             self.rows_written = k + 1
@@ -352,19 +363,19 @@ class MarkovStepper:
         if self.history is None:
             raise ConfigurationError("the filter history requires history_rows")
         h, n = self.history, self.rows_written
-        return FilterResult(h.times[:n], h.pred_means[:n], h.pred_covs[:n], h.means[:n], h.covs[:n],
-                            h.obs_rows[:n], h.logliks[:n], h.loglik_total, self.flops)
+        return FilterResult(h.times[:n], h.means[:n], h.covs[:n], h.obs_rows[:n], h.logliks[:n],
+                            h.loglik_total, self.flops)
 
 
 @dataclass
 class FilterResult:
-    """Per-step filter moments, one row per step: what the smoother reads, and what
+    """Per-step filtered moments, one row per step: what the smoother reads, and what
     ``emit_smoothed`` keeps for each input row until the backward pass.  Step k's
-    transition is ``transition(sde, times[k] - times[k - 1])``, so none is stored."""
+    transition is ``transition(sde, times[k] - times[k - 1])`` and its predicted
+    moments are ``predict`` of row k - 1 over it (row k - 1's own moments on a
+    zero step), so neither is stored."""
 
     times: np.ndarray  # (N,)
-    pred_means: np.ndarray  # (N, d) prior to each update
-    pred_covs: np.ndarray  # (N, d, d)
     means: np.ndarray  # (N, d) filtered; smoothed after rts_smoother
     covs: np.ndarray  # (N, d, d)
     obs_rows: np.ndarray  # (N,) index of the H row used per step
@@ -406,24 +417,45 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     return stepper.result()
 
 
+# The backward pass holds at most this many bytes of d x d matrices per stack
+# (transitions, A P_f, predicted covariances): 512 rows at d = 8, 2 at d = 128.
+SMOOTH_BLOCK_BYTES = 256 * 1024
+
+
 def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
-    """Backward Rauch-Tung-Striebel pass over a completed filter result, in place:
-    every transition comes from one ``transition`` call on ``np.diff(result.times)``,
-    and step k, which reads only its own filtered moments and step k + 1, writes
-    its smoothed moments over ``result.means`` and ``result.covs``.  Returns
-    ``result``; its filtered moments are gone afterwards."""
+    """Backward Rauch-Tung-Striebel pass over a completed filter result, in place.
+
+    The pass walks back in blocks of at most ``SMOOTH_BLOCK_BYTES`` of d x d
+    matrices.  A block forms its transitions in one ``transition`` call on its
+    steps of ``np.diff(result.times)``, the predicted moments of its steps of
+    nonzero length in one stacked ``predict`` (bit-equal to the forward pass's;
+    a zero step predicts the filtered moments unchanged, as ``advance`` does),
+    and every A P_f in one stacked product.  Step k then solves for its gain and
+    writes its smoothed moments over ``result.means[k]`` and ``result.covs[k]``;
+    it reads only its own filtered moments and step k + 1.  Returns ``result``;
+    its filtered moments are gone afterwards.  A singular predicted covariance
+    is a NumericalError whose ``detail["step"]`` is the step it belongs to."""
     n = result.times.size
-    if any(len(moments) != n for moments in (result.pred_means, result.pred_covs, result.means, result.covs)):
+    if any(len(moments) != n for moments in (result.means, result.covs)):
         raise DataError("filter result is missing the stored per-step moments")
-    transitions = transition(sde, np.diff(result.times))  # row k: step k -> k + 1
-    for k in range(n - 2, -1, -1):
-        Pf, Pp = result.covs[k], result.pred_covs[k + 1]
-        _, _, X, info = lapack.dgesv(Pp, transitions[k] @ Pf, overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"singular predicted covariance at step {k + 1}")
-        G = X.T
-        result.means[k] += G @ (result.means[k + 1] - result.pred_means[k + 1])
-        result.covs[k] = symmetrize(Pf + G @ (result.covs[k + 1] - Pp) @ G.T)
+    block = max(1, SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
+    for stop in range(n - 1, 0, -block):  # smooth steps start..stop-1, whose filtered moments are intact
+        start = max(stop - block, 0)
+        deltas = np.diff(result.times[start:stop + 1])  # row j: step start + j -> start + j + 1
+        A = transition(sde, deltas)
+        APf = A @ result.covs[start:stop]
+        moving = np.flatnonzero(deltas != 0.0)
+        pred_means, pred_covs = predict(sde, A[moving], result.means[start + moving], result.covs[start + moving])
+        predicted = dict(zip(moving.tolist(), zip(pred_means, pred_covs)))
+        for k in range(stop - 1, start - 1, -1):
+            Pf = result.covs[k]
+            mp, Pp = predicted.get(k - start, (result.means[k], Pf))
+            _, _, X, info = lapack.dgesv(Pp, APf[k - start], overwrite_b=1)
+            if info != 0:
+                raise NumericalError(f"singular predicted covariance at step {k + 1}", detail={"step": k + 1})
+            G = X.T
+            result.means[k] += G @ (result.means[k + 1] - mp)
+            result.covs[k] = symmetrize(Pf + G @ (result.covs[k + 1] - Pp) @ G.T)
     return result
 
 

@@ -310,15 +310,23 @@ class MarkovRunner(_Prepared):
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
         row's smoothed (mean, var).  The pass overwrites the filtered moments it
-        reads, so a runner smooths once; a second call raises."""
+        reads, so a runner smooths once; a second call raises.  A failed pass, or a
+        non-finite smoothed moment, is a NumericalError whose ``detail["step"]``
+        names the history row at fault."""
         if self._smoothed:
             raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
-        result = markovian.rts_smoother(self.stepper.sde, self.stepper.result())
         self._smoothed = True
+        result = markovian.rts_smoother(self.stepper.sde, self.stepper.result())
         H = self.stepper.sde.obs[result.obs_rows]
-        means = np.einsum("ij,ij->i", H, result.means)
-        variances = np.einsum("ij,ijk,ik->i", H, result.covs, H)
-        return np.column_stack((means, variances))
+        smoothed = np.column_stack((np.einsum("ij,ij->i", H, result.means),
+                                    np.einsum("ij,ijk,ik->i", H, result.covs, H)))
+        bad = np.flatnonzero(~np.isfinite(smoothed).all(axis=1))
+        if bad.size:  # the pass carries a non-finite moment back to every step before it: name the last
+            k = int(bad[-1])
+            mean, var = smoothed[k].tolist()
+            raise NumericalError(f"non-finite smoothed moment at step {k}: mean {mean!r}, variance {var!r}",
+                                 detail={"step": k})
+        return smoothed
 
 
 class SparseRunner(_Prepared):

@@ -224,6 +224,18 @@ class TestRun:
         # final smoothed value equals the filtered posterior at the last step
         assert rows[-1]["smoothed_var"] < rows[-1]["pred_var"]
 
+    @pytest.mark.parametrize("cfg, csv, message", [
+        # tied stamps: every predicted covariance is the filtered one, which noise_var=1e-300 makes singular
+        (["kernel.family=matern32", "noise_var=1e-300"], "t,y\n0,1\n0,2\n0,3\n",
+         "row 3: singular predicted covariance at step 2"),
+        # the last filtered covariance overflows to -inf; no later row predicts from it
+        (["kernel.family=matern12", "kernel.lengthscale=1e100", "kernel.sigma_f2=1e200", "noise_var=1e308"],
+         "t,y\n0,0\n", "row 1: non-finite smoothed moment at step 0: mean 0.0, variance -inf"),
+    ], ids=["singular", "non-finite"])
+    def test_failed_smoothing_names_the_row(self, cfg, csv, message):
+        code, out, err = run_cli(["run", "model=markov", *cfg, "emit_smoothed=true"], stdin_text=csv)
+        assert (code, out, err) == (4, "", f"seqgp: numerical error: {message}\n")
+
     def test_markov_emit_smoothed_on_header_only_input(self):
         args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.3", "emit_smoothed=true"]
         code, out, err = run_cli(args, stdin_text="t,y\n")

@@ -116,7 +116,8 @@ class TestLinearRunner:
     def test_predict_in_place_is_predict_step(self):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((16, 16))
-        for dynamics in (lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003)):
+        for dynamics in (lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
+                         lf.general(-1.0, 0.05, 0.003)):  # a unit cov_scale skips the multiply
             b = lf.GaussianBelief(rng.standard_normal(16), A @ A.T / 16.0)
             ref = lf.predict_step(b, dynamics)
             mean, cov = b.mean, b.cov

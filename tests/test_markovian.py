@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from seqgp import exact, kernels, markovian
 from seqgp.linalg import gaussian_loglik, scalar_update, symmetrize
@@ -155,6 +155,19 @@ def stepped(sde, n=25, seed=6):
     for i, t in enumerate(np.cumsum(rng.exponential(0.3, n))):
         stepper.step(float(t), float(rng.standard_normal()), i % sde.obs.shape[0])
     return stepper
+
+
+def predicted_moments(sde, record):
+    """Each record row's predicted moments from the filtered row before it (the
+    stationary prior before row 0): one stacked ``predict`` over every step, and
+    the previous filtered moments themselves on a zero step after row 0."""
+    prev_means = np.concatenate((np.zeros((1, sde.dim)), record.means[:-1]))
+    prev_covs = np.concatenate((sde.stationary[None], record.covs[:-1]))
+    deltas = np.diff(record.times, prepend=record.times[:1])
+    means, covs = markovian.predict(sde, markovian.transition(sde, deltas), prev_means, prev_covs)
+    zero = np.flatnonzero(deltas == 0.0)[1:]
+    means[zero], covs[zero] = prev_means[zero], prev_covs[zero]
+    return means, covs
 
 
 def assert_within_ulps(got, ref, magnitude, ulps=4):
@@ -420,7 +433,7 @@ class TestRtsSmoother:
     def test_smoother_rejects_incomplete_filter_result(self):
         sde = markovian.build_lti(kernels.matern12())
         res = markovian.kalman_filter(sde, [0.0, 1.0], [0.1, 0.2], 0.1)
-        res.pred_covs = res.pred_covs[:1]  # simulate a mangled result
+        res.covs = res.covs[:1]  # simulate a mangled result
         with pytest.raises(DataError):
             markovian.rts_smoother(sde, res)
 
@@ -433,10 +446,28 @@ class TestRtsSmoother:
 
     def test_singular_predicted_covariance_names_the_step(self):
         sde = markovian.build_lti(kernels.matern32())
-        res = markovian.kalman_filter(sde, [0.0, 0.5, 1.0], [0.1, 0.2, 0.3], 0.1)
-        res.pred_covs[2] = 0.0
-        with pytest.raises(NumericalError, match="singular predicted covariance at step 2"):
+        res = markovian.kalman_filter(sde, [0.0, 0.5, 0.5], [0.1, 0.2, 0.3], 0.1)
+        res.covs[1] = 0.0  # step 2 has length zero, so its predicted covariance is step 1's filtered one
+        with pytest.raises(NumericalError, match="singular predicted covariance at step 2") as caught:
             markovian.rts_smoother(sde, res)
+        assert caught.value.detail == {"step": 2}
+
+    @pytest.mark.parametrize("name", ["mixture", "spacetime"])
+    def test_block_size_does_not_change_the_pass(self, name, monkeypatch):
+        sde = ZERO_STEP_SDES[name]
+        rng = np.random.default_rng(47)
+        t = np.repeat(np.cumsum(rng.uniform(0.02, 0.3, 700)), rng.integers(1, 3, 700))
+        rows = np.arange(t.size) % sde.obs.shape[0]
+        y = rng.standard_normal(t.size)
+        y[rng.random(t.size) < 0.2] = np.nan
+        smoothed = []
+        for rows_per_block in (1, 3, 512):
+            monkeypatch.setattr(markovian, "SMOOTH_BLOCK_BYTES", rows_per_block * 8 * sde.dim**2)
+            sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
+            smoothed.append((sm.means, sm.covs))
+        for means, covs in smoothed[1:]:
+            np.testing.assert_array_equal(means, smoothed[0][0])
+            np.testing.assert_array_equal(covs, smoothed[0][1])
 
     def test_missing_observations_match_exact_gp_without_them(self):
         kernel = kernels.matern12(1.0, 0.8)
@@ -607,8 +638,8 @@ class TestLongStream:
 
 class TestStepperHistory:
     def test_runner_smoothing_is_the_batch_filter_and_smoother(self):
-        # repeated timestamps (zero steps share state arrays) and predict-only
-        # rows (pred and filtered moments are the same objects) in one stream
+        # repeated timestamps (a zero step predicts the filtered moments unchanged)
+        # and predict-only rows (predicted and filtered moments are equal) in one stream
         sde = markovian.build_lti(kernels.matern32(1.1, 0.6))
         rng = np.random.default_rng(41)
         t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 40)), rng.integers(1, 4, 40))
@@ -622,7 +653,7 @@ class TestStepperHistory:
             predicted.append((res.mean, res.var))
             filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
         record = runner.stepper.result()
-        assert predicted == [(float(h @ m), float(h @ c @ h)) for m, c in zip(record.pred_means, record.pred_covs)]
+        assert predicted == [(float(h @ m), float(h @ c @ h)) for m, c in zip(*predicted_moments(sde, record))]
         np.testing.assert_array_equal(record.means, np.array([m for m, _ in filtered]))
         np.testing.assert_array_equal(record.covs, np.array([c for _, c in filtered]))
         streamed = runner.smooth()
@@ -649,6 +680,39 @@ class TestStepperHistory:
         sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
         loop = np.array([(sde.obs[r] @ m, sde.obs[r] @ c @ sde.obs[r]) for r, m, c in zip(rows, sm.means, sm.covs)])
         np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["mixture", "spacetime"])
+    def test_stacked_predict_is_the_advance_state(self, name):
+        # the d = 8 mixture and a two-location space-time model, with zero steps and predict-only rows
+        sde = ZERO_STEP_SDES[name]
+        rng = np.random.default_rng(48)
+        t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 60)), rng.integers(1, 4, 60))
+        rows = np.arange(t.size) % sde.obs.shape[0]
+        y = rng.standard_normal(t.size)
+        y[rng.random(t.size) < 0.25] = np.nan
+        stepper = markovian.MarkovStepper(sde, 0.2, history_rows=t.size)
+        advanced = []
+        for ti, yi, row in zip(t, y, rows):
+            stepper.advance(float(ti))
+            advanced.append((stepper.mean.copy(), stepper.cov.copy()))
+            stepper.step(float(ti), None if np.isnan(yi) else float(yi), int(row))  # a zero step: state unchanged
+        record = stepper.result()
+        means, covs = predicted_moments(sde, record)
+        np.testing.assert_array_equal(means, np.array([m for m, _ in advanced]))
+        np.testing.assert_array_equal(covs, np.array([c for _, c in advanced]))
+
+        # the smoother equals the per-step pass over the stored predicted moments, bit for bit
+        ref_means, ref_covs = record.means.copy(), record.covs.copy()
+        for k in range(t.size - 2, -1, -1):
+            A = markovian.transition(sde, t[k + 1] - t[k])
+            pred_mean, pred_cov = advanced[k + 1]
+            _, _, X, info = lapack.dgesv(pred_cov, A @ ref_covs[k], overwrite_b=1)
+            G = X.T
+            ref_means[k] += G @ (ref_means[k + 1] - pred_mean)
+            ref_covs[k] = symmetrize(ref_covs[k] + G @ (ref_covs[k + 1] - pred_cov) @ G.T)
+        sm = markovian.rts_smoother(sde, record)
+        np.testing.assert_array_equal(sm.means, ref_means)
+        np.testing.assert_array_equal(sm.covs, ref_covs)
 
     def test_second_smoothing_raises(self):
         runner = MarkovRunner(markovian.build_lti(kernels.matern32(1.0, 1.0)), 0.1, history_rows=5)
@@ -697,8 +761,8 @@ class TestStepperHistory:
         mean, var, ll = stepper.step(0.5, 0.8)
         assert ll == pytest.approx(-0.5 * (np.log(2 * np.pi * (var + 0.25)) + (0.8 - mean) ** 2 / (var + 0.25)))
         record = stepper.result()
-        pred_mean, pred_cov, post_mean, post_cov = (record.pred_means[-1], record.pred_covs[-1],
-                                                    record.means[-1], record.covs[-1])
+        pred_mean, pred_cov = markovian.predict(sde, markovian.transition(sde, 0.5), record.means[0], record.covs[0])
+        post_mean, post_cov = record.means[-1], record.covs[-1]
         assert float(sde.obs[0] @ pred_mean) == mean and float(sde.obs[0] @ pred_cov @ sde.obs[0]) == var
         assert np.array_equal(post_mean, stepper.mean) and np.array_equal(post_cov, stepper.cov)
         assert (record.obs_rows[-1], record.logliks[-1]) == (0, ll)
@@ -710,7 +774,7 @@ class TestStepperHistory:
         record = stepper.result()
         assert record.times.tolist() == [0.0, 0.1, 0.2] and record.means.shape == (3, 2)
         assert np.isnan(record.logliks[0]) and record.loglik_total == record.logliks[1] + record.logliks[2]
-        for name in ("times", "pred_means", "pred_covs", "means", "covs", "obs_rows", "logliks"):
+        for name in ("times", "means", "covs", "obs_rows", "logliks"):
             assert np.shares_memory(getattr(record, name), getattr(stepper.history, name))
         assert not np.shares_memory(stepper.history.covs, stepper.cov)
         assert not np.shares_memory(stepper.history.means, stepper.mean)
@@ -723,8 +787,9 @@ class TestStepperHistory:
         assert stepper.time == 0.0 and stepper.result().times.tolist() == [0.0]
 
     def test_smoothing_memory_per_step_is_bounded(self):
-        # the d = 8 benchmark mixture; the floor per step is the record's 2d^2 + 2d + 3 doubles (1.15 KiB),
-        # which the smoother overwrites, plus the d^2 doubles of its stacked transitions (0.5 KiB)
+        # the d = 8 benchmark mixture; the floor per step is the record's d^2 + d + 3 doubles (0.59 KiB),
+        # which the smoother overwrites, plus the filter's own observation-row column; the pass's
+        # stacks are bounded by its block, not by N
         sde = markovian.build_lti(kernels.hida_matern(
             [(0.5, 1.5, 1.5, 1.0, 1.0), (0.3, 0.0, 1.5, 2.0, 1.0), (0.2, 0.8, 0.5, 0.5, 1.0)]))
         assert sde.dim == 8
@@ -741,4 +806,4 @@ class TestStepperHistory:
                 tracemalloc.stop()
 
         per_step = (traced_peak(20_000) - traced_peak(2_000)) / 18_000
-        assert per_step <= 2.0 * 1024
+        assert per_step <= 0.75 * 1024

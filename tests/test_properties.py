@@ -133,6 +133,7 @@ location_cell = st.sampled_from([*GRID, 1.0, -0.5]).map(repr)
 # every key a configuration error may name here, after an optional member.<k>.
 CONFIG_KEYS = {"model", "noise_var", "kernel.family", "kernel.lengthscale", "kernel.sigma_f2", "kernel.hm_components",
                "sparse.M", "sparse.inducing", "features.F", "features.L"}
+MARKOV_MODELS = {"matern12", "matern32", "hm", "spacetime"}
 CONFIG_ERROR = re.compile(r"seqgp: configuration error: (member\.[12]\.)?([\w.]+): ")
 
 
@@ -170,13 +171,17 @@ def _model_args(model, p, grid_file=None):
                                "ensemble"]),
        params=st.fixed_dictionaries({key: config_number for key in ("lengthscale", "sigma_f2", "noise_var", "L")}
                                     | {key: config_int for key in ("M", "F")}),
-       rows=st.lists(st.tuples(time_cell, cell, location_cell), max_size=6), ordered=st.booleans())
-def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, params, rows, ordered):
+       rows=st.lists(st.tuples(time_cell, cell, location_cell), max_size=6), ordered=st.booleans(),
+       smoothed=st.booleans())
+def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, params, rows, ordered, smoothed):
     if model == "ensemble":
         args = ["model=ensemble", *(f"member.1.{a}" for a in _model_args("matern32", params)),
                 *(f"member.2.{a}" for a in _model_args("sparse", params))]
     else:
         args = _model_args(model, params, grid_file)
+    smoothed = smoothed and model in MARKOV_MODELS
+    if smoothed:
+        args.append("emit_smoothed=true")
     if ordered:  # otherwise stamps may repeat and decrease as drawn
         rows = sorted(rows, key=lambda r: float(r[0]))
     if model == "spacetime":
@@ -196,3 +201,5 @@ def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, pa
         for line in lines[1:-1]:
             row = dict(zip(header, line.split(",")))
             assert math.isfinite(float(row["pred_mean"])) and math.isfinite(float(row["pred_var"]))
+            if smoothed:
+                assert math.isfinite(float(row["smoothed_mean"])) and math.isfinite(float(row["smoothed_var"]))
