@@ -47,7 +47,7 @@ from .config import (
 )
 from .errors import ConfigurationError, DataError, NumericalError, SeqgpError
 from .kernels import eval_kernel, eval_psd, gram
-from .runners import Columns, build_runner
+from .runners import Columns, build_runner, run_chunks
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -82,6 +82,8 @@ def parse_header(line: str) -> list[str]:
         raise DataError(f"unknown columns {unknown}; expected t, x1..xD, y")
     if "y" not in cols:
         raise DataError("header must name a y column")
+    if "t" not in cols and not x_cols:
+        raise DataError("header must name a t column or input columns x1..xD")
     return cols
 
 
@@ -251,27 +253,15 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     n = len(data)
     pred_mean, pred_var, pred_logdensity = np.empty(n), np.empty(n), np.full(n, np.nan)
     weights = None
-    for start in range(0, n, CHUNK_ROWS):
-        chunk = data.rows(start, min(start + CHUNK_ROWS, n))
-        row = chunk.first_row
-        try:
-            runner.prepare(chunk)
-            for rec in chunk.records():
-                row = rec.row
-                res = runner.step(rec)
-                if not (math.isfinite(res.mean) and math.isfinite(res.var)):
-                    raise NumericalError(f"non-finite prediction: mean {res.mean!r}, variance {res.var!r}")
-                i = row - 1
-                pred_mean[i], pred_var[i] = res.mean, res.var
-                if res.logdensity is not None:
-                    pred_logdensity[i] = res.logdensity
-                if res.weights is not None:
-                    if weights is None:
-                        weights = np.empty((n, res.weights.size))
-                    weights[i] = res.weights
-        except (DataError, NumericalError) as exc:
-            exc.args = (f"row {row}: {exc}",)  # same class and detail, now naming the row
-            raise
+    for rec, res in run_chunks(runner, data, CHUNK_ROWS):
+        i = rec.row - 1
+        pred_mean[i], pred_var[i] = res.mean, res.var
+        if res.logdensity is not None:
+            pred_logdensity[i] = res.logdensity
+        if res.weights is not None:
+            if weights is None:
+                weights = np.empty((n, res.weights.size))
+            weights[i] = res.weights
 
     columns = _input_columns(cols, data)
     columns.update(y=data.y, pred_mean=pred_mean, pred_var=pred_var, pred_logdensity=pred_logdensity)

@@ -229,9 +229,9 @@ def load_locations(path: str) -> np.ndarray:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ConfigurationError(f"spatial.locations: cannot read {path!r}: {exc}") from exc
-    if not lines:
-        raise ConfigurationError(f"spatial.locations: {path!r} is empty")
-    start = 1 if lines[0].lstrip().lower().startswith("x") else 0
+    start = 1 if lines and lines[0].lower().startswith("x") else 0
+    if len(lines) == start:
+        raise ConfigurationError(f"spatial.locations: no rows in {path!r}")
     rows = []
     for ln in lines[start:]:
         try:

@@ -45,6 +45,11 @@ def _noisy_train_factor(kernel: Kernel, noise_var: float, X: np.ndarray):
     return K, L
 
 
+def _log_marginal(L: np.ndarray, y: np.ndarray) -> float:
+    """log N(y | 0, A) from the lower Cholesky factor L of A."""
+    return -0.5 * float(y @ chol_solve(L, y)) - 0.5 * chol_logdet(L) - 0.5 * y.size * LOG_2PI
+
+
 def posterior(kernel: Kernel, noise_var: float, X_train, y, X_test) -> ExactPosterior:
     """Exact GP posterior at ``X_test`` given noisy observations (X_train, y).
 
@@ -71,9 +76,7 @@ def posterior(kernel: Kernel, noise_var: float, X_train, y, X_test) -> ExactPost
     cov = K_ss - weights @ K_so.T
     cov = 0.5 * (cov + cov.T)
 
-    alpha = chol_solve(L, y)
-    lml = -0.5 * float(y @ alpha) - 0.5 * chol_logdet(L) - 0.5 * y.size * LOG_2PI
-    return ExactPosterior(mean=mean, covariance=cov, log_marginal=lml, weights=weights)
+    return ExactPosterior(mean=mean, covariance=cov, log_marginal=_log_marginal(L, y), weights=weights)
 
 
 def log_marginal_likelihood(kernel: Kernel, noise_var: float, X, y) -> float:
@@ -83,8 +86,7 @@ def log_marginal_likelihood(kernel: Kernel, noise_var: float, X, y) -> float:
     if Xo.shape[0] != y.shape[0]:
         raise ShapeError(f"{Xo.shape[0]} training inputs but {y.shape[0]} targets")
     _, L = _noisy_train_factor(kernel, noise_var, Xo)
-    alpha = chol_solve(L, y)
-    return -0.5 * float(y @ alpha) - 0.5 * chol_logdet(L) - 0.5 * y.size * LOG_2PI
+    return _log_marginal(L, y)
 
 
 def grid_search(kernel_template: Kernel, noise_var: float, X, y, grids: dict):

@@ -7,8 +7,8 @@ matrices are handled by a bounded jitter escalation on the diagonal.
 The scalar Kalman step of every filter route is ``observe`` (forms s = P h
 once) followed by ``condition``, the one implementation of the update.
 ``condition`` overwrites the mean and covariance its caller owns; every
-other function here is pure, ``scalar_update`` included, which conditions
-one fresh copy.
+other function here is pure.  A caller that wants a new belief conditions a
+copy of its own.
 """
 
 from __future__ import annotations
@@ -147,29 +147,6 @@ def condition(mean: np.ndarray, cov: np.ndarray, observed, y: float, noise_var: 
     mean += (s / pred_var) * (y - pred_mean)
     blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=cov.T, overwrite_c=1)
     return pred_var
-
-
-def scalar_update(mean: np.ndarray, cov: np.ndarray, h: np.ndarray, y: float, noise_var: float):
-    """Condition N(mean, cov) on one observation y = h^T x + N(0, noise_var), purely.
-
-    ``condition`` applied to one fresh copy of the belief, after ``observe``:
-    the inputs are never modified, and the returned covariance is
-    C-contiguous and owns its data.
-
-    Returns
-    -------
-    (mean, cov, pred_mean, pred_var) : the conditioned moments and the
-    predictive moments of y (``pred_var`` includes ``noise_var``).
-
-    Raises
-    ------
-    NumericalError
-        if ``pred_var`` is not positive, before it is divided by.
-    """
-    observed = observe(mean, cov, h)
-    new_mean, new_cov = np.array(mean, dtype=float), np.array(cov, dtype=float, order="C")
-    pred_var = condition(new_mean, new_cov, observed, y, noise_var)
-    return new_mean, new_cov, observed[0], pred_var
 
 
 def gaussian_loglik(y: float, mean: float, var: float) -> float:

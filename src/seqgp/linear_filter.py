@@ -4,17 +4,22 @@ The model is y_t = phi(x_t)^T theta_t + noise with theta_k = a*theta_{k-1}
 + u + N(0, c*I): static (theta fixed), random walk (isotropic diffusion),
 back-to-prior forgetting (geometric blend toward the prior) and the general
 scalar autoregression with control input are settings of (a, u, c).
-Conjugate updates go through the shared rank-one kernel ``linalg.condition``
-(P - s s^T / v as one BLAS call), which keeps a bit-symmetric belief
-bit-symmetric over long streams; non-conjugate likelihoods (Bernoulli-logit,
-Poisson-log) are folded in through a one-dimensional Laplace step on the
+Both likelihoods share one step: ``observe_f`` forms s = P phi once and
+``condition_in_place`` conditions the belief on it through the package's
+one rank-one update, ``linalg.condition`` (P - s s^T / v as one BLAS call),
+which keeps a bit-symmetric belief bit-symmetric over long streams.  A
+non-conjugate likelihood (Bernoulli-logit, Poisson-log) enters that update
+as the Gaussian pseudo-observation of a one-dimensional Laplace step on the
 marginal of f_t = phi^T theta.
 
-``predict_step``, ``predict_f``, ``update_step`` and ``update_nonconjugate``
-are pure: they return new beliefs and never modify their arguments.  A
-caller that owns a belief (``runners.LinearRunner``) advances it with
-``predict_in_place`` and conditions it with ``condition_in_place``, which
-overwrite its mean and covariance with the same arithmetic.
+``runners.LinearRunner``, the route ``seqgp run`` ships, owns its belief:
+it advances it with ``predict_in_place``, reads a predict-only row from
+``predict_f_ahead`` and conditions a y-row with ``observe_f`` and
+``condition_in_place``.  ``predict_step``, ``predict_f`` and
+``update_step`` are that arithmetic on new beliefs, each one composition of
+the shipped step, for library callers and ``seqgp check``; they never
+modify their arguments.  ``static_batch_posterior`` is the different math,
+the one-solve batch posterior of the static model.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
-from .linalg import chol_jitter, condition, gaussian_loglik, observe, scalar_update
+from .linalg import chol_jitter, condition, gaussian_loglik, observe
 
 
 @dataclass(frozen=True)
@@ -139,21 +144,16 @@ def predict_in_place(belief: GaussianBelief, dynamics: Dynamics) -> None:
 def update_step(belief: GaussianBelief, phi: np.ndarray, y: float, noise_var: float):
     """Conjugate scalar-observation update; returns (belief, pred_loglik).
 
-    The predictive log density is evaluated before conditioning, i.e. it is
-    log N(y | phi^T mean, phi^T cov phi + noise_var) of the incoming belief.
-    The covariance update is the optimal-gain rank-one downdate of
-    ``linalg.scalar_update``, bit-symmetric when ``belief.cov`` is.
+    ``observe_f`` and ``condition_in_place`` applied to one fresh copy of the
+    belief: the predictive log density is that of y under the incoming
+    belief, and the new covariance is C-contiguous and bit-symmetric when
+    ``belief.cov`` is.
     """
     if noise_var <= 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
-    if not np.isfinite(y):
-        raise DataError(f"non-finite observation {y!r}")
-    phi = np.asarray(phi, dtype=float).ravel()
-    if phi.shape[0] != belief.dim:
-        raise ShapeError(f"feature vector has length {phi.shape[0]}, belief has {belief.dim}")
-
-    mean, cov, pred_mean, pred_var = scalar_update(belief.mean, belief.cov, phi, y, noise_var)
-    return GaussianBelief(mean, cov), gaussian_loglik(y, pred_mean, pred_var)
+    observed = observe_f(belief, phi)
+    updated = GaussianBelief(np.array(belief.mean, dtype=float), np.array(belief.cov, dtype=float, order="C"))
+    return updated, condition_in_place(updated, observed, y, "gaussian", noise_var)
 
 
 def observe_f(belief: GaussianBelief, phi: np.ndarray):
@@ -188,10 +188,10 @@ def condition_in_place(belief: GaussianBelief, observed, y: float, likelihood: s
     """Condition a belief the caller owns on y, overwriting its mean and covariance.
 
     ``observed`` is ``observe_f(belief, phi)`` of this belief.  Under the
-    Gaussian likelihood this is ``update_step``'s arithmetic and returns its
-    predictive log density; otherwise it is ``update_nonconjugate``'s, whose
-    Laplace pseudo-observation reuses the same s, and returns its approximate
-    log density.
+    Gaussian likelihood it returns the predictive log density of y;
+    otherwise y enters as its ``laplace_observation``, whose
+    pseudo-observation reuses the same s, and the Laplace approximation of
+    the log density is returned.
     """
     if likelihood == "gaussian":
         if not math.isfinite(y):
@@ -205,9 +205,9 @@ def condition_in_place(belief: GaussianBelief, observed, y: float, likelihood: s
 def static_batch_posterior(Phi: np.ndarray, y: np.ndarray, noise_var: float, prior_var: float) -> GaussianBelief:
     """Batch conjugate posterior for the static model, in information form.
 
-    Algebraically identical to folding the rows of (Phi, y) through
-    update_step one at a time; one O(F^3) solve instead of T rank-one
-    updates, which matters for large feature counts.
+    Algebraically identical to conditioning on the rows of (Phi, y) one at a
+    time; one O(F^3) solve instead of T rank-one updates, which matters for
+    large feature counts.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -327,16 +327,3 @@ def laplace_observation(m0: float, v0: float, y: float, likelihood: str):
         + 0.5 * math.log(2.0 * math.pi / curvature)
     )
     return pseudo_y, pseudo_var, approx_loglik
-
-
-def update_nonconjugate(belief: GaussianBelief, phi: np.ndarray, y: float, likelihood: str):
-    """Laplace update for a non-Gaussian observation; returns (belief, approx_loglik).
-
-    The F-dimensional problem collapses to the 1-D marginal of f = phi^T
-    theta (exact for a rank-one observation).  Its ``laplace_observation`` is
-    then applied with the ordinary conjugate update.
-    """
-    m0, v0 = predict_f(belief, phi)
-    pseudo_y, pseudo_var, approx_loglik = laplace_observation(m0, v0, y, likelihood)
-    updated, _ = update_step(belief, phi, pseudo_y, pseudo_var)
-    return updated, approx_loglik

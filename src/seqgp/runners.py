@@ -1,17 +1,23 @@
 """Chunk-at-a-time model runners behind the streaming CLI.
 
-Every runner exposes ``prepare(chunk)`` and ``step(record) -> StepResult``.
-``prepare`` does the work that depends only on the inputs of a chunk of rows
-(``Columns``), in one call per chunk: the sparse projections, the feature
-rows, the Markov transitions and observation rows.  It never reads ``y``.
-``step`` then follows the prequential protocol row by row: predict at the
-record's input, score the target if one is present, then (and only then)
-fold the observation into the state.  A record of the prepared chunk reads
-its prepared row; any other record, such as one a library caller builds, is
-first prepared as a chunk of one, so both run the same arithmetic.  Rows
-without a target are pure queries and never change the belief; for the
-Markovian models the state still advances to the row's timestamp, since the
-model lives in continuous time.
+Every runner exposes ``prepare(chunk)`` and ``step(record) -> StepResult``,
+and ``run_chunks`` drives them the way ``seqgp run`` does.  ``prepare`` does
+the work that depends only on the inputs of a chunk of rows (``Columns``),
+in one call per chunk: the sparse projections, the feature rows, the Markov
+transitions and observation rows.  It never reads ``y``.  ``step`` then
+follows the prequential protocol row by row over the records of the chunk
+last prepared (``Columns.records``): predict at the record's input, score
+the target if one is present, then (and only then) fold the observation into
+the state.  A record of any other chunk is a ValueError.  Rows without a
+target are pure queries and never change the belief; for the Markovian
+models the state still advances to the row's timestamp, since the model
+lives in continuous time.
+
+Each runner steps its route's in-place path: ``linear_filter.predict_in_place``,
+``observe_f`` and ``condition_in_place``; ``sparse.sparse_observe`` and
+``condition_in_place``; ``markovian.MarkovStepper``; and the extended
+Cholesky factor of ``ExactRunner``.  The pure functions of those modules are
+the same arithmetic on new states, for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -21,6 +27,7 @@ without peeking at any target value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,15 +102,6 @@ class Columns:
         for row, t, x, y in zip(range(self.first_row, self.first_row + n), ts, xs, ys):
             yield StreamRecord(row, t, x, y, self)
 
-    @classmethod
-    def of(cls, records: list[StreamRecord]) -> Columns:
-        """The inputs of one or more records as a block, numbered from the first record's row."""
-        first = records[0]
-        t = None if first.t is None else np.array([r.t for r in records], dtype=float)
-        x = None if first.x is None else np.array([r.x for r in records], dtype=float)
-        y = np.array([np.nan if r.y is None else r.y for r in records], dtype=float)
-        return cls(first.row, t, x, y)
-
 
 class _Prepared:
     """What ``prepare`` last read: the chunk whose records ``step`` serves from it."""
@@ -111,12 +109,10 @@ class _Prepared:
     _chunk: Columns | None = None
 
     def _index(self, rec: StreamRecord) -> int:
-        """Position of ``rec`` in the prepared chunk; a record of any other chunk,
-        or of none, is prepared alone first."""
+        """Position of ``rec`` in the prepared chunk."""
         chunk = rec.chunk
         if chunk is None or chunk is not self._chunk:
-            self.prepare(Columns.of([rec]))
-            return 0
+            raise ValueError(f"row {rec.row} is not a record of the chunk last prepared")
         return rec.row - chunk.first_row
 
 
@@ -396,6 +392,28 @@ class EnsembleRunner:
             shift = np.max(lls) if np.any(np.isfinite(lls)) else 0.0
             self.state = ens.stacking_update(self.state, np.exp(lls - shift))
         return StepResult(mix_mean, mix_var, mix_ll, weights=self.state.weights)
+
+
+def run_chunks(runner, data: Columns, chunk_rows: int):
+    """Step ``runner`` over ``data`` as ``seqgp run`` does, yielding (record,
+    StepResult) row by row: ``prepare`` each chunk of ``chunk_rows`` rows, then
+    ``step`` its records in order.  A non-finite predictive mean or variance is
+    a NumericalError, and a data or numerical error raised here names its
+    1-based row."""
+    for start in range(0, len(data), chunk_rows):
+        chunk = data.rows(start, min(start + chunk_rows, len(data)))
+        row = chunk.first_row
+        try:
+            runner.prepare(chunk)
+            for rec in chunk.records():
+                row = rec.row
+                res = runner.step(rec)
+                if not (math.isfinite(res.mean) and math.isfinite(res.var)):
+                    raise NumericalError(f"non-finite prediction: mean {res.mean!r}, variance {res.var!r}")
+                yield rec, res
+        except (DataError, NumericalError) as exc:
+            exc.args = (f"row {row}: {exc}",)  # same class and detail, now naming the row
+            raise
 
 
 def _require_seed(cfg: dict, key: str) -> int:

@@ -11,12 +11,16 @@ q(x) = kappa(x, x) - k^T K_uu^{-1} k is treated as extra observation noise
 and restored in predictions, so the prior is recovered exactly away from the
 inducing set; switching it off reproduces the bare recursion.
 
-``sparse_predict``, ``sparse_update`` and ``vsgp_info_update`` are pure: they
-return new states and never modify their arguments.  A caller that owns a
-state (``runners.SparseRunner``) observes it once per row with
-``sparse_observe`` and conditions it with ``condition_in_place``, which
-overwrites the state's ``mean`` and ``cov`` arrays; ``step_flops`` then keeps
-the value it had, and the caller counts ``update_flops`` per update itself.
+``runners.SparseRunner``, the route ``seqgp run`` ships for ``model=sparse``
+and ``model=vsgp``, owns its state: it projects a chunk's inputs in one
+``projections`` call, observes the state once per row with
+``sparse_observe`` and conditions a y-row with ``condition_in_place``,
+which overwrites the state's ``mean`` and ``cov`` arrays (``step_flops``
+keeps the value it had; the runner counts ``update_flops`` per update
+itself).  ``sparse_predict`` and ``sparse_update`` are that step at one
+input on a new state, for library callers; they never modify their
+arguments.  ``vsgp_info_update`` is the different math, the batch update in
+information form that the recursion must agree with.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ def update_flops(n_inducing: int) -> int:
 
 
 def sparse_observe(state: SparseState, projection):
-    """One observe step through ``projection`` = ``_projection(state, x)``.
+    """One observe step through ``projection``, a row (h, q) of ``projections``.
 
     Returns (mean, var, s): the predictive moments of f(x) that
     ``sparse_predict`` returns, mean = h^T m and var = h^T S h (+ the residual
@@ -157,29 +161,25 @@ def condition_in_place(state: SparseState, observed, y: float, noise_var: float)
     return gaussian_loglik(y, observed[0], condition(state.mean, state.cov, observed, y, noise_var))
 
 
-def sparse_update(state: SparseState, x, y: float, noise_var: float, projection=None):
+def sparse_update(state: SparseState, x, y: float, noise_var: float):
     """Fold one observation into the belief; returns (state, pred_loglik).
 
-    ``condition_in_place`` applied to one fresh copy of the state.
-    ``projection`` is ``_projection(state, x)`` when the caller already has
-    it; the projection depends only on the frozen kernel and inducing set.
+    ``sparse_observe`` and ``condition_in_place`` at the projection of ``x``,
+    applied to one fresh copy of the state.
     """
     if noise_var <= 0.0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
     if not np.all(np.isfinite(np.atleast_1d(x))) or not np.isfinite(y):
         raise DataError(f"non-finite observation ({x!r}, {y!r})")
-    observed = sparse_observe(state, _projection(state, x) if projection is None else projection)
+    observed = sparse_observe(state, _projection(state, x))
     updated = replace(state, mean=state.mean.copy(), cov=np.array(state.cov, order="C"),
                       step_flops=update_flops(state.n_inducing))
     return updated, condition_in_place(updated, observed, y, noise_var)
 
 
-def sparse_predict(state: SparseState, x, projection=None):
-    """Predictive (mean, var) of f(x): mean = h^T m, var = h^T S h (+ residual).
-
-    ``projection`` is ``_projection(state, x)``, as in ``sparse_update``.
-    """
-    mean, var, _ = sparse_observe(state, _projection(state, x) if projection is None else projection)
+def sparse_predict(state: SparseState, x):
+    """Predictive (mean, var) of f(x): mean = h^T m, var = h^T S h (+ residual)."""
+    mean, var, _ = sparse_observe(state, _projection(state, x))
     return mean, var
 
 

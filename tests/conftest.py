@@ -1,10 +1,15 @@
-"""Shared helpers for driving the CLI in-process."""
+"""Shared helpers for driving the CLI in-process, and its runners over columns."""
 
 import io
 import json
 import sys
 
+import numpy as np
+
 from seqgp import cli
+from seqgp.config import parse_overrides
+from seqgp.linalg import condition, observe
+from seqgp.runners import Columns, build_runner, run_chunks
 
 
 def run_cli(argv, stdin_text=None):
@@ -31,3 +36,28 @@ def parse_report(text):
         cells = ln.split(",")
         rows.append({h: (float(c) if c != "" else None) for h, c in zip(header, cells)})
     return header, rows, summary
+
+
+def stream_columns(y, t=None, x=None):
+    """A stream as ``Columns`` numbered from row 1; a NaN in ``y`` marks a predict-only row."""
+    y = np.asarray(y, dtype=float)
+    t = None if t is None else np.asarray(t, dtype=float)
+    x = None if x is None else np.asarray(x, dtype=float).reshape(y.size, -1)
+    return Columns(1, t, x, y)
+
+
+def runner_for(overrides, data):
+    """The runner ``seqgp run`` builds from ``key=value`` overrides for the stream ``data``."""
+    return build_runner(parse_overrides(overrides), data)
+
+
+def run_runner(runner, data, chunk_rows=cli.CHUNK_ROWS):
+    """Step ``runner`` over ``data`` in chunks, as ``seqgp run`` does; the StepResults in row order."""
+    return [res for _, res in run_chunks(runner, data, chunk_rows)]
+
+
+def conditioned(mean, cov, h, y, noise_var):
+    """``observe`` then ``condition`` on copies of the belief: (mean, cov, pred_mean, pred_var)."""
+    observed = observe(mean, cov, h)
+    new_mean, new_cov = np.array(mean, dtype=float), np.array(cov, dtype=float, order="C")
+    return new_mean, new_cov, observed[0], condition(new_mean, new_cov, observed, y, noise_var)

@@ -2,7 +2,11 @@
 
 Each test prints one ``PASS criterion-N`` line (visible under ``pytest -s``
 or in the captured output of a failure) and enforces the criterion's
-runtime budget where one is stated.
+runtime budget where one is stated.  A criterion about a streaming route
+builds the runner that ``seqgp run`` builds from the same keys and steps it
+over column chunks as the CLI does, or runs the CLI itself; its oracle (the
+exact GP, batch evidence, the information-form batch update, quadrature)
+is computed without the route's step.
 """
 
 import math
@@ -13,9 +17,10 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from conftest import parse_report, run_cli
-from seqgp import ensemble as ens
+from conftest import parse_report, run_cli, run_runner, runner_for, stream_columns
 from seqgp import exact, features, kernels, linear_filter as lf, markovian, sparse
+from seqgp.cli import CHUNK_ROWS
+from seqgp.runners import run_chunks
 
 
 def report(name, elapsed, budget=None, detail=""):
@@ -96,22 +101,19 @@ def test_criterion_04_weight_space_equals_function_space():
     X = np.sort(rng.uniform(0.0, 4.0, 100))
     y = rng.standard_normal(100)
     noise = 0.25
-    for fmap in (
-        features.sample_rff(kernels.se(1.2, 0.6), 64, seed=8),
-        features.build_hsgp(kernels.se(1.0, 0.5), 96, 16.0),
+    Xs = np.linspace(0.0, 4.0, 33)
+    # the test inputs follow as predict-only rows, where static weights give the posterior
+    data = stream_columns(np.concatenate([y, np.full(Xs.size, np.nan)]), x=np.concatenate([X, Xs]))
+    for feature_keys in (
+        ["kernel.sigma_f2=1.2", "kernel.lengthscale=0.6", "features.kind=rff", "features.F=64", "features.seed=8"],
+        ["kernel.sigma_f2=1.0", "kernel.lengthscale=0.5", "features.kind=hsgp", "features.F=96", "features.L=16"],
     ):
-        belief = lf.init_belief(fmap.n_features, fmap.weight_prior_var)
-        total_ll = 0.0
-        for i in range(100):
-            belief, ll = lf.update_step(belief, features.featurize(fmap, X[i]), y[i], noise)
-            total_ll += ll
-        Xs = np.linspace(0.0, 4.0, 33)
-        post = exact.posterior(features.DegenerateKernel(fmap), noise, X, y, Xs)
-        Ps = features.featurize_many(fmap, Xs)
-        np.testing.assert_allclose(Ps @ belief.mean, post.mean, atol=1e-6)
-        np.testing.assert_allclose(np.sum((Ps @ belief.cov) * Ps, axis=1),
-                                   np.diag(post.covariance), atol=1e-6)
-        assert total_ll == pytest.approx(post.log_marginal, abs=1e-6)
+        runner = runner_for(["model=linear", "kernel.family=se", f"noise_var={noise}", *feature_keys], data)
+        res = run_runner(runner, data)
+        post = exact.posterior(features.DegenerateKernel(runner.fmap), noise, X, y, Xs)
+        np.testing.assert_allclose([r.mean for r in res[100:]], post.mean, atol=1e-6)
+        np.testing.assert_allclose([r.var for r in res[100:]], np.diag(post.covariance), atol=1e-6)
+        assert sum(r.logdensity for r in res[:100]) == pytest.approx(post.log_marginal, abs=1e-6)
     report("criterion-04 weight-space = function-space", time.perf_counter() - t0, budget=5.0)
 
 
@@ -141,35 +143,37 @@ def test_criterion_05_rff_convergence():
            detail=f"{passed}/50 seeds under 0.05*sigma_f")
 
 
+def inducing_key(Z):
+    return "sparse.inducing=" + ",".join(map(repr, np.asarray(Z, dtype=float).tolist()))
+
+
 def test_criterion_06_sparse_exactness_and_batch_agreement():
     t0 = time.perf_counter()
     kernel = kernels.se(1.0, 0.6)
     noise = 0.15
+    keys = ["kernel.family=se", "kernel.sigma_f2=1.0", "kernel.lengthscale=0.6", f"noise_var={noise}"]
     rng = np.random.default_rng(3000)
     X = np.sort(rng.uniform(0.0, 4.0, 100))
     y = np.sin(2.0 * X) + 0.3 * rng.standard_normal(100)
 
     # M = N at the training inputs recovers the exact GP to 1e-5
-    st = sparse.init_sparse(kernel, X)
-    for xi, yi in zip(X, y):
-        st, _ = sparse.sparse_update(st, xi, yi, noise)
     Xs = np.linspace(0.2, 3.8, 20)
+    data = stream_columns(np.concatenate([y, np.full(Xs.size, np.nan)]), x=np.concatenate([X, Xs]))
+    runner = runner_for(["model=sparse", *keys, inducing_key(X)], data)
+    means = [r.mean for r in run_runner(runner, data)[100:]]
     post = exact.posterior(kernel, noise, X, y, Xs)
-    means = np.array([sparse.sparse_predict(st, x)[0] for x in Xs])
     np.testing.assert_allclose(means, post.mean, atol=1e-5)
 
-    # information-form batch = sequential recursion to 1e-8
+    # information-form batch = sequential recursion to 1e-8, over the stream and over its first row
     Z = np.linspace(0.2, 3.8, 12)
-    seq = sparse.init_sparse(kernel, Z)
-    for xi, yi in zip(X, y):
-        seq, _ = sparse.sparse_update(seq, xi, yi, noise)
-    batch = sparse.vsgp_info_update(sparse.init_sparse(kernel, Z), X, y, noise)
-    np.testing.assert_allclose(batch.mean, seq.mean, atol=1e-8)
-    np.testing.assert_allclose(batch.cov, seq.cov, atol=1e-8)
-    one_a, _ = sparse.sparse_update(sparse.init_sparse(kernel, Z), X[0], y[0], noise)
-    one_b = sparse.vsgp_info_update(sparse.init_sparse(kernel, Z), X[:1], y[:1], noise)
-    np.testing.assert_allclose(one_a.mean, one_b.mean, atol=1e-8)
-    np.testing.assert_allclose(one_a.cov, one_b.cov, atol=1e-8)
+    train = stream_columns(y, x=X)
+    for n in (100, 1):
+        rows = train.rows(0, n)
+        seq = runner_for(["model=vsgp", *keys, inducing_key(Z)], rows)
+        run_runner(seq, rows)
+        batch = sparse.vsgp_info_update(sparse.init_sparse(kernel, Z), X[:n], y[:n], noise)
+        np.testing.assert_allclose(batch.mean, seq.state.mean, atol=1e-8)
+        np.testing.assert_allclose(batch.cov, seq.state.cov, atol=1e-8)
     report("criterion-06 sparse exactness + batch agreement", time.perf_counter() - t0, budget=10.0)
 
 
@@ -185,24 +189,35 @@ def test_criterion_07_online_bma_equals_batch_evidence():
     noise = 0.1
     y = features.featurize_many(truth_map, X) @ theta + math.sqrt(noise) * rng.standard_normal(T)
 
-    members = []
-    for ell in (0.05, 0.5, 5.0):
-        fmap = features.sample_rff(kernels.se(1.0, ell), 256, seed=11)
-        members.append({"fmap": fmap, "belief": lf.init_belief(256, fmap.weight_prior_var)})
-    state = ens.init_ensemble(3, "bma")
-    cum = np.zeros(3)
-    weight_at_500 = None
-    for t in range(T):
-        lls = np.empty(3)
-        for k, member in enumerate(members):
-            phi = features.featurize(member["fmap"], X[t])
-            member["belief"], lls[k] = lf.update_step(member["belief"], phi, y[t], noise)
-        state = ens.bma_update(state, lls)
-        cum += lls
-        shifted = np.exp(cum - cum.max())
-        np.testing.assert_allclose(state.weights, shifted / shifted.sum(), atol=1e-10)
-        if t == 499:
-            weight_at_500 = state.weights[1]
+    keys = ["model=ensemble", "ensemble.combiner=bma"]
+    for k, ell in enumerate((0.05, 0.5, 5.0), start=1):
+        keys += [f"member.{k}.{kv}" for kv in ("model=linear", "kernel.family=se", f"kernel.lengthscale={ell}",
+                                                "features.kind=rff", "features.F=256", "features.seed=11",
+                                                f"noise_var={noise}")]
+    data = stream_columns(y, x=X)
+    runner = runner_for(keys, data)
+    scores = np.empty((T, 3))  # each member's log density of each row, as the ensemble combines it
+
+    def scored(k, step):
+        def step_and_record(rec):
+            res = step(rec)
+            scores[rec.row - 1, k] = res.logdensity
+            return res
+        return step_and_record
+
+    for k, member in enumerate(runner.members):
+        member.step = scored(k, member.step)
+    weights = np.array([r.weights for r in run_runner(runner, data)])
+
+    # by the chain rule the summed scores are each member's batch evidence
+    cum = np.cumsum(scores, axis=0)
+    for n in (500, T):
+        for k, member in enumerate(runner.members):
+            lml = exact.log_marginal_likelihood(features.DegenerateKernel(member.fmap), noise, X[:n], y[:n])
+            assert cum[n - 1, k] == pytest.approx(lml, abs=1e-6)
+    shifted = np.exp(cum - cum.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(weights, shifted / shifted.sum(axis=1, keepdims=True), atol=1e-10)
+    weight_at_500 = weights[499, 1]
     assert weight_at_500 > 0.9
     report("criterion-07 O-BMA = batch evidence", time.perf_counter() - t0, budget=30.0,
            detail=f"true-member weight at t=500: {weight_at_500:.4f}")
@@ -210,19 +225,31 @@ def test_criterion_07_online_bma_equals_batch_evidence():
 
 def test_criterion_08_dynamics_algebra():
     t0 = time.perf_counter()
-    belief = lf.GaussianBelief(np.array([0.8, -0.4, 0.1]),
-                               np.array([[0.5, 0.1, 0.0], [0.1, 0.7, 0.2], [0.0, 0.2, 0.9]]))
-    prior_var = 1.6
-    s = lf.predict_step(belief, lf.b2p(1.0, prior_var))
-    np.testing.assert_allclose(s.mean, belief.mean, atol=1e-12)
-    np.testing.assert_allclose(s.cov, belief.cov, atol=1e-12)
-    r = lf.predict_step(belief, lf.b2p(0.0, prior_var))
-    np.testing.assert_allclose(r.mean, np.zeros(3), atol=1e-12)
-    np.testing.assert_allclose(r.cov, prior_var * np.eye(3), atol=1e-12)
-    rw = lf.predict_step(belief, lf.random_walk(0.07))
-    gen = lf.predict_step(belief, lf.general(1.0, 0.0, 0.07))
-    np.testing.assert_allclose(gen.mean, rw.mean, atol=1e-12)
-    np.testing.assert_allclose(gen.cov, rw.cov, atol=1e-12)
+    rng = np.random.default_rng(808)
+    y = np.sin(3.0 * np.linspace(-2.0, 2.0, 40)) + 0.2 * rng.standard_normal(40)
+    y[::6] = np.nan
+    data = stream_columns(y, x=rng.uniform(-2.0, 2.0, 40))
+    keys = ["model=linear", "kernel.family=se", "kernel.sigma_f2=1.6", "features.kind=rff", "features.F=16",
+            "features.seed=3", "noise_var=0.1"]
+
+    def run(*dynamics_keys):
+        runner = runner_for([*keys, *dynamics_keys], data)
+        return runner, np.array([(r.mean, r.var, np.nan if r.logdensity is None else r.logdensity)
+                                 for r in run_runner(runner, data)])
+
+    def assert_same(a, b):
+        np.testing.assert_allclose(a[1], b[1], atol=1e-12)
+        np.testing.assert_allclose(a[0].belief.mean, b[0].belief.mean, atol=1e-12)
+        np.testing.assert_allclose(a[0].belief.cov, b[0].belief.cov, atol=1e-12)
+
+    assert_same(run("dynamics.mode=b2p", "dynamics.lambda=1"), run("dynamics.mode=static"))
+    # full forgetting: every row is predicted from the prior
+    forget, rows = run("dynamics.mode=b2p", "dynamics.lambda=0")
+    phi = features.featurize_many(forget.fmap, data.x)
+    np.testing.assert_allclose(rows[:, 0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(rows[:, 1], forget.fmap.weight_prior_var * np.sum(phi * phi, axis=1), atol=1e-12)
+    assert_same(run("dynamics.mode=general", "dynamics.a=1", "dynamics.u=0", "dynamics.c=0.07"),
+                run("dynamics.mode=random_walk", "dynamics.sigma_rw2=0.07"))
     report("criterion-08 dynamics algebra", time.perf_counter() - t0)
 
 
@@ -265,20 +292,15 @@ def test_criterion_10_dynamic_beats_static_on_drifting_field():
     X = rng.uniform(0.0, 1.0, T)
     phase = 0.0005 * np.arange(T) * 2.0 * math.pi
     y = np.sin(2.0 * math.pi * X + phase) + 0.1 * rng.standard_normal(T)
-    kernel = kernels.se(1.0, 0.3)
+    data = stream_columns(y, x=X)
+    keys = ["model=linear", "kernel.family=se", "kernel.sigma_f2=1.0", "kernel.lengthscale=0.3",
+            "features.kind=rff", "features.F=128", "features.seed=5", "noise_var=0.01"]
 
     errors = {}
-    for name, dyn in (("static", lf.static()), ("random_walk", lf.random_walk(0.002))):
-        fmap = features.sample_rff(kernel, 128, seed=5)
-        belief = lf.init_belief(128, fmap.weight_prior_var)
-        sq = np.empty(T)
-        for t in range(T):
-            phi = features.featurize(fmap, X[t])
-            predicted = lf.predict_step(belief, dyn)
-            mean, _ = lf.predict_f(predicted, phi)
-            sq[t] = (y[t] - mean) ** 2
-            belief, _ = lf.update_step(predicted, phi, y[t], 0.01)
-        errors[name] = sq
+    for name, dynamics_keys in (("static", ["dynamics.mode=static"]),
+                                ("random_walk", ["dynamics.mode=random_walk", "dynamics.sigma_rw2=0.002"])):
+        means = np.array([r.mean for r in run_runner(runner_for([*keys, *dynamics_keys], data), data)])
+        errors[name] = (y - means) ** 2
     q = T // 4
     rmse_static = math.sqrt(errors["static"].mean())
     rmse_rw = math.sqrt(errors["random_walk"].mean())
@@ -292,23 +314,25 @@ def test_criterion_10_dynamic_beats_static_on_drifting_field():
 
 def test_criterion_11_linear_time_scaling():
     t0 = time.perf_counter()
-    sde = markovian.build_lti(kernels.matern12(1.0, 1.0))
     per_step = []
     for n in (1_000, 10_000, 100_000):
         t = np.arange(n) * 0.01
-        y = np.sin(t)
-        res = markovian.kalman_filter(sde, t, y, 0.1)
-        per_step.append(res.flops / n)
+        data = stream_columns(np.sin(t), t=t)
+        runner = runner_for(["model=markov", "kernel.family=matern12", "noise_var=0.1"], data)
+        run_runner(runner, data)
+        per_step.append(runner.flops / n)
     spread = max(per_step) / min(per_step) - 1.0
     assert spread < 0.05
 
     # sparse per-step flops never depend on how many points came before
-    st = sparse.init_sparse(kernels.se(1.0, 0.6), np.linspace(0.0, 4.0, 16))
     rng = np.random.default_rng(4000)
-    counts = set()
-    for _ in range(500):
-        st, _ = sparse.sparse_update(st, float(rng.uniform(0, 4)), float(rng.standard_normal()), 0.2)
-        counts.add(st.step_flops)
+    data = stream_columns(rng.standard_normal(500), x=rng.uniform(0, 4, 500))
+    runner = runner_for(["model=sparse", "kernel.family=se", "kernel.lengthscale=0.6", "noise_var=0.2",
+                         inducing_key(np.linspace(0.0, 4.0, 16))], data)
+    counts, before = set(), 0
+    for _, _ in run_chunks(runner, data, CHUNK_ROWS):
+        counts.add(runner.flops - before)
+        before = runner.flops
     assert len(counts) == 1
     report("criterion-11 linear-time scaling", time.perf_counter() - t0,
            detail=f"per-step flop spread {spread:.2%}")

@@ -1,5 +1,6 @@
-"""``seqgp run`` in chunks: every chunk size gives the same report, and a runner
-stepped record by record, with no ``prepare``, gives the same cells."""
+"""``seqgp run`` in chunks: every chunk size gives the same report, a runner
+stepped over columns in other chunks gives the same cells, and a runner
+steps only the records of the chunk it last prepared."""
 
 import io
 import json
@@ -7,10 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import parse_report, run_cli
+from conftest import parse_report, run_cli, runner_for
 from seqgp import cli, sparse
-from seqgp.config import parse_overrides
-from seqgp.runners import StreamRecord, build_runner
+from seqgp.runners import StreamRecord, run_chunks
 
 ENSEMBLE = ["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
             "member.2.model=linear", "member.2.kernel.family=matern32", "member.2.features.kind=rff",
@@ -96,7 +96,7 @@ def test_each_member_projects_each_chunk_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_bare_records_step_like_the_chunked_run(name, tmp_path, monkeypatch):
+def test_runner_stepped_over_columns_gives_the_reported_cells(name, tmp_path, monkeypatch):
     columns, args = model_args(name, tmp_path)
     csv = stream(columns)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 16)
@@ -105,15 +105,25 @@ def test_bare_records_step_like_the_chunked_run(name, tmp_path, monkeypatch):
     _, rows, _ = parse_report(out)
 
     _, data = cli.ingest_csv(io.StringIO(csv))
-    runner = build_runner(parse_overrides(args), data)
-    for i, row in enumerate(rows):
-        y = None if np.isnan(data.y[i]) else float(data.y[i])
-        t = None if data.t is None else float(data.t[i])
-        x = None if data.x is None else data.x[i].copy()
-        res = runner.step(StreamRecord(i + 1, t, x, y))
+    runner = runner_for(args, data)
+    for (_, res), row in zip(run_chunks(runner, data, 5), rows, strict=True):
         assert (res.mean, res.var, res.logdensity) == (row["pred_mean"], row["pred_var"], row["pred_logdensity"])
         if res.weights is not None:
             assert res.weights.tolist() == [row[f"weight_{k}"] for k in range(1, res.weights.size + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(set(MODELS) - {"exact"}))  # the exact runner prepares nothing
+def test_a_record_of_another_chunk_is_a_value_error(name, tmp_path):
+    columns, args = model_args(name, tmp_path)
+    _, data = cli.ingest_csv(io.StringIO(stream(columns)))
+    runner = runner_for(args, data)
+    first, second = data.rows(0, 8), data.rows(8, 16)
+    runner.prepare(first)
+    runner.step(next(first.records()))
+    records = [next(second.records()), StreamRecord(2, *(None if c is None else c[1] for c in (data.t, data.x)), 0.1)]
+    for rec in records:
+        with pytest.raises(ValueError, match=f"row {rec.row} is not a record of the chunk last prepared"):
+            runner.step(rec)
 
 
 @pytest.mark.parametrize("csv, stderr", [

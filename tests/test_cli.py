@@ -432,6 +432,20 @@ class TestExitCodes:
         assert code == 3
         assert "row 1" in err
 
+    @pytest.mark.parametrize("args", [
+        ["run", *WORKED_ARGS],
+        ["run", *LINEAR_ARGS],
+        ["run", "model=markov", "kernel.family=matern12", "noise_var=0.1"],
+        ["run", "model=sparse", "kernel.family=matern32", "sparse.M=1", "noise_var=0.1"],
+        ["run", "model=vsgp", "kernel.family=matern32", "sparse.M=1", "noise_var=0.1"],
+        ["run", "model=ensemble", "member.1.model=exact", "member.1.kernel.family=se", "member.1.noise_var=0.1"],
+        ["fit-exact", "kernel.family=se", "noise_var=0.1"],
+    ], ids=["exact", "linear", "markov", "sparse", "vsgp", "ensemble", "fit_exact"])
+    def test_header_with_only_y_is_3(self, args):
+        code, out, err = run_cli(args, stdin_text="y\n0.1\n0.2\n")
+        assert (code, out) == (3, "")
+        assert err == "seqgp: data error: header must name a t column or input columns x1..xD\n"
+
     def test_decreasing_timestamps_is_3_with_row(self):
         code, _, err = run_cli(
             ["run", "model=markov", "kernel.family=matern12", "noise_var=0.1"],

@@ -149,6 +149,9 @@ class TestSpatiotemporal:
     @pytest.mark.parametrize("text, message", [
         ("x1\n0.0\nnan\n", "non-finite coordinate"),
         ("x1\n0.0\n1.0,2.0\n", "rows have inconsistent lengths"),
+        ("x1\n", "no rows in"),
+        ("x1,x2\n\n", "no rows in"),
+        ("\n", "no rows in"),
     ])
     def test_bad_locations_file_is_2(self, tmp_path, text, message):
         loc_file = tmp_path / "locations.csv"

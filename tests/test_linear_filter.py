@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import run_runner, runner_for, stream_columns
 from seqgp import exact, features, kernels, linear_filter as lf
 from seqgp.config import build_dynamics
 from seqgp.errors import ConfigurationError, DataError, NumericalError, ShapeError
-from seqgp.runners import LinearRunner, StreamRecord
+from seqgp.runners import LinearRunner, run_chunks
 
 
 def quad_posterior(m0, v0, y, lik, n=10_000):
@@ -39,17 +40,14 @@ class TestInitAndPredict:
         lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
     ], ids=["static", "random_walk", "b2p", "general"])
     def test_every_covariance_producer_is_bit_symmetric(self, dynamics):
-        # ``linalg.scalar_update`` keeps a bit-symmetric covariance bit-symmetric
+        # ``linalg.condition`` keeps a bit-symmetric covariance bit-symmetric
         # and repairs nothing, so each producer must make one
         fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
-        b = lf.init_belief(64, fmap.weight_prior_var)
-        assert np.array_equal(b.cov, b.cov.T)
-        rng = np.random.default_rng(4)
-        for x in rng.uniform(-2.0, 2.0, 20):
-            b = lf.predict_step(b, dynamics)
-            assert np.array_equal(b.cov, b.cov.T)
-            b, _ = lf.update_step(b, features.featurize(fmap, x), float(np.sin(x)), 0.1)
-            assert np.array_equal(b.cov, b.cov.T)
+        runner = LinearRunner(fmap, dynamics, 0.1)
+        assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, 20)
+        for _ in run_chunks(runner, stream_columns(np.sin(x), x=x), 7):
+            assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
 
     def test_predict_f_zero_features(self):
         b = lf.init_belief(4, 1.0)
@@ -62,8 +60,9 @@ class TestInitAndPredict:
 
 class TestLinearRunner:
     """The runner advances and conditions the belief it owns in place, with the
-    arithmetic of the pure fold through ``predict_step``, ``predict_f`` and the
-    update functions."""
+    arithmetic of the pure fold through ``predict_step``, ``predict_f`` and
+    ``update_step`` (a Laplace pseudo-observation under a non-Gaussian
+    likelihood)."""
 
     @pytest.mark.parametrize("likelihood", ["gaussian", "poisson_log"])
     @pytest.mark.parametrize("dynamics", [
@@ -74,13 +73,11 @@ class TestLinearRunner:
         rng = np.random.default_rng(11)
         x = np.sort(rng.uniform(-2.0, 2.0, 60))
         y = rng.poisson(1.5, x.size).astype(float) if likelihood == "poisson_log" else np.sin(x)
-        recs = [StreamRecord(i + 1, float(xi), None, None if i % 7 == 3 else float(yi))
-                for i, (xi, yi) in enumerate(zip(x, y))]
+        y[3::7] = np.nan
         runner = LinearRunner(fmap, dynamics, 0.1, likelihood)
         mean_id, cov_id = id(runner.belief.mean), id(runner.belief.cov)
         belief = lf.init_belief(64, fmap.weight_prior_var)
-        for rec in recs:
-            got = runner.step(rec)
+        for rec, got in run_chunks(runner, stream_columns(y, x=x), 16):
             phi = features.featurize(fmap, rec.point)
             predicted = lf.predict_step(belief, dynamics)
             mean, var = lf.predict_f(predicted, phi)
@@ -92,7 +89,8 @@ class TestLinearRunner:
                 if likelihood == "gaussian":
                     belief, ll = lf.update_step(predicted, phi, rec.y, 0.1)
                 else:
-                    belief, ll = lf.update_nonconjugate(predicted, phi, rec.y, likelihood)
+                    pseudo_y, pseudo_var, ll = lf.laplace_observation(mean, var, rec.y, likelihood)
+                    belief, _ = lf.update_step(predicted, phi, pseudo_y, pseudo_var)
                 assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(runner.belief.mean, belief.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(runner.belief.cov, belief.cov, rtol=1e-12, atol=1e-12)
@@ -227,6 +225,13 @@ class TestUpdate:
         assert out.cov[0, 0] == pytest.approx(0.5, rel=1e-14)
         assert ll == pytest.approx(-0.5 * (np.log(2 * np.pi * 2.0) + 4.0 / 2.0), rel=1e-14)
 
+    def test_new_belief_is_a_c_contiguous_copy_of_any_layout(self):
+        b = lf.GaussianBelief(np.array([0.3, -0.5]), np.asfortranarray([[0.7, 0.1], [0.1, 0.4]]))
+        cov0 = b.cov.copy()
+        out, _ = lf.update_step(b, np.array([1.0, 2.0]), 5.0, 0.1)
+        assert out.cov.flags.c_contiguous and out.cov.flags.owndata
+        np.testing.assert_array_equal(b.cov, cov0)
+
     def test_infinite_noise_is_no_op(self):
         b = lf.GaussianBelief(np.array([0.3, -0.5]), np.array([[0.7, 0.1], [0.1, 0.4]]))
         out, _ = lf.update_step(b, np.array([1.0, 2.0]), 5.0, 1e12)
@@ -295,28 +300,21 @@ class TestUpdate:
 class TestFunctionSpaceDuality:
     def test_static_filter_equals_exact_gp_with_degenerate_kernel(self):
         rng = np.random.default_rng(16)
-        kernel = kernels.se(1.2, 0.6)
-        fmap = features.sample_rff(kernel, 64, seed=2)
         X = np.sort(rng.uniform(0, 4, 100))
         y = rng.standard_normal(100)
         noise = 0.3
-
-        b = lf.init_belief(64, fmap.weight_prior_var)
-        total_ll = 0.0
-        for i in range(100):
-            b, ll = lf.update_step(b, features.featurize(fmap, X[i]), y[i], noise)
-            total_ll += ll
-
-        dk = features.DegenerateKernel(fmap)
         Xs = np.linspace(0, 4, 25)
-        post = exact.posterior(dk, noise, X, y, Xs)
-        Ps = features.featurize_many(fmap, Xs)
-        filt_mean = Ps @ b.mean
-        filt_var = np.sum((Ps @ b.cov) * Ps, axis=1)
-        np.testing.assert_allclose(filt_mean, post.mean, atol=1e-6)
-        np.testing.assert_allclose(filt_var, np.diag(post.covariance), atol=1e-6)
+        # predict-only rows after the stream read the static posterior at Xs
+        data = stream_columns(np.concatenate([y, np.full(Xs.size, np.nan)]), x=np.concatenate([X, Xs]))
+        runner = runner_for(["model=linear", "kernel.family=se", "kernel.sigma_f2=1.2", "kernel.lengthscale=0.6",
+                             "features.kind=rff", "features.F=64", "features.seed=2", f"noise_var={noise}"], data)
+        res = run_runner(runner, data)
+
+        post = exact.posterior(features.DegenerateKernel(runner.fmap), noise, X, y, Xs)
+        np.testing.assert_allclose([r.mean for r in res[100:]], post.mean, atol=1e-6)
+        np.testing.assert_allclose([r.var for r in res[100:]], np.diag(post.covariance), atol=1e-6)
         # the per-step scores chain into the batch evidence
-        assert total_ll == pytest.approx(post.log_marginal, abs=1e-6)
+        assert sum(r.logdensity for r in res[:100]) == pytest.approx(post.log_marginal, abs=1e-6)
 
     def test_rff_posterior_mean_tracks_exact_gp(self):
         kernel = kernels.se(1.0, 0.5)
@@ -335,11 +333,18 @@ class TestFunctionSpaceDuality:
         assert rmse < 0.05
 
 
+def laplace_update(belief, phi, y, likelihood):
+    """A copy of ``belief`` conditioned on y by the runner's step, ``observe_f`` then
+    ``condition_in_place``: (belief, approx_loglik)."""
+    out = lf.GaussianBelief(belief.mean.copy(), belief.cov.copy())
+    return out, lf.condition_in_place(out, lf.observe_f(out, phi), y, likelihood, 0.0)
+
+
 class TestNonConjugate:
     def test_bernoulli_positive_observation_shifts_mean_up(self):
         b = lf.init_belief(3, 1.0)
         phi = np.array([0.5, -0.2, 1.0])
-        out, _ = lf.update_nonconjugate(b, phi, 1.0, "bernoulli_logit")
+        out, _ = laplace_update(b, phi, 1.0, "bernoulli_logit")
         mean, _ = lf.predict_f(out, phi)
         assert mean > 0.0
 
@@ -353,7 +358,7 @@ class TestNonConjugate:
             _, q_var = quad_posterior(m0, v0, y, lik)
             assert q_var < v0
             b = lf.GaussianBelief(np.array([m0]), np.array([[v0]]))
-            out, _ = lf.update_nonconjugate(b, np.array([1.0]), y, lik_name)
+            out, _ = laplace_update(b, np.array([1.0]), y, lik_name)
             assert out.cov[0, 0] < v0
 
     def test_poisson_matched_count_small_shift(self):
@@ -363,7 +368,7 @@ class TestNonConjugate:
             y = float(np.round(np.exp(m0)))
             q_mean, _ = quad_posterior(m0, v0, y, lf.POISSON_LOG)
             b = lf.GaussianBelief(np.array([m0]), np.array([[v0]]))
-            out, _ = lf.update_nonconjugate(b, np.array([1.0]), y, "poisson_log")
+            out, _ = laplace_update(b, np.array([1.0]), y, "poisson_log")
             assert abs(out.mean[0] - m0) < np.sqrt(v0)
             assert abs(q_mean - m0) < np.sqrt(v0)
 
@@ -382,13 +387,13 @@ class TestNonConjugate:
         # past the exp underflow point: no usable pseudo-observation exists
         b = lf.GaussianBelief(np.array([-900.0]), np.array([[1.0]]))
         with pytest.raises(NumericalError, match="curvature"):
-            lf.update_nonconjugate(b, np.array([1.0]), 0.0, "poisson_log")
+            laplace_update(b, np.array([1.0]), 0.0, "poisson_log")
 
     def test_newton_divergence_carries_last_iterate(self):
         # a Poisson count of 1e60 puts the mode beyond Newton's reach
         b = lf.init_belief(1, 1.0)
         with pytest.raises(NumericalError) as excinfo:
-            lf.update_nonconjugate(b, np.array([1.0]), 1e60, "poisson_log")
+            laplace_update(b, np.array([1.0]), 1e60, "poisson_log")
         assert "last_iterate" in excinfo.value.detail
 
     @pytest.mark.parametrize("prior_var", [0.0, -1.0, float("nan"), float("inf"), 2.2e-309])
@@ -399,4 +404,4 @@ class TestNonConjugate:
 
     def test_unknown_likelihood(self):
         with pytest.raises(ConfigurationError):
-            lf.update_nonconjugate(lf.init_belief(1, 1.0), np.array([1.0]), 1.0, "probit")
+            laplace_update(lf.init_belief(1, 1.0), np.array([1.0]), 1.0, "probit")

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, lapack
 
+from conftest import conditioned, run_runner, stream_columns
 from seqgp import exact, kernels, markovian
-from seqgp.linalg import gaussian_loglik, scalar_update, symmetrize
-from seqgp.runners import MarkovRunner, StreamRecord
+from seqgp.cli import CHUNK_ROWS
+from seqgp.linalg import gaussian_loglik, symmetrize
+from seqgp.runners import MarkovRunner, run_chunks
 from seqgp.errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 
 MARKOV_KERNELS = [
@@ -213,7 +215,7 @@ class TestObserveStep:
             stepper = markovian.MarkovStepper(sde, 0.2)  # no advance: a hand-built model has no transition
             pred_mean, var = stepper.predict_obs(row)
             ll = stepper.update(0.7, row)
-            mean, cov, ref_mean, pred_var = scalar_update(np.zeros(4), P, obs[row], 0.7, 0.2)
+            mean, cov, ref_mean, pred_var = conditioned(np.zeros(4), P, obs[row], 0.7, 0.2)
             assert pred_mean == ref_mean
             assert_within_ulps(var + 0.2, pred_var, pred_var)
             assert ll == pytest.approx(gaussian_loglik(0.7, ref_mean, pred_var), rel=1e-14)
@@ -225,7 +227,7 @@ class TestObserveStep:
         sde = SPACETIME_SDE  # bit-equal gathers: every update must match the pure one exactly
 
         def check_update(stepper, y, row):
-            mean, cov, pred_mean, pred_var = scalar_update(stepper.mean, stepper.cov, sde.obs[row], y, 0.1)
+            mean, cov, pred_mean, pred_var = conditioned(stepper.mean, stepper.cov, sde.obs[row], y, 0.1)
             state = stepper.mean, stepper.cov
             assert stepper.update(y, row) == gaussian_loglik(y, pred_mean, pred_var)
             assert stepper.mean is state[0] and stepper.cov is state[1]  # conditioned in place
@@ -648,8 +650,7 @@ class TestStepperHistory:
         runner = MarkovRunner(sde, 0.2, history_rows=t.size)
         h = sde.obs[0]
         predicted, filtered = [], []  # snapshots of the state after each step
-        for i, (ti, yi) in enumerate(zip(t, y), start=1):
-            res = runner.step(StreamRecord(row=i, t=float(ti), x=None, y=None if np.isnan(yi) else float(yi)))
+        for _, res in run_chunks(runner, stream_columns(y, t=t), CHUNK_ROWS):
             predicted.append((res.mean, res.var))
             filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
         record = runner.stepper.result()
@@ -673,9 +674,7 @@ class TestStepperHistory:
         y = rng.standard_normal(t.size)
         y[::5] = np.nan
         runner = MarkovRunner(sde, 0.2, locations=locations, history_rows=t.size)
-        for i, (ti, yi, row) in enumerate(zip(t, y, rows), start=1):
-            x = None if locations is None else locations[row]
-            runner.step(StreamRecord(row=i, t=float(ti), x=x, y=None if np.isnan(yi) else float(yi)))
+        run_runner(runner, stream_columns(y, t=t, x=None if locations is None else locations[rows]))
         streamed = np.array(runner.smooth())
         sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
         loop = np.array([(sde.obs[r] @ m, sde.obs[r] @ c @ sde.obs[r]) for r, m, c in zip(rows, sm.means, sm.covs)])
@@ -716,8 +715,7 @@ class TestStepperHistory:
 
     def test_second_smoothing_raises(self):
         runner = MarkovRunner(markovian.build_lti(kernels.matern32(1.0, 1.0)), 0.1, history_rows=5)
-        for i in range(5):
-            runner.step(StreamRecord(row=i + 1, t=0.3 * i, x=None, y=0.1 * i))
+        run_runner(runner, stream_columns(0.1 * np.arange(5), t=0.3 * np.arange(5)))
         assert runner.smooth().shape == (5, 2)
         smoothed = runner.stepper.result().means.copy()
         with pytest.raises(ConfigurationError, match="already smoothed"):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import run_runner, runner_for, stream_columns
 from seqgp import exact, kernels, sparse
 from seqgp.errors import ConfigurationError, DataError
-from seqgp.runners import Columns, SparseRunner, StreamRecord, build_runner
+from seqgp.runners import SparseRunner, run_chunks
 
 THREE_KERNELS = [
     kernels.se(1.0, 0.6),
@@ -36,7 +37,7 @@ class TestInit:
             assert var == pytest.approx(kernels.eval_kernel(k, x, x), abs=1e-9)
 
     def test_cov_symmetric_at_init(self):
-        # bit for bit: ``linalg.scalar_update`` keeps a bit-symmetric covariance so and repairs nothing
+        # bit for bit: ``linalg.condition`` keeps a bit-symmetric covariance so and repairs nothing
         for kernel in THREE_KERNELS:
             for inducing in (np.linspace(0, 1, 5), np.random.default_rng(6).uniform(-3.0, 3.0, (33, 2))):
                 st = sparse.init_sparse(kernel, inducing)
@@ -76,13 +77,12 @@ class TestSparseUpdate:
         # the exact GP (the residual is zero there, so both modes agree)
         X, y = stream()
         noise = 0.15
-        st = sparse.init_sparse(kernel, X, include_residual=residual)
-        for xi, yi in zip(X, y):
-            st, _ = sparse.sparse_update(st, xi, yi, noise)
         Xs = np.linspace(0.2, 3.8, 20)
+        runner = SparseRunner(kernel, noise, X, residual)
+        res = run_runner(runner, stream_columns(np.concatenate([y, np.full(Xs.size, np.nan)]),
+                                                x=np.concatenate([X, Xs])))
         post = exact.posterior(kernel, noise, X, y, Xs)
-        means = np.array([sparse.sparse_predict(st, x)[0] for x in Xs])
-        np.testing.assert_allclose(means, post.mean, atol=1e-5)
+        np.testing.assert_allclose([r.mean for r in res[X.size:]], post.mean, atol=1e-5)
 
     def test_order_invariance(self):
         X, y = stream(seed=41, n=60)
@@ -152,13 +152,13 @@ class TestSparsePredict:
         X = np.sort(rng.uniform(0.0, 4.0, 200))
         y = np.sin(2 * X) + 0.2 * rng.standard_normal(200)
         noise = 0.04
-        Z = sparse.choose_inducing(X, 32, seed=0)
-        st = sparse.init_sparse(k, Z)
-        for xi, yi in zip(X, y):
-            st, _ = sparse.sparse_update(st, xi, yi, noise)
         Xs = np.linspace(0.3, 3.7, 25)
+        data = stream_columns(np.concatenate([y, np.full(Xs.size, np.nan)]), x=np.concatenate([X, Xs]))
+        # inducing inputs placed by the runner from sparse.M, on the quantiles of every row's input
+        runner = runner_for(["model=sparse", "kernel.family=se", "kernel.lengthscale=0.5", "sparse.M=32",
+                             f"noise_var={noise}"], data)
+        means = np.array([r.mean for r in run_runner(runner, data)[X.size:]])
         post = exact.posterior(k, noise, X, y, Xs)
-        means = np.array([sparse.sparse_predict(st, x)[0] for x in Xs])
         assert np.abs(means - post.mean).max() < 0.05
 
 
@@ -166,11 +166,10 @@ class TestSparseRunner:
     """``SparseRunner.step`` computes the projection once and shares it."""
 
     @staticmethod
-    def records(n=120):
+    def columns(n=120):
         X, y = stream(seed=48, n=n)
-        hidden = np.random.default_rng(49).random(n) < 0.15
-        return [StreamRecord(i + 1, float(x), None, None if skip else float(v))
-                for i, (x, v, skip) in enumerate(zip(X, y, hidden))]
+        y[np.random.default_rng(49).random(n) < 0.15] = np.nan
+        return stream_columns(y, x=X)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_projection_of_a_row_does_not_depend_on_its_batch(self, dim):
@@ -185,7 +184,7 @@ class TestSparseRunner:
                     np.testing.assert_array_equal(h, rows[i][0])
                     assert qi == rows[i][1]
 
-    def test_one_projection_per_row(self, monkeypatch):
+    def test_each_row_is_projected_once_in_its_chunks_prepare(self, monkeypatch):
         calls = []
         projections = sparse.projections
 
@@ -194,12 +193,12 @@ class TestSparseRunner:
             return projections(state, X)
 
         monkeypatch.setattr(sparse, "projections", counted)
-        recs = self.records()
+        data = self.columns()
         runner = SparseRunner(kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16), True)
-        for i, rec in enumerate(recs, start=1):
-            runner.step(rec)
-            assert len(calls) == i
-        assert any(rec.y is None for rec in recs)
+        for rec, _ in run_chunks(runner, data, 16):
+            assert len(calls) == min(-(-rec.row // 16) * 16, len(data))
+        np.testing.assert_array_equal(np.array(calls), data.x)
+        assert np.isnan(data.y).any()
 
     @pytest.mark.parametrize("residual", [True, False])
     def test_bit_equal_to_separate_predict_and_update(self, residual):
@@ -207,8 +206,7 @@ class TestSparseRunner:
         runner = SparseRunner(kernel, noise, Z, residual)
         state = sparse.init_sparse(kernel, Z, residual)
         flops = 0
-        for rec in self.records():
-            got = runner.step(rec)
+        for rec, got in run_chunks(runner, self.columns(), 16):
             # the two-projection sequence: each call projects x itself
             mean, var = sparse.sparse_predict(state, rec.point)
             ll = None
@@ -220,17 +218,14 @@ class TestSparseRunner:
             np.testing.assert_array_equal(runner.state.cov, state.cov)
             assert runner.flops == flops
 
-
     @pytest.mark.parametrize("model", ["sparse", "vsgp"])
     def test_built_runner_conditions_its_state_in_place_like_the_pure_fold(self, model):
-        recs = self.records()
-        cfg = {"model": model, "kernel.family": "matern32", "kernel.lengthscale": "0.7", "noise_var": "0.1",
-               "sparse.M": "12"}
-        runner = build_runner(cfg, Columns.of(recs))
+        data = self.columns()
+        runner = runner_for([f"model={model}", "kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.1",
+                             "sparse.M=12"], data)
         mean_id, cov_id = id(runner.state.mean), id(runner.state.cov)
         state = sparse.init_sparse(runner.state.kernel, runner.state.inducing, True)
-        for rec in recs:
-            got = runner.step(rec)
+        for rec, got in run_chunks(runner, data, 16):
             mean, var = sparse.sparse_predict(state, rec.point)
             ll = None
             if rec.y is not None:
@@ -250,12 +245,11 @@ class TestVsgpInfoUpdate:
     def test_batch_equals_sequential(self):
         X, y = stream(seed=48, n=40)
         Z = np.linspace(0.2, 3.8, 9)
-        seq = sparse.init_sparse(kernels.se(1.0, 0.8), Z)
-        for xi, yi in zip(X, y):
-            seq, _ = sparse.sparse_update(seq, xi, yi, 0.2)
+        seq = SparseRunner(kernels.se(1.0, 0.8), 0.2, Z, True)
+        run_runner(seq, stream_columns(y, x=X))
         batch = sparse.vsgp_info_update(sparse.init_sparse(kernels.se(1.0, 0.8), Z), X, y, 0.2)
-        np.testing.assert_allclose(batch.mean, seq.mean, atol=1e-8)
-        np.testing.assert_allclose(batch.cov, seq.cov, atol=1e-8)
+        np.testing.assert_allclose(batch.mean, seq.state.mean, atol=1e-8)
+        np.testing.assert_allclose(batch.cov, seq.state.cov, atol=1e-8)
 
     def test_two_half_batches_equal_full_batch(self):
         X, y = stream(seed=49, n=30)
@@ -276,10 +270,11 @@ class TestVsgpInfoUpdate:
 
     def test_single_point_batch_equals_one_update(self):
         st0 = sparse.init_sparse(kernels.matern32(1.0, 0.8), np.linspace(0, 3, 6))
-        a, _ = sparse.sparse_update(st0, 1.1, 0.4, 0.25)
+        one = SparseRunner(st0.kernel, 0.25, st0.inducing, True)
+        run_runner(one, stream_columns([0.4], x=[1.1]))
         b = sparse.vsgp_info_update(st0, [[1.1]], [0.4], 0.25)
-        np.testing.assert_allclose(a.mean, b.mean, atol=1e-8)
-        np.testing.assert_allclose(a.cov, b.cov, atol=1e-8)
+        np.testing.assert_allclose(one.state.mean, b.mean, atol=1e-8)
+        np.testing.assert_allclose(one.state.cov, b.cov, atol=1e-8)
 
     def test_empty_batch_rejected(self):
         st = sparse.init_sparse(kernels.se(), [[0.0]])
@@ -310,9 +305,9 @@ class TestChooseInducing:
 class TestLongStream:
     def test_update_long_stream_stays_psd(self):
         rng = np.random.default_rng(18)
-        st = sparse.init_sparse(kernels.matern32(1.0, 0.8), np.linspace(0.0, 4.0, 6))
-        for _ in range(20_000):
-            st, _ = sparse.sparse_update(st, float(rng.uniform(0.0, 4.0)), float(rng.standard_normal()), 0.25)
+        runner = SparseRunner(kernels.matern32(1.0, 0.8), 0.25, np.linspace(0.0, 4.0, 6), True)
+        run_runner(runner, stream_columns(rng.standard_normal(20_000), x=rng.uniform(0.0, 4.0, 20_000)))
+        st = runner.state
         np.testing.assert_array_equal(st.cov, st.cov.T)
         min_eig = float(np.linalg.eigvalsh(st.cov).min())
         assert min_eig >= -1e-9 * np.trace(st.cov) / st.n_inducing
