@@ -103,11 +103,9 @@ def stacking_update(state: EnsembleState, densities) -> EnsembleState:
     return replace(state, log_weights=_normalize(state.log_weights + eta * grad), step_count=t)
 
 
-def mixture_predict(state: EnsembleState, means, variances, densities=None):
-    """Moments and density of the weight-mixed predictive distribution.
-
-    mean = sum w_k mu_k; var = sum w_k (s_k^2 + mu_k^2) - mean^2;
-    density = sum w_k p_k (None if member densities are not supplied).
+def mixture_predict(state: EnsembleState, means, variances):
+    """Moments of the weight-mixed predictive distribution: (mean, var), with
+    mean = sum w_k mu_k and var = sum w_k (s_k^2 + mu_k^2) - mean^2.
     """
     w = state.weights
     mu = np.asarray(means, dtype=float).ravel()
@@ -116,8 +114,4 @@ def mixture_predict(state: EnsembleState, means, variances, densities=None):
         raise DataError("per-member moments must match the member count")
     mean = float(w @ mu)
     second = float(w @ (var + mu * mu))
-    mix_var = max(second - mean * mean, 0.0)
-    density = None
-    if densities is not None:
-        density = float(w @ np.asarray(densities, dtype=float).ravel())
-    return mean, mix_var, density
+    return mean, max(second - mean * mean, 0.0)

@@ -169,23 +169,32 @@ def _matern_r(nu: float, sigma2: float, lengthscale: float, r: np.ndarray) -> np
     raise ConfigurationError(f"unsupported Matern smoothness {nu}")
 
 
+_MATERN_NU = {"matern12": 0.5, "matern32": 1.5}
+
+
+def hida_matern_components(kernel: Kernel) -> tuple[HmComponent, ...] | None:
+    """The kernel as a Hida-Matern mixture, or None for the SE and
+    spectral-mixture families.  A Matern-1/2 or Matern-3/2 kernel is the
+    one-component, zero-phase, unit-weight mixture: cos(0 r) = 1 and the
+    shifts s -+ 0 leave its value and spectral density as they are."""
+    if kernel.family in _MATERN_NU:
+        return (HmComponent(1.0, 0.0, _MATERN_NU[kernel.family], kernel.lengthscale, kernel.sigma_f2),)
+    if kernel.family == "hida_matern":
+        return kernel.hm_components
+    return None
+
+
 def kappa_of_distance(kernel: Kernel, r) -> np.ndarray:
     """Evaluate kappa at Euclidean distance(s) r >= 0."""
     r = np.asarray(r, dtype=float)
     if kernel.family == "se":
         return kernel.sigma_f2 * np.exp(-(r * r) / (2.0 * kernel.lengthscale**2))
-    if kernel.family == "matern12":
-        return _matern_r(0.5, kernel.sigma_f2, kernel.lengthscale, r)
-    if kernel.family == "matern32":
-        return _matern_r(1.5, kernel.sigma_f2, kernel.lengthscale, r)
+    out = np.zeros_like(r)
     if kernel.family == "spectral_mixture":
-        out = np.zeros_like(r)
         for c in kernel.sm_components:
             out += c.weight * np.exp(-0.5 * c.freq_var * r * r) * np.cos(c.mean_freq * r)
         return out
-    # hida_matern
-    out = np.zeros_like(r)
-    for c in kernel.hm_components:
+    for c in hida_matern_components(kernel):
         out += c.weight * np.cos(c.phase * r) * _matern_r(c.nu, c.sigma2, c.lengthscale, r)
     return out
 
@@ -222,18 +231,13 @@ def eval_psd(kernel: Kernel, s) -> np.ndarray:
     if kernel.family == "se":
         ell = kernel.lengthscale
         return kernel.sigma_f2 * (ell / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * ell * ell * s * s)
-    if kernel.family == "matern12":
-        return _matern_psd(0.5, kernel.sigma_f2, kernel.lengthscale, s)
-    if kernel.family == "matern32":
-        return _matern_psd(1.5, kernel.sigma_f2, kernel.lengthscale, s)
+    out = np.zeros_like(s)
     if kernel.family == "spectral_mixture":
-        out = np.zeros_like(s)
         for c in kernel.sm_components:
             out += c.weight * 0.5 * (_gauss_pdf(s, c.mean_freq, c.freq_var) + _gauss_pdf(s, -c.mean_freq, c.freq_var))
         return out
-    # hida_matern: each component's PSD is the Matern PSD shifted by +-b
-    out = np.zeros_like(s)
-    for c in kernel.hm_components:
+    # Hida-Matern (Matern included): each component's PSD is the Matern PSD shifted by +-b
+    for c in hida_matern_components(kernel):
         out += c.weight * 0.5 * (
             _matern_psd(c.nu, c.sigma2, c.lengthscale, s - c.phase)
             + _matern_psd(c.nu, c.sigma2, c.lengthscale, s + c.phase)

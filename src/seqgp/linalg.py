@@ -5,18 +5,20 @@ Cholesky factor instead of forming explicit inverses.  Near-singular
 matrices are handled by a bounded jitter escalation on the diagonal.
 
 The scalar Kalman step of every filter route is ``observe`` (forms s = P h
-once) followed by ``condition``, the one implementation of the update.
-``condition`` overwrites the mean and covariance its caller owns; every
-other function here is pure.  A caller that wants a new belief conditions a
-copy of its own.
+once) followed by ``condition``, the one scored update: it checks y,
+conditions the mean and covariance its caller owns in place, and returns the
+predictive log density of y.  Every other function here is pure.  A caller
+that wants a new belief conditions a copy of its own.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 # Escalation ladder for diagonal jitter, relative to the supplied scale.
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7)
@@ -109,7 +111,8 @@ def observe(mean: np.ndarray, cov: np.ndarray, h: np.ndarray):
 
 
 def condition(mean: np.ndarray, cov: np.ndarray, observed, y: float, noise_var: float) -> float:
-    """Condition N(mean, cov) in place on one observation y = h^T x + N(0, noise_var).
+    """Condition N(mean, cov) in place on one observation y = h^T x + N(0, noise_var)
+    and score it: the one scalar Kalman update of every filter route.
 
     ``observed`` is (h^T mean, v, s) from one observe step on this very belief
     and row: s = cov h, and v its latent predictive variance (h^T s, to which
@@ -129,15 +132,20 @@ def condition(mean: np.ndarray, cov: np.ndarray, observed, y: float, noise_var: 
 
     Returns
     -------
-    pred_var : the predictive variance of y, v + noise_var.
+    log N(y | h^T mean, pred_var), the predictive log density of y under the
+    incoming belief.
 
     Raises
     ------
+    DataError
+        if y is not finite, before anything else.
     NumericalError
         if ``pred_var`` is not positive, before anything is modified.
     ValueError
         if ``cov`` cannot be updated in place, before anything is modified.
     """
+    if not math.isfinite(y):
+        raise DataError(f"non-finite observation {y!r}")
     pred_mean, var, s = observed
     pred_var = var + noise_var
     if pred_var <= 0.0:
@@ -146,7 +154,7 @@ def condition(mean: np.ndarray, cov: np.ndarray, observed, y: float, noise_var: 
         raise ValueError("condition updates cov in place: it must be a writeable C-contiguous float64 array")
     mean += (s / pred_var) * (y - pred_mean)
     blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=cov.T, overwrite_c=1)
-    return pred_var
+    return gaussian_loglik(y, pred_mean, pred_var)
 
 
 def gaussian_loglik(y: float, mean: float, var: float) -> float:

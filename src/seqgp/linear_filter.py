@@ -5,12 +5,13 @@ The model is y_t = phi(x_t)^T theta_t + noise with theta_k = a*theta_{k-1}
 back-to-prior forgetting (geometric blend toward the prior) and the general
 scalar autoregression with control input are settings of (a, u, c).
 Both likelihoods share one step: ``observe_f`` forms s = P phi once and
-``condition_in_place`` conditions the belief on it through the package's
-one rank-one update, ``linalg.condition`` (P - s s^T / v as one BLAS call),
-which keeps a bit-symmetric belief bit-symmetric over long streams.  A
-non-conjugate likelihood (Bernoulli-logit, Poisson-log) enters that update
-as the Gaussian pseudo-observation of a one-dimensional Laplace step on the
-marginal of f_t = phi^T theta.
+``condition_in_place`` hands it to the package's one scored update,
+``linalg.condition`` (P - s s^T / v as one BLAS call), which keeps a
+bit-symmetric belief bit-symmetric over long streams.  Under the Gaussian
+likelihood that call is the whole step.  A non-conjugate likelihood
+(Bernoulli-logit, Poisson-log) enters the update as the Gaussian
+pseudo-observation of a one-dimensional Laplace step on the marginal of
+f_t = phi^T theta.
 
 ``runners.LinearRunner``, the route ``seqgp run`` ships, owns its belief:
 it advances it with ``predict_in_place``, reads a predict-only row from
@@ -188,15 +189,13 @@ def condition_in_place(belief: GaussianBelief, observed, y: float, likelihood: s
     """Condition a belief the caller owns on y, overwriting its mean and covariance.
 
     ``observed`` is ``observe_f(belief, phi)`` of this belief.  Under the
-    Gaussian likelihood it returns the predictive log density of y;
-    otherwise y enters as its ``laplace_observation``, whose
-    pseudo-observation reuses the same s, and the Laplace approximation of
-    the log density is returned.
+    Gaussian likelihood this is ``linalg.condition``, which returns the
+    predictive log density of y; otherwise y enters as its
+    ``laplace_observation``, whose pseudo-observation reuses the same s, and
+    the Laplace approximation of the log density is returned.
     """
     if likelihood == "gaussian":
-        if not math.isfinite(y):
-            raise DataError(f"non-finite observation {y!r}")
-        return gaussian_loglik(y, observed[0], condition(belief.mean, belief.cov, observed, y, noise_var))
+        return condition(belief.mean, belief.cov, observed, y, noise_var)
     pseudo_y, pseudo_var, approx_loglik = laplace_observation(observed[0], observed[1], y, likelihood)
     condition(belief.mean, belief.cov, observed, pseudo_y, pseudo_var)
     return approx_loglik

@@ -23,12 +23,16 @@ with the weights {1, dt} exp((-lambda + i b) dt), real and imaginary parts.
 No matrix exponential is computed and nothing is cached per step length.
 ``predict`` adds Q = P_inf - A P_inf A^T without forming it, for one state
 or a stack of states, and Kalman filtering and Rauch-Tung-Striebel smoothing
-give exact GP inference in O(N d^3).  The filter record keeps only the
-filtered moments; the smoother walks back over it in blocks of rows, forms
-each block's transitions from the stored timestamps, recomputes the predicted
-moments with the forward pass's ``predict``, and overwrites the filtered
-moments with the smoothed ones.  ``scipy.linalg.expm`` stays the reference
-that the tests and ``seqgp check`` compare ``transition`` against.
+give exact GP inference in O(N d^3).  Each filter row is the observe ->
+condition hand-off of every filter route: ``MarkovStepper.predict_obs``
+returns the observe triple (h^T m, h^T s, s) and ``MarkovStepper.update``
+hands it to ``linalg.condition``, the one scored update.  The filter record
+keeps only the filtered moments; the smoother walks back over it in blocks
+of rows, forms each block's transitions from the stored timestamps,
+recomputes the predicted moments with the forward pass's ``predict``, and
+overwrites the filtered moments with the smoothed ones.  ``scipy.linalg.expm``
+stays the reference that the tests and ``seqgp check`` compare ``transition``
+against.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import numpy as np
 from scipy.linalg import block_diag, lapack, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
-from .kernels import HmComponent, Kernel, as_points, gram
-from .linalg import chol_jitter, condition, gaussian_loglik, symmetrize
+from .kernels import Kernel, as_points, gram, hida_matern_components
+from .linalg import chol_jitter, condition, symmetrize
 
 @dataclass(frozen=True)
 class LtiSde:
@@ -81,9 +85,6 @@ class LtiSde:
 class DiscreteStep:
     transition: np.ndarray  # A = expm(F * dt), in closed form
     noise_cov: np.ndarray  # Q, symmetric PSD
-
-
-_MATERN_NU = {"matern12": 0.5, "matern32": 1.5}
 
 
 def _matern_block(nu: float, sigma2: float, lengthscale: float):
@@ -144,11 +145,8 @@ def build_lti(kernel: Kernel) -> LtiSde:
     Squared-exponential and spectral-mixture kernels have no exact
     finite-dimensional SDE and are rejected.
     """
-    if kernel.family in _MATERN_NU:
-        comps = (HmComponent(1.0, 0.0, _MATERN_NU[kernel.family], kernel.lengthscale, kernel.sigma_f2),)
-    elif kernel.family == "hida_matern":
-        comps = kernel.hm_components
-    else:
+    comps = hida_matern_components(kernel)
+    if comps is None:
         raise UnsupportedKernelError(
             f"kernel family {kernel.family!r} has no exact finite-dimensional SDE", param="family"
         )
@@ -260,10 +258,11 @@ class MarkovStepper:
     (``linalg.condition``), and a zero-length ``advance`` leaves them as they
     are; an ``advance`` of nonzero length replaces them with new arrays.
     Callers read them, copy what they keep, and never write them.  A history
-    row is the only copy a step makes.  ``predict_obs`` forms s = cov h once
-    through the row's nonzero entries (``LtiSde.obs_support``) and keeps it for
-    the ``update`` on the same row that follows; ``advance`` and ``update``
-    drop it, so a later update never reads an s of an earlier state.
+    row is the only copy a step makes.  A row is one observe -> condition
+    hand-off, as on the linear and sparse routes: ``predict_obs`` returns the
+    observe triple (h^T mean, h^T s, s), with s = cov h formed once through the
+    row's nonzero entries (``LtiSde.obs_support``), and ``update`` conditions
+    on that triple.  The stepper keeps no s between the two calls.
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_rows: int | None = None):
@@ -275,7 +274,6 @@ class MarkovStepper:
         self.cov = sde.stationary.copy()
         self.time: float | None = None
         self.flops = 0
-        self._observed: tuple | None = None  # (row, observe(row)) of the current state
         self.history: FilterResult | None = None
         self.rows_written = 0
         if history_rows is not None:
@@ -290,7 +288,6 @@ class MarkovStepper:
         ``prepared`` = (delta, A) is a transition the caller formed in advance
         (``transition(sde, delta)``); it is used when this step has length delta.
         """
-        self._observed = None
         delta = 0.0 if self.time is None else t - self.time
         if not (math.isfinite(t) and math.isfinite(delta)):
             raise DataError(f"non-finite timestamp or step ({self.time} -> {t})")
@@ -304,12 +301,14 @@ class MarkovStepper:
         self.time = t
         self.flops += _flops_discretize(self.sde.dim) + _flops_predict(self.sde.dim)
 
-    def _observe(self, row: int):
-        """``linalg.observe`` through row ``row`` of ``sde.obs``, from its nonzero
-        entries: s = cov h gathers rows of cov (equal to its columns, as cov is
-        bit-symmetric), and h^T mean and h^T s read only those entries.  A row
-        with one nonzero w_i makes s the scaled row w_i cov[i], bit-equal to
-        cov @ h.  A row outside [0, n_obs) is a DataError."""
+    def predict_obs(self, row: int = 0):
+        """One observe step through row ``row`` of ``sde.obs``: (h^T mean, h^T s, s),
+        the latent predictive mean and variance and s = cov h, for an ``update``
+        of this state.  Formed from the row's nonzero entries: s gathers rows of
+        cov (equal to its columns, as cov is bit-symmetric), and h^T mean and
+        h^T s read only those entries.  A row with one nonzero w_i makes s the
+        scaled row w_i cov[i], bit-equal to cov @ h.  A row outside [0, n_obs)
+        is a DataError."""
         support = self.sde.obs_support
         if not 0 <= row < len(support):
             raise DataError(f"observation row {row} is not in [0, {len(support)})")
@@ -321,24 +320,13 @@ class MarkovStepper:
         s = w @ self.cov[idx]
         return float(w @ self.mean[idx]), float(w @ s[idx]), s
 
-    def predict_obs(self, row: int = 0):
-        """Latent predictive (mean, var) through observation row ``row``; keeps
-        s = cov h for an ``update`` on the same row before the next ``advance``."""
-        observed = self._observe(row)
-        self._observed = (row, observed)
-        return observed[0], observed[1]
-
-    def update(self, y: float, row: int = 0) -> float:
-        """Scalar Kalman update of the stepper's own state, in place
-        (``linalg.condition``); returns the predictive log density.  Reuses the
-        s of a ``predict_obs`` on this row and state, and forms it otherwise."""
-        kept, self._observed = self._observed, None
-        if not math.isfinite(y):
-            raise DataError(f"non-finite observation {y!r}")
-        observed = kept[1] if kept is not None and kept[0] == row else self._observe(row)
-        pred_var = condition(self.mean, self.cov, observed, y, self.noise_var)
+    def update(self, y: float, observed) -> float:
+        """Scalar Kalman update of the stepper's own state, in place, on the
+        ``predict_obs`` triple of this state (``linalg.condition``); returns the
+        predictive log density of y."""
+        ll = condition(self.mean, self.cov, observed, y, self.noise_var)
         self.flops += _flops_update(self.sde.dim)
-        return gaussian_loglik(y, observed[0], pred_var)
+        return ll
 
     def step(self, t: float, y: float | None = None, row: int = 0, prepared: tuple | None = None):
         """Advance to ``t`` (with ``advance``'s ``prepared`` transition) and update
@@ -349,14 +337,14 @@ class MarkovStepper:
         if h is not None and k == h.times.size:
             raise DataError(f"the history holds {k} rows; step {k + 1} does not fit")
         self.advance(t, prepared)
-        mean, var = self.predict_obs(row)
-        ll = None if y is None else self.update(y, row)
+        observed = self.predict_obs(row)
+        ll = None if y is None else self.update(y, observed)
         if h is not None:
             h.times[k], h.obs_rows[k] = t, row
             h.means[k], h.covs[k], h.logliks[k] = self.mean, self.cov, np.nan if ll is None else ll
             h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
             self.rows_written = k + 1
-        return mean, var, ll
+        return observed[0], observed[1], ll
 
     def result(self) -> FilterResult:
         """The history rows written so far, as views of ``history`` (no copy)."""

@@ -13,11 +13,15 @@ target are pure queries and never change the belief; for the Markovian
 models the state still advances to the row's timestamp, since the model
 lives in continuous time.
 
-Each runner steps its route's in-place path: ``linear_filter.predict_in_place``,
-``observe_f`` and ``condition_in_place``; ``sparse.sparse_observe`` and
-``condition_in_place``; ``markovian.MarkovStepper``; and the extended
-Cholesky factor of ``ExactRunner``.  The pure functions of those modules are
-the same arithmetic on new states, for library callers.
+Each runner steps its route's in-place path.  The three filter routes share
+one observe -> condition hand-off: ``linear_filter.observe_f``,
+``sparse.sparse_observe`` or ``MarkovStepper.predict_obs`` forms (h^T m,
+h^T s, s) with s = P h once, and a y-row hands that triple to
+``linalg.condition``, the one scored update (through
+``linear_filter.condition_in_place``, which adds the Laplace step of a
+non-Gaussian likelihood).  ``ExactRunner`` extends a Cholesky factor.  The
+pure functions of those modules are the same arithmetic on new states, for
+library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -48,8 +52,8 @@ from .config import (
     member_configs,
 )
 from .errors import ConfigurationError, DataError, NumericalError
-from .kernels import eval_kernel
-from .linalg import gaussian_loglik
+from .kernels import kappa_of_distance
+from .linalg import condition, gaussian_loglik
 
 
 @dataclass(slots=True)
@@ -145,6 +149,7 @@ class ExactRunner:
         if noise_var <= 0.0:
             raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.kernel = kernel
+        self.kxx = float(kappa_of_distance(kernel, 0.0))  # kappa(x, x) at every x: the kernel is stationary
         self.noise_var = noise_var
         self.n = 0  # observations folded in
         self.inputs = np.zeros((0, 0))  # X, rows [:n] in use
@@ -166,7 +171,7 @@ class ExactRunner:
     def step(self, rec: StreamRecord) -> StepResult:
         x = rec.point
         n = self.n
-        kxx = float(eval_kernel(self.kernel, x, x))
+        kxx = self.kxx
         k = self.kernel.gram(self.inputs[:n], x.reshape(1, -1)).ravel() if n else np.zeros(0)
         if not (np.isfinite(kxx) and np.all(np.isfinite(k))):
             raise NumericalError("kernel has non-finite entries")
@@ -250,17 +255,16 @@ class MarkovRunner(_Prepared):
     ``prepare`` takes each row's step from the previous row's time (the
     stepper's time for the chunk's first row), stacks the transitions of the
     rows that move the clock in one ``markovian.transition`` call, and looks
-    up each row's observation row; a zero step needs no transition.  A row
-    whose step or location is not valid gets nothing prepared, so its own
-    ``step`` raises the error, after every row before it has run."""
+    up every row's observation row in one vectorised pass: the first location
+    equal to the row's coordinates, else the nearest one within 1e-9 (1 +
+    ||location||).  A zero step needs no transition.  A row whose step or
+    location is not valid gets nothing prepared, so its own ``step`` raises
+    the error, after every row before it has run.  ``step`` is the stepper's
+    observe -> condition hand-off on the prepared row."""
 
     def __init__(self, sde, noise_var: float, locations=None, history_rows: int | None = None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_rows=history_rows)
         self.locations = locations  # (N_s, D) when spatiotemporal
-        self._loc_index: dict[tuple, int] = {}  # exact coordinates -> first matching row
-        if locations is not None:
-            for i, loc in enumerate(locations.tolist()):
-                self._loc_index.setdefault(tuple(loc), i)
         self._smoothed = False
         self.approximate_loglik = False
 
@@ -268,18 +272,15 @@ class MarkovRunner(_Prepared):
     def flops(self) -> int:
         return self.stepper.flops
 
-    def _obs_row(self, rec: StreamRecord) -> int:
-        if self.locations is None:
-            return 0
-        idx = self._loc_index.get(tuple(rec.x.tolist()))
-        if idx is not None:
-            return idx
-        dist = np.linalg.norm(self.locations - rec.x[None, :], axis=1)
-        idx = int(np.argmin(dist))
-        scale = 1.0 + float(np.linalg.norm(self.locations[idx]))
-        if dist[idx] > 1e-9 * scale:
-            raise DataError(f"location {rec.x} is not in spatial.locations")
-        return idx
+    def _location_rows(self, x: np.ndarray) -> np.ndarray:
+        """Observation row of each input row of ``x`` (n, D), -1 where none is."""
+        locs = self.locations
+        exact = np.all(x[:, None, :] == locs[None, :, :], axis=2)  # (n, N_s)
+        dist = np.linalg.norm(x[:, None, :] - locs[None, :, :], axis=2)
+        nearest = np.argmin(dist, axis=1)
+        n = np.arange(x.shape[0])
+        close = dist[n, nearest] <= 1e-9 * (1.0 + np.linalg.norm(locs[nearest], axis=1))
+        return np.where(exact.any(axis=1), np.argmax(exact, axis=1), np.where(close, nearest, -1))
 
     def prepare(self, chunk: Columns) -> None:
         t = chunk.t
@@ -291,16 +292,14 @@ class MarkovRunner(_Prepared):
                                markovian.transition(self.stepper.sde, deltas[moving])):
             steps[i] = (delta, A)
         self._steps = steps
-        self._rows = None
-        if self.locations is not None:  # None marks a row whose location is not an exact match
-            self._rows = [self._loc_index.get(loc) for loc in map(tuple, chunk.x.tolist())]
+        self._rows = [0] * len(chunk) if self.locations is None else self._location_rows(chunk.x).tolist()
         self._chunk = chunk
 
     def step(self, rec: StreamRecord) -> StepResult:
         i = self._index(rec)
-        row = 0 if self._rows is None else self._rows[i]
-        if row is None:
-            row = self._obs_row(rec)
+        row = self._rows[i]
+        if row < 0:
+            raise DataError(f"location {rec.x} is not in spatial.locations")
         return StepResult(*self.stepper.step(rec.t, rec.y, row, self._steps[i]))
 
     def smooth(self) -> np.ndarray:
@@ -332,7 +331,7 @@ class SparseRunner(_Prepared):
     ``prepare`` projects the chunk's inputs in one ``sparse.projections``
     call.  The runner owns ``state``: a row forms s = S h once
     (``sparse.sparse_observe``), and a y-row conditions the state's arrays in
-    place (``sparse.condition_in_place``)."""
+    place on it (``linalg.condition``)."""
 
     def __init__(self, kernel, noise_var: float, inducing, include_residual: bool):
         if noise_var <= 0.0:
@@ -353,7 +352,7 @@ class SparseRunner(_Prepared):
         observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))
         if rec.y is None:
             return StepResult(observed[0], observed[1], None)
-        ll = sparse.condition_in_place(self.state, observed, rec.y, self.noise_var)
+        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)
         self.flops += self.update_flops
         return StepResult(observed[0], observed[1], ll)
 
@@ -378,7 +377,7 @@ class EnsembleRunner:
         results = [m.step(rec) for m in self.members]
         means = np.array([r.mean for r in results])
         variances = np.array([r.var for r in results])
-        mix_mean, mix_var, _ = ens.mixture_predict(self.state, means, variances)
+        mix_mean, mix_var = ens.mixture_predict(self.state, means, variances)
         if rec.y is None:
             return StepResult(mix_mean, mix_var, None, weights=self.state.weights)
         lls = np.array([r.logdensity for r in results])

@@ -14,25 +14,25 @@ inducing set; switching it off reproduces the bare recursion.
 ``runners.SparseRunner``, the route ``seqgp run`` ships for ``model=sparse``
 and ``model=vsgp``, owns its state: it projects a chunk's inputs in one
 ``projections`` call, observes the state once per row with
-``sparse_observe`` and conditions a y-row with ``condition_in_place``,
-which overwrites the state's ``mean`` and ``cov`` arrays (``step_flops``
-keeps the value it had; the runner counts ``update_flops`` per update
-itself).  ``sparse_predict`` and ``sparse_update`` are that step at one
-input on a new state, for library callers; they never modify their
-arguments.  ``vsgp_info_update`` is the different math, the batch update in
-information form that the recursion must agree with.
+``sparse_observe`` and hands that triple to ``linalg.condition``, the one
+scored update, which checks y, overwrites the state's ``mean`` and ``cov``
+arrays and returns the log density (``step_flops`` keeps the value it had;
+the runner counts ``update_flops`` per update itself).  ``sparse_predict``
+and ``sparse_update`` are that step at one input on a new state, for library
+callers; they never modify their arguments.  ``vsgp_info_update`` is the
+different math, the batch update in information form that the recursion
+must agree with.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
 from .kernels import GRAM_JITTER, Kernel, as_points, gram, kappa_of_distance
-from .linalg import chol_solve, condition, gaussian_loglik, observe, symmetrize
+from .linalg import chol_solve, condition, observe, symmetrize
 
 
 @dataclass(frozen=True)
@@ -141,30 +141,19 @@ def sparse_observe(state: SparseState, projection):
 
     Returns (mean, var, s): the predictive moments of f(x) that
     ``sparse_predict`` returns, mean = h^T m and var = h^T S h (+ the residual
-    q), and s = S h, formed once for ``condition_in_place``.  Pure.
+    q), and s = S h, formed once for ``linalg.condition``.  Pure.  The
+    effective observation is y = h^T u + noise, whose predictive variance is
+    var (residual included) plus noise_var.
     """
     h, q = projection
     mean, var, s = observe(state.mean, state.cov, h)
     return mean, var + q if state.include_residual else var, s
 
 
-def condition_in_place(state: SparseState, observed, y: float, noise_var: float) -> float:
-    """Fold y into a state the caller owns, overwriting ``state.mean`` and ``state.cov``.
-
-    ``observed`` is ``sparse_observe`` of this state at the row's input: the
-    effective observation is y = h^T u + noise, whose predictive variance is
-    ``observed``'s var (residual included) plus noise_var.  Returns the
-    predictive log density of y.
-    """
-    if not math.isfinite(y):
-        raise DataError(f"non-finite observation {y!r}")
-    return gaussian_loglik(y, observed[0], condition(state.mean, state.cov, observed, y, noise_var))
-
-
 def sparse_update(state: SparseState, x, y: float, noise_var: float):
     """Fold one observation into the belief; returns (state, pred_loglik).
 
-    ``sparse_observe`` and ``condition_in_place`` at the projection of ``x``,
+    ``sparse_observe`` and ``linalg.condition`` at the projection of ``x``,
     applied to one fresh copy of the state.
     """
     if noise_var <= 0.0:
@@ -174,7 +163,7 @@ def sparse_update(state: SparseState, x, y: float, noise_var: float):
     observed = sparse_observe(state, _projection(state, x))
     updated = replace(state, mean=state.mean.copy(), cov=np.array(state.cov, order="C"),
                       step_flops=update_flops(state.n_inducing))
-    return updated, condition_in_place(updated, observed, y, noise_var)
+    return updated, condition(updated.mean, updated.cov, observed, y, noise_var)
 
 
 def sparse_predict(state: SparseState, x):

@@ -57,7 +57,7 @@ def run_runner(runner, data, chunk_rows=cli.CHUNK_ROWS):
 
 
 def conditioned(mean, cov, h, y, noise_var):
-    """``observe`` then ``condition`` on copies of the belief: (mean, cov, pred_mean, pred_var)."""
+    """``observe`` then ``condition`` on copies of the belief: (mean, cov, pred_mean, loglik)."""
     observed = observe(mean, cov, h)
     new_mean, new_cov = np.array(mean, dtype=float), np.array(cov, dtype=float, order="C")
     return new_mean, new_cov, observed[0], condition(new_mean, new_cov, observed, y, noise_var)

@@ -130,12 +130,12 @@ def test_criterion_05_rff_convergence():
     Xs = np.linspace(0.2, 2.8, 50)
     post = exact.posterior(kernel, noise, X, y, Xs)
 
+    # each seed's RFF posterior mean from the 200 x 200 function-space solve, which
+    # criterion 04 pins equal to the weight-space filter
     passed = 0
     for seed in range(50):
         fmap = features.sample_rff(kernel, 2048, seed)
-        Phi = features.featurize_many(fmap, X)
-        belief = lf.static_batch_posterior(Phi, y, noise, fmap.weight_prior_var)
-        means = features.featurize_many(fmap, Xs) @ belief.mean
+        means = exact.posterior(features.DegenerateKernel(fmap), noise, X, y, Xs).mean
         if float(np.sqrt(np.mean((means - post.mean) ** 2))) < 0.05:
             passed += 1
     assert passed >= 45

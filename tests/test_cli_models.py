@@ -11,7 +11,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import parse_report, run_cli
-from seqgp import exact, kernels, sparse
+from seqgp import exact, kernels, markovian, sparse
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -145,6 +145,36 @@ class TestSpatiotemporal:
         code, _, err = run_cli(args, stdin_text="t,x1,y\n0,0.37,1.0\n")
         assert code == 3
         assert "not in spatial.locations" in err
+
+    # (locations file, each row's x1, the observation row each resolves to): every
+    # chunk is looked up in one pass, exact coordinates first, then the nearest
+    # location within 1e-9 (1 + |location|)
+    @pytest.mark.parametrize("locations, xs, expected", [
+        pytest.param([0.0, 1.0, 0.0], [0.0, 1.0], [0, 1], id="duplicate-maps-to-its-first-row"),
+        pytest.param([1.0 + 1e-12, 1.0], [1.0], [1], id="exact-beats-an-earlier-location-within-tolerance"),
+        # 1e-200 is 0 away from 0.0 once squared: nearest alone would take row 0
+        pytest.param([1e-200, 0.0], [0.0, 1e-200], [1, 0], id="exact-beats-an-earlier-location-at-distance-0"),
+        pytest.param([0.0, 1.0], [1.0 + 1e-12, -1e-12], [1, 0], id="1e-12-off-resolves-to-nearest"),
+        pytest.param([0.0, 1.0], [float(i % 2) for i in range(299)] + [0.37], [i % 2 for i in range(299)],
+                     id="unknown-location-in-the-second-chunk"),
+    ])
+    def test_location_lookup(self, tmp_path, monkeypatch, locations, xs, expected):
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text("x1\n" + "".join(f"{v!r}\n" for v in locations))
+        rows = []
+        predict_obs = markovian.MarkovStepper.predict_obs
+        monkeypatch.setattr(markovian.MarkovStepper, "predict_obs",
+                            lambda stepper, row=0: rows.append(row) or predict_obs(stepper, row))
+        csv = "t,x1,y\n" + "".join(f"{0.1 * i!r},{x!r},{0.5 - 0.01 * i!r}\n" for i, x in enumerate(xs))
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2",
+                f"spatial.locations={loc_file}", "spatial.kernel.family=se"]
+        code, _, err = run_cli(args, stdin_text=csv)
+        assert rows == expected  # every row before a bad one has run
+        if len(expected) == len(xs):
+            assert code == 0, err
+        else:
+            assert code == 3
+            assert f"row {len(xs)}: location [{xs[-1]!r}] is not in spatial.locations" in err
 
     @pytest.mark.parametrize("text, message", [
         ("x1\n0.0\nnan\n", "non-finite coordinate"),

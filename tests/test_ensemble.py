@@ -147,24 +147,15 @@ class TestStacking:
 class TestMixturePredict:
     def test_identical_members(self):
         state = ens.init_ensemble(3, "bma")
-        mean, var, dens = ens.mixture_predict(state, [0.7] * 3, [0.2] * 3, [0.5] * 3)
+        mean, var = ens.mixture_predict(state, [0.7] * 3, [0.2] * 3)
         assert mean == pytest.approx(0.7)
         assert var == pytest.approx(0.2)
-        assert dens == pytest.approx(0.5)
 
     def test_symmetric_two_member_moments(self):
         state = ens.init_ensemble(2, "bma")
-        mean, var, _ = ens.mixture_predict(state, [-1.0, 1.0], [1.0, 1.0])
+        mean, var = ens.mixture_predict(state, [-1.0, 1.0], [1.0, 1.0])
         assert mean == pytest.approx(0.0, abs=1e-15)
         assert var == pytest.approx(2.0, rel=1e-12)
-
-    def test_density_bounded_by_members(self):
-        rng = np.random.default_rng(62)
-        state = ens.init_ensemble(4, "bma")
-        state = ens.bma_update(state, rng.normal(size=4))
-        p = rng.uniform(0.1, 2.0, size=4)
-        _, _, dens = ens.mixture_predict(state, np.zeros(4), np.ones(4), p)
-        assert p.min() <= dens <= p.max()
 
     def test_bad_member_count(self):
         with pytest.raises(DataError):

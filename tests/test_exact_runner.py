@@ -95,6 +95,15 @@ class TestState:
         with pytest.raises(NumericalError, match="non-finite"):
             runner.step(StreamRecord(row=2, t=float("nan"), x=None, y=0.1))
 
+    def test_non_finite_prior_variance_exits_4_on_the_first_row(self):
+        # kappa(0) = weight * sigma2 overflows; the runner reads it once but checks it on every row
+        args = ["run", "model=exact", "kernel.family=hida_matern", "kernel.hm_components=1e308:0:1.5:1:10",
+                "noise_var=0.1"]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, _, err = run_cli(args, stdin_text="t,y\n0,0.5\n1,0.2\n")
+        assert code == 4
+        assert "row 1: kernel has non-finite entries" in err
+
 
 class TestIllConditionedStream:
     """SE kernel, 40 rows at spacing 1e-3: the Gram is numerically rank-deficient."""

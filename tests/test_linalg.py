@@ -1,12 +1,12 @@
-"""The shared rank-one Kalman update kernel: ``observe`` then ``condition``."""
+"""The shared scored Kalman update: ``observe`` then ``condition``."""
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from conftest import conditioned
-from seqgp.errors import NumericalError
-from seqgp.linalg import chol_solve, condition, observe, symmetrize
+from seqgp.errors import DataError, NumericalError
+from seqgp.linalg import chol_solve, condition, gaussian_loglik, observe, symmetrize
 
 
 def joseph_update(mean, cov, h, y, noise_var):
@@ -37,7 +37,7 @@ class TestObserveAndCondition:
         np.testing.assert_allclose(got[0], ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
         np.testing.assert_allclose(got[1], ref[1], rtol=1e-12, atol=1e-12 * np.abs(ref[1]).max())
         assert got[2] == pytest.approx(ref[2], rel=1e-12)
-        assert got[3] == pytest.approx(ref[3], rel=1e-12)
+        assert got[3] == pytest.approx(gaussian_loglik(y, ref[2], ref[3]), rel=1e-12)
 
     def test_bit_symmetric_input_stays_bit_symmetric(self):
         # sizes on both sides of the BLAS tile edges, gains from small to large
@@ -64,18 +64,19 @@ class TestObserveAndCondition:
         mean, cov, h, y = random_belief(d, seed=20 + d)
         s = cov @ h
         pred_var = float(h @ s) + 0.3
-        new_mean, new_cov, pred_mean, got_var = conditioned(mean, cov, h, y, 0.3)
+        new_mean, new_cov, pred_mean, ll = conditioned(mean, cov, h, y, 0.3)
         np.testing.assert_array_equal(new_mean, mean + s / pred_var * (y - float(h @ mean)))
-        assert (pred_mean, got_var) == (float(h @ mean), pred_var)
+        # scored against the incoming belief, bit for bit
+        assert (pred_mean, ll) == (float(h @ mean), gaussian_loglik(y, float(h @ mean), pred_var))
         ulp = np.spacing(np.abs(cov).max())
         np.testing.assert_allclose(new_cov, cov - np.outer(s, s) / pred_var, rtol=0, atol=4 * ulp)
 
     @pytest.mark.parametrize("d", [1, 8, 128, 256])
     def test_overwrites_the_callers_arrays(self, d):
         mean, cov, h, y = random_belief(d, seed=30 + d)
-        ref_mean, ref_cov, _, ref_pred_var = conditioned(mean, cov, h, y, 0.3)
+        ref_mean, ref_cov, _, ref_ll = conditioned(mean, cov, h, y, 0.3)
         mean_id, cov_id = id(mean), id(cov)
-        assert condition(mean, cov, observe(mean, cov, h), y, 0.3) == ref_pred_var
+        assert condition(mean, cov, observe(mean, cov, h), y, 0.3) == ref_ll
         assert (id(mean), id(cov)) == (mean_id, cov_id)
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(cov, ref_cov)
@@ -96,6 +97,24 @@ class TestObserveAndCondition:
             condition(mean, cov, observed, y, 0.3)
         np.testing.assert_array_equal(mean, mean0)
         np.testing.assert_array_equal(cov, cov0)
+
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_is_a_data_error_before_anything_changes(self, y):
+        mean, cov, h, _ = random_belief(8, seed=5)
+        observed = observe(mean, cov, h)
+        mean0, cov0 = mean.copy(), cov.copy()
+        with pytest.raises(DataError, match="non-finite observation"):
+            condition(mean, cov, observed, y, 0.3)
+        np.testing.assert_array_equal(mean, mean0)
+        np.testing.assert_array_equal(cov, cov0)
+
+    @pytest.mark.parametrize("residual", [0.0, 0.25])
+    def test_returns_the_log_density_of_y_under_the_incoming_belief(self, residual):
+        # v may carry latent variance of the caller's own (a sparse residual)
+        mean, cov, h, y = random_belief(16, seed=6)
+        pred_mean, var, s = observe(mean, cov, h)
+        expected = gaussian_loglik(y, pred_mean, var + residual + 0.3)
+        assert condition(mean, cov, (pred_mean, var + residual, s), y, 0.3) == expected
 
     def test_non_positive_predictive_variance_leaves_the_belief_unchanged(self):
         mean, cov = np.zeros(1), np.array([[-0.3]])

@@ -9,7 +9,7 @@ from scipy.linalg import expm, lapack
 from conftest import conditioned, run_runner, stream_columns
 from seqgp import exact, kernels, markovian
 from seqgp.cli import CHUNK_ROWS
-from seqgp.linalg import gaussian_loglik, symmetrize
+from seqgp.linalg import symmetrize
 from seqgp.runners import MarkovRunner, run_chunks
 from seqgp.errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 
@@ -142,7 +142,7 @@ class TestStepperSymmetry:
         for i, t in enumerate(np.cumsum(rng.exponential(0.4, 40))):
             stepper.advance(float(t))
             assert np.array_equal(stepper.cov, stepper.cov.T)
-            stepper.update(float(rng.standard_normal()), i % n_obs)
+            stepper.update(float(rng.standard_normal()), stepper.predict_obs(i % n_obs))
             assert np.array_equal(stepper.cov, stepper.cov.T)
 
 
@@ -178,14 +178,15 @@ def assert_within_ulps(got, ref, magnitude, ulps=4):
 
 
 class TestObserveStep:
-    """``MarkovStepper`` forms s = cov h once per row, from the row's nonzero entries."""
+    """``MarkovStepper.predict_obs`` forms s = cov h once per row, from the row's
+    nonzero entries, and ``update`` conditions on the triple it returns."""
 
     def test_space_time_rows_read_one_entry_bit_equal_to_the_product(self):
         sde = SPACETIME_SDE
         assert [(idx.tolist(), w.tolist()) for idx, w in sde.obs_support] == [([2 * i], [1.0]) for i in range(4)]
         stepper = stepped(sde)
         for row, h in enumerate(sde.obs):
-            mean, var, s = stepper._observe(row)
+            mean, var, s = stepper.predict_obs(row)
             np.testing.assert_array_equal(s, stepper.cov @ h)
             assert (mean, var) == (float(h @ stepper.mean), float(h @ stepper.cov @ h))
 
@@ -197,7 +198,7 @@ class TestObserveStep:
         h = sde.obs[0]
         for seed in range(5):
             stepper = stepped(sde, seed=seed)
-            mean, var, s = stepper._observe(0)
+            mean, var, s = stepper.predict_obs(0)
             ref_s = stepper.cov @ h
             assert_within_ulps(s, ref_s, np.abs(w) @ np.abs(stepper.cov[idx]))
             assert_within_ulps(mean, h @ stepper.mean, np.abs(w) @ np.abs(stepper.mean[idx]))
@@ -213,40 +214,37 @@ class TestObserveStep:
         assert [(idx.tolist(), w.tolist()) for idx, w in sde.obs_support] == [([1, 3], [2.0, -0.5]), ([0], [1.0])]
         for row in (0, 1):
             stepper = markovian.MarkovStepper(sde, 0.2)  # no advance: a hand-built model has no transition
-            pred_mean, var = stepper.predict_obs(row)
-            ll = stepper.update(0.7, row)
-            mean, cov, ref_mean, pred_var = conditioned(np.zeros(4), P, obs[row], 0.7, 0.2)
+            observed = stepper.predict_obs(row)
+            pred_mean, var, _ = observed
+            ll = stepper.update(0.7, observed)
+            mean, cov, ref_mean, ref_ll = conditioned(np.zeros(4), P, obs[row], 0.7, 0.2)
+            pred_var = float(obs[row] @ P @ obs[row]) + 0.2
             assert pred_mean == ref_mean
             assert_within_ulps(var + 0.2, pred_var, pred_var)
-            assert ll == pytest.approx(gaussian_loglik(0.7, ref_mean, pred_var), rel=1e-14)
+            assert ll == pytest.approx(ref_ll, rel=1e-14)
             np.testing.assert_allclose(stepper.mean, mean, rtol=0, atol=1e-15)
             np.testing.assert_allclose(stepper.cov, cov, rtol=0, atol=1e-15)
             assert np.array_equal(stepper.cov, stepper.cov.T)
 
-    def test_update_never_reuses_an_s_of_another_state_or_row(self):
+    def test_update_conditions_in_place_on_the_triple_it_is_handed(self):
         sde = SPACETIME_SDE  # bit-equal gathers: every update must match the pure one exactly
 
         def check_update(stepper, y, row):
-            mean, cov, pred_mean, pred_var = conditioned(stepper.mean, stepper.cov, sde.obs[row], y, 0.1)
+            mean, cov, _, ref_ll = conditioned(stepper.mean, stepper.cov, sde.obs[row], y, 0.1)
             state = stepper.mean, stepper.cov
-            assert stepper.update(y, row) == gaussian_loglik(y, pred_mean, pred_var)
+            assert stepper.update(y, stepper.predict_obs(row)) == ref_ll
             assert stepper.mean is state[0] and stepper.cov is state[1]  # conditioned in place
             np.testing.assert_array_equal(stepper.mean, mean)
             np.testing.assert_array_equal(stepper.cov, cov)
 
         stepper = stepped(sde)
-        stepper.predict_obs(1)
-        stepper.advance(stepper.time + 0.4)  # a new state: the s kept for row 1 is stale
         check_update(stepper, 0.3, 1)
-        stepper.predict_obs(0)
-        check_update(stepper, -0.2, 2)  # another row
-        check_update(stepper, 0.5, 3)  # no predict_obs since the last update
-        stepper.predict_obs(1)
-        check_update(stepper, 0.1, 1)  # the kept s, on the state it was formed on
-        check_update(stepper, 0.2, 1)  # that update consumed it
-        stepper.predict_obs(2)
+        check_update(stepper, -0.2, 2)  # another row, on the state the last update left
+        check_update(stepper, 0.5, 2)  # the same row again
+        stepper.advance(stepper.time + 0.4)
+        check_update(stepper, 0.1, 1)
         stepper.advance(stepper.time)  # a zero-length step keeps the state
-        check_update(stepper, -0.4, 2)
+        check_update(stepper, -0.4, 3)
 
 
 class TestDiscretize:
@@ -565,7 +563,7 @@ class TestStepShortcuts:
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.2, 0.8)), 0.1)
         stepper.advance(0.0)
         stepper.advance(0.4)
-        stepper.update(0.7)
+        stepper.update(0.7, stepper.predict_obs())
         calls = []
         real = markovian.transition
         monkeypatch.setattr(markovian, "transition", lambda sde, delta: calls.append(delta) or real(sde, delta))
@@ -631,7 +629,7 @@ class TestLongStream:
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.25)
         for i in range(20_000):
             stepper.advance(0.125 * i)
-            stepper.update(float(rng.standard_normal()))
+            stepper.update(float(rng.standard_normal()), stepper.predict_obs())
         cov = stepper.cov
         np.testing.assert_array_equal(cov, cov.T)
         min_eig = float(np.linalg.eigvalsh(cov).min())
