@@ -1,21 +1,25 @@
 """Online combination of sequential models: Bayesian model averaging and stacking.
 
 Both combiners maintain a simplex weight vector over K member models and
-update it once per observation from the members' one-step predictive
-scores.  BMA multiplies weights by per-member predictive likelihoods (the
-exact evidence recursion); stacking takes one exponentiated-gradient ascent
-step on the log mixture density with learning rate sqrt(ln K / t).
+update it in place once per observation from the members' one-step
+predictive log densities.  BMA adds them to the log-weights (the exact
+evidence recursion); stacking takes one exponentiated-gradient ascent step
+on the log mixture density with learning rate sqrt(ln K / t).  Both
+renormalize in log space with a floor of -745 nats, so a member can be
+driven to numerically-zero weight without producing NaNs.
 
-All weight arithmetic is done in log space with a floor of -745 nats before
-renormalization, so a member can be driven to numerically-zero weight
-without producing NaNs.
+A row is work on K Python floats.  Arrays remain where numpy's rounding is
+the reference: the weights, the exp of the log-weights formed once per
+update; the mixture moments, whose BLAS ``ddot`` sums in another order than
+a float loop; and the exp-and-sum of ``logsumexp``, as numpy's SIMD ``exp``
+rounds some inputs differently from ``math.exp``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,41 +28,67 @@ from .errors import ConfigurationError, DataError
 LOG_FLOOR = -745.0  # just above log of the smallest subnormal double
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class EnsembleState:
-    log_weights: np.ndarray  # (K,) normalized: logsumexp == 0
+    """``log_weights``: K floats with logsumexp 0; ``weights``: their exp, a
+    fresh array per update that is never mutated."""
+
+    log_weights: list[float]
     combiner: str  # "bma" | "stacking"
     step_count: int = 0
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.weights = np.exp(self.log_weights)
 
     @property
     def n_members(self) -> int:
-        return self.log_weights.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        return len(self.log_weights)
 
 
 def logsumexp(a) -> float:
-    """log(sum(exp(a))) of a 1-D array, bit for bit as scipy's logsumexp:
+    """log(sum(exp(a))) of a 1-D sequence, bit for bit as scipy's logsumexp:
     log1p(sum(exp(a - a_max)) over the m non-maximal terms / m) + log(m) + a_max,
-    falling back to log(sum(exp(a))) when that is not finite."""
-    a = np.asarray(a, dtype=float)
-    a_max = a.max()
-    is_max = a == a_max
-    m = float(np.count_nonzero(is_max))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+    falling back to log(sum(exp(a))) when that is not finite.
+
+    The max, its count and the comparisons are float work.  The exp and its
+    sum run in numpy over all of ``a``, with each maximal entry set to -inf in
+    place: dropping those entries instead would change the pairwise order.
+    """
+    a_max = max(a)
+    if math.isfinite(a_max):
+        d = np.array(a, dtype=float)
+        d -= a_max
+        m = 0.0
+        for i, v in enumerate(a):
+            if v == a_max:
+                d[i] = -math.inf
+                m += 1.0
+        s = np.exp(d, out=d).sum()
         out = np.log1p(s / m if s else s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+        if math.isfinite(out):
+            return float(out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log(np.sum(np.exp(np.asarray(a, dtype=float)))))
 
 
-def _normalize(log_w: np.ndarray) -> np.ndarray:
-    log_w = log_w - np.max(log_w)
-    log_w = np.maximum(log_w, LOG_FLOOR)
-    return log_w - logsumexp(log_w)
+def _reweight(state: EnsembleState, log_w: list[float]) -> None:
+    """Set the state's log-weights to ``log_w`` shifted by its max, floored at
+    LOG_FLOOR and renormalized, and its weights to their exp."""
+    top = max(log_w)
+    log_w = [LOG_FLOOR if v < LOG_FLOOR else v for v in [v - top for v in log_w]]
+    total = logsumexp(log_w)
+    state.log_weights = [v - total for v in log_w]
+    state.weights = np.exp(state.log_weights)
+
+
+def _log_densities(state: EnsembleState, logliks) -> list[float]:
+    ll = [float(v) for v in logliks]
+    if len(ll) != state.n_members:
+        raise DataError(f"got {len(ll)} log-likelihoods for {state.n_members} members")
+    if any(v != v or v == math.inf for v in ll):
+        raise DataError(f"log-likelihoods must be finite or -inf surrogates, got {ll}")
+    return ll
 
 
 def init_ensemble(n_members: int, combiner: str = "bma") -> EnsembleState:
@@ -67,40 +97,36 @@ def init_ensemble(n_members: int, combiner: str = "bma") -> EnsembleState:
         raise ConfigurationError(f"need at least one member, got {n_members}")
     if combiner not in ("bma", "stacking"):
         raise ConfigurationError(f"unknown combiner {combiner!r}")
-    return EnsembleState(np.full(n_members, -math.log(n_members)), combiner)
+    return EnsembleState([-math.log(n_members)] * n_members, combiner)
 
 
-def bma_update(state: EnsembleState, logliks) -> EnsembleState:
-    """Evidence recursion: w_k <- w_k * exp(loglik_k), renormalized in log space."""
-    ll = np.asarray(logliks, dtype=float).ravel()
-    if ll.shape[0] != state.n_members:
-        raise DataError(f"got {ll.shape[0]} log-likelihoods for {state.n_members} members")
-    if np.any(np.isnan(ll)) or np.any(ll == np.inf):
-        raise DataError(f"log-likelihoods must be finite or -inf surrogates, got {ll}")
-    return replace(state, log_weights=_normalize(state.log_weights + ll), step_count=state.step_count + 1)
+def bma_update(state: EnsembleState, logliks) -> None:
+    """Evidence recursion, in place: w_k <- w_k * exp(loglik_k), renormalized in log space."""
+    ll = _log_densities(state, logliks)
+    state.step_count += 1
+    _reweight(state, [w + v for w, v in zip(state.log_weights, ll)])
 
 
-def stacking_update(state: EnsembleState, densities) -> EnsembleState:
-    """One exponentiated-gradient step on w -> log sum_k w_k p_k.
+def stacking_update(state: EnsembleState, logliks) -> None:
+    """One exponentiated-gradient step, in place, on w -> log sum_k w_k p_k
+    with p_k = exp(loglik_k).
 
     The gradient is p / (w . p); the multiplicative update keeps the iterate
-    on the simplex by construction.  If every density is zero the step is
-    skipped with a warning record.
+    on the simplex by construction.  The step is invariant to scaling every
+    density, so p is taken relative to the best member: far-out members must
+    not all underflow to 0.  If every density is zero the step is skipped
+    with a warning record.
     """
-    p = np.asarray(densities, dtype=float).ravel()
-    if p.shape[0] != state.n_members:
-        raise DataError(f"got {p.shape[0]} densities for {state.n_members} members")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise DataError(f"densities must be finite and nonnegative, got {p}")
-    t = state.step_count + 1
-    if np.all(p == 0.0):
+    ll = _log_densities(state, logliks)
+    t = state.step_count = state.step_count + 1
+    top = max(ll)
+    if top == -math.inf:
         warnings.warn(f"all member densities are zero at step {t}; stacking step skipped")
-        return replace(state, step_count=t)
-    w = state.weights
-    mix = float(w @ p)
-    grad = p / mix
+        return
+    p = np.exp([v - top for v in ll])
+    grad = p / float(state.weights @ p)
     eta = math.sqrt(math.log(state.n_members) / t)
-    return replace(state, log_weights=_normalize(state.log_weights + eta * grad), step_count=t)
+    _reweight(state, [w + g for w, g in zip(state.log_weights, (eta * grad).tolist())])
 
 
 def mixture_predict(state: EnsembleState, means, variances):
@@ -108,9 +134,9 @@ def mixture_predict(state: EnsembleState, means, variances):
     mean = sum w_k mu_k and var = sum w_k (s_k^2 + mu_k^2) - mean^2.
     """
     w = state.weights
-    mu = np.asarray(means, dtype=float).ravel()
-    var = np.asarray(variances, dtype=float).ravel()
-    if mu.shape[0] != state.n_members or var.shape[0] != state.n_members:
+    mu = np.array(means, dtype=float)
+    var = np.array(variances, dtype=float)
+    if mu.shape != w.shape or var.shape != w.shape:
         raise DataError("per-member moments must match the member count")
     mean = float(w @ mu)
     second = float(w @ (var + mu * mu))

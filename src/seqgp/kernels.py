@@ -96,6 +96,9 @@ class Kernel:
                 _check_scale(c.sigma2, c.lengthscale, "hm_components")
             if sum(c.weight for c in self.hm_components) <= 0.0:
                 raise ConfigurationError("HM weights must not all be zero", param="hm_components")
+            if not math.isfinite(self.total_variance):
+                raise ConfigurationError(f"HM total variance sum(weight * sigma2) is {self.total_variance!r}",
+                                         param="hm_components")
 
     @property
     def total_variance(self) -> float:
@@ -103,7 +106,7 @@ class Kernel:
         if self.family == "spectral_mixture":
             return float(sum(c.weight for c in self.sm_components))
         if self.family == "hida_matern":
-            return float(sum(c.weight * c.sigma2 for c in self.hm_components))
+            return sum(float(c.weight) * float(c.sigma2) for c in self.hm_components)
         return float(self.sigma_f2)
 
     def __call__(self, x, x2) -> float:

@@ -114,9 +114,10 @@ def _predict_into(out: GaussianBelief, belief: GaussianBelief, dynamics: Dynamic
 
     The noise goes onto the diagonal only: equal entry for entry to adding
     ``noise * np.eye(n)``, whose off-diagonal +0.0 changes no value, without
-    building an n x n identity on every step.  A unit ``cov_scale`` (random
-    walk, or ``general`` with a = +-1) skips the n x n multiply, as x * 1.0 == x
-    for every double.
+    building an n x n identity on every step.  The diagonal is a strided view
+    of the flattened ``out.cov``, which must be C-contiguous.  A unit
+    ``cov_scale`` (random walk, or ``general`` with a = +-1) skips the n x n
+    multiply, as x * 1.0 == x for every double.
     """
     mean, cov = out.mean, out.cov
     np.multiply(belief.mean, dynamics.mean_scale, out=mean)
@@ -125,7 +126,7 @@ def _predict_into(out: GaussianBelief, belief: GaussianBelief, dynamics: Dynamic
         np.multiply(belief.cov, dynamics.cov_scale, out=cov)
     elif cov is not belief.cov:
         np.copyto(cov, belief.cov)
-    cov.flat[:: cov.shape[0] + 1] += dynamics.noise
+    cov.reshape(-1)[:: cov.shape[0] + 1] += dynamics.noise
     return out
 
 
@@ -137,7 +138,10 @@ def predict_step(belief: GaussianBelief, dynamics: Dynamics) -> GaussianBelief:
 
 
 def predict_in_place(belief: GaussianBelief, dynamics: Dynamics) -> None:
-    """``predict_step`` on a belief the caller owns, overwriting its mean and covariance."""
+    """``predict_step`` on a belief the caller owns, overwriting its mean and
+    its covariance, which must be C-contiguous as for ``condition_in_place``."""
+    if not belief.cov.flags.c_contiguous:
+        raise ValueError("predict_in_place overwrites the covariance through a flat view: it must be C-contiguous")
     if dynamics != _IDENTITY:
         _predict_into(belief, belief, dynamics)
 

@@ -125,7 +125,7 @@ class StepResult:
     mean: float
     var: float  # latent (noise-free) predictive variance
     logdensity: float | None  # one-step predictive log density of y, if scored
-    weights: np.ndarray | None = None  # ensemble only
+    weights: np.ndarray | None = None  # ensemble only: fresh per weight update, never mutated
 
 
 class ExactRunner:
@@ -375,22 +375,14 @@ class EnsembleRunner:
 
     def step(self, rec: StreamRecord) -> StepResult:
         results = [m.step(rec) for m in self.members]
-        means = np.array([r.mean for r in results])
-        variances = np.array([r.var for r in results])
-        mix_mean, mix_var = ens.mixture_predict(self.state, means, variances)
+        state = self.state
+        mix_mean, mix_var = ens.mixture_predict(state, [r.mean for r in results], [r.var for r in results])
         if rec.y is None:
-            return StepResult(mix_mean, mix_var, None, weights=self.state.weights)
-        lls = np.array([r.logdensity for r in results])
-        mix_ll = ens.logsumexp(self.state.log_weights + lls)
-        if self.state.combiner == "bma":
-            self.state = ens.bma_update(self.state, lls)
-        else:
-            # The EG step is invariant to scaling every density, so shift by the
-            # best member before exponentiating: far-out members must not all
-            # underflow to 0.  With no finite log density the step is skipped.
-            shift = np.max(lls) if np.any(np.isfinite(lls)) else 0.0
-            self.state = ens.stacking_update(self.state, np.exp(lls - shift))
-        return StepResult(mix_mean, mix_var, mix_ll, weights=self.state.weights)
+            return StepResult(mix_mean, mix_var, None, weights=state.weights)
+        lls = [r.logdensity for r in results]
+        mix_ll = ens.logsumexp([w + ll for w, ll in zip(state.log_weights, lls)])
+        (ens.bma_update if state.combiner == "bma" else ens.stacking_update)(state, lls)
+        return StepResult(mix_mean, mix_var, mix_ll, weights=state.weights)
 
 
 def run_chunks(runner, data: Columns, chunk_rows: int):

@@ -55,7 +55,7 @@ class TestBma:
     def test_identical_members_stay_uniform(self):
         state = ens.init_ensemble(2, "bma")
         for _ in range(200):
-            state = ens.bma_update(state, [-1.3, -1.3])
+            ens.bma_update(state, [-1.3, -1.3])
             np.testing.assert_allclose(state.weights, [0.5, 0.5], atol=1e-15)
 
     def test_matches_batch_evidence_weighting(self):
@@ -64,12 +64,12 @@ class TestBma:
         state = ens.init_ensemble(3, "bma")
         oracle = batch_bma_oracle(lls)
         for t in range(400):
-            state = ens.bma_update(state, lls[t])
+            ens.bma_update(state, lls[t])
             np.testing.assert_allclose(state.weights, oracle[t], atol=1e-10)
 
     def test_minus_infinity_surrogate_handled(self):
         state = ens.init_ensemble(2, "bma")
-        state = ens.bma_update(state, [-1e6, -1.0])
+        ens.bma_update(state, [-1e6, -1.0])
         assert not np.any(np.isnan(state.weights))
         assert state.weights[0] < 1e-300
         assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -78,7 +78,7 @@ class TestBma:
         state = ens.init_ensemble(3, "bma")
         for t in range(100_000):
             sign = 500.0 if t % 2 == 0 else -500.0
-            state = ens.bma_update(state, [sign, -sign, 0.0])
+            ens.bma_update(state, [sign, -sign, 0.0])
             if t % 10_000 == 0:
                 assert np.all(state.weights >= 0.0)
                 assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -93,13 +93,13 @@ class TestStacking:
     def test_single_member_stays_at_one(self):
         state = ens.init_ensemble(1, "stacking")
         for _ in range(10):
-            state = ens.stacking_update(state, [0.3])
+            ens.stacking_update(state, np.log([0.3]))
         np.testing.assert_allclose(state.weights, [1.0], atol=1e-15)
 
     def test_equal_densities_leave_weights_unchanged(self):
         state = ens.init_ensemble(3, "stacking")
         for _ in range(50):
-            state = ens.stacking_update(state, [0.7, 0.7, 0.7])
+            ens.stacking_update(state, np.log([0.7, 0.7, 0.7]))
         np.testing.assert_allclose(state.weights, np.full(3, 1 / 3), atol=1e-12)
 
     def test_dominant_member_wins_and_matches_eg_oracle(self):
@@ -111,7 +111,7 @@ class TestStacking:
         state = ens.init_ensemble(2, "stacking")
         path = []
         for t in range(T):
-            state = ens.stacking_update(state, densities[t])
+            ens.stacking_update(state, np.log(densities[t]))
             path.append(state.weights.copy())
         path = np.array(path)
         oracle = eg_oracle(densities, 2)
@@ -123,25 +123,26 @@ class TestStacking:
 
     def test_all_zero_densities_skip_with_warning(self):
         state = ens.init_ensemble(2, "stacking")
-        state = ens.stacking_update(state, [0.4, 0.2])
+        ens.stacking_update(state, np.log([0.4, 0.2]))
         before = state.weights.copy()
         with pytest.warns(UserWarning):
-            state = ens.stacking_update(state, [0.0, 0.0])
+            ens.stacking_update(state, [-np.inf, -np.inf])
         np.testing.assert_allclose(state.weights, before, atol=0)
         assert state.step_count == 2
 
     def test_simplex_preserved_under_adversarial_stream(self):
-        # alternating +-500-nat likelihoods mapped to finite density extremes
+        # alternating log densities of +-690 nats, the finite density extremes 1e300 and 1e-300
         state = ens.init_ensemble(2, "stacking")
         for t in range(100_000):
             p = [1e300, 1e-300] if t % 2 == 0 else [1e-300, 1e300]
-            state = ens.stacking_update(state, p)
+            ens.stacking_update(state, np.log(p))
         assert np.all(state.weights >= 0.0)
         assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_negative_density_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_infinite_log_density_rejected(self, bad):
         with pytest.raises(DataError):
-            ens.stacking_update(ens.init_ensemble(2, "stacking"), [-0.1, 0.5])
+            ens.stacking_update(ens.init_ensemble(2, "stacking"), [bad, 0.5])
 
 
 class TestMixturePredict:
@@ -202,3 +203,16 @@ class TestStackingRunner:
         with pytest.warns(UserWarning, match="stacking step skipped"):
             res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
         np.testing.assert_array_equal(res.weights, [0.5, 0.5])
+
+
+class TestBmaRunner:
+    def test_log_weight_floor_triggers_for_a_member_trailing_by_more_than_745_nats(self):
+        runner = EnsembleRunner([_FixedScoreMember(0.0), _FixedScoreMember(-800.0)], "bma")
+        for row in (1, 2, 3):
+            res = runner.step(StreamRecord(row=row, t=float(row), x=None, y=0.0))
+            best, trailing = runner.state.log_weights
+            # unfloored, the gap would be -800 * row and exp of it 0.0; clamped, it stays at the floor
+            assert trailing - best == ens.LOG_FLOOR
+            assert np.all(np.isfinite(res.weights)) and np.all(res.weights >= 0.0)
+            assert res.weights[1] > 0.0
+            assert res.weights.sum() == 1.0

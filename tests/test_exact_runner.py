@@ -1,5 +1,7 @@
 """Exact-GP runner: the incrementally extended Cholesky factor against the batch oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,16 @@ class TestState:
         with pytest.raises(NumericalError, match="non-finite"):
             runner.step(StreamRecord(row=2, t=float("nan"), x=None, y=0.1))
 
-    def test_non_finite_prior_variance_exits_4_on_the_first_row(self):
-        # kappa(0) = weight * sigma2 overflows; the runner reads it once but checks it on every row
+    def test_overflowing_prior_variance_is_a_configuration_error(self):
+        # kappa(0) = weight * sigma2 overflows: the kernel is rejected before any row, without a warning
         args = ["run", "model=exact", "kernel.family=hida_matern", "kernel.hm_components=1e308:0:1.5:1:10",
                 "noise_var=0.1"]
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, _, err = run_cli(args, stdin_text="t,y\n0,0.5\n1,0.2\n")
-        assert code == 4
-        assert "row 1: kernel has non-finite entries" in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args, stdin_text="t,y\n0,0.5\n")
+        assert code == 2
+        assert err == "seqgp: configuration error: kernel.hm_components: HM total variance sum(weight * sigma2) is inf\n"
+        assert out == ""
 
 
 class TestIllConditionedStream:

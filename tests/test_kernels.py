@@ -78,6 +78,9 @@ class TestEvalKernel:
         (lambda: kernels.se(lengthscale=1e200), "lengthscale"),
         (lambda: kernels.spectral_mixture([(0.5, 1.0, 0.0)]), "sm_components"),
         (lambda: kernels.hida_matern([(1.0, 0.0, 0.5, 1e-300, 1.0)]), "hm_components"),
+        (lambda: kernels.hida_matern([(1e308, 0.0, 1.5, 1.0, 10.0)]), "hm_components"),  # weight * sigma2 overflows
+        (lambda: kernels.hida_matern([(1e308, 0.0, 1.5, 1.0, 1.0)] * 2), "hm_components"),  # so does their sum
+        (lambda: kernels.hida_matern([(float("nan"), 0.0, 1.5, 1.0, 1.0)]), "hm_components"),
     ])
     def test_errors_carry_the_field(self, build, param):
         with pytest.raises(ConfigurationError) as info:

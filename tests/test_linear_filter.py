@@ -124,6 +124,13 @@ class TestLinearRunner:
             np.testing.assert_array_equal(b.mean, ref.mean)
             np.testing.assert_array_equal(b.cov, ref.cov)
 
+    def test_predict_in_place_rejects_a_covariance_it_cannot_write_through_a_flat_view(self):
+        b = lf.GaussianBelief(np.zeros(3), np.asfortranarray(np.diag([1.0, 2.0, 3.0]) + 0.1))
+        before = b.cov.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            lf.predict_in_place(b, lf.random_walk(0.5))
+        np.testing.assert_array_equal(b.cov, before)
+
 
 class TestDynamics:
     def test_static_is_identity(self):

@@ -3,14 +3,17 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from conftest import run_cli
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
 from seqgp import kernels, linear_filter as lf
+from seqgp.runners import EnsembleRunner, StepResult, StreamRecord
 
 finite = {"allow_nan": False, "allow_infinity": False}
 hyper = st.floats(min_value=0.05, max_value=20.0, **finite)
@@ -79,9 +82,80 @@ def test_update_never_inflates_variance_along_phi(seed, y, noise):
 @given(logliks=st.lists(st.floats(min_value=-600.0, max_value=10.0, **finite), min_size=1, max_size=6))
 def test_bma_preserves_simplex(logliks):
     state = ens.init_ensemble(len(logliks), "bma")
-    state = ens.bma_update(state, logliks)
+    ens.bma_update(state, logliks)
     assert np.all(state.weights >= 0.0)
     assert np.isclose(state.weights.sum(), 1.0, atol=1e-9)
+
+
+def _reference_combiner(k, combiner, rows):
+    """The combiner rows as numpy formulas with scipy's logsumexp: per row the
+    mixture (mean, var, log density or None) and the weights after it."""
+    log_w, t, out, skips = np.full(k, -math.log(k)), 0, [], 0
+    with np.errstate(all="ignore"):
+        for means, variances, lls in rows:
+            w = np.exp(log_w)
+            mu, var = np.array(means), np.array(variances)
+            mean = float(w @ mu)
+            mix = (mean, max(float(w @ (var + mu * mu)) - mean * mean, 0.0))
+            if lls is None:
+                out.append((*mix, None, w))
+                continue
+            ll = np.array(lls)
+            mix_ll = float(scipy_logsumexp(log_w + ll))
+            t += 1
+            if combiner == "bma":
+                x = log_w + ll
+            else:
+                p = np.exp(ll - (np.max(ll) if np.any(np.isfinite(ll)) else 0.0))
+                x = None if np.all(p == 0.0) else log_w + math.sqrt(math.log(k) / t) * (p / float(w @ p))
+                skips += x is None
+            if x is not None:
+                x = np.maximum(x - np.max(x), ens.LOG_FLOOR)
+                log_w = x - scipy_logsumexp(x)
+            out.append((*mix, mix_ll, np.exp(log_w)))
+    return out, skips
+
+
+class _ScriptedMember:
+    """Runner stand-in that hands back its column of scripted (mean, var, log density) rows."""
+
+    approximate_loglik = False
+    flops = 0
+
+    def __init__(self, rows, k):
+        self.rows, self.k = rows, k
+
+    def step(self, rec):
+        means, variances, lls = self.rows[rec.row - 1]
+        return StepResult(means[self.k], variances[self.k], None if lls is None else lls[self.k])
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)
+
+
+log_density = st.floats(min_value=-1e6, max_value=10.0, **finite) \
+    | st.sampled_from([-math.inf, 0.0, -1.0, -744.0, -745.0, -746.0, -800.0, -1500.0, -1e6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), combiner=st.sampled_from(["bma", "stacking"]))
+def test_combiner_rows_match_the_numpy_reference_bit_for_bit(data, k, combiner):
+    column = st.lists(st.floats(min_value=-1e3, max_value=1e3, **finite), min_size=k, max_size=k)
+    spread = st.lists(st.floats(min_value=0.0, max_value=1e3, **finite), min_size=k, max_size=k)
+    scores = st.none() | st.lists(log_density, min_size=k, max_size=k)
+    rows = data.draw(st.lists(st.tuples(column, spread, scores), min_size=1, max_size=20))
+    expected, skips = _reference_combiner(k, combiner, rows)
+    runner = EnsembleRunner([_ScriptedMember(rows, j) for j in range(k)], combiner)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        got = [runner.step(StreamRecord(row, float(row), None, None if lls is None else 0.0))
+               for row, (_, _, lls) in enumerate(rows, start=1)]
+    assert sum("stacking step skipped" in str(w.message) for w in caught) == skips
+    for res, (mean, var, mix_ll, weights) in zip(got, expected):
+        assert _same(res.mean, mean) and _same(res.var, var)
+        assert (res.logdensity is None) if mix_ll is None else _same(res.logdensity, mix_ll)
+        np.testing.assert_array_equal(res.weights, weights)
 
 
 def _reject_constant(token):
