@@ -6,7 +6,8 @@ predictive log densities.  BMA adds them to the log-weights (the exact
 evidence recursion); stacking takes one exponentiated-gradient ascent step
 on the log mixture density with learning rate sqrt(ln K / t).  Both
 renormalize in log space with a floor of -745 nats, so a member can be
-driven to numerically-zero weight without producing NaNs.
+driven to numerically-zero weight without producing NaNs, and both skip a
+row on which every member density is zero.
 
 A row is work on K Python floats.  Arrays remain where numpy's rounding is
 the reference: the weights, the exp of the log-weights formed once per
@@ -100,10 +101,22 @@ def init_ensemble(n_members: int, combiner: str = "bma") -> EnsembleState:
     return EnsembleState([-math.log(n_members)] * n_members, combiner)
 
 
+def _no_density(state: EnsembleState, ll: list[float]) -> bool:
+    """Whether every member density of the row is zero.  Such a row says
+    nothing about the weights, so the caller skips its step; a warning records it."""
+    if max(ll) > -math.inf:
+        return False
+    warnings.warn(f"all member densities are zero at step {state.step_count}; {state.combiner} step skipped")
+    return True
+
+
 def bma_update(state: EnsembleState, logliks) -> None:
-    """Evidence recursion, in place: w_k <- w_k * exp(loglik_k), renormalized in log space."""
+    """Evidence recursion, in place: w_k <- w_k * exp(loglik_k), renormalized in
+    log space.  If every density is zero the step is skipped with a warning record."""
     ll = _log_densities(state, logliks)
     state.step_count += 1
+    if _no_density(state, ll):
+        return
     _reweight(state, [w + v for w, v in zip(state.log_weights, ll)])
 
 
@@ -116,17 +129,26 @@ def stacking_update(state: EnsembleState, logliks) -> None:
     density, so p is taken relative to the best member: far-out members must
     not all underflow to 0.  If every density is zero the step is skipped
     with a warning record.
+
+    When w . p is so small that 1 / (w . p) overflows or w . p underflows to 0,
+    the best member's weight is at the floor and the step is so long that
+    every member whose density is below the best one's, by one rounding unit
+    or more, falls far more than the floor's 745 nats behind.  The step then
+    keeps the log-weights of the members with the best density and floors
+    the rest, which is its limit in exact arithmetic.
     """
     ll = _log_densities(state, logliks)
     t = state.step_count = state.step_count + 1
-    top = max(ll)
-    if top == -math.inf:
-        warnings.warn(f"all member densities are zero at step {t}; stacking step skipped")
+    if _no_density(state, ll):
         return
+    top = max(ll)
     p = np.exp([v - top for v in ll])
-    grad = p / float(state.weights @ p)
+    wp = float(state.weights @ p)
+    if wp == 0.0 or 1.0 / wp == math.inf:  # p_k / wp <= 1 / wp, as the best p_k is 1
+        _reweight(state, [w if v == top else -math.inf for w, v in zip(state.log_weights, ll)])
+        return
     eta = math.sqrt(math.log(state.n_members) / t)
-    _reweight(state, [w + g for w, g in zip(state.log_weights, (eta * grad).tolist())])
+    _reweight(state, [w + g for w, g in zip(state.log_weights, (eta * (p / wp)).tolist())])
 
 
 def mixture_predict(state: EnsembleState, means, variances):

@@ -29,8 +29,10 @@ returns the observe triple (h^T m, h^T s, s) and ``MarkovStepper.update``
 hands it to ``linalg.condition``, the one scored update.  The filter record
 keeps only the filtered moments; the smoother walks back over it in blocks
 of rows, forms each block's transitions from the stored timestamps,
-recomputes the predicted moments with the forward pass's ``predict``, and
-overwrites the filtered moments with the smoothed ones.  ``scipy.linalg.expm``
+recomputes the predicted moments with the forward pass's ``predict``, solves
+for all of the block's gains at once, and overwrites the filtered moments
+with the smoothed ones: three matrix products a step, and a copy of the next
+row on a zero-length step.  ``scipy.linalg.expm``
 stays the reference that the tests and ``seqgp check`` compare ``transition``
 against.
 """
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, lapack, solve_continuous_lyapunov
+from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import Kernel, as_points, gram, hida_matern_components
@@ -406,44 +408,77 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
 
 
 # The backward pass holds at most this many bytes of d x d matrices per stack
-# (transitions, A P_f, predicted covariances): 512 rows at d = 8, 2 at d = 128.
+# (transitions, predicted covariances, gains, ...): 512 rows at d = 8, 2 at d = 128.
 SMOOTH_BLOCK_BYTES = 256 * 1024
+
+
+def _gains(Pp: np.ndarray, APf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The stack of G_k^T = P_p^-1 A P_f, in one stacked solve.  A singular P_p
+    is a NumericalError naming its step, row + 1 for its row of ``rows``; of
+    several, the highest."""
+    try:
+        return np.linalg.solve(Pp, APf)
+    except np.linalg.LinAlgError:
+        for j in range(rows.size - 1, -1, -1):
+            try:
+                np.linalg.solve(Pp[j], APf[j])
+            except np.linalg.LinAlgError:
+                step = int(rows[j]) + 1
+                raise NumericalError(f"singular predicted covariance at step {step}", detail={"step": step}) from None
+        raise
 
 
 def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
     """Backward Rauch-Tung-Striebel pass over a completed filter result, in place.
 
-    The pass walks back in blocks of at most ``SMOOTH_BLOCK_BYTES`` of d x d
-    matrices.  A block forms its transitions in one ``transition`` call on its
-    steps of ``np.diff(result.times)``, the predicted moments of its steps of
-    nonzero length in one stacked ``predict`` (bit-equal to the forward pass's;
-    a zero step predicts the filtered moments unchanged, as ``advance`` does),
-    and every A P_f in one stacked product.  Step k then solves for its gain and
-    writes its smoothed moments over ``result.means[k]`` and ``result.covs[k]``;
-    it reads only its own filtered moments and step k + 1.  Returns ``result``;
-    its filtered moments are gone afterwards.  A singular predicted covariance
-    is a NumericalError whose ``detail["step"]`` is the step it belongs to."""
+    The smoothed moments of step k are m_k = c_k + G_k m_{k+1} and P_k = D_k +
+    G_k P_{k+1} G_k^T (Sarkka 2013, section 8.2, rearranged), where G_k = P_f
+    A^T P_p^-1 is the gain, c_k = m_f - G_k m_p and D_k = P_f - G_k A P_f =
+    P_f - G_k P_p G_k^T depend only on step k's filtered moments and its step
+    to row k + 1.  The pass walks back in blocks of at most
+    ``SMOOTH_BLOCK_BYTES`` of d x d matrices.  A block forms, over its steps of
+    nonzero length, the transitions in one ``transition`` call, the predicted
+    moments in one stacked ``predict`` (bit-equal to the forward pass's), every
+    A P_f in one stacked product, the gains in one stacked solve, and c and D.
+    Step k then takes three matrix products and two adds into its own row.  A
+    zero-length step copies row k + 1's smoothed moments: two rows at one time
+    have the same smoothed law, so nothing is solved for it.  Returns
+    ``result``; its filtered moments are gone afterwards.  A singular predicted
+    covariance is a NumericalError whose ``detail["step"]`` is the step it
+    belongs to; of several, the highest, which the pass meets first."""
     n = result.times.size
-    if any(len(moments) != n for moments in (result.means, result.covs)):
+    means, covs = result.means, result.covs
+    if any(len(moments) != n for moments in (means, covs)):
         raise DataError("filter result is missing the stored per-step moments")
     block = max(1, SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
+    spread = np.empty((sde.dim, sde.dim))  # G_k P_{k+1}
     for stop in range(n - 1, 0, -block):  # smooth steps start..stop-1, whose filtered moments are intact
         start = max(stop - block, 0)
-        deltas = np.diff(result.times[start:stop + 1])  # row j: step start + j -> start + j + 1
-        A = transition(sde, deltas)
-        APf = A @ result.covs[start:stop]
+        deltas = np.diff(result.times[start:stop + 1])  # row i: step start + i -> start + i + 1
         moving = np.flatnonzero(deltas != 0.0)
-        pred_means, pred_covs = predict(sde, A[moving], result.means[start + moving], result.covs[start + moving])
-        predicted = dict(zip(moving.tolist(), zip(pred_means, pred_covs)))
-        for k in range(stop - 1, start - 1, -1):
-            Pf = result.covs[k]
-            mp, Pp = predicted.get(k - start, (result.means[k], Pf))
-            _, _, X, info = lapack.dgesv(Pp, APf[k - start], overwrite_b=1)
-            if info != 0:
-                raise NumericalError(f"singular predicted covariance at step {k + 1}", detail={"step": k + 1})
-            G = X.T
-            result.means[k] += G @ (result.means[k + 1] - mp)
-            result.covs[k] = symmetrize(Pf + G @ (result.covs[k + 1] - Pp) @ G.T)
+        A = transition(sde, deltas[moving])
+        mf, Pf = means[start + moving], covs[start + moving]
+        mp, Pp = predict(sde, A, mf, Pf)
+        APf = A @ Pf
+        Gt = _gains(Pp, APf, start + moving)
+        del A, Pp  # not read again: fewer of the block's stacks are alive at once
+        G = np.swapaxes(Gt, -1, -2).copy()
+        c = mf - (G @ mp[..., None])[..., 0]
+        D = symmetrize(Pf - G @ APf)
+        gains = zip(G[::-1], Gt[::-1], D[::-1], c[::-1])  # the backward pass meets the last step first
+        m_rows, P_rows = list(means[start:stop + 1]), list(covs[start:stop + 1])
+        zero = (deltas == 0.0).tolist()
+        for i in range(stop - start - 1, -1, -1):
+            m, P, m_next, P_next = m_rows[i], P_rows[i], m_rows[i + 1], P_rows[i + 1]
+            if zero[i]:
+                m[...], P[...] = m_next, P_next
+                continue
+            Gk, Gk_t, Dk, ck = next(gains)
+            np.dot(Gk, P_next, spread)
+            np.dot(spread, Gk_t, P)
+            P += Dk
+            np.dot(Gk, m_next, m)
+            m += ck
     return result
 
 

@@ -225,9 +225,10 @@ class TestRun:
         assert rows[-1]["smoothed_var"] < rows[-1]["pred_var"]
 
     @pytest.mark.parametrize("cfg, csv, message", [
-        # tied stamps: every predicted covariance is the filtered one, which noise_var=1e-300 makes singular
-        (["kernel.family=matern32", "noise_var=1e-300"], "t,y\n0,1\n0,2\n0,3\n",
-         "row 3: singular predicted covariance at step 2"),
+        # noise_var=1e-300 conditions row 1 to a zero covariance, and a step of 1e-300 has A = 1,
+        # so the predicted covariance of row 2 is exactly 0
+        (["kernel.family=matern12", "noise_var=1e-300"], "t,y\n0,1\n1e-300,2\n",
+         "row 2: singular predicted covariance at step 1"),
         # the last filtered covariance overflows to -inf; no later row predicts from it
         (["kernel.family=matern12", "kernel.lengthscale=1e100", "kernel.sigma_f2=1e200", "noise_var=1e308"],
          "t,y\n0,0\n", "row 1: non-finite smoothed moment at step 0: mean 0.0, variance -inf"),

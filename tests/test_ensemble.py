@@ -188,7 +188,27 @@ class _FixedScoreMember:
         return StepResult(0.0, 1.0, self.loglik)
 
 
+class _ScoreListMember(_FixedScoreMember):
+    """Runner stand-in whose row r scores ``loglik[r - 1]``."""
+
+    def step(self, rec):
+        return StepResult(0.0, 1.0, self.loglik[rec.row - 1])
+
+
 class TestStackingRunner:
+    def test_best_member_at_the_floor_keeps_the_weights_finite(self):
+        # after row 4 the best member of row 5 holds the floor's subnormal weight 5e-324, so
+        # 1 / (w . p) overflows; the step's limit keeps that member and floors the others
+        rows = [[-744.0, -567951.6, -181370.0, 3.7e-283], [-3.9e-292, -1.0, -115587.9, -401888.6],
+                [-1500.0, -40468.7, -745.0, 0.0], [-713803.7, -1e6, -1500.0, -744.0],
+                [-7.4e-176, -1e6, -1e6, -685494.7]]
+        runner = EnsembleRunner([_ScoreListMember([r[j] for r in rows]) for j in range(4)], "stacking")
+        with np.errstate(under="ignore"):
+            for row in range(1, 6):
+                res = runner.step(StreamRecord(row=row, t=float(row), x=None, y=0.0))
+                assert np.all(np.isfinite(res.weights)) and res.weights.sum() == pytest.approx(1.0)
+        assert res.weights[0] == 1.0 and runner.state.log_weights[1:] == [ens.LOG_FLOOR] * 3
+
     def test_far_out_members_still_move_the_weights(self):
         # exp(-800) and exp(-840) both underflow to 0 in double precision
         runner = EnsembleRunner([_FixedScoreMember(-800.0), _FixedScoreMember(-840.0)], "stacking")
@@ -206,6 +226,13 @@ class TestStackingRunner:
 
 
 class TestBmaRunner:
+    def test_no_finite_member_density_skips_the_step(self):
+        runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "bma")
+        with pytest.warns(UserWarning, match="at step 1; bma step skipped"):
+            res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
+        np.testing.assert_array_equal(res.weights, [0.5, 0.5])
+        assert runner.state.step_count == 1
+
     def test_log_weight_floor_triggers_for_a_member_trailing_by_more_than_745_nats(self):
         runner = EnsembleRunner([_FixedScoreMember(0.0), _FixedScoreMember(-800.0)], "bma")
         for row in (1, 2, 3):

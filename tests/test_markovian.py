@@ -445,12 +445,42 @@ class TestRtsSmoother:
         assert sm.means.shape == (0, 2) and sm.covs.shape == (0, 2, 2)
 
     def test_singular_predicted_covariance_names_the_step(self):
-        sde = markovian.build_lti(kernels.matern32())
-        res = markovian.kalman_filter(sde, [0.0, 0.5, 0.5], [0.1, 0.2, 0.3], 0.1)
-        res.covs[1] = 0.0  # step 2 has length zero, so its predicted covariance is step 1's filtered one
-        with pytest.raises(NumericalError, match="singular predicted covariance at step 2") as caught:
+        # noise_var = 1e-300 conditions row 0 to P_f = 0 exactly, and a step of 1e-300 has A = 1,
+        # so step 1's predicted covariance P_inf + A (P_f - P_inf) A^T is exactly 0
+        sde = markovian.build_lti(kernels.matern12())
+        res = markovian.kalman_filter(sde, [0.0, 1e-300], [1.0, 2.0], 1e-300)
+        with pytest.raises(NumericalError, match="singular predicted covariance at step 1") as caught:
             markovian.rts_smoother(sde, res)
-        assert caught.value.detail == {"step": 2}
+        assert caught.value.detail == {"step": 1}
+
+    @pytest.mark.parametrize("rows_per_block", [1, 512])
+    def test_the_singular_step_the_pass_meets_first_is_named(self, rows_per_block, monkeypatch):
+        # lengthscale 1e100 makes A = 1 on every step, so steps 1, 3 and 4 predict P_f = 0 (step 2
+        # has length zero and solves nothing); walking back, the pass meets step 4 first
+        sde = markovian.build_lti(kernels.matern12(1.0, 1e100))
+        res = markovian.kalman_filter(sde, [0.0, 1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0, 4.0], 1e-300)
+        monkeypatch.setattr(markovian, "SMOOTH_BLOCK_BYTES", rows_per_block * 8 * sde.dim**2)
+        with pytest.raises(NumericalError, match="singular predicted covariance at step 4") as caught:
+            markovian.rts_smoother(sde, res)
+        assert caught.value.detail == {"step": 4}
+
+    @pytest.mark.parametrize("name", ZERO_STEP_SDES)
+    def test_one_gain_per_step_of_nonzero_length(self, name, monkeypatch):
+        sde = ZERO_STEP_SDES[name]
+        rng = np.random.default_rng(49)
+        t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 80)), rng.integers(1, 4, 80))
+        rows = np.arange(t.size) % sde.obs.shape[0]
+        assert np.count_nonzero(np.diff(t) == 0.0) > 40
+        res = markovian.kalman_filter(sde, t, rng.standard_normal(t.size), 0.2, obs_rows=rows)
+        solve, solved = np.linalg.solve, []
+
+        def counted_solve(a, b):
+            solved.append(len(a) if a.ndim == 3 else 1)  # matrices solved for
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        markovian.rts_smoother(sde, res)
+        assert sum(solved) == np.count_nonzero(np.diff(t))  # the zero steps solve nothing
 
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
     def test_block_size_does_not_change_the_pass(self, name, monkeypatch):
@@ -698,7 +728,7 @@ class TestStepperHistory:
         np.testing.assert_array_equal(means, np.array([m for m, _ in advanced]))
         np.testing.assert_array_equal(covs, np.array([c for _, c in advanced]))
 
-        # the smoother equals the per-step pass over the stored predicted moments, bit for bit
+        # the smoother is the textbook per-step pass over the stored predicted moments, to rounding
         ref_means, ref_covs = record.means.copy(), record.covs.copy()
         for k in range(t.size - 2, -1, -1):
             A = markovian.transition(sde, t[k + 1] - t[k])
@@ -708,8 +738,14 @@ class TestStepperHistory:
             ref_means[k] += G @ (ref_means[k + 1] - pred_mean)
             ref_covs[k] = symmetrize(ref_covs[k] + G @ (ref_covs[k + 1] - pred_cov) @ G.T)
         sm = markovian.rts_smoother(sde, record)
-        np.testing.assert_array_equal(sm.means, ref_means)
-        np.testing.assert_array_equal(sm.covs, ref_covs)
+        scale = np.abs(sde.stationary).max()
+        np.testing.assert_allclose(sm.means, ref_means, rtol=0, atol=1e-12 * np.sqrt(scale))
+        np.testing.assert_allclose(sm.covs, ref_covs, rtol=0, atol=1e-12 * scale)
+        # and a zero step copies row k + 1's smoothed moments, bit for bit
+        tied = np.flatnonzero(np.diff(t) == 0.0)
+        assert tied.size > 10
+        np.testing.assert_array_equal(sm.means[tied], sm.means[tied + 1])
+        np.testing.assert_array_equal(sm.covs[tied], sm.covs[tied + 1])
 
     def test_second_smoothing_raises(self):
         runner = MarkovRunner(markovian.build_lti(kernels.matern32(1.0, 1.0)), 0.1, history_rows=5)

@@ -89,7 +89,8 @@ def test_bma_preserves_simplex(logliks):
 
 def _reference_combiner(k, combiner, rows):
     """The combiner rows as numpy formulas with scipy's logsumexp: per row the
-    mixture (mean, var, log density or None) and the weights after it."""
+    mixture (mean, var, log density or None) and the weights after it, and the
+    number of rows whose every density is zero, which leave the weights as they are."""
     log_w, t, out, skips = np.full(k, -math.log(k)), 0, [], 0
     with np.errstate(all="ignore"):
         for means, variances, lls in rows:
@@ -103,12 +104,18 @@ def _reference_combiner(k, combiner, rows):
             ll = np.array(lls)
             mix_ll = float(scipy_logsumexp(log_w + ll))
             t += 1
-            if combiner == "bma":
+            if np.all(ll == -np.inf):
+                x = None
+            elif combiner == "bma":
                 x = log_w + ll
             else:
-                p = np.exp(ll - (np.max(ll) if np.any(np.isfinite(ll)) else 0.0))
-                x = None if np.all(p == 0.0) else log_w + math.sqrt(math.log(k) / t) * (p / float(w @ p))
-                skips += x is None
+                p = np.exp(ll - np.max(ll))
+                wp = float(w @ p)
+                if wp == 0.0 or 1.0 / wp == math.inf:  # the step's limit: members short of the best density floor
+                    x = np.where(ll == np.max(ll), log_w, -np.inf)
+                else:
+                    x = log_w + math.sqrt(math.log(k) / t) * (p / wp)
+            skips += x is None
             if x is not None:
                 x = np.maximum(x - np.max(x), ens.LOG_FLOOR)
                 log_w = x - scipy_logsumexp(x)
@@ -151,7 +158,7 @@ def test_combiner_rows_match_the_numpy_reference_bit_for_bit(data, k, combiner):
         warnings.simplefilter("always")
         got = [runner.step(StreamRecord(row, float(row), None, None if lls is None else 0.0))
                for row, (_, _, lls) in enumerate(rows, start=1)]
-    assert sum("stacking step skipped" in str(w.message) for w in caught) == skips
+    assert sum(f"{combiner} step skipped" in str(w.message) for w in caught) == skips
     for res, (mean, var, mix_ll, weights) in zip(got, expected):
         assert _same(res.mean, mean) and _same(res.var, var)
         assert (res.logdensity is None) if mix_ll is None else _same(res.logdensity, mix_ll)
