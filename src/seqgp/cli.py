@@ -13,9 +13,9 @@ quick invariant battery against the configured model.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical error.
 A data or numerical error raised while ``run`` steps a row names its 1-based
-row.  An ``--input`` or ``--output`` path that cannot be opened, and an
-output closed by its reader before the report is written (a broken pipe),
-are configuration errors naming the option.
+row.  An ``--input`` or ``--output`` path that cannot be opened, and an output
+closed by its reader before the report is written (a broken pipe), are
+configuration errors naming the option.  A warning is one ``seqgp:`` line.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 from scipy.linalg import expm
@@ -270,7 +271,7 @@ def cmd_run(cfg: dict, in_stream, out_stream) -> int:
     if smooth:
         try:
             smoothed = runner.smooth()
-        except NumericalError as exc:  # the smoother names its step; history row k is input row k + 1
+        except NumericalError as exc:  # smooth names the 0-based input row at fault
             exc.args = (f"row {exc.detail['step'] + 1}: {exc}",)
             raise
         columns.update(smoothed_mean=smoothed[:, 0], smoothed_var=smoothed[:, 1])
@@ -491,31 +492,33 @@ def _dispatch(args, cfg: dict, out) -> int:
 def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     args.overrides = list(args.overrides) + list(extra)
-    try:
-        cfg = _load_config(args)
-        out = sys.stdout if args.output == "-" else _open(args.output, "w", "--output")
+    with warnings.catch_warnings():  # a warning is one seqgp: line; a caller's own hook is back on return
+        warnings.showwarning = lambda message, *_: print(f"seqgp: warning: {message}", file=sys.stderr)
         try:
-            code = _dispatch(args, cfg, out)
-            out.flush()  # a reader gone from a buffered stdout fails here, not in the flush at exit
-            return code
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except BrokenPipeError:
-        if args.output == "-":
-            _stdout_to_devnull()
-        print("seqgp: configuration error: --output: closed by its reader before the report was written",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigurationError as exc:
-        print(f"seqgp: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"seqgp: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalError, SeqgpError) as exc:
-        print(f"seqgp: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+            cfg = _load_config(args)
+            out = sys.stdout if args.output == "-" else _open(args.output, "w", "--output")
+            try:
+                code = _dispatch(args, cfg, out)
+                out.flush()  # a reader gone from a buffered stdout fails here, not in the flush at exit
+                return code
+            finally:
+                if out is not sys.stdout:
+                    out.close()
+        except BrokenPipeError:
+            if args.output == "-":
+                _stdout_to_devnull()
+            print("seqgp: configuration error: --output: closed by its reader before the report was written",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        except ConfigurationError as exc:
+            print(f"seqgp: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except DataError as exc:
+            print(f"seqgp: data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except (NumericalError, SeqgpError) as exc:
+            print(f"seqgp: numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -27,14 +27,13 @@ give exact GP inference in O(N d^3).  Each filter row is the observe ->
 condition hand-off of every filter route: ``MarkovStepper.predict_obs``
 returns the observe triple (h^T m, h^T s, s) and ``MarkovStepper.update``
 hands it to ``linalg.condition``, the one scored update.  The filter record
-keeps only the filtered moments; the smoother walks back over it in blocks
-of rows, forms each block's transitions from the stored timestamps,
-recomputes the predicted moments with the forward pass's ``predict``, solves
-for all of the block's gains at once, and overwrites the filtered moments
-with the smoothed ones: three matrix products a step, and a copy of the next
-row on a zero-length step.  ``scipy.linalg.expm``
-stays the reference that the tests and ``seqgp check`` compare ``transition``
-against.
+keeps only the filtered moments, one row per distinct timestamp; the
+smoother walks back over those time steps in blocks, forms each block's
+transitions from the stored timestamps, recomputes the predicted moments
+with the forward pass's ``predict``, solves for all of the block's gains at
+once, and overwrites the filtered moments with the smoothed ones: three
+matrix products a step.  ``scipy.linalg.expm`` stays the reference that the
+tests and ``seqgp check`` compare ``transition`` against.
 """
 
 from __future__ import annotations
@@ -252,9 +251,9 @@ class MarkovStepper:
     transition in closed form, so memory does not grow with the number of
     distinct step lengths.  A zero-length step after the first row leaves the
     state untouched (A = I, Q = 0 is exact on a symmetric covariance).
-    ``history_rows`` = N allocates ``history``, one ``FilterResult`` of N rows,
-    and step k copies its filtered moments into row k: the rows are copies,
-    d^2 + d + 3 doubles each, and hold no transition and no predicted moment.
+    ``history_times`` (the stream's timestamps) allocates ``history``, a
+    ``FilterResult`` with one row of moments per distinct timestamp that each
+    step at that time overwrites: d^2 + d + 1 doubles per time, 3 per row.
 
     The stepper owns ``mean`` and ``cov``.  ``update`` conditions both in place
     (``linalg.condition``), and a zero-length ``advance`` leaves them as they
@@ -267,21 +266,20 @@ class MarkovStepper:
     on that triple.  The stepper keeps no s between the two calls.
     """
 
-    def __init__(self, sde: LtiSde, noise_var: float, history_rows: int | None = None):
+    def __init__(self, sde: LtiSde, noise_var: float, history_times=None):
         if noise_var <= 0.0:
             raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
-        self.sde = sde
-        self.noise_var = noise_var
-        self.mean = np.zeros(sde.dim)
-        self.cov = sde.stationary.copy()
+        self.sde, self.noise_var = sde, noise_var
+        self.mean, self.cov = np.zeros(sde.dim), sde.stationary.copy()
         self.time: float | None = None
         self.flops = 0
         self.history: FilterResult | None = None
         self.rows_written = 0
-        if history_rows is not None:
-            n, d = history_rows, sde.dim
-            self.history = FilterResult(np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty(n, dtype=int),
-                                        np.empty(n), 0.0, 0)
+        if history_times is not None:
+            t = np.asarray(history_times, dtype=float).ravel()
+            n, m, d = t.size, min(t.size, 1 + np.count_nonzero(np.diff(t))), sde.dim
+            self.history = FilterResult(np.empty(m), np.empty((m, d)), np.empty((m, d, d)), np.empty(n, dtype=int),
+                                        np.empty(n, dtype=int), np.empty(n), 0.0, 0)
 
     def advance(self, t: float, prepared: tuple | None = None) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time).
@@ -336,14 +334,18 @@ class MarkovStepper:
         through observation row ``row`` and the log density of ``y`` (None on a
         predict-only row)."""
         k, h = self.rows_written, self.history
-        if h is not None and k == h.times.size:
-            raise DataError(f"the history holds {k} rows; step {k + 1} does not fit")
+        if h is not None:
+            p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
+            j = p + (p < 0 or t != h.times[p])  # this step's time row
+            if k == h.steps.size or j == h.times.size:
+                raise DataError(f"the history holds {h.steps.size} rows at {h.times.size} times; "
+                                f"step {k + 1} does not fit")
         self.advance(t, prepared)
         observed = self.predict_obs(row)
         ll = None if y is None else self.update(y, observed)
         if h is not None:
-            h.times[k], h.obs_rows[k] = t, row
-            h.means[k], h.covs[k], h.logliks[k] = self.mean, self.cov, np.nan if ll is None else ll
+            h.times[j], h.steps[k], h.obs_rows[k] = t, j, row
+            h.means[j], h.covs[j], h.logliks[k] = self.mean, self.cov, np.nan if ll is None else ll
             h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
             self.rows_written = k + 1
         return observed[0], observed[1], ll
@@ -351,24 +353,26 @@ class MarkovStepper:
     def result(self) -> FilterResult:
         """The history rows written so far, as views of ``history`` (no copy)."""
         if self.history is None:
-            raise ConfigurationError("the filter history requires history_rows")
+            raise ConfigurationError("the filter history requires history_times")
         h, n = self.history, self.rows_written
-        return FilterResult(h.times[:n], h.means[:n], h.covs[:n], h.obs_rows[:n], h.logliks[:n],
+        m = int(h.steps[n - 1]) + 1 if n else 0
+        return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], h.logliks[:n],
                             h.loglik_total, self.flops)
 
 
 @dataclass
 class FilterResult:
-    """Per-step filtered moments, one row per step: what the smoother reads, and what
-    ``emit_smoothed`` keeps for each input row until the backward pass.  Step k's
-    transition is ``transition(sde, times[k] - times[k - 1])`` and its predicted
-    moments are ``predict`` of row k - 1 over it (row k - 1's own moments on a
-    zero step), so neither is stored."""
+    """Filtered moments, one row per distinct timestamp (time step), each the
+    moments after the time's last input row; ``steps`` maps each input row to
+    its time's row.  What the smoother reads, and what ``emit_smoothed`` keeps.
+    Step k's transition is ``transition(sde, times[k] - times[k - 1])`` and its
+    predicted moments are ``predict`` of row k - 1 over it: neither is stored."""
 
-    times: np.ndarray  # (N,)
-    means: np.ndarray  # (N, d) filtered; smoothed after rts_smoother
-    covs: np.ndarray  # (N, d, d)
-    obs_rows: np.ndarray  # (N,) index of the H row used per step
+    times: np.ndarray  # (T,) the distinct timestamps, increasing
+    means: np.ndarray  # (T, d) filtered; smoothed after rts_smoother
+    covs: np.ndarray  # (T, d, d)
+    steps: np.ndarray  # (N,) each input row's time row
+    obs_rows: np.ndarray  # (N,) index of the H row used per input row
     logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
     loglik_total: float
     flops: int
@@ -377,12 +381,14 @@ class FilterResult:
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
     """Forward filter over an ordered stream of scalar observations.
 
-    ``times`` must be finite and non-decreasing (a non-finite or decreasing
-    stamp raises DataError naming the step).  A NaN in ``values`` marks a
+    ``times`` must be finite and non-decreasing.  A NaN in ``values`` marks a
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
-    step uses (always row 0 for temporal models; a row that ``sde.obs``
-    lacks is a DataError naming the step).  Starts from the stationary law N(0, P_inf).
+    step uses (always row 0 for temporal models).  A timestamp or an
+    observation row that the stepper rejects is its DataError, prefixed with
+    ``step k: ``.  Starts from the stationary law N(0, P_inf).  Under ties the
+    result has fewer rows of times and moments than inputs: one per distinct
+    timestamp.
     """
     t = np.asarray(times, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()
@@ -391,19 +397,14 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     rows = np.zeros(t.size, dtype=int) if obs_rows is None else np.asarray(obs_rows, dtype=int).ravel()
     if rows.shape != t.shape:
         raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
-    bad = np.flatnonzero((rows < 0) | (rows >= sde.obs.shape[0]))
-    if bad.size:
-        raise DataError(f"observation row {rows[bad[0]]} at step {bad[0]} is not in [0, {sde.obs.shape[0]})")
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise DataError(f"non-finite timestamp at step {bad[0]} ({t[bad[0]]})")
-    down = np.flatnonzero(t[1:] < t[:-1]) + 1
-    if down.size:
-        raise DataError(f"timestamps decrease at step {down[0]} ({t[down[0] - 1]} -> {t[down[0]]})")
 
-    stepper = MarkovStepper(sde, noise_var, history_rows=t.size)
-    for ti, yi, row in zip(t, y, rows):
-        stepper.step(ti, None if np.isnan(yi) else yi, row)
+    stepper = MarkovStepper(sde, noise_var, history_times=t)
+    try:
+        for k, (ti, yi, row) in enumerate(zip(t, y, rows)):
+            stepper.step(ti, None if np.isnan(yi) else yi, row)
+    except DataError as exc:
+        exc.args = (f"step {k}: {exc}",)  # same class, now naming the step
+        raise
     return stepper.result()
 
 
@@ -412,18 +413,18 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
 SMOOTH_BLOCK_BYTES = 256 * 1024
 
 
-def _gains(Pp: np.ndarray, APf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _gains(Pp: np.ndarray, APf: np.ndarray, start: int) -> np.ndarray:
     """The stack of G_k^T = P_p^-1 A P_f, in one stacked solve.  A singular P_p
-    is a NumericalError naming its step, row + 1 for its row of ``rows``; of
+    is a NumericalError naming its step, start + j + 1 for stack row j; of
     several, the highest."""
     try:
         return np.linalg.solve(Pp, APf)
     except np.linalg.LinAlgError:
-        for j in range(rows.size - 1, -1, -1):
+        for j in range(len(Pp) - 1, -1, -1):
             try:
                 np.linalg.solve(Pp[j], APf[j])
             except np.linalg.LinAlgError:
-                step = int(rows[j]) + 1
+                step = start + j + 1
                 raise NumericalError(f"singular predicted covariance at step {step}", detail={"step": step}) from None
         raise
 
@@ -435,17 +436,15 @@ def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
     G_k P_{k+1} G_k^T (Sarkka 2013, section 8.2, rearranged), where G_k = P_f
     A^T P_p^-1 is the gain, c_k = m_f - G_k m_p and D_k = P_f - G_k A P_f =
     P_f - G_k P_p G_k^T depend only on step k's filtered moments and its step
-    to row k + 1.  The pass walks back in blocks of at most
-    ``SMOOTH_BLOCK_BYTES`` of d x d matrices.  A block forms, over its steps of
-    nonzero length, the transitions in one ``transition`` call, the predicted
-    moments in one stacked ``predict`` (bit-equal to the forward pass's), every
-    A P_f in one stacked product, the gains in one stacked solve, and c and D.
-    Step k then takes three matrix products and two adds into its own row.  A
-    zero-length step copies row k + 1's smoothed moments: two rows at one time
-    have the same smoothed law, so nothing is solved for it.  Returns
-    ``result``; its filtered moments are gone afterwards.  A singular predicted
-    covariance is a NumericalError whose ``detail["step"]`` is the step it
-    belongs to; of several, the highest, which the pass meets first."""
+    to row k + 1, of nonzero length as the record has a row per timestamp.
+    The pass walks back in blocks of at most ``SMOOTH_BLOCK_BYTES`` of d x d
+    matrices.  A block forms the transitions in one ``transition`` call, the
+    predicted moments in one stacked ``predict`` (bit-equal to the forward
+    pass's), every A P_f in one stacked product, the gains in one stacked
+    solve, and c and D; step k then takes three matrix products and two adds
+    into its own row.  Returns ``result``, whose filtered moments are gone.  A
+    singular predicted covariance is a NumericalError whose ``detail["step"]``
+    is its time row; of several, the highest, which the pass meets first."""
     n = result.times.size
     means, covs = result.means, result.covs
     if any(len(moments) != n for moments in (means, covs)):
@@ -454,31 +453,23 @@ def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
     spread = np.empty((sde.dim, sde.dim))  # G_k P_{k+1}
     for stop in range(n - 1, 0, -block):  # smooth steps start..stop-1, whose filtered moments are intact
         start = max(stop - block, 0)
-        deltas = np.diff(result.times[start:stop + 1])  # row i: step start + i -> start + i + 1
-        moving = np.flatnonzero(deltas != 0.0)
-        A = transition(sde, deltas[moving])
-        mf, Pf = means[start + moving], covs[start + moving]
+        A = transition(sde, np.diff(result.times[start:stop + 1]))  # row i: step start + i -> start + i + 1
+        mf, Pf = means[start:stop], covs[start:stop]
         mp, Pp = predict(sde, A, mf, Pf)
         APf = A @ Pf
-        Gt = _gains(Pp, APf, start + moving)
+        Gt = _gains(Pp, APf, start)
         del A, Pp  # not read again: fewer of the block's stacks are alive at once
         G = np.swapaxes(Gt, -1, -2).copy()
         c = mf - (G @ mp[..., None])[..., 0]
         D = symmetrize(Pf - G @ APf)
-        gains = zip(G[::-1], Gt[::-1], D[::-1], c[::-1])  # the backward pass meets the last step first
         m_rows, P_rows = list(means[start:stop + 1]), list(covs[start:stop + 1])
-        zero = (deltas == 0.0).tolist()
-        for i in range(stop - start - 1, -1, -1):
-            m, P, m_next, P_next = m_rows[i], P_rows[i], m_rows[i + 1], P_rows[i + 1]
-            if zero[i]:
-                m[...], P[...] = m_next, P_next
-                continue
-            Gk, Gk_t, Dk, ck = next(gains)
-            np.dot(Gk, P_next, spread)
-            np.dot(spread, Gk_t, P)
-            P += Dk
-            np.dot(Gk, m_next, m)
-            m += ck
+        for i in range(stop - start - 1, -1, -1):  # the backward pass meets the last step first
+            m, P = m_rows[i], P_rows[i]
+            np.dot(G[i], P_rows[i + 1], spread)
+            np.dot(spread, Gt[i], P)
+            P += D[i]
+            np.dot(G[i], m_rows[i + 1], m)
+            m += c[i]
     return result
 
 

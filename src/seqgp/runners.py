@@ -262,8 +262,8 @@ class MarkovRunner(_Prepared):
     the error, after every row before it has run.  ``step`` is the stepper's
     observe -> condition hand-off on the prepared row."""
 
-    def __init__(self, sde, noise_var: float, locations=None, history_rows: int | None = None):
-        self.stepper = markovian.MarkovStepper(sde, noise_var, history_rows=history_rows)
+    def __init__(self, sde, noise_var: float, locations=None, history_times=None):
+        self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
         self.locations = locations  # (N_s, D) when spatiotemporal
         self._smoothed = False
         self.approximate_loglik = False
@@ -304,17 +304,29 @@ class MarkovRunner(_Prepared):
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
-        row's smoothed (mean, var).  The pass overwrites the filtered moments it
-        reads, so a runner smooths once; a second call raises.  A failed pass, or a
-        non-finite smoothed moment, is a NumericalError whose ``detail["step"]``
-        names the history row at fault."""
+        input row's smoothed (mean, var) through its observation row, gathered
+        from its time's row ``SMOOTH_BLOCK_BYTES`` at a time.  The pass
+        overwrites the filtered moments it reads, so a runner smooths once; a
+        second call raises.  A failed pass, or a non-finite smoothed moment, is
+        a NumericalError whose ``detail["step"]`` names the input row at fault
+        (for a singular gain, the first input row of its time step)."""
         if self._smoothed:
             raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
         self._smoothed = True
-        result = markovian.rts_smoother(self.stepper.sde, self.stepper.result())
-        H = self.stepper.sde.obs[result.obs_rows]
-        smoothed = np.column_stack((np.einsum("ij,ij->i", H, result.means),
-                                    np.einsum("ij,ijk,ik->i", H, result.covs, H)))
+        sde, record = self.stepper.sde, self.stepper.result()
+        try:
+            markovian.rts_smoother(sde, record)
+        except NumericalError as exc:  # the pass names a time row, last in its message: name its first input row
+            exc.detail["step"] = k = int(np.searchsorted(record.steps, exc.detail["step"]))
+            exc.args = (f"{str(exc).rpartition(' ')[0]} {k}",)  # the same exception, now naming the input row
+            raise
+        n, block = record.steps.size, max(2, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
+        smoothed = np.empty((n, 2))
+        for start in range(0, n, block):
+            rows = slice(max(min(start, n - 2), 0), start + block)  # no lone last row: einsum rounds one row apart
+            H, k = sde.obs[record.obs_rows[rows]], record.steps[rows]
+            smoothed[rows, 0] = np.einsum("ij,ij->i", H, record.means[k])
+            smoothed[rows, 1] = np.einsum("ij,ijk,ik->i", H, record.covs[k], H)
         bad = np.flatnonzero(~np.isfinite(smoothed).all(axis=1))
         if bad.size:  # the pass carries a non-finite moment back to every step before it: name the last
             k = int(bad[-1])
@@ -455,14 +467,14 @@ def _build_markov(cfg, data):
     kernel = build_kernel(cfg)
     noise_var = get_float(cfg, "noise_var", required=True)
     loc_path = get_str(cfg, "spatial.locations")
-    rows = len(data) if get_bool(cfg, "emit_smoothed", default=False) else None
+    times = data.t if get_bool(cfg, "emit_smoothed", default=False) else None
     if loc_path is None:
         sde = markovian.build_lti(kernel)
-        return MarkovRunner(sde, noise_var, history_rows=rows)
+        return MarkovRunner(sde, noise_var, history_times=times)
     locations = load_locations(loc_path)
     spatial_kernel = build_kernel(cfg, prefix="spatial.kernel.")
     sde = markovian.build_spatiotemporal(kernel, spatial_kernel, locations)
-    return MarkovRunner(sde, noise_var, locations=locations, history_rows=rows)
+    return MarkovRunner(sde, noise_var, locations=locations, history_times=times)
 
 
 def _build_sparse(cfg, data):

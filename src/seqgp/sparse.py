@@ -16,12 +16,11 @@ and ``model=vsgp``, owns its state: it projects a chunk's inputs in one
 ``projections`` call, observes the state once per row with
 ``sparse_observe`` and hands that triple to ``linalg.condition``, the one
 scored update, which checks y, overwrites the state's ``mean`` and ``cov``
-arrays and returns the log density (``step_flops`` keeps the value it had;
-the runner counts ``update_flops`` per update itself).  ``sparse_predict``
-and ``sparse_update`` are that step at one input on a new state, for library
-callers; they never modify their arguments.  ``vsgp_info_update`` is the
-different math, the batch update in information form that the recursion
-must agree with.
+arrays and returns the log density; the runner counts ``update_flops`` per
+update.  ``sparse_predict`` and ``sparse_update`` are that step at one input
+on a new state, for library callers; they never modify their arguments.
+``vsgp_info_update`` is the different math, the batch update in information
+form that the recursion must agree with.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class SparseState:
     mean: np.ndarray  # (M,) posterior mean of u
     cov: np.ndarray  # (M, M) posterior covariance of u
     include_residual: bool
-    step_flops: int  # flops of the most recent update; O(M^2), t-independent
 
     @property
     def n_inducing(self) -> int:
@@ -100,7 +98,6 @@ def init_sparse(kernel: Kernel, inducing, include_residual: bool = True) -> Spar
         mean=np.zeros(Z.shape[0]),
         cov=K.copy(),
         include_residual=include_residual,
-        step_flops=0,
     )
 
 
@@ -161,8 +158,7 @@ def sparse_update(state: SparseState, x, y: float, noise_var: float):
     if not np.all(np.isfinite(np.atleast_1d(x))) or not np.isfinite(y):
         raise DataError(f"non-finite observation ({x!r}, {y!r})")
     observed = sparse_observe(state, _projection(state, x))
-    updated = replace(state, mean=state.mean.copy(), cov=np.array(state.cov, order="C"),
-                      step_flops=update_flops(state.n_inducing))
+    updated = replace(state, mean=state.mean.copy(), cov=np.array(state.cov, order="C"))
     return updated, condition(updated.mean, updated.cov, observed, y, noise_var)
 
 
@@ -206,6 +202,4 @@ def vsgp_info_update(state: SparseState, X, y, noise_var: float) -> SparseState:
         raise NumericalError("information matrix is not positive definite") from exc
     cov = chol_solve(Lp, np.eye(state.n_inducing))
     mean = chol_solve(Lp, info)
-    m_ind = state.n_inducing
-    flops = pts.shape[0] * (6 * m_ind * m_ind) + 2 * m_ind**3
-    return replace(state, mean=mean, cov=symmetrize(cov), step_flops=flops)
+    return replace(state, mean=mean, cov=symmetrize(cov))

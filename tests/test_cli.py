@@ -229,13 +229,31 @@ class TestRun:
         # so the predicted covariance of row 2 is exactly 0
         (["kernel.family=matern12", "noise_var=1e-300"], "t,y\n0,1\n1e-300,2\n",
          "row 2: singular predicted covariance at step 1"),
+        # rows 1 and 2 share t = 0 and end it at a zero covariance; lengthscale 1e100 has A = 1, so
+        # the time step at t = 1 (rows 3 to 5) predicts 0, and the pass names its first input row
+        (["kernel.family=matern12", "kernel.lengthscale=1e100", "noise_var=1e-300"],
+         "t,y\n0,1\n0,2\n1,3\n1,4\n1,5\n", "row 3: singular predicted covariance at step 2"),
         # the last filtered covariance overflows to -inf; no later row predicts from it
         (["kernel.family=matern12", "kernel.lengthscale=1e100", "kernel.sigma_f2=1e200", "noise_var=1e308"],
          "t,y\n0,0\n", "row 1: non-finite smoothed moment at step 0: mean 0.0, variance -inf"),
-    ], ids=["singular", "non-finite"])
+    ], ids=["singular", "singular-tied", "non-finite"])
     def test_failed_smoothing_names_the_row(self, cfg, csv, message):
         code, out, err = run_cli(["run", "model=markov", *cfg, "emit_smoothed=true"], stdin_text=csv)
         assert (code, out, err) == (4, "", f"seqgp: numerical error: {message}\n")
+
+    def test_warnings_are_one_seqgp_line_each(self):
+        # y = 1e200 gives both members a zero density (a skipped BMA step) and means near 1e199,
+        # whose square overflows in the mixture's second moment
+        args = ["run", "model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
+                "member.1.noise_var=0.1", "member.2.model=markov", "member.2.kernel.family=matern32",
+                "member.2.noise_var=0.1"]
+        code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,1e200\n2,0.3\n")
+        assert (code, out) == (4, "")
+        assert err == ("seqgp: warning: all member densities are zero at step 2; bma step skipped\n"
+                       "seqgp: warning: overflow encountered in multiply\n"
+                       "seqgp: warning: all member densities are zero at step 3; bma step skipped\n"
+                       "seqgp: numerical error: row 3: non-finite prediction: mean 4.028065794446374e+199, "
+                       "variance nan\n")
 
     def test_markov_emit_smoothed_on_header_only_input(self):
         args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.3", "emit_smoothed=true"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, lapack
 
-from conftest import conditioned, run_runner, stream_columns
+from conftest import conditioned, run_runner, runner_for, stream_columns
 from seqgp import exact, kernels, markovian
 from seqgp.cli import CHUNK_ROWS
 from seqgp.linalg import symmetrize
@@ -160,16 +160,18 @@ def stepped(sde, n=25, seed=6):
 
 
 def predicted_moments(sde, record):
-    """Each record row's predicted moments from the filtered row before it (the
-    stationary prior before row 0): one stacked ``predict`` over every step, and
-    the previous filtered moments themselves on a zero step after row 0."""
+    """Each time row's predicted moments from the filtered row before it (the
+    stationary prior before row 0): one stacked ``predict`` over every step."""
     prev_means = np.concatenate((np.zeros((1, sde.dim)), record.means[:-1]))
     prev_covs = np.concatenate((sde.stationary[None], record.covs[:-1]))
     deltas = np.diff(record.times, prepend=record.times[:1])
-    means, covs = markovian.predict(sde, markovian.transition(sde, deltas), prev_means, prev_covs)
-    zero = np.flatnonzero(deltas == 0.0)[1:]
-    means[zero], covs[zero] = prev_means[zero], prev_covs[zero]
-    return means, covs
+    return markovian.predict(sde, markovian.transition(sde, deltas), prev_means, prev_covs)
+
+
+def first_and_last_rows(record):
+    """The first and the last input row of each time row of ``record``."""
+    starts = np.diff(record.steps, prepend=-1) != 0
+    return np.flatnonzero(starts), np.flatnonzero(np.append(starts[1:], True))
 
 
 def assert_within_ulps(got, ref, magnitude, ulps=4):
@@ -358,7 +360,7 @@ class TestKalmanFilter:
 
     def test_non_monotone_timestamps_name_the_step(self):
         sde = markovian.build_lti(kernels.matern12())
-        with pytest.raises(DataError, match="step 2"):
+        with pytest.raises(DataError, match=r"^step 2: timestamps decrease \(1\.0 -> 0\.5\)"):
             markovian.kalman_filter(sde, [0.0, 1.0, 0.5], [0.0, 0.0, 0.0], 0.1)
 
     @pytest.mark.parametrize("times, step", [
@@ -369,7 +371,7 @@ class TestKalmanFilter:
     ])
     def test_non_finite_timestamps_name_the_step(self, times, step):
         sde = markovian.build_lti(kernels.matern32())
-        with pytest.raises(DataError, match=f"non-finite timestamp at step {step}"):
+        with pytest.raises(DataError, match=f"^step {step}: non-finite timestamp"):
             markovian.kalman_filter(sde, times, [0.1, 0.2, 0.3], 0.1)
 
     def test_obs_rows_length_must_match(self):
@@ -386,7 +388,7 @@ class TestKalmanFilter:
     @pytest.mark.parametrize("rows, step", [([0, -1, 1], 1), ([0, 2, 1], 1), ([0, 1, 5], 2)])
     def test_observation_row_outside_the_model_names_the_step(self, rows, step):
         sde = ZERO_STEP_SDES["spacetime"]  # two locations: rows 0 and 1
-        with pytest.raises(DataError, match=rf"observation row {rows[step]} at step {step} is not in \[0, 2\)"):
+        with pytest.raises(DataError, match=rf"^step {step}: observation row {rows[step]} is not in \[0, 2\)"):
             markovian.kalman_filter(sde, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 0.1, obs_rows=rows)
 
     def test_equal_timestamps_allowed(self):
@@ -455,14 +457,15 @@ class TestRtsSmoother:
 
     @pytest.mark.parametrize("rows_per_block", [1, 512])
     def test_the_singular_step_the_pass_meets_first_is_named(self, rows_per_block, monkeypatch):
-        # lengthscale 1e100 makes A = 1 on every step, so steps 1, 3 and 4 predict P_f = 0 (step 2
-        # has length zero and solves nothing); walking back, the pass meets step 4 first
+        # lengthscale 1e100 makes A = 1 on every step, so time rows 1, 2 and 3 (the two inputs at
+        # t = 1 share row 1) predict P_f = 0; walking back, the pass meets time row 3 first
         sde = markovian.build_lti(kernels.matern12(1.0, 1e100))
         res = markovian.kalman_filter(sde, [0.0, 1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0, 4.0], 1e-300)
+        assert res.times.tolist() == [0.0, 1.0, 2.0, 3.0]
         monkeypatch.setattr(markovian, "SMOOTH_BLOCK_BYTES", rows_per_block * 8 * sde.dim**2)
-        with pytest.raises(NumericalError, match="singular predicted covariance at step 4") as caught:
+        with pytest.raises(NumericalError, match="singular predicted covariance at step 3") as caught:
             markovian.rts_smoother(sde, res)
-        assert caught.value.detail == {"step": 4}
+        assert caught.value.detail == {"step": 3}
 
     @pytest.mark.parametrize("name", ZERO_STEP_SDES)
     def test_one_gain_per_step_of_nonzero_length(self, name, monkeypatch):
@@ -480,7 +483,7 @@ class TestRtsSmoother:
 
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         markovian.rts_smoother(sde, res)
-        assert sum(solved) == np.count_nonzero(np.diff(t))  # the zero steps solve nothing
+        assert sum(solved) == np.count_nonzero(np.diff(t))  # one gain per time step, none per tie
 
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
     def test_block_size_does_not_change_the_pass(self, name, monkeypatch):
@@ -543,7 +546,7 @@ class TestSpatiotemporal:
         for loc in range(3):
             sel = rows == loc
             solo = markovian.kalman_filter(base, times[sel], y[sel], 0.1)
-            joint_mean = res.means[np.where(sel)[0][-1]][2 * loc : 2 * loc + 2]
+            joint_mean = res.means[res.steps[np.where(sel)[0][-1]]][2 * loc : 2 * loc + 2]
             np.testing.assert_allclose(joint_mean, solo.means[-1], atol=1e-9)
 
     def test_three_locations_match_exact_separable_gp(self):
@@ -561,7 +564,7 @@ class TestSpatiotemporal:
         noise = 0.2
         res = markovian.kalman_filter(joint, times, y, noise, obs_rows=rows)
         sm = markovian.rts_smoother(joint, res)
-        sm_obs = np.array([float(joint.obs[rows[i]] @ sm.means[i]) for i in range(3 * T)])
+        sm_obs = np.array([float(joint.obs[rows[i]] @ sm.means[sm.steps[i]]) for i in range(3 * T)])
 
         # oracle: batch GP with the separable product kernel on all 150 points
         S = kernels.gram(sk, locs) / sk.total_variance
@@ -650,7 +653,7 @@ class TestStepShortcuts:
         assert res.loglik_total == pytest.approx(lml, abs=1e-8)
         smoothed = markovian.rts_smoother(markovian.build_lti(kernel), res)
         post = exact.posterior(kernel, 0.2, t, y, t)
-        np.testing.assert_allclose(smoothed.means[:, 0], post.mean, atol=1e-7)
+        np.testing.assert_allclose(smoothed.means[smoothed.steps, 0], post.mean, atol=1e-7)
 
 
 class TestLongStream:
@@ -675,21 +678,27 @@ class TestStepperHistory:
         t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 40)), rng.integers(1, 4, 40))
         y = np.sin(t) + 0.2 * rng.standard_normal(t.size)
         y[rng.random(t.size) < 0.25] = np.nan
-        runner = MarkovRunner(sde, 0.2, history_rows=t.size)
+        runner = MarkovRunner(sde, 0.2, history_times=t)
         h = sde.obs[0]
         predicted, filtered = [], []  # snapshots of the state after each step
         for _, res in run_chunks(runner, stream_columns(y, t=t), CHUNK_ROWS):
             predicted.append((res.mean, res.var))
             filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
         record = runner.stepper.result()
-        assert predicted == [(float(h @ m), float(h @ c @ h)) for m, c in zip(*predicted_moments(sde, record))]
-        np.testing.assert_array_equal(record.means, np.array([m for m, _ in filtered]))
-        np.testing.assert_array_equal(record.covs, np.array([c for _, c in filtered]))
+        first, last = first_and_last_rows(record)
+        assert [predicted[i] for i in first] == [(float(h @ m), float(h @ c @ h))
+                                                 for m, c in zip(*predicted_moments(sde, record))]
+        tied = np.setdiff1d(np.arange(t.size), first)  # a tie predicts from the row before it
+        assert tied.size > 10
+        assert [predicted[i] for i in tied] == [(float(h @ m), float(h @ c @ h)) for m, c in
+                                                (filtered[i - 1] for i in tied)]
+        np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
+        np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
         streamed = runner.smooth()
 
         res = markovian.kalman_filter(sde, t, y, 0.2)
         sm = markovian.rts_smoother(sde, res)
-        batch = [(float(h @ m), float(h @ c @ h)) for m, c in zip(sm.means, sm.covs)]
+        batch = [(float(h @ sm.means[k]), float(h @ sm.covs[k] @ h)) for k in sm.steps]
         np.testing.assert_array_equal(np.array(streamed), np.array(batch))
 
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
@@ -701,11 +710,12 @@ class TestStepperHistory:
         rows = np.tile([0, 1], 60) if locations is not None else np.zeros(t.size, dtype=int)
         y = rng.standard_normal(t.size)
         y[::5] = np.nan
-        runner = MarkovRunner(sde, 0.2, locations=locations, history_rows=t.size)
+        runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
         run_runner(runner, stream_columns(y, t=t, x=None if locations is None else locations[rows]))
         streamed = np.array(runner.smooth())
         sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
-        loop = np.array([(sde.obs[r] @ m, sde.obs[r] @ c @ sde.obs[r]) for r, m, c in zip(rows, sm.means, sm.covs)])
+        loop = np.array([(sde.obs[r] @ sm.means[k], sde.obs[r] @ sm.covs[k] @ sde.obs[r])
+                         for r, k in zip(rows, sm.steps)])
         np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
@@ -717,22 +727,24 @@ class TestStepperHistory:
         rows = np.arange(t.size) % sde.obs.shape[0]
         y = rng.standard_normal(t.size)
         y[rng.random(t.size) < 0.25] = np.nan
-        stepper = markovian.MarkovStepper(sde, 0.2, history_rows=t.size)
+        stepper = markovian.MarkovStepper(sde, 0.2, history_times=t)
         advanced = []
         for ti, yi, row in zip(t, y, rows):
             stepper.advance(float(ti))
             advanced.append((stepper.mean.copy(), stepper.cov.copy()))
             stepper.step(float(ti), None if np.isnan(yi) else float(yi), int(row))  # a zero step: state unchanged
         record = stepper.result()
+        first, _ = first_and_last_rows(record)
+        assert first.size == np.unique(t).size == 60 < t.size - 10  # a row per time, although advance ran first
         means, covs = predicted_moments(sde, record)
-        np.testing.assert_array_equal(means, np.array([m for m, _ in advanced]))
-        np.testing.assert_array_equal(covs, np.array([c for _, c in advanced]))
+        np.testing.assert_array_equal(means, np.array([advanced[i][0] for i in first]))
+        np.testing.assert_array_equal(covs, np.array([advanced[i][1] for i in first]))
 
         # the smoother is the textbook per-step pass over the stored predicted moments, to rounding
         ref_means, ref_covs = record.means.copy(), record.covs.copy()
-        for k in range(t.size - 2, -1, -1):
-            A = markovian.transition(sde, t[k + 1] - t[k])
-            pred_mean, pred_cov = advanced[k + 1]
+        for k in range(record.times.size - 2, -1, -1):
+            A = markovian.transition(sde, record.times[k + 1] - record.times[k])
+            pred_mean, pred_cov = advanced[first[k + 1]]
             _, _, X, info = lapack.dgesv(pred_cov, A @ ref_covs[k], overwrite_b=1)
             G = X.T
             ref_means[k] += G @ (ref_means[k + 1] - pred_mean)
@@ -741,14 +753,9 @@ class TestStepperHistory:
         scale = np.abs(sde.stationary).max()
         np.testing.assert_allclose(sm.means, ref_means, rtol=0, atol=1e-12 * np.sqrt(scale))
         np.testing.assert_allclose(sm.covs, ref_covs, rtol=0, atol=1e-12 * scale)
-        # and a zero step copies row k + 1's smoothed moments, bit for bit
-        tied = np.flatnonzero(np.diff(t) == 0.0)
-        assert tied.size > 10
-        np.testing.assert_array_equal(sm.means[tied], sm.means[tied + 1])
-        np.testing.assert_array_equal(sm.covs[tied], sm.covs[tied + 1])
 
     def test_second_smoothing_raises(self):
-        runner = MarkovRunner(markovian.build_lti(kernels.matern32(1.0, 1.0)), 0.1, history_rows=5)
+        runner = MarkovRunner(markovian.build_lti(kernels.matern32(1.0, 1.0)), 0.1, history_times=0.3 * np.arange(5))
         run_runner(runner, stream_columns(0.1 * np.arange(5), t=0.3 * np.arange(5)))
         assert runner.smooth().shape == (5, 2)
         smoothed = runner.stepper.result().means.copy()
@@ -788,7 +795,7 @@ class TestStepperHistory:
 
     def test_step_returns_prior_moments_and_score(self):
         sde = markovian.build_lti(kernels.matern32(1.3, 0.9))
-        stepper = markovian.MarkovStepper(sde, 0.25, history_rows=2)
+        stepper = markovian.MarkovStepper(sde, 0.25, history_times=[0.0, 0.5])
         assert stepper.step(0.0) == (0.0, pytest.approx(1.3), None)
         mean, var, ll = stepper.step(0.5, 0.8)
         assert ll == pytest.approx(-0.5 * (np.log(2 * np.pi * (var + 0.25)) + (0.8 - mean) ** 2 / (var + 0.25)))
@@ -800,27 +807,29 @@ class TestStepperHistory:
         assert (record.obs_rows[-1], record.logliks[-1]) == (0, ll)
 
     def test_history_rows_are_copies_and_result_is_a_view(self):
-        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.2, history_rows=5)
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.2,
+                                          history_times=0.1 * np.arange(5))
         for i in range(3):
             stepper.step(0.1 * i, 0.3 if i else None)
         record = stepper.result()
         assert record.times.tolist() == [0.0, 0.1, 0.2] and record.means.shape == (3, 2)
         assert np.isnan(record.logliks[0]) and record.loglik_total == record.logliks[1] + record.logliks[2]
-        for name in ("times", "means", "covs", "obs_rows", "logliks"):
+        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
             assert np.shares_memory(getattr(record, name), getattr(stepper.history, name))
         assert not np.shares_memory(stepper.history.covs, stepper.cov)
         assert not np.shares_memory(stepper.history.means, stepper.mean)
 
     def test_step_past_the_history_is_a_data_error(self):
-        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_rows=1)
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0])
         stepper.step(0.0, 0.2)
-        with pytest.raises(DataError, match="holds 1 rows"):
+        with pytest.raises(DataError, match="holds 1 rows at 1 times; step 2 does not fit"):
             stepper.step(1.0, 0.3)
         assert stepper.time == 0.0 and stepper.result().times.tolist() == [0.0]
 
     def test_smoothing_memory_per_step_is_bounded(self):
-        # the d = 8 benchmark mixture; the floor per step is the record's d^2 + d + 3 doubles (0.59 KiB),
-        # which the smoother overwrites, plus the filter's own observation-row column; the pass's
+        # the d = 8 benchmark mixture on distinct times; the floor per step is the record's d^2 + d + 1
+        # doubles per time and 3 per input row (0.59 KiB), which the smoother overwrites, plus the
+        # filter's own observation-row column; the pass's
         # stacks are bounded by its block, not by N
         sde = markovian.build_lti(kernels.hida_matern(
             [(0.5, 1.5, 1.5, 1.0, 1.0), (0.3, 0.0, 1.5, 2.0, 1.0), (0.2, 0.8, 0.5, 0.5, 1.0)]))
@@ -839,3 +848,96 @@ class TestStepperHistory:
 
         per_step = (traced_peak(20_000) - traced_peak(2_000)) / 18_000
         assert per_step <= 0.75 * 1024
+
+    def test_one_record_row_per_distinct_time(self):
+        # a tied space-time stream: each time row holds the moments after the time's last input
+        # row, and ``steps`` maps every input row to its time's row; the batch filter agrees
+        sde, locations = ZERO_STEP_SDES["spacetime"], np.array([[0.0], [0.5]])
+        rng = np.random.default_rng(51)
+        t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 30)), rng.integers(1, 6, 30))
+        rows = rng.integers(0, 2, t.size)
+        y = rng.standard_normal(t.size)
+        y[::4] = np.nan
+        runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
+        filtered = []
+        for _ in run_chunks(runner, stream_columns(y, t=t, x=locations[rows]), 7):
+            filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
+        record = runner.stepper.result()
+        times, steps = np.unique(t, return_inverse=True)
+        assert times.size == 30 < t.size
+        assert runner.stepper.history.times.size == 30  # sized from the timestamps, not the rows
+        np.testing.assert_array_equal(record.times, times)
+        np.testing.assert_array_equal(record.steps, steps)
+        np.testing.assert_array_equal(record.obs_rows, rows)
+        np.testing.assert_array_equal(np.isnan(record.logliks), np.isnan(y))
+        _, last = first_and_last_rows(record)
+        np.testing.assert_array_equal(last, np.r_[np.flatnonzero(np.diff(t)), t.size - 1])
+        np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
+        np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
+        batch = markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows)
+        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
+
+    def test_step_past_the_history_times_is_a_data_error(self):
+        stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0, 0.0])
+        stepper.step(0.0, 0.2)
+        with pytest.raises(DataError, match="holds 2 rows at 1 times; step 2 does not fit"):
+            stepper.step(1.0, 0.3)  # a second time: the record has a row for one
+        assert stepper.time == 0.0
+        stepper.step(0.0, 0.3)  # a tie fits
+        assert stepper.result().steps.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("before", ["advance", "failed_step"])
+    def test_a_moved_clock_still_opens_a_new_time_row(self, before):
+        # the clock reaches t before ``step(t)`` runs, through the public ``advance`` or through a
+        # step that advanced and then failed on its y: the record still gives t a row of its own
+        sde = markovian.build_lti(kernels.matern32(1.0, 1.0))
+        t = np.array([0.0, 0.5, 0.5, 1.25, 2.0, 2.0, 2.0, 3.0])
+        stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
+        filtered = []
+        for ti in t:
+            if before == "advance":
+                stepper.advance(float(ti))
+            else:
+                with pytest.raises(DataError, match="non-finite observation"):
+                    stepper.step(float(ti), np.inf)
+            stepper.step(float(ti), float(np.sin(ti)))
+            filtered.append((stepper.mean.copy(), stepper.cov.copy()))
+        record = stepper.result()
+        times, steps = np.unique(t, return_inverse=True)
+        np.testing.assert_array_equal(record.times, times)
+        np.testing.assert_array_equal(record.steps, steps)
+        _, last = first_and_last_rows(record)
+        np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
+        np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
+        batch = markovian.kalman_filter(sde, t, np.sin(t), 0.1)
+        for name in ("times", "means", "covs", "steps", "logliks"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
+
+    def test_smoothing_memory_is_per_time_not_per_row(self, monkeypatch):
+        # 16 input rows per time on the d = 8 benchmark mixture, stepped and smoothed as
+        # ``seqgp run ... emit_smoothed=true`` does: the floor per time is one row of moments,
+        # d^2 + d + 1 doubles (0.59 KiB), plus 5 doubles per input row (3 in the record, 2 in the
+        # smoothed output): 1.2 KiB; a row of moments per input row would be 16 x 0.59 KiB.  Blocks of
+        # 64 rows keep the pass's and the projection's stacks the same size at both lengths
+        monkeypatch.setattr(markovian, "SMOOTH_BLOCK_BYTES", 64 * 8 * 8**2)
+        hm = "0.5:1.5:1.5:1.0:1.0;0.3:0.0:1.5:2.0:1.0;0.2:0.8:0.5:0.5:1.0"
+        overrides = ["model=markov", "kernel.family=hida_matern", f"kernel.hm_components={hm}", "noise_var=0.1",
+                     "emit_smoothed=true"]
+        rng = np.random.default_rng(52)
+
+        def traced_peak(n_times):
+            t = np.repeat(np.cumsum(rng.uniform(0.01, 0.05, n_times)), 16)
+            data = stream_columns(np.sin(t), t=t)
+            tracemalloc.start()
+            try:
+                runner = runner_for(overrides, data)
+                for _ in run_chunks(runner, data, CHUNK_ROWS):
+                    pass
+                assert runner.smooth().shape == (t.size, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_time = (traced_peak(800) - traced_peak(100)) / 700
+        assert per_time <= 2 * 1024
