@@ -494,6 +494,8 @@ def main(argv=None) -> int:
     args.overrides = list(args.overrides) + list(extra)
     with warnings.catch_warnings():  # a warning is one seqgp: line; a caller's own hook is back on return
         warnings.showwarning = lambda message, *_: print(f"seqgp: warning: {message}", file=sys.stderr)
+        for category in (UserWarning, RuntimeWarning):  # printed as by default, even under -W error
+            warnings.filterwarnings("default", category=category)
         try:
             cfg = _load_config(args)
             out = sys.stdout if args.output == "-" else _open(args.output, "w", "--output")

@@ -33,7 +33,6 @@ class FeatureMap:
     frequencies: np.ndarray | None = None  # (F/2, D), rff only
     halfwidth: float | None = None  # L, hsgp only
     spectral_weights: np.ndarray | None = None  # (F,), hsgp only
-    seed: int | None = None  # rff only
 
 
 def _sample_frequencies(kernel: Kernel, n_freq: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,7 +74,6 @@ def sample_rff(kernel: Kernel, n_features: int, seed: int) -> FeatureMap:
         input_dim=freqs.shape[1],
         weight_prior_var=float(kernel.total_variance),
         frequencies=freqs,
-        seed=seed,
     )
 
 

@@ -109,9 +109,6 @@ class Kernel:
             return sum(float(c.weight) * float(c.sigma2) for c in self.hm_components)
         return float(self.sigma_f2)
 
-    def __call__(self, x, x2) -> float:
-        return eval_kernel(self, x, x2)
-
     def gram(self, X, X2=None) -> np.ndarray:
         return gram(self, X, X2)
 

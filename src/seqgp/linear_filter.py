@@ -19,8 +19,9 @@ it advances it with ``predict_in_place``, reads a predict-only row from
 ``condition_in_place``.  ``predict_step``, ``predict_f`` and
 ``update_step`` are that arithmetic on new beliefs, each one composition of
 the shipped step, for library callers and ``seqgp check``; they never
-modify their arguments.  ``static_batch_posterior`` is the different math,
-the one-solve batch posterior of the static model.
+modify their arguments.  The static model's batch posterior is
+``exact.posterior`` under ``features.DegenerateKernel``, the function-space
+form of the same conditioning.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import ConfigurationError, DataError, NumericalError, ShapeError
-from .linalg import chol_jitter, condition, gaussian_loglik, observe
+from .linalg import condition, gaussian_loglik, observe
 
 
 @dataclass(frozen=True)
@@ -203,28 +203,6 @@ def condition_in_place(belief: GaussianBelief, observed, y: float, likelihood: s
     pseudo_y, pseudo_var, approx_loglik = laplace_observation(observed[0], observed[1], y, likelihood)
     condition(belief.mean, belief.cov, observed, pseudo_y, pseudo_var)
     return approx_loglik
-
-
-def static_batch_posterior(Phi: np.ndarray, y: np.ndarray, noise_var: float, prior_var: float) -> GaussianBelief:
-    """Batch conjugate posterior for the static model, in information form.
-
-    Algebraically identical to conditioning on the rows of (Phi, y) one at a
-    time; one O(F^3) solve instead of T rank-one updates, which matters for
-    large feature counts.
-    """
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if noise_var <= 0.0:
-        raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
-    n_feat = Phi.shape[1]
-    prec = Phi.T @ Phi / noise_var + np.eye(n_feat) / prior_var
-    L, _ = chol_jitter(prec, scale=1.0 / prior_var)
-    cov, info = lapack.dpotri(L, lower=1)  # inverse from the factor, lower triangle
-    if info != 0:
-        raise NumericalError(f"dpotri failed with info={info}")
-    cov = np.tril(cov) + np.tril(cov, -1).T
-    mean = cov @ (Phi.T @ y / noise_var)
-    return GaussianBelief(mean, cov)
 
 
 # ---------------------------------------------------------------------------

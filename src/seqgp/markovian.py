@@ -230,19 +230,6 @@ def predict(sde: LtiSde, A: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     return (A @ mean[..., None])[..., 0], symmetrize(P + A @ (cov - P) @ np.swapaxes(A, -1, -2))
 
 
-# approximate flop accounting: fixed per-step costs used to verify scaling
-def _flops_discretize(d: int) -> int:
-    return 30 * d**3
-
-
-def _flops_predict(d: int) -> int:
-    return 4 * d**3 + 4 * d * d
-
-
-def _flops_update(d: int) -> int:
-    return 8 * d * d + 12 * d
-
-
 class MarkovStepper:
     """Streaming filter state: advance to a timestamp, then optionally update.
 
@@ -272,14 +259,13 @@ class MarkovStepper:
         self.sde, self.noise_var = sde, noise_var
         self.mean, self.cov = np.zeros(sde.dim), sde.stationary.copy()
         self.time: float | None = None
-        self.flops = 0
         self.history: FilterResult | None = None
         self.rows_written = 0
         if history_times is not None:
             t = np.asarray(history_times, dtype=float).ravel()
             n, m, d = t.size, min(t.size, 1 + np.count_nonzero(np.diff(t))), sde.dim
             self.history = FilterResult(np.empty(m), np.empty((m, d)), np.empty((m, d, d)), np.empty(n, dtype=int),
-                                        np.empty(n, dtype=int), np.empty(n), 0.0, 0)
+                                        np.empty(n, dtype=int), np.empty(n), 0.0)
 
     def advance(self, t: float, prepared: tuple | None = None) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time).
@@ -294,12 +280,10 @@ class MarkovStepper:
         if delta < 0.0:
             raise DataError(f"timestamps decrease ({self.time} -> {t})")
         if delta == 0.0 and self.time is not None:
-            self.flops += _flops_predict(self.sde.dim)
             return
         A = prepared[1] if prepared is not None and prepared[0] == delta else transition(self.sde, delta)
         self.mean, self.cov = predict(self.sde, A, self.mean, self.cov)
         self.time = t
-        self.flops += _flops_discretize(self.sde.dim) + _flops_predict(self.sde.dim)
 
     def predict_obs(self, row: int = 0):
         """One observe step through row ``row`` of ``sde.obs``: (h^T mean, h^T s, s),
@@ -324,9 +308,7 @@ class MarkovStepper:
         """Scalar Kalman update of the stepper's own state, in place, on the
         ``predict_obs`` triple of this state (``linalg.condition``); returns the
         predictive log density of y."""
-        ll = condition(self.mean, self.cov, observed, y, self.noise_var)
-        self.flops += _flops_update(self.sde.dim)
-        return ll
+        return condition(self.mean, self.cov, observed, y, self.noise_var)
 
     def step(self, t: float, y: float | None = None, row: int = 0, prepared: tuple | None = None):
         """Advance to ``t`` (with ``advance``'s ``prepared`` transition) and update
@@ -357,7 +339,7 @@ class MarkovStepper:
         h, n = self.history, self.rows_written
         m = int(h.steps[n - 1]) + 1 if n else 0
         return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], h.logliks[:n],
-                            h.loglik_total, self.flops)
+                            h.loglik_total)
 
 
 @dataclass
@@ -375,7 +357,6 @@ class FilterResult:
     obs_rows: np.ndarray  # (N,) index of the H row used per input row
     logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
     loglik_total: float
-    flops: int
 
 
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:

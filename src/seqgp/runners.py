@@ -8,10 +8,11 @@ transitions and observation rows.  It never reads ``y``.  ``step`` then
 follows the prequential protocol row by row over the records of the chunk
 last prepared (``Columns.records``): predict at the record's input, score
 the target if one is present, then (and only then) fold the observation into
-the state.  A record of any other chunk is a ValueError.  Rows without a
-target are pure queries and never change the belief; for the Markovian
-models the state still advances to the row's timestamp, since the model
-lives in continuous time.
+the state, and add the row's approximate cost to ``flops``, the summary's
+count; no other module counts flops.  A record of any other chunk is a
+ValueError.  Rows without a target are pure queries and never change the
+belief; for the Markovian models the state still advances to the row's
+timestamp, since the model lives in continuous time.
 
 Each runner steps its route's in-place path.  The three filter routes share
 one observe -> condition hand-off: ``linear_filter.observe_f``,
@@ -266,11 +267,10 @@ class MarkovRunner(_Prepared):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
         self.locations = locations  # (N_s, D) when spatiotemporal
         self._smoothed = False
+        d = sde.dim  # a row's flops: its predict, 30d^3 more if it moves the clock (the first row does), its update
+        self._costs = (4 * d**3 + 4 * d * d, 30 * d**3, 8 * d * d + 12 * d)
+        self.flops = 0
         self.approximate_loglik = False
-
-    @property
-    def flops(self) -> int:
-        return self.stepper.flops
 
     def _location_rows(self, x: np.ndarray) -> np.ndarray:
         """Observation row of each input row of ``x`` (n, D), -1 where none is."""
@@ -300,7 +300,11 @@ class MarkovRunner(_Prepared):
         row = self._rows[i]
         if row < 0:
             raise DataError(f"location {rec.x} is not in spatial.locations")
-        return StepResult(*self.stepper.step(rec.t, rec.y, row, self._steps[i]))
+        stepper, (predict, move, update) = self.stepper, self._costs
+        time = stepper.time  # the clock before the row
+        mean, var, ll = stepper.step(rec.t, rec.y, row, self._steps[i])
+        self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)
+        return StepResult(mean, var, ll)
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
@@ -350,7 +354,8 @@ class SparseRunner(_Prepared):
             raise ConfigurationError(f"noise_var must be positive, got {noise_var}", param="noise_var")
         self.state = sparse.init_sparse(kernel, inducing, include_residual)
         self.noise_var = noise_var
-        self.update_flops = sparse.update_flops(self.state.n_inducing)
+        M = self.state.n_inducing
+        self._cost = 6 * M * M + 10 * M  # flops of one update, whatever came before
         self.flops = 0
         self.approximate_loglik = False
 
@@ -365,7 +370,7 @@ class SparseRunner(_Prepared):
         if rec.y is None:
             return StepResult(observed[0], observed[1], None)
         ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)
-        self.flops += self.update_flops
+        self.flops += self._cost
         return StepResult(observed[0], observed[1], ll)
 
 

@@ -16,8 +16,8 @@ and ``model=vsgp``, owns its state: it projects a chunk's inputs in one
 ``projections`` call, observes the state once per row with
 ``sparse_observe`` and hands that triple to ``linalg.condition``, the one
 scored update, which checks y, overwrites the state's ``mean`` and ``cov``
-arrays and returns the log density; the runner counts ``update_flops`` per
-update.  ``sparse_predict`` and ``sparse_update`` are that step at one input
+arrays and returns the log density; the runner charges each update's O(M^2)
+cost.  ``sparse_predict`` and ``sparse_update`` are that step at one input
 on a new state, for library callers; they never modify their arguments.
 ``vsgp_info_update`` is the different math, the batch update in information
 form that the recursion must agree with.
@@ -126,11 +126,6 @@ def _projection(state: SparseState, x):
     """``projections`` of the one point ``x``: (h, q)."""
     H, q = projections(state, np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1))
     return H[0], float(q[0])
-
-
-def update_flops(n_inducing: int) -> int:
-    """Flops of one sequential update over M inducing values; t-independent."""
-    return 6 * n_inducing * n_inducing + 10 * n_inducing
 
 
 def sparse_observe(state: SparseState, projection):

@@ -1,0 +1,239 @@
+"""Catalogue of mutants the test suite must kill, and a replay that checks it does.
+
+Each ``Mutant`` is one fault that a change once had to show its tests catch:
+the text to replace in one file, what to replace it with, the tests (files or
+node ids, relative to the repository root) that must fail once it is in, and
+the opening words of the CHANGES.md entry that names it.
+``tests/test_mutants.py`` checks in every test run that each text still
+occurs exactly once in its file, so a change that moves or rewrites a
+catalogued line has to move its mutant too.
+
+    python tests/mutants.py --run [NAME ...]
+
+copies ``src/``, ``tests/`` and what the tests read into a temporary
+directory, checks that the named tests pass there, then applies one mutant at
+a time and runs its tests.  It exits 1 unless every mutant fails them.  The
+replay takes a few minutes and is not part of the test suite: a change that
+touches a catalogued line runs it.  The file has no ``test_`` prefix, so
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")  # the tests read perfbench/ and README.md
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    text: str  # occurs exactly once in ``path``
+    replacement: str
+    tests: tuple[str, ...]  # pytest files or node ids, at least one of which must fail
+    entry: str  # opening words of the CHANGES.md entry that names the mutant
+
+
+# the CHANGES.md entries that name the mutants below
+SHIPPED_STEP = "the acceptance criteria and the route tests drive the step `seqgp run` ships"
+SCORED_UPDATE = "one scored Kalman update on every filter route"
+FLOAT_COMBINER = "the ensemble combiner row is float work over the K member results"
+TIME_ROWS = "the Markov smoothing record keeps one row of `times`, `means` and `covs` per distinct timestamp"
+RUNNER_FLOPS = "flop accounting lives in the runners"
+
+MUTANTS = (
+    Mutant(
+        "dropped-sparse-residual", "src/seqgp/sparse.py",
+        "    return mean, var + q if state.include_residual else var, s\n",
+        "    return mean, var, s\n",
+        ("tests/test_acceptance.py::test_criterion_06_sparse_exactness_and_batch_agreement",),
+        SHIPPED_STEP),
+    Mutant(
+        "predict-only-linear-row-without-its-dynamics-tick", "src/seqgp/runners.py",
+        "            mean, var = linear_filter.predict_f_ahead(self.belief, self.dynamics, phi)\n",
+        "            mean, var, _ = linear_filter.observe_f(self.belief, phi)\n",
+        ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",),
+        SHIPPED_STEP),
+    Mutant(
+        "run-chunks-without-its-non-finite-check", "src/seqgp/runners.py",
+        "                if not (math.isfinite(res.mean) and math.isfinite(res.var)):\n",
+        "                if False:\n",
+        ("tests/test_cli.py::TestExitCodes::test_non_finite_prediction_is_4_with_row",),
+        SHIPPED_STEP),
+    Mutant(
+        "condition-outer-product-update", "src/seqgp/linalg.py",
+        "    blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=cov.T, overwrite_c=1)\n",
+        "    cov -= np.outer(s / pred_var, s)\n",
+        ("tests/test_linalg.py::TestObserveAndCondition::test_bit_symmetric_input_stays_bit_symmetric",
+         "tests/test_markovian.py::TestStepperSymmetry"),
+        SCORED_UPDATE),
+    Mutant(
+        "condition-without-its-y-check", "src/seqgp/linalg.py",
+        '    if not math.isfinite(y):\n        raise DataError(f"non-finite observation {y!r}")\n',
+        "",
+        ("tests/test_linalg.py::TestObserveAndCondition::"
+         "test_non_finite_observation_is_a_data_error_before_anything_changes",
+         "tests/test_markovian.py::TestKalmanFilter::test_infinite_value_is_rejected_not_skipped"),
+        SCORED_UPDATE),
+    Mutant(
+        "condition-scores-the-updated-mean", "src/seqgp/linalg.py",
+        "    return gaussian_loglik(y, pred_mean, pred_var)\n",
+        "    return gaussian_loglik(y, pred_mean + var / pred_var * (y - pred_mean), pred_var)\n",
+        ("tests/test_linalg.py::TestObserveAndCondition::test_plain_formulas",),
+        SCORED_UPDATE),
+    Mutant(
+        "nearest-only-location-lookup", "src/seqgp/runners.py",
+        "        return np.where(exact.any(axis=1), np.argmax(exact, axis=1), np.where(close, nearest, -1))\n",
+        "        return np.where(close, nearest, -1)\n",
+        ("tests/test_cli_models.py::TestSpatiotemporal::test_location_lookup",),
+        SCORED_UPDATE),
+    Mutant(
+        "logsumexp-with-math-exp", "src/seqgp/ensemble.py",
+        "        s = np.exp(d, out=d).sum()\n",
+        "        s = sum(math.exp(v) for v in d)\n",
+        ("tests/test_ensemble.py::TestLogsumexp::test_matches_scipy_bit_for_bit",),
+        FLOAT_COMBINER),
+    Mutant(
+        "logsumexp-drops-the-max-entries", "src/seqgp/ensemble.py",
+        "        s = np.exp(d, out=d).sum()\n",
+        "        s = np.exp(d[d != -math.inf]).sum()\n",
+        ("tests/test_ensemble.py::TestLogsumexp::test_matches_scipy_bit_for_bit",),
+        FLOAT_COMBINER),
+    Mutant(
+        "no-log-weight-floor", "src/seqgp/ensemble.py",
+        "    log_w = [LOG_FLOOR if v < LOG_FLOOR else v for v in [v - top for v in log_w]]\n",
+        "    log_w = [v - top for v in log_w]\n",
+        ("tests/test_ensemble.py::TestBmaRunner",),
+        FLOAT_COMBINER),
+    Mutant(
+        "mixture-mean-as-a-float-loop", "src/seqgp/ensemble.py",
+        "    mean = float(w @ mu)\n",
+        "    mean = sum(a * b for a, b in zip(w.tolist(), mu.tolist()))\n",
+        ("tests/test_properties.py::test_combiner_rows_match_the_numpy_reference_bit_for_bit",),
+        FLOAT_COMBINER),
+    Mutant(
+        "no-stacking-shift", "src/seqgp/ensemble.py",
+        "    p = np.exp([v - top for v in ll])\n",
+        "    p = np.exp(ll)\n",
+        ("tests/test_ensemble.py::TestStackingRunner::test_far_out_members_still_move_the_weights",),
+        FLOAT_COMBINER),
+    Mutant(
+        "time-row-from-the-clock", "src/seqgp/markovian.py",
+        "            j = p + (p < 0 or t != h.times[p])  # this step's time row\n",
+        "            j = p + (p < 0 or t != self.time)  # this step's time row\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_a_moved_clock_still_opens_a_new_time_row",
+         "tests/test_markovian.py::TestStepperHistory::test_stacked_predict_is_the_advance_state"),
+        TIME_ROWS),
+    Mutant(
+        "one-record-row-per-input-row", "src/seqgp/markovian.py",
+        "            j = p + (p < 0 or t != h.times[p])  # this step's time row\n",
+        "            j = k  # this step's time row\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_one_record_row_per_distinct_time",),
+        TIME_ROWS),
+    Mutant(
+        "smoothing-error-names-the-time-row", "src/seqgp/runners.py",
+        '            exc.detail["step"] = k = int(np.searchsorted(record.steps, exc.detail["step"]))\n',
+        '            exc.detail["step"] = k = int(exc.detail["step"])\n',
+        ("tests/test_cli.py::TestRun::test_failed_smoothing_names_the_row",),
+        TIME_ROWS),
+    Mutant(
+        "unblocked-smoothing-gather", "src/seqgp/runners.py",
+        "        n, block = record.steps.size, max(2, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))\n",
+        "        n, block = record.steps.size, max(2, record.steps.size)\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_smoothing_memory_is_per_time_not_per_row",),
+        TIME_ROWS),
+    Mutant(
+        "markov-move-cost-on-a-zero-step", "src/seqgp/runners.py",
+        "        self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)\n",
+        "        self.flops += predict + move + (0 if ll is None else update)\n",
+        ("tests/test_cli_models.py::TestFlops",
+         "tests/test_markovian.py::TestStepShortcuts::test_repeated_timestamp_flops_match_per_step_accounting"),
+        RUNNER_FLOPS),
+    Mutant(
+        "sparse-cost-on-predict-only-rows", "src/seqgp/runners.py",
+        "        observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))\n"
+        "        if rec.y is None:\n"
+        "            return StepResult(observed[0], observed[1], None)\n"
+        "        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)\n"
+        "        self.flops += self._cost\n",
+        "        observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))\n"
+        "        self.flops += self._cost\n"
+        "        if rec.y is None:\n"
+        "            return StepResult(observed[0], observed[1], None)\n"
+        "        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)\n",
+        ("tests/test_cli_models.py::TestFlops",),
+        RUNNER_FLOPS),
+)
+
+
+def _pytest(workdir: Path, tests) -> subprocess.CompletedProcess:
+    env = os.environ | {"PYTHONPATH": str(workdir / "src")}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=workdir, env=env, capture_output=True, text=True)
+
+
+def replay(mutants) -> int:
+    """Apply each mutant alone to a copy of the tree and run its tests; 1 unless every one fails them."""
+    survived = []
+    with tempfile.TemporaryDirectory(prefix="seqgp-mutants-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=shutil.ignore_patterns("__pycache__", ".*"))
+            else:
+                shutil.copy2(source, work / name)
+        baseline = _pytest(work, sorted({t for m in mutants for t in m.tests}))
+        if baseline.returncode != 0:
+            print(baseline.stdout[-3000:], baseline.stderr[-3000:], sep="\n")
+            print("the catalogued tests fail without any mutant")
+            return 1
+        for m in mutants:
+            path = work / m.path
+            original = path.read_text(encoding="utf-8")
+            if original.count(m.text) != 1:
+                print(f"{m.name}: its text does not occur exactly once in {m.path}")
+                survived.append(m.name)
+                continue
+            path.write_text(original.replace(m.text, m.replacement), encoding="utf-8")
+            try:
+                result = _pytest(work, m.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            # exit 1 is failed tests; any other nonzero code (an import error, say) tests nothing
+            killed = result.returncode == 1
+            print(f"{'killed  ' if killed else 'SURVIVED'} {m.name}", flush=True)
+            if not killed:
+                print(result.stdout[-2000:])
+                survived.append(m.name)
+    print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed")
+    return 1 if survived else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--run", action="store_true", help="replay the catalogue against the test suite")
+    parser.add_argument("names", nargs="*", help="replay only these mutants")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    if not args.run:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.path}")
+        return 0
+    return replay([by_name[n] for n in args.names] if args.names else list(MUTANTS))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -255,6 +255,23 @@ class TestRun:
                        "seqgp: numerical error: row 3: non-finite prediction: mean 4.028065794446374e+199, "
                        "variance nan\n")
 
+    @pytest.mark.parametrize("flags, env", [(["-W", "error"], {}), ([], {"PYTHONWARNINGS": "error"})],
+                             ids=["-W", "PYTHONWARNINGS"])
+    def test_warnings_set_to_error_still_print_one_line_each(self, flags, env):
+        # a warning filter of "error" would raise the warning out of the run as a traceback and exit 1
+        args = ["run", "model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
+                "member.1.noise_var=0.1", "member.2.model=markov", "member.2.kernel.family=matern32",
+                "member.2.noise_var=0.1"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | env | {"PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, *flags, "-m", "seqgp.cli", *args], capture_output=True, text=True,
+                              input="t,y\n0,0.1\n1,1e200\n2,0.3\n", timeout=120, env=env)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("seqgp: warning: all member densities are zero at step 2; bma step skipped\n"
+                               "seqgp: warning: overflow encountered in multiply\n"
+                               "seqgp: warning: all member densities are zero at step 3; bma step skipped\n"
+                               "seqgp: numerical error: row 3: non-finite prediction: mean 4.028065794446374e+199, "
+                               "variance nan\n")
+
     def test_markov_emit_smoothed_on_header_only_input(self):
         args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.3", "emit_smoothed=true"]
         code, out, err = run_cli(args, stdin_text="t,y\n")

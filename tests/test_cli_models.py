@@ -247,6 +247,40 @@ class TestBmaEnsemble:
         assert summary["rows"] == 3
 
 
+# four rows at a time already reached (2, 4, 5 and 8) and three predict-only rows (2, 5 and 6; row 6 moves
+# the clock), numbered from 1
+FLOP_TIMES = [0.0, 0.0, 0.5, 0.5, 0.5, 1.2, 2.0, 2.0]
+FLOP_VALUES = [0.3, None, -0.1, 0.4, None, None, 0.2, 0.5]
+FLOP_MARKOV = ["model=markov", "kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.2"]
+FLOP_SPARSE = ["kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.2", "sparse.M=3"]
+# per row: the exact GP pays n^2 + 4n + 10 at n observations so far; the linear filter 6F^2 + 8F on every
+# row; the Markov filter 4d^3 + 4d^2, plus 30d^3 on the four rows that move its clock (1, 3, 6, 7) and
+# 8d^2 + 12d on the five y-rows; the sparse models 6M^2 + 10M on the five y-rows only
+MARKOV_FLOPS = 8 * (4 * 2**3 + 4 * 2**2) + 4 * 30 * 2**3 + 5 * (8 * 2**2 + 12 * 2)  # d = 2
+SPARSE_FLOPS = 5 * (6 * 3**2 + 10 * 3)  # M = 3
+FLOP_TABLE = {
+    "exact": (["model=exact", "kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.2"],
+              sum(n * n + 4 * n + 10 for n in (0, 1, 1, 2, 3, 3, 3, 4))),
+    "linear": (["model=linear", "kernel.family=se", "features.kind=rff", "features.F=8", "features.seed=1",
+                "noise_var=0.2"], 8 * (6 * 8**2 + 8 * 8)),
+    "markov": (FLOP_MARKOV, MARKOV_FLOPS),
+    "sparse": (["model=sparse", *FLOP_SPARSE], SPARSE_FLOPS),
+    "vsgp": (["model=vsgp", *FLOP_SPARSE], SPARSE_FLOPS),
+    "ensemble": (["model=ensemble", *(f"member.1.{a}" for a in FLOP_MARKOV),
+                  "member.2.model=sparse", *(f"member.2.{a}" for a in FLOP_SPARSE)], MARKOV_FLOPS + SPARSE_FLOPS),
+}
+
+
+class TestFlops:
+    @pytest.mark.parametrize("model", sorted(FLOP_TABLE))
+    def test_summary_flops_are_the_per_row_costs(self, model):
+        args, expected = FLOP_TABLE[model]
+        code, out, err = run_cli(["run", *args], stdin_text=make_csv(FLOP_TIMES, FLOP_VALUES))
+        assert code == 0, err
+        _, _, summary = parse_report(out)
+        assert summary["flops"] == expected
+
+
 class TestConfigAndOutputFiles:
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "model.cfg"

@@ -1,5 +1,6 @@
 """Online model combination: BMA recursion, stacking, mixture moments."""
 
+import math
 import warnings
 
 import numpy as np
@@ -217,6 +218,11 @@ class TestStackingRunner:
             res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
         assert res.weights[0] > 0.5 > res.weights[1]
         assert res.weights.sum() == pytest.approx(1.0)
+        # the step of densities 1 and exp(-40) from equal weights (eta = sqrt(ln 2), gradient p / (w . p)),
+        # not the limit that 1 / (w . p) = inf would take: unshifted, both densities are 0
+        p = np.array([1.0, math.exp(-40.0)])
+        w = np.exp(math.sqrt(math.log(2.0)) * p / (0.5 * p.sum()))
+        np.testing.assert_allclose(res.weights, w / w.sum(), rtol=1e-12)
 
     def test_no_finite_member_density_skips_the_step(self):
         runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "stacking")

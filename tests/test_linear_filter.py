@@ -260,17 +260,6 @@ class TestUpdate:
         np.testing.assert_allclose(b.mean, mean, atol=1e-8)
         np.testing.assert_allclose(b.cov, cov, atol=1e-8)
 
-    def test_static_batch_posterior_matches_sequential(self):
-        rng = np.random.default_rng(13)
-        Phi = rng.standard_normal((40, 8))
-        y = rng.standard_normal(40)
-        b = lf.init_belief(8, 2.0)
-        for i in range(40):
-            b, _ = lf.update_step(b, Phi[i], y[i], 0.4)
-        batch = lf.static_batch_posterior(Phi, y, 0.4, 2.0)
-        np.testing.assert_allclose(batch.mean, b.mean, atol=1e-8)
-        np.testing.assert_allclose(batch.cov, b.cov, atol=1e-8)
-
     def test_order_invariance_static(self):
         rng = np.random.default_rng(14)
         Phi = rng.standard_normal((30, 5))
@@ -334,8 +323,7 @@ class TestFunctionSpaceDuality:
         post = exact.posterior(kernel, noise, X, y, Xs)
 
         fmap = features.sample_rff(kernel, 2048, seed=0)
-        belief = lf.static_batch_posterior(features.featurize_many(fmap, X), y, noise, fmap.weight_prior_var)
-        means = features.featurize_many(fmap, Xs) @ belief.mean
+        means = exact.posterior(features.DegenerateKernel(fmap), noise, X, y, Xs).mean
         rmse = float(np.sqrt(np.mean((means - post.mean) ** 2)))
         assert rmse < 0.05
 
