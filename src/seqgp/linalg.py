@@ -26,7 +26,7 @@ JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7)
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the symmetric part 0.5*(A + A^T), of each matrix in a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def chol_jitter(a: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, float]:

@@ -23,10 +23,14 @@ with the weights {1, dt} exp((-lambda + i b) dt), real and imaginary parts.
 No matrix exponential is computed and nothing is cached per step length.
 ``predict`` adds Q = P_inf - A P_inf A^T without forming it, for one state
 or a stack of states, and Kalman filtering and Rauch-Tung-Striebel smoothing
-give exact GP inference in O(N d^3).  Each filter row is the observe ->
-condition hand-off of every filter route: ``MarkovStepper.predict_obs``
-returns the observe triple (h^T m, h^T s, s) and ``MarkovStepper.update``
-hands it to ``linalg.condition``, the one scored update.  The filter record
+give exact GP inference in O(N d^3).  The rows at one timestamp are one
+vector measurement: ``MarkovStepper.step`` conditions on a block of them at
+once (one Cholesky factor of the block's innovation covariance), the blocks
+being runs of equal timestamps split every ``UPDATE_BLOCK_ROWS`` rows
+(``block_starts``).  A block of one row is the observe -> condition hand-off
+of every filter route: ``MarkovStepper.predict_obs`` returns the observe
+triple (h^T m, h^T s, s) and ``MarkovStepper.update`` hands it to
+``linalg.condition``, the one scored update.  The filter record
 keeps only the filtered moments, one row per distinct timestamp; the
 smoother walks back over those time steps in blocks, forms each block's
 transitions from the stored timestamps, recomputes the predicted moments
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, solve_continuous_lyapunov
+from scipy.linalg import block_diag, lapack, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import Kernel, as_points, gram, hida_matern_components
@@ -80,6 +84,14 @@ class LtiSde:
         entries and their values.  A space-time row, kron(I, [1, 0]), has one;
         a Hida-Matern row has one per component."""
         return tuple((idx, row[idx]) for row in self.obs for idx in (np.flatnonzero(row),))
+
+    @cached_property
+    def obs_single(self) -> tuple | None:
+        """(indices, weights), each (n_obs,), of every observation row's one nonzero
+        entry when each row has exactly one (a space-time model); else None."""
+        if any(idx.size != 1 for idx, _ in self.obs_support):
+            return None
+        return tuple(np.concatenate(parts) for parts in zip(*self.obs_support))
 
 
 @dataclass(frozen=True)
@@ -227,30 +239,34 @@ def predict(sde: LtiSde, A: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     alone: the smoother's predicted moments are the forward pass's.
     """
     P = sde.stationary
-    return (A @ mean[..., None])[..., 0], symmetrize(P + A @ (cov - P) @ np.swapaxes(A, -1, -2))
+    return (A @ mean[..., None])[..., 0], symmetrize(P + A @ (cov - P) @ A.swapaxes(-1, -2))
 
 
 class MarkovStepper:
-    """Streaming filter state: advance to a timestamp, then optionally update.
+    """Streaming filter state: advance to a timestamp, then condition on the
+    time step's observations.
 
-    ``step`` is the one per-row routine of the batch filter below and of the
-    CLI's record-at-a-time loop.  Each step of nonzero length computes its
-    transition in closed form, so memory does not grow with the number of
-    distinct step lengths.  A zero-length step after the first row leaves the
-    state untouched (A = I, Q = 0 is exact on a symmetric covariance).
-    ``history_times`` (the stream's timestamps) allocates ``history``, a
-    ``FilterResult`` with one row of moments per distinct timestamp that each
-    step at that time overwrites: d^2 + d + 1 doubles per time, 3 per row.
+    ``step`` is the one update of the batch filter below and of the CLI's
+    runner: it takes a block of rows at one timestamp (``block_starts``) and
+    conditions on them as one vector measurement.  Each step of nonzero length
+    computes its transition in closed form, so memory does not grow with the
+    number of distinct step lengths.  A zero-length step after the first row
+    leaves the state untouched (A = I, Q = 0 is exact on a symmetric
+    covariance).  ``history_times`` (the stream's timestamps) allocates
+    ``history``, a ``FilterResult`` with one row of moments per distinct
+    timestamp that each block at that time overwrites: d^2 + d + 1 doubles per
+    time, 3 per row.
 
-    The stepper owns ``mean`` and ``cov``.  ``update`` conditions both in place
-    (``linalg.condition``), and a zero-length ``advance`` leaves them as they
-    are; an ``advance`` of nonzero length replaces them with new arrays.
-    Callers read them, copy what they keep, and never write them.  A history
-    row is the only copy a step makes.  A row is one observe -> condition
-    hand-off, as on the linear and sparse routes: ``predict_obs`` returns the
+    The stepper owns ``mean`` and ``cov``.  ``step`` and ``update`` condition
+    both in place, and a zero-length ``advance`` leaves them as they are; an
+    ``advance`` of nonzero length replaces them with new arrays.  Callers read
+    them, copy what they keep, and never write them.  A history row is the
+    only copy a step makes.  A block of one row is the observe -> condition
+    hand-off of the linear and sparse routes: ``predict_obs`` returns the
     observe triple (h^T mean, h^T s, s), with s = cov h formed once through the
     row's nonzero entries (``LtiSde.obs_support``), and ``update`` conditions
-    on that triple.  The stepper keeps no s between the two calls.
+    on that triple (``linalg.condition``).  A longer block factors the
+    innovation covariance of its y-rows once (``_condition_block``).
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_times=None):
@@ -310,27 +326,103 @@ class MarkovStepper:
         predictive log density of y."""
         return condition(self.mean, self.cov, observed, y, self.noise_var)
 
-    def step(self, t: float, y: float | None = None, row: int = 0, prepared: tuple | None = None):
-        """Advance to ``t`` (with ``advance``'s ``prepared`` transition) and update
-        on ``y`` unless it is None; returns the latent predictive (mean, var)
-        through observation row ``row`` and the log density of ``y`` (None on a
-        predict-only row)."""
-        k, h = self.rows_written, self.history
+    def step(self, t: float, ys, rows, prepared: tuple | None = None):
+        """Advance to ``t`` (with ``advance``'s ``prepared`` transition) and condition
+        on one block of rows at that time: ``ys`` (n,) their observations, NaN on a
+        predict-only row, and ``rows`` (n,) their observation rows.  Returns three
+        lists, each row's latent predictive mean and variance through its
+        observation row given the y-rows before it, and the log density of its y
+        (None on a predict-only row).  A block of one row is ``predict_obs`` and
+        ``update``; a longer one is ``_condition_block``.  A NumericalError whose
+        ``detail["row"]`` is p leaves the state advanced but unconditioned: the
+        block's rows before p could be conditioned on as a block of their own."""
+        k, h, n = self.rows_written, self.history, len(ys)
         if h is not None:
             p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
             j = p + (p < 0 or t != h.times[p])  # this step's time row
-            if k == h.steps.size or j == h.times.size:
+            if k + n > h.steps.size or j == h.times.size:
                 raise DataError(f"the history holds {h.steps.size} rows at {h.times.size} times; "
                                 f"step {k + 1} does not fit")
         self.advance(t, prepared)
-        observed = self.predict_obs(row)
-        ll = None if y is None else self.update(y, observed)
+        if n == 1:
+            y, observed = ys[0], self.predict_obs(rows[0])
+            out = [observed[0]], [observed[1]], [None if y != y else self.update(y, observed)]
+        else:
+            out = self._condition_block(np.asarray(ys, dtype=float), np.asarray(rows, dtype=int))
         if h is not None:
-            h.times[j], h.steps[k], h.obs_rows[k] = t, j, row
-            h.means[j], h.covs[j], h.logliks[k] = self.mean, self.cov, np.nan if ll is None else ll
-            h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
-            self.rows_written = k + 1
-        return observed[0], observed[1], ll
+            h.times[j], h.means[j], h.covs[j] = t, self.mean, self.cov
+            for row, ll in zip(rows, out[2]):
+                h.steps[k], h.obs_rows[k], h.logliks[k] = j, row, np.nan if ll is None else ll
+                h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
+                k += 1
+            self.rows_written = k
+        return out
+
+    def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
+        """``step`` on a block of rows at the current time, as one vector measurement.
+
+        With H the block's observation rows, H_y those of its y-rows and L the
+        lower Cholesky factor of S = H_y P H_y^T + noise_var I (``dpotrf``), the
+        block forms G = L^-1 H_y P and z = L^-1 (y - H_y m).  Row i of G H^T and z
+        is y-row i's share of every row's prequential moments, so a row's mean
+        and variance are h^T m and h^T P h plus masked partial sums over the
+        y-rows strictly before it, and y-row i's log density is
+        -(log(2 pi L_ii^2) + z_i^2) / 2.  Then m += G^T z and P -= G^T G, whose
+        ``a.T @ a`` product is one ``syrk``, so P stays bit-symmetric.  HP is
+        gathered through the rows' nonzero entries when each row has one (a
+        space-time model).  A failed pivot is a NumericalError naming its row of
+        the block, raised before the state changes.
+
+        L^-1 comes from ``dtrtri``, at most ``UPDATE_BLOCK_ROWS`` square, so
+        every product of size d runs in numpy's BLAS, as ``predict`` does.
+        numpy and scipy each load their own OpenBLAS with its own thread pool; a
+        d = 128 block that solved with scipy's ``dtrsm`` between numpy's
+        products ran about 20 times slower with both pools threaded on 2 vCPUs.
+        """
+        support = self.sde.obs_support
+        bad_rows, bad_ys = rows[(rows < 0) | (rows >= len(support))], ys[np.isinf(ys)]
+        if bad_rows.size:
+            raise DataError(f"observation row {bad_rows[0]} is not in [0, {len(support)})")
+        if bad_ys.size:
+            raise DataError(f"non-finite observation {float(bad_ys[0])!r}")
+        m, P, n = self.mean, self.cov, ys.size
+        single = self.sde.obs_single
+        if single is not None:  # HP and every product with H^T are gathers
+            idx, w = single[0][rows], single[1][rows]
+            HP, mu = P[idx] * w[:, None], m[idx] * w
+
+            def project(X):  # X H^T
+                return X[:, idx] * w
+        else:
+            H = self.sde.obs[rows]
+            HP, mu = H @ P, H @ m
+
+            def project(X):
+                return X @ H.T
+        C = project(HP)  # H P H^T
+        scored = ~np.isnan(ys)
+        Y = np.flatnonzero(scored)
+        if not Y.size:
+            return mu.tolist(), C.diagonal().tolist(), [None] * n
+        S = C[np.ix_(Y, Y)]
+        S.flat[::Y.size + 1] += self.noise_var
+        L, info = lapack.dpotrf(S, lower=1, clean=1)
+        if info > 0:
+            row = int(Y[info - 1])
+            raise NumericalError(f"non-positive predictive variance at pivot {info} of the time step's block",
+                                 detail={"row": row})
+        L_inv = lapack.dtrtri(L, lower=1)[0]
+        G, z = L_inv @ HP[Y], L_inv @ (ys[Y] - mu[Y])
+        before = np.cumsum(scored) - scored  # y-rows strictly before each row
+        W = project(G) * (np.arange(Y.size)[:, None] < before)  # (n_y, n): G H^T, masked
+        means = mu + z @ W
+        variances = C.diagonal() - np.einsum("ij,ij->j", W, W)
+        lls = [None] * n
+        for i, pivot, zi in zip(Y.tolist(), np.diagonal(L).tolist(), z.tolist()):
+            lls[i] = -0.5 * (math.log(2.0 * math.pi * pivot * pivot) + zi * zi)
+        m += G.T @ z
+        P -= G.T @ G
+        return means.tolist(), variances.tolist(), lls
 
     def result(self) -> FilterResult:
         """The history rows written so far, as views of ``history`` (no copy)."""
@@ -359,14 +451,44 @@ class FilterResult:
     loglik_total: float
 
 
+# A time step's rows are conditioned in blocks of at most this many rows, counted
+# from the step's first row: a block's products are (rows, d) and (rows, rows) arrays,
+# so memory per block does not grow with the rows at one timestamp.
+UPDATE_BLOCK_ROWS = 64
+
+
+def block_starts(times, bad=None) -> np.ndarray:
+    """Boolean mask of the rows that start a block of ``times`` (n,).
+
+    A block is a run of rows with equal timestamps, split every
+    ``UPDATE_BLOCK_ROWS`` rows counted from the run's first row; the first row
+    starts a block.  The partition depends on the timestamps alone, so any
+    slice that begins at a block start has the same blocks as the whole
+    stream.  Each row marked in ``bad`` (n,) forms a block of its own, so that
+    its error is raised after every row before it has been conditioned on."""
+    t = np.asarray(times, dtype=float)
+    n = t.size
+    new = np.ones(n, dtype=bool)
+    np.not_equal(t[1:], t[:-1], out=new[1:])  # a NaN differs from everything: it starts its own run
+    first = np.flatnonzero(new)
+    starts = (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0
+    if bad is not None:
+        starts |= bad
+        starts[1:] |= bad[:-1]
+    return starts
+
+
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
     """Forward filter over an ordered stream of scalar observations.
 
     ``times`` must be finite and non-decreasing.  A NaN in ``values`` marks a
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
-    step uses (always row 0 for temporal models).  A timestamp or an
-    observation row that the stepper rejects is its DataError, prefixed with
+    step uses (always row 0 for temporal models).  The rows are stepped in the
+    blocks of ``block_starts``, each through ``MarkovStepper.step``, as the
+    CLI's runner steps them, so the two give the same bits.  A row that the
+    stepper rejects (its timestamp, its observation row, an infinite value or
+    a failed pivot) is its DataError or NumericalError, prefixed with
     ``step k: ``.  Starts from the stationary law N(0, P_inf).  Under ties the
     result has fewer rows of times and moments than inputs: one per distinct
     timestamp.
@@ -380,12 +502,16 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
         raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
 
     stepper = MarkovStepper(sde, noise_var, history_times=t)
-    try:
-        for k, (ti, yi, row) in enumerate(zip(t, y, rows)):
-            stepper.step(ti, None if np.isnan(yi) else yi, row)
-    except DataError as exc:
-        exc.args = (f"step {k}: {exc}",)  # same class, now naming the step
-        raise
+    bad = (rows < 0) | (rows >= sde.obs.shape[0]) | np.isinf(y)
+    bounds = np.flatnonzero(block_starts(t, bad)).tolist()
+    ts, ys, obs = t.tolist(), y.tolist(), rows.tolist()
+    for start, stop in zip(bounds, bounds[1:] + [t.size]):
+        try:
+            stepper.step(ts[start], ys[start:stop], obs[start:stop])
+        except (DataError, NumericalError) as exc:
+            k = start + (getattr(exc, "detail", None) or {}).get("row", 0)
+            exc.args = (f"step {k}: {exc}",)  # same class, now naming the step
+            raise
     return stepper.result()
 
 

@@ -1,7 +1,10 @@
 """Chunk-at-a-time model runners behind the streaming CLI.
 
 Every runner exposes ``prepare(chunk)`` and ``step(record) -> StepResult``,
-and ``run_chunks`` drives them the way ``seqgp run`` does.  ``prepare`` does
+and ``run_chunks`` drives them the way ``seqgp run`` does.  A chunk ends at
+a block boundary of the stream (``markovian.block_starts``: runs of equal
+timestamps, split every ``UPDATE_BLOCK_ROWS`` rows), one rule for every
+runner.  ``prepare`` does
 the work that depends only on the inputs of a chunk of rows (``Columns``),
 in one call per chunk: the sparse projections, the feature rows, the Markov
 transitions and observation rows.  It never reads ``y``.  ``step`` then
@@ -20,7 +23,10 @@ one observe -> condition hand-off: ``linear_filter.observe_f``,
 h^T s, s) with s = P h once, and a y-row hands that triple to
 ``linalg.condition``, the one scored update (through
 ``linear_filter.condition_in_place``, which adds the Laplace step of a
-non-Gaussian likelihood).  ``ExactRunner`` extends a Cholesky factor.  The
+non-Gaussian likelihood).  ``MarkovRunner`` conditions each block of rows at
+one timestamp at the block's first row (``MarkovStepper.step``; a block of
+one row is that hand-off) and serves the block's other rows from it, each
+row's result still its prequential one.  ``ExactRunner`` extends a Cholesky factor.  The
 pure functions of those modules are the same arithmetic on new states, for
 library callers.
 
@@ -255,13 +261,18 @@ class MarkovRunner(_Prepared):
     ``cli.validate_stream_for_model`` checks the columns before any row.
     ``prepare`` takes each row's step from the previous row's time (the
     stepper's time for the chunk's first row), stacks the transitions of the
-    rows that move the clock in one ``markovian.transition`` call, and looks
-    up every row's observation row in one vectorised pass: the first location
+    rows that move the clock in one ``markovian.transition`` call, looks up
+    every row's observation row in one vectorised pass (the first location
     equal to the row's coordinates, else the nearest one within 1e-9 (1 +
-    ||location||).  A zero step needs no transition.  A row whose step or
-    location is not valid gets nothing prepared, so its own ``step`` raises
-    the error, after every row before it has run.  ``step`` is the stepper's
-    observe -> condition hand-off on the prepared row."""
+    ||location||)), and splits the chunk into ``markovian.block_starts``
+    blocks.  A zero step needs no transition.  A row whose location is not
+    valid, or whose y is infinite, is a block of its own, so its own ``step``
+    raises the error after every row before it has run.  ``step`` conditions
+    on a whole block at the block's first row (``MarkovStepper.step``) and
+    serves the block's other rows from it.  If a pivot of the block fails, the
+    rows before the failing row are conditioned on as a block, and that row's
+    ``step`` raises the NumericalError.  Each row is charged the flops of its
+    own predict and update, as if it were stepped alone."""
 
     def __init__(self, sde, noise_var: float, locations=None, history_times=None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
@@ -292,19 +303,48 @@ class MarkovRunner(_Prepared):
                                markovian.transition(self.stepper.sde, deltas[moving])):
             steps[i] = (delta, A)
         self._steps = steps
-        self._rows = [0] * len(chunk) if self.locations is None else self._location_rows(chunk.x).tolist()
+        rows = np.zeros(len(chunk), dtype=int) if self.locations is None else self._location_rows(chunk.x)
+        bounds = np.flatnonzero(markovian.block_starts(t, (rows < 0) | np.isinf(chunk.y))).tolist()
+        self._stops = dict(zip(bounds, bounds[1:] + [len(chunk)]))  # block start -> block stop
+        self._rows, self._y = rows.tolist(), chunk.y.tolist()
+        self._block = (0, 0, False, (), (), ())  # the block served: start, stop, moved, means, vars, lls
+        self._failure = None  # (row, NumericalError) of a failed pivot
         self._chunk = chunk
 
     def step(self, rec: StreamRecord) -> StepResult:
         i = self._index(rec)
-        row = self._rows[i]
-        if row < 0:
+        start, stop, moved, means, variances, lls = self._block
+        if not start <= i < stop:
+            start, stop, moved, means, variances, lls = self._condition(i, rec)
+        k = i - start
+        ll = lls[k]
+        predict, move, update = self._costs
+        self.flops += predict + (move if moved and k == 0 else 0) + (0 if ll is None else update)
+        return StepResult(means[k], variances[k], ll)
+
+    def _condition(self, i: int, rec: StreamRecord) -> tuple:
+        """Condition the stepper on the block that starts at row ``i`` of the chunk."""
+        stop = self._block[1]
+        if i != stop:
+            raise ValueError(f"row {rec.row} is stepped out of order: the next block starts at row "
+                             f"{self._chunk.first_row + stop}")
+        if self._failure is not None and self._failure[0] == i:
+            raise self._failure[1]
+        if self._rows[i] < 0:
             raise DataError(f"location {rec.x} is not in spatial.locations")
-        stepper, (predict, move, update) = self.stepper, self._costs
-        time = stepper.time  # the clock before the row
-        mean, var, ll = stepper.step(rec.t, rec.y, row, self._steps[i])
-        self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)
-        return StepResult(mean, var, ll)
+        stepper, stop = self.stepper, self._stops[i]
+        time = stepper.time  # the clock before the block
+        ys, rows = self._y[i:stop], self._rows[i:stop]
+        try:
+            out = stepper.step(rec.t, ys, rows, self._steps[i])
+        except NumericalError as exc:
+            p = (exc.detail or {}).get("row")
+            if not p:
+                raise
+            self._failure, stop = (i + p, exc), i + p
+            out = stepper.step(rec.t, ys[:p], rows[:p])
+        self._block = block = (i, stop, stepper.time != time, *out)
+        return block
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
@@ -404,12 +444,23 @@ class EnsembleRunner:
 
 def run_chunks(runner, data: Columns, chunk_rows: int):
     """Step ``runner`` over ``data`` as ``seqgp run`` does, yielding (record,
-    StepResult) row by row: ``prepare`` each chunk of ``chunk_rows`` rows, then
-    ``step`` its records in order.  A non-finite predictive mean or variance is
-    a NumericalError, and a data or numerical error raised here names its
-    1-based row."""
-    for start in range(0, len(data), chunk_rows):
-        chunk = data.rows(start, min(start + chunk_rows, len(data)))
+    StepResult) row by row: ``prepare`` each chunk, then ``step`` its records in
+    order.  A chunk ends at the first block boundary (``markovian.block_starts``
+    of the timestamps; every row, when ``data`` has none) at or after
+    ``chunk_rows`` rows, so it grows by fewer than ``UPDATE_BLOCK_ROWS`` rows
+    and never splits a block: the blocks, and so the report, do not depend on
+    the chunk size.  A non-finite predictive mean or variance is a
+    NumericalError, and a data or numerical error raised here names its
+    1-based row.  ``chunk_rows`` below 1 is a ValueError."""
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
+    n = len(data)
+    bounds = np.arange(n) if data.t is None else np.flatnonzero(markovian.block_starts(data.t))
+    bounds = np.append(bounds, n)
+    start = 0
+    while start < n:
+        stop = int(bounds[np.searchsorted(bounds, min(start + chunk_rows, n))])
+        chunk = data.rows(start, stop)
         row = chunk.first_row
         try:
             runner.prepare(chunk)
@@ -422,6 +473,7 @@ def run_chunks(runner, data: Columns, chunk_rows: int):
         except (DataError, NumericalError) as exc:
             exc.args = (f"row {row}: {exc}",)  # same class and detail, now naming the row
             raise
+        start = stop
 
 
 def _require_seed(cfg: dict, key: str) -> int:

@@ -49,6 +49,7 @@ SCORED_UPDATE = "one scored Kalman update on every filter route"
 FLOAT_COMBINER = "the ensemble combiner row is float work over the K member results"
 TIME_ROWS = "the Markov smoothing record keeps one row of `times`, `means` and `covs` per distinct timestamp"
 RUNNER_FLOPS = "flop accounting lives in the runners"
+BLOCK_UPDATE = "each time step's rows are conditioned as one block"
 
 MUTANTS = (
     Mutant(
@@ -153,7 +154,7 @@ MUTANTS = (
         TIME_ROWS),
     Mutant(
         "markov-move-cost-on-a-zero-step", "src/seqgp/runners.py",
-        "        self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)\n",
+        "        self.flops += predict + (move if moved and k == 0 else 0) + (0 if ll is None else update)\n",
         "        self.flops += predict + move + (0 if ll is None else update)\n",
         ("tests/test_cli_models.py::TestFlops",
          "tests/test_markovian.py::TestStepShortcuts::test_repeated_timestamp_flops_match_per_step_accounting"),
@@ -172,6 +173,49 @@ MUTANTS = (
         "        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)\n",
         ("tests/test_cli_models.py::TestFlops",),
         RUNNER_FLOPS),
+    Mutant(
+        "perturbed-gain", "src/seqgp/linalg.py",
+        "    mean += (s / pred_var) * (y - pred_mean)\n",
+        "    mean += (s / (1.01 * pred_var)) * (y - pred_mean)\n",
+        ("tests/test_linalg.py::TestObserveAndCondition::test_plain_formulas",
+         "tests/test_acceptance.py::test_criterion_02_markovian_equals_exact_gp"),
+        SHIPPED_STEP),
+    Mutant(
+        "block-mask-admits-a-rows-own-y", "src/seqgp/markovian.py",
+        "        before = np.cumsum(scored) - scored  # y-rows strictly before each row\n",
+        "        before = np.cumsum(scored)  # y-rows strictly before each row\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",
+         "tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother"),
+        BLOCK_UPDATE),
+    Mutant(
+        "innovation-covariance-without-its-noise", "src/seqgp/markovian.py",
+        "        S.flat[::Y.size + 1] += self.noise_var\n",
+        "",
+        ("tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",),
+        BLOCK_UPDATE),
+    Mutant(
+        "time-step-block-without-its-row-bound", "src/seqgp/markovian.py",
+        "    starts = (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0\n",
+        "    starts = new.copy()\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_memory_per_block_is_bounded_whatever_the_rows_at_one_time",
+         "tests/test_markovian.py::TestTimeStepBlocks::test_block_starts_split_each_time_step_every_block_rows"),
+        BLOCK_UPDATE),
+    Mutant(
+        "run-chunks-cuts-inside-a-block", "src/seqgp/runners.py",
+        "        stop = int(bounds[np.searchsorted(bounds, min(start + chunk_rows, n))])\n",
+        "        stop = min(start + chunk_rows, n)\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",
+         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report"),
+        BLOCK_UPDATE),
+    Mutant(
+        "failed-pivot-drops-the-rows-before-it", "src/seqgp/runners.py",
+        "            if not p:\n                raise\n",
+        "            raise\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_failed_pivot_names_its_row_after_the_rows_before_it",),
+        BLOCK_UPDATE),
 )
 
 

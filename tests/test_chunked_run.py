@@ -112,6 +112,15 @@ def test_runner_stepped_over_columns_gives_the_reported_cells(name, tmp_path, mo
             assert res.weights.tolist() == [row[f"weight_{k}"] for k in range(1, res.weights.size + 1)]
 
 
+@pytest.mark.parametrize("chunk_rows", [0, -3])
+def test_a_chunk_of_no_rows_is_a_value_error(chunk_rows):
+    # a chunk ends at the first block start at or after chunk_rows rows: below 1 it would never advance
+    _, data = cli.ingest_csv(io.StringIO(stream("t")))
+    runner = runner_for(MODELS["markov"][1], data)
+    with pytest.raises(ValueError, match=f"chunk_rows must be at least 1, got {chunk_rows}"):
+        next(run_chunks(runner, data, chunk_rows))
+
+
 @pytest.mark.parametrize("name", sorted(set(MODELS) - {"exact"}))  # the exact runner prepares nothing
 def test_a_record_of_another_chunk_is_a_value_error(name, tmp_path):
     columns, args = model_args(name, tmp_path)

@@ -229,10 +229,11 @@ class TestRun:
         # so the predicted covariance of row 2 is exactly 0
         (["kernel.family=matern12", "noise_var=1e-300"], "t,y\n0,1\n1e-300,2\n",
          "row 2: singular predicted covariance at step 1"),
-        # rows 1 and 2 share t = 0 and end it at a zero covariance; lengthscale 1e100 has A = 1, so
-        # the time step at t = 1 (rows 3 to 5) predicts 0, and the pass names its first input row
+        # rows 1 and 2 share t = 0 (row 2 predict-only) and end it at a zero covariance; lengthscale
+        # 1e100 has A = 1, so the time step at t = 1 (rows 3 to 5) predicts 0, and the pass names its
+        # first input row
         (["kernel.family=matern12", "kernel.lengthscale=1e100", "noise_var=1e-300"],
-         "t,y\n0,1\n0,2\n1,3\n1,4\n1,5\n", "row 3: singular predicted covariance at step 2"),
+         "t,y\n0,1\n0,\n1,3\n1,4\n1,5\n", "row 3: singular predicted covariance at step 2"),
         # the last filtered covariance overflows to -inf; no later row predicts from it
         (["kernel.family=matern12", "kernel.lengthscale=1e100", "kernel.sigma_f2=1e200", "noise_var=1e308"],
          "t,y\n0,0\n", "row 1: non-finite smoothed moment at step 0: mean 0.0, variance -inf"),
@@ -600,6 +601,15 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_failed_pivot_in_a_time_step_is_4_with_its_row(self):
+        # rows 1 and 2 observe the one state at t = 0 with noise_var = 1e-300: the second pivot of
+        # their innovation covariance [[1, 1], [1, 1]] + 1e-300 I rounds to 0
+        code, out, err = run_cli(["run", "model=markov", "kernel.family=matern12", "noise_var=1e-300"],
+                                 stdin_text="t,y\n0,1\n0,2\n1,3\n")
+        assert (code, out) == (4, "")
+        assert err == ("seqgp: numerical error: row 2: non-positive predictive variance at pivot 2 of the "
+                       "time step's block\n")
+
     @pytest.mark.parametrize("dynamics", [
         ["dynamics.mode=general", "dynamics.a=1e100"],
         ["dynamics.mode=random_walk", "dynamics.sigma_rw2=1e308"],

@@ -1,15 +1,16 @@
 """State-space GP: builders, discretization, filtering, smoothing, space-time."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, lapack
 
-from conftest import conditioned, run_runner, runner_for, stream_columns
-from seqgp import exact, kernels, markovian
+from conftest import conditioned, parse_report, run_cli, run_runner, runner_for, stream_columns
+from seqgp import cli, exact, kernels, markovian
 from seqgp.cli import CHUNK_ROWS
-from seqgp.linalg import symmetrize
+from seqgp.linalg import condition, observe, symmetrize
 from seqgp.runners import MarkovRunner, run_chunks
 from seqgp.errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 
@@ -145,6 +146,23 @@ class TestStepperSymmetry:
             stepper.update(float(rng.standard_normal()), stepper.predict_obs(i % n_obs))
             assert np.array_equal(stepper.cov, stepper.cov.T)
 
+    @pytest.mark.parametrize("sde", [
+        *(markovian.build_lti(k) for k in MARKOV_KERNELS),
+        markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8),
+                                       np.random.default_rng(4).uniform(0.0, 3.0, (40, 2))),
+    ], ids=["m12", "m32", "hm", "spacetime"])
+    def test_covariance_is_bit_symmetric_after_every_block(self, sde):
+        # blocks of 2 to 40 rows, a few predict-only: P -= G^T G must leave P bit-symmetric
+        stepper = markovian.MarkovStepper(sde, 0.1)
+        rng = np.random.default_rng(6)
+        n_obs = sde.obs.shape[0]
+        for t in np.cumsum(rng.exponential(0.4, 12)):
+            n = int(rng.integers(2, 41))
+            y = rng.standard_normal(n)
+            y[rng.random(n) < 0.2] = np.nan
+            stepper.step(float(t), y, rng.integers(0, n_obs, n))
+            assert np.array_equal(stepper.cov, stepper.cov.T)
+
 
 SPACETIME_SDE = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8),
                                                [[0.0, 0.0], [0.5, 0.1], [1.1, -0.4], [2.0, 0.3]])
@@ -155,7 +173,7 @@ def stepped(sde, n=25, seed=6):
     stepper = markovian.MarkovStepper(sde, 0.1)
     rng = np.random.default_rng(seed)
     for i, t in enumerate(np.cumsum(rng.exponential(0.3, n))):
-        stepper.step(float(t), float(rng.standard_normal()), i % sde.obs.shape[0])
+        stepper.step(float(t), [float(rng.standard_normal())], [i % sde.obs.shape[0]])
     return stepper
 
 
@@ -172,6 +190,33 @@ def first_and_last_rows(record):
     """The first and the last input row of each time row of ``record``."""
     starts = np.diff(record.steps, prepend=-1) != 0
     return np.flatnonzero(starts), np.flatnonzero(np.append(starts[1:], True))
+
+
+def sequential_rows(sde, t, y, rows, noise_var):
+    """The per-row reference for a stream with ties: each row advanced to its time (one
+    ``predict`` per distinct time), observed through ``linalg.observe`` and, on a y-row,
+    conditioned on its y alone with ``linalg.condition``.  Returns each row's (mean, var,
+    loglik), loglik None on a predict-only row, and the (mean, cov) after each time's last row."""
+    mean, cov, time = np.zeros(sde.dim), sde.stationary.copy(), None
+    cells, states = [], []
+    for i, (ti, yi, row) in enumerate(zip(t.tolist(), y.tolist(), np.asarray(rows).tolist())):
+        if ti != time:
+            A = markovian.transition(sde, 0.0 if time is None else ti - time)
+            mean, cov, time = *markovian.predict(sde, A, mean, cov), ti
+        observed = observe(mean, cov, sde.obs[row])
+        cells.append((observed[0], observed[1], None if yi != yi else condition(mean, cov, observed, yi, noise_var)))
+        if i + 1 == t.size or t[i + 1] != ti:
+            states.append((mean.copy(), cov.copy()))
+    return cells, states
+
+
+def assert_cells_close(got, ref, atol=1e-12):
+    """Rows of (mean, var, loglik) agree to ``atol``, with None loglik in the same rows."""
+    assert len(got) == len(ref)
+    assert [ll is None for _, _, ll in got] == [ll is None for _, _, ll in ref]
+    got = np.array([(m, v, np.nan if ll is None else ll) for m, v, ll in got])
+    ref = np.array([(m, v, np.nan if ll is None else ll) for m, v, ll in ref])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=atol, equal_nan=True)
 
 
 def assert_within_ulps(got, ref, magnitude, ulps=4):
@@ -665,18 +710,17 @@ class TestStepperHistory:
         y[rng.random(t.size) < 0.25] = np.nan
         runner = MarkovRunner(sde, 0.2, history_times=t)
         h = sde.obs[0]
-        predicted, filtered = [], []  # snapshots of the state after each step
+        predicted, filtered = [], []  # each row's result, and the state once its block is conditioned on
         for _, res in run_chunks(runner, stream_columns(y, t=t), CHUNK_ROWS):
-            predicted.append((res.mean, res.var))
+            predicted.append((res.mean, res.var, res.logdensity))
             filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
         record = runner.stepper.result()
         first, last = first_and_last_rows(record)
-        assert [predicted[i] for i in first] == [(float(h @ m), float(h @ c @ h))
-                                                 for m, c in zip(*predicted_moments(sde, record))]
-        tied = np.setdiff1d(np.arange(t.size), first)  # a tie predicts from the row before it
+        assert [predicted[i][:2] for i in first] == [(float(h @ m), float(h @ c @ h))
+                                                     for m, c in zip(*predicted_moments(sde, record))]
+        tied = np.setdiff1d(np.arange(t.size), first)  # a tie predicts from the y-rows before it in its block
         assert tied.size > 10
-        assert [predicted[i] for i in tied] == [(float(h @ m), float(h @ c @ h)) for m, c in
-                                                (filtered[i - 1] for i in tied)]
+        assert_cells_close(predicted, sequential_rows(sde, t, y, np.zeros(t.size, dtype=int), 0.2)[0])
         np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
         np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
         streamed = runner.smooth()
@@ -713,11 +757,12 @@ class TestStepperHistory:
         y = rng.standard_normal(t.size)
         y[rng.random(t.size) < 0.25] = np.nan
         stepper = markovian.MarkovStepper(sde, 0.2, history_times=t)
-        advanced = []
-        for ti, yi, row in zip(t, y, rows):
-            stepper.advance(float(ti))
-            advanced.append((stepper.mean.copy(), stepper.cov.copy()))
-            stepper.step(float(ti), None if np.isnan(yi) else float(yi), int(row))  # a zero step: state unchanged
+        advanced = {}  # block start -> the state ``advance`` left
+        bounds = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
+        for start, stop in zip(bounds, bounds[1:]):
+            stepper.advance(float(t[start]))
+            advanced[start] = (stepper.mean.copy(), stepper.cov.copy())
+            stepper.step(float(t[start]), y[start:stop], rows[start:stop])  # a zero step: state unchanged
         record = stepper.result()
         first, _ = first_and_last_rows(record)
         assert first.size == np.unique(t).size == 60 < t.size - 10  # a row per time, although advance ran first
@@ -748,16 +793,21 @@ class TestStepperHistory:
             runner.smooth()
         np.testing.assert_array_equal(runner.stepper.result().means, smoothed)
 
-    @pytest.mark.parametrize("row", [-1, 2])
-    def test_step_rejects_a_row_the_model_lacks(self, row):
+    @pytest.mark.parametrize("rows", [[-1], [2], [0, -1], [1, 2, 0]], ids=["-1", "2", "0,-1", "1,2,0"])
+    def test_step_rejects_a_row_the_model_lacks(self, rows):
         stepper = markovian.MarkovStepper(ZERO_STEP_SDES["spacetime"], 0.1)  # two observation rows
-        with pytest.raises(DataError, match=rf"observation row {row} is not in \[0, 2\)"):
-            stepper.step(0.0, 0.2, row=row)
+        stepper.advance(0.0)
+        mean, cov = stepper.mean.copy(), stepper.cov.copy()
+        bad = next(r for r in rows if not 0 <= r < 2)
+        with pytest.raises(DataError, match=rf"observation row {bad} is not in \[0, 2\)"):
+            stepper.step(0.0, [0.2] * len(rows), rows)
+        np.testing.assert_array_equal(stepper.mean, mean)  # nothing conditioned
+        np.testing.assert_array_equal(stepper.cov, cov)
 
     def test_stepper_without_history_records_nothing(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1)
         for i in range(5_000):
-            stepper.step(0.01 * i, None if i % 5 == 0 else 0.3)
+            stepper.step(0.01 * i, [np.nan if i % 5 == 0 else 0.3], [0])
         assert stepper.history is None
         with pytest.raises(ConfigurationError):
             stepper.result()
@@ -770,7 +820,7 @@ class TestStepperHistory:
         tracemalloc.start()
         try:
             for i in range(20_000):
-                stepper.step(times[i], values[i])
+                stepper.step(times[i], [values[i]], [0])
                 if i + 1 == 2_000:
                     early = tracemalloc.get_traced_memory()[1]
             late = tracemalloc.get_traced_memory()[1]
@@ -781,8 +831,8 @@ class TestStepperHistory:
     def test_step_returns_prior_moments_and_score(self):
         sde = markovian.build_lti(kernels.matern32(1.3, 0.9))
         stepper = markovian.MarkovStepper(sde, 0.25, history_times=[0.0, 0.5])
-        assert stepper.step(0.0) == (0.0, pytest.approx(1.3), None)
-        mean, var, ll = stepper.step(0.5, 0.8)
+        assert stepper.step(0.0, [np.nan], [0]) == ([0.0], [pytest.approx(1.3)], [None])
+        (mean,), (var,), (ll,) = stepper.step(0.5, [0.8], [0])
         assert ll == pytest.approx(-0.5 * (np.log(2 * np.pi * (var + 0.25)) + (0.8 - mean) ** 2 / (var + 0.25)))
         record = stepper.result()
         pred_mean, pred_cov = markovian.predict(sde, markovian.transition(sde, 0.5), record.means[0], record.covs[0])
@@ -795,7 +845,7 @@ class TestStepperHistory:
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.2,
                                           history_times=0.1 * np.arange(5))
         for i in range(3):
-            stepper.step(0.1 * i, 0.3 if i else None)
+            stepper.step(0.1 * i, [0.3 if i else np.nan], [0])
         record = stepper.result()
         assert record.times.tolist() == [0.0, 0.1, 0.2] and record.means.shape == (3, 2)
         assert np.isnan(record.logliks[0]) and record.loglik_total == record.logliks[1] + record.logliks[2]
@@ -806,9 +856,9 @@ class TestStepperHistory:
 
     def test_step_past_the_history_is_a_data_error(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0])
-        stepper.step(0.0, 0.2)
+        stepper.step(0.0, [0.2], [0])
         with pytest.raises(DataError, match="holds 1 rows at 1 times; step 2 does not fit"):
-            stepper.step(1.0, 0.3)
+            stepper.step(1.0, [0.3], [0])
         assert stepper.time == 0.0 and stepper.result().times.tolist() == [0.0]
 
     def test_smoothing_memory_per_step_is_bounded(self):
@@ -865,11 +915,13 @@ class TestStepperHistory:
 
     def test_step_past_the_history_times_is_a_data_error(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0, 0.0])
-        stepper.step(0.0, 0.2)
+        stepper.step(0.0, [0.2], [0])
         with pytest.raises(DataError, match="holds 2 rows at 1 times; step 2 does not fit"):
-            stepper.step(1.0, 0.3)  # a second time: the record has a row for one
+            stepper.step(1.0, [0.3], [0])  # a second time: the record has a row for one
+        with pytest.raises(DataError, match="holds 2 rows at 1 times; step 2 does not fit"):
+            stepper.step(0.0, [0.3, 0.4], [0, 0])  # a block of two ties: the record has room for one more row
         assert stepper.time == 0.0
-        stepper.step(0.0, 0.3)  # a tie fits
+        stepper.step(0.0, [0.3], [0])  # a tie fits
         assert stepper.result().steps.tolist() == [0, 0]
 
     @pytest.mark.parametrize("before", ["advance", "failed_step"])
@@ -880,14 +932,16 @@ class TestStepperHistory:
         t = np.array([0.0, 0.5, 0.5, 1.25, 2.0, 2.0, 2.0, 3.0])
         stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
         filtered = []
-        for ti in t:
+        bounds = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
+        for start, stop in zip(bounds, bounds[1:]):
+            ti = float(t[start])
             if before == "advance":
-                stepper.advance(float(ti))
+                stepper.advance(ti)
             else:
                 with pytest.raises(DataError, match="non-finite observation"):
-                    stepper.step(float(ti), np.inf)
-            stepper.step(float(ti), float(np.sin(ti)))
-            filtered.append((stepper.mean.copy(), stepper.cov.copy()))
+                    stepper.step(ti, [np.inf], [0])
+            stepper.step(ti, np.sin(t[start:stop]), [0] * (stop - start))
+            filtered += [(stepper.mean.copy(), stepper.cov.copy())] * (stop - start)
         record = stepper.result()
         times, steps = np.unique(t, return_inverse=True)
         np.testing.assert_array_equal(record.times, times)
@@ -926,3 +980,206 @@ class TestStepperHistory:
 
         per_time = (traced_peak(800) - traced_peak(100)) / 700
         assert per_time <= 2 * 1024
+
+
+GRID = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+
+
+def tied_spacetime(seed=61, n_times=12, low=4, high=10):
+    """A space-time stream on ``GRID``: n_times timestamps of ``low`` to ``high`` - 1 rows
+    each at random grid locations (repeats included), a fifth of them predict-only."""
+    rng = np.random.default_rng(seed)
+    t = np.repeat(np.cumsum(rng.uniform(0.1, 0.4, n_times)), rng.integers(low, high, n_times))
+    rows = rng.integers(0, len(GRID), t.size)
+    y = np.sin(2.0 * t) + GRID[rows, 0] + 0.3 * rng.standard_normal(t.size)
+    y[rng.random(t.size) < 0.2] = np.nan
+    return t, rows, y
+
+
+def spacetime_run_args(tmp_path):
+    path = tmp_path / "locations.csv"
+    path.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in GRID.tolist()))
+    return ["model=markov", "kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.1",
+            f"spatial.locations={path}", "spatial.kernel.family=se", "spatial.kernel.lengthscale=0.8",
+            "emit_smoothed=true"]
+
+
+def spacetime_csv(t, rows, y):
+    cells = [(repr(float(ti)), *map(repr, GRID[r].tolist()), "" if yi != yi else repr(float(yi)))
+             for ti, r, yi in zip(t.tolist(), rows.tolist(), y.tolist())]
+    return "t,x1,x2,y\n" + "".join(",".join(c) + "\n" for c in cells)
+
+
+def rows_until_error(runner, data, chunk_rows=CHUNK_ROWS):
+    """The (mean, var, loglik) that ``run_chunks`` yields before it raises, and the error."""
+    got = []
+    with pytest.raises((DataError, NumericalError)) as caught:
+        for _, res in run_chunks(runner, data, chunk_rows):
+            got.append((res.mean, res.var, res.logdensity))
+    return got, caught.value
+
+
+class TestTimeStepBlocks:
+    """``MarkovStepper.step`` conditions on a block of rows at one timestamp at once; the
+    blocks come from the timestamps alone (``block_starts``), and ``run_chunks`` cuts chunks
+    only at block starts."""
+
+    def test_block_starts_split_each_time_step_every_block_rows(self, monkeypatch):
+        monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
+        t = np.array([0.0] * 7 + [1.0] * 2 + [2.0] * 4 + [np.nan, np.nan, 3.0])
+        assert np.flatnonzero(markovian.block_starts(t)).tolist() == [0, 3, 6, 7, 9, 12, 13, 14, 15]
+        bad = np.zeros(t.size, dtype=bool)
+        bad[[1, 10]] = True  # a bad row is a block of its own; the count of 3 still runs from the step's first row
+        assert np.flatnonzero(markovian.block_starts(t, bad)).tolist() == [0, 1, 2, 3, 6, 7, 9, 10, 11, 12, 13, 14,
+                                                                            15]
+        assert markovian.block_starts(t[3:]).tolist() == markovian.block_starts(t)[3:].tolist()  # from a start
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 256])
+    def test_chunks_end_at_the_first_block_start_after_chunk_rows(self, chunk_rows, monkeypatch):
+        monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
+        t, rows, y = tied_spacetime()
+        data = stream_columns(y, t=t, x=GRID[rows])
+        runner = MarkovRunner(markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID),
+                              0.1, locations=GRID)
+        chunks, prepare = [], runner.prepare
+        runner.prepare = lambda chunk: chunks.append((chunk.first_row - 1, len(chunk))) or prepare(chunk)
+        assert len(run_runner(runner, data, chunk_rows)) == t.size
+        starts = set(np.flatnonzero(markovian.block_starts(t)).tolist())
+        assert [first for first, _ in chunks] == sorted(first for first, _ in chunks)
+        assert sum(n for _, n in chunks) == t.size
+        for first, n in chunks:
+            assert first in starts
+            assert chunk_rows <= n < chunk_rows + 3 or first + n == t.size
+            assert first + n == t.size or first + n in starts
+
+    def test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter(self, tmp_path, monkeypatch):
+        # blocks of 3 rows, time steps of 4 to 9: every step is split, and chunks of 1, 3 and 7 rows
+        # end inside steps; each report is the same, and each cell is the row-by-row filter's
+        monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
+        t, rows, y = tied_spacetime()
+        assert np.unique(t, return_counts=True)[1].min() > 3
+        args = spacetime_run_args(tmp_path)
+        csv = spacetime_csv(t, rows, y)
+        reports = []
+        for chunk_rows in (1, 3, 7, 256):
+            monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+            code, out, err = run_cli(["run", *args], stdin_text=csv)
+            assert code == 0, err
+            summary = json.loads(out.splitlines()[-1])
+            summary.pop("wall_time_s")
+            reports.append((out.splitlines()[:-1], summary))
+        assert all(report == reports[0] for report in reports[1:])
+
+        data = stream_columns(y, t=t, x=GRID[rows])
+        runner = runner_for(args, data)
+        sde = runner.stepper.sde
+        _, cells, _ = parse_report(out)
+        got = [(c["pred_mean"], c["pred_var"], c["pred_logdensity"]) for c in cells]
+        ref, states = sequential_rows(sde, t, y, rows, 0.1)
+        assert_cells_close(got, ref)
+        run_runner(runner, data, 5)
+        record = runner.stepper.result()
+        np.testing.assert_allclose(record.means, np.array([m for m, _ in states]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.covs, np.array([c for _, c in states]), rtol=0, atol=1e-12)
+        batch = markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
+        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
+        assert batch.loglik_total == record.loglik_total
+
+    def test_unknown_location_inside_a_time_step_is_3_with_its_row(self, tmp_path):
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text("x1\n0.0\n1.0\n")
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2", f"spatial.locations={loc_file}",
+                "spatial.kernel.family=se"]
+        csv = "t,x1,y\n0,0.0,0.1\n0,1.0,0.2\n1,1.0,0.3\n1,0.0,\n1,0.37,0.5\n1,1.0,0.6\n"
+        code, out, err = run_cli(args, stdin_text=csv)
+        assert (code, out, err) == (3, "", "seqgp: data error: row 5: location [0.37] is not in spatial.locations\n")
+
+    def test_infinite_y_inside_a_time_step_names_its_row_after_the_rows_before_it(self):
+        t, rows, y = tied_spacetime()
+        k = int(np.flatnonzero((np.diff(t, prepend=-1.0) == 0) & np.isfinite(y))[4])  # a y-row inside a step
+        assert t[k - 1] == t[k]
+        y[k] = np.inf
+        sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
+        runner = MarkovRunner(sde, 0.1, locations=GRID)
+        got, exc = rows_until_error(runner, stream_columns(y, t=t, x=GRID[rows]))
+        assert isinstance(exc, DataError) and str(exc) == f"row {k + 1}: non-finite observation inf"
+        assert_cells_close(got, sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)[0])
+        with pytest.raises(DataError, match=f"^step {k}: non-finite observation inf"):
+            markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
+        stepper = markovian.MarkovStepper(sde, 0.1)  # a block handed to the stepper whole is refused whole
+        stepper.advance(0.0)
+        mean, cov = stepper.mean.copy(), stepper.cov.copy()
+        with pytest.raises(DataError, match="^non-finite observation -inf$"):
+            stepper.step(0.0, [0.1, np.nan, -np.inf], [0, 1, 2])
+        np.testing.assert_array_equal(stepper.mean, mean)
+        np.testing.assert_array_equal(stepper.cov, cov)
+
+    def test_failed_pivot_names_its_row_after_the_rows_before_it(self, monkeypatch):
+        # a factorization that fails at the third pivot of any block with three or more y-rows
+        real = markovian.lapack.dpotrf
+
+        def failing(a, **kwargs):
+            c, info = real(a, **kwargs)
+            return (c, 3) if len(a) >= 3 else (c, info)
+
+        monkeypatch.setattr(markovian.lapack, "dpotrf", failing)
+        t, rows, y = tied_spacetime()
+        starts = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
+        block = next(b for b in zip(starts, starts[1:]) if np.isfinite(y[slice(*b)]).sum() >= 3)
+        k = block[0] + int(np.flatnonzero(np.isfinite(y[slice(*block)]))[2])  # the block's third y-row
+        sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
+        runner = MarkovRunner(sde, 0.1, locations=GRID)
+        got, exc = rows_until_error(runner, stream_columns(y, t=t, x=GRID[rows]))
+        assert isinstance(exc, NumericalError)
+        assert str(exc) == f"row {k + 1}: non-positive predictive variance at pivot 3 of the time step's block"
+        assert_cells_close(got, sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)[0])
+        _, states = sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)
+        np.testing.assert_allclose(runner.stepper.cov, states[-1][1], rtol=0, atol=1e-12)  # the rows before it, only
+        with pytest.raises(NumericalError, match=f"^step {k}: non-positive predictive variance at pivot 3"):
+            markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
+
+    def test_a_row_stepped_out_of_order_is_a_value_error(self):
+        # the runner conditions a block at its first row: a later block's row cannot come first
+        t = np.array([0.0, 0.0, 0.5, 1.0])
+        data = stream_columns([0.1, 0.2, 0.3, 0.4], t=t)
+        runner = MarkovRunner(markovian.build_lti(kernels.matern12()), 0.1)
+        runner.prepare(data)
+        first, _, third, _ = data.records()
+        with pytest.raises(ValueError, match="row 3 is stepped out of order: the next block starts at row 1"):
+            runner.step(third)
+        assert runner.stepper.time is None  # nothing ran
+        assert runner.step(first).logdensity is not None
+
+    def test_a_block_of_predict_only_rows_advances_and_conditions_nothing(self):
+        sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
+        stepper = markovian.MarkovStepper(sde, 0.1)
+        stepper.step(0.0, [0.3, -0.2], [0, 2])
+        mean, cov = markovian.predict(sde, markovian.transition(sde, 0.4), stepper.mean, stepper.cov)
+        means, variances, lls = stepper.step(0.4, [np.nan] * 4, [1, 0, 1, 2])
+        assert stepper.time == 0.4 and lls == [None] * 4
+        np.testing.assert_array_equal(stepper.mean, mean)
+        np.testing.assert_array_equal(stepper.cov, cov)
+        assert means == [float(sde.obs[r] @ mean) for r in (1, 0, 1, 2)]
+        assert variances == [float(sde.obs[r] @ cov @ sde.obs[r]) for r in (1, 0, 1, 2)]
+
+    def test_memory_per_block_is_bounded_whatever_the_rows_at_one_time(self):
+        # 2 and 8 blocks' worth of rows at each of 3 times: a block is at most UPDATE_BLOCK_ROWS
+        # rows, so its (rows, d) and (rows, rows) products do not grow with the time step
+        B = markovian.UPDATE_BLOCK_ROWS
+        sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
+
+        def traced_peak(rows_per_time):
+            t, rows, y = tied_spacetime(seed=62, n_times=3, low=rows_per_time, high=rows_per_time + 1)
+            data = stream_columns(y, t=t, x=GRID[rows])
+            runner = MarkovRunner(sde, 0.1, locations=GRID)
+            tracemalloc.start()
+            try:
+                for _ in run_chunks(runner, data, CHUNK_ROWS):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(2 * B), traced_peak(8 * B)
+        assert large - small < 16 * 1024, (small, large)
