@@ -27,10 +27,11 @@ give exact GP inference in O(N d^3).  The rows at one timestamp are one
 vector measurement: ``MarkovStepper.step`` conditions on a block of them at
 once (one Cholesky factor of the block's innovation covariance), the blocks
 being runs of equal timestamps split every ``UPDATE_BLOCK_ROWS`` rows
-(``block_starts``).  A block of one row is the observe -> condition hand-off
-of every filter route: ``MarkovStepper.predict_obs`` returns the observe
-triple (h^T m, h^T s, s) and ``MarkovStepper.update`` hands it to
-``linalg.condition``, the one scored update.  The filter record
+(``block_starts``), which ``MarkovStepper.run`` hands to it in turn for
+``kalman_filter`` and the CLI's runner alike.  A block of one row is the
+observe -> condition hand-off of every filter route: the stepper's
+``predict_obs`` returns the observe triple (h^T m, h^T s, s) and its ``update``
+hands it to ``linalg.condition``, the one scored update.  The filter record
 keeps only the filtered moments, one row per distinct timestamp; the
 smoother walks back over those time steps in blocks, forms each block's
 transitions from the stored timestamps, recomputes the predicted moments
@@ -246,16 +247,16 @@ class MarkovStepper:
     """Streaming filter state: advance to a timestamp, then condition on the
     time step's observations.
 
-    ``step`` is the one update of the batch filter below and of the CLI's
-    runner: it takes a block of rows at one timestamp (``block_starts``) and
-    conditions on them as one vector measurement.  Each step of nonzero length
-    computes its transition in closed form, so memory does not grow with the
-    number of distinct step lengths.  A zero-length step after the first row
-    leaves the state untouched (A = I, Q = 0 is exact on a symmetric
-    covariance).  ``history_times`` (the stream's timestamps) allocates
-    ``history``, a ``FilterResult`` with one row of moments per distinct
-    timestamp that each block at that time overwrites: d^2 + d + 1 doubles per
-    time, 3 per row.
+    ``step`` is the one update: it takes a block of rows at one timestamp
+    (``block_starts``) and conditions on them as one vector measurement.
+    ``run``, the one driver of the batch filter below and of the CLI's runner,
+    hands it a span's blocks in turn.  Each step of nonzero length computes
+    its transition in closed form, so memory does not grow with the number of
+    distinct step lengths.  A zero-length step after the first row leaves the
+    state untouched (A = I, Q = 0 is exact on a symmetric covariance).
+    ``history_times`` (the stream's timestamps) allocates ``history``, a
+    ``FilterResult`` with one row of moments per distinct timestamp that each
+    block at that time overwrites: d^2 + d + 1 doubles per time, 3 per row.
 
     The stepper owns ``mean`` and ``cov``.  ``step`` and ``update`` condition
     both in place, and a zero-length ``advance`` leaves them as they are; an
@@ -334,8 +335,9 @@ class MarkovStepper:
         observation row given the y-rows before it, and the log density of its y
         (None on a predict-only row).  A block of one row is ``predict_obs`` and
         ``update``; a longer one is ``_condition_block``.  A NumericalError whose
-        ``detail["row"]`` is p leaves the state advanced but unconditioned: the
-        block's rows before p could be conditioned on as a block of their own."""
+        ``detail["row"]`` is p leaves the state advanced but unconditioned, so the
+        block's rows before p can be conditioned on as a block of their own, as
+        ``run`` does."""
         k, h, n = self.rows_written, self.history, len(ys)
         if h is not None:
             p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
@@ -357,6 +359,33 @@ class MarkovStepper:
                 k += 1
             self.rows_written = k
         return out
+
+    def run(self, t, ys, rows, prepared=None):
+        """Step a span of rows in order, yielding each row's (mean, var, logdensity).
+
+        ``t``, ``ys`` (NaN on a predict-only row), ``rows`` and ``prepared`` (if
+        given: ``step``'s transition for a block that starts there) are per row.
+        A block of ``block_starts(t)`` is stepped when its first row is asked for.
+        The span ends at its first row whose observation row is out of range or
+        whose y is infinite: that row is stepped alone, and raises.  A pivot that
+        fails at block row p yields the rows before p, conditioned on as a block,
+        then raises."""
+        t, ys, rows = np.asarray(t, dtype=float), np.asarray(ys, dtype=float), np.asarray(rows, dtype=int)
+        bad = np.flatnonzero((rows < 0) | (rows >= self.sde.obs.shape[0]) | np.isinf(ys))
+        cut = int(bad[0]) if bad.size else t.size
+        bounds = np.flatnonzero(block_starts(t[:cut])).tolist() + [cut] + ([cut + 1] if cut < t.size else [])
+        ts, ys, rows = t.tolist(), ys.tolist(), rows.tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            try:
+                out = self.step(ts[start], ys[start:stop], rows[start:stop],
+                                None if prepared is None else prepared[start])
+            except NumericalError as exc:
+                p = (exc.detail or {}).get("row")
+                if not p:
+                    raise
+                yield from zip(*self.step(ts[start], ys[start:start + p], rows[start:start + p]))
+                raise
+            yield from zip(*out)
 
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
         """``step`` on a block of rows at the current time, as one vector measurement.
@@ -457,25 +486,20 @@ class FilterResult:
 UPDATE_BLOCK_ROWS = 64
 
 
-def block_starts(times, bad=None) -> np.ndarray:
+def block_starts(times) -> np.ndarray:
     """Boolean mask of the rows that start a block of ``times`` (n,).
 
     A block is a run of rows with equal timestamps, split every
     ``UPDATE_BLOCK_ROWS`` rows counted from the run's first row; the first row
     starts a block.  The partition depends on the timestamps alone, so any
-    slice that begins at a block start has the same blocks as the whole
-    stream.  Each row marked in ``bad`` (n,) forms a block of its own, so that
-    its error is raised after every row before it has been conditioned on."""
+    slice that begins at a block start, or any prefix, has the blocks of the
+    whole stream (a prefix's last one cut short)."""
     t = np.asarray(times, dtype=float)
     n = t.size
     new = np.ones(n, dtype=bool)
     np.not_equal(t[1:], t[:-1], out=new[1:])  # a NaN differs from everything: it starts its own run
     first = np.flatnonzero(new)
-    starts = (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0
-    if bad is not None:
-        starts |= bad
-        starts[1:] |= bad[:-1]
-    return starts
+    return (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0
 
 
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
@@ -484,14 +508,13 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     ``times`` must be finite and non-decreasing.  A NaN in ``values`` marks a
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
-    step uses (always row 0 for temporal models).  The rows are stepped in the
-    blocks of ``block_starts``, each through ``MarkovStepper.step``, as the
-    CLI's runner steps them, so the two give the same bits.  A row that the
-    stepper rejects (its timestamp, its observation row, an infinite value or
-    a failed pivot) is its DataError or NumericalError, prefixed with
-    ``step k: ``.  Starts from the stationary law N(0, P_inf).  Under ties the
-    result has fewer rows of times and moments than inputs: one per distinct
-    timestamp.
+    step uses (always row 0 for temporal models).  The rows go through
+    ``MarkovStepper.run``, as the CLI's runner steps them, so the two give the
+    same bits.  A row that the stepper rejects (its timestamp, its observation
+    row, an infinite value or a failed pivot) is its DataError or
+    NumericalError, prefixed with ``step k: ``, k the rows run before it.
+    Starts from the stationary law N(0, P_inf).  Under ties the result has
+    fewer rows of times and moments than inputs: one per distinct timestamp.
     """
     t = np.asarray(times, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()
@@ -502,16 +525,13 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
         raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
 
     stepper = MarkovStepper(sde, noise_var, history_times=t)
-    bad = (rows < 0) | (rows >= sde.obs.shape[0]) | np.isinf(y)
-    bounds = np.flatnonzero(block_starts(t, bad)).tolist()
-    ts, ys, obs = t.tolist(), y.tolist(), rows.tolist()
-    for start, stop in zip(bounds, bounds[1:] + [t.size]):
-        try:
-            stepper.step(ts[start], ys[start:stop], obs[start:stop])
-        except (DataError, NumericalError) as exc:
-            k = start + (getattr(exc, "detail", None) or {}).get("row", 0)
-            exc.args = (f"step {k}: {exc}",)  # same class, now naming the step
-            raise
+    k = 0
+    try:
+        for _ in stepper.run(t, y, rows):
+            k += 1
+    except (DataError, NumericalError) as exc:
+        exc.args = (f"step {k}: {exc}",)  # same class, now naming the step
+        raise
     return stepper.result()
 
 

@@ -23,12 +23,12 @@ one observe -> condition hand-off: ``linear_filter.observe_f``,
 h^T s, s) with s = P h once, and a y-row hands that triple to
 ``linalg.condition``, the one scored update (through
 ``linear_filter.condition_in_place``, which adds the Laplace step of a
-non-Gaussian likelihood).  ``MarkovRunner`` conditions each block of rows at
-one timestamp at the block's first row (``MarkovStepper.step``; a block of
-one row is that hand-off) and serves the block's other rows from it, each
-row's result still its prequential one.  ``ExactRunner`` extends a Cholesky factor.  The
-pure functions of those modules are the same arithmetic on new states, for
-library callers.
+non-Gaussian likelihood).  ``MarkovRunner`` draws each row's result from
+``MarkovStepper.run``, which conditions each block of rows at one timestamp
+when its first row is stepped (``MarkovStepper.step``; a block of one row is
+that hand-off), each row's result still its prequential one.  ``ExactRunner``
+extends a Cholesky factor.  The pure functions of those modules are the same
+arithmetic on new states, for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -259,20 +259,15 @@ class MarkovRunner(_Prepared):
 
     Every row carries ``t``, and ``x`` exactly when ``locations`` is given;
     ``cli.validate_stream_for_model`` checks the columns before any row.
-    ``prepare`` takes each row's step from the previous row's time (the
-    stepper's time for the chunk's first row), stacks the transitions of the
-    rows that move the clock in one ``markovian.transition`` call, looks up
-    every row's observation row in one vectorised pass (the first location
-    equal to the row's coordinates, else the nearest one within 1e-9 (1 +
-    ||location||)), and splits the chunk into ``markovian.block_starts``
-    blocks.  A zero step needs no transition.  A row whose location is not
-    valid, or whose y is infinite, is a block of its own, so its own ``step``
-    raises the error after every row before it has run.  ``step`` conditions
-    on a whole block at the block's first row (``MarkovStepper.step``) and
-    serves the block's other rows from it.  If a pivot of the block fails, the
-    rows before the failing row are conditioned on as a block, and that row's
-    ``step`` raises the NumericalError.  Each row is charged the flops of its
-    own predict and update, as if it were stepped alone."""
+    ``prepare`` stacks the transitions of the chunk's rows whose finite step
+    (from the stepper's time for the first row) moves the clock in one
+    ``markovian.transition`` call, looks up every row's observation row in one
+    vectorised pass (the first location equal to its coordinates, else the
+    nearest one within 1e-9 (1 + ||location||)), and creates, without running
+    it, the stepper's ``run`` over the rows before the first unknown location.
+    ``step`` draws each row's result from ``run``, in order, and past its end
+    raises the unknown location.  A row is charged the flops of its own predict
+    and update, as if stepped alone, and of the move if its block moves the clock."""
 
     def __init__(self, sde, noise_var: float, locations=None, history_times=None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
@@ -284,67 +279,51 @@ class MarkovRunner(_Prepared):
         self.approximate_loglik = False
 
     def _location_rows(self, x: np.ndarray) -> np.ndarray:
-        """Observation row of each input row of ``x`` (n, D), -1 where none is."""
+        """Observation row of each input row of ``x`` (n, D), -1 where none is.  Norms
+        are hypot reductions over coordinates scaled by an exact power of two c <=
+        1 / (2 sqrt(D)): none squares a coordinate or overflows."""
         locs = self.locations
         exact = np.all(x[:, None, :] == locs[None, :, :], axis=2)  # (n, N_s)
-        dist = np.linalg.norm(x[:, None, :] - locs[None, :, :], axis=2)
+        rows = np.where(exact.any(axis=1), np.argmax(exact, axis=1), -1)
+        c = 0.5 ** math.ceil(math.log2(2.0 * math.sqrt(locs.shape[1])))
+        miss, locs = np.flatnonzero(rows < 0), locs * c  # distances only for rows without an exact match
+        dist = np.hypot.reduce(np.abs(x[miss, None, :] * c - locs[None, :, :]), axis=2)
         nearest = np.argmin(dist, axis=1)
-        n = np.arange(x.shape[0])
-        close = dist[n, nearest] <= 1e-9 * (1.0 + np.linalg.norm(locs[nearest], axis=1))
-        return np.where(exact.any(axis=1), np.argmax(exact, axis=1), np.where(close, nearest, -1))
+        close = dist.min(axis=1) <= 1e-9 * (c + np.hypot.reduce(np.abs(locs[nearest]), axis=1))
+        rows[miss] = np.where(close, nearest, -1)
+        return rows
 
     def prepare(self, chunk: Columns) -> None:
         t = chunk.t
         prev = self.stepper.time
-        deltas = np.diff(t, prepend=t[:1] if prev is None else prev)
-        moving = np.flatnonzero(deltas > 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is the stepper's DataError
+            deltas = np.diff(t, prepend=t[:1] if prev is None else prev)
+        moving = np.flatnonzero((deltas > 0.0) & (deltas < math.inf))
         steps = [None] * len(chunk)  # per row, (delta, A) of a step that moves the clock
         for i, delta, A in zip(moving.tolist(), deltas[moving].tolist(),
                                markovian.transition(self.stepper.sde, deltas[moving])):
             steps[i] = (delta, A)
-        self._steps = steps
         rows = np.zeros(len(chunk), dtype=int) if self.locations is None else self._location_rows(chunk.x)
-        bounds = np.flatnonzero(markovian.block_starts(t, (rows < 0) | np.isinf(chunk.y))).tolist()
-        self._stops = dict(zip(bounds, bounds[1:] + [len(chunk)]))  # block start -> block stop
-        self._rows, self._y = rows.tolist(), chunk.y.tolist()
-        self._block = (0, 0, False, (), (), ())  # the block served: start, stop, moved, means, vars, lls
-        self._failure = None  # (row, NumericalError) of a failed pivot
+        unknown = np.flatnonzero(rows < 0)
+        cut = int(unknown[0]) if unknown.size else len(chunk)
+        self._run = self.stepper.run(t[:cut], chunk.y[:cut], rows[:cut], steps)
+        self._next = 0  # the position of the row to step next
         self._chunk = chunk
 
     def step(self, rec: StreamRecord) -> StepResult:
         i = self._index(rec)
-        start, stop, moved, means, variances, lls = self._block
-        if not start <= i < stop:
-            start, stop, moved, means, variances, lls = self._condition(i, rec)
-        k = i - start
-        ll = lls[k]
-        predict, move, update = self._costs
-        self.flops += predict + (move if moved and k == 0 else 0) + (0 if ll is None else update)
-        return StepResult(means[k], variances[k], ll)
-
-    def _condition(self, i: int, rec: StreamRecord) -> tuple:
-        """Condition the stepper on the block that starts at row ``i`` of the chunk."""
-        stop = self._block[1]
-        if i != stop:
-            raise ValueError(f"row {rec.row} is stepped out of order: the next block starts at row "
-                             f"{self._chunk.first_row + stop}")
-        if self._failure is not None and self._failure[0] == i:
-            raise self._failure[1]
-        if self._rows[i] < 0:
+        if i != self._next:
+            raise ValueError(f"row {rec.row} is stepped out of order: the next row is row "
+                             f"{self._chunk.first_row + self._next}")
+        time = self.stepper.time
+        out = next(self._run, None)
+        if out is None:
             raise DataError(f"location {rec.x} is not in spatial.locations")
-        stepper, stop = self.stepper, self._stops[i]
-        time = stepper.time  # the clock before the block
-        ys, rows = self._y[i:stop], self._rows[i:stop]
-        try:
-            out = stepper.step(rec.t, ys, rows, self._steps[i])
-        except NumericalError as exc:
-            p = (exc.detail or {}).get("row")
-            if not p:
-                raise
-            self._failure, stop = (i + p, exc), i + p
-            out = stepper.step(rec.t, ys[:p], rows[:p])
-        self._block = block = (i, stop, stepper.time != time, *out)
-        return block
+        self._next = i + 1
+        mean, var, ll = out
+        predict, move, update = self._costs
+        self.flops += predict + (move if self.stepper.time != time else 0) + (0 if ll is None else update)
+        return StepResult(mean, var, ll)
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each

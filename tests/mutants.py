@@ -50,6 +50,8 @@ FLOAT_COMBINER = "the ensemble combiner row is float work over the K member resu
 TIME_ROWS = "the Markov smoothing record keeps one row of `times`, `means` and `covs` per distinct timestamp"
 RUNNER_FLOPS = "flop accounting lives in the runners"
 BLOCK_UPDATE = "each time step's rows are conditioned as one block"
+SCALAR_UPDATE = "`linalg.scalar_update`, the one Kalman covariance update"
+ONE_DRIVER = "one driver for the Markov time-step blocks"
 
 MUTANTS = (
     Mutant(
@@ -93,8 +95,8 @@ MUTANTS = (
         SCORED_UPDATE),
     Mutant(
         "nearest-only-location-lookup", "src/seqgp/runners.py",
-        "        return np.where(exact.any(axis=1), np.argmax(exact, axis=1), np.where(close, nearest, -1))\n",
-        "        return np.where(close, nearest, -1)\n",
+        "        rows = np.where(exact.any(axis=1), np.argmax(exact, axis=1), -1)\n",
+        "        rows = np.full(len(x), -1)\n",
         ("tests/test_cli_models.py::TestSpatiotemporal::test_location_lookup",),
         SCORED_UPDATE),
     Mutant(
@@ -154,7 +156,7 @@ MUTANTS = (
         TIME_ROWS),
     Mutant(
         "markov-move-cost-on-a-zero-step", "src/seqgp/runners.py",
-        "        self.flops += predict + (move if moved and k == 0 else 0) + (0 if ll is None else update)\n",
+        "        self.flops += predict + (move if self.stepper.time != time else 0) + (0 if ll is None else update)\n",
         "        self.flops += predict + move + (0 if ll is None else update)\n",
         ("tests/test_cli_models.py::TestFlops",
          "tests/test_markovian.py::TestStepShortcuts::test_repeated_timestamp_flops_match_per_step_accounting"),
@@ -197,8 +199,8 @@ MUTANTS = (
         BLOCK_UPDATE),
     Mutant(
         "time-step-block-without-its-row-bound", "src/seqgp/markovian.py",
-        "    starts = (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0\n",
-        "    starts = new.copy()\n",
+        "    return (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0\n",
+        "    return new\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::test_memory_per_block_is_bounded_whatever_the_rows_at_one_time",
          "tests/test_markovian.py::TestTimeStepBlocks::test_block_starts_split_each_time_step_every_block_rows"),
         BLOCK_UPDATE),
@@ -211,11 +213,39 @@ MUTANTS = (
          "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report"),
         BLOCK_UPDATE),
     Mutant(
-        "failed-pivot-drops-the-rows-before-it", "src/seqgp/runners.py",
-        "            if not p:\n                raise\n",
-        "            raise\n",
+        "failed-pivot-drops-the-rows-before-it", "src/seqgp/markovian.py",
+        "                if not p:\n                    raise\n",
+        "                raise\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::test_failed_pivot_names_its_row_after_the_rows_before_it",),
         BLOCK_UPDATE),
+    Mutant(
+        "predict-without-symmetrize", "src/seqgp/markovian.py",
+        "    return (A @ mean[..., None])[..., 0], symmetrize(P + A @ (cov - P) @ A.swapaxes(-1, -2))\n",
+        "    return (A @ mean[..., None])[..., 0], P + A @ (cov - P) @ A.swapaxes(-1, -2)\n",
+        ("tests/test_markovian.py::TestStepperSymmetry",),
+        SCALAR_UPDATE),
+    Mutant(
+        "linear-predict-noise-off-the-diagonal", "src/seqgp/linear_filter.py",
+        "    cov.reshape(-1)[:: cov.shape[0] + 1] += dynamics.noise\n",
+        "    cov += dynamics.noise\n",
+        ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",),
+        SHIPPED_STEP),
+    Mutant(
+        "stepper-run-without-its-cut-at-the-first-bad-row", "src/seqgp/markovian.py",
+        "        cut = int(bad[0]) if bad.size else t.size\n",
+        "        cut = t.size\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_infinite_y_inside_a_time_step_names_its_row_after_the_rows_before_it",
+         "tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_failed_pivot_and_infinite_y_in_one_time_step_name_the_earlier_row"),
+        ONE_DRIVER),
+    Mutant(
+        "runner-without-its-cut-at-an-unknown-location", "src/seqgp/runners.py",
+        "        cut = int(unknown[0]) if unknown.size else len(chunk)\n",
+        "        cut = len(chunk)\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_unknown_location_inside_a_time_step_is_3_with_its_row",
+         "tests/test_cli_models.py::TestSpatiotemporal::test_location_lookup"),
+        ONE_DRIVER),
 )
 
 

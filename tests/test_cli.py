@@ -491,6 +491,17 @@ class TestExitCodes:
         assert code == 3
         assert "row 3" in err
 
+    @pytest.mark.parametrize("args", [
+        ["model=markov", "kernel.family=matern32", "noise_var=0.1"],
+        ["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12", "member.1.noise_var=0.1",
+         "member.2.model=markov", "member.2.kernel.family=matern32", "member.2.noise_var=0.1"],
+    ], ids=["markov", "ensemble-member"])
+    def test_overflowing_time_step_is_3_with_one_line(self, args):
+        # the step 1e308 - (-1e308) overflows: no transition is formed for it, and nothing warns
+        code, out, err = run_cli(["run", *args], stdin_text="t,y\n-1e308,1\n1e308,2\n")
+        assert (code, out) == (3, "")
+        assert err == "seqgp: data error: row 2: non-finite timestamp or step (-1e+308 -> 1e+308)\n"
+
     @pytest.mark.parametrize("args, csv, column", [
         (["model=markov", "kernel.family=matern12", "noise_var=0.1"], "t,y\n0,0.1\nnan,0.2\n", "t"),
         (["model=exact", "kernel.family=se", "noise_var=0.1"], "t,y\n0,0.1\ninf,0.2\n", "t"),

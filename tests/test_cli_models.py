@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 
 from conftest import parse_report, run_cli
 from seqgp import exact, kernels, markovian, sparse
+from seqgp.runners import MarkovRunner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -146,26 +147,37 @@ class TestSpatiotemporal:
         assert code == 3
         assert "not in spatial.locations" in err
 
-    # (locations file, each row's x1, the observation row each resolves to): every
-    # chunk is looked up in one pass, exact coordinates first, then the nearest
-    # location within 1e-9 (1 + |location|)
+    # (locations file, each row's coordinates, the observation row each resolves to): every
+    # chunk is looked up in one pass, exact coordinates first, then the nearest location
+    # within 1e-9 (1 + |location|); a float is a 1-D point
     @pytest.mark.parametrize("locations, xs, expected", [
         pytest.param([0.0, 1.0, 0.0], [0.0, 1.0], [0, 1], id="duplicate-maps-to-its-first-row"),
         pytest.param([1.0 + 1e-12, 1.0], [1.0], [1], id="exact-beats-an-earlier-location-within-tolerance"),
-        # 1e-200 is 0 away from 0.0 once squared: nearest alone would take row 0
-        pytest.param([1e-200, 0.0], [0.0, 1e-200], [1, 0], id="exact-beats-an-earlier-location-at-distance-0"),
+        pytest.param([1e-200, 0.0], [0.0, 1e-200], [1, 0], id="a-location-1e-200-away-is-not-the-nearest"),
+        # the smallest subnormal is 0 away from 0.0 once the coordinates are scaled by 1/2: nearest
+        # alone would take row 0
+        pytest.param([5e-324, 0.0], [0.0, 5e-324], [1, 0], id="exact-beats-an-earlier-location-at-distance-0"),
         pytest.param([0.0, 1.0], [1.0 + 1e-12, -1e-12], [1, 0], id="1e-12-off-resolves-to-nearest"),
         pytest.param([0.0, 1.0], [float(i % 2) for i in range(299)] + [0.37], [i % 2 for i in range(299)],
                      id="unknown-location-in-the-second-chunk"),
+        # squared, 1e200 is inf, and so was the tolerance: a location half its size away was accepted
+        pytest.param([1e200, 1.0], [5e199], [], id="half-way-to-a-huge-location-is-unknown"),
+        pytest.param([(1e200, 0.0)], [(-1e200, 0.0)], [], id="mirror-image-of-a-huge-2d-location-is-unknown"),
+        pytest.param([(1e200, 0.0)], [(1e200, 0.0), (1e200 * (1 + 1e-12), 1e190)], [0, 0],
+                     id="huge-2d-location-resolves-within-tolerance"),
     ])
     def test_location_lookup(self, tmp_path, monkeypatch, locations, xs, expected):
+        locs = np.array(locations, dtype=float).reshape(len(locations), -1)
+        pts = np.array(xs, dtype=float).reshape(len(xs), -1)
+        columns = [f"x{j + 1}" for j in range(locs.shape[1])]
         loc_file = tmp_path / "locations.csv"
-        loc_file.write_text("x1\n" + "".join(f"{v!r}\n" for v in locations))
+        loc_file.write_text(",".join(columns) + "\n" + "".join(",".join(map(repr, p)) + "\n" for p in locs.tolist()))
         rows = []
         predict_obs = markovian.MarkovStepper.predict_obs
         monkeypatch.setattr(markovian.MarkovStepper, "predict_obs",
                             lambda stepper, row=0: rows.append(row) or predict_obs(stepper, row))
-        csv = "t,x1,y\n" + "".join(f"{0.1 * i!r},{x!r},{0.5 - 0.01 * i!r}\n" for i, x in enumerate(xs))
+        csv = f"t,{','.join(columns)},y\n" + "".join(f"{0.1 * i!r},{','.join(map(repr, p))},{0.5 - 0.01 * i!r}\n"
+                                                      for i, p in enumerate(pts.tolist()))
         args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2",
                 f"spatial.locations={loc_file}", "spatial.kernel.family=se"]
         code, _, err = run_cli(args, stdin_text=csv)
@@ -174,7 +186,17 @@ class TestSpatiotemporal:
             assert code == 0, err
         else:
             assert code == 3
-            assert f"row {len(xs)}: location [{xs[-1]!r}] is not in spatial.locations" in err
+            assert f"row {len(xs)}: location {pts[-1]} is not in spatial.locations" in err
+
+    def test_location_lookup_neither_overflows_nor_warns(self):
+        # coordinates near the largest double: no distance, norm or tolerance may overflow
+        big = np.finfo(float).max / 2
+        locations = np.array([[big, -big], [-big, big], [1.0, 0.0]])
+        runner = MarkovRunner(markovian.build_spatiotemporal(kernels.matern12(), kernels.se(), [[0.0, 0.0]]),
+                              0.1, locations=locations)
+        x = np.array([[big, -big], [-big, big * (1 - 1e-12)], [big / 2, -big], [-big, -big], [1.0, 1e-10], [0.0, 0.0]])
+        with np.errstate(all="raise"):
+            assert runner._location_rows(x).tolist() == [0, 1, -1, -1, 2, -1]
 
     @pytest.mark.parametrize("text, message", [
         ("x1\n0.0\nnan\n", "non-finite coordinate"),

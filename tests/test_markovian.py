@@ -1028,11 +1028,8 @@ class TestTimeStepBlocks:
         monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
         t = np.array([0.0] * 7 + [1.0] * 2 + [2.0] * 4 + [np.nan, np.nan, 3.0])
         assert np.flatnonzero(markovian.block_starts(t)).tolist() == [0, 3, 6, 7, 9, 12, 13, 14, 15]
-        bad = np.zeros(t.size, dtype=bool)
-        bad[[1, 10]] = True  # a bad row is a block of its own; the count of 3 still runs from the step's first row
-        assert np.flatnonzero(markovian.block_starts(t, bad)).tolist() == [0, 1, 2, 3, 6, 7, 9, 10, 11, 12, 13, 14,
-                                                                            15]
         assert markovian.block_starts(t[3:]).tolist() == markovian.block_starts(t)[3:].tolist()  # from a start
+        assert markovian.block_starts(t[:11]).tolist() == markovian.block_starts(t)[:11].tolist()  # a prefix
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 256])
     def test_chunks_end_at_the_first_block_start_after_chunk_rows(self, chunk_rows, monkeypatch):
@@ -1139,17 +1136,45 @@ class TestTimeStepBlocks:
         with pytest.raises(NumericalError, match=f"^step {k}: non-positive predictive variance at pivot 3"):
             markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
 
+    @pytest.mark.parametrize("ys, error", [
+        ([np.nan, 1.0, 2.0, np.inf, 3.0], NumericalError),  # the failed pivot first
+        ([np.nan, 1.0, np.inf, 2.0, 3.0], DataError),  # the infinite y first
+    ], ids=["pivot-first", "inf-first"])
+    def test_failed_pivot_and_infinite_y_in_one_time_step_name_the_earlier_row(self, ys, error):
+        # four rows at t = 0 observe the one state with noise_var = 1e-300: the second y-row's pivot of
+        # [[1, 1], [1, 1]] + 1e-300 I rounds to 0; whichever of it and the infinite y comes first is named
+        t, y = np.array([0.0, 0.0, 0.0, 0.0, 1.0]), np.array(ys)
+        message = {NumericalError: "non-positive predictive variance at pivot 2 of the time step's block",
+                   DataError: "non-finite observation inf"}[error]
+        sde = markovian.build_lti(kernels.matern12())
+        got, exc = rows_until_error(MarkovRunner(sde, 1e-300), stream_columns(y, t=t))
+        assert type(exc) is error and str(exc) == f"row 3: {message}"
+        assert got == [(0.0, 1.0, None), (0.0, 1.0, pytest.approx(-0.5 * (np.log(2 * np.pi) + 1.0)))]
+        with pytest.raises(error, match=f"^step 2: {message}$"):
+            markovian.kalman_filter(sde, t, y, 1e-300)
+
+    def test_stepper_run_is_bit_equal_to_the_runners_cells(self, monkeypatch):
+        monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
+        t, rows, y = tied_spacetime()
+        sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
+        cells = run_runner(MarkovRunner(sde, 0.1, locations=GRID), stream_columns(y, t=t, x=GRID[rows]), 5)
+        got = list(markovian.MarkovStepper(sde, 0.1).run(t, y, rows))
+        assert got == [(c.mean, c.var, c.logdensity) for c in cells]
+        assert sum(ll is None for _, _, ll in got) > 5
+
     def test_a_row_stepped_out_of_order_is_a_value_error(self):
-        # the runner conditions a block at its first row: a later block's row cannot come first
+        # the runner draws each row's result from the stepper's run in order: a later row cannot come first
         t = np.array([0.0, 0.0, 0.5, 1.0])
         data = stream_columns([0.1, 0.2, 0.3, 0.4], t=t)
         runner = MarkovRunner(markovian.build_lti(kernels.matern12()), 0.1)
         runner.prepare(data)
         first, _, third, _ = data.records()
-        with pytest.raises(ValueError, match="row 3 is stepped out of order: the next block starts at row 1"):
+        with pytest.raises(ValueError, match="^row 3 is stepped out of order: the next row is row 1$"):
             runner.step(third)
         assert runner.stepper.time is None  # nothing ran
         assert runner.step(first).logdensity is not None
+        with pytest.raises(ValueError, match="^row 1 is stepped out of order: the next row is row 2$"):
+            runner.step(first)  # nor can a row run twice
 
     def test_a_block_of_predict_only_rows_advances_and_conditions_nothing(self):
         sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
