@@ -165,8 +165,15 @@ def _matern_r(nu: float, sigma2: float, lengthscale: float, r: np.ndarray) -> np
         return sigma2 * np.exp(-r / lengthscale)
     if nu == 1.5:
         z = math.sqrt(3.0) * r / lengthscale
-        return sigma2 * (1.0 + z) * np.exp(-z)
+        e = np.exp(-z)
+        return _decayed(sigma2 * (1.0 + z) * e, e)
     raise ConfigurationError(f"unsupported Matern smoothness {nu}")
+
+
+def _decayed(term: np.ndarray, envelope: np.ndarray) -> np.ndarray:
+    """``term``, and 0, its limit, where its decaying ``envelope`` is 0: there an overflowed
+    distance may have made the term's other factor (1 + z, a cosine) inf or NaN."""
+    return np.where(envelope == 0.0, 0.0, term)
 
 
 _MATERN_NU = {"matern12": 0.5, "matern32": 1.5}
@@ -185,17 +192,25 @@ def hida_matern_components(kernel: Kernel) -> tuple[HmComponent, ...] | None:
 
 
 def kappa_of_distance(kernel: Kernel, r) -> np.ndarray:
-    """Evaluate kappa at Euclidean distance(s) r >= 0."""
-    r = np.asarray(r, dtype=float)
+    """Evaluate kappa at Euclidean distance(s) r >= 0, r = inf included: a term whose
+    squared or scaled distance overflows is its limit 0, with no warning."""
+    with np.errstate(all="ignore"):
+        return _kappa(kernel, np.asarray(r, dtype=float))
+
+
+def _kappa(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+    """``kappa_of_distance`` under the caller's ``np.errstate``; a factor cos(0 r) = 1 is not formed."""
     if kernel.family == "se":
         return kernel.sigma_f2 * np.exp(-(r * r) / (2.0 * kernel.lengthscale**2))
     out = np.zeros_like(r)
     if kernel.family == "spectral_mixture":
         for c in kernel.sm_components:
-            out += c.weight * np.exp(-0.5 * c.freq_var * r * r) * np.cos(c.mean_freq * r)
+            envelope = c.weight * np.exp(-0.5 * c.freq_var * r * r)
+            out += envelope if c.mean_freq == 0.0 else _decayed(envelope * np.cos(c.mean_freq * r), envelope)
         return out
     for c in hida_matern_components(kernel):
-        out += c.weight * np.cos(c.phase * r) * _matern_r(c.nu, c.sigma2, c.lengthscale, r)
+        m = _matern_r(c.nu, c.sigma2, c.lengthscale, r)
+        out += c.weight * m if c.phase == 0.0 else _decayed(c.weight * np.cos(c.phase * r) * m, m)
     return out
 
 
@@ -253,6 +268,6 @@ def gram(kernel: Kernel, X, X2=None) -> np.ndarray:
         raise ShapeError("point lists must be non-empty")
     if A.shape[1] != B.shape[1]:
         raise ShapeError(f"input dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    diff = A[:, None, :] - B[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return kappa_of_distance(kernel, r)
+    with np.errstate(all="ignore"):  # an overflowing squared distance is r = inf
+        diff = A[:, None, :] - B[None, :, :]
+        return _kappa(kernel, np.sqrt(np.sum(diff * diff, axis=-1)))

@@ -202,15 +202,17 @@ def transition(sde: LtiSde, delta) -> np.ndarray:
     {1, delta} exp(-lambda delta) {cos, sin}(b delta), and the cos/sin pair
     of a block is the real/imaginary pair of exp(pole * delta): one complex
     exponential and one matrix-vector product, whatever the number of
-    blocks.  A zero step gives A = I exactly.  A 1-D array of N steps gives the
-    (N, d, d) stack, row k bit-equal to ``transition(sde, delta[k])``: each row
-    goes through the same matrix-vector product.
+    blocks.  A zero step gives A = I exactly, and a block whose exp(-lambda delta)
+    underflows weight 0 (its limit, also where lambda delta overflows).  A 1-D
+    array of N steps gives the (N, d, d) stack, row k bit-equal to
+    ``transition(sde, delta[k])``: each row goes through the same matrix-vector product.
     """
     if sde.basis is None:
         raise ConfigurationError("the state-space model has no closed-form transition basis")
     z = np.asarray(delta, dtype=float)
     z = z[:, None] if z.ndim else z  # one step per row; a scalar stays 0-d
-    rotated = np.exp(z * sde.poles).view(float)  # (cos, sin) pairs, block by block
+    with np.errstate(over="ignore", invalid="ignore"):  # (cos, sin) pairs, block by block
+        rotated = np.where(np.exp(z * sde.poles.real) == 0.0, 0.0, np.exp(z * sde.poles)).view(float)
     weights = np.concatenate((rotated, z * rotated), axis=-1)
     d = sde.dim
     return (sde.basis @ weights[..., None]).reshape(z.shape[:1] + (d, d))

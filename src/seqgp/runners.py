@@ -1,21 +1,23 @@
 """Chunk-at-a-time model runners behind the streaming CLI.
 
-Every runner exposes ``prepare(chunk)`` and ``step(record) -> StepResult``,
-and ``run_chunks`` drives them the way ``seqgp run`` does.  A chunk ends at
-a block boundary of the stream (``markovian.block_starts``: runs of equal
-timestamps, split every ``UPDATE_BLOCK_ROWS`` rows), one rule for every
-runner.  ``prepare`` does
-the work that depends only on the inputs of a chunk of rows (``Columns``),
-in one call per chunk: the sparse projections, the feature rows, the Markov
-transitions and observation rows.  It never reads ``y``.  ``step`` then
-follows the prequential protocol row by row over the records of the chunk
-last prepared (``Columns.records``): predict at the record's input, score
-the target if one is present, then (and only then) fold the observation into
-the state, and add the row's approximate cost to ``flops``, the summary's
-count; no other module counts flops.  A record of any other chunk is a
-ValueError.  Rows without a target are pure queries and never change the
-belief; for the Markovian models the state still advances to the row's
-timestamp, since the model lives in continuous time.
+Every runner follows one row protocol, and ``run_chunks`` drives it the way
+``seqgp run`` does.  A chunk ends at a block boundary of the stream
+(``markovian.block_starts``: runs of equal timestamps, split every
+``UPDATE_BLOCK_ROWS`` rows), one rule for every runner.  ``prepare(chunk)``
+does the work that depends only on the inputs of a chunk of rows
+(``Columns``) in one call (sparse projections, feature rows, Markov
+transitions and observation rows, or the exact runner's points) and starts,
+without running it, the chunk's row generator over those arrays and
+``chunk.y`` (NaN marks a predict-only row).  ``step(record)``, one method
+for every runner but the ensemble, draws the record's row from it: a record
+is its 1-based row and its chunk (``Columns.records``), and a record of
+another chunk, or a row out of its turn, is a ValueError.  Each row
+predicts at its input, scores the target if one is present, then (and only
+then) folds the observation into the state, and adds its approximate cost
+to ``flops``, the summary's count; no other module counts flops.  Rows
+without a target never change the belief; for the Markovian models the
+state still advances to the row's timestamp (the model is continuous in
+time).  ``EnsembleRunner.step`` steps every member on the record.
 
 Each runner steps its route's in-place path.  The three filter routes share
 one observe -> condition hand-off: ``linear_filter.observe_f``,
@@ -23,9 +25,9 @@ one observe -> condition hand-off: ``linear_filter.observe_f``,
 h^T s, s) with s = P h once, and a y-row hands that triple to
 ``linalg.condition``, the one scored update (through
 ``linear_filter.condition_in_place``, which adds the Laplace step of a
-non-Gaussian likelihood).  ``MarkovRunner`` draws each row's result from
+non-Gaussian likelihood).  ``MarkovRunner``'s rows come from
 ``MarkovStepper.run``, which conditions each block of rows at one timestamp
-when its first row is stepped (``MarkovStepper.step``; a block of one row is
+when its first row is drawn (``MarkovStepper.step``; a block of one row is
 that hand-off), each row's result still its prequential one.  ``ExactRunner``
 extends a Cholesky factor.  The pure functions of those modules are the same
 arithmetic on new states, for library callers.
@@ -66,17 +68,7 @@ from .linalg import condition, gaussian_loglik
 @dataclass(slots=True)
 class StreamRecord:
     row: int  # 1-based data row in the input
-    t: float | None
-    x: np.ndarray | None
-    y: float | None
-    chunk: Columns | None = field(default=None, repr=False, compare=False)  # the Columns it was read from
-
-    @property
-    def point(self) -> np.ndarray:
-        """Model input: the x vector, or the timestamp as a 1-D point."""
-        if self.x is not None:
-            return self.x
-        return np.array([self.t])
+    chunk: Columns = field(repr=False, compare=False)  # the Columns it was read from
 
 
 @dataclass(frozen=True)
@@ -106,25 +98,7 @@ class Columns:
 
     def records(self):
         """One ``StreamRecord`` per row, each tied to this block for ``step``."""
-        n = len(self)
-        ts = [None] * n if self.t is None else self.t.tolist()
-        xs = [None] * n if self.x is None else self.x
-        ys = [None if v != v else v for v in self.y.tolist()]
-        for row, t, x, y in zip(range(self.first_row, self.first_row + n), ts, xs, ys):
-            yield StreamRecord(row, t, x, y, self)
-
-
-class _Prepared:
-    """What ``prepare`` last read: the chunk whose records ``step`` serves from it."""
-
-    _chunk: Columns | None = None
-
-    def _index(self, rec: StreamRecord) -> int:
-        """Position of ``rec`` in the prepared chunk."""
-        chunk = rec.chunk
-        if chunk is None or chunk is not self._chunk:
-            raise ValueError(f"row {rec.row} is not a record of the chunk last prepared")
-        return rec.row - chunk.first_row
+        return (StreamRecord(row, self) for row in range(self.first_row, self.first_row + len(self)))
 
 
 @dataclass
@@ -135,7 +109,24 @@ class StepResult:
     weights: np.ndarray | None = None  # ensemble only: fresh per weight update, never mutated
 
 
-class ExactRunner:
+class _RowRunner:
+    """The row protocol: ``prepare`` starts the chunk's row generator, ``step`` draws from it."""
+
+    _chunk: Columns | None = None
+
+    def _start(self, chunk: Columns, results) -> None:
+        self._chunk, self._next, self._results = chunk, chunk.first_row, results
+
+    def step(self, rec: StreamRecord) -> StepResult:
+        if rec.chunk is not self._chunk:
+            raise ValueError(f"row {rec.row} is not a record of the chunk last prepared")
+        if rec.row != self._next:
+            raise ValueError(f"row {rec.row} is stepped out of order: the next row is row {self._next}")
+        self._next += 1  # a row that raises is spent: the generator cannot run it again
+        return next(self._results)
+
+
+class ExactRunner(_RowRunner):
     """Exact GP grown one observation at a time by extending a Cholesky factor.
 
     The state is the lower factor L of K_oo + noise_var I over the n observed
@@ -173,24 +164,25 @@ class ExactRunner:
         return L
 
     def prepare(self, chunk: Columns) -> None:
-        """Nothing: every row's work reads the factor that the rows before it grew."""
+        """Nothing ahead but the points: each row's work reads the factor that the rows before it grew."""
+        self._start(chunk, self._rows(chunk.points, chunk.y.tolist()))
 
-    def step(self, rec: StreamRecord) -> StepResult:
-        x = rec.point
-        n = self.n
+    def _rows(self, points: np.ndarray, ys: list):
         kxx = self.kxx
-        k = self.kernel.gram(self.inputs[:n], x.reshape(1, -1)).ravel() if n else np.zeros(0)
-        if not (np.isfinite(kxx) and np.all(np.isfinite(k))):
-            raise NumericalError("kernel has non-finite entries")
-        v = dtpsv(n, self.packed[: n * (n + 1) // 2], k, trans=1, overwrite_x=1) if n else k
-        mean, var = float(v @ self.z[:n]), kxx - float(v @ v)
-        self.flops += n * n + 4 * n + 10
-        if rec.y is None:
-            return StepResult(mean, var, None)
-        ll = gaussian_loglik(rec.y, mean, var + self.noise_var)
-        pivot = float(np.sqrt(var + self.noise_var))
-        self._append(x, v, pivot, (rec.y - mean) / pivot)
-        return StepResult(mean, var, ll)
+        for x, y in zip(points, ys):
+            n = self.n
+            k = self.kernel.gram(self.inputs[:n], x.reshape(1, -1)).ravel() if n else np.zeros(0)
+            if not (np.isfinite(kxx) and np.all(np.isfinite(k))):
+                raise NumericalError("kernel has non-finite entries")
+            v = dtpsv(n, self.packed[: n * (n + 1) // 2], k, trans=1, overwrite_x=1) if n else k
+            mean, var = float(v @ self.z[:n]), kxx - float(v @ v)
+            self.flops += n * n + 4 * n + 10
+            ll = None
+            if not math.isnan(y):
+                ll = gaussian_loglik(y, mean, var + self.noise_var)
+                pivot = float(np.sqrt(var + self.noise_var))
+                self._append(x, v, pivot, (y - mean) / pivot)
+            yield StepResult(mean, var, ll)
 
     def _append(self, x: np.ndarray, v: np.ndarray, pivot: float, z_new: float) -> None:
         n = self.n
@@ -214,7 +206,7 @@ def _grown(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-class LinearRunner(_Prepared):
+class LinearRunner(_RowRunner):
     """Basis-expansion filter with configurable weight dynamics and likelihood.
 
     ``prepare`` forms the chunk's feature rows in one ``featurize_many``.  The
@@ -236,25 +228,22 @@ class LinearRunner(_Prepared):
         self.approximate_loglik = likelihood != "gaussian"
 
     def prepare(self, chunk: Columns) -> None:
-        self._phi = features.featurize_many(self.fmap, chunk.points)
-        self._chunk = chunk
+        self._start(chunk, self._rows(features.featurize_many(self.fmap, chunk.points), chunk.y.tolist()))
 
-    def step(self, rec: StreamRecord) -> StepResult:
-        i = self._index(rec)
-        phi = self._phi[i]
+    def _rows(self, phis: np.ndarray, ys: list):
         n = self.fmap.n_features
-        self.flops += 6 * n * n + 8 * n
-        if rec.y is None:
-            # pure query: the dynamics tick is tied to observation events
-            mean, var = linear_filter.predict_f_ahead(self.belief, self.dynamics, phi)
-            return StepResult(mean, var, None)
-        linear_filter.predict_in_place(self.belief, self.dynamics)
-        observed = linear_filter.observe_f(self.belief, phi)
-        ll = linear_filter.condition_in_place(self.belief, observed, rec.y, self.likelihood, self.noise_var)
-        return StepResult(observed[0], observed[1], ll)
+        for phi, y in zip(phis, ys):
+            self.flops += 6 * n * n + 8 * n
+            if math.isnan(y):  # pure query: the dynamics tick is tied to observation events
+                yield StepResult(*linear_filter.predict_f_ahead(self.belief, self.dynamics, phi), None)
+            else:
+                linear_filter.predict_in_place(self.belief, self.dynamics)
+                observed = linear_filter.observe_f(self.belief, phi)
+                ll = linear_filter.condition_in_place(self.belief, observed, y, self.likelihood, self.noise_var)
+                yield StepResult(observed[0], observed[1], ll)
 
 
-class MarkovRunner(_Prepared):
+class MarkovRunner(_RowRunner):
     """Continuous-time state-space filter; optionally keeps history for smoothing.
 
     Every row carries ``t``, and ``x`` exactly when ``locations`` is given;
@@ -265,7 +254,7 @@ class MarkovRunner(_Prepared):
     vectorised pass (the first location equal to its coordinates, else the
     nearest one within 1e-9 (1 + ||location||)), and creates, without running
     it, the stepper's ``run`` over the rows before the first unknown location.
-    ``step`` draws each row's result from ``run``, in order, and past its end
+    The row generator draws each row's result from ``run`` and past its end
     raises the unknown location.  A row is charged the flops of its own predict
     and update, as if stepped alone, and of the move if its block moves the clock."""
 
@@ -306,24 +295,16 @@ class MarkovRunner(_Prepared):
         rows = np.zeros(len(chunk), dtype=int) if self.locations is None else self._location_rows(chunk.x)
         unknown = np.flatnonzero(rows < 0)
         cut = int(unknown[0]) if unknown.size else len(chunk)
-        self._run = self.stepper.run(t[:cut], chunk.y[:cut], rows[:cut], steps)
-        self._next = 0  # the position of the row to step next
-        self._chunk = chunk
+        self._start(chunk, self._rows(self.stepper.run(t[:cut], chunk.y[:cut], rows[:cut], steps), chunk, cut))
 
-    def step(self, rec: StreamRecord) -> StepResult:
-        i = self._index(rec)
-        if i != self._next:
-            raise ValueError(f"row {rec.row} is stepped out of order: the next row is row "
-                             f"{self._chunk.first_row + self._next}")
-        time = self.stepper.time
-        out = next(self._run, None)
-        if out is None:
-            raise DataError(f"location {rec.x} is not in spatial.locations")
-        self._next = i + 1
-        mean, var, ll = out
-        predict, move, update = self._costs
-        self.flops += predict + (move if self.stepper.time != time else 0) + (0 if ll is None else update)
-        return StepResult(mean, var, ll)
+    def _rows(self, run, chunk: Columns, cut: int):
+        stepper, (predict, move, update) = self.stepper, self._costs
+        time = stepper.time
+        for mean, var, ll in run:
+            self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)
+            time = stepper.time
+            yield StepResult(mean, var, ll)
+        raise DataError(f"location {chunk.x[cut]} is not in spatial.locations")  # past the cut
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
@@ -359,7 +340,7 @@ class MarkovRunner(_Prepared):
         return smoothed
 
 
-class SparseRunner(_Prepared):
+class SparseRunner(_RowRunner):
     """Fixed-inducing-set recursion, one rank-one update per observation; also
     ``model=vsgp``, whose one-row information-form update is the same update.
 
@@ -380,17 +361,16 @@ class SparseRunner(_Prepared):
 
     def prepare(self, chunk: Columns) -> None:
         H, q = sparse.projections(self.state, chunk.points)
-        self._h, self._q = H, q.tolist()
-        self._chunk = chunk
+        self._start(chunk, self._rows(H, q.tolist(), chunk.y.tolist()))
 
-    def step(self, rec: StreamRecord) -> StepResult:
-        i = self._index(rec)
-        observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))
-        if rec.y is None:
-            return StepResult(observed[0], observed[1], None)
-        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)
-        self.flops += self._cost
-        return StepResult(observed[0], observed[1], ll)
+    def _rows(self, H: np.ndarray, q: list, ys: list):
+        for h, q_i, y in zip(H, q, ys):
+            observed = sparse.sparse_observe(self.state, (h, q_i))
+            ll = None
+            if not math.isnan(y):
+                ll = condition(self.state.mean, self.state.cov, observed, y, self.noise_var)
+                self.flops += self._cost
+            yield StepResult(observed[0], observed[1], ll)
 
 
 class EnsembleRunner:
@@ -413,7 +393,7 @@ class EnsembleRunner:
         results = [m.step(rec) for m in self.members]
         state = self.state
         mix_mean, mix_var = ens.mixture_predict(state, [r.mean for r in results], [r.var for r in results])
-        if rec.y is None:
+        if math.isnan(rec.chunk.y[rec.row - rec.chunk.first_row]):
             return StepResult(mix_mean, mix_var, None, weights=state.weights)
         lls = [r.logdensity for r in results]
         mix_ll = ens.logsumexp([w + ll for w, ll in zip(state.log_weights, lls)])

@@ -52,6 +52,7 @@ RUNNER_FLOPS = "flop accounting lives in the runners"
 BLOCK_UPDATE = "each time step's rows are conditioned as one block"
 SCALAR_UPDATE = "`linalg.scalar_update`, the one Kalman covariance update"
 ONE_DRIVER = "one driver for the Markov time-step blocks"
+ROW_PROTOCOL = "one row protocol for every runner"
 
 MUTANTS = (
     Mutant(
@@ -62,8 +63,8 @@ MUTANTS = (
         SHIPPED_STEP),
     Mutant(
         "predict-only-linear-row-without-its-dynamics-tick", "src/seqgp/runners.py",
-        "            mean, var = linear_filter.predict_f_ahead(self.belief, self.dynamics, phi)\n",
-        "            mean, var, _ = linear_filter.observe_f(self.belief, phi)\n",
+        "                yield StepResult(*linear_filter.predict_f_ahead(self.belief, self.dynamics, phi), None)\n",
+        "                yield StepResult(*linear_filter.observe_f(self.belief, phi)[:2], None)\n",
         ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",),
         SHIPPED_STEP),
     Mutant(
@@ -156,23 +157,17 @@ MUTANTS = (
         TIME_ROWS),
     Mutant(
         "markov-move-cost-on-a-zero-step", "src/seqgp/runners.py",
-        "        self.flops += predict + (move if self.stepper.time != time else 0) + (0 if ll is None else update)\n",
-        "        self.flops += predict + move + (0 if ll is None else update)\n",
+        "            self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)\n",
+        "            self.flops += predict + move + (0 if ll is None else update)\n",
         ("tests/test_cli_models.py::TestFlops",
          "tests/test_markovian.py::TestStepShortcuts::test_repeated_timestamp_flops_match_per_step_accounting"),
         RUNNER_FLOPS),
     Mutant(
         "sparse-cost-on-predict-only-rows", "src/seqgp/runners.py",
-        "        observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))\n"
-        "        if rec.y is None:\n"
-        "            return StepResult(observed[0], observed[1], None)\n"
-        "        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)\n"
-        "        self.flops += self._cost\n",
-        "        observed = sparse.sparse_observe(self.state, (self._h[i], self._q[i]))\n"
-        "        self.flops += self._cost\n"
-        "        if rec.y is None:\n"
-        "            return StepResult(observed[0], observed[1], None)\n"
-        "        ll = condition(self.state.mean, self.state.cov, observed, rec.y, self.noise_var)\n",
+        "                ll = condition(self.state.mean, self.state.cov, observed, y, self.noise_var)\n"
+        "                self.flops += self._cost\n",
+        "                ll = condition(self.state.mean, self.state.cov, observed, y, self.noise_var)\n"
+        "            self.flops += self._cost\n",
         ("tests/test_cli_models.py::TestFlops",),
         RUNNER_FLOPS),
     Mutant(
@@ -246,6 +241,12 @@ MUTANTS = (
         ("tests/test_markovian.py::TestTimeStepBlocks::test_unknown_location_inside_a_time_step_is_3_with_its_row",
          "tests/test_cli_models.py::TestSpatiotemporal::test_location_lookup"),
         ONE_DRIVER),
+    Mutant(
+        "runner-step-without-its-order-check", "src/seqgp/runners.py",
+        "        if rec.row != self._next:\n",
+        "        if False:\n",
+        ("tests/test_chunked_run.py::test_a_row_stepped_ahead_of_its_turn_or_twice_is_a_value_error",),
+        ROW_PROTOCOL),
 )
 
 

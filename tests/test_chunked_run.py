@@ -1,6 +1,6 @@
 """``seqgp run`` in chunks: every chunk size gives the same report, a runner
 stepped over columns in other chunks gives the same cells, and a runner
-steps only the records of the chunk it last prepared."""
+steps only the records of the chunk it last prepared, each once and in order."""
 
 import io
 import json
@@ -121,7 +121,7 @@ def test_a_chunk_of_no_rows_is_a_value_error(chunk_rows):
         next(run_chunks(runner, data, chunk_rows))
 
 
-@pytest.mark.parametrize("name", sorted(set(MODELS) - {"exact"}))  # the exact runner prepares nothing
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_a_record_of_another_chunk_is_a_value_error(name, tmp_path):
     columns, args = model_args(name, tmp_path)
     _, data = cli.ingest_csv(io.StringIO(stream(columns)))
@@ -129,10 +129,36 @@ def test_a_record_of_another_chunk_is_a_value_error(name, tmp_path):
     first, second = data.rows(0, 8), data.rows(8, 16)
     runner.prepare(first)
     runner.step(next(first.records()))
-    records = [next(second.records()), StreamRecord(2, *(None if c is None else c[1] for c in (data.t, data.x)), 0.1)]
-    for rec in records:
-        with pytest.raises(ValueError, match=f"row {rec.row} is not a record of the chunk last prepared"):
+    # a row of the next chunk, and the next row of an equal copy of the prepared chunk
+    for rec in [next(second.records()), StreamRecord(2, data.rows(0, 8))]:
+        with pytest.raises(ValueError, match=f"^row {rec.row} is not a record of the chunk last prepared$"):
             runner.step(rec)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_row_stepped_ahead_of_its_turn_or_twice_is_a_value_error(name, tmp_path):
+    columns, args = model_args(name, tmp_path)
+    _, data = cli.ingest_csv(io.StringIO(stream(columns)))
+    chunk = data.rows(0, 8)
+    first, second, third = list(chunk.records())[:3]
+    undisturbed = runner_for(args, data)
+    undisturbed.prepare(chunk)
+    expected = [undisturbed.step(rec) for rec in (first, second, third)]
+
+    runner = runner_for(args, data)
+    runner.prepare(chunk)
+    with pytest.raises(ValueError, match="^row 2 is stepped out of order: the next row is row 1$"):
+        runner.step(second)
+    got = [runner.step(first)]
+    with pytest.raises(ValueError, match="^row 1 is stepped out of order: the next row is row 2$"):
+        runner.step(first)
+    with pytest.raises(ValueError, match="^row 3 is stepped out of order: the next row is row 2$"):
+        runner.step(third)
+    got += [runner.step(second), runner.step(third)]
+    with pytest.raises(ValueError, match="^row 3 is stepped out of order: the next row is row 4$"):
+        runner.step(third)
+    # a rejected row runs nothing: the rows stepped in turn give the cells of an undisturbed run
+    assert [(r.mean, r.var, r.logdensity) for r in got] == [(r.mean, r.var, r.logdensity) for r in expected]
 
 
 @pytest.mark.parametrize("csv, stderr", [

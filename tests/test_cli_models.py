@@ -88,6 +88,18 @@ class TestHsgpModel:
 
 
 class TestSpatiotemporal:
+    @pytest.mark.parametrize("family", ["se", "matern32"])
+    def test_far_apart_locations_are_independent_without_a_warning(self, family, tmp_path):
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text("x1,x2\n1e200,0\n1,0\n")
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.1", f"spatial.locations={loc_file}",
+                f"spatial.kernel.family={family}"]
+        code, out, err = run_cli(args, stdin_text="t,x1,x2,y\n0,1,0,0.5\n0.5,1e200,0,0.2\n")
+        assert (code, err) == (0, "")
+        _, rows, _ = parse_report(out)
+        # the spatial Gram is the identity: the first row tells the far location nothing
+        assert [(r["pred_mean"], r["pred_var"]) for r in rows] == [(0.0, 1.0), (0.0, 1.0)]
+
     def test_markov_spatial_run_matches_exact_product_kernel(self, tmp_path):
         locs = np.array([[0.0], [1.0]])
         loc_file = tmp_path / "locations.csv"

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
-from seqgp.runners import EnsembleRunner, StepResult, StreamRecord
+from seqgp.runners import Columns, EnsembleRunner, StepResult
 from seqgp.errors import ConfigurationError, DataError
 
 
@@ -176,6 +176,11 @@ class TestInit:
             ens.init_ensemble(2, "mean")
 
 
+def scored_records(n):
+    """The records of n rows, each with a target (0.0): what an ensemble steps its members on."""
+    return Columns(1, None, None, np.zeros(n)).records()
+
+
 class _FixedScoreMember:
     """Runner stand-in whose every row scores the same log density."""
 
@@ -205,8 +210,8 @@ class TestStackingRunner:
                 [-7.4e-176, -1e6, -1e6, -685494.7]]
         runner = EnsembleRunner([_ScoreListMember([r[j] for r in rows]) for j in range(4)], "stacking")
         with np.errstate(under="ignore"):
-            for row in range(1, 6):
-                res = runner.step(StreamRecord(row=row, t=float(row), x=None, y=0.0))
+            for rec in scored_records(5):
+                res = runner.step(rec)
                 assert np.all(np.isfinite(res.weights)) and res.weights.sum() == pytest.approx(1.0)
         assert res.weights[0] == 1.0 and runner.state.log_weights[1:] == [ens.LOG_FLOOR] * 3
 
@@ -215,7 +220,7 @@ class TestStackingRunner:
         runner = EnsembleRunner([_FixedScoreMember(-800.0), _FixedScoreMember(-840.0)], "stacking")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
+            res = runner.step(next(scored_records(1)))
         assert res.weights[0] > 0.5 > res.weights[1]
         assert res.weights.sum() == pytest.approx(1.0)
         # the step of densities 1 and exp(-40) from equal weights (eta = sqrt(ln 2), gradient p / (w . p)),
@@ -227,7 +232,7 @@ class TestStackingRunner:
     def test_no_finite_member_density_skips_the_step(self):
         runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "stacking")
         with pytest.warns(UserWarning, match="stacking step skipped"):
-            res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
+            res = runner.step(next(scored_records(1)))
         np.testing.assert_array_equal(res.weights, [0.5, 0.5])
 
 
@@ -235,16 +240,16 @@ class TestBmaRunner:
     def test_no_finite_member_density_skips_the_step(self):
         runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "bma")
         with pytest.warns(UserWarning, match="at step 1; bma step skipped"):
-            res = runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.0))
+            res = runner.step(next(scored_records(1)))
         np.testing.assert_array_equal(res.weights, [0.5, 0.5])
         assert runner.state.step_count == 1
 
     def test_log_weight_floor_triggers_for_a_member_trailing_by_more_than_745_nats(self):
         runner = EnsembleRunner([_FixedScoreMember(0.0), _FixedScoreMember(-800.0)], "bma")
-        for row in (1, 2, 3):
-            res = runner.step(StreamRecord(row=row, t=float(row), x=None, y=0.0))
+        for rec in scored_records(3):
+            res = runner.step(rec)
             best, trailing = runner.state.log_weights
-            # unfloored, the gap would be -800 * row and exp of it 0.0; clamped, it stays at the floor
+            # unfloored, the gap would be -800 * rec.row and exp of it 0.0; clamped, it stays at the floor
             assert trailing - best == ens.LOG_FLOOR
             assert np.all(np.isfinite(res.weights)) and np.all(res.weights >= 0.0)
             assert res.weights[1] > 0.0

@@ -5,46 +5,41 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_runner, stream_columns
 from seqgp import exact, kernels
 from seqgp.errors import ConfigurationError, NumericalError
-from seqgp.runners import ExactRunner, StreamRecord
+from seqgp.runners import ExactRunner, run_chunks
 
 NOISE_VAR = 0.05
 
 
 def stream(seed, n, dim=None, predict_share=0.1):
-    """Seeded records: time inputs (dim=None) or dim-D x inputs, some without y."""
+    """Seeded columns: time inputs (dim=None) or dim-D x inputs, some rows without y (NaN)."""
     rng = np.random.default_rng(seed)
     if dim is None:
         pts = np.cumsum(rng.uniform(0.01, 0.1, n))[:, None]
     else:
         pts = rng.uniform(-2.0, 2.0, (n, dim))
     ys = np.sin(3.0 * pts.sum(axis=1)) + 0.2 * rng.standard_normal(n)
-    scored = rng.uniform(size=n) >= predict_share
-    return [
-        StreamRecord(row=i + 1, t=float(p[0]) if dim is None else None, x=None if dim is None else p,
-                     y=float(ys[i]) if scored[i] else None)
-        for i, p in enumerate(pts)
-    ]
+    ys[rng.uniform(size=n) < predict_share] = np.nan
+    return stream_columns(ys, t=pts[:, 0]) if dim is None else stream_columns(ys, x=pts)
 
 
-def assert_matches_batch_oracle(kernel, records):
+def assert_matches_batch_oracle(kernel, data):
     runner = ExactRunner(kernel, NOISE_VAR)
     X, y, total = [], [], 0.0
-    for rec in records:
-        res = runner.step(rec)
+    for (_, res), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
         if X:
-            post = exact.posterior(kernel, NOISE_VAR, np.array(X), np.array(y), rec.point.reshape(1, -1))
+            post = exact.posterior(kernel, NOISE_VAR, np.array(X), np.array(y), point.reshape(1, -1))
             mean, var = float(post.mean[0]), float(post.covariance[0, 0])
         else:
             mean, var = 0.0, kernel.total_variance
         np.testing.assert_allclose(res.mean, mean, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(res.var, var, rtol=1e-10, atol=1e-12)
-        if rec.y is not None:
+        if not np.isnan(y_i):
             total += res.logdensity
-            X.append(rec.point)
-            y.append(rec.y)
+            X.append(point)
+            y.append(y_i)
     # chain rule: the scored log densities telescope to the log marginal likelihood
     assert total == pytest.approx(exact.log_marginal_likelihood(kernel, NOISE_VAR, np.array(X), np.array(y)),
                                   abs=1e-8)
@@ -53,10 +48,10 @@ def assert_matches_batch_oracle(kernel, records):
 
 class TestAgainstBatchOracle:
     def test_every_prefix_of_a_time_stream(self):
-        records = stream(11, 200)
-        assert 10 <= sum(r.y is None for r in records) <= 35
+        data = stream(11, 200)
+        assert 10 <= np.isnan(data.y).sum() <= 35
         kernel = kernels.matern32(1.3, 0.4)
-        runner, X = assert_matches_batch_oracle(kernel, records)
+        runner, X = assert_matches_batch_oracle(kernel, data)
         L_batch = np.linalg.cholesky(kernel.gram(X) + NOISE_VAR * np.eye(X.shape[0]))
         np.testing.assert_allclose(runner.factor, L_batch, rtol=1e-10, atol=1e-12)
 
@@ -67,10 +62,9 @@ class TestAgainstBatchOracle:
 class TestState:
     def test_predict_only_rows_leave_the_factor_unchanged(self):
         runner = ExactRunner(kernels.se(1.0, 0.5), NOISE_VAR)
-        for rec in stream(13, 30, predict_share=0.0):
-            runner.step(rec)
+        run_runner(runner, stream(13, 30, predict_share=0.0))
         before = (runner.n, runner.factor, runner.z.copy(), runner.inputs.copy())
-        res = runner.step(StreamRecord(row=31, t=5.0, x=None, y=None))
+        [res] = run_runner(runner, stream_columns([np.nan], t=[5.0]))
         assert res.logdensity is None
         after = (runner.n, runner.factor, runner.z, runner.inputs)
         assert before[0] == after[0] == 30
@@ -80,10 +74,10 @@ class TestState:
     def test_step_flops_grow_quadratically(self):
         runner = ExactRunner(kernels.matern12(1.0, 1.0), NOISE_VAR)
         step_flops = []
-        for rec in stream(14, 401, predict_share=0.0):
-            before = runner.flops
-            runner.step(rec)
+        before = runner.flops
+        for _ in run_chunks(runner, stream(14, 401, predict_share=0.0), 16):
             step_flops.append(runner.flops - before)
+            before = runner.flops
         ratio = step_flops[400] / step_flops[200]  # n = 400 vs n = 200 observations
         assert 3.5 < ratio < 4.5  # quadratic: 4; a refactorization per row would give 8
 
@@ -93,9 +87,12 @@ class TestState:
 
     def test_non_finite_kernel_entries_are_numerical_errors(self):
         runner = ExactRunner(kernels.se(), NOISE_VAR)
-        runner.step(StreamRecord(row=1, t=0.0, x=None, y=0.3))
+        data = stream_columns([0.3, 0.1], t=[0.0, np.nan])
+        runner.prepare(data)
+        first, second = data.records()
+        runner.step(first)
         with pytest.raises(NumericalError, match="non-finite"):
-            runner.step(StreamRecord(row=2, t=float("nan"), x=None, y=0.1))
+            runner.step(second)
 
     def test_overflowing_prior_variance_is_a_configuration_error(self):
         # kappa(0) = weight * sigma2 overflows: the kernel is rejected before any row, without a warning

@@ -134,6 +134,16 @@ class TestPsd:
 
 
 class TestGram:
+    @pytest.mark.parametrize("k", kernel_zoo(), ids=lambda k: k.family)
+    def test_far_apart_points_get_the_limit_without_a_warning(self, k):
+        # 1e200 - 1 squares to inf, and 1e308 - (-1e308) is inf itself: kappa's limit there is 0
+        X = np.array([[1e200, 0.0], [1.0, 0.0], [-1e308, 0.0], [1e308, 0.0]])
+        with np.errstate(all="raise"):
+            K = k.gram(X)
+            at_zero = float(kernels.kappa_of_distance(k, 0.0))
+            assert kernels.kappa_of_distance(k, np.inf) == 0.0
+        np.testing.assert_array_equal(K, at_zero * np.eye(4))
+
     def test_worked_example_matrix(self):
         G = kernels.gram(WORKED_KERNEL, WORKED_TIMES)
         np.testing.assert_allclose(G, WORKED_COV, atol=5e-4)

@@ -77,19 +77,20 @@ class TestLinearRunner:
         runner = LinearRunner(fmap, dynamics, 0.1, likelihood)
         mean_id, cov_id = id(runner.belief.mean), id(runner.belief.cov)
         belief = lf.init_belief(64, fmap.weight_prior_var)
-        for rec, got in run_chunks(runner, stream_columns(y, x=x), 16):
-            phi = features.featurize(fmap, rec.point)
+        data = stream_columns(y, x=x)
+        for (_, got), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
+            phi = features.featurize(fmap, point)
             predicted = lf.predict_step(belief, dynamics)
             mean, var = lf.predict_f(predicted, phi)
             assert (got.mean, got.var) == (pytest.approx(mean, rel=1e-12, abs=1e-12),
                                            pytest.approx(var, rel=1e-12, abs=1e-12))
-            if rec.y is None:
+            if np.isnan(y_i):
                 assert got.logdensity is None
             else:
                 if likelihood == "gaussian":
-                    belief, ll = lf.update_step(predicted, phi, rec.y, 0.1)
+                    belief, ll = lf.update_step(predicted, phi, y_i, 0.1)
                 else:
-                    pseudo_y, pseudo_var, ll = lf.laplace_observation(mean, var, rec.y, likelihood)
+                    pseudo_y, pseudo_var, ll = lf.laplace_observation(mean, var, y_i, likelihood)
                     belief, _ = lf.update_step(predicted, phi, pseudo_y, pseudo_var)
                 assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(runner.belief.mean, belief.mean, rtol=1e-12, atol=1e-12)

@@ -372,6 +372,23 @@ class TestTransition:
             assert np.array_equal(A, np.eye(sde.dim))
         assert markovian.transition(sde, deltas[:0]).shape == (0, sde.dim, sde.dim)
 
+    @pytest.mark.parametrize("name", ZERO_STEP_SDES)
+    def test_a_decay_that_underflows_is_weight_zero_without_a_warning(self, name):
+        # lambda * 1e308 (and b * 1e308 for a phased block) overflows; exp(-lambda * 1e200) underflows
+        sde = ZERO_STEP_SDES[name]
+        with np.errstate(all="raise", under="ignore"):
+            stack = markovian.transition(sde, np.array([1e308, 1e200]))
+        assert np.array_equal(stack, np.zeros((2, sde.dim, sde.dim)))
+
+    @pytest.mark.parametrize("kernel", ["kernel.family=matern12 kernel.lengthscale=0.5",
+                                        "kernel.family=hida_matern kernel.hm_components=1:3:1.5:1:1"])
+    def test_a_step_whose_decay_underflows_predicts_the_prior(self, kernel):
+        code, out, err = run_cli(["run", "model=markov", *kernel.split(), "noise_var=0.1"],
+                                 stdin_text="t,y\n0,1\n1e308,2\n")
+        assert (code, err) == (0, "")
+        _, rows, _ = parse_report(out)
+        assert (rows[1]["pred_mean"], rows[1]["pred_var"]) == (0.0, 1.0)  # A = 0: the prior
+
 
 class TestKalmanFilter:
     def test_single_observation_conjugate_oracle(self):

@@ -13,7 +13,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
 from seqgp import kernels, linear_filter as lf
-from seqgp.runners import EnsembleRunner, StepResult, StreamRecord
+from seqgp.runners import Columns, EnsembleRunner, StepResult
 
 finite = {"allow_nan": False, "allow_infinity": False}
 hyper = st.floats(min_value=0.05, max_value=20.0, **finite)
@@ -156,8 +156,8 @@ def test_combiner_rows_match_the_numpy_reference_bit_for_bit(data, k, combiner):
     runner = EnsembleRunner([_ScriptedMember(rows, j) for j in range(k)], combiner)
     with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
         warnings.simplefilter("always")
-        got = [runner.step(StreamRecord(row, float(row), None, None if lls is None else 0.0))
-               for row, (_, _, lls) in enumerate(rows, start=1)]
+        scored = Columns(1, None, None, np.array([math.nan if lls is None else 0.0 for _, _, lls in rows]))
+        got = [runner.step(rec) for rec in scored.records()]
     assert sum(f"{combiner} step skipped" in str(w.message) for w in caught) == skips
     for res, (mean, var, mix_ll, weights) in zip(got, expected):
         assert _same(res.mean, mean) and _same(res.var, var)

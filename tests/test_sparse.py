@@ -197,12 +197,13 @@ class TestSparseRunner:
         runner = SparseRunner(kernel, noise, Z, residual)
         state = sparse.init_sparse(kernel, Z, residual)
         flops = 0
-        for rec, got in run_chunks(runner, self.columns(), 16):
+        data = self.columns()
+        for (_, got), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
             # the two-projection sequence: each call projects x itself
-            mean, var = sparse.sparse_predict(state, rec.point)
+            mean, var = sparse.sparse_predict(state, point)
             ll = None
-            if rec.y is not None:
-                state, ll = sparse.sparse_update(state, rec.point, rec.y, noise)
+            if not np.isnan(y_i):
+                state, ll = sparse.sparse_update(state, point, y_i, noise)
                 flops += 6 * Z.size**2 + 10 * Z.size  # O(M^2), M = 16 inducing inputs
             assert (got.mean, got.var, got.logdensity) == (mean, var, ll)
             np.testing.assert_array_equal(runner.state.mean, state.mean)
@@ -216,11 +217,11 @@ class TestSparseRunner:
                              "sparse.M=12"], data)
         mean_id, cov_id = id(runner.state.mean), id(runner.state.cov)
         state = sparse.init_sparse(runner.state.kernel, runner.state.inducing, True)
-        for rec, got in run_chunks(runner, data, 16):
-            mean, var = sparse.sparse_predict(state, rec.point)
+        for (_, got), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
+            mean, var = sparse.sparse_predict(state, point)
             ll = None
-            if rec.y is not None:
-                state, ll = sparse.sparse_update(state, rec.point, rec.y, 0.1)
+            if not np.isnan(y_i):
+                state, ll = sparse.sparse_update(state, point, y_i, 0.1)
                 assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
             else:
                 assert got.logdensity is None
