@@ -55,8 +55,11 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 # Rows per chunk: the CSV is parsed, runners prepare their input-only work, and
-# the report is formatted this many rows at a time.  At F = 256 features the
-# prepared feature block is 512 KiB.
+# the report is formatted this many rows at a time.  A runner's chunk ends at
+# the first block start of its partition at or after this many rows
+# (``runners.run_chunks``), so it may run up to 126 rows longer for the exact
+# GP, whose blocks have 64 to 127 rows.  At F = 256 features the prepared
+# feature block is 512 KiB.
 CHUNK_ROWS = 256
 # report columns left empty on a row without y
 BLANK_WITHOUT_Y = ("y", "pred_logdensity")

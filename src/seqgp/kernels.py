@@ -69,6 +69,9 @@ class Kernel:
             if self.lengthscale <= 0.0:
                 raise ConfigurationError(f"lengthscale must be positive, got {self.lengthscale}", param="lengthscale")
             _check_scale(self.sigma_f2, self.lengthscale, "lengthscale")
+            if self.family == "se" and not math.isfinite(2.0 * float(self.lengthscale) ** 2):
+                raise ConfigurationError(f"lengthscale {self.lengthscale!r} overflows 2 * l**2 in the SE exponent",
+                                         param="lengthscale")
         elif self.family == "spectral_mixture":
             if not self.sm_components:
                 raise ConfigurationError("spectral_mixture needs at least one component", param="sm_components")

@@ -7,13 +7,16 @@ matrices are handled by a bounded jitter escalation on the diagonal.
 The scalar Kalman step of every filter route is ``observe`` (forms s = P h
 once) followed by ``condition``, the one scored update: it checks y,
 conditions the mean and covariance its caller owns in place, and returns the
-predictive log density of y.  Every other function here is pure.  A caller
-that wants a new belief conditions a copy of its own.
+predictive log density of y.  A block of rows observed together is one vector
+measurement, ``condition_block``, which the Markov time step and the exact GP
+share.  Every other function here is pure.  A caller that wants a new belief
+conditions a copy of its own.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -155,6 +158,62 @@ def condition(mean: np.ndarray, cov: np.ndarray, observed, y: float, noise_var: 
     mean += (s / pred_var) * (y - pred_mean)
     blas.dgemm(-1.0 / pred_var, s[:, None], s[None, :], beta=1.0, c=cov.T, overwrite_c=1)
     return gaussian_loglik(y, pred_mean, pred_var)
+
+
+class BlockUpdate(NamedTuple):
+    """What ``condition_block`` gives back: per row, and for the caller's state update."""
+
+    means: list  # each row's latent predictive mean given the y-rows before it
+    variances: list  # and its latent predictive variance
+    logdensities: list  # each y-row's predictive log density, None on a predict-only row
+    scored: np.ndarray  # the block's y-rows, in order
+    factor: np.ndarray | None  # L, lower Cholesky factor of C_YY + noise_var I (None without y-rows)
+    inverse: np.ndarray | None  # L^-1
+    z: np.ndarray | None  # L^-1 (y_Y - mu_Y)
+
+
+def condition_block(mu: np.ndarray, C: np.ndarray, ys: np.ndarray, noise_var: float) -> BlockUpdate:
+    """Condition a block of n rows on its y-rows as one vector measurement.
+
+    The rows' latent values are a priori N(``mu``, ``C``) (n,) and (n, n), and
+    ``ys`` (n,) holds their observations, NaN on a predict-only row.  With Y the
+    y-rows and L the lower Cholesky factor of S = C_YY + noise_var I
+    (``dpotrf``), z = L^-1 (y_Y - mu_Y), and row i of W = L^-1 C_Y is y-row i's
+    share of every row's prequential moments: a row's mean and variance are
+    mu and C's diagonal plus partial sums over the y-rows strictly before it
+    (W masked), and y-row i's log density is -(log(2 pi L_ii^2) + z_i^2) / 2.
+    The masked entries of C_Y are zeroed before the product, so an entry that
+    no row reads (a y-row against an earlier predict-only row) may be
+    non-finite.  The caller folds (L^-1, z) into its own state.  Pure.
+
+    Raises
+    ------
+    NumericalError
+        if a pivot of S is not positive; ``detail["row"]`` is its row of the
+        block, so the rows before it can be conditioned on as a block of their own.
+    """
+    n = ys.size
+    scored = ~np.isnan(ys)
+    Y = np.flatnonzero(scored)
+    if not Y.size:
+        return BlockUpdate(mu.tolist(), C.diagonal().tolist(), [None] * n, Y, None, None, None)
+    S = C[np.ix_(Y, Y)]
+    S.flat[::Y.size + 1] += noise_var
+    L, info = lapack.dpotrf(S, lower=1, clean=1)
+    if info > 0:
+        raise NumericalError(f"non-positive predictive variance at pivot {info} of the block",
+                             detail={"row": int(Y[info - 1])})
+    L_inv = lapack.dtrtri(L, lower=1)[0]
+    z = L_inv @ (ys[Y] - mu[Y])
+    before = np.cumsum(scored) - scored  # y-rows strictly before each row
+    mask = np.arange(Y.size)[:, None] < before  # (n_y, n)
+    W = (L_inv @ np.where(mask, C[Y], 0.0)) * mask
+    means = mu + z @ W
+    variances = C.diagonal() - np.einsum("ij,ij->j", W, W)
+    lls = [None] * n
+    for i, pivot, zi in zip(Y.tolist(), np.diagonal(L).tolist(), z.tolist()):
+        lls[i] = -0.5 * (math.log(2.0 * math.pi * pivot * pivot) + zi * zi)
+    return BlockUpdate(means.tolist(), variances.tolist(), lls, Y, L, L_inv, z)
 
 
 def gaussian_loglik(y: float, mean: float, var: float) -> float:

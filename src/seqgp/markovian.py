@@ -48,11 +48,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, lapack, solve_continuous_lyapunov
+from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import Kernel, as_points, gram, hida_matern_components
-from .linalg import chol_jitter, condition, symmetrize
+from .linalg import chol_jitter, condition, condition_block, symmetrize
 
 @dataclass(frozen=True)
 class LtiSde:
@@ -269,7 +269,8 @@ class MarkovStepper:
     observe triple (h^T mean, h^T s, s), with s = cov h formed once through the
     row's nonzero entries (``LtiSde.obs_support``), and ``update`` conditions
     on that triple (``linalg.condition``).  A longer block factors the
-    innovation covariance of its y-rows once (``_condition_block``).
+    innovation covariance of its y-rows once (``_condition_block``, through
+    ``linalg.condition_block``, the block update the exact GP shares).
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_times=None):
@@ -392,17 +393,15 @@ class MarkovStepper:
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
         """``step`` on a block of rows at the current time, as one vector measurement.
 
-        With H the block's observation rows, H_y those of its y-rows and L the
-        lower Cholesky factor of S = H_y P H_y^T + noise_var I (``dpotrf``), the
-        block forms G = L^-1 H_y P and z = L^-1 (y - H_y m).  Row i of G H^T and z
-        is y-row i's share of every row's prequential moments, so a row's mean
-        and variance are h^T m and h^T P h plus masked partial sums over the
-        y-rows strictly before it, and y-row i's log density is
-        -(log(2 pi L_ii^2) + z_i^2) / 2.  Then m += G^T z and P -= G^T G, whose
-        ``a.T @ a`` product is one ``syrk``, so P stays bit-symmetric.  HP is
-        gathered through the rows' nonzero entries when each row has one (a
-        space-time model).  A failed pivot is a NumericalError naming its row of
-        the block, raised before the state changes.
+        With H the block's observation rows, the rows' latent values are a priori
+        N(H m, H P H^T), and ``linalg.condition_block`` gives each row's
+        prequential moments and log density, and L^-1 and z = L^-1 (y - H_y m)
+        for the block's y-rows.  The state update is G = L^-1 H_y P, m += G^T z
+        and P -= G^T G, whose ``a.T @ a`` product is one ``syrk``, so P stays
+        bit-symmetric.  HP is gathered through the rows' nonzero entries when
+        each row has one (a space-time model).  A failed pivot is
+        ``condition_block``'s NumericalError naming its row of the block, raised
+        before the state changes.
 
         L^-1 comes from ``dtrtri``, at most ``UPDATE_BLOCK_ROWS`` square, so
         every product of size d runs in numpy's BLAS, as ``predict`` does.
@@ -416,44 +415,22 @@ class MarkovStepper:
             raise DataError(f"observation row {bad_rows[0]} is not in [0, {len(support)})")
         if bad_ys.size:
             raise DataError(f"non-finite observation {float(bad_ys[0])!r}")
-        m, P, n = self.mean, self.cov, ys.size
+        m, P = self.mean, self.cov
         single = self.sde.obs_single
-        if single is not None:  # HP and every product with H^T are gathers
+        if single is not None:  # HP and H P H^T are gathers
             idx, w = single[0][rows], single[1][rows]
             HP, mu = P[idx] * w[:, None], m[idx] * w
-
-            def project(X):  # X H^T
-                return X[:, idx] * w
+            C = HP[:, idx] * w
         else:
             H = self.sde.obs[rows]
             HP, mu = H @ P, H @ m
-
-            def project(X):
-                return X @ H.T
-        C = project(HP)  # H P H^T
-        scored = ~np.isnan(ys)
-        Y = np.flatnonzero(scored)
-        if not Y.size:
-            return mu.tolist(), C.diagonal().tolist(), [None] * n
-        S = C[np.ix_(Y, Y)]
-        S.flat[::Y.size + 1] += self.noise_var
-        L, info = lapack.dpotrf(S, lower=1, clean=1)
-        if info > 0:
-            row = int(Y[info - 1])
-            raise NumericalError(f"non-positive predictive variance at pivot {info} of the time step's block",
-                                 detail={"row": row})
-        L_inv = lapack.dtrtri(L, lower=1)[0]
-        G, z = L_inv @ HP[Y], L_inv @ (ys[Y] - mu[Y])
-        before = np.cumsum(scored) - scored  # y-rows strictly before each row
-        W = project(G) * (np.arange(Y.size)[:, None] < before)  # (n_y, n): G H^T, masked
-        means = mu + z @ W
-        variances = C.diagonal() - np.einsum("ij,ij->j", W, W)
-        lls = [None] * n
-        for i, pivot, zi in zip(Y.tolist(), np.diagonal(L).tolist(), z.tolist()):
-            lls[i] = -0.5 * (math.log(2.0 * math.pi * pivot * pivot) + zi * zi)
-        m += G.T @ z
-        P -= G.T @ G
-        return means.tolist(), variances.tolist(), lls
+            C = HP @ H.T
+        out = condition_block(mu, C, ys, self.noise_var)
+        if out.scored.size:
+            G = out.inverse @ HP[out.scored]
+            m += G.T @ out.z
+            P -= G.T @ G
+        return out.means, out.variances, out.logdensities
 
     def result(self) -> FilterResult:
         """The history rows written so far, as views of ``history`` (no copy)."""

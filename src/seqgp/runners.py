@@ -1,9 +1,12 @@
 """Chunk-at-a-time model runners behind the streaming CLI.
 
 Every runner follows one row protocol, and ``run_chunks`` drives it the way
-``seqgp run`` does.  A chunk ends at a block boundary of the stream
-(``markovian.block_starts``: runs of equal timestamps, split every
-``UPDATE_BLOCK_ROWS`` rows), one rule for every runner.  ``prepare(chunk)``
+``seqgp run`` does.  A chunk ends at a block start of the runner's partition
+(``block_bounds``): the stream's blocks (``markovian.block_starts``: runs of
+equal timestamps, split every ``UPDATE_BLOCK_ROWS`` rows; every row, without
+timestamps) merged until each has at least the runner's ``block_rows`` rows,
+which is 1 but for the exact runner and an ensemble with an exact member.
+``prepare(chunk)``
 does the work that depends only on the inputs of a chunk of rows
 (``Columns``) in one call (sparse projections, feature rows, Markov
 transitions and observation rows, or the exact runner's points) and starts,
@@ -29,8 +32,10 @@ non-Gaussian likelihood).  ``MarkovRunner``'s rows come from
 ``MarkovStepper.run``, which conditions each block of rows at one timestamp
 when its first row is drawn (``MarkovStepper.step``; a block of one row is
 that hand-off), each row's result still its prequential one.  ``ExactRunner``
-extends a Cholesky factor.  The pure functions of those modules are the same
-arithmetic on new states, for library callers.
+conditions a block of its partition at once through the same block update,
+``linalg.condition_block``, and extends its Cholesky factor by a row panel.
+The pure functions of those modules are the same arithmetic on new states,
+for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -44,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
+from scipy.linalg import blas, lapack
 
 from . import ensemble as ens
 from . import features, linear_filter, markovian, sparse
@@ -62,7 +67,7 @@ from .config import (
 )
 from .errors import ConfigurationError, DataError, NumericalError
 from .kernels import kappa_of_distance
-from .linalg import condition, gaussian_loglik
+from .linalg import condition, condition_block
 
 
 @dataclass(slots=True)
@@ -112,6 +117,7 @@ class StepResult:
 class _RowRunner:
     """The row protocol: ``prepare`` starts the chunk's row generator, ``step`` draws from it."""
 
+    block_rows = 1  # a block of the runner's partition has at least this many rows (``block_bounds``)
     _chunk: Columns | None = None
 
     def _start(self, chunk: Columns, results) -> None:
@@ -127,21 +133,40 @@ class _RowRunner:
 
 
 class ExactRunner(_RowRunner):
-    """Exact GP grown one observation at a time by extending a Cholesky factor.
+    """Exact GP grown a block of rows at a time by extending a Cholesky factor.
 
     The state is the lower factor L of K_oo + noise_var I over the n observed
-    inputs X, and z = L^-1 y.  A row at x solves v = L^-1 k(X, x) once, which
-    costs O(n^2), and predicts mean = v.z, var = kappa(x, x) - v.v.  A y-bearing
-    row then appends [v, sqrt(var + noise_var)] as row n of L and the
-    standardized residual (y - mean) / sqrt(var + noise_var) to z; the new
-    pivot is the predictive variance that scoring already requires to be
-    positive.  A predict-only row leaves the state untouched.
+    inputs X, and z = L^-1 y.  The rows are conditioned in blocks of 64 to 127
+    rows (``block_bounds`` with ``block_rows``; a stream's last block may be
+    shorter), a block when its first row is drawn.  With K_0 = k(X, block) and
+    K_bb = k(block, block), one ``gram`` call each, the block forms
+    V = L^-1 K_0 by forward substitution over the panels of L, and its rows'
+    latent values are a priori N(V^T z, K_bb - V^T V), the diagonal being
+    kappa(0) - ||V_i||^2.  ``linalg.condition_block`` conditions them on the
+    block's y-rows Y as one vector measurement, each row's result its
+    prequential one, and returns L_Y, the factor of the block's innovation
+    covariance, and z_Y = L_Y^-1 (y_Y - mu_Y).  [V_Y^T, L_Y] is appended to L
+    as a row panel, and z_Y to z.  A block without y-rows leaves the state as
+    it is.
 
-    L is kept in packed storage: row i of L occupies ``packed[i(i+1)/2 :
-    (i+1)(i+2)/2]``, which is BLAS upper-packed storage of L^T, so a new row
-    is an append and the triangular solve runs on a contiguous prefix.
-    Memory is O(n^2); every buffer grows geometrically.
+    A panel keeps V_Y^T and L_Y: about n^2 / 2 doubles in all, plus a square
+    of at most 127 rows per panel; a block's temporaries (K_0, V and the
+    Gram's) are O(n block_rows).  The forward substitution is one scipy
+    ``dgemm`` and one ``dtrtrs`` per panel.  Two alternatives measured worse:
+    multiplying by a stored L_Y^-1 failed a pivot that the triangular solve
+    passes (an SE stream at spacing 1e-3, noise_var 1e-12, row 152 of 200),
+    and a numpy GEMM between scipy's solves (numpy and scipy each have an
+    OpenBLAS thread pool) made the loop about 2.5 times slower with both
+    pools threaded on 2 vCPUs.  A row is charged the flops of a row grown
+    alone against the observations before it: n^2 + 4n + 10.
+
+    A block is cut at its first row whose kernel entries are not finite (its
+    column of K_0, or its entry of K_bb against an earlier y-row of the
+    block): the rows before it run as a block of their own, and the row
+    raises.  A pivot that fails at a y-row does the same.
     """
+
+    block_rows = markovian.UPDATE_BLOCK_ROWS
 
     def __init__(self, kernel, noise_var: float):
         if noise_var <= 0.0:
@@ -151,7 +176,7 @@ class ExactRunner(_RowRunner):
         self.noise_var = noise_var
         self.n = 0  # observations folded in
         self.inputs = np.zeros((0, 0))  # X, rows [:n] in use
-        self.packed = np.zeros(0)  # packed L, entries [:n(n+1)/2] in use
+        self.panels: list[tuple[np.ndarray, np.ndarray]] = []  # (V_Y^T, L_Y) per block, in row order
         self.z = np.zeros(0)  # L^-1 y, entries [:n] in use
         self.flops = 0
         self.approximate_loglik = False
@@ -159,51 +184,72 @@ class ExactRunner(_RowRunner):
     @property
     def factor(self) -> np.ndarray:
         """The lower factor L as a dense (n, n) array (a copy)."""
-        L = np.zeros((self.n, self.n))
-        L[np.tril_indices(self.n)] = self.packed[: self.n * (self.n + 1) // 2]
+        L, a = np.zeros((self.n, self.n)), 0
+        for off, diag in self.panels:
+            b = a + diag.shape[0]
+            L[a:b, :a], L[a:b, a:b] = off, diag
+            a = b
         return L
 
     def prepare(self, chunk: Columns) -> None:
-        """Nothing ahead but the points: each row's work reads the factor that the rows before it grew."""
-        self._start(chunk, self._rows(chunk.points, chunk.y.tolist()))
+        """Nothing ahead but the points and the blocks: each block reads the factor
+        that the blocks before it grew."""
+        bounds = block_bounds(chunk.t, len(chunk), self.block_rows)
+        self._start(chunk, self._rows(chunk.points, chunk.y, bounds))
 
-    def _rows(self, points: np.ndarray, ys: list):
-        kxx = self.kxx
-        for x, y in zip(points, ys):
-            n = self.n
-            k = self.kernel.gram(self.inputs[:n], x.reshape(1, -1)).ravel() if n else np.zeros(0)
-            if not (np.isfinite(kxx) and np.all(np.isfinite(k))):
-                raise NumericalError("kernel has non-finite entries")
-            v = dtpsv(n, self.packed[: n * (n + 1) // 2], k, trans=1, overwrite_x=1) if n else k
-            mean, var = float(v @ self.z[:n]), kxx - float(v @ v)
+    def _rows(self, points: np.ndarray, ys: np.ndarray, bounds: np.ndarray):
+        for start, stop in zip(bounds, bounds[1:]):
+            yield from self._block(points[start:stop], ys[start:stop])
+
+    def _block(self, X: np.ndarray, ys: np.ndarray):
+        """Condition one block on its first draw, then yield its rows' results."""
+        n, kxx = self.n, self.kxx
+        K_bb = self.kernel.gram(X)
+        K_0 = self.kernel.gram(self.inputs[:n], X) if n else np.zeros((0, len(X)))
+        scored = ~np.isnan(ys)
+        bad = ~np.isfinite(K_0).all(axis=0) | np.triu(~np.isfinite(K_bb) & scored[:, None], 1).any(axis=0)
+        bad |= not math.isfinite(kxx)
+        if bad.any():  # cut the block at its first bad row
+            cut = int(np.argmax(bad))
+            if cut:
+                yield from self._block(X[:cut], ys[:cut])
+            raise NumericalError("kernel has non-finite entries")
+        V = self._solve(K_0)
+        np.fill_diagonal(K_bb, kxx)
+        try:
+            out = condition_block(V.T @ self.z[:n], K_bb - V.T @ V, ys, self.noise_var)
+        except NumericalError as exc:  # the rows before the failed pivot run as a block of their own
+            if p := exc.detail["row"]:
+                yield from self._block(X[:p], ys[:p])
+            raise
+        Y = out.scored
+        if Y.size:
+            self._append(X[Y], (V[:, Y].T, out.factor), out.z)
+        for mean, var, ll in zip(out.means, out.variances, out.logdensities):
             self.flops += n * n + 4 * n + 10
-            ll = None
-            if not math.isnan(y):
-                ll = gaussian_loglik(y, mean, var + self.noise_var)
-                pivot = float(np.sqrt(var + self.noise_var))
-                self._append(x, v, pivot, (y - mean) / pivot)
             yield StepResult(mean, var, ll)
+            n += ll is not None
 
-    def _append(self, x: np.ndarray, v: np.ndarray, pivot: float, z_new: float) -> None:
-        n = self.n
-        if n == self.z.size:
-            cap = max(16, 2 * n)
-            self.inputs = _grown(self.inputs, (cap, x.size))
-            self.packed = _grown(self.packed, (cap * (cap + 1) // 2,))
-            self.z = _grown(self.z, (cap,))
-        start = n * (n + 1) // 2
-        self.packed[start : start + n] = v
-        self.packed[start + n] = pivot
-        self.inputs[n] = x
-        self.z[n] = z_new
-        self.n = n + 1
+    def _solve(self, K_0: np.ndarray) -> np.ndarray:
+        """V = L^-1 K_0 by forward substitution over the panels."""
+        V, a = np.empty_like(K_0), 0
+        for off, diag in self.panels:
+            b = a + diag.shape[0]
+            rhs = blas.dgemm(-1.0, off, V[:a], 1.0, K_0[a:b]) if a else K_0[a:b]  # K_0[a:b] - L[a:b, :a] V[:a]
+            V[a:b] = lapack.dtrtrs(diag, rhs, lower=1)[0]
+            a = b
+        return V
 
-
-def _grown(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """A zero buffer of ``shape`` whose leading block holds ``buf``."""
-    out = np.zeros(shape)
-    out[tuple(slice(0, s) for s in buf.shape)] = buf
-    return out
+    def _append(self, X: np.ndarray, panel: tuple, z: np.ndarray) -> None:
+        n, m = self.n, len(X)
+        if n + m > self.z.size:
+            cap = max(2 * self.z.size, n + m)  # geometric growth: each row is copied O(1) times
+            self.inputs = np.concatenate([self.inputs[:n].reshape(n, X.shape[1]), np.empty((cap - n, X.shape[1]))])
+            self.z = np.concatenate([self.z[:n], np.empty(cap - n)])
+        self.inputs[n : n + m] = X
+        self.z[n : n + m] = z
+        self.panels.append(panel)
+        self.n = n + m
 
 
 class LinearRunner(_RowRunner):
@@ -385,6 +431,11 @@ class EnsembleRunner:
     def flops(self) -> int:
         return sum(m.flops for m in self.members)
 
+    @property
+    def block_rows(self) -> int:
+        """A chunk that ends at a block start of this partition ends at one of every member's."""
+        return max(m.block_rows for m in self.members)
+
     def prepare(self, chunk: Columns) -> None:
         for m in self.members:
             m.prepare(chunk)
@@ -401,21 +452,40 @@ class EnsembleRunner:
         return StepResult(mix_mean, mix_var, mix_ll, weights=state.weights)
 
 
+def block_bounds(t: np.ndarray | None, n: int, min_rows: int) -> np.ndarray:
+    """The first row of each block of a stream of n rows, then n.
+
+    The stream's blocks are those of ``markovian.block_starts`` of its
+    timestamps ``t``, or every row when it has none; they are merged in order,
+    from the first, until each has at least ``min_rows`` rows (a last one may
+    have fewer): a block ends at the first stream block start ``min_rows``
+    rows on, so it has fewer than ``min_rows + UPDATE_BLOCK_ROWS`` rows.  The
+    partition depends on the stream alone: a slice that begins at one of its
+    block starts has the same blocks."""
+    if t is None:
+        return np.append(np.arange(0, n, min_rows), n)
+    starts = np.flatnonzero(markovian.block_starts(t))
+    if min_rows > 1 and starts.size:
+        merged = [0]
+        while (k := int(np.searchsorted(starts, merged[-1] + min_rows))) < starts.size:
+            merged.append(int(starts[k]))
+        starts = np.array(merged)
+    return np.append(starts, n)
+
+
 def run_chunks(runner, data: Columns, chunk_rows: int):
     """Step ``runner`` over ``data`` as ``seqgp run`` does, yielding (record,
     StepResult) row by row: ``prepare`` each chunk, then ``step`` its records in
-    order.  A chunk ends at the first block boundary (``markovian.block_starts``
-    of the timestamps; every row, when ``data`` has none) at or after
-    ``chunk_rows`` rows, so it grows by fewer than ``UPDATE_BLOCK_ROWS`` rows
-    and never splits a block: the blocks, and so the report, do not depend on
-    the chunk size.  A non-finite predictive mean or variance is a
+    order.  A chunk ends at the first block start of the runner's partition
+    (``block_bounds`` with its ``block_rows``) at or after ``chunk_rows`` rows,
+    so it never splits a block: the blocks, and so the report, do not depend
+    on the chunk size.  A non-finite predictive mean or variance is a
     NumericalError, and a data or numerical error raised here names its
     1-based row.  ``chunk_rows`` below 1 is a ValueError."""
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
     n = len(data)
-    bounds = np.arange(n) if data.t is None else np.flatnonzero(markovian.block_starts(data.t))
-    bounds = np.append(bounds, n)
+    bounds = block_bounds(data.t, n, runner.block_rows)
     start = 0
     while start < n:
         stop = int(bounds[np.searchsorted(bounds, min(start + chunk_rows, n))])

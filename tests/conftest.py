@@ -5,9 +5,11 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
 from seqgp import cli
 from seqgp.config import parse_overrides
+from seqgp.errors import DataError, NumericalError
 from seqgp.linalg import condition, observe
 from seqgp.runners import Columns, build_runner, run_chunks
 
@@ -54,6 +56,15 @@ def runner_for(overrides, data):
 def run_runner(runner, data, chunk_rows=cli.CHUNK_ROWS):
     """Step ``runner`` over ``data`` in chunks, as ``seqgp run`` does; the StepResults in row order."""
     return [res for _, res in run_chunks(runner, data, chunk_rows)]
+
+
+def rows_until_error(runner, data, chunk_rows=cli.CHUNK_ROWS):
+    """The (mean, var, loglik) that ``run_chunks`` yields before it raises, and the error."""
+    got = []
+    with pytest.raises((DataError, NumericalError)) as caught:
+        for _, res in run_chunks(runner, data, chunk_rows):
+            got.append((res.mean, res.var, res.logdensity))
+    return got, caught.value
 
 
 def conditioned(mean, cov, h, y, noise_var):

@@ -53,6 +53,7 @@ BLOCK_UPDATE = "each time step's rows are conditioned as one block"
 SCALAR_UPDATE = "`linalg.scalar_update`, the one Kalman covariance update"
 ONE_DRIVER = "one driver for the Markov time-step blocks"
 ROW_PROTOCOL = "one row protocol for every runner"
+EXACT_BLOCKS = "the exact GP is conditioned a block of rows at a time"
 
 MUTANTS = (
     Mutant(
@@ -178,19 +179,21 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_02_markovian_equals_exact_gp"),
         SHIPPED_STEP),
     Mutant(
-        "block-mask-admits-a-rows-own-y", "src/seqgp/markovian.py",
-        "        before = np.cumsum(scored) - scored  # y-rows strictly before each row\n",
-        "        before = np.cumsum(scored)  # y-rows strictly before each row\n",
+        "block-mask-admits-a-rows-own-y", "src/seqgp/linalg.py",
+        "    before = np.cumsum(scored) - scored  # y-rows strictly before each row\n",
+        "    before = np.cumsum(scored)  # y-rows strictly before each row\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::"
          "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",
-         "tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother"),
+         "tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
+         "tests/test_exact_runner.py::TestAgainstBatchOracle"),
         BLOCK_UPDATE),
     Mutant(
-        "innovation-covariance-without-its-noise", "src/seqgp/markovian.py",
-        "        S.flat[::Y.size + 1] += self.noise_var\n",
+        "innovation-covariance-without-its-noise", "src/seqgp/linalg.py",
+        "    S.flat[::Y.size + 1] += noise_var\n",
         "",
         ("tests/test_markovian.py::TestTimeStepBlocks::"
-         "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",),
+         "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",
+         "tests/test_exact_runner.py::TestAgainstBatchOracle"),
         BLOCK_UPDATE),
     Mutant(
         "time-step-block-without-its-row-bound", "src/seqgp/markovian.py",
@@ -205,7 +208,8 @@ MUTANTS = (
         "        stop = min(start + chunk_rows, n)\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::"
          "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",
-         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report"),
+         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report",
+         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_exact_blocks"),
         BLOCK_UPDATE),
     Mutant(
         "failed-pivot-drops-the-rows-before-it", "src/seqgp/markovian.py",
@@ -247,6 +251,47 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_chunked_run.py::test_a_row_stepped_ahead_of_its_turn_or_twice_is_a_value_error",),
         ROW_PROTOCOL),
+    Mutant(
+        "exact-blocks-cut-at-each-chunk-start", "src/seqgp/runners.py",
+        "    bounds = block_bounds(data.t, n, runner.block_rows)\n",
+        "    bounds = block_bounds(data.t, n, 1)\n",
+        ("tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_exact_blocks",
+         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report"),
+        EXACT_BLOCKS),
+    Mutant(
+        "exact-block-without-its-non-finite-cut", "src/seqgp/runners.py",
+        "        if bad.any():  # cut the block at its first bad row\n",
+        "        if False:  # cut the block at its first bad row\n",
+        ("tests/test_exact_runner.py::TestMidBlockErrors",
+         "tests/test_exact_runner.py::TestState::test_non_finite_kernel_entries_are_numerical_errors"),
+        EXACT_BLOCKS),
+    Mutant(
+        "exact-flops-charged-per-block", "src/seqgp/runners.py",
+        "        for mean, var, ll in zip(out.means, out.variances, out.logdensities):\n"
+        "            self.flops += n * n + 4 * n + 10\n"
+        "            yield StepResult(mean, var, ll)\n"
+        "            n += ll is not None\n",
+        "        for ll in out.logdensities:  # the block's flops, all charged at its first row\n"
+        "            self.flops += n * n + 4 * n + 10\n"
+        "            n += ll is not None\n"
+        "        for mean, var, ll in zip(out.means, out.variances, out.logdensities):\n"
+        "            yield StepResult(mean, var, ll)\n",
+        ("tests/test_exact_runner.py::TestState::test_each_row_is_charged_as_it_is_yielded",),
+        EXACT_BLOCKS),
+    Mutant(
+        "block-update-without-its-mask", "src/seqgp/linalg.py",
+        "    W = (L_inv @ np.where(mask, C[Y], 0.0)) * mask\n",
+        "    W = L_inv @ C[Y]\n",
+        ("tests/test_exact_runner.py::TestAgainstBatchOracle",
+         "tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter"),
+        EXACT_BLOCKS),
+    Mutant(
+        "block-update-reads-entries-no-row-reads", "src/seqgp/linalg.py",
+        "    W = (L_inv @ np.where(mask, C[Y], 0.0)) * mask\n",
+        "    W = (L_inv @ C[Y]) * mask\n",
+        ("tests/test_exact_runner.py::TestState::test_a_non_finite_entry_that_no_row_reads_is_not_an_error",),
+        EXACT_BLOCKS),
 )
 
 

@@ -1,6 +1,7 @@
 """``seqgp run`` in chunks: every chunk size gives the same report, a runner
 stepped over columns in other chunks gives the same cells, and a runner
-steps only the records of the chunk it last prepared, each once and in order."""
+steps only the records of the chunk it last prepared, each once and in order.
+A chunk ends at a block start of the runner's partition (``block_bounds``)."""
 
 import io
 import json
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import parse_report, run_cli, runner_for
-from seqgp import cli, sparse
-from seqgp.runners import StreamRecord, run_chunks
+from seqgp import cli, markovian, sparse
+from seqgp.runners import StreamRecord, block_bounds, run_chunks
 
 ENSEMBLE = ["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
             "member.2.model=linear", "member.2.kernel.family=matern32", "member.2.features.kind=rff",
@@ -212,3 +213,100 @@ def test_step_error_after_the_first_chunk_names_its_row(monkeypatch):
     code, out, err = run_cli(["run", "model=markov", "kernel.family=matern32", "noise_var=0.1"], stdin_text=csv)
     assert (code, out) == (3, "")
     assert err == "seqgp: data error: row 36: timestamps decrease (34.0 -> 1.0)\n"
+
+
+# Streams that span several exact blocks (64 to 127 rows each): name -> (input columns, overrides)
+MULTI_BLOCK = {
+    "exact_tied": ("t", ["model=exact", "kernel.family=matern32", "noise_var=0.1"]),
+    "exact_2d": ("x", ["model=exact", "kernel.family=se", "kernel.lengthscale=0.7", "noise_var=0.1"]),
+    "ensemble_exact_markov_tied": ("t", ["model=ensemble", "member.1.model=exact", "member.1.kernel.family=matern32",
+                                         "member.2.model=markov", "member.2.kernel.family=matern12",
+                                         "member.1.noise_var=0.1", "member.2.noise_var=0.1"]),
+}
+
+
+def tied_times(n: int, seed: int) -> np.ndarray:
+    """Timestamps in runs of 1 to 5 equal values, with one run of 70 (longer than a
+    time-step block) from row 128 on."""
+    rng = np.random.default_rng(seed)
+    runs = rng.integers(1, 6, n)
+    runs[np.searchsorted(np.cumsum(runs), 128)] = 70
+    return np.repeat(np.cumsum(rng.uniform(0.05, 0.4, n)), runs)[:n]
+
+
+def multi_block_stream(columns: str, n: int = 300, seed: int = 4) -> str:
+    """A CSV of n rows, every seventh row predict-only: tied timestamps, or 2-D inputs."""
+    rng = np.random.default_rng(seed)
+    inputs = tied_times(n, seed)[:, None] if columns == "t" else rng.uniform(-2.0, 2.0, (n, 2))
+    y = np.sin(3.0 * inputs.sum(axis=1)) + 0.3 * rng.standard_normal(n)
+    header = ["t"] if columns == "t" else ["x1", "x2"]
+    lines = [",".join(header + ["y"])]
+    for i in range(n):
+        lines.append(",".join([repr(float(v)) for v in inputs[i]] + ["" if i % 7 == 3 else repr(float(y[i]))]))
+    return "\n".join(lines) + "\n"
+
+
+def test_the_multi_block_streams_cross_block_edges():
+    t = tied_times(300, 4)
+    bounds = block_bounds(t, t.size, markovian.UPDATE_BLOCK_ROWS).tolist()
+    assert len(bounds) - 1 >= 3
+    assert any(t[b] == t[b - 1] for b in bounds[1:-1])  # a tied run goes on across an exact block's edge
+    _, data = cli.ingest_csv(io.StringIO(multi_block_stream("x")))
+    assert len(block_bounds(data.t, len(data), markovian.UPDATE_BLOCK_ROWS)) - 1 >= 3
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+def test_every_chunk_size_gives_the_same_report_over_several_exact_blocks(name, monkeypatch):
+    columns, args = MULTI_BLOCK[name]
+    csv = multi_block_stream(columns)
+    reports = []
+    for rows in (1, 3, 16, 256):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        code, out, err = run_cli(["run", *args], stdin_text=csv)
+        assert code == 0, err
+        reports.append(without_wall_time(out))
+    assert all(report == reports[0] for report in reports)
+    assert len(reports[0][0]) == 301
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+def test_runner_stepped_over_columns_gives_the_reported_cells_over_several_exact_blocks(name, monkeypatch):
+    columns, args = MULTI_BLOCK[name]
+    csv = multi_block_stream(columns)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 16)
+    code, out, err = run_cli(["run", *args], stdin_text=csv)
+    assert code == 0, err
+    _, rows, _ = parse_report(out)
+    _, data = cli.ingest_csv(io.StringIO(csv))
+    runner = runner_for(args, data)
+    assert runner.block_rows == markovian.UPDATE_BLOCK_ROWS  # an ensemble takes its exact member's
+    for (_, res), row in zip(run_chunks(runner, data, 5), rows, strict=True):
+        assert (res.mean, res.var, res.logdensity) == (row["pred_mean"], row["pred_var"], row["pred_logdensity"])
+
+
+class TestBlockBounds:
+    """``block_bounds``: the stream's blocks merged until each has at least ``min_rows`` rows."""
+
+    def test_exact_blocks_have_64_to_127_rows_and_start_at_stream_blocks(self):
+        t = tied_times(2000, 9)
+        bounds = block_bounds(t, t.size, 64).tolist()
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == t.size
+        assert (sizes[:-1] >= 64).all() and (sizes <= 127).all()
+        assert sizes.max() > 64  # a merge went past 64 rows
+        stream = np.flatnonzero(markovian.block_starts(t)).tolist()
+        assert set(bounds[:-1]) <= set(stream)
+        for a, b in zip(bounds, bounds[1:-1]):  # each block ends at the first stream block start 64 rows on
+            assert not [s for s in stream if a + 64 <= s < b]
+        assert block_bounds(t, t.size, 1).tolist() == stream + [t.size]
+
+    def test_a_slice_from_a_block_start_has_the_streams_blocks(self):
+        t = tied_times(1000, 10)
+        bounds = block_bounds(t, t.size, 64).tolist()
+        for start in bounds[1:-1]:
+            assert block_bounds(t[start:], t.size - start, 64).tolist() == [b - start for b in bounds if b >= start]
+
+    def test_without_timestamps_a_block_is_64_rows(self):
+        assert block_bounds(None, 200, 64).tolist() == [0, 64, 128, 192, 200]
+        assert block_bounds(None, 3, 1).tolist() == [0, 1, 2, 3]
+        assert block_bounds(None, 0, 64).tolist() == block_bounds(np.zeros(0), 0, 64).tolist() == [0]

@@ -1,14 +1,14 @@
-"""Exact-GP runner: the incrementally extended Cholesky factor against the batch oracle."""
+"""Exact-GP runner: the Cholesky factor, extended a block of rows at a time, against the batch oracle."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import run_cli, run_runner, stream_columns
+from conftest import rows_until_error, run_cli, run_runner, stream_columns
 from seqgp import exact, kernels
 from seqgp.errors import ConfigurationError, NumericalError
-from seqgp.runners import ExactRunner, run_chunks
+from seqgp.runners import ExactRunner, block_bounds, run_chunks
 
 NOISE_VAR = 0.05
 
@@ -81,6 +81,14 @@ class TestState:
         ratio = step_flops[400] / step_flops[200]  # n = 400 vs n = 200 observations
         assert 3.5 < ratio < 4.5  # quadratic: 4; a refactorization per row would give 8
 
+    def test_each_row_is_charged_as_it_is_yielded(self):
+        # a block is conditioned when its first row is drawn, but each row is charged n^2 + 4n + 10
+        # when it is yielded, n the observations before it, as if it were grown alone
+        runner, n, before = ExactRunner(kernels.matern32(), NOISE_VAR), 0, 0
+        for _, res in run_chunks(runner, stream(16, 150), 16):
+            assert runner.flops - before == n * n + 4 * n + 10
+            before, n = runner.flops, n + (res.logdensity is not None)
+
     def test_non_positive_noise_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="noise_var must be positive"):
             ExactRunner(kernels.se(), 0.0)
@@ -93,6 +101,15 @@ class TestState:
         runner.step(first)
         with pytest.raises(NumericalError, match="non-finite"):
             runner.step(second)
+
+    def test_a_non_finite_entry_that_no_row_reads_is_not_an_error(self):
+        # row 1 is predict-only at t = NaN: its entry against row 2 is NaN, but no row conditions on
+        # row 1, so both rows are the prior, as when they are grown one at a time
+        runner = ExactRunner(kernels.se(), NOISE_VAR)
+        first, second = run_runner(runner, stream_columns([np.nan, 0.3], t=[np.nan, 0.0]))
+        assert (first.mean, first.var, first.logdensity) == (0.0, 1.0, None)
+        assert (second.mean, second.var) == (0.0, 1.0)
+        assert runner.n == 1
 
     def test_overflowing_prior_variance_is_a_configuration_error(self):
         # kappa(0) = weight * sigma2 overflows: the kernel is rejected before any row, without a warning
@@ -120,3 +137,47 @@ class TestIllConditionedStream:
         assert code == 4
         assert "non-positive predictive variance" in err
         assert "row " in err
+
+
+def cells(results):
+    return [(r.mean, r.var, r.logdensity) for r in results]
+
+
+class TestMidBlockErrors:
+    """A block is cut at a failing row: the rows before it run as a block of their own, then the row raises."""
+
+    def test_non_finite_kernel_entry_inside_a_block_names_its_row_after_the_rows_before_it(self):
+        data = stream(17, 200)
+        bounds = block_bounds(data.t, len(data), ExactRunner.block_rows).tolist()
+        k = bounds[1] + 36  # inside the second block
+        t = data.t.copy()
+        t[k] = np.nan
+        kernel = kernels.matern32(1.3, 0.4)
+        got, exc = rows_until_error(ExactRunner(kernel, NOISE_VAR), stream_columns(data.y, t=t), 16)
+        assert str(exc) == f"row {k + 1}: kernel has non-finite entries"
+        assert got == cells(run_runner(ExactRunner(kernel, NOISE_VAR), stream_columns(data.y[:k], t=t[:k])))
+
+    def test_non_finite_input_on_a_blocks_last_row_names_it(self):
+        data = stream(18, 200, dim=2)
+        k = 127  # row 128, the 64th and last row of the second block of a stream without t
+        assert block_bounds(None, len(data), ExactRunner.block_rows)[1:3].tolist() == [64, 128]
+        x = data.x.copy()
+        x[k, 1] = np.nan
+        kernel = kernels.se(0.8, 0.9)
+        got, exc = rows_until_error(ExactRunner(kernel, NOISE_VAR), stream_columns(data.y, x=x), 16)
+        assert str(exc) == "row 128: kernel has non-finite entries"
+        assert got == cells(run_runner(ExactRunner(kernel, NOISE_VAR), stream_columns(data.y[:k], x=x[:k])))
+
+    def test_failed_pivot_inside_a_later_block_names_its_row_after_the_rows_before_it(self):
+        # 70 well-spread rows, then the ill-conditioned SE stream of TestIllConditionedStream with
+        # vanishing noise: a pivot of the second block fails a few rows into the close-spaced part
+        t = np.concatenate([np.arange(70) * 3.0, 300.0 + np.arange(100) * 1e-3])
+        y = np.sin(2.0 * np.pi * t)
+        kernel = kernels.se()
+        runner = ExactRunner(kernel, 1e-16)
+        got, exc = rows_until_error(runner, stream_columns(y, t=t), 16)
+        k = len(got)  # the failing row, 0-based
+        assert 70 < k < 128
+        assert str(exc).startswith(f"row {k + 1}: non-positive predictive variance at pivot ")
+        assert got == cells(run_runner(ExactRunner(kernel, 1e-16), stream_columns(y[:k], t=t[:k])))
+        assert runner.n == k  # the rows before it, and only those, are in the factor

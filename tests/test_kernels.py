@@ -76,6 +76,7 @@ class TestEvalKernel:
         (lambda: kernels.se(sigma_f2=0.0), "sigma_f2"),
         (lambda: kernels.matern32(lengthscale=1e-300), "lengthscale"),
         (lambda: kernels.se(lengthscale=1e200), "lengthscale"),
+        (lambda: kernels.se(1.0, 1e154), "lengthscale"),  # l**2 is finite, 2 * l**2 is not
         (lambda: kernels.spectral_mixture([(0.5, 1.0, 0.0)]), "sm_components"),
         (lambda: kernels.hida_matern([(1.0, 0.0, 0.5, 1e-300, 1.0)]), "hm_components"),
         (lambda: kernels.hida_matern([(1e308, 0.0, 1.5, 1.0, 10.0)]), "hm_components"),  # weight * sigma2 overflows
@@ -86,6 +87,15 @@ class TestEvalKernel:
         with pytest.raises(ConfigurationError) as info:
             build()
         assert info.value.param == param
+
+    def test_se_lengthscale_whose_exponent_scale_overflows_is_rejected(self):
+        # l**2 is finite up to 1.34e154, but the SE exponent divides by 2 * l**2, which is inf above
+        # about 9.5e153: every Gram entry would read exp(-0) = sigma_f2
+        with pytest.raises(ConfigurationError, match=r"^lengthscale 1e\+154 overflows 2 \* l\*\*2 in the SE exponent$"):
+            kernels.se(1.0, 1e154)
+        assert kernels.matern32(1.0, 1e154).lengthscale == 1e154  # no 2 * l**2 there: still a valid kernel
+        k = kernels.se(1.0, 9e153)
+        assert k.gram([[0.0], [1.3e154]])[0, 1] == pytest.approx(np.exp(-0.5 * (1.3e154 / 9e153) ** 2), rel=1e-12)
 
     def test_build_kernel_names_prefixed_keys(self):
         cfg = {"spatial.kernel.family": "se", "spatial.kernel.lengthscale": "0"}

@@ -1,4 +1,4 @@
-"""The shared scored Kalman update: ``observe`` then ``condition``."""
+"""The shared scored Kalman update: ``observe`` then ``condition``, and its block form ``condition_block``."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 
 from conftest import conditioned
 from seqgp.errors import DataError, NumericalError
-from seqgp.linalg import chol_solve, condition, gaussian_loglik, observe, symmetrize
+from seqgp.linalg import chol_solve, condition, condition_block, gaussian_loglik, observe, symmetrize
 
 
 def joseph_update(mean, cov, h, y, noise_var):
@@ -160,3 +160,44 @@ class TestCholSolve:
         L[3, 3] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             chol_solve(np.asarray(L, order=order), np.ones(8))
+
+
+class TestConditionBlock:
+    """A block of rows conditioned at once gives each row the moments of conditioning row by row."""
+
+    def test_matches_row_by_row_conditioning(self):
+        rng = np.random.default_rng(21)
+        n = 40
+        A = rng.standard_normal((n, n))
+        mu, C = rng.standard_normal(n), symmetrize(A @ A.T / n + 0.05 * np.eye(n))
+        ys = rng.standard_normal(n)
+        ys[rng.uniform(size=n) < 0.3] = np.nan
+        out = condition_block(mu, C, ys, 0.2)
+        mean, cov = mu.copy(), C.copy()  # the rows' latent values as a state, each row observing its own entry
+        for i, y in enumerate(ys.tolist()):
+            observed = observe(mean, cov, np.eye(n)[i])
+            assert out.means[i] == pytest.approx(observed[0], rel=1e-12, abs=1e-12)
+            assert out.variances[i] == pytest.approx(observed[1], rel=1e-12, abs=1e-12)
+            if np.isnan(y):
+                assert out.logdensities[i] is None
+            else:
+                assert out.logdensities[i] == pytest.approx(condition(mean, cov, observed, y, 0.2), rel=1e-12)
+        Y = np.flatnonzero(~np.isnan(ys))
+        np.testing.assert_array_equal(out.scored, Y)
+        S = C[np.ix_(Y, Y)] + 0.2 * np.eye(Y.size)
+        np.testing.assert_allclose(out.factor, np.linalg.cholesky(S), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out.inverse @ out.factor, np.eye(Y.size), atol=1e-12)
+        np.testing.assert_allclose(out.z, np.linalg.solve(out.factor, ys[Y] - mu[Y]), rtol=1e-12, atol=1e-13)
+
+    def test_a_block_without_y_rows_is_the_prior(self):
+        C = np.array([[2.0, 0.5], [0.5, 1.0]])
+        out = condition_block(np.array([0.1, -0.2]), C, np.array([np.nan, np.nan]), 0.1)
+        assert (out.means, out.variances, out.logdensities) == ([0.1, -0.2], [2.0, 1.0], [None, None])
+        assert out.scored.size == 0 and out.factor is None
+
+    def test_failed_pivot_names_its_row_of_the_block(self):
+        # rows 1 and 3 (0-based) observe one value with noise 1e-300: the second y-row's pivot rounds to 0
+        C, ys = np.ones((4, 4)), np.array([np.nan, 1.0, np.nan, 2.0])
+        with pytest.raises(NumericalError, match="^non-positive predictive variance at pivot 2 of the block$") as info:
+            condition_block(np.zeros(4), C, ys, 1e-300)
+        assert info.value.detail == {"row": 3}

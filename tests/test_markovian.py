@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, lapack
 
-from conftest import conditioned, parse_report, run_cli, run_runner, runner_for, stream_columns
+from conftest import conditioned, parse_report, rows_until_error, run_cli, run_runner, runner_for, stream_columns
 from seqgp import cli, exact, kernels, markovian
 from seqgp.cli import CHUNK_ROWS
 from seqgp.linalg import condition, observe, symmetrize
@@ -1027,15 +1027,6 @@ def spacetime_csv(t, rows, y):
     return "t,x1,x2,y\n" + "".join(",".join(c) + "\n" for c in cells)
 
 
-def rows_until_error(runner, data, chunk_rows=CHUNK_ROWS):
-    """The (mean, var, loglik) that ``run_chunks`` yields before it raises, and the error."""
-    got = []
-    with pytest.raises((DataError, NumericalError)) as caught:
-        for _, res in run_chunks(runner, data, chunk_rows):
-            got.append((res.mean, res.var, res.logdensity))
-    return got, caught.value
-
-
 class TestTimeStepBlocks:
     """``MarkovStepper.step`` conditions on a block of rows at one timestamp at once; the
     blocks come from the timestamps alone (``block_starts``), and ``run_chunks`` cuts chunks
@@ -1131,13 +1122,13 @@ class TestTimeStepBlocks:
 
     def test_failed_pivot_names_its_row_after_the_rows_before_it(self, monkeypatch):
         # a factorization that fails at the third pivot of any block with three or more y-rows
-        real = markovian.lapack.dpotrf
+        real = lapack.dpotrf
 
         def failing(a, **kwargs):
             c, info = real(a, **kwargs)
             return (c, 3) if len(a) >= 3 else (c, info)
 
-        monkeypatch.setattr(markovian.lapack, "dpotrf", failing)
+        monkeypatch.setattr(lapack, "dpotrf", failing)
         t, rows, y = tied_spacetime()
         starts = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
         block = next(b for b in zip(starts, starts[1:]) if np.isfinite(y[slice(*b)]).sum() >= 3)
@@ -1146,7 +1137,7 @@ class TestTimeStepBlocks:
         runner = MarkovRunner(sde, 0.1, locations=GRID)
         got, exc = rows_until_error(runner, stream_columns(y, t=t, x=GRID[rows]))
         assert isinstance(exc, NumericalError)
-        assert str(exc) == f"row {k + 1}: non-positive predictive variance at pivot 3 of the time step's block"
+        assert str(exc) == f"row {k + 1}: non-positive predictive variance at pivot 3 of the block"
         assert_cells_close(got, sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)[0])
         _, states = sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)
         np.testing.assert_allclose(runner.stepper.cov, states[-1][1], rtol=0, atol=1e-12)  # the rows before it, only
@@ -1161,7 +1152,7 @@ class TestTimeStepBlocks:
         # four rows at t = 0 observe the one state with noise_var = 1e-300: the second y-row's pivot of
         # [[1, 1], [1, 1]] + 1e-300 I rounds to 0; whichever of it and the infinite y comes first is named
         t, y = np.array([0.0, 0.0, 0.0, 0.0, 1.0]), np.array(ys)
-        message = {NumericalError: "non-positive predictive variance at pivot 2 of the time step's block",
+        message = {NumericalError: "non-positive predictive variance at pivot 2 of the block",
                    DataError: "non-finite observation inf"}[error]
         sde = markovian.build_lti(kernels.matern12())
         got, exc = rows_until_error(MarkovRunner(sde, 1e-300), stream_columns(y, t=t))
