@@ -216,6 +216,60 @@ def condition_block(mu: np.ndarray, C: np.ndarray, ys: np.ndarray, noise_var: fl
     return BlockUpdate(means.tolist(), variances.tolist(), lls, Y, L, L_inv, z)
 
 
+def fold_state(mean: np.ndarray, cov: np.ndarray, out: BlockUpdate, cross: np.ndarray) -> None:
+    """Fold a block that ``condition_block`` conditioned into the state N(mean, cov)
+    its caller owns, in place.
+
+    ``cross`` (n_y, d) holds each y-row's covariance with the state, Cov(f_i, x),
+    in the order of ``out.scored``.  With G = L^-1 cross, the state becomes
+    mean + G^T z and cov - G^T G.  The ``a.T @ a`` product is one ``syrk``,
+    which writes one triangle and mirrors it, so a bit-symmetric ``cov`` stays
+    bit-symmetric.  A block without y-rows leaves the state as it is.
+    """
+    if out.scored.size:
+        G = out.inverse @ cross
+        mean += G.T @ out.z
+        cov -= G.T @ G
+
+
+def run_blocks(bounds: list, block):
+    """The one block loop: yield the results of the blocks [bounds[k], bounds[k + 1])
+    in order, ``bounds`` a list of ints.
+
+    ``block(start, stop)`` conditions rows [start, stop) as one block and returns
+    an iterable of their results.  It raises a NumericalError whose
+    ``detail["row"]`` p names its row at fault, counted from ``start``:
+
+    * with ``detail["cut"]`` set, the row's inputs are not finite: the rows
+      before it run as a block of their own (by these rules), then the error
+      is raised;
+    * otherwise a pivot failed at that y-row (``condition_block``): the rows
+      before it run as a block, the row runs alone as a one-row block, and the
+      rows after it as a new block.  Only a one-row block's failure is raised.
+
+    A pivot that the block's factor loses at the edge of positive
+    definiteness is a matter of rounding, so a block route fails only where
+    the one-row update of its own state fails.  Any other error is raised as
+    it is.
+    """
+    spans = list(zip(bounds[-2::-1], bounds[:0:-1]))  # the last block first: ``pop`` takes the next
+    while spans:
+        start, stop = spans.pop()
+        try:
+            rows = block(start, stop)
+        except NumericalError as exc:
+            p = (exc.detail or {}).get("row")
+            if p is None or stop - start == 1:
+                raise
+            if exc.detail.get("cut"):  # the rows before it, then its error
+                yield from run_blocks([start, start + p], block) if p else ()
+                raise
+            spans += [(a, b) for a, b in ((start + p + 1, stop), (start + p, start + p + 1), (start, start + p))
+                      if a < b]
+            continue
+        yield from rows
+
+
 def gaussian_loglik(y: float, mean: float, var: float) -> float:
     """log N(y | mean, var) for scalar arguments."""
     if var <= 0.0:

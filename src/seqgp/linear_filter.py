@@ -13,15 +13,23 @@ likelihood that call is the whole step.  A non-conjugate likelihood
 pseudo-observation of a one-dimensional Laplace step on the marginal of
 f_t = phi^T theta.
 
-``runners.LinearRunner``, the route ``seqgp run`` ships, owns its belief:
-it advances it with ``predict_in_place``, reads a predict-only row from
-``predict_f_ahead`` and conditions a y-row with ``observe_f`` and
-``condition_in_place``.  ``predict_step``, ``predict_f`` and
-``update_step`` are that arithmetic on new beliefs, each one composition of
-the shipped step, for library callers and ``seqgp check``; they never
-modify their arguments.  The static model's batch posterior is
-``exact.posterior`` under ``features.DegenerateKernel``, the function-space
-form of the same conditioning.
+``runners.LinearRunner``, the route ``seqgp run`` ships, owns its belief.
+Under the Gaussian likelihood it conditions a block of rows at once: the
+weights after tau ticks from (m, P) have mean a^tau m + s_tau and covariance
+cs^tau P + g_tau I, so the block's latent values are one joint Gaussian,
+conditioned through ``linalg.condition_block`` and folded back with
+``linalg.fold_state`` (a window of a linear-Gaussian state-space model
+conditioned as one vector measurement gives the sequential updates'
+posterior).  Row by row (a block of one row, a block whose tick powers
+overflow, and a Laplace likelihood) it advances the belief with
+``predict_in_place``, reads a predict-only row from ``predict_f_ahead`` and
+conditions a y-row with ``observe_f`` and ``condition_in_place``.
+``predict_step``, ``predict_f`` and ``update_step`` are that arithmetic on
+new beliefs, each one composition of the row-by-row step, for library
+callers and ``seqgp check``; they never modify their arguments.  The static
+model's batch posterior is ``exact.posterior`` under
+``features.DegenerateKernel``, the function-space form of the same
+conditioning.
 """
 
 from __future__ import annotations

@@ -28,10 +28,12 @@ vector measurement: ``MarkovStepper.step`` conditions on a block of them at
 once (one Cholesky factor of the block's innovation covariance), the blocks
 being runs of equal timestamps split every ``UPDATE_BLOCK_ROWS`` rows
 (``block_starts``), which ``MarkovStepper.run`` hands to it in turn for
-``kalman_filter`` and the CLI's runner alike.  A block of one row is the
-observe -> condition hand-off of every filter route: the stepper's
-``predict_obs`` returns the observe triple (h^T m, h^T s, s) and its ``update``
-hands it to ``linalg.condition``, the one scored update.  The filter record
+``kalman_filter`` and the CLI's runner alike, through the one block loop
+``linalg.run_blocks`` (a failed pivot falls back to one-row blocks).  A
+block of one row is the observe -> condition hand-off of every filter
+route: the stepper's ``predict_obs`` returns the observe triple (h^T m,
+h^T s, s) and its ``update`` hands it to ``linalg.condition``, the one
+scored update.  The filter record
 keeps only the filtered moments, one row per distinct timestamp; the
 smoother walks back over those time steps in blocks, forms each block's
 transitions from the stored timestamps, recomputes the predicted moments
@@ -52,7 +54,7 @@ from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
 from .kernels import Kernel, as_points, gram, hida_matern_components
-from .linalg import chol_jitter, condition, condition_block, symmetrize
+from .linalg import chol_jitter, condition, condition_block, fold_state, run_blocks, symmetrize
 
 @dataclass(frozen=True)
 class LtiSde:
@@ -270,7 +272,7 @@ class MarkovStepper:
     row's nonzero entries (``LtiSde.obs_support``), and ``update`` conditions
     on that triple (``linalg.condition``).  A longer block factors the
     innovation covariance of its y-rows once (``_condition_block``, through
-    ``linalg.condition_block``, the block update the exact GP shares).
+    ``linalg.condition_block``, the block update every block route shares).
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_times=None):
@@ -339,8 +341,8 @@ class MarkovStepper:
         (None on a predict-only row).  A block of one row is ``predict_obs`` and
         ``update``; a longer one is ``_condition_block``.  A NumericalError whose
         ``detail["row"]`` is p leaves the state advanced but unconditioned, so the
-        block's rows before p can be conditioned on as a block of their own, as
-        ``run`` does."""
+        block's rows before p, row p and the rest can each be conditioned on as
+        a block of their own, as ``run`` does."""
         k, h, n = self.rows_written, self.history, len(ys)
         if h is not None:
             p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
@@ -371,24 +373,20 @@ class MarkovStepper:
         A block of ``block_starts(t)`` is stepped when its first row is asked for.
         The span ends at its first row whose observation row is out of range or
         whose y is infinite: that row is stepped alone, and raises.  A pivot that
-        fails at block row p yields the rows before p, conditioned on as a block,
-        then raises."""
+        fails at block row p falls back as ``linalg.run_blocks`` says: the rows
+        before p run as a block, row p alone, the rest as a new block, and only
+        a one-row failure raises."""
         t, ys, rows = np.asarray(t, dtype=float), np.asarray(ys, dtype=float), np.asarray(rows, dtype=int)
         bad = np.flatnonzero((rows < 0) | (rows >= self.sde.obs.shape[0]) | np.isinf(ys))
         cut = int(bad[0]) if bad.size else t.size
         bounds = np.flatnonzero(block_starts(t[:cut])).tolist() + [cut] + ([cut + 1] if cut < t.size else [])
         ts, ys, rows = t.tolist(), ys.tolist(), rows.tolist()
-        for start, stop in zip(bounds, bounds[1:]):
-            try:
-                out = self.step(ts[start], ys[start:stop], rows[start:stop],
-                                None if prepared is None else prepared[start])
-            except NumericalError as exc:
-                p = (exc.detail or {}).get("row")
-                if not p:
-                    raise
-                yield from zip(*self.step(ts[start], ys[start:start + p], rows[start:start + p]))
-                raise
-            yield from zip(*out)
+
+        def block(start, stop):
+            return zip(*self.step(ts[start], ys[start:stop], rows[start:stop],
+                                  None if prepared is None else prepared[start]))
+
+        return run_blocks(bounds, block)
 
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
         """``step`` on a block of rows at the current time, as one vector measurement.
@@ -396,9 +394,9 @@ class MarkovStepper:
         With H the block's observation rows, the rows' latent values are a priori
         N(H m, H P H^T), and ``linalg.condition_block`` gives each row's
         prequential moments and log density, and L^-1 and z = L^-1 (y - H_y m)
-        for the block's y-rows.  The state update is G = L^-1 H_y P, m += G^T z
-        and P -= G^T G, whose ``a.T @ a`` product is one ``syrk``, so P stays
-        bit-symmetric.  HP is gathered through the rows' nonzero entries when
+        for the block's y-rows.  ``linalg.fold_state`` folds them into the state
+        with cross term HP: G = L^-1 H_y P, m += G^T z and P -= G^T G, which
+        stays bit-symmetric.  HP is gathered through the rows' nonzero entries when
         each row has one (a space-time model).  A failed pivot is
         ``condition_block``'s NumericalError naming its row of the block, raised
         before the state changes.
@@ -426,10 +424,7 @@ class MarkovStepper:
             HP, mu = H @ P, H @ m
             C = HP @ H.T
         out = condition_block(mu, C, ys, self.noise_var)
-        if out.scored.size:
-            G = out.inverse @ HP[out.scored]
-            m += G.T @ out.z
-            P -= G.T @ G
+        fold_state(m, P, out, HP[out.scored])
         return out.means, out.variances, out.logdensities
 
     def result(self) -> FilterResult:
@@ -490,7 +485,7 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     step uses (always row 0 for temporal models).  The rows go through
     ``MarkovStepper.run``, as the CLI's runner steps them, so the two give the
     same bits.  A row that the stepper rejects (its timestamp, its observation
-    row, an infinite value or a failed pivot) is its DataError or
+    row, an infinite value or a failed one-row update) is its DataError or
     NumericalError, prefixed with ``step k: ``, k the rows run before it.
     Starts from the stationary law N(0, P_inf).  Under ties the result has
     fewer rows of times and moments than inputs: one per distinct timestamp.

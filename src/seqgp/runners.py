@@ -4,38 +4,45 @@ Every runner follows one row protocol, and ``run_chunks`` drives it the way
 ``seqgp run`` does.  A chunk ends at a block start of the runner's partition
 (``block_bounds``): the stream's blocks (``markovian.block_starts``: runs of
 equal timestamps, split every ``UPDATE_BLOCK_ROWS`` rows; every row, without
-timestamps) merged until each has at least the runner's ``block_rows`` rows,
-which is 1 but for the exact runner and an ensemble with an exact member.
-``prepare(chunk)``
-does the work that depends only on the inputs of a chunk of rows
-(``Columns``) in one call (sparse projections, feature rows, Markov
-transitions and observation rows, or the exact runner's points) and starts,
-without running it, the chunk's row generator over those arrays and
-``chunk.y`` (NaN marks a predict-only row).  ``step(record)``, one method
-for every runner but the ensemble, draws the record's row from it: a record
-is its 1-based row and its chunk (``Columns.records``), and a record of
-another chunk, or a row out of its turn, is a ValueError.  Each row
-predicts at its input, scores the target if one is present, then (and only
-then) folds the observation into the state, and adds its approximate cost
-to ``flops``, the summary's count; no other module counts flops.  Rows
-without a target never change the belief; for the Markovian models the
-state still advances to the row's timestamp (the model is continuous in
-time).  ``EnsembleRunner.step`` steps every member on the record.
+timestamps) merged until each has at least the runner's ``block_rows`` rows:
+``UPDATE_BLOCK_ROWS`` for the exact, sparse and vsgp runners and the
+Gaussian linear runner, the members' largest for an ensemble, and 1
+otherwise.  ``prepare(chunk)`` does the work that depends only on the
+inputs of a chunk of rows (``Columns``) in one call (sparse projections,
+feature rows, Markov transitions and observation rows, or the exact
+runner's points) and starts, without running it, the chunk's row generator
+over those arrays and ``chunk.y`` (NaN marks a predict-only row).
+``step(record)``, one method for every runner but the ensemble, draws the
+record's row from it: a record is its 1-based row and its chunk
+(``Columns.records``), and a record of another chunk, or a row out of its
+turn, is a ValueError.  Each row predicts at its input, scores the target
+if one is present, then (and only then) folds the observation into the
+state, and adds its approximate cost to ``flops``, the summary's count, as
+it is drawn; no other module counts flops.  Rows without a target never
+change the belief; for the Markovian models the state still advances to the
+row's timestamp (the model is continuous in time).  ``EnsembleRunner.step``
+steps every member on the record.
 
-Each runner steps its route's in-place path.  The three filter routes share
-one observe -> condition hand-off: ``linear_filter.observe_f``,
-``sparse.sparse_observe`` or ``MarkovStepper.predict_obs`` forms (h^T m,
+Every Gaussian route conditions a block of rows as one vector measurement
+when the block's first row is drawn: the block's latent values are a priori
+jointly Gaussian, ``linalg.condition_block`` gives each row its prequential
+moments and log density, and the runner folds the block's y-rows into its
+state (``linalg.fold_state`` for the Markov, sparse and linear states; a row
+panel of the Cholesky factor for the exact GP).  One block loop,
+``linalg.run_blocks``, drives every block runner (``MarkovStepper.run`` for
+the Markov time steps, ``_RowRunner._start_blocks`` for the exact, sparse
+and linear runners): it cuts a block at its first row whose kernel,
+projection or feature entries are not finite, which then raises after the
+rows before it, and a pivot that fails at a y-row runs the rows before it as
+a block, the row alone, and the rest as a new block, so only a one-row
+failure raises.  Row by row (a Markov block of one row, and the linear
+runner under a Laplace likelihood or where a block's powers overflow),
+``linear_filter.observe_f`` or ``MarkovStepper.predict_obs`` forms (h^T m,
 h^T s, s) with s = P h once, and a y-row hands that triple to
 ``linalg.condition``, the one scored update (through
 ``linear_filter.condition_in_place``, which adds the Laplace step of a
-non-Gaussian likelihood).  ``MarkovRunner``'s rows come from
-``MarkovStepper.run``, which conditions each block of rows at one timestamp
-when its first row is drawn (``MarkovStepper.step``; a block of one row is
-that hand-off), each row's result still its prequential one.  ``ExactRunner``
-conditions a block of its partition at once through the same block update,
-``linalg.condition_block``, and extends its Cholesky factor by a row panel.
-The pure functions of those modules are the same arithmetic on new states,
-for library callers.
+non-Gaussian likelihood).  The pure functions of those modules are the same
+arithmetic on new states, for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -67,7 +74,7 @@ from .config import (
 )
 from .errors import ConfigurationError, DataError, NumericalError
 from .kernels import kappa_of_distance
-from .linalg import condition, condition_block
+from .linalg import BlockUpdate, condition_block, fold_state, run_blocks
 
 
 @dataclass(slots=True)
@@ -123,6 +130,17 @@ class _RowRunner:
     def _start(self, chunk: Columns, results) -> None:
         self._chunk, self._next, self._results = chunk, chunk.first_row, results
 
+    def _start_blocks(self, chunk: Columns, block) -> None:
+        """Start the chunk's rows as ``linalg.run_blocks`` over the runner's partition
+        of the chunk (``block_bounds``); ``block(start, stop)`` is the runner's."""
+        self._start(chunk, run_blocks(block_bounds(chunk.t, len(chunk), self.block_rows).tolist(), block))
+
+    def _charged(self, out: BlockUpdate, costs: list):
+        """Each row's result of a conditioned block, charged its cost in ``flops`` as it is drawn."""
+        for mean, var, ll, cost in zip(out.means, out.variances, out.logdensities, costs):
+            self.flops += cost
+            yield StepResult(mean, var, ll)
+
     def step(self, rec: StreamRecord) -> StepResult:
         if rec.chunk is not self._chunk:
             raise ValueError(f"row {rec.row} is not a record of the chunk last prepared")
@@ -160,10 +178,12 @@ class ExactRunner(_RowRunner):
     pools threaded on 2 vCPUs.  A row is charged the flops of a row grown
     alone against the observations before it: n^2 + 4n + 10.
 
-    A block is cut at its first row whose kernel entries are not finite (its
-    column of K_0, or its entry of K_bb against an earlier y-row of the
-    block): the rows before it run as a block of their own, and the row
-    raises.  A pivot that fails at a y-row does the same.
+    ``linalg.run_blocks`` drives the blocks.  A block is cut at its first row
+    whose kernel entries are not finite (its column of K_0, or its entry of
+    K_bb against an earlier y-row of the block): the rows before it run as a
+    block of their own, and the row raises.  A pivot that fails at a y-row
+    runs the rows before it as a block, the row as a block of one, and the
+    rest as a new block; only a block of one raises its failed pivot.
     """
 
     block_rows = markovian.UPDATE_BLOCK_ROWS
@@ -192,17 +212,13 @@ class ExactRunner(_RowRunner):
         return L
 
     def prepare(self, chunk: Columns) -> None:
-        """Nothing ahead but the points and the blocks: each block reads the factor
-        that the blocks before it grew."""
-        bounds = block_bounds(chunk.t, len(chunk), self.block_rows)
-        self._start(chunk, self._rows(chunk.points, chunk.y, bounds))
-
-    def _rows(self, points: np.ndarray, ys: np.ndarray, bounds: np.ndarray):
-        for start, stop in zip(bounds, bounds[1:]):
-            yield from self._block(points[start:stop], ys[start:stop])
+        """Nothing ahead but the points: each block reads the factor that the blocks
+        before it grew."""
+        X, ys = chunk.points, chunk.y
+        self._start_blocks(chunk, lambda a, b: self._block(X[a:b], ys[a:b]))
 
     def _block(self, X: np.ndarray, ys: np.ndarray):
-        """Condition one block on its first draw, then yield its rows' results."""
+        """Condition one block and grow the factor; its rows' results, charged as drawn."""
         n, kxx = self.n, self.kxx
         K_bb = self.kernel.gram(X)
         K_0 = self.kernel.gram(self.inputs[:n], X) if n else np.zeros((0, len(X)))
@@ -210,25 +226,15 @@ class ExactRunner(_RowRunner):
         bad = ~np.isfinite(K_0).all(axis=0) | np.triu(~np.isfinite(K_bb) & scored[:, None], 1).any(axis=0)
         bad |= not math.isfinite(kxx)
         if bad.any():  # cut the block at its first bad row
-            cut = int(np.argmax(bad))
-            if cut:
-                yield from self._block(X[:cut], ys[:cut])
-            raise NumericalError("kernel has non-finite entries")
+            raise NumericalError("kernel has non-finite entries", detail={"row": int(np.argmax(bad)), "cut": True})
         V = self._solve(K_0)
         np.fill_diagonal(K_bb, kxx)
-        try:
-            out = condition_block(V.T @ self.z[:n], K_bb - V.T @ V, ys, self.noise_var)
-        except NumericalError as exc:  # the rows before the failed pivot run as a block of their own
-            if p := exc.detail["row"]:
-                yield from self._block(X[:p], ys[:p])
-            raise
+        out = condition_block(V.T @ self.z[:n], K_bb - V.T @ V, ys, self.noise_var)
         Y = out.scored
         if Y.size:
             self._append(X[Y], (V[:, Y].T, out.factor), out.z)
-        for mean, var, ll in zip(out.means, out.variances, out.logdensities):
-            self.flops += n * n + 4 * n + 10
-            yield StepResult(mean, var, ll)
-            n += ll is not None
+        before = (n + np.cumsum(scored) - scored).tolist()  # the observations before each row
+        return self._charged(out, [k * k + 4 * k + 10 for k in before])
 
     def _solve(self, K_0: np.ndarray) -> np.ndarray:
         """V = L^-1 K_0 by forward substitution over the panels."""
@@ -256,11 +262,31 @@ class LinearRunner(_RowRunner):
     """Basis-expansion filter with configurable weight dynamics and likelihood.
 
     ``prepare`` forms the chunk's feature rows in one ``featurize_many``.  The
-    runner owns ``belief``: a y-row advances it in place, forms s = P phi
-    once and conditions it in place (``linear_filter.predict_in_place``,
-    ``observe_f``, ``condition_in_place``).  A predict-only row leaves it as
-    it is and reads the predicted moments of f from one matvec
-    (``linear_filter.predict_f_ahead``)."""
+    runner owns ``belief``.  Under the Gaussian likelihood it conditions a
+    block of its partition (``block_rows`` rows or more) at once, on the
+    block's first draw.  The dynamics theta -> a theta + u + N(0, c I) tick
+    once per y-row, so a row's tick count tau is the number of y-rows up to
+    and including it, or, on a predict-only row, the number before it plus
+    one (its own tick, which the state never takes).  After tau ticks from
+    the block's first state N(m, P), theta has mean a^tau m + s_tau and
+    covariance cs^tau P + g_tau I, with cs = ``cov_scale`` and s_tau, g_tau
+    accumulated through ``shift``, ``cov_scale`` and ``noise`` as the
+    row-by-row predict does.  The rows' latent values are then jointly
+    Gaussian with mean a^tau_i phi_i^T m + s_tau_i sum(phi_i) and
+    Cov(f_i, f_j) = a^|tau_i - tau_j| phi_i^T (cs^t P + g_t I) phi_j, t =
+    min(tau_i, tau_j); ``linalg.condition_block`` conditions them.  The
+    state takes the block's K ticks in closed form and ``linalg.fold_state``
+    folds the y-rows in, each y-row's cross term being Cov(theta_K, f_j) =
+    a^(K - tau_j) (cs^tau_j P + g_tau_j I) phi_j.
+
+    A block whose powers or moments overflow, and every row under a Laplace
+    likelihood (``block_rows`` 1), run row by row: a y-row advances the
+    belief in place, forms s = P phi once and conditions it in place
+    (``linear_filter.predict_in_place``, ``observe_f``,
+    ``condition_in_place``), and a predict-only row reads its moments from
+    one matvec (``linear_filter.predict_f_ahead``).  A block is cut at its
+    first row whose feature row has a non-finite entry.  Every row is
+    charged 6 F^2 + 8 F flops."""
 
     def __init__(self, fmap, dynamics, noise_var: float, likelihood: str = "gaussian"):
         if likelihood == "gaussian" and noise_var <= 0.0:
@@ -270,16 +296,22 @@ class LinearRunner(_RowRunner):
         self.noise_var = noise_var
         self.likelihood = likelihood
         self.belief = linear_filter.init_belief(fmap.n_features, fmap.weight_prior_var)
+        self.block_rows = markovian.UPDATE_BLOCK_ROWS if likelihood == "gaussian" else 1
+        self._cost = 6 * fmap.n_features**2 + 8 * fmap.n_features
         self.flops = 0
         self.approximate_loglik = likelihood != "gaussian"
 
     def prepare(self, chunk: Columns) -> None:
-        self._start(chunk, self._rows(features.featurize_many(self.fmap, chunk.points), chunk.y.tolist()))
+        phis = features.featurize_many(self.fmap, chunk.points)
+        if self.likelihood != "gaussian":
+            self._start(chunk, self._rows(phis, chunk.y))
+            return
+        ys, bad = chunk.y, ~np.isfinite(phis).all(axis=1)
+        self._start_blocks(chunk, lambda a, b: self._block(phis[a:b], ys[a:b], bad[a:b]))
 
-    def _rows(self, phis: np.ndarray, ys: list):
-        n = self.fmap.n_features
-        for phi, y in zip(phis, ys):
-            self.flops += 6 * n * n + 8 * n
+    def _rows(self, phis: np.ndarray, ys: np.ndarray):
+        for phi, y in zip(phis, ys.tolist()):
+            self.flops += self._cost
             if math.isnan(y):  # pure query: the dynamics tick is tied to observation events
                 yield StepResult(*linear_filter.predict_f_ahead(self.belief, self.dynamics, phi), None)
             else:
@@ -287,6 +319,43 @@ class LinearRunner(_RowRunner):
                 observed = linear_filter.observe_f(self.belief, phi)
                 ll = linear_filter.condition_in_place(self.belief, observed, y, self.likelihood, self.noise_var)
                 yield StepResult(observed[0], observed[1], ll)
+
+    def _block(self, phis: np.ndarray, ys: np.ndarray, bad: np.ndarray):
+        if bad.any():  # cut the block at its first bad row
+            raise NumericalError("feature row has non-finite entries", detail={"row": int(np.argmax(bad)), "cut": True})
+        dyn = self.dynamics
+        scored = ~np.isnan(ys)
+        tau = np.cumsum(scored) + ~scored  # each row's tick count
+        K = int(np.count_nonzero(scored))  # the ticks the state takes
+        apow, cpow, gam, shf = [1.0], [1.0], [0.0], [0.0]  # a^t, cs^t, g_t, s_t for t = 0 .. max(tau)
+        for _ in range(int(tau.max())):
+            apow.append(apow[-1] * dyn.mean_scale)
+            cpow.append(cpow[-1] * dyn.cov_scale)
+            gam.append(gam[-1] * dyn.cov_scale + dyn.noise)
+            shf.append(shf[-1] * dyn.mean_scale + dyn.shift)
+        if not all(map(math.isfinite, apow + cpow + gam + shf)):
+            return self._rows(phis, ys)
+        apow, cpow, gam, shf = (np.array(v) for v in (apow, cpow, gam, shf))
+        m, P = self.belief.mean, self.belief.cov
+        Y = np.flatnonzero(scored)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow runs the block row by row
+            B = phis @ P  # row i: (P phi_i)^T, as P is symmetric
+            t = np.minimum.outer(tau, tau)
+            C = apow[np.abs(tau[:, None] - tau[None, :])] * (cpow[t] * (B @ phis.T) + gam[t] * (phis @ phis.T))
+            mu = apow[tau] * (phis @ m) + shf[tau] * phis.sum(axis=1)
+            lag = apow[K - tau[Y]]
+            cross = (lag * cpow[tau[Y]])[:, None] * B[Y] + (lag * gam[tau[Y]])[:, None] * phis[Y]
+        if not (np.isfinite(C).all() and np.isfinite(mu).all() and np.isfinite(cross).all()):
+            return self._rows(phis, ys)
+        out = condition_block(mu, C, ys, self.noise_var)
+        if K:  # the block's K ticks, in closed form, then its y-rows
+            m *= apow[K]
+            m += shf[K]
+            if cpow[K] != 1.0:
+                P *= cpow[K]
+            P.reshape(-1)[:: P.shape[0] + 1] += gam[K]
+            fold_state(m, P, out, cross)
+        return self._charged(out, [self._cost] * len(ys))
 
 
 class MarkovRunner(_RowRunner):
@@ -387,13 +456,21 @@ class MarkovRunner(_RowRunner):
 
 
 class SparseRunner(_RowRunner):
-    """Fixed-inducing-set recursion, one rank-one update per observation; also
-    ``model=vsgp``, whose one-row information-form update is the same update.
+    """Fixed-inducing-set recursion, conditioned a block of rows at a time; also
+    ``model=vsgp``, whose information-form update is the same conditioning.
 
     ``prepare`` projects the chunk's inputs in one ``sparse.projections``
-    call.  The runner owns ``state``: a row forms s = S h once
-    (``sparse.sparse_observe``), and a y-row conditions the state's arrays in
-    place on it (``linalg.condition``)."""
+    call.  The runner owns ``state``, N(m, S) over the inducing values, and
+    conditions a block of its partition (``block_rows`` rows or more) on the
+    block's first draw.  With H the block's projection rows and q their
+    residual variances, the rows' latent values are a priori N(H m, H S H^T
+    + diag(q)) (without q when ``include_residual`` is off), which
+    ``linalg.condition_block`` conditions on the block's y-rows, and
+    ``linalg.fold_state`` folds them into the state with cross term (H S)_Y.
+    A block is cut at its first row whose projection has a non-finite entry.
+    A y-row is charged 6 M^2 + 10 M flops, a predict-only row nothing."""
+
+    block_rows = markovian.UPDATE_BLOCK_ROWS
 
     def __init__(self, kernel, noise_var: float, inducing, include_residual: bool):
         if noise_var <= 0.0:
@@ -407,16 +484,20 @@ class SparseRunner(_RowRunner):
 
     def prepare(self, chunk: Columns) -> None:
         H, q = sparse.projections(self.state, chunk.points)
-        self._start(chunk, self._rows(H, q.tolist(), chunk.y.tolist()))
+        ys, bad = chunk.y, ~(np.isfinite(H).all(axis=1) & np.isfinite(q))
+        self._start_blocks(chunk, lambda a, b: self._block(H[a:b], q[a:b], ys[a:b], bad[a:b]))
 
-    def _rows(self, H: np.ndarray, q: list, ys: list):
-        for h, q_i, y in zip(H, q, ys):
-            observed = sparse.sparse_observe(self.state, (h, q_i))
-            ll = None
-            if not math.isnan(y):
-                ll = condition(self.state.mean, self.state.cov, observed, y, self.noise_var)
-                self.flops += self._cost
-            yield StepResult(observed[0], observed[1], ll)
+    def _block(self, H: np.ndarray, q: np.ndarray, ys: np.ndarray, bad: np.ndarray):
+        if bad.any():  # cut the block at its first bad row
+            raise NumericalError("projection has non-finite entries", detail={"row": int(np.argmax(bad)), "cut": True})
+        st = self.state
+        HS = H @ st.cov
+        C = HS @ H.T
+        if st.include_residual:
+            C.flat[:: len(ys) + 1] += q
+        out = condition_block(H @ st.mean, C, ys, self.noise_var)
+        fold_state(st.mean, st.cov, out, HS[out.scored])
+        return self._charged(out, [0 if ll is None else self._cost for ll in out.logdensities])
 
 
 class EnsembleRunner:

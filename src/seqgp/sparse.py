@@ -13,12 +13,16 @@ inducing set; switching it off reproduces the bare recursion.
 
 ``runners.SparseRunner``, the route ``seqgp run`` ships for ``model=sparse``
 and ``model=vsgp``, owns its state: it projects a chunk's inputs in one
-``projections`` call, observes the state once per row with
-``sparse_observe`` and hands that triple to ``linalg.condition``, the one
-scored update, which checks y, overwrites the state's ``mean`` and ``cov``
-arrays and returns the log density; the runner charges each update's O(M^2)
-cost.  ``sparse_predict`` and ``sparse_update`` are that step at one input
-on a new state, for library callers; they never modify their arguments.
+``projections`` call and conditions a block of rows at once.  The block's
+latent values are a priori N(H m, H S H^T + diag(q)) (q the residuals, with
+``include_residual``); ``linalg.condition_block`` conditions them on the
+block's y-rows and ``linalg.fold_state`` folds those into (m, S), which is
+the same conditioning as the sequential updates.  The runner charges each
+y-row's O(M^2) cost.  ``sparse_predict`` and ``sparse_update`` are the
+sequential step at one input on a new state, for library callers: they
+observe the state once with ``sparse_observe`` and hand that triple to
+``linalg.condition``, the one scored update, and never modify their
+arguments.
 ``vsgp_info_update`` is the different math, the batch update in information
 form that the recursion must agree with.
 """

@@ -54,19 +54,22 @@ SCALAR_UPDATE = "`linalg.scalar_update`, the one Kalman covariance update"
 ONE_DRIVER = "one driver for the Markov time-step blocks"
 ROW_PROTOCOL = "one row protocol for every runner"
 EXACT_BLOCKS = "the exact GP is conditioned a block of rows at a time"
+BLOCK_FOLD = "the sparse, vsgp and linear routes are conditioned a block of rows at a time"
 
 MUTANTS = (
     Mutant(
-        "dropped-sparse-residual", "src/seqgp/sparse.py",
-        "    return mean, var + q if state.include_residual else var, s\n",
-        "    return mean, var, s\n",
-        ("tests/test_acceptance.py::test_criterion_06_sparse_exactness_and_batch_agreement",),
+        "dropped-sparse-residual", "src/seqgp/runners.py",
+        "            C.flat[:: len(ys) + 1] += q\n",
+        "            pass\n",
+        ("tests/test_acceptance.py::test_criterion_06_sparse_exactness_and_batch_agreement",
+         "tests/test_sparse.py::TestSparseRunner::test_matches_separate_predict_and_update"),
         SHIPPED_STEP),
     Mutant(
         "predict-only-linear-row-without-its-dynamics-tick", "src/seqgp/runners.py",
-        "                yield StepResult(*linear_filter.predict_f_ahead(self.belief, self.dynamics, phi), None)\n",
-        "                yield StepResult(*linear_filter.observe_f(self.belief, phi)[:2], None)\n",
-        ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",),
+        "        tau = np.cumsum(scored) + ~scored  # each row's tick count\n",
+        "        tau = np.cumsum(scored)  # each row's tick count\n",
+        ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",
+         "tests/test_linear_filter.py::TestLinearRunner::test_matches_the_pure_fold"),
         SHIPPED_STEP),
     Mutant(
         "run-chunks-without-its-non-finite-check", "src/seqgp/runners.py",
@@ -165,10 +168,8 @@ MUTANTS = (
         RUNNER_FLOPS),
     Mutant(
         "sparse-cost-on-predict-only-rows", "src/seqgp/runners.py",
-        "                ll = condition(self.state.mean, self.state.cov, observed, y, self.noise_var)\n"
-        "                self.flops += self._cost\n",
-        "                ll = condition(self.state.mean, self.state.cov, observed, y, self.noise_var)\n"
-        "            self.flops += self._cost\n",
+        "        return self._charged(out, [0 if ll is None else self._cost for ll in out.logdensities])\n",
+        "        return self._charged(out, [self._cost] * len(ys))\n",
         ("tests/test_cli_models.py::TestFlops",),
         RUNNER_FLOPS),
     Mutant(
@@ -209,13 +210,17 @@ MUTANTS = (
         ("tests/test_markovian.py::TestTimeStepBlocks::"
          "test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter",
          "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report",
-         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_exact_blocks"),
+         "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_blocks"),
         BLOCK_UPDATE),
     Mutant(
-        "failed-pivot-drops-the-rows-before-it", "src/seqgp/markovian.py",
-        "                if not p:\n                    raise\n",
-        "                raise\n",
-        ("tests/test_markovian.py::TestTimeStepBlocks::test_failed_pivot_names_its_row_after_the_rows_before_it",),
+        "failed-pivot-drops-the-rows-before-it", "src/seqgp/linalg.py",
+        "            spans += [(a, b) for a, b in ((start + p + 1, stop), (start + p, start + p + 1), "
+        "(start, start + p))\n",
+        "            spans += [(a, b) for a, b in ((start + p + 1, stop), (start + p, start + p + 1))\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block",
+         "tests/test_exact_runner.py::TestMidBlockErrors::"
+         "test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block"),
         BLOCK_UPDATE),
     Mutant(
         "predict-without-symmetrize", "src/seqgp/markovian.py",
@@ -227,7 +232,8 @@ MUTANTS = (
         "linear-predict-noise-off-the-diagonal", "src/seqgp/linear_filter.py",
         "    cov.reshape(-1)[:: cov.shape[0] + 1] += dynamics.noise\n",
         "    cov += dynamics.noise\n",
-        ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",),
+        ("tests/test_acceptance.py::test_criterion_08_dynamics_algebra",
+         "tests/test_linear_filter.py::TestDynamics::test_random_walk_adds_to_the_diagonal_bit_for_bit"),
         SHIPPED_STEP),
     Mutant(
         "stepper-run-without-its-cut-at-the-first-bad-row", "src/seqgp/markovian.py",
@@ -255,28 +261,27 @@ MUTANTS = (
         "exact-blocks-cut-at-each-chunk-start", "src/seqgp/runners.py",
         "    bounds = block_bounds(data.t, n, runner.block_rows)\n",
         "    bounds = block_bounds(data.t, n, 1)\n",
-        ("tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_exact_blocks",
+        ("tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_blocks",
          "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report"),
         EXACT_BLOCKS),
     Mutant(
         "exact-block-without-its-non-finite-cut", "src/seqgp/runners.py",
-        "        if bad.any():  # cut the block at its first bad row\n",
-        "        if False:  # cut the block at its first bad row\n",
+        '            raise NumericalError("kernel has non-finite entries", detail={"row": int(np.argmax(bad)), '
+        '"cut": True})\n',
+        "            pass\n",
         ("tests/test_exact_runner.py::TestMidBlockErrors",
          "tests/test_exact_runner.py::TestState::test_non_finite_kernel_entries_are_numerical_errors"),
         EXACT_BLOCKS),
     Mutant(
         "exact-flops-charged-per-block", "src/seqgp/runners.py",
-        "        for mean, var, ll in zip(out.means, out.variances, out.logdensities):\n"
-        "            self.flops += n * n + 4 * n + 10\n"
-        "            yield StepResult(mean, var, ll)\n"
-        "            n += ll is not None\n",
-        "        for ll in out.logdensities:  # the block's flops, all charged at its first row\n"
-        "            self.flops += n * n + 4 * n + 10\n"
-        "            n += ll is not None\n"
+        "        for mean, var, ll, cost in zip(out.means, out.variances, out.logdensities, costs):\n"
+        "            self.flops += cost\n"
+        "            yield StepResult(mean, var, ll)\n",
+        "        self.flops += sum(costs)  # the block's flops, all charged at its first row\n"
         "        for mean, var, ll in zip(out.means, out.variances, out.logdensities):\n"
         "            yield StepResult(mean, var, ll)\n",
-        ("tests/test_exact_runner.py::TestState::test_each_row_is_charged_as_it_is_yielded",),
+        ("tests/test_exact_runner.py::TestState::test_each_row_is_charged_as_it_is_yielded",
+         "tests/test_sparse.py::TestSparseRunner::test_matches_separate_predict_and_update"),
         EXACT_BLOCKS),
     Mutant(
         "block-update-without-its-mask", "src/seqgp/linalg.py",
@@ -292,6 +297,80 @@ MUTANTS = (
         "    W = (L_inv @ C[Y]) * mask\n",
         ("tests/test_exact_runner.py::TestState::test_a_non_finite_entry_that_no_row_reads_is_not_an_error",),
         EXACT_BLOCKS),
+    Mutant(
+        "raises-at-the-first-failed-block-pivot", "src/seqgp/linalg.py",
+        '            if exc.detail.get("cut"):  # the rows before it, then its error\n',
+        "            if True:  # the rows before it, then its error\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::"
+         "test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block",
+         "tests/test_exact_runner.py::TestMidBlockErrors::"
+         "test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block",
+         "tests/test_cli.py::TestExitCodes::test_failed_pivot_in_a_time_step_is_4_with_its_row"),
+        BLOCK_FOLD),
+    Mutant(
+        "predict-only-linear-tick-shared-with-the-next-y-row", "src/seqgp/runners.py",
+        "        tau = np.cumsum(scored) + ~scored  # each row's tick count\n",
+        "        tau = np.arange(1, len(ys) + 1)  # each row's tick count\n",
+        ("tests/test_linear_filter.py::TestLinearRunner::test_matches_the_pure_fold",
+         "tests/test_acceptance.py::test_criterion_08_dynamics_algebra"),
+        BLOCK_FOLD),
+    Mutant(
+        "linear-tick-count-off-by-one", "src/seqgp/runners.py",
+        "        tau = np.cumsum(scored) + ~scored  # each row's tick count\n",
+        "        tau = np.cumsum(scored) + ~scored + 1  # each row's tick count\n",
+        ("tests/test_linear_filter.py::TestLinearRunner::test_matches_the_pure_fold",
+         "tests/test_cli.py::TestRun::test_linear_run_obeys_chain_rule"),
+        BLOCK_FOLD),
+    Mutant(
+        "linear-block-ticks-noise-off-the-diagonal", "src/seqgp/runners.py",
+        "            P.reshape(-1)[:: P.shape[0] + 1] += gam[K]\n",
+        "            P += gam[K]\n",
+        ("tests/test_linear_filter.py::TestLinearRunner::test_matches_the_pure_fold",
+         "tests/test_acceptance.py::test_criterion_08_dynamics_algebra"),
+        BLOCK_FOLD),
+    Mutant(
+        "sparse-residual-off-the-diagonal", "src/seqgp/runners.py",
+        "            C.flat[:: len(ys) + 1] += q\n",
+        "            C += q\n",
+        ("tests/test_sparse.py::TestSparseRunner::test_matches_separate_predict_and_update",
+         "tests/test_acceptance.py::test_criterion_06_sparse_exactness_and_batch_agreement"),
+        BLOCK_FOLD),
+    Mutant(
+        "linear-block-without-its-non-finite-cut", "src/seqgp/runners.py",
+        '            raise NumericalError("feature row has non-finite entries", detail={"row": int(np.argmax(bad)), '
+        '"cut": True})\n',
+        "            pass\n",
+        ("tests/test_linear_filter.py::TestLinearRunner::"
+         "test_a_non_finite_feature_row_cuts_its_block_and_names_its_row",),
+        BLOCK_FOLD),
+    Mutant(
+        "sparse-block-without-its-non-finite-cut", "src/seqgp/runners.py",
+        '            raise NumericalError("projection has non-finite entries", detail={"row": int(np.argmax(bad)), '
+        '"cut": True})\n',
+        "            pass\n",
+        ("tests/test_sparse.py::TestSparseRunner::"
+         "test_a_non_finite_projection_row_cuts_its_block_and_names_its_row",),
+        BLOCK_FOLD),
+    Mutant(
+        "filter-result-copies-the-history", "src/seqgp/markovian.py",
+        "        return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], "
+        "h.logliks[:n],\n",
+        "        return FilterResult(h.times[:m].copy(), h.means[:m].copy(), h.covs[:m].copy(), h.steps[:n].copy(),\n"
+        "                            h.obs_rows[:n].copy(), h.logliks[:n].copy(),\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_history_rows_are_copies_and_result_is_a_view",),
+        BLOCK_FOLD),
+    Mutant(
+        "duplicate-inducing-limit-scaled-by-the-lengthscale", "src/seqgp/sparse.py",
+        "        if dist.min() <= 1e-8 * spread:\n",
+        "        if dist.min() <= 1e-8 * kernel.lengthscale:\n",
+        ("tests/test_sparse.py::TestInit::test_duplicate_limit_follows_the_spread_of_the_inputs",),
+        BLOCK_FOLD),
+    Mutant(
+        "check-writes-kernel-lines-before-the-features-keys", "src/seqgp/cli.py",
+        "    # every key is read before the first line is written\n",
+        "    _check_kernel(kernel, report)  # the kernel lines before the features.* keys are read\n",
+        ("tests/test_cli.py::TestCheck::test_bad_features_key_writes_no_line",),
+        BLOCK_FOLD),
 )
 
 

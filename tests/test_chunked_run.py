@@ -91,9 +91,11 @@ def test_each_member_projects_each_chunk_once(monkeypatch):
     projections = sparse.projections
     monkeypatch.setattr(sparse, "projections", lambda state, X: sizes.append(len(X)) or projections(state, X))
     monkeypatch.setattr(cli, "CHUNK_ROWS", 16)
-    code, _, err = run_cli(["run", *ENSEMBLE], stdin_text=stream("t"))
+    code, _, err = run_cli(["run", *ENSEMBLE], stdin_text=stream("t", n=150))
     assert code == 0, err
-    assert sizes == [16, 16, 16, 16, 9, 9]  # chunk by chunk, the sparse member and then the vsgp member
+    # chunk by chunk, the sparse member and then the vsgp member; a chunk of 16 rows ends at the
+    # next block start of the members' partition, whose blocks have at least 64 rows
+    assert sizes == [64, 64, 64, 64, 22, 22]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -215,13 +217,23 @@ def test_step_error_after_the_first_chunk_names_its_row(monkeypatch):
     assert err == "seqgp: data error: row 36: timestamps decrease (34.0 -> 1.0)\n"
 
 
-# Streams that span several exact blocks (64 to 127 rows each): name -> (input columns, overrides)
+# Streams that span several blocks of 64 to 127 rows (exact, linear, sparse, vsgp):
+# name -> (input columns, overrides)
 MULTI_BLOCK = {
     "exact_tied": ("t", ["model=exact", "kernel.family=matern32", "noise_var=0.1"]),
     "exact_2d": ("x", ["model=exact", "kernel.family=se", "kernel.lengthscale=0.7", "noise_var=0.1"]),
     "ensemble_exact_markov_tied": ("t", ["model=ensemble", "member.1.model=exact", "member.1.kernel.family=matern32",
                                          "member.2.model=markov", "member.2.kernel.family=matern12",
                                          "member.1.noise_var=0.1", "member.2.noise_var=0.1"]),
+    "linear_hsgp_tied": ("t", MODELS["linear_hsgp"][1]),
+    "linear_rff_tied": ("t", ["model=linear", "kernel.family=se", "features.kind=rff", "features.F=16",
+                              "features.seed=3", "noise_var=0.1", "dynamics.mode=random_walk",
+                              "dynamics.sigma_rw2=0.001"]),
+    "sparse_tied": ("t", ["model=sparse", "kernel.family=matern32", "sparse.inducing=0,4,8,12,16,20",
+                          "noise_var=0.1"]),
+    "vsgp_2d": ("x", ["model=vsgp", "kernel.family=se", "sparse.M=5", "sparse.seed=2", "noise_var=0.1"]),
+    "ensemble_mixed_tied": ("t", [a.replace("sparse.M=6", "sparse.inducing=0,4,8,12,16,20").replace(
+        "sparse.M=4", "sparse.inducing=0,7,14,21") for a in ENSEMBLE]),
 }
 
 
@@ -256,7 +268,7 @@ def test_the_multi_block_streams_cross_block_edges():
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
-def test_every_chunk_size_gives_the_same_report_over_several_exact_blocks(name, monkeypatch):
+def test_every_chunk_size_gives_the_same_report_over_several_blocks(name, monkeypatch):
     columns, args = MULTI_BLOCK[name]
     csv = multi_block_stream(columns)
     reports = []
@@ -270,7 +282,7 @@ def test_every_chunk_size_gives_the_same_report_over_several_exact_blocks(name, 
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
-def test_runner_stepped_over_columns_gives_the_reported_cells_over_several_exact_blocks(name, monkeypatch):
+def test_runner_stepped_over_columns_gives_the_reported_cells_over_several_blocks(name, monkeypatch):
     columns, args = MULTI_BLOCK[name]
     csv = multi_block_stream(columns)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 16)
@@ -279,7 +291,7 @@ def test_runner_stepped_over_columns_gives_the_reported_cells_over_several_exact
     _, rows, _ = parse_report(out)
     _, data = cli.ingest_csv(io.StringIO(csv))
     runner = runner_for(args, data)
-    assert runner.block_rows == markovian.UPDATE_BLOCK_ROWS  # an ensemble takes its exact member's
+    assert runner.block_rows == markovian.UPDATE_BLOCK_ROWS  # an ensemble takes its members' largest
     for (_, res), row in zip(run_chunks(runner, data, 5), rows, strict=True):
         assert (res.mean, res.var, res.logdensity) == (row["pred_mean"], row["pred_var"], row["pred_logdensity"])
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,8 @@ class TestRun:
         assert summary["rows"] == 4 and summary["scored"] == 3
 
     @pytest.mark.parametrize("mode", sorted(LINEAR_DYNAMICS))
-    def test_linear_run_matches_library_loop_bit_for_bit(self, mode):
+    def test_linear_run_matches_the_library_loop(self, mode):
+        # the run conditions its 20 rows as one block, the library loop row by row: equal to 1e-12
         rng = np.random.default_rng(70)
         X = rng.uniform(0, 2, 20)
         y = rng.standard_normal(20)
@@ -108,9 +110,9 @@ class TestRun:
             belief = lf.predict_step(belief, dynamics)
             mean, var = lf.predict_f(belief, phi)
             belief, ll = lf.update_step(belief, phi, y[i], 0.2)
-            assert row["pred_mean"] == mean  # bit-for-bit via repr round-trip
-            assert row["pred_var"] == var
-            assert row["pred_logdensity"] == ll
+            assert row["pred_mean"] == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            assert row["pred_var"] == pytest.approx(var, rel=1e-12, abs=1e-12)
+            assert row["pred_logdensity"] == pytest.approx(ll, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("mode", sorted(LINEAR_DYNAMICS))
     def test_linear_run_obeys_chain_rule(self, mode):
@@ -616,11 +618,27 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_failed_pivot_in_a_time_step_is_4_with_its_row(self):
         # rows 1 and 2 observe the one state at t = 0 with noise_var = 1e-300: the second pivot of
-        # their innovation covariance [[1, 1], [1, 1]] + 1e-300 I rounds to 0
-        code, out, err = run_cli(["run", "model=markov", "kernel.family=matern12", "noise_var=1e-300"],
-                                 stdin_text="t,y\n0,1\n0,2\n1,3\n")
+        # their innovation covariance sigma_f2 [[1, 1], [1, 1]] + 1e-300 I rounds to 0, so row 2 runs
+        # alone on the state row 1 conditioned; at sigma_f2 = 0.1 its variance rounds below 0 too
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=1e-300"]
+        code, out, err = run_cli([*args, "kernel.sigma_f2=0.1"], stdin_text="t,y\n0,1\n0,2\n1,3\n")
         assert (code, out) == (4, "")
-        assert err == "seqgp: numerical error: row 2: non-positive predictive variance at pivot 2 of the block\n"
+        assert err == "seqgp: numerical error: row 2: non-positive predictive variance -1.3877787807814457e-17\n"
+        # at sigma_f2 = 1 it is exactly 0: row 2 alone passes with noise 1e-300, and so does the run
+        code, out, err = run_cli(args, stdin_text="t,y\n0,1\n0,2\n1,3\n")
+        assert (code, err) == (0, "")
+        _, rows, _ = parse_report(out)
+        assert [row["pred_var"] for row in rows[:2]] == [1.0, 0.0]
+
+    def test_overflowing_spectral_mixture_distance_is_4_with_its_row(self):
+        # the component's frequency-scaled distance overflows under an envelope that has not vanished:
+        # the Gram entry is NaN, and the exact block is cut at row 2, with one line and no warning
+        args = ["run", "model=exact", "kernel.family=sm", "kernel.sm_components=1.0:1e300:1e-300", "noise_var=0.1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args, stdin_text="t,y\n0,1\n1e10,2\n")
+        assert (code, out) == (4, "")
+        assert err == "seqgp: numerical error: row 2: kernel has non-finite entries\n"
 
     @pytest.mark.parametrize("dynamics", [
         ["dynamics.mode=general", "dynamics.a=1e100"],

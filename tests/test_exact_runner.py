@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.linalg import lapack
+
 from conftest import rows_until_error, run_cli, run_runner, stream_columns
 from seqgp import exact, kernels
 from seqgp.errors import ConfigurationError, NumericalError
@@ -181,3 +183,20 @@ class TestMidBlockErrors:
         assert str(exc).startswith(f"row {k + 1}: non-positive predictive variance at pivot ")
         assert got == cells(run_runner(ExactRunner(kernel, 1e-16), stream_columns(y[:k], t=t[:k])))
         assert runner.n == k  # the rows before it, and only those, are in the factor
+
+    def test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block(self, monkeypatch):
+        # a factorization that fails at the fifth pivot of any block with five or more y-rows: such a
+        # block runs as the rows before its fifth y-row, that row alone and the rest as a new block,
+        # which fails again while it has five y-rows; every row is still the batch oracle's
+        real, sizes = lapack.dpotrf, []
+
+        def failing(a, **kwargs):
+            sizes.append(len(a))
+            c, info = real(a, **kwargs)
+            return (c, 5) if len(a) >= 5 else (c, info)
+
+        monkeypatch.setattr(lapack, "dpotrf", failing)
+        data = stream(19, 150)
+        runner, _ = assert_matches_batch_oracle(kernels.matern32(1.3, 0.4), data)
+        assert runner.n == np.count_nonzero(~np.isnan(data.y))  # every y-row is in the factor
+        assert sum(n >= 5 for n in sizes) >= 20 and 1 in sizes and 4 in sizes

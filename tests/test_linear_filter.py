@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import run_runner, runner_for, stream_columns
-from seqgp import exact, features, kernels, linear_filter as lf
+from conftest import rows_until_error, run_runner, runner_for, stream_columns
+from seqgp import exact, features, kernels, linear_filter as lf, markovian
 from seqgp.config import build_dynamics
 from seqgp.errors import ConfigurationError, DataError, NumericalError, ShapeError
-from seqgp.runners import LinearRunner, run_chunks
+from seqgp.runners import LinearRunner, block_bounds, run_chunks
 
 
 def quad_posterior(m0, v0, y, lik, n=10_000):
@@ -45,8 +45,10 @@ class TestInitAndPredict:
         fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
         runner = LinearRunner(fmap, dynamics, 0.1)
         assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
-        x = np.random.default_rng(4).uniform(-2.0, 2.0, 20)
-        for _ in run_chunks(runner, stream_columns(np.sin(x), x=x), 7):
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, 150)  # three blocks: 64, 64 and 22 rows
+        y = np.sin(x)
+        y[5::6] = np.nan
+        for _ in run_chunks(runner, stream_columns(y, x=x), 7):
             assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
 
     def test_predict_f_zero_features(self):
@@ -59,26 +61,23 @@ class TestInitAndPredict:
 
 
 class TestLinearRunner:
-    """The runner advances and conditions the belief it owns in place, with the
+    """The runner conditions the belief it owns in place, a block of rows at a time
+    under the Gaussian likelihood and row by row under a Laplace one, with the
     arithmetic of the pure fold through ``predict_step``, ``predict_f`` and
     ``update_step`` (a Laplace pseudo-observation under a non-Gaussian
     likelihood)."""
 
-    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson_log"])
-    @pytest.mark.parametrize("dynamics", [
-        lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
-    ], ids=["static", "random_walk", "b2p", "general"])
-    def test_matches_the_pure_fold(self, dynamics, likelihood):
-        fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
-        rng = np.random.default_rng(11)
-        x = np.sort(rng.uniform(-2.0, 2.0, 60))
-        y = rng.poisson(1.5, x.size).astype(float) if likelihood == "poisson_log" else np.sin(x)
-        y[3::7] = np.nan
-        runner = LinearRunner(fmap, dynamics, 0.1, likelihood)
+    @staticmethod
+    def assert_matches_the_pure_fold(runner, data, chunk_rows=16):
+        """Each row's (mean, var, logdensity) is the pure fold's at 1e-12, and so is the
+        belief at the end of each block of the runner's partition (a block
+        conditions the belief on its first draw)."""
+        fmap, dynamics, likelihood = runner.fmap, runner.dynamics, runner.likelihood
         mean_id, cov_id = id(runner.belief.mean), id(runner.belief.cov)
-        belief = lf.init_belief(64, fmap.weight_prior_var)
-        data = stream_columns(y, x=x)
-        for (_, got), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
+        belief = lf.init_belief(fmap.n_features, fmap.weight_prior_var)
+        ends = set((block_bounds(data.t, len(data), runner.block_rows)[1:] - 1).tolist())
+        for i, ((_, got), point, y_i) in enumerate(zip(run_chunks(runner, data, chunk_rows), data.points,
+                                                       data.y.tolist(), strict=True)):
             phi = features.featurize(fmap, point)
             predicted = lf.predict_step(belief, dynamics)
             mean, var = lf.predict_f(predicted, phi)
@@ -88,15 +87,68 @@ class TestLinearRunner:
                 assert got.logdensity is None
             else:
                 if likelihood == "gaussian":
-                    belief, ll = lf.update_step(predicted, phi, y_i, 0.1)
+                    belief, ll = lf.update_step(predicted, phi, y_i, runner.noise_var)
                 else:
                     pseudo_y, pseudo_var, ll = lf.laplace_observation(mean, var, y_i, likelihood)
                     belief, _ = lf.update_step(predicted, phi, pseudo_y, pseudo_var)
                 assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(runner.belief.mean, belief.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(runner.belief.cov, belief.cov, rtol=1e-12, atol=1e-12)
+            if i in ends:
+                np.testing.assert_allclose(runner.belief.mean, belief.mean, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(runner.belief.cov, belief.cov, rtol=1e-12, atol=1e-12)
             assert np.array_equal(runner.belief.cov, runner.belief.cov.T)
         assert (id(runner.belief.mean), id(runner.belief.cov)) == (mean_id, cov_id)
+        return ends
+
+    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson_log"])
+    @pytest.mark.parametrize("dynamics", [
+        lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
+    ], ids=["static", "random_walk", "b2p", "general"])
+    def test_matches_the_pure_fold(self, dynamics, likelihood):
+        fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
+        rng = np.random.default_rng(11)
+        x = np.sort(rng.uniform(-2.0, 2.0, 150))
+        y = rng.poisson(1.5, x.size).astype(float) if likelihood == "poisson_log" else np.sin(x)
+        y[3::7] = np.nan
+        y[60:70] = np.nan  # a run of predict-only rows across a block edge
+        runner = LinearRunner(fmap, dynamics, 0.1, likelihood)
+        ends = self.assert_matches_the_pure_fold(runner, stream_columns(y, x=x))
+        assert len(ends) == (3 if likelihood == "gaussian" else 150)  # blocks of 64, 64 and 22 rows
+
+    def test_poisson_log_runs_row_by_row(self):
+        fmap = features.sample_rff(kernels.se(1.7, 0.6), 8, seed=3)
+        assert LinearRunner(fmap, lf.random_walk(0.03), 0.1, "poisson_log").block_rows == 1
+        assert LinearRunner(fmap, lf.random_walk(0.03), 0.1).block_rows == markovian.UPDATE_BLOCK_ROWS
+
+    def test_a_block_whose_powers_overflow_runs_row_by_row(self, monkeypatch):
+        # a = 1e6: cov_scale^26 overflows, but with one feature each y-row pins the weight down,
+        # so the row-by-row filter stays finite where a block's tick powers would not (at a = 1e100
+        # the row-by-row update itself overflows at the second row: TestExitCodes in test_cli.py)
+        fmap = features.build_hsgp(kernels.matern32(1.0, 0.5), 1, 4.0)
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-1.0, 1.0, 100)
+        y = np.cos(x) + 0.1 * rng.standard_normal(x.size)
+        y[5::9] = np.nan
+        runner = LinearRunner(fmap, lf.general(1e6, 0.5, 0.01), 0.1)
+        scalar_rows = []
+        rows = LinearRunner._rows
+        monkeypatch.setattr(LinearRunner, "_rows",
+                            lambda self, phis, ys: scalar_rows.append(len(ys)) or rows(self, phis, ys))
+        self.assert_matches_the_pure_fold(runner, stream_columns(y, x=x))
+        assert scalar_rows == [64, 36]  # each block row by row
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_a_non_finite_feature_row_cuts_its_block_and_names_its_row(self):
+        # x = 1e308 overflows the RFF phase omega x + b: row 100's feature row is NaN
+        fmap = features.sample_rff(kernels.se(1.0, 0.5), 16, seed=2)
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1.0, 1.0, 150)
+        x[99] = 1e308
+        y = np.sin(x)
+        assert not np.isfinite(features.featurize_many(fmap, x[99:100, None])).all()
+        got, exc = rows_until_error(LinearRunner(fmap, lf.random_walk(0.01), 0.1), stream_columns(y, x=x), 16)
+        assert str(exc) == "row 100: feature row has non-finite entries"
+        before = run_runner(LinearRunner(fmap, lf.random_walk(0.01), 0.1), stream_columns(y[:99], x=x[:99]))
+        assert got == [(r.mean, r.var, r.logdensity) for r in before]
 
     @pytest.mark.parametrize("dynamics", [
         lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),

@@ -1120,45 +1120,52 @@ class TestTimeStepBlocks:
         np.testing.assert_array_equal(stepper.mean, mean)
         np.testing.assert_array_equal(stepper.cov, cov)
 
-    def test_failed_pivot_names_its_row_after_the_rows_before_it(self, monkeypatch):
-        # a factorization that fails at the third pivot of any block with three or more y-rows
-        real = lapack.dpotrf
+    def test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block(self, monkeypatch):
+        # a factorization that fails at the third pivot of any block with three or more y-rows: such a
+        # block runs as the rows before its third y-row, that row alone (the scalar update), and the
+        # rest as a new block, which fails again while it has three y-rows; the stream then passes,
+        # with the cells and states of the row-by-row filter
+        real, sizes = lapack.dpotrf, []
 
         def failing(a, **kwargs):
+            sizes.append(len(a))
             c, info = real(a, **kwargs)
             return (c, 3) if len(a) >= 3 else (c, info)
 
         monkeypatch.setattr(lapack, "dpotrf", failing)
         t, rows, y = tied_spacetime()
-        starts = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
-        block = next(b for b in zip(starts, starts[1:]) if np.isfinite(y[slice(*b)]).sum() >= 3)
-        k = block[0] + int(np.flatnonzero(np.isfinite(y[slice(*block)]))[2])  # the block's third y-row
         sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
-        runner = MarkovRunner(sde, 0.1, locations=GRID)
-        got, exc = rows_until_error(runner, stream_columns(y, t=t, x=GRID[rows]))
-        assert isinstance(exc, NumericalError)
-        assert str(exc) == f"row {k + 1}: non-positive predictive variance at pivot 3 of the block"
-        assert_cells_close(got, sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)[0])
-        _, states = sequential_rows(sde, t[:k], y[:k], rows[:k], 0.1)
-        np.testing.assert_allclose(runner.stepper.cov, states[-1][1], rtol=0, atol=1e-12)  # the rows before it, only
-        with pytest.raises(NumericalError, match=f"^step {k}: non-positive predictive variance at pivot 3"):
-            markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
+        runner = MarkovRunner(sde, 0.1, locations=GRID, history_times=t)
+        got = run_runner(runner, stream_columns(y, t=t, x=GRID[rows]))
+        ref, states = sequential_rows(sde, t, y, rows, 0.1)
+        assert_cells_close([(r.mean, r.var, r.logdensity) for r in got], ref)
+        record = runner.stepper.result()
+        np.testing.assert_allclose(record.means, np.array([m for m, _ in states]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.covs, np.array([c for _, c in states]), rtol=0, atol=1e-12)
+        assert sum(n >= 3 for n in sizes) >= 5 and 2 in sizes  # failed blocks, and blocks after them
+        batch = markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
+        np.testing.assert_array_equal(batch.logliks, record.logliks)
 
-    @pytest.mark.parametrize("ys, error", [
-        ([np.nan, 1.0, 2.0, np.inf, 3.0], NumericalError),  # the failed pivot first
-        ([np.nan, 1.0, np.inf, 2.0, 3.0], DataError),  # the infinite y first
-    ], ids=["pivot-first", "inf-first"])
-    def test_failed_pivot_and_infinite_y_in_one_time_step_name_the_earlier_row(self, ys, error):
+    @pytest.mark.parametrize("sigma2, ys, row, error, message", [
+        (0.2, [np.nan, 1.0, 2.0, np.inf, 3.0], 3, NumericalError,
+         "non-positive predictive variance -2.7755575615628914e-17"),  # the failed pivot first
+        (0.2, [np.nan, 1.0, np.inf, 2.0, 3.0], 3, DataError, "non-finite observation inf"),  # the infinite y first
+        (1.0, [np.nan, 1.0, 2.0, np.inf, 3.0], 4, DataError, "non-finite observation inf"),  # the pivot recovers
+    ], ids=["pivot-first", "inf-first", "pivot-recovered"])
+    def test_failed_pivot_and_infinite_y_in_one_time_step_name_the_earlier_row(self, sigma2, ys, row, error, message):
         # four rows at t = 0 observe the one state with noise_var = 1e-300: the second y-row's pivot of
-        # [[1, 1], [1, 1]] + 1e-300 I rounds to 0; whichever of it and the infinite y comes first is named
+        # sigma2 [[1, 1], [1, 1]] + 1e-300 I fails, and the row runs alone on the state that the rows
+        # before it conditioned.  At sigma2 = 0.2 its variance rounds below 0 and the row fails too:
+        # whichever of it and the infinite y comes first is named.  At sigma2 = 1 it is exactly 0,
+        # the row passes with noise 1e-300, and the infinite y is named
         t, y = np.array([0.0, 0.0, 0.0, 0.0, 1.0]), np.array(ys)
-        message = {NumericalError: "non-positive predictive variance at pivot 2 of the block",
-                   DataError: "non-finite observation inf"}[error]
-        sde = markovian.build_lti(kernels.matern12())
+        sde = markovian.build_lti(kernels.matern12(sigma2))
         got, exc = rows_until_error(MarkovRunner(sde, 1e-300), stream_columns(y, t=t))
-        assert type(exc) is error and str(exc) == f"row 3: {message}"
-        assert got == [(0.0, 1.0, None), (0.0, 1.0, pytest.approx(-0.5 * (np.log(2 * np.pi) + 1.0)))]
-        with pytest.raises(error, match=f"^step 2: {message}$"):
+        assert type(exc) is error and str(exc) == f"row {row}: {message}"
+        assert len(got) == row - 1
+        assert got[:2] == [(0.0, sigma2, None),
+                           (0.0, sigma2, pytest.approx(-0.5 * (np.log(2 * np.pi * sigma2) + 1.0 / sigma2)))]
+        with pytest.raises(error, match=f"^step {row - 1}: {message}$"):
             markovian.kalman_filter(sde, t, y, 1e-300)
 
     def test_stepper_run_is_bit_equal_to_the_runners_cells(self, monkeypatch):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import run_runner, runner_for, stream_columns
+from conftest import rows_until_error, run_runner, runner_for, stream_columns
 from seqgp import exact, kernels, sparse
 from seqgp.errors import ConfigurationError, DataError
-from seqgp.runners import SparseRunner, run_chunks
+from seqgp.runners import SparseRunner, block_bounds, run_chunks
 
 THREE_KERNELS = [
     kernels.se(1.0, 0.6),
@@ -184,53 +184,67 @@ class TestSparseRunner:
             return projections(state, X)
 
         monkeypatch.setattr(sparse, "projections", counted)
-        data = self.columns()
+        data = self.columns(300)
         runner = SparseRunner(kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16), True)
+        bounds = block_bounds(data.t, len(data), runner.block_rows)
+        assert bounds.tolist() == [0, 64, 128, 192, 256, 300]  # chunks of 16 rows end at these block starts
         for rec, _ in run_chunks(runner, data, 16):
-            assert len(calls) == min(-(-rec.row // 16) * 16, len(data))
+            assert len(calls) == bounds[np.searchsorted(bounds, rec.row)]  # the rows up to its chunk's end
         np.testing.assert_array_equal(np.array(calls), data.x)
         assert np.isnan(data.y).any()
 
-    @pytest.mark.parametrize("residual", [True, False])
-    def test_bit_equal_to_separate_predict_and_update(self, residual):
-        kernel, noise, Z = kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16)
-        runner = SparseRunner(kernel, noise, Z, residual)
-        state = sparse.init_sparse(kernel, Z, residual)
-        flops = 0
-        data = self.columns()
-        for (_, got), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
+    @staticmethod
+    def assert_matches_the_pure_fold(runner, data, residual):
+        """Each row's (mean, var, logdensity) is the two-projection sequence's at 1e-12, and
+        so is the state at the end of each block of the runner's partition (a block
+        conditions the state on its first draw); each row is charged as it is drawn."""
+        st = runner.state
+        state = sparse.init_sparse(st.kernel, st.inducing, residual)
+        mean_id, cov_id, flops, M = id(st.mean), id(st.cov), 0, st.n_inducing
+        ends = set((block_bounds(data.t, len(data), runner.block_rows)[1:] - 1).tolist())
+        for i, ((_, got), point, y_i) in enumerate(zip(run_chunks(runner, data, 16), data.points, data.y.tolist(),
+                                                       strict=True)):
             # the two-projection sequence: each call projects x itself
             mean, var = sparse.sparse_predict(state, point)
-            ll = None
-            if not np.isnan(y_i):
-                state, ll = sparse.sparse_update(state, point, y_i, noise)
-                flops += 6 * Z.size**2 + 10 * Z.size  # O(M^2), M = 16 inducing inputs
-            assert (got.mean, got.var, got.logdensity) == (mean, var, ll)
-            np.testing.assert_array_equal(runner.state.mean, state.mean)
-            np.testing.assert_array_equal(runner.state.cov, state.cov)
+            if np.isnan(y_i):
+                assert got.logdensity is None
+            else:
+                state, ll = sparse.sparse_update(state, point, y_i, runner.noise_var)
+                flops += 6 * M * M + 10 * M  # O(M^2)
+                assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
+            assert (got.mean, got.var) == (pytest.approx(mean, rel=1e-12, abs=1e-12),
+                                           pytest.approx(var, rel=1e-12, abs=1e-12))
+            if i in ends:
+                np.testing.assert_allclose(runner.state.mean, state.mean, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(runner.state.cov, state.cov, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(runner.state.cov, runner.state.cov.T)
             assert runner.flops == flops
+        assert (id(runner.state.mean), id(runner.state.cov)) == (mean_id, cov_id)
+        return ends
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_matches_separate_predict_and_update(self, residual):
+        data = self.columns(300)
+        runner = SparseRunner(kernels.matern32(1.0, 0.7), 0.1, np.linspace(0.0, 4.0, 16), residual)
+        assert len(self.assert_matches_the_pure_fold(runner, data, residual)) == 5  # 4 blocks of 64, one of 44
 
     @pytest.mark.parametrize("model", ["sparse", "vsgp"])
     def test_built_runner_conditions_its_state_in_place_like_the_pure_fold(self, model):
-        data = self.columns()
+        data = self.columns(300)
         runner = runner_for([f"model={model}", "kernel.family=matern32", "kernel.lengthscale=0.7", "noise_var=0.1",
                              "sparse.M=12"], data)
-        mean_id, cov_id = id(runner.state.mean), id(runner.state.cov)
-        state = sparse.init_sparse(runner.state.kernel, runner.state.inducing, True)
-        for (_, got), point, y_i in zip(run_chunks(runner, data, 16), data.points, data.y.tolist(), strict=True):
-            mean, var = sparse.sparse_predict(state, point)
-            ll = None
-            if not np.isnan(y_i):
-                state, ll = sparse.sparse_update(state, point, y_i, 0.1)
-                assert got.logdensity == pytest.approx(ll, rel=1e-12, abs=1e-12)
-            else:
-                assert got.logdensity is None
-            assert (got.mean, got.var) == (pytest.approx(mean, rel=1e-12, abs=1e-12),
-                                           pytest.approx(var, rel=1e-12, abs=1e-12))
-            np.testing.assert_allclose(runner.state.mean, state.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(runner.state.cov, state.cov, rtol=1e-12, atol=1e-12)
-            assert np.array_equal(runner.state.cov, runner.state.cov.T)
-        assert (id(runner.state.mean), id(runner.state.cov)) == (mean_id, cov_id)
+        assert runner.block_rows == 64
+        self.assert_matches_the_pure_fold(runner, data, True)
+
+    def test_a_non_finite_projection_row_cuts_its_block_and_names_its_row(self):
+        data = self.columns(200)
+        x = data.x.copy()
+        x[99, 0] = np.nan  # row 100, the 36th row of the second block
+        kernel, Z = kernels.matern32(1.0, 0.7), np.linspace(0.0, 4.0, 16)
+        got, exc = rows_until_error(SparseRunner(kernel, 0.1, Z, True), stream_columns(data.y, x=x), 16)
+        assert str(exc) == "row 100: projection has non-finite entries"
+        before = run_runner(SparseRunner(kernel, 0.1, Z, True), stream_columns(data.y[:99], x=x[:99]))
+        assert got == [(r.mean, r.var, r.logdensity) for r in before]
 
 
 class TestVsgpInfoUpdate:
