@@ -12,16 +12,17 @@ inputs of a chunk of rows (``Columns``) in one call (sparse projections,
 feature rows, Markov transitions and observation rows, or the exact
 runner's points) and starts, without running it, the chunk's row generator
 over those arrays and ``chunk.y`` (NaN marks a predict-only row).
-``step(record)``, one method for every runner but the ensemble, draws the
-record's row from it: a record is its 1-based row and its chunk
-(``Columns.records``), and a record of another chunk, or a row out of its
-turn, is a ValueError.  Each row predicts at its input, scores the target
-if one is present, then (and only then) folds the observation into the
-state, and adds its approximate cost to ``flops``, the summary's count, as
-it is drawn; no other module counts flops.  Rows without a target never
-change the belief; for the Markovian models the state still advances to the
-row's timestamp (the model is continuous in time).  ``EnsembleRunner.step``
-steps every member on the record.
+``step(record)``, one method for every runner, draws the record's row from
+it: a record is its 1-based row and its chunk (``Columns.records``), and a
+record of another chunk, or a row out of its turn, is a ValueError.  Each
+row predicts at its input, scores the target if one is present, then (and
+only then) folds the observation into the state, and adds its approximate
+cost to ``flops``, the summary's count, as it is drawn; no other module
+counts flops.  Rows without a target never change the belief; for the
+Markovian models the state still advances to the row's timestamp (the
+model is continuous in time).  The ensemble's generator steps each member
+over the chunk through the member's own ``step``, then combines the chunk's
+rows as arrays (``EnsembleRunner``).
 
 Every Gaussian route conditions a block of rows as one vector measurement
 when the block's first row is drawn: the block's latent values are a priori
@@ -72,7 +73,7 @@ from .config import (
     load_locations,
     member_configs,
 )
-from .errors import ConfigurationError, DataError, NumericalError
+from .errors import ConfigurationError, DataError, NumericalError, SeqgpError
 from .kernels import kappa_of_distance
 from .linalg import BlockUpdate, condition_block, fold_state, run_blocks
 
@@ -423,12 +424,18 @@ class MarkovRunner(_RowRunner):
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
-        input row's smoothed (mean, var) through its observation row, gathered
-        from its time's row ``SMOOTH_BLOCK_BYTES`` at a time.  The pass
+        input row's smoothed (mean, var) through its observation row.  The pass
         overwrites the filtered moments it reads, so a runner smooths once; a
         second call raises.  A failed pass, or a non-finite smoothed moment, is
         a NumericalError whose ``detail["step"]`` names the input row at fault
-        (for a singular gain, the first input row of its time step)."""
+        (for a singular gain, the first input row of its time step).
+
+        With one nonzero entry (i, w) per observation row (``sde.obs_single``),
+        a row's moments are w m_i and w^2 P_ii of its time's row: two gathers.
+        A time row with a non-finite entry that this does not read (a dense
+        contraction would carry it as NaN) gives its input rows a NaN
+        variance.  Otherwise each input row contracts its time's row with its
+        observation row, gathered ``SMOOTH_BLOCK_BYTES`` at a time."""
         if self._smoothed:
             raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
         self._smoothed = True
@@ -441,11 +448,22 @@ class MarkovRunner(_RowRunner):
             raise
         n, block = record.steps.size, max(2, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
         smoothed = np.empty((n, 2))
-        for start in range(0, n, block):
-            rows = slice(max(min(start, n - 2), 0), start + block)  # no lone last row: einsum rounds one row apart
-            H, k = sde.obs[record.obs_rows[rows]], record.steps[rows]
-            smoothed[rows, 0] = np.einsum("ij,ij->i", H, record.means[k])
-            smoothed[rows, 1] = np.einsum("ij,ijk,ik->i", H, record.covs[k], H)
+        if sde.obs_single is not None:
+            idx, w = (part[record.obs_rows] for part in sde.obs_single)
+            k = record.steps
+            smoothed[:, 0] = record.means[k, idx] * w + 0.0  # + 0.0: a contraction's sum turns -0.0 into 0.0
+            smoothed[:, 1] = record.covs[k, idx, idx] * w * w + 0.0
+            finite = np.empty(record.times.size, dtype=bool)  # per time row
+            for start in range(0, finite.size, block):
+                rows = slice(start, start + block)
+                finite[rows] = np.isfinite(record.covs[rows]).all(axis=(1, 2)) & np.isfinite(record.means[rows]).all(axis=1)
+            smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan
+        else:
+            for start in range(0, n, block):
+                rows = slice(max(min(start, n - 2), 0), start + block)  # no lone last row: einsum rounds one row apart
+                H, k = sde.obs[record.obs_rows[rows]], record.steps[rows]
+                smoothed[rows, 0] = np.einsum("ij,ij->i", H, record.means[k])
+                smoothed[rows, 1] = np.einsum("ij,ijk,ik->i", H, record.covs[k], H)
         bad = np.flatnonzero(~np.isfinite(smoothed).all(axis=1))
         if bad.size:  # the pass carries a non-finite moment back to every step before it: name the last
             k = int(bad[-1])
@@ -500,8 +518,24 @@ class SparseRunner(_RowRunner):
         return self._charged(out, [0 if ll is None else self._cost for ll in out.logdensities])
 
 
-class EnsembleRunner:
-    """Bank of member runners combined by BMA or stacking weights."""
+class EnsembleRunner(_RowRunner):
+    """Bank of member runners combined by BMA or stacking weights, a chunk at a time.
+
+    ``prepare`` prepares the members and starts the chunk's row generator.
+    On its first draw it draws each member over the chunk in turn, through
+    the member's own ``step``; a member stops before the earliest row at
+    which a member before it raised, so at one row the lower-numbered
+    member's error is the one kept.  The combiner then runs over the rows
+    before that row: the weight recursion (``ensemble.log_weight_rows``), the
+    weights as one exp of the (n + 1, K) log-weights, and the mixture moments
+    and log densities as (n, K) array work.  The rows are handed out one per
+    ``step``, and ``state`` follows them.  A row does in the one-row functions
+    what would warn or raise there, in their order: the mixture moments of a
+    row whose batched ones are not finite (``mixture_predict``, for numpy's
+    warnings), then the update of a row whose step is skipped or whose log
+    density is NaN or +inf (``bma_update`` or ``stacking_update``).  The
+    stored member error is raised at its row.
+    """
 
     def __init__(self, members: list, combiner: str):
         self.members = members
@@ -520,17 +554,61 @@ class EnsembleRunner:
     def prepare(self, chunk: Columns) -> None:
         for m in self.members:
             m.prepare(chunk)
+        self._start(chunk, self._rows(chunk))
 
-    def step(self, rec: StreamRecord) -> StepResult:
-        results = [m.step(rec) for m in self.members]
+    def _draw(self, chunk: Columns):
+        """Every member's results over the chunk, member by member, as (n, K)
+        arrays of means, variances and log densities (NaN on a row without a
+        target) over the n rows before the earliest row at which a member
+        raised, and that member's error (None if none raised)."""
+        records = list(chunk.records())
+        results, stop, error = [], len(records), None
+        for member in self.members:
+            drawn = []
+            try:
+                for rec in records[:stop]:
+                    drawn.append(member.step(rec))
+            except SeqgpError as exc:  # raised at its row, after the rows before it
+                stop, error = len(drawn), exc
+            results.append(drawn)
+        M, V, L = (np.empty((stop, len(results))) for _ in range(3))
+        for j, drawn in enumerate(results):
+            drawn = drawn[:stop]
+            M[:, j] = [r.mean for r in drawn]
+            V[:, j] = [r.var for r in drawn]
+            L[:, j] = [r.logdensity for r in drawn]  # None becomes NaN
+        return M, V, L, error
+
+    def _rows(self, chunk: Columns):
+        M, V, L, error = self._draw(chunk)
         state = self.state
-        mix_mean, mix_var = ens.mixture_predict(state, [r.mean for r in results], [r.var for r in results])
-        if math.isnan(rec.chunk.y[rec.row - rec.chunk.first_row]):
-            return StepResult(mix_mean, mix_var, None, weights=state.weights)
-        lls = [r.logdensity for r in results]
-        mix_ll = ens.logsumexp([w + ll for w, ll in zip(state.log_weights, lls)])
-        (ens.bma_update if state.combiner == "bma" else ens.stacking_update)(state, lls)
-        return StepResult(mix_mean, mix_var, mix_ll, weights=state.weights)
+        scored = ~np.isnan(chunk.y[: len(M)])
+        log_w, skipped = ens.log_weight_rows(state, L, scored)
+        ran = len(log_w) - 1  # the rows before the first NaN or +inf log density
+        k = min(ran + 1, len(M))  # and that row, whose moments come before its error
+        LW = np.array(log_w)
+        W = np.exp(LW)
+        with np.errstate(over="ignore", invalid="ignore"):  # a row that would warn runs through mixture_predict
+            means, variances = ens.mixture_moments(W[:k], M[:k], V[:k])
+        mix_ll = np.full(k, math.nan)
+        idx = np.flatnonzero(scored[:ran])
+        mix_ll[idx] = ens.logsumexp(LW[idx] + L[idx])
+        update = ens.bma_update if state.combiner == "bma" else ens.stacking_update
+        rows = zip(means.tolist(), variances.tolist(), mix_ll.tolist(), scored.tolist())
+        for i, (mean, var, ll, is_scored) in enumerate(rows):
+            if not (math.isfinite(mean) and math.isfinite(var)):
+                mean, var = ens.mixture_predict(state, M[i], V[i])
+            if not is_scored:
+                yield StepResult(mean, var, None, weights=state.weights)
+                continue
+            if i == ran or i in skipped:  # raises, or warns and skips
+                update(state, L[i])
+            else:
+                state.step_count += 1
+                state.log_weights, state.weights = log_w[i + 1], W[i + 1]
+            yield StepResult(mean, var, ll, weights=state.weights)
+        if error is not None:
+            raise error
 
 
 def block_bounds(t: np.ndarray | None, n: int, min_rows: int) -> np.ndarray:

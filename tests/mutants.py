@@ -55,6 +55,7 @@ ONE_DRIVER = "one driver for the Markov time-step blocks"
 ROW_PROTOCOL = "one row protocol for every runner"
 EXACT_BLOCKS = "the exact GP is conditioned a block of rows at a time"
 BLOCK_FOLD = "the sparse, vsgp and linear routes are conditioned a block of rows at a time"
+CHUNK_COMBINER = "the ensemble combines a chunk at a time"
 
 MUTANTS = (
     Mutant(
@@ -124,8 +125,8 @@ MUTANTS = (
         FLOAT_COMBINER),
     Mutant(
         "mixture-mean-as-a-float-loop", "src/seqgp/ensemble.py",
-        "    mean = float(w @ mu)\n",
-        "    mean = sum(a * b for a, b in zip(w.tolist(), mu.tolist()))\n",
+        "    mean = np.matmul(w, means[:, :, None])[:, 0, 0]\n",
+        "    mean = np.array([sum(a * b for a, b in zip(x, m)) for x, m in zip(weights.tolist(), means.tolist())])\n",
         ("tests/test_properties.py::test_combiner_rows_match_the_numpy_reference_bit_for_bit",),
         FLOAT_COMBINER),
     Mutant(
@@ -371,6 +372,34 @@ MUTANTS = (
         "    _check_kernel(kernel, report)  # the kernel lines before the features.* keys are read\n",
         ("tests/test_cli.py::TestCheck::test_bad_features_key_writes_no_line",),
         BLOCK_FOLD),
+    Mutant(
+        "mixture-read-with-the-rows-own-update", "src/seqgp/runners.py",
+        "            means, variances = ens.mixture_moments(W[:k], M[:k], V[:k])\n",
+        "            means, variances = ens.mixture_moments(W[1 : k + 1], M[:k], V[:k])\n",
+        ("tests/test_properties.py::test_combiner_rows_match_the_numpy_reference_bit_for_bit",
+         "tests/test_ensemble.py::TestMemberErrors::test_the_earliest_row_raises_after_the_rows_before_it"),
+        CHUNK_COMBINER),
+    Mutant(
+        "skip-warning-in-the-chunk-pass", "src/seqgp/ensemble.py",
+        "                skipped.add(i)\n",
+        "                skipped.add(i)\n"
+        '                warnings.warn(f"all member densities are zero at step {t}; {state.combiner} step skipped")\n',
+        ("tests/test_cli.py::TestRun::test_warnings_are_one_seqgp_line_each",
+         "tests/test_properties.py::test_combiner_rows_match_the_numpy_reference_bit_for_bit"),
+        CHUNK_COMBINER),
+    Mutant(
+        "last-member-error-instead-of-the-earliest-rows", "src/seqgp/runners.py",
+        "                for rec in records[:stop]:\n",
+        "                for rec in records:\n",
+        ("tests/test_ensemble.py::TestMemberErrors::test_at_one_row_the_lower_numbered_member_raises",),
+        CHUNK_COMBINER),
+    Mutant(
+        "single-entry-smoothing-without-its-non-finite-check", "src/seqgp/runners.py",
+        "            smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan\n",
+        "            pass\n",
+        ("tests/test_markovian.py::TestStepperHistory::"
+         "test_a_non_finite_entry_off_the_observed_one_names_its_time_row",),
+        CHUNK_COMBINER),
 )
 
 

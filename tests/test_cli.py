@@ -246,11 +246,12 @@ class TestRun:
 
     def test_warnings_are_one_seqgp_line_each(self):
         # y = 1e200 gives both members a zero density (a skipped BMA step) and means near 1e199,
-        # whose square overflows in the mixture's second moment
+        # whose square overflows in the mixture's second moment; row 4, after the failing row,
+        # has zero densities too, and the run never reaches it
         args = ["run", "model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
                 "member.1.noise_var=0.1", "member.2.model=markov", "member.2.kernel.family=matern32",
                 "member.2.noise_var=0.1"]
-        code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,1e200\n2,0.3\n")
+        code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,1e200\n2,0.3\n3,1e200\n")
         assert (code, out) == (4, "")
         assert err == ("seqgp: warning: all member densities are zero at step 2; bma step skipped\n"
                        "seqgp: warning: overflow encountered in multiply\n"

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
-from seqgp.runners import Columns, EnsembleRunner, StepResult
+from seqgp.runners import Columns, EnsembleRunner, StepResult, run_chunks
 from seqgp.errors import ConfigurationError, DataError
 
 
@@ -47,6 +47,17 @@ class TestLogsumexp:
         cases += [rng.normal(size=300), np.full(200, -3.0), np.array([-np.inf, -np.inf]), np.array([np.inf, 1.0])]
         for a in cases:
             assert ens.logsumexp(a) == scipy_logsumexp(a)
+
+    def test_each_row_of_an_array_is_the_row_alone(self):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3, (400, 1)), (400, 6))
+        rows[rng.random(rows.shape) < 0.2] = -np.inf
+        rows[::7, 2] = rows[::7, 4]  # a tied max in some rows
+        rows[5], rows[9, 1], rows[11, 3], rows[13, 0] = -np.inf, np.inf, np.nan, 1e308
+        got = ens.logsumexp(np.asfortranarray(rows))
+        assert got.shape == (400,)
+        np.testing.assert_array_equal(got, [ens.logsumexp(r) for r in rows])
+        np.testing.assert_array_equal(got, scipy_logsumexp(rows, axis=1))
 
     def test_nan_propagates(self):
         assert np.isnan(ens.logsumexp(np.array([np.nan, 1.0])))
@@ -176,19 +187,25 @@ class TestInit:
             ens.init_ensemble(2, "mean")
 
 
-def scored_records(n):
-    """The records of n rows, each with a target (0.0): what an ensemble steps its members on."""
-    return Columns(1, None, None, np.zeros(n)).records()
+def scored_records(runner, n):
+    """The records of n rows, each with a target (0.0), prepared as ``runner``'s chunk."""
+    chunk = Columns(1, None, None, np.zeros(n))
+    runner.prepare(chunk)
+    return chunk.records()
 
 
 class _FixedScoreMember:
     """Runner stand-in whose every row scores the same log density."""
 
     approximate_loglik = False
+    block_rows = 1
     flops = 0
 
     def __init__(self, loglik):
         self.loglik = loglik
+
+    def prepare(self, chunk):
+        pass
 
     def step(self, rec):
         return StepResult(0.0, 1.0, self.loglik)
@@ -210,7 +227,7 @@ class TestStackingRunner:
                 [-7.4e-176, -1e6, -1e6, -685494.7]]
         runner = EnsembleRunner([_ScoreListMember([r[j] for r in rows]) for j in range(4)], "stacking")
         with np.errstate(under="ignore"):
-            for rec in scored_records(5):
+            for rec in scored_records(runner, 5):
                 res = runner.step(rec)
                 assert np.all(np.isfinite(res.weights)) and res.weights.sum() == pytest.approx(1.0)
         assert res.weights[0] == 1.0 and runner.state.log_weights[1:] == [ens.LOG_FLOOR] * 3
@@ -220,7 +237,7 @@ class TestStackingRunner:
         runner = EnsembleRunner([_FixedScoreMember(-800.0), _FixedScoreMember(-840.0)], "stacking")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = runner.step(next(scored_records(1)))
+            res = runner.step(next(scored_records(runner, 1)))
         assert res.weights[0] > 0.5 > res.weights[1]
         assert res.weights.sum() == pytest.approx(1.0)
         # the step of densities 1 and exp(-40) from equal weights (eta = sqrt(ln 2), gradient p / (w . p)),
@@ -232,7 +249,7 @@ class TestStackingRunner:
     def test_no_finite_member_density_skips_the_step(self):
         runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "stacking")
         with pytest.warns(UserWarning, match="stacking step skipped"):
-            res = runner.step(next(scored_records(1)))
+            res = runner.step(next(scored_records(runner, 1)))
         np.testing.assert_array_equal(res.weights, [0.5, 0.5])
 
 
@@ -240,13 +257,13 @@ class TestBmaRunner:
     def test_no_finite_member_density_skips_the_step(self):
         runner = EnsembleRunner([_FixedScoreMember(-np.inf), _FixedScoreMember(-np.inf)], "bma")
         with pytest.warns(UserWarning, match="at step 1; bma step skipped"):
-            res = runner.step(next(scored_records(1)))
+            res = runner.step(next(scored_records(runner, 1)))
         np.testing.assert_array_equal(res.weights, [0.5, 0.5])
         assert runner.state.step_count == 1
 
     def test_log_weight_floor_triggers_for_a_member_trailing_by_more_than_745_nats(self):
         runner = EnsembleRunner([_FixedScoreMember(0.0), _FixedScoreMember(-800.0)], "bma")
-        for rec in scored_records(3):
+        for rec in scored_records(runner, 3):
             res = runner.step(rec)
             best, trailing = runner.state.log_weights
             # unfloored, the gap would be -800 * rec.row and exp of it 0.0; clamped, it stays at the floor
@@ -254,3 +271,62 @@ class TestBmaRunner:
             assert np.all(np.isfinite(res.weights)) and np.all(res.weights >= 0.0)
             assert res.weights[1] > 0.0
             assert res.weights.sum() == 1.0
+
+
+class _RaisingMember:
+    """Runner stand-in with scripted (mean, var, log density) rows that raises a DataError naming
+    itself at row ``fail_row``; ``stepped`` lists the rows it was stepped on."""
+
+    approximate_loglik = False
+    block_rows = 1
+    flops = 0
+
+    def __init__(self, name, rows, fail_row):
+        self.name, self.rows, self.fail_row, self.stepped = name, rows, fail_row, []
+
+    def prepare(self, chunk):
+        pass
+
+    def step(self, rec):
+        self.stepped.append(rec.row)
+        if rec.row == self.fail_row:
+            raise DataError(f"{self.name} fails")
+        return StepResult(*self.rows[rec.row - 1])
+
+
+class TestMemberErrors:
+    def members(self, fail_rows):
+        rng = np.random.default_rng(62)
+        return [_RaisingMember(f"member {j}", list(zip(rng.normal(size=20).tolist(), rng.uniform(0.1, 2.0, 20).tolist(),
+                                                            rng.normal(-1.0, 0.5, 20).tolist())), fail)
+                for j, fail in enumerate(fail_rows, start=1)]
+
+    def run(self, members):
+        """The results ``run_chunks`` yields over one 20-row chunk, and the error it raises."""
+        got = []
+        with pytest.raises(DataError) as caught:
+            for _, res in run_chunks(EnsembleRunner(members, "bma"), Columns(1, None, None, np.zeros(20)), 20):
+                got.append(res)
+        return got, str(caught.value)
+
+    def test_the_earliest_row_raises_after_the_rows_before_it(self):
+        members = self.members([9, 5, None])
+        got, message = self.run(members)
+        assert message == "row 5: member 2 fails"
+        state = ens.init_ensemble(3, "bma")  # the row-by-row reference
+        for row, res in enumerate(got):
+            means, variances, lls = zip(*(m.rows[row] for m in members))
+            mean, var = ens.mixture_predict(state, means, variances)
+            ll = ens.logsumexp([w + v for w, v in zip(state.log_weights, lls)])
+            ens.bma_update(state, lls)
+            assert (res.mean, res.var, res.logdensity) == (mean, var, ll)
+            np.testing.assert_array_equal(res.weights, state.weights)
+        assert len(got) == 4
+        assert [m.stepped for m in members] == [list(range(1, 10)), list(range(1, 6)), list(range(1, 5))]
+
+    def test_at_one_row_the_lower_numbered_member_raises(self):
+        members = self.members([5, 5, None])
+        got, message = self.run(members)
+        assert message == "row 5: member 1 fails"
+        assert len(got) == 4
+        assert [m.stepped for m in members] == [list(range(1, 6)), list(range(1, 5)), list(range(1, 5))]

@@ -764,6 +764,28 @@ class TestStepperHistory:
                          for r, k in zip(rows, sm.steps)])
         np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("entry", ["mean", "cov"])
+    def test_a_non_finite_entry_off_the_observed_one_names_its_time_row(self, entry, monkeypatch):
+        # a space-time projection reads one entry of each time row; an inf in another entry of time
+        # row 6 (input rows 12 and 13) still names the row's last input row, as a dense contraction's
+        # NaN did
+        sde = ZERO_STEP_SDES["spacetime"]
+        locations = np.array([[0.0], [0.5]])
+        t = np.repeat(0.25 * np.arange(10), 2)
+        rows = np.tile([0, 1], 10)
+        runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
+        run_runner(runner, stream_columns(np.sin(t), t=t, x=locations[rows]))
+        record = runner.stepper.result()
+        off = np.setdiff1d(np.arange(sde.dim), sde.obs_single[0])[0]  # an entry no observation row reads
+        if entry == "mean":
+            record.means[6, off] = np.inf
+        else:
+            record.covs[6, 0, off] = np.inf
+        monkeypatch.setattr(markovian, "rts_smoother", lambda sde, record: None)  # smoothing leaves the inf as set
+        with pytest.raises(NumericalError, match="non-finite smoothed moment at step 13: ") as caught:
+            runner.smooth()
+        assert caught.value.detail["step"] == 13
+
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
     def test_stacked_predict_is_the_advance_state(self, name):
         # the d = 8 mixture and a two-location space-time model, with zero steps and predict-only rows

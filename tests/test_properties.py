@@ -13,7 +13,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
 from seqgp import kernels, linear_filter as lf
-from seqgp.runners import Columns, EnsembleRunner, StepResult
+from seqgp.runners import Columns, EnsembleRunner, StepResult, run_chunks
 
 finite = {"allow_nan": False, "allow_infinity": False}
 hyper = st.floats(min_value=0.05, max_value=20.0, **finite)
@@ -127,10 +127,14 @@ class _ScriptedMember:
     """Runner stand-in that hands back its column of scripted (mean, var, log density) rows."""
 
     approximate_loglik = False
+    block_rows = 1
     flops = 0
 
     def __init__(self, rows, k):
         self.rows, self.k = rows, k
+
+    def prepare(self, chunk):
+        pass
 
     def step(self, rec):
         means, variances, lls = self.rows[rec.row - 1]
@@ -153,16 +157,26 @@ def test_combiner_rows_match_the_numpy_reference_bit_for_bit(data, k, combiner):
     scores = st.none() | st.lists(log_density, min_size=k, max_size=k)
     rows = data.draw(st.lists(st.tuples(column, spread, scores), min_size=1, max_size=20))
     expected, skips = _reference_combiner(k, combiner, rows)
-    runner = EnsembleRunner([_ScriptedMember(rows, j) for j in range(k)], combiner)
-    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
-        warnings.simplefilter("always")
-        scored = Columns(1, None, None, np.array([math.nan if lls is None else 0.0 for _, _, lls in rows]))
-        got = [runner.step(rec) for rec in scored.records()]
-    assert sum(f"{combiner} step skipped" in str(w.message) for w in caught) == skips
-    for res, (mean, var, mix_ll, weights) in zip(got, expected):
-        assert _same(res.mean, mean) and _same(res.var, var)
-        assert (res.logdensity is None) if mix_ll is None else _same(res.logdensity, mix_ll)
-        np.testing.assert_array_equal(res.weights, weights)
+    scored = Columns(1, None, None, np.array([math.nan if lls is None else 0.0 for _, _, lls in rows]))
+
+    def stepped(runner):
+        runner.prepare(scored)
+        return [runner.step(rec) for rec in scored.records()]
+
+    def chunked(chunk_rows):
+        return lambda runner: [res for _, res in run_chunks(runner, scored, chunk_rows)]
+
+    for run in (stepped, chunked(1), chunked(3), chunked(20)):
+        runner = EnsembleRunner([_ScriptedMember(rows, j) for j in range(k)], combiner)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            got = run(runner)
+        assert len(got) == len(rows)
+        assert sum(f"{combiner} step skipped" in str(w.message) for w in caught) == skips
+        for res, (mean, var, mix_ll, weights) in zip(got, expected):
+            assert _same(res.mean, mean) and _same(res.var, var)
+            assert (res.logdensity is None) if mix_ll is None else _same(res.logdensity, mix_ll)
+            np.testing.assert_array_equal(res.weights, weights)
 
 
 def _reject_constant(token):
