@@ -6,7 +6,13 @@ so library code should raise the most specific class that applies.
 
 
 class SeqgpError(Exception):
-    """Base class for all seqgp errors."""
+    """Base class for all seqgp errors.  ``detail`` may carry a diagnostic payload:
+    a block's row at fault (``linalg.run_blocks``), the last Newton iterate, or
+    a condition-number estimate."""
+
+    def __init__(self, message, detail=None):
+        super().__init__(message)
+        self.detail = detail
 
 
 class ConfigurationError(SeqgpError):
@@ -34,12 +40,4 @@ class UnsupportedKernelError(ConfigurationError):
 
 
 class NumericalError(SeqgpError):
-    """A numerical routine failed (factorization, divergence).
-
-    ``detail`` may carry a diagnostic payload, e.g. the last Newton iterate
-    or a condition-number estimate.
-    """
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail
+    """A numerical routine failed (factorization, divergence)."""

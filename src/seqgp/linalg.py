@@ -8,9 +8,12 @@ The scalar Kalman step of every filter route is ``observe`` (forms s = P h
 once) followed by ``condition``, the one scored update: it checks y,
 conditions the mean and covariance its caller owns in place, and returns the
 predictive log density of y.  A block of rows observed together is one vector
-measurement, ``condition_block``, which the Markov time step and the exact GP
-share.  Every other function here is pure.  A caller that wants a new belief
-conditions a copy of its own.
+measurement, ``condition_block``, which every block route shares, and
+``run_blocks`` is their one block loop, with one failure rule: a block that
+fails at a row runs the rows before it as a block and the row alone, so only
+a one-row failure ends a run.  Every other function here is pure, apart from
+``fold_state``.  A caller that wants a new belief conditions a copy of its
+own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, SeqgpError
 
 # Escalation ladder for diagonal jitter, relative to the supplied scale.
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7)
@@ -237,32 +240,26 @@ def run_blocks(bounds: list, block):
     in order, ``bounds`` a list of ints.
 
     ``block(start, stop)`` conditions rows [start, stop) as one block and returns
-    an iterable of their results.  It raises a NumericalError whose
-    ``detail["row"]`` p names its row at fault, counted from ``start``:
-
-    * with ``detail["cut"]`` set, the row's inputs are not finite: the rows
-      before it run as a block of their own (by these rules), then the error
-      is raised;
-    * otherwise a pivot failed at that y-row (``condition_block``): the rows
-      before it run as a block, the row runs alone as a one-row block, and the
-      rows after it as a new block.  Only a one-row block's failure is raised.
-
-    A pivot that the block's factor loses at the edge of positive
-    definiteness is a matter of rounding, so a block route fails only where
-    the one-row update of its own state fails.  Any other error is raised as
-    it is.
+    an iterable of their results.  It raises a SeqgpError whose
+    ``detail["row"]`` p names its row at fault, counted from ``start``: a pivot
+    that failed at that y-row (``condition_block``), or a row whose inputs no
+    update can take (non-finite kernel, feature or projection entries, an
+    unknown location or observation row, an infinite y).  The one rule: the
+    rows before p run as a block, row p alone as a one-row block, and the rows
+    after it as a new block; only a one-row block's error is raised.  A bad
+    input fails its one-row block again, so the run ends there; a pivot that
+    the block's factor lost at the edge of positive definiteness is a matter
+    of rounding, so a block route fails only where the one-row update of its
+    own state fails.  Any other error is raised as it is.
     """
     spans = list(zip(bounds[-2::-1], bounds[:0:-1]))  # the last block first: ``pop`` takes the next
     while spans:
         start, stop = spans.pop()
         try:
             rows = block(start, stop)
-        except NumericalError as exc:
+        except SeqgpError as exc:
             p = (exc.detail or {}).get("row")
             if p is None or stop - start == 1:
-                raise
-            if exc.detail.get("cut"):  # the rows before it, then its error
-                yield from run_blocks([start, start + p], block) if p else ()
                 raise
             spans += [(a, b) for a, b in ((start + p + 1, stop), (start + p, start + p + 1), (start, start + p))
                       if a < b]

@@ -27,20 +27,21 @@ give exact GP inference in O(N d^3).  The rows at one timestamp are one
 vector measurement: ``MarkovStepper.step`` conditions on a block of them at
 once (one Cholesky factor of the block's innovation covariance), the blocks
 being runs of equal timestamps split every ``UPDATE_BLOCK_ROWS`` rows
-(``block_starts``), which ``MarkovStepper.run`` hands to it in turn for
-``kalman_filter`` and the CLI's runner alike, through the one block loop
-``linalg.run_blocks`` (a failed pivot falls back to one-row blocks).  A
-block of one row is the observe -> condition hand-off of every filter
-route: the stepper's ``predict_obs`` returns the observe triple (h^T m,
-h^T s, s) and its ``update`` hands it to ``linalg.condition``, the one
-scored update.  The filter record
-keeps only the filtered moments, one row per distinct timestamp; the
-smoother walks back over those time steps in blocks, forms each block's
-transitions from the stored timestamps, recomputes the predicted moments
-with the forward pass's ``predict``, solves for all of the block's gains at
-once, and overwrites the filtered moments with the smoothed ones: three
-matrix products a step.  ``scipy.linalg.expm`` stays the reference that the
-tests and ``seqgp check`` compare ``transition`` against.
+(``block_starts``), which ``kalman_filter`` (through ``MarkovStepper.run``)
+and the CLI's runner hand to it in turn through the one block loop
+``linalg.run_blocks``: a block that fails at a row (a failed pivot, an
+observation row out of range, an infinite y) runs the rows before it as a
+block and the row alone, so only a one-row failure raises.  A block of one
+row is the observe -> condition hand-off of every filter route: the
+stepper's ``predict_obs`` returns the observe triple (h^T m, h^T s, s) and
+its ``update`` hands it to ``linalg.condition``, the one scored update.  The
+filter record keeps only the filtered moments, one row per distinct
+timestamp; the smoother walks back over those time steps in blocks, forms
+each block's transitions from the stored timestamps, recomputes the
+predicted moments with the forward pass's ``predict``, solves for all of the
+block's gains at once, and overwrites the filtered moments with the smoothed
+ones: three matrix products a step.  ``scipy.linalg.expm`` stays the
+reference that the tests and ``seqgp check`` compare ``transition`` against.
 """
 
 from __future__ import annotations
@@ -253,10 +254,10 @@ class MarkovStepper:
 
     ``step`` is the one update: it takes a block of rows at one timestamp
     (``block_starts``) and conditions on them as one vector measurement.
-    ``run``, the one driver of the batch filter below and of the CLI's runner,
-    hands it a span's blocks in turn.  Each step of nonzero length computes
-    its transition in closed form, so memory does not grow with the number of
-    distinct step lengths.  A zero-length step after the first row leaves the
+    ``run``, the driver of the batch filter below, hands it a span's blocks in
+    turn through ``linalg.run_blocks``, as the CLI's runner does.  Each step of
+    nonzero length computes its transition in closed form, so memory does not
+    grow with the number of distinct step lengths.  A zero-length step after the first row leaves the
     state untouched (A = I, Q = 0 is exact on a symmetric covariance).
     ``history_times`` (the stream's timestamps) allocates ``history``, a
     ``FilterResult`` with one row of moments per distinct timestamp that each
@@ -339,10 +340,10 @@ class MarkovStepper:
         lists, each row's latent predictive mean and variance through its
         observation row given the y-rows before it, and the log density of its y
         (None on a predict-only row).  A block of one row is ``predict_obs`` and
-        ``update``; a longer one is ``_condition_block``.  A NumericalError whose
+        ``update``; a longer one is ``_condition_block``.  An error whose
         ``detail["row"]`` is p leaves the state advanced but unconditioned, so the
         block's rows before p, row p and the rest can each be conditioned on as
-        a block of their own, as ``run`` does."""
+        a block of their own, as ``linalg.run_blocks`` does."""
         k, h, n = self.rows_written, self.history, len(ys)
         if h is not None:
             p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
@@ -365,28 +366,16 @@ class MarkovStepper:
             self.rows_written = k
         return out
 
-    def run(self, t, ys, rows, prepared=None):
+    def run(self, t, ys, rows):
         """Step a span of rows in order, yielding each row's (mean, var, logdensity).
 
-        ``t``, ``ys`` (NaN on a predict-only row), ``rows`` and ``prepared`` (if
-        given: ``step``'s transition for a block that starts there) are per row.
-        A block of ``block_starts(t)`` is stepped when its first row is asked for.
-        The span ends at its first row whose observation row is out of range or
-        whose y is infinite: that row is stepped alone, and raises.  A pivot that
-        fails at block row p falls back as ``linalg.run_blocks`` says: the rows
-        before p run as a block, row p alone, the rest as a new block, and only
-        a one-row failure raises."""
-        t, ys, rows = np.asarray(t, dtype=float), np.asarray(ys, dtype=float), np.asarray(rows, dtype=int)
-        bad = np.flatnonzero((rows < 0) | (rows >= self.sde.obs.shape[0]) | np.isinf(ys))
-        cut = int(bad[0]) if bad.size else t.size
-        bounds = np.flatnonzero(block_starts(t[:cut])).tolist() + [cut] + ([cut + 1] if cut < t.size else [])
-        ts, ys, rows = t.tolist(), ys.tolist(), rows.tolist()
-
-        def block(start, stop):
-            return zip(*self.step(ts[start], ys[start:stop], rows[start:stop],
-                                  None if prepared is None else prepared[start]))
-
-        return run_blocks(bounds, block)
+        ``t``, ``ys`` (NaN on a predict-only row) and ``rows`` are per row.  A
+        block of ``block_starts(t)`` is stepped when its first row is asked for,
+        through ``linalg.run_blocks`` and its one failure rule."""
+        t = np.asarray(t, dtype=float)
+        ts, ys, rows = t.tolist(), np.asarray(ys, dtype=float).tolist(), np.asarray(rows, dtype=int).tolist()
+        return run_blocks(np.flatnonzero(block_starts(t)).tolist() + [t.size],
+                          lambda start, stop: zip(*self.step(ts[start], ys[start:stop], rows[start:stop])))
 
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
         """``step`` on a block of rows at the current time, as one vector measurement.
@@ -397,9 +386,11 @@ class MarkovStepper:
         for the block's y-rows.  ``linalg.fold_state`` folds them into the state
         with cross term HP: G = L^-1 H_y P, m += G^T z and P -= G^T G, which
         stays bit-symmetric.  HP is gathered through the rows' nonzero entries when
-        each row has one (a space-time model).  A failed pivot is
-        ``condition_block``'s NumericalError naming its row of the block, raised
-        before the state changes.
+        each row has one (a space-time model).  The block's first row whose
+        observation row is out of range or whose y is infinite is a DataError,
+        with the message that row gives alone, and a failed pivot is
+        ``condition_block``'s NumericalError; each names its row of the block
+        (``detail["row"]``) and is raised before the state changes.
 
         L^-1 comes from ``dtrtri``, at most ``UPDATE_BLOCK_ROWS`` square, so
         every product of size d runs in numpy's BLAS, as ``predict`` does.
@@ -407,12 +398,13 @@ class MarkovStepper:
         d = 128 block that solved with scipy's ``dtrsm`` between numpy's
         products ran about 20 times slower with both pools threaded on 2 vCPUs.
         """
-        support = self.sde.obs_support
-        bad_rows, bad_ys = rows[(rows < 0) | (rows >= len(support))], ys[np.isinf(ys)]
-        if bad_rows.size:
-            raise DataError(f"observation row {bad_rows[0]} is not in [0, {len(support)})")
-        if bad_ys.size:
-            raise DataError(f"non-finite observation {float(bad_ys[0])!r}")
+        n_obs = len(self.sde.obs_support)
+        bad_rows = (rows < 0) | (rows >= n_obs)
+        bad = np.flatnonzero(bad_rows | np.isinf(ys))
+        if bad.size:  # the block's first bad row, with the message that row gives alone
+            p = int(bad[0])
+            raise DataError(f"observation row {rows[p]} is not in [0, {n_obs})" if bad_rows[p]
+                            else f"non-finite observation {float(ys[p])!r}", detail={"row": p})
         m, P = self.mean, self.cov
         single = self.sde.obs_single
         if single is not None:  # HP and H P H^T are gathers
@@ -483,10 +475,11 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
     step uses (always row 0 for temporal models).  The rows go through
-    ``MarkovStepper.run``, as the CLI's runner steps them, so the two give the
-    same bits.  A row that the stepper rejects (its timestamp, its observation
-    row, an infinite value or a failed one-row update) is its DataError or
-    NumericalError, prefixed with ``step k: ``, k the rows run before it.
+    ``MarkovStepper.run``, in the blocks that the CLI's runner steps, so the
+    two give the same bits.  A row that the stepper rejects (its timestamp,
+    its observation row, an infinite value or a failed one-row update) is its
+    DataError or NumericalError, prefixed with ``step k: ``, k the rows run
+    before it.
     Starts from the stationary law N(0, P_inf).  Under ties the result has
     fewer rows of times and moments than inputs: one per distinct timestamp.
     """

@@ -30,20 +30,19 @@ jointly Gaussian, ``linalg.condition_block`` gives each row its prequential
 moments and log density, and the runner folds the block's y-rows into its
 state (``linalg.fold_state`` for the Markov, sparse and linear states; a row
 panel of the Cholesky factor for the exact GP).  One block loop,
-``linalg.run_blocks``, drives every block runner (``MarkovStepper.run`` for
-the Markov time steps, ``_RowRunner._start_blocks`` for the exact, sparse
-and linear runners): it cuts a block at its first row whose kernel,
-projection or feature entries are not finite, which then raises after the
-rows before it, and a pivot that fails at a y-row runs the rows before it as
-a block, the row alone, and the rest as a new block, so only a one-row
-failure raises.  Row by row (a Markov block of one row, and the linear
-runner under a Laplace likelihood or where a block's powers overflow),
-``linear_filter.observe_f`` or ``MarkovStepper.predict_obs`` forms (h^T m,
-h^T s, s) with s = P h once, and a y-row hands that triple to
-``linalg.condition``, the one scored update (through
-``linear_filter.condition_in_place``, which adds the Laplace step of a
-non-Gaussian likelihood).  The pure functions of those modules are the same
-arithmetic on new states, for library callers.
+``linalg.run_blocks``, started by ``_RowRunner._start_blocks``, drives the
+exact, sparse, linear and Markov runners with one failure rule: a block
+that fails at a row (a failed pivot; kernel, projection or feature entries
+that are not finite; an unknown location, an observation row out of range
+or an infinite y) runs the rows before it as a block, the row alone, and
+the rest as a new block, so only a one-row failure raises.  Row by row (a
+Markov block of one row, and the linear runner under a Laplace likelihood
+or where a block's powers overflow), ``linear_filter.observe_f`` or
+``MarkovStepper.predict_obs`` forms (h^T m, h^T s, s) with s = P h once,
+and a y-row hands that triple to ``linalg.condition``, the one scored update
+(through ``linear_filter.condition_in_place``, which adds the Laplace step
+of a non-Gaussian likelihood).  The pure functions of those modules are the
+same arithmetic on new states, for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -75,7 +74,7 @@ from .config import (
 )
 from .errors import ConfigurationError, DataError, NumericalError, SeqgpError
 from .kernels import kappa_of_distance
-from .linalg import BlockUpdate, condition_block, fold_state, run_blocks
+from .linalg import condition_block, fold_state, run_blocks
 
 
 @dataclass(slots=True)
@@ -131,14 +130,17 @@ class _RowRunner:
     def _start(self, chunk: Columns, results) -> None:
         self._chunk, self._next, self._results = chunk, chunk.first_row, results
 
-    def _start_blocks(self, chunk: Columns, block) -> None:
+    def _start_blocks(self, chunk: Columns, block, costs: list) -> None:
         """Start the chunk's rows as ``linalg.run_blocks`` over the runner's partition
-        of the chunk (``block_bounds``); ``block(start, stop)`` is the runner's."""
-        self._start(chunk, run_blocks(block_bounds(chunk.t, len(chunk), self.block_rows).tolist(), block))
+        of the chunk (``block_bounds``), charged ``costs``; ``block(start, stop)`` is
+        the runner's, and gives each of its rows' (mean, var, logdensity)."""
+        rows = run_blocks(block_bounds(chunk.t, len(chunk), self.block_rows).tolist(), block)
+        self._start(chunk, self._charged(rows, costs))
 
-    def _charged(self, out: BlockUpdate, costs: list):
-        """Each row's result of a conditioned block, charged its cost in ``flops`` as it is drawn."""
-        for mean, var, ll, cost in zip(out.means, out.variances, out.logdensities, costs):
+    def _charged(self, rows, costs: list):
+        """Each row's (mean, var, logdensity) from ``rows``, charged its cost in ``flops``
+        as it is drawn."""
+        for (mean, var, ll), cost in zip(rows, costs):
             self.flops += cost
             yield StepResult(mean, var, ll)
 
@@ -179,12 +181,12 @@ class ExactRunner(_RowRunner):
     pools threaded on 2 vCPUs.  A row is charged the flops of a row grown
     alone against the observations before it: n^2 + 4n + 10.
 
-    ``linalg.run_blocks`` drives the blocks.  A block is cut at its first row
+    ``linalg.run_blocks`` drives the blocks.  A block fails at its first row
     whose kernel entries are not finite (its column of K_0, or its entry of
-    K_bb against an earlier y-row of the block): the rows before it run as a
-    block of their own, and the row raises.  A pivot that fails at a y-row
-    runs the rows before it as a block, the row as a block of one, and the
-    rest as a new block; only a block of one raises its failed pivot.
+    K_bb against an earlier y-row of the block, which is a column of K_0 once
+    the rows before it have run), or at a y-row whose pivot fails: the rows
+    before it run as a block, the row as a block of one, and the rest as a
+    new block; only a block of one raises.
     """
 
     block_rows = markovian.UPDATE_BLOCK_ROWS
@@ -213,29 +215,30 @@ class ExactRunner(_RowRunner):
         return L
 
     def prepare(self, chunk: Columns) -> None:
-        """Nothing ahead but the points: each block reads the factor that the blocks
-        before it grew."""
+        """Nothing ahead but the points and the rows' costs: each block reads the factor
+        that the blocks before it grew."""
         X, ys = chunk.points, chunk.y
-        self._start_blocks(chunk, lambda a, b: self._block(X[a:b], ys[a:b]))
+        scored = ~np.isnan(ys)
+        before = (self.n + np.cumsum(scored) - scored).tolist()  # the observations before each row
+        self._start_blocks(chunk, lambda a, b: self._block(X[a:b], ys[a:b]), [k * k + 4 * k + 10 for k in before])
 
     def _block(self, X: np.ndarray, ys: np.ndarray):
-        """Condition one block and grow the factor; its rows' results, charged as drawn."""
+        """Condition one block and grow the factor; its rows' results."""
         n, kxx = self.n, self.kxx
         K_bb = self.kernel.gram(X)
         K_0 = self.kernel.gram(self.inputs[:n], X) if n else np.zeros((0, len(X)))
         scored = ~np.isnan(ys)
         bad = ~np.isfinite(K_0).all(axis=0) | np.triu(~np.isfinite(K_bb) & scored[:, None], 1).any(axis=0)
         bad |= not math.isfinite(kxx)
-        if bad.any():  # cut the block at its first bad row
-            raise NumericalError("kernel has non-finite entries", detail={"row": int(np.argmax(bad)), "cut": True})
+        if bad.any():  # its first bad row: the rows before it run as a block, then it fails alone
+            raise NumericalError("kernel has non-finite entries", detail={"row": int(np.argmax(bad))})
         V = self._solve(K_0)
         np.fill_diagonal(K_bb, kxx)
         out = condition_block(V.T @ self.z[:n], K_bb - V.T @ V, ys, self.noise_var)
         Y = out.scored
         if Y.size:
             self._append(X[Y], (V[:, Y].T, out.factor), out.z)
-        before = (n + np.cumsum(scored) - scored).tolist()  # the observations before each row
-        return self._charged(out, [k * k + 4 * k + 10 for k in before])
+        return zip(out.means, out.variances, out.logdensities)
 
     def _solve(self, K_0: np.ndarray) -> np.ndarray:
         """V = L^-1 K_0 by forward substitution over the panels."""
@@ -285,9 +288,9 @@ class LinearRunner(_RowRunner):
     belief in place, forms s = P phi once and conditions it in place
     (``linear_filter.predict_in_place``, ``observe_f``,
     ``condition_in_place``), and a predict-only row reads its moments from
-    one matvec (``linear_filter.predict_f_ahead``).  A block is cut at its
-    first row whose feature row has a non-finite entry.  Every row is
-    charged 6 F^2 + 8 F flops."""
+    one matvec (``linear_filter.predict_f_ahead``).  A block fails at its
+    first row whose feature row has a non-finite entry, as ``run_blocks``
+    says.  Every row is charged 6 F^2 + 8 F flops."""
 
     def __init__(self, fmap, dynamics, noise_var: float, likelihood: str = "gaussian"):
         if likelihood == "gaussian" and noise_var <= 0.0:
@@ -303,27 +306,26 @@ class LinearRunner(_RowRunner):
         self.approximate_loglik = likelihood != "gaussian"
 
     def prepare(self, chunk: Columns) -> None:
-        phis = features.featurize_many(self.fmap, chunk.points)
+        phis, costs = features.featurize_many(self.fmap, chunk.points), [self._cost] * len(chunk)
         if self.likelihood != "gaussian":
-            self._start(chunk, self._rows(phis, chunk.y))
+            self._start(chunk, self._charged(self._rows(phis, chunk.y), costs))
             return
         ys, bad = chunk.y, ~np.isfinite(phis).all(axis=1)
-        self._start_blocks(chunk, lambda a, b: self._block(phis[a:b], ys[a:b], bad[a:b]))
+        self._start_blocks(chunk, lambda a, b: self._block(phis[a:b], ys[a:b], bad[a:b]), costs)
 
     def _rows(self, phis: np.ndarray, ys: np.ndarray):
         for phi, y in zip(phis, ys.tolist()):
-            self.flops += self._cost
             if math.isnan(y):  # pure query: the dynamics tick is tied to observation events
-                yield StepResult(*linear_filter.predict_f_ahead(self.belief, self.dynamics, phi), None)
+                yield *linear_filter.predict_f_ahead(self.belief, self.dynamics, phi), None
             else:
                 linear_filter.predict_in_place(self.belief, self.dynamics)
                 observed = linear_filter.observe_f(self.belief, phi)
                 ll = linear_filter.condition_in_place(self.belief, observed, y, self.likelihood, self.noise_var)
-                yield StepResult(observed[0], observed[1], ll)
+                yield observed[0], observed[1], ll
 
     def _block(self, phis: np.ndarray, ys: np.ndarray, bad: np.ndarray):
-        if bad.any():  # cut the block at its first bad row
-            raise NumericalError("feature row has non-finite entries", detail={"row": int(np.argmax(bad)), "cut": True})
+        if bad.any():  # its first bad row: the rows before it run as a block, then it fails alone
+            raise NumericalError("feature row has non-finite entries", detail={"row": int(np.argmax(bad))})
         dyn = self.dynamics
         scored = ~np.isnan(ys)
         tau = np.cumsum(scored) + ~scored  # each row's tick count
@@ -356,7 +358,7 @@ class LinearRunner(_RowRunner):
                 P *= cpow[K]
             P.reshape(-1)[:: P.shape[0] + 1] += gam[K]
             fold_state(m, P, out, cross)
-        return self._charged(out, [self._cost] * len(ys))
+        return zip(out.means, out.variances, out.logdensities)
 
 
 class MarkovRunner(_RowRunner):
@@ -368,11 +370,12 @@ class MarkovRunner(_RowRunner):
     (from the stepper's time for the first row) moves the clock in one
     ``markovian.transition`` call, looks up every row's observation row in one
     vectorised pass (the first location equal to its coordinates, else the
-    nearest one within 1e-9 (1 + ||location||)), and creates, without running
-    it, the stepper's ``run`` over the rows before the first unknown location.
-    The row generator draws each row's result from ``run`` and past its end
-    raises the unknown location.  A row is charged the flops of its own predict
-    and update, as if stepped alone, and of the move if its block moves the clock."""
+    nearest one within 1e-9 (1 + ||location||)), and starts the stepper's
+    blocks (``block_starts``) through ``_start_blocks``.  A block whose first
+    row has no location raises it; elsewhere in a block, such a row is out
+    of range for the stepper.  A row is charged the flops of its own predict
+    and update, as if stepped alone, and a block's first row the move if its
+    transition was prepared, as the stream's first row is."""
 
     def __init__(self, sde, noise_var: float, locations=None, history_times=None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
@@ -399,28 +402,29 @@ class MarkovRunner(_RowRunner):
         return rows
 
     def prepare(self, chunk: Columns) -> None:
-        t = chunk.t
-        prev = self.stepper.time
+        stepper, t = self.stepper, chunk.t
+        prev = stepper.time
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is the stepper's DataError
             deltas = np.diff(t, prepend=t[:1] if prev is None else prev)
         moving = np.flatnonzero((deltas > 0.0) & (deltas < math.inf))
         steps = [None] * len(chunk)  # per row, (delta, A) of a step that moves the clock
         for i, delta, A in zip(moving.tolist(), deltas[moving].tolist(),
-                               markovian.transition(self.stepper.sde, deltas[moving])):
+                               markovian.transition(stepper.sde, deltas[moving])):
             steps[i] = (delta, A)
+        predict, move, update = self._costs
+        costs = predict + update * ~np.isnan(chunk.y)  # per row: its predict, its update if it has a y
+        costs[moving] += move  # and the move of a step that moves the clock
+        if prev is None:
+            costs[:1] += move  # as the stream's first row does
         rows = np.zeros(len(chunk), dtype=int) if self.locations is None else self._location_rows(chunk.x)
-        unknown = np.flatnonzero(rows < 0)
-        cut = int(unknown[0]) if unknown.size else len(chunk)
-        self._start(chunk, self._rows(self.stepper.run(t[:cut], chunk.y[:cut], rows[:cut], steps), chunk, cut))
+        ts, ys, rows = t.tolist(), chunk.y.tolist(), rows.tolist()
 
-    def _rows(self, run, chunk: Columns, cut: int):
-        stepper, (predict, move, update) = self.stepper, self._costs
-        time = stepper.time
-        for mean, var, ll in run:
-            self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)
-            time = stepper.time
-            yield StepResult(mean, var, ll)
-        raise DataError(f"location {chunk.x[cut]} is not in spatial.locations")  # past the cut
+        def block(start, stop):
+            if rows[start] < 0:
+                raise DataError(f"location {chunk.x[start]} is not in spatial.locations", detail={"row": 0})
+            return zip(*stepper.step(ts[start], ys[start:stop], rows[start:stop], steps[start]))
+
+        self._start_blocks(chunk, block, costs.tolist())
 
     def smooth(self) -> np.ndarray:
         """Backward pass over the stored history, in place: an (N, 2) array of each
@@ -485,8 +489,9 @@ class SparseRunner(_RowRunner):
     + diag(q)) (without q when ``include_residual`` is off), which
     ``linalg.condition_block`` conditions on the block's y-rows, and
     ``linalg.fold_state`` folds them into the state with cross term (H S)_Y.
-    A block is cut at its first row whose projection has a non-finite entry.
-    A y-row is charged 6 M^2 + 10 M flops, a predict-only row nothing."""
+    A block fails at its first row whose projection has a non-finite entry,
+    as ``run_blocks`` says.  A y-row is charged 6 M^2 + 10 M flops, a
+    predict-only row nothing."""
 
     block_rows = markovian.UPDATE_BLOCK_ROWS
 
@@ -503,11 +508,12 @@ class SparseRunner(_RowRunner):
     def prepare(self, chunk: Columns) -> None:
         H, q = sparse.projections(self.state, chunk.points)
         ys, bad = chunk.y, ~(np.isfinite(H).all(axis=1) & np.isfinite(q))
-        self._start_blocks(chunk, lambda a, b: self._block(H[a:b], q[a:b], ys[a:b], bad[a:b]))
+        costs = np.where(np.isnan(ys), 0, self._cost).tolist()  # a y-row's update; a predict-only row is free
+        self._start_blocks(chunk, lambda a, b: self._block(H[a:b], q[a:b], ys[a:b], bad[a:b]), costs)
 
     def _block(self, H: np.ndarray, q: np.ndarray, ys: np.ndarray, bad: np.ndarray):
-        if bad.any():  # cut the block at its first bad row
-            raise NumericalError("projection has non-finite entries", detail={"row": int(np.argmax(bad)), "cut": True})
+        if bad.any():  # its first bad row: the rows before it run as a block, then it fails alone
+            raise NumericalError("projection has non-finite entries", detail={"row": int(np.argmax(bad))})
         st = self.state
         HS = H @ st.cov
         C = HS @ H.T
@@ -515,7 +521,7 @@ class SparseRunner(_RowRunner):
             C.flat[:: len(ys) + 1] += q
         out = condition_block(H @ st.mean, C, ys, self.noise_var)
         fold_state(st.mean, st.cov, out, HS[out.scored])
-        return self._charged(out, [0 if ll is None else self._cost for ll in out.logdensities])
+        return zip(out.means, out.variances, out.logdensities)
 
 
 class EnsembleRunner(_RowRunner):

@@ -56,6 +56,7 @@ ROW_PROTOCOL = "one row protocol for every runner"
 EXACT_BLOCKS = "the exact GP is conditioned a block of rows at a time"
 BLOCK_FOLD = "the sparse, vsgp and linear routes are conditioned a block of rows at a time"
 CHUNK_COMBINER = "the ensemble combines a chunk at a time"
+ONE_RULE = "one failure rule for every block route"
 
 MUTANTS = (
     Mutant(
@@ -162,15 +163,15 @@ MUTANTS = (
         TIME_ROWS),
     Mutant(
         "markov-move-cost-on-a-zero-step", "src/seqgp/runners.py",
-        "            self.flops += predict + (move if stepper.time != time else 0) + (0 if ll is None else update)\n",
-        "            self.flops += predict + move + (0 if ll is None else update)\n",
+        "        costs[moving] += move  # and the move of a step that moves the clock\n",
+        "        costs += move  # and the move of a step that moves the clock\n",
         ("tests/test_cli_models.py::TestFlops",
          "tests/test_markovian.py::TestStepShortcuts::test_repeated_timestamp_flops_match_per_step_accounting"),
         RUNNER_FLOPS),
     Mutant(
         "sparse-cost-on-predict-only-rows", "src/seqgp/runners.py",
-        "        return self._charged(out, [0 if ll is None else self._cost for ll in out.logdensities])\n",
-        "        return self._charged(out, [self._cost] * len(ys))\n",
+        "        costs = np.where(np.isnan(ys), 0, self._cost).tolist()  # a y-row's update; a predict-only row is free\n",
+        "        costs = [self._cost] * len(ys)  # a y-row's update; a predict-only row is free\n",
         ("tests/test_cli_models.py::TestFlops",),
         RUNNER_FLOPS),
     Mutant(
@@ -238,17 +239,17 @@ MUTANTS = (
         SHIPPED_STEP),
     Mutant(
         "stepper-run-without-its-cut-at-the-first-bad-row", "src/seqgp/markovian.py",
-        "        cut = int(bad[0]) if bad.size else t.size\n",
-        "        cut = t.size\n",
+        "        if bad.size:  # the block's first bad row, with the message that row gives alone\n",
+        "        if False:  # the block's first bad row, with the message that row gives alone\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::"
          "test_infinite_y_inside_a_time_step_names_its_row_after_the_rows_before_it",
          "tests/test_markovian.py::TestTimeStepBlocks::"
          "test_failed_pivot_and_infinite_y_in_one_time_step_name_the_earlier_row"),
         ONE_DRIVER),
     Mutant(
-        "runner-without-its-cut-at-an-unknown-location", "src/seqgp/runners.py",
-        "        cut = int(unknown[0]) if unknown.size else len(chunk)\n",
-        "        cut = len(chunk)\n",
+        "runner-without-its-cut-at-an-unknown-location", "src/seqgp/markovian.py",
+        "        bad_rows = (rows < 0) | (rows >= n_obs)\n",
+        "        bad_rows = rows >= n_obs\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::test_unknown_location_inside_a_time_step_is_3_with_its_row",
          "tests/test_cli_models.py::TestSpatiotemporal::test_location_lookup"),
         ONE_DRIVER),
@@ -267,19 +268,18 @@ MUTANTS = (
         EXACT_BLOCKS),
     Mutant(
         "exact-block-without-its-non-finite-cut", "src/seqgp/runners.py",
-        '            raise NumericalError("kernel has non-finite entries", detail={"row": int(np.argmax(bad)), '
-        '"cut": True})\n',
+        '            raise NumericalError("kernel has non-finite entries", detail={"row": int(np.argmax(bad))})\n',
         "            pass\n",
         ("tests/test_exact_runner.py::TestMidBlockErrors",
          "tests/test_exact_runner.py::TestState::test_non_finite_kernel_entries_are_numerical_errors"),
         EXACT_BLOCKS),
     Mutant(
         "exact-flops-charged-per-block", "src/seqgp/runners.py",
-        "        for mean, var, ll, cost in zip(out.means, out.variances, out.logdensities, costs):\n"
+        "        for (mean, var, ll), cost in zip(rows, costs):\n"
         "            self.flops += cost\n"
         "            yield StepResult(mean, var, ll)\n",
-        "        self.flops += sum(costs)  # the block's flops, all charged at its first row\n"
-        "        for mean, var, ll in zip(out.means, out.variances, out.logdensities):\n"
+        "        self.flops += sum(costs)  # the chunk's flops, all charged at its first row\n"
+        "        for mean, var, ll in rows:\n"
         "            yield StepResult(mean, var, ll)\n",
         ("tests/test_exact_runner.py::TestState::test_each_row_is_charged_as_it_is_yielded",
          "tests/test_sparse.py::TestSparseRunner::test_matches_separate_predict_and_update"),
@@ -300,8 +300,8 @@ MUTANTS = (
         EXACT_BLOCKS),
     Mutant(
         "raises-at-the-first-failed-block-pivot", "src/seqgp/linalg.py",
-        '            if exc.detail.get("cut"):  # the rows before it, then its error\n',
-        "            if True:  # the rows before it, then its error\n",
+        "            if p is None or stop - start == 1:\n",
+        "            if True:\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::"
          "test_a_failed_pivot_runs_its_row_alone_and_the_rest_as_a_new_block",
          "tests/test_exact_runner.py::TestMidBlockErrors::"
@@ -338,16 +338,14 @@ MUTANTS = (
         BLOCK_FOLD),
     Mutant(
         "linear-block-without-its-non-finite-cut", "src/seqgp/runners.py",
-        '            raise NumericalError("feature row has non-finite entries", detail={"row": int(np.argmax(bad)), '
-        '"cut": True})\n',
+        '            raise NumericalError("feature row has non-finite entries", detail={"row": int(np.argmax(bad))})\n',
         "            pass\n",
         ("tests/test_linear_filter.py::TestLinearRunner::"
          "test_a_non_finite_feature_row_cuts_its_block_and_names_its_row",),
         BLOCK_FOLD),
     Mutant(
         "sparse-block-without-its-non-finite-cut", "src/seqgp/runners.py",
-        '            raise NumericalError("projection has non-finite entries", detail={"row": int(np.argmax(bad)), '
-        '"cut": True})\n',
+        '            raise NumericalError("projection has non-finite entries", detail={"row": int(np.argmax(bad))})\n',
         "            pass\n",
         ("tests/test_sparse.py::TestSparseRunner::"
          "test_a_non_finite_projection_row_cuts_its_block_and_names_its_row",),
@@ -400,6 +398,19 @@ MUTANTS = (
         ("tests/test_markovian.py::TestStepperHistory::"
          "test_a_non_finite_entry_off_the_observed_one_names_its_time_row",),
         CHUNK_COMBINER),
+    Mutant(
+        "markov-block-without-its-location-check", "src/seqgp/runners.py",
+        "            if rows[start] < 0:\n",
+        "            if False:\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_unknown_location_inside_a_time_step_is_3_with_its_row",
+         "tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it"),
+        ONE_RULE),
+    Mutant(
+        "stepper-block-names-its-first-row-not-its-first-bad-row", "src/seqgp/markovian.py",
+        '                            else f"non-finite observation {float(ys[p])!r}", detail={"row": p})\n',
+        '                            else f"non-finite observation {float(ys[p])!r}", detail={"row": 0})\n',
+        ("tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it",),
+        ONE_RULE),
 )
 
 

@@ -7,13 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import run_cli
-from hypothesis import given, settings, strategies as st
+from conftest import rows_until_error, run_cli, run_runner, stream_columns
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
-from seqgp import kernels, linear_filter as lf
-from seqgp.runners import Columns, EnsembleRunner, StepResult, run_chunks
+from seqgp import features, kernels, linear_filter as lf, markovian
+from seqgp.errors import DataError, NumericalError
+from seqgp.runners import (Columns, EnsembleRunner, ExactRunner, LinearRunner, MarkovRunner, SparseRunner, StepResult,
+                           block_bounds, run_chunks)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 hyper = st.floats(min_value=0.05, max_value=20.0, **finite)
@@ -183,6 +185,26 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+ERROR_LINE = re.compile(r"seqgp: (configuration|data|numerical) error: [^\n]*\n")
+WARNING_LINE = re.compile(r"seqgp: warning: [^\n]*\n")
+
+
+def _assert_failure_contract(code, out, err, failed_checks=False):
+    """A documented exit code, and stderr of one ``seqgp: warning:`` line per warning
+    and, on a failure, exactly one error line, last: no traceback.  A ``check`` whose
+    checks fail reports them on stdout instead.  Returns the stdout lines."""
+    assert code in (0, 2, 3, 4), err
+    lines = err.splitlines(keepends=True)
+    errors = [line for line in lines if not WARNING_LINE.fullmatch(line)]
+    if failed_checks:
+        assert code == 4 and not errors and out.endswith(" check(s) failed\n"), (out, err)
+    elif code:
+        assert len(errors) == 1 and ERROR_LINE.fullmatch(lines[-1]), err
+    else:
+        assert not errors, err
+    return out.splitlines()
+
+
 config_number = st.sampled_from(["nan", "inf", "-inf", "1e308", "1e200", "1e100", "-1", "0", "1", "0.5", "1e-300"]) \
     | st.floats(min_value=-3.0, max_value=3.0, **finite).map(repr)
 cell = st.sampled_from(["", "0", "1", "2", "3", "-1", "0.5", "1e60", "-1e60"]) \
@@ -201,10 +223,8 @@ def test_linear_cli_exits_cleanly_on_any_config(mode, likelihood, params, ys):
             f"dynamics.mode={mode}", f"likelihood={likelihood}", *(f"{k}={v}" for k, v in params.items())]
     csv = "t,y\n" + "".join(f"{0.25 * i},{y}\n" for i, y in enumerate(ys))
     code, out, err = run_cli(args, stdin_text=csv)
-    assert code in (0, 2, 3, 4), err
-    assert "Traceback" not in err
+    lines = _assert_failure_contract(code, out, err)
     if code == 0:
-        lines = out.splitlines()
         json.loads(lines[-1], parse_constant=_reject_constant)
         header = lines[0].split(",")
         for line in lines[1:-1]:
@@ -275,13 +295,12 @@ def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, pa
     else:
         csv = "t,y\n" + "".join(f"{t},{y}\n" for t, y, _ in rows)
     code, out, err = run_cli(["run", *args], stdin_text=csv)
-    assert code in (0, 2, 3, 4), err
+    lines = _assert_failure_contract(code, out, err)
     if code == 2:
         match = CONFIG_ERROR.match(err)
         assert match and match.group(2) in CONFIG_KEYS, err
         assert (match.group(1) is not None) == (model == "ensemble"), err
     if code == 0:
-        lines = out.splitlines()
         json.loads(lines[-1], parse_constant=_reject_constant)
         header = lines[0].split(",")
         for line in lines[1:-1]:
@@ -289,3 +308,122 @@ def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, pa
             assert math.isfinite(float(row["pred_mean"])) and math.isfinite(float(row["pred_var"]))
             if smoothed:
                 assert math.isfinite(float(row["smoothed_mean"])) and math.isfinite(float(row["smoothed_var"]))
+
+
+SPACE = np.array([[0.0], [0.5], [1.5]])  # the space-time route's locations; 1.0 lies off them
+ROUTE_KERNEL = kernels.matern32(1.0, 0.5)
+
+
+def _block_route(route):
+    """A fresh runner of one block route, and the message its bad row raises."""
+    if route == "exact":
+        return ExactRunner(ROUTE_KERNEL, 0.1), "kernel has non-finite entries"
+    if route == "sparse":
+        return SparseRunner(ROUTE_KERNEL, 0.1, np.linspace(0.0, 4.0, 12)[:, None], True), \
+            "projection has non-finite entries"
+    if route == "linear":
+        fmap = features.build_hsgp(ROUTE_KERNEL, 8, 10.0)
+        return LinearRunner(fmap, lf.random_walk(1e-3), 0.1), "feature row has non-finite entries"
+    if route == "markov":
+        return MarkovRunner(markovian.build_lti(ROUTE_KERNEL), 0.1), None
+    sde = markovian.build_spatiotemporal(ROUTE_KERNEL, kernels.se(1.0, 0.8), SPACE)
+    return MarkovRunner(sde, 0.1, locations=SPACE), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), route=st.sampled_from(["exact", "sparse", "linear", "markov", "spacetime"]),
+       seed=st.integers(0, 2**31 - 1), n=st.integers(1, 150), tie_share=st.sampled_from([0.0, 0.5, 0.9]),
+       kind=st.sampled_from(["first", "block first", "block last", "any"]))
+def test_a_bad_row_ends_every_block_route_after_the_rows_before_it(data, route, seed, n, tie_share, kind):
+    # one bad row at a generated position: run_chunks yields the rows before it bit-equal to a run of
+    # the stream cut just before it (a prefix has the same blocks), at every chunk size, then raises
+    # the route's message naming its 1-based row
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(np.where(rng.random(n) < tie_share, 0.0, rng.uniform(0.01, 0.1, n)))
+    y = np.sin(3.0 * t) + 0.3 * rng.standard_normal(n)
+    y[rng.random(n) < 0.2] = np.nan
+    where = rng.integers(0, len(SPACE), n)
+    runner, message = _block_route(route)
+    bounds = block_bounds(t, n, runner.block_rows).tolist()
+    k = data.draw(st.integers(0, len(bounds) - 2))
+    p = {"first": 0, "block first": bounds[k], "block last": bounds[k + 1] - 1}.get(kind)
+    p = data.draw(st.integers(0, n - 1)) if p is None else p
+    x = SPACE[where] if route == "spacetime" else None
+    fail, error = p, NumericalError
+    if route in ("markov", "spacetime"):
+        error = DataError
+        if route == "spacetime" and data.draw(st.booleans()):
+            x[p] = 1.0
+            message = "location [1.] is not in spatial.locations"
+        else:
+            y[p] = data.draw(st.sampled_from([np.inf, -np.inf]))
+            message = f"non-finite observation {float(y[p])!r}"
+    else:
+        t[p] = np.nan
+        if route == "exact" and np.isnan(y[:p]).all():
+            # the exact route reads a row's inputs only against observations: without one before it, the
+            # row is the prior, and if the row is observed, the next row is the first to read it
+            fail = p + 1 if p + 1 < n and not np.isnan(y[p]) else None
+    stream = stream_columns(y, t=t, x=x)
+    if fail is None:
+        assert len(run_runner(_block_route(route)[0], stream)) == n
+        return
+    before = [(r.mean, r.var, r.logdensity) for r in run_runner(_block_route(route)[0], stream.rows(0, fail))]
+    for chunk_rows in (1, 3, 256):
+        got, exc = rows_until_error(_block_route(route)[0], stream, chunk_rows)
+        assert type(exc) is error and str(exc) == f"row {fail + 1}: {message}"
+        assert got == before
+
+
+usable = st.floats(min_value=0.05, max_value=5.0, **finite).map(repr)  # half the draws, so that runs also pass
+usable_number = usable | config_number
+usable_int = st.sampled_from(["2", "4", "8"]) | config_int
+grid_list = st.lists(usable_number, max_size=3).map(",".join)
+test_cell = st.sampled_from(["", "0.5", "1", "-0.3"]) | cell  # an empty y is a test row
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose: the run must still exit cleanly
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["se", "matern12", "matern32"]),
+       params=st.fixed_dictionaries({key: usable_number for key in ("kernel.lengthscale", "noise_var")}),
+       grids=st.fixed_dictionaries({}, optional={key: grid_list for key in ("grid.sigma_f2", "grid.lengthscale")}),
+       emit_weights=st.sampled_from(["true", "false", "maybe"]) | st.none(),
+       rows=st.lists(st.tuples(time_cell, test_cell), min_size=1, max_size=6))
+def test_fit_exact_exits_cleanly_on_any_grid_and_stream(family, params, grids, emit_weights, rows):
+    args = ["fit-exact", f"kernel.family={family}", *(f"{k}={v}" for k, v in (params | grids).items())]
+    if emit_weights is not None:
+        args.append(f"emit_weights={emit_weights}")
+    code, out, err = run_cli(args, stdin_text="t,y\n" + "".join(f"{t},{y}\n" for t, y in rows))
+    lines = _assert_failure_contract(code, out, err)
+    if code == 0:
+        summary = json.loads(lines[-1], parse_constant=_reject_constant)
+        assert summary["rows"] == len(lines) - 2 == sum(y == "" for _, y in rows)
+
+
+kernel_args = st.one_of(
+    st.tuples(st.sampled_from(["se", "matern12", "matern32"]), usable_number, usable_number).map(
+        lambda a: [f"kernel.family={a[0]}", f"kernel.sigma_f2={a[1]}", f"kernel.lengthscale={a[2]}"]),
+    st.lists(st.tuples(usable_number, usable_number, st.sampled_from(["0.5", "1.5", "2.5"]), usable_number,
+                       usable_number), min_size=1, max_size=2).map(
+        lambda comps: ["kernel.family=hida_matern", "kernel.hm_components=" + ";".join(map(":".join, comps))]),
+    st.lists(st.tuples(usable_number, usable_number, usable_number), min_size=1, max_size=2).map(
+        lambda comps: ["kernel.family=spectral_mixture", "kernel.sm_components=" + ";".join(map(":".join, comps))]),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose: the check must still exit cleanly
+@settings(max_examples=150, deadline=None)
+@example(kernel=["kernel.family=matern12", "kernel.lengthscale=1e-67"], kind=None, feature_keys={})  # was a traceback
+@given(kernel=kernel_args, kind=st.sampled_from(["rff", "hsgp", "fourier"]) | st.none(),
+       feature_keys=st.fixed_dictionaries({}, optional={"features.F": usable_int, "features.L": usable_number,
+                                                        "features.seed": usable_int}))
+def test_check_exits_cleanly_on_any_kernel_and_features(kernel, kind, feature_keys):
+    args = ["check", *kernel, *(f"{k}={v}" for k, v in feature_keys.items())]
+    if kind is not None:
+        args.append(f"features.kind={kind}")
+    code, out, err = run_cli(args)
+    lines = _assert_failure_contract(code, out, err, failed_checks="check(s) failed" in out)
+    if code != 2:  # every key is read before the first line is written
+        assert lines[-1] in ("all checks passed", f"{out.count('FAIL ')} check(s) failed")
+    else:
+        assert out == ""
