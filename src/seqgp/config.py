@@ -91,10 +91,9 @@ def get_int(cfg: dict, key: str, default=None, required=False) -> int | None:
         if required:
             raise ConfigurationError(f"{key}: required key is missing")
         return default
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: expected an integer, got {value!r}") from exc
+    if not value.isdecimal():  # every integer key is a count or a seed: a sign is an error naming the key
+        raise ConfigurationError(f"{key}: expected a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def get_bool(cfg: dict, key: str, default=False) -> bool:

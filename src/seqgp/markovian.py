@@ -66,7 +66,7 @@ class LtiSde:
     outside each block: columns 2j and 2j+1 are I and J of block j, and
     columns 2(n_blocks+j) and 2(n_blocks+j)+1 are its N and NJ.  ``poles``
     holds each block's -lambda + i b (decay lambda, rotation rate b).  A model
-    built by hand without them has no closed-form transition.  ``obs_support``
+    built by hand without them has no closed-form transition.  ``obs_entries``
     is derived from ``obs``, for every model however it was built.
     """
 
@@ -83,19 +83,18 @@ class LtiSde:
         return self.drift.shape[0]
 
     @cached_property
-    def obs_support(self) -> tuple:
-        """Per observation row, (indices, weights): the positions of its nonzero
-        entries and their values.  A space-time row, kron(I, [1, 0]), has one;
-        a Hida-Matern row has one per component."""
-        return tuple((idx, row[idx]) for row in self.obs for idx in (np.flatnonzero(row),))
-
-    @cached_property
-    def obs_single(self) -> tuple | None:
-        """(indices, weights), each (n_obs,), of every observation row's one nonzero
-        entry when each row has exactly one (a space-time model); else None."""
-        if any(idx.size != 1 for idx, _ in self.obs_support):
-            return None
-        return tuple(np.concatenate(parts) for parts in zip(*self.obs_support))
+    def obs_entries(self) -> tuple:
+        """(positions, weights), each (n_obs, r): the columns and values of each
+        observation row's nonzero entries, in column order, r the most that any
+        row has.  A shorter row repeats its first position with weight 0.0, and
+        an all-zero row reads position 0 with weight 0.0.  A space-time row,
+        kron(I, [1, 0]), has one entry; a Hida-Matern row has one per component."""
+        nonzero = self.obs != 0.0
+        count = nonzero.sum(axis=1)
+        positions = np.argsort(~nonzero, axis=1, kind="stable")[:, :max(1, count.max(initial=0))]  # nonzero first
+        pad = np.arange(positions.shape[1]) >= count[:, None]
+        positions = np.where(pad, positions[:, :1], positions)
+        return positions, np.where(pad, 0.0, np.take_along_axis(self.obs, positions, axis=1))
 
 
 @dataclass(frozen=True)
@@ -270,10 +269,10 @@ class MarkovStepper:
     only copy a step makes.  A block of one row is the observe -> condition
     hand-off of the linear and sparse routes: ``predict_obs`` returns the
     observe triple (h^T mean, h^T s, s), with s = cov h formed once through the
-    row's nonzero entries (``LtiSde.obs_support``), and ``update`` conditions
-    on that triple (``linalg.condition``).  A longer block factors the
-    innovation covariance of its y-rows once (``_condition_block``, through
-    ``linalg.condition_block``, the block update every block route shares).
+    row's entries (``LtiSde.obs_entries``), and ``update`` conditions on that
+    triple (``linalg.condition``).  A longer block reads H through the same
+    entries and factors the innovation covariance of its y-rows once
+    (``_condition_block``, through ``linalg.condition_block``).
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_times=None):
@@ -311,19 +310,19 @@ class MarkovStepper:
     def predict_obs(self, row: int = 0):
         """One observe step through row ``row`` of ``sde.obs``: (h^T mean, h^T s, s),
         the latent predictive mean and variance and s = cov h, for an ``update``
-        of this state.  Formed from the row's nonzero entries: s gathers rows of
-        cov (equal to its columns, as cov is bit-symmetric), and h^T mean and
-        h^T s read only those entries.  A row with one nonzero w_i makes s the
-        scaled row w_i cov[i], bit-equal to cov @ h.  A row outside [0, n_obs)
-        is a DataError."""
-        support = self.sde.obs_support
-        if not 0 <= row < len(support):
-            raise DataError(f"observation row {row} is not in [0, {len(support)})")
-        idx, w = support[row]
-        if idx.size == 1:
-            i, wi = idx[0], w[0]
+        of this state.  Formed from the row's r entries (``LtiSde.obs_entries``):
+        s gathers rows of cov (equal to its columns, as cov is bit-symmetric),
+        and h^T mean and h^T s read only those entries.  A model with r = 1 makes
+        s the scaled row w_i cov[i], bit-equal to cov @ h.  A row outside
+        [0, n_obs) is a DataError."""
+        positions, weights = self.sde.obs_entries
+        if not 0 <= row < len(positions):
+            raise DataError(f"observation row {row} is not in [0, {len(positions)})")
+        if positions.shape[1] == 1:
+            i, wi = positions[row, 0], weights[row, 0]
             s = self.cov[i] * wi
             return float(self.mean[i] * wi), float(s[i] * wi), s
+        idx, w = positions[row], weights[row]
         s = w @ self.cov[idx]
         return float(w @ self.mean[idx]), float(w @ s[idx]), s
 
@@ -385,8 +384,8 @@ class MarkovStepper:
         prequential moments and log density, and L^-1 and z = L^-1 (y - H_y m)
         for the block's y-rows.  ``linalg.fold_state`` folds them into the state
         with cross term HP: G = L^-1 H_y P, m += G^T z and P -= G^T G, which
-        stays bit-symmetric.  HP is gathered through the rows' nonzero entries when
-        each row has one (a space-time model).  The block's first row whose
+        stays bit-symmetric.  HP, H m and H P H^T are weighted sums over the
+        rows' r gathered entries (``LtiSde.obs_entries``).  The block's first row whose
         observation row is out of range or whose y is infinite is a DataError,
         with the message that row gives alone, and a failed pivot is
         ``condition_block``'s NumericalError; each names its row of the block
@@ -398,7 +397,8 @@ class MarkovStepper:
         d = 128 block that solved with scipy's ``dtrsm`` between numpy's
         products ran about 20 times slower with both pools threaded on 2 vCPUs.
         """
-        n_obs = len(self.sde.obs_support)
+        positions, weights = self.sde.obs_entries
+        n_obs = len(positions)
         bad_rows = (rows < 0) | (rows >= n_obs)
         bad = np.flatnonzero(bad_rows | np.isinf(ys))
         if bad.size:  # the block's first bad row, with the message that row gives alone
@@ -406,15 +406,14 @@ class MarkovStepper:
             raise DataError(f"observation row {rows[p]} is not in [0, {n_obs})" if bad_rows[p]
                             else f"non-finite observation {float(ys[p])!r}", detail={"row": p})
         m, P = self.mean, self.cov
-        single = self.sde.obs_single
-        if single is not None:  # HP and H P H^T are gathers
-            idx, w = single[0][rows], single[1][rows]
-            HP, mu = P[idx] * w[:, None], m[idx] * w
-            C = HP[:, idx] * w
-        else:
-            H = self.sde.obs[rows]
-            HP, mu = H @ P, H @ m
-            C = HP @ H.T
+        idx, w = positions[rows].T, weights[rows].T  # (r, n): entry j of every row in row j
+        HP, mu = P[idx[0]] * w[0, :, None], m[idx[0]] * w[0]
+        for i, wi in zip(idx[1:], w[1:]):
+            HP += P[i] * wi[:, None]
+            mu += m[i] * wi
+        C = HP[:, idx[0]] * w[0]
+        for i, wi in zip(idx[1:], w[1:]):
+            C += HP[:, i] * wi
         out = condition_block(mu, C, ys, self.noise_var)
         fold_state(m, P, out, HP[out.scored])
         return out.means, out.variances, out.logdensities

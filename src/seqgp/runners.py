@@ -434,12 +434,11 @@ class MarkovRunner(_RowRunner):
         a NumericalError whose ``detail["step"]`` names the input row at fault
         (for a singular gain, the first input row of its time step).
 
-        With one nonzero entry (i, w) per observation row (``sde.obs_single``),
-        a row's moments are w m_i and w^2 P_ii of its time's row: two gathers.
-        A time row with a non-finite entry that this does not read (a dense
-        contraction would carry it as NaN) gives its input rows a NaN
-        variance.  Otherwise each input row contracts its time's row with its
-        observation row, gathered ``SMOOTH_BLOCK_BYTES`` at a time."""
+        A row with entries (i_j, w_j) (``sde.obs_entries``) reads its time row's
+        sum_j w_j m_i_j and sum_j w_j sum_l P_i_j,i_l w_l: r^2 + r gathers of one
+        value per input row, summed in (N,) arrays.  A time row with a
+        non-finite entry that this does not read gives its input rows a NaN
+        variance."""
         if self._smoothed:
             raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
         self._smoothed = True
@@ -450,24 +449,22 @@ class MarkovRunner(_RowRunner):
             exc.detail["step"] = k = int(np.searchsorted(record.steps, exc.detail["step"]))
             exc.args = (f"{str(exc).rpartition(' ')[0]} {k}",)  # the same exception, now naming the input row
             raise
-        n, block = record.steps.size, max(2, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
-        smoothed = np.empty((n, 2))
-        if sde.obs_single is not None:
-            idx, w = (part[record.obs_rows] for part in sde.obs_single)
-            k = record.steps
-            smoothed[:, 0] = record.means[k, idx] * w + 0.0  # + 0.0: a contraction's sum turns -0.0 into 0.0
-            smoothed[:, 1] = record.covs[k, idx, idx] * w * w + 0.0
-            finite = np.empty(record.times.size, dtype=bool)  # per time row
-            for start in range(0, finite.size, block):
-                rows = slice(start, start + block)
-                finite[rows] = np.isfinite(record.covs[rows]).all(axis=(1, 2)) & np.isfinite(record.means[rows]).all(axis=1)
-            smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan
-        else:
-            for start in range(0, n, block):
-                rows = slice(max(min(start, n - 2), 0), start + block)  # no lone last row: einsum rounds one row apart
-                H, k = sde.obs[record.obs_rows[rows]], record.steps[rows]
-                smoothed[rows, 0] = np.einsum("ij,ij->i", H, record.means[k])
-                smoothed[rows, 1] = np.einsum("ij,ijk,ik->i", H, record.covs[k], H)
+        means, covs, k, rows = record.means, record.covs, record.steps, record.obs_rows
+        positions, weights = sde.obs_entries
+        smoothed = np.zeros((k.size, 2))  # the sums start at 0.0, which turns a lone -0.0 term into 0.0
+        for j in range(positions.shape[1]):  # entry j of every input row, as (N,) arrays
+            i = positions[rows, j]
+            Pw = covs[k, i, positions[rows, 0]] * weights[rows, 0]  # (P w)_i over the row's entries
+            for l in range(1, positions.shape[1]):
+                Pw += covs[k, i, positions[rows, l]] * weights[rows, l]
+            smoothed[:, 0] += means[k, i] * weights[rows, j]
+            smoothed[:, 1] += Pw * weights[rows, j]
+        block = max(1, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
+        finite = np.empty(record.times.size, dtype=bool)  # per time row, every entry, read or not
+        for start in range(0, finite.size, block):
+            span = slice(start, start + block)
+            finite[span] = np.isfinite(covs[span]).all(axis=(1, 2)) & np.isfinite(means[span]).all(axis=1)
+        smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan
         bad = np.flatnonzero(~np.isfinite(smoothed).all(axis=1))
         if bad.size:  # the pass carries a non-finite moment back to every step before it: name the last
             k = int(bad[-1])

@@ -57,6 +57,7 @@ EXACT_BLOCKS = "the exact GP is conditioned a block of rows at a time"
 BLOCK_FOLD = "the sparse, vsgp and linear routes are conditioned a block of rows at a time"
 CHUNK_COMBINER = "the ensemble combines a chunk at a time"
 ONE_RULE = "one failure rule for every block route"
+ONE_GATHER = "one observation gather for every Markov model"
 
 MUTANTS = (
     Mutant(
@@ -154,12 +155,6 @@ MUTANTS = (
         '            exc.detail["step"] = k = int(np.searchsorted(record.steps, exc.detail["step"]))\n',
         '            exc.detail["step"] = k = int(exc.detail["step"])\n',
         ("tests/test_cli.py::TestRun::test_failed_smoothing_names_the_row",),
-        TIME_ROWS),
-    Mutant(
-        "unblocked-smoothing-gather", "src/seqgp/runners.py",
-        "        n, block = record.steps.size, max(2, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))\n",
-        "        n, block = record.steps.size, max(2, record.steps.size)\n",
-        ("tests/test_markovian.py::TestStepperHistory::test_smoothing_memory_is_per_time_not_per_row",),
         TIME_ROWS),
     Mutant(
         "markov-move-cost-on-a-zero-step", "src/seqgp/runners.py",
@@ -392,12 +387,12 @@ MUTANTS = (
         ("tests/test_ensemble.py::TestMemberErrors::test_at_one_row_the_lower_numbered_member_raises",),
         CHUNK_COMBINER),
     Mutant(
-        "single-entry-smoothing-without-its-non-finite-check", "src/seqgp/runners.py",
-        "            smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan\n",
-        "            pass\n",
+        "smoothing-without-its-non-finite-check", "src/seqgp/runners.py",
+        "        smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan\n",
+        "        pass\n",
         ("tests/test_markovian.py::TestStepperHistory::"
          "test_a_non_finite_entry_off_the_observed_one_names_its_time_row",),
-        CHUNK_COMBINER),
+        ONE_GATHER),
     Mutant(
         "markov-block-without-its-location-check", "src/seqgp/runners.py",
         "            if rows[start] < 0:\n",
@@ -411,6 +406,28 @@ MUTANTS = (
         '                            else f"non-finite observation {float(ys[p])!r}", detail={"row": 0})\n',
         ("tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it",),
         ONE_RULE),
+    Mutant(
+        "smoothed-variance-without-its-cross-terms", "src/seqgp/runners.py",
+        "            Pw = covs[k, i, positions[rows, 0]] * weights[rows, 0]  # (P w)_i over the row's entries\n"
+        "            for l in range(1, positions.shape[1]):\n"
+        "                Pw += covs[k, i, positions[rows, l]] * weights[rows, l]\n",
+        "            Pw = covs[k, i, i] * weights[rows, j]  # (P w)_i over the row's entries\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_projects_like_the_row_loop",
+         "tests/test_markovian.py::TestTimeStepBlocks::test_tied_hida_matern_space_time_stream_matches_the_row_loops"),
+        ONE_GATHER),
+    Mutant(
+        "block-gather-reads-each-rows-first-entry-only", "src/seqgp/markovian.py",
+        "        idx, w = positions[rows].T, weights[rows].T  # (r, n): entry j of every row in row j\n",
+        "        idx, w = positions[rows, :1].T, weights[rows, :1].T  # (r, n): entry j of every row in row j\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_tied_hida_matern_space_time_stream_matches_the_row_loops",
+         "tests/test_markovian.py::TestObserveStep::test_hand_built_model_derives_its_row_structure_from_obs"),
+        ONE_GATHER),
+    Mutant(
+        "observation-pad-entry-with-weight-one", "src/seqgp/markovian.py",
+        "        return positions, np.where(pad, 0.0, np.take_along_axis(self.obs, positions, axis=1))\n",
+        "        return positions, np.where(pad, 1.0, np.take_along_axis(self.obs, positions, axis=1))\n",
+        ("tests/test_markovian.py::TestObserveStep::test_hand_built_model_derives_its_row_structure_from_obs",),
+        ONE_GATHER),
 )
 
 

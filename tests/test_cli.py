@@ -384,6 +384,16 @@ class TestCheck:
         assert code == 0
         assert "ok markov.transition_closed_form\n" in out
 
+    @pytest.mark.parametrize("args", [
+        ["kernel.family=matern32", "kernel.sigma_f2=1e-09", "kernel.lengthscale=1e-09"],
+        ["kernel.family=spectral_mixture", "kernel.sm_components=1e308:1e-300:0.05", "features.kind=hsgp"],
+        ["kernel.family=hida_matern", "kernel.hm_components=1e100:0.5:1.5:1.0:1.0;1:0:0.5:1:1"],
+    ], ids=["tiny-lengthscale", "huge-spectral-weight", "huge-component-weight"])
+    def test_check_bounds_scale_with_what_they_compare(self, args):
+        # each check holds to rounding here; a bound absolute in the compared quantity failed it
+        code, out, _ = run_cli(["check", *args])
+        assert (code, out.splitlines()[-1]) == (0, "all checks passed"), out
+
     def test_check_fails_on_a_wrong_transition(self, monkeypatch):
         real = markovian.transition
         monkeypatch.setattr(markovian, "transition", lambda sde, delta: real(sde, 1.001 * delta))
@@ -593,6 +603,10 @@ class TestExitCodes:
           "member.1.emit_smoothed=true"], "t,y\n0,0.1\n1,0.2\n", "member.1.emit_smoothed"),
         # inducing inputs placed from sparse.M that coincide
         (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.M=2"], "t,y\n0,0.1\n0,0.2\n", "sparse.M"),
+        # a negative seed, which numpy's generator rejects, is a configuration error like any negative count
+        (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.M=2", "sparse.seed=-1"],
+         "x1,x2,y\n0,0,0.1\n1,1,0.2\n2,0,0.3\n", "sparse.seed"),
+        (["model=linear", "kernel.family=se", "features.F=8", "noise_var=0.1", "--seed", "-1"], "t,y\n0,0.1\n", "seed"),
     ])
     def test_config_error_names_its_key(self, args, csv, key):
         code, out, err = run_cli(["run", *args], stdin_text=csv)
@@ -603,6 +617,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, key", [
         (["check", "kernel.family=se", "features.kind=rff", "features.F=abc"], "features.F"),
         (["check", "kernel.family=se", "features.kind=rff", "features.seed=1.5"], "features.seed"),
+        (["check", "kernel.family=se", "features.kind=rff", "features.seed=-1"], "features.seed"),
         (["check", "kernel.family=se", "features.kind=rff", "features.F=3"], "features.F"),
         (["check", "kernel.family=se", "features.kind=hsgp", "features.F=3", "features.L=-1"], "features.L"),
         (["fit-exact", "kernel.family=se", "grid.lengthscale=-1,1", "noise_var=0.1"], "grid.lengthscale"),

@@ -1,5 +1,6 @@
 """State-space GP: builders, discretization, filtering, smoothing, space-time."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -230,7 +231,8 @@ class TestObserveStep:
 
     def test_space_time_rows_read_one_entry_bit_equal_to_the_product(self):
         sde = SPACETIME_SDE
-        assert [(idx.tolist(), w.tolist()) for idx, w in sde.obs_support] == [([2 * i], [1.0]) for i in range(4)]
+        positions, weights = sde.obs_entries
+        assert (positions.tolist(), weights.tolist()) == ([[2 * i] for i in range(4)], [[1.0]] * 4)
         stepper = stepped(sde)
         for row, h in enumerate(sde.obs):
             mean, var, s = stepper.predict_obs(row)
@@ -239,7 +241,7 @@ class TestObserveStep:
 
     def test_hida_matern_rows_gather_within_4_ulp_of_the_product(self):
         sde = ZERO_STEP_SDES["mixture"]
-        idx, w = sde.obs_support[0]
+        idx, w = (part[0] for part in sde.obs_entries)
         assert idx.tolist() == [0, 4, 6]  # one entry per component: 3 of 8
         np.testing.assert_array_equal(w, sde.obs[0, idx])
         h = sde.obs[0]
@@ -258,7 +260,9 @@ class TestObserveStep:
         obs = np.array([[0.0, 2.0, 0.0, -0.5], [1.0, 0.0, 0.0, 0.0]])
         sde = markovian.LtiSde(drift=-np.eye(4), noise_loading=np.eye(4), obs=obs, diffusion=2.0 * np.eye(4),
                                stationary=P)
-        assert [(idx.tolist(), w.tolist()) for idx, w in sde.obs_support] == [([1, 3], [2.0, -0.5]), ([0], [1.0])]
+        positions, weights = sde.obs_entries  # r = 2: the one-entry row repeats its position with weight 0.0
+        assert positions.tolist() == [[1, 3], [0, 0]]
+        assert weights.tolist() == [[2.0, -0.5], [1.0, 0.0]]
         for row in (0, 1):
             stepper = markovian.MarkovStepper(sde, 0.2)  # no advance: a hand-built model has no transition
             observed = stepper.predict_obs(row)
@@ -272,6 +276,22 @@ class TestObserveStep:
             np.testing.assert_allclose(stepper.mean, mean, rtol=0, atol=1e-15)
             np.testing.assert_allclose(stepper.cov, cov, rtol=0, atol=1e-15)
             assert np.array_equal(stepper.cov, stepper.cov.T)
+
+        # given its transition exp(-dt) I (one block, pole -1): tied blocks that mix both rows, and a
+        # smoothing pass, each against the dense product with obs
+        basis = np.zeros((16, 4))
+        basis[:, 0] = np.eye(4).ravel()
+        sde = dataclasses.replace(sde, basis=basis, poles=np.array([-1.0 + 0.0j]))
+        locations = np.array([[0.0], [1.0]])  # location i reads observation row i
+        t, rows = np.repeat([0.0, 0.4, 1.1], 4), np.tile([0, 1, 1, 0], 3)
+        y = rng.standard_normal(t.size)
+        y[5] = np.nan
+        runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
+        got = [(r.mean, r.var, r.logdensity) for r in run_runner(runner, stream_columns(y, t=t, x=locations[rows]))]
+        assert_cells_close(got, sequential_rows(sde, t, y, rows, 0.2)[0])
+        sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
+        loop = [(obs[r] @ sm.means[k], obs[r] @ sm.covs[k] @ obs[r]) for r, k in zip(rows, sm.steps)]
+        np.testing.assert_allclose(runner.smooth(), np.array(loop), rtol=1e-13, atol=1e-15)
 
     def test_update_conditions_in_place_on_the_triple_it_is_handed(self):
         sde = SPACETIME_SDE  # bit-equal gathers: every update must match the pure one exactly
@@ -764,19 +784,19 @@ class TestStepperHistory:
                          for r, k in zip(rows, sm.steps)])
         np.testing.assert_allclose(streamed, loop, rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("entry", ["mean", "cov"])
-    def test_a_non_finite_entry_off_the_observed_one_names_its_time_row(self, entry, monkeypatch):
-        # a space-time projection reads one entry of each time row; an inf in another entry of time
-        # row 6 (input rows 12 and 13) still names the row's last input row, as a dense contraction's
-        # NaN did
-        sde = ZERO_STEP_SDES["spacetime"]
-        locations = np.array([[0.0], [0.5]])
+    @pytest.mark.parametrize("entry, name", [("mean", "spacetime"), ("cov", "spacetime"), ("mean", "mixture"),
+                                             ("cov", "mixture")], ids=["mean", "cov", "mixture-mean", "mixture-cov"])
+    def test_a_non_finite_entry_off_the_observed_one_names_its_time_row(self, entry, name, monkeypatch):
+        # the projection reads only the observation rows' entries of each time row; an inf in another
+        # entry of time row 6 (input rows 12 and 13) still names the row's last input row
+        sde = ZERO_STEP_SDES[name]
+        locations = np.array([[0.0], [0.5]]) if name == "spacetime" else None
         t = np.repeat(0.25 * np.arange(10), 2)
-        rows = np.tile([0, 1], 10)
+        rows = np.tile([0, 1], 10) if locations is not None else np.zeros(t.size, dtype=int)
         runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
-        run_runner(runner, stream_columns(np.sin(t), t=t, x=locations[rows]))
+        run_runner(runner, stream_columns(np.sin(t), t=t, x=None if locations is None else locations[rows]))
         record = runner.stepper.result()
-        off = np.setdiff1d(np.arange(sde.dim), sde.obs_single[0])[0]  # an entry no observation row reads
+        off = np.setdiff1d(np.arange(sde.dim), sde.obs_entries[0])[0]  # an entry no observation row reads
         if entry == "mean":
             record.means[6, off] = np.inf
         else:
@@ -997,7 +1017,8 @@ class TestStepperHistory:
         # ``seqgp run ... emit_smoothed=true`` does: the floor per time is one row of moments,
         # d^2 + d + 1 doubles (0.59 KiB), plus 5 doubles per input row (3 in the record, 2 in the
         # smoothed output): 1.2 KiB; a row of moments per input row would be 16 x 0.59 KiB.  Blocks of
-        # 64 rows keep the pass's and the projection's stacks the same size at both lengths
+        # 64 rows keep the pass's stacks the same size at both lengths; the projection's (N,) sums
+        # are a few doubles per input row
         monkeypatch.setattr(markovian, "SMOOTH_BLOCK_BYTES", 64 * 8 * 8**2)
         hm = "0.5:1.5:1.5:1.0:1.0;0.3:0.0:1.5:2.0:1.0;0.2:0.8:0.5:0.5:1.0"
         overrides = ["model=markov", "kernel.family=hida_matern", f"kernel.hm_components={hm}", "noise_var=0.1",
@@ -1112,6 +1133,22 @@ class TestTimeStepBlocks:
         for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
             np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
         assert batch.loglik_total == record.loglik_total
+
+    def test_tied_hida_matern_space_time_stream_matches_the_row_loops(self, monkeypatch):
+        # a two-component temporal kernel: every observation row reads two entries of its location's
+        # state (r = 2); blocks of 3 rows split every time step, so each block gathers through both
+        # entries of rows at several locations, and the smoothed moments sum over them
+        monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
+        temporal = kernels.hida_matern([(0.7, 1.2, 1.5, 0.8, 1.0), (0.3, 0.0, 0.5, 1.5, 1.0)])
+        sde = markovian.build_spatiotemporal(temporal, kernels.se(1.0, 0.8), GRID)
+        assert sde.obs_entries[0].shape == (len(GRID), 2)
+        t, rows, y = tied_spacetime()
+        runner = MarkovRunner(sde, 0.1, locations=GRID, history_times=t)
+        got = [(r.mean, r.var, r.logdensity) for r in run_runner(runner, stream_columns(y, t=t, x=GRID[rows]))]
+        assert_cells_close(got, sequential_rows(sde, t, y, rows, 0.1)[0])
+        sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows))
+        loop = [(sde.obs[r] @ sm.means[k], sde.obs[r] @ sm.covs[k] @ sde.obs[r]) for r, k in zip(rows, sm.steps)]
+        np.testing.assert_allclose(runner.smooth(), np.array(loop), rtol=1e-13, atol=1e-15)
 
     def test_unknown_location_inside_a_time_step_is_3_with_its_row(self, tmp_path):
         loc_file = tmp_path / "locations.csv"

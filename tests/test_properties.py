@@ -233,12 +233,16 @@ def test_linear_cli_exits_cleanly_on_any_config(mode, likelihood, params, ys):
 
 
 config_int = st.sampled_from(["0", "1", "2", "3", "4", "8", "-1"]) | config_number
+usable = st.floats(min_value=0.05, max_value=5.0, **finite).map(repr)  # half the draws, so that runs also pass
+usable_number = usable | config_number
+usable_int = st.sampled_from(["2", "4", "8"]) | config_int
 time_cell = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]).map(repr)
 GRID = (0.0, 0.5, 1.5)  # the space-time model's locations; 1.0 and -0.5 lie off the grid
 location_cell = st.sampled_from([*GRID, 1.0, -0.5]).map(repr)
 # every key a configuration error may name here, after an optional member.<k>.
 CONFIG_KEYS = {"model", "noise_var", "kernel.family", "kernel.lengthscale", "kernel.sigma_f2", "kernel.hm_components",
-               "sparse.M", "sparse.inducing", "features.F", "features.L"}
+               "sparse.M", "sparse.inducing", "sparse.seed", "features.F", "features.L"}
+PLANAR_MODELS = {"exact", "sparse", "vsgp"}  # the models that also run on generated x1,x2 streams
 MARKOV_MODELS = {"matern12", "matern32", "hm", "spacetime"}
 CONFIG_ERROR = re.compile(r"seqgp: configuration error: (member\.[12]\.)?([\w.]+): ")
 
@@ -262,7 +266,9 @@ def _model_args(model, p, grid_file=None):
         comps = f"1:0.5:1.5:{p['lengthscale']}:{p['sigma_f2']};0.5:0:0.5:1:1"
         return ["model=markov", "kernel.family=hm", f"kernel.hm_components={comps}", *common]
     if model in ("sparse", "vsgp"):
-        return [f"model={model}", "kernel.family=matern32", *kernel, *common, f"sparse.M={p['M']}"]
+        # k-means places multi-D inducing inputs and needs sparse.seed, which is sometimes left out
+        seed = [] if p["seed"] is None else [f"sparse.seed={p['seed']}"]
+        return [f"model={model}", "kernel.family=matern32", *kernel, *common, f"sparse.M={p['M']}", *seed]
     if model == "exact":
         return ["model=exact", "kernel.family=se", *kernel, *common]
     # linear HSGP; features.L is sometimes left to its default, read from the inputs
@@ -271,17 +277,33 @@ def _model_args(model, p, grid_file=None):
             f"features.F={p['F']}", *halfwidth]
 
 
+PLAIN = {"lengthscale": "1.0", "sigma_f2": "1.0", "noise_var": "0.5", "L": "1", "M": "2", "F": "4"}
+PLANAR_ROWS = [("0.0", "0.5", "0.0"), ("0.25", "1", "0.5"), ("1.0", "", "1.5"), ("2.0", "-0.3", "-0.5")]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose: the run must still exit cleanly
 @settings(max_examples=300, deadline=None)
+# generation seldom draws every key valid at once: k-means placement runs, without its seed it is a
+# configuration error, and a stacking ensemble runs
+@example(model="sparse", params=PLAIN, rows=PLANAR_ROWS, ordered=False, smoothed=False, planar=True, seed="3",
+         combiner="bma")
+@example(model="vsgp", params=PLAIN, rows=PLANAR_ROWS, ordered=False, smoothed=False, planar=True, seed=None,
+         combiner="bma")
+@example(model="ensemble", params=PLAIN, rows=PLANAR_ROWS, ordered=True, smoothed=False, planar=False, seed=None,
+         combiner="stacking")
 @given(model=st.sampled_from(["matern12", "matern32", "hm", "spacetime", "sparse", "vsgp", "exact", "hsgp",
                                "ensemble"]),
-       params=st.fixed_dictionaries({key: config_number for key in ("lengthscale", "sigma_f2", "noise_var", "L")}
-                                    | {key: config_int for key in ("M", "F")}),
+       params=st.fixed_dictionaries({key: usable_number for key in ("lengthscale", "sigma_f2", "noise_var", "L")}
+                                    | {key: usable_int for key in ("M", "F")}),
        rows=st.lists(st.tuples(time_cell, cell, location_cell), max_size=6), ordered=st.booleans(),
-       smoothed=st.booleans())
-def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, params, rows, ordered, smoothed):
+       smoothed=st.booleans(), planar=st.booleans(), seed=st.none() | usable_int,
+       combiner=st.sampled_from(["bma", "stacking"]))
+def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, params, rows, ordered, smoothed,
+                                                            planar, seed, combiner):
+    params = params | {"seed": seed}
     if model == "ensemble":
-        args = ["model=ensemble", *(f"member.1.{a}" for a in _model_args("matern32", params)),
+        args = ["model=ensemble", f"ensemble.combiner={combiner}",
+                *(f"member.1.{a}" for a in _model_args("matern32", params)),
                 *(f"member.2.{a}" for a in _model_args("sparse", params))]
     else:
         args = _model_args(model, params, grid_file)
@@ -292,6 +314,8 @@ def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, pa
         rows = sorted(rows, key=lambda r: float(r[0]))
     if model == "spacetime":
         csv = "t,x1,y\n" + "".join(f"{t},{x},{y}\n" for t, y, x in rows)
+    elif planar and model in PLANAR_MODELS:  # two input coordinates, drawn from the time and location cells
+        csv = "x1,x2,y\n" + "".join(f"{t},{x},{y}\n" for t, y, x in rows)
     else:
         csv = "t,y\n" + "".join(f"{t},{y}\n" for t, y, _ in rows)
     code, out, err = run_cli(["run", *args], stdin_text=csv)
@@ -375,9 +399,6 @@ def test_a_bad_row_ends_every_block_route_after_the_rows_before_it(data, route, 
         assert got == before
 
 
-usable = st.floats(min_value=0.05, max_value=5.0, **finite).map(repr)  # half the draws, so that runs also pass
-usable_number = usable | config_number
-usable_int = st.sampled_from(["2", "4", "8"]) | config_int
 grid_list = st.lists(usable_number, max_size=3).map(",".join)
 test_cell = st.sampled_from(["", "0.5", "1", "-0.3"]) | cell  # an empty y is a test row
 
