@@ -90,8 +90,12 @@ def build_hsgp(kernel: Kernel, n_features: int, halfwidth: float) -> FeatureMap:
     if halfwidth <= 0.0:
         raise ConfigurationError(f"HSGP halfwidth must be positive, got {halfwidth}", param="halfwidth")
     k = np.arange(1, n_features + 1)
-    omega = k * math.pi / (2.0 * halfwidth)
-    weights = np.sqrt(2.0 * math.pi * eval_psd(kernel, omega))
+    with np.errstate(over="ignore"):  # a frequency whose square overflows has density 0, its limit
+        omega = k * math.pi / (2.0 * halfwidth)
+        weights = np.sqrt(2.0 * math.pi * eval_psd(kernel, omega))
+    if not weights.any():  # a basis of zero variance would report pred_var 0 on every row
+        raise ConfigurationError(f"HSGP halfwidth {halfwidth!r} puts every frequency beyond the kernel's spectrum",
+                                 param="halfwidth")
     return FeatureMap(
         kind="hsgp",
         n_features=n_features,

@@ -99,7 +99,7 @@ class Kernel:
                 _check_scale(c.sigma2, c.lengthscale, "hm_components")
             if sum(c.weight for c in self.hm_components) <= 0.0:
                 raise ConfigurationError("HM weights must not all be zero", param="hm_components")
-            if not math.isfinite(self.total_variance):
+            if not 0.0 < self.total_variance < math.inf:  # an underflow to 0 makes every variance 0
                 raise ConfigurationError(f"HM total variance sum(weight * sigma2) is {self.total_variance!r}",
                                          param="hm_components")
 

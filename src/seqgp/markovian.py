@@ -27,15 +27,16 @@ give exact GP inference in O(N d^3).  The rows at one timestamp are one
 vector measurement: ``MarkovStepper.step`` conditions on a block of them at
 once (one Cholesky factor of the block's innovation covariance), the blocks
 being runs of equal timestamps split every ``UPDATE_BLOCK_ROWS`` rows
-(``block_starts``), which ``kalman_filter`` (through ``MarkovStepper.run``)
-and the CLI's runner hand to it in turn through the one block loop
-``linalg.run_blocks``: a block that fails at a row (a failed pivot, an
-observation row out of range, an infinite y) runs the rows before it as a
-block and the row alone, so only a one-row failure raises.  A block of one
-row is the observe -> condition hand-off of every filter route: the
-stepper's ``predict_obs`` returns the observe triple (h^T m, h^T s, s) and
-its ``update`` hands it to ``linalg.condition``, the one scored update.  The
-filter record keeps only the filtered moments, one row per distinct
+(``block_bounds``, the one partition of a stream into blocks, which every
+block route of the CLI's runners merges up to its own ``block_rows``), and
+``kalman_filter`` and the CLI's runner hand them to ``step`` in turn through
+the one block loop ``linalg.run_blocks``: a block that fails at a row (a
+failed pivot, an observation row out of range, an infinite y) runs the rows
+before it as a block and the row alone, so only a one-row failure raises.
+A block of one row is the observe -> condition hand-off of every filter
+route: the stepper's ``predict_obs`` returns the observe triple (h^T m, h^T
+s, s) and its ``update`` hands it to ``linalg.condition``, the one scored
+update.  The filter record keeps only the filtered moments, one row per distinct
 timestamp; the smoother walks back over those time steps in blocks, forms
 each block's transitions from the stored timestamps, recomputes the
 predicted moments with the forward pass's ``predict``, solves for all of the
@@ -251,12 +252,12 @@ class MarkovStepper:
     """Streaming filter state: advance to a timestamp, then condition on the
     time step's observations.
 
-    ``step`` is the one update: it takes a block of rows at one timestamp
-    (``block_starts``) and conditions on them as one vector measurement.
-    ``run``, the driver of the batch filter below, hands it a span's blocks in
-    turn through ``linalg.run_blocks``, as the CLI's runner does.  Each step of
-    nonzero length computes its transition in closed form, so memory does not
-    grow with the number of distinct step lengths.  A zero-length step after the first row leaves the
+    ``step`` is the one entry point: it takes a block of rows at one timestamp
+    (``block_bounds``) and conditions on them as one vector measurement.
+    ``kalman_filter`` and the CLI's runner hand it a stream's blocks in turn
+    through ``linalg.run_blocks``.  Each step of nonzero length computes its
+    transition in closed form, so memory does not grow with the number of
+    distinct step lengths.  A zero-length step after the first row leaves the
     state untouched (A = I, Q = 0 is exact on a symmetric covariance).
     ``history_times`` (the stream's timestamps) allocates ``history``, a
     ``FilterResult`` with one row of moments per distinct timestamp that each
@@ -365,17 +366,6 @@ class MarkovStepper:
             self.rows_written = k
         return out
 
-    def run(self, t, ys, rows):
-        """Step a span of rows in order, yielding each row's (mean, var, logdensity).
-
-        ``t``, ``ys`` (NaN on a predict-only row) and ``rows`` are per row.  A
-        block of ``block_starts(t)`` is stepped when its first row is asked for,
-        through ``linalg.run_blocks`` and its one failure rule."""
-        t = np.asarray(t, dtype=float)
-        ts, ys, rows = t.tolist(), np.asarray(ys, dtype=float).tolist(), np.asarray(rows, dtype=int).tolist()
-        return run_blocks(np.flatnonzero(block_starts(t)).tolist() + [t.size],
-                          lambda start, stop: zip(*self.step(ts[start], ys[start:stop], rows[start:stop])))
-
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
         """``step`` on a block of rows at the current time, as one vector measurement.
 
@@ -451,20 +441,32 @@ class FilterResult:
 UPDATE_BLOCK_ROWS = 64
 
 
-def block_starts(times) -> np.ndarray:
-    """Boolean mask of the rows that start a block of ``times`` (n,).
+def block_bounds(t, n: int, min_rows: int) -> np.ndarray:
+    """The first row of each block of a stream of n rows, then n.
 
-    A block is a run of rows with equal timestamps, split every
-    ``UPDATE_BLOCK_ROWS`` rows counted from the run's first row; the first row
-    starts a block.  The partition depends on the timestamps alone, so any
-    slice that begins at a block start, or any prefix, has the blocks of the
-    whole stream (a prefix's last one cut short)."""
-    t = np.asarray(times, dtype=float)
-    n = t.size
+    The stream's blocks are runs of rows with equal timestamps ``t`` (n,),
+    split every ``UPDATE_BLOCK_ROWS`` rows counted from the run's first row,
+    or every row when the stream has no timestamps (``t`` None); they are
+    merged in order, from the first, until each has at least ``min_rows``
+    rows (a last one may have fewer): a block ends at the first stream block
+    start ``min_rows`` rows on, so it has fewer than ``min_rows +
+    UPDATE_BLOCK_ROWS`` rows.  The partition depends on the stream alone: a
+    slice that begins at one of its block starts, or a prefix, has the same
+    blocks (a prefix's last one cut short)."""
+    if t is None:
+        return np.append(np.arange(0, n, min_rows), n)
+    t = np.asarray(t, dtype=float)
     new = np.ones(n, dtype=bool)
     np.not_equal(t[1:], t[:-1], out=new[1:])  # a NaN differs from everything: it starts its own run
     first = np.flatnonzero(new)
-    return (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0
+    offset = np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))  # each row's place in its run
+    starts = np.flatnonzero(offset % UPDATE_BLOCK_ROWS == 0)
+    if min_rows > 1 and starts.size:
+        merged = [0]
+        while (k := int(np.searchsorted(starts, merged[-1] + min_rows))) < starts.size:
+            merged.append(int(starts[k]))
+        starts = np.array(merged)
+    return np.append(starts, n)
 
 
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
@@ -473,12 +475,12 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     ``times`` must be finite and non-decreasing.  A NaN in ``values`` marks a
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
-    step uses (always row 0 for temporal models).  The rows go through
-    ``MarkovStepper.run``, in the blocks that the CLI's runner steps, so the
-    two give the same bits.  A row that the stepper rejects (its timestamp,
-    its observation row, an infinite value or a failed one-row update) is its
-    DataError or NumericalError, prefixed with ``step k: ``, k the rows run
-    before it.
+    step uses (always row 0 for temporal models).  The rows go to
+    ``MarkovStepper.step`` through ``linalg.run_blocks``, in the blocks of
+    ``block_bounds`` that the CLI's runner steps, so the two give the same
+    bits.  A row that the stepper rejects (its timestamp, its observation
+    row, an infinite value or a failed one-row update) is its DataError or
+    NumericalError, prefixed with ``step k: ``, k the rows run before it.
     Starts from the stationary law N(0, P_inf).  Under ties the result has
     fewer rows of times and moments than inputs: one per distinct timestamp.
     """
@@ -491,9 +493,11 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
         raise DataError(f"{t.size} timestamps but {rows.size} observation rows")
 
     stepper = MarkovStepper(sde, noise_var, history_times=t)
+    ts, ys, rs = t.tolist(), y.tolist(), rows.tolist()
     k = 0
     try:
-        for _ in stepper.run(t, y, rows):
+        for _ in run_blocks(block_bounds(t, t.size, 1).tolist(),
+                            lambda a, b: zip(*stepper.step(ts[a], ys[a:b], rs[a:b]))):
             k += 1
     except (DataError, NumericalError) as exc:
         exc.args = (f"step {k}: {exc}",)  # same class, now naming the step

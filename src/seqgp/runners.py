@@ -2,16 +2,17 @@
 
 Every runner follows one row protocol, and ``run_chunks`` drives it the way
 ``seqgp run`` does.  A chunk ends at a block start of the runner's partition
-(``block_bounds``): the stream's blocks (``markovian.block_starts``: runs of
-equal timestamps, split every ``UPDATE_BLOCK_ROWS`` rows; every row, without
+(``markovian.block_bounds``): the stream's blocks (runs of equal
+timestamps, split every ``UPDATE_BLOCK_ROWS`` rows; every row, without
 timestamps) merged until each has at least the runner's ``block_rows`` rows:
-``UPDATE_BLOCK_ROWS`` for the exact, sparse and vsgp runners and the
-Gaussian linear runner, the members' largest for an ensemble, and 1
-otherwise.  ``prepare(chunk)`` does the work that depends only on the
-inputs of a chunk of rows (``Columns``) in one call (sparse projections,
-feature rows, Markov transitions and observation rows, or the exact
-runner's points) and starts, without running it, the chunk's row generator
-over those arrays and ``chunk.y`` (NaN marks a predict-only row).
+``UPDATE_BLOCK_ROWS`` for the exact, sparse and vsgp runners and the linear
+runner under the Gaussian likelihood and non-expanding dynamics, the
+members' largest for an ensemble, and 1 otherwise.  ``prepare(chunk)`` does
+the work that depends only on the inputs of a chunk of rows (``Columns``)
+in one call (sparse projections, feature rows, Markov transitions and
+observation rows, or the exact runner's points) and starts, without running
+it, the chunk's row generator over those arrays and ``chunk.y`` (NaN marks a
+predict-only row).
 ``step(record)``, one method for every runner, draws the record's row from
 it: a record is its 1-based row and its chunk (``Columns.records``), and a
 record of another chunk, or a row out of its turn, is a ValueError.  Each
@@ -37,11 +38,12 @@ that are not finite; an unknown location, an observation row out of range
 or an infinite y) runs the rows before it as a block, the row alone, and
 the rest as a new block, so only a one-row failure raises.  Row by row (a
 Markov block of one row, and the linear runner under a Laplace likelihood
-or where a block's powers overflow), ``linear_filter.observe_f`` or
-``MarkovStepper.predict_obs`` forms (h^T m, h^T s, s) with s = P h once,
-and a y-row hands that triple to ``linalg.condition``, the one scored update
-(through ``linear_filter.condition_in_place``, which adds the Laplace step
-of a non-Gaussian likelihood).  The pure functions of those modules are the
+or expanding dynamics, or where a block's powers overflow),
+``linear_filter.observe_f`` or ``MarkovStepper.predict_obs`` forms (h^T m,
+h^T s, s) with s = P h once, and a y-row hands that triple to
+``linalg.condition``, the one scored update (through
+``linear_filter.condition_in_place``, which adds the Laplace step of a
+non-Gaussian likelihood).  The pure functions of those modules are the
 same arithmetic on new states, for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
@@ -124,17 +126,18 @@ class StepResult:
 class _RowRunner:
     """The row protocol: ``prepare`` starts the chunk's row generator, ``step`` draws from it."""
 
-    block_rows = 1  # a block of the runner's partition has at least this many rows (``block_bounds``)
+    block_rows = 1  # a block of the runner's partition has at least this many rows (``markovian.block_bounds``)
     _chunk: Columns | None = None
 
     def _start(self, chunk: Columns, results) -> None:
         self._chunk, self._next, self._results = chunk, chunk.first_row, results
 
     def _start_blocks(self, chunk: Columns, block, costs: list) -> None:
-        """Start the chunk's rows as ``linalg.run_blocks`` over the runner's partition
-        of the chunk (``block_bounds``), charged ``costs``; ``block(start, stop)`` is
-        the runner's, and gives each of its rows' (mean, var, logdensity)."""
-        rows = run_blocks(block_bounds(chunk.t, len(chunk), self.block_rows).tolist(), block)
+        """Start the chunk's rows as ``linalg.run_blocks`` over the runner's
+        partition of the chunk (``markovian.block_bounds``), charged ``costs``;
+        ``block(start, stop)`` is the runner's, and gives each of its rows'
+        (mean, var, logdensity)."""
+        rows = run_blocks(markovian.block_bounds(chunk.t, len(chunk), self.block_rows).tolist(), block)
         self._start(chunk, self._charged(rows, costs))
 
     def _charged(self, rows, costs: list):
@@ -158,10 +161,10 @@ class ExactRunner(_RowRunner):
 
     The state is the lower factor L of K_oo + noise_var I over the n observed
     inputs X, and z = L^-1 y.  The rows are conditioned in blocks of 64 to 127
-    rows (``block_bounds`` with ``block_rows``; a stream's last block may be
-    shorter), a block when its first row is drawn.  With K_0 = k(X, block) and
-    K_bb = k(block, block), one ``gram`` call each, the block forms
-    V = L^-1 K_0 by forward substitution over the panels of L, and its rows'
+    rows (``markovian.block_bounds`` with ``block_rows``; a stream's last
+    block may be shorter), a block when its first row is drawn.  With K_0 =
+    k(X, block) and K_bb = k(block, block), one ``gram`` call each, the block
+    forms V = L^-1 K_0 by forward substitution over the panels of L, and its rows'
     latent values are a priori N(V^T z, K_bb - V^T V), the diagonal being
     kappa(0) - ||V_i||^2.  ``linalg.condition_block`` conditions them on the
     block's y-rows Y as one vector measurement, each row's result its
@@ -266,12 +269,14 @@ class LinearRunner(_RowRunner):
     """Basis-expansion filter with configurable weight dynamics and likelihood.
 
     ``prepare`` forms the chunk's feature rows in one ``featurize_many``.  The
-    runner owns ``belief``.  Under the Gaussian likelihood it conditions a
-    block of its partition (``block_rows`` rows or more) at once, on the
-    block's first draw.  The dynamics theta -> a theta + u + N(0, c I) tick
-    once per y-row, so a row's tick count tau is the number of y-rows up to
-    and including it, or, on a predict-only row, the number before it plus
-    one (its own tick, which the state never takes).  After tau ticks from
+    runner owns ``belief``.  Under the Gaussian likelihood and dynamics that
+    do not expand the covariance (``cov_scale`` <= 1: static, random walk,
+    b2p, and ``general`` with |a| <= 1) it conditions a block of its
+    partition (``block_rows`` rows or more) at once, on the block's first
+    draw.  The dynamics theta -> a theta + u + N(0, c I) tick once per
+    y-row, so a row's tick count tau is the number of y-rows up to and
+    including it, or, on a predict-only row, the number before it plus one
+    (its own tick, which the state never takes).  After tau ticks from
     the block's first state N(m, P), theta has mean a^tau m + s_tau and
     covariance cs^tau P + g_tau I, with cs = ``cov_scale`` and s_tau, g_tau
     accumulated through ``shift``, ``cov_scale`` and ``noise`` as the
@@ -284,13 +289,14 @@ class LinearRunner(_RowRunner):
     a^(K - tau_j) (cs^tau_j P + g_tau_j I) phi_j.
 
     A block whose powers or moments overflow, and every row under a Laplace
-    likelihood (``block_rows`` 1), run row by row: a y-row advances the
-    belief in place, forms s = P phi once and conditions it in place
-    (``linear_filter.predict_in_place``, ``observe_f``,
-    ``condition_in_place``), and a predict-only row reads its moments from
-    one matvec (``linear_filter.predict_f_ahead``).  A block fails at its
-    first row whose feature row has a non-finite entry, as ``run_blocks``
-    says.  Every row is charged 6 F^2 + 8 F flops."""
+    likelihood or expanding dynamics (``block_rows`` 1; cs^tau growing
+    across a block would make its Gram cancel in the factor), run row by
+    row: a y-row advances the belief in place, forms s = P phi once and
+    conditions it in place (``linear_filter.predict_in_place``,
+    ``observe_f``, ``condition_in_place``), and a predict-only row reads its
+    moments from one matvec (``linear_filter.predict_f_ahead``).  A block
+    fails at its first row whose feature row has a non-finite entry, as
+    ``run_blocks`` says.  Every row is charged 6 F^2 + 8 F flops."""
 
     def __init__(self, fmap, dynamics, noise_var: float, likelihood: str = "gaussian"):
         if likelihood == "gaussian" and noise_var <= 0.0:
@@ -300,14 +306,15 @@ class LinearRunner(_RowRunner):
         self.noise_var = noise_var
         self.likelihood = likelihood
         self.belief = linear_filter.init_belief(fmap.n_features, fmap.weight_prior_var)
-        self.block_rows = markovian.UPDATE_BLOCK_ROWS if likelihood == "gaussian" else 1
+        blocks = likelihood == "gaussian" and dynamics.cov_scale <= 1.0
+        self.block_rows = markovian.UPDATE_BLOCK_ROWS if blocks else 1
         self._cost = 6 * fmap.n_features**2 + 8 * fmap.n_features
         self.flops = 0
         self.approximate_loglik = likelihood != "gaussian"
 
     def prepare(self, chunk: Columns) -> None:
         phis, costs = features.featurize_many(self.fmap, chunk.points), [self._cost] * len(chunk)
-        if self.likelihood != "gaussian":
+        if self.block_rows == 1:
             self._start(chunk, self._charged(self._rows(phis, chunk.y), costs))
             return
         ys, bad = chunk.y, ~np.isfinite(phis).all(axis=1)
@@ -371,11 +378,12 @@ class MarkovRunner(_RowRunner):
     ``markovian.transition`` call, looks up every row's observation row in one
     vectorised pass (the first location equal to its coordinates, else the
     nearest one within 1e-9 (1 + ||location||)), and starts the stepper's
-    blocks (``block_starts``) through ``_start_blocks``.  A block whose first
-    row has no location raises it; elsewhere in a block, such a row is out
-    of range for the stepper.  A row is charged the flops of its own predict
-    and update, as if stepped alone, and a block's first row the move if its
-    transition was prepared, as the stream's first row is."""
+    blocks (``markovian.block_bounds`` with ``block_rows`` 1) through
+    ``_start_blocks``.  A block whose first row has no location raises it;
+    elsewhere in a block, such a row is out of range for the stepper.  A row
+    is charged the flops of its own predict and update, as if stepped alone,
+    and a block's first row the move if its transition was prepared, as the
+    stream's first row is."""
 
     def __init__(self, sde, noise_var: float, locations=None, history_times=None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
@@ -614,40 +622,19 @@ class EnsembleRunner(_RowRunner):
             raise error
 
 
-def block_bounds(t: np.ndarray | None, n: int, min_rows: int) -> np.ndarray:
-    """The first row of each block of a stream of n rows, then n.
-
-    The stream's blocks are those of ``markovian.block_starts`` of its
-    timestamps ``t``, or every row when it has none; they are merged in order,
-    from the first, until each has at least ``min_rows`` rows (a last one may
-    have fewer): a block ends at the first stream block start ``min_rows``
-    rows on, so it has fewer than ``min_rows + UPDATE_BLOCK_ROWS`` rows.  The
-    partition depends on the stream alone: a slice that begins at one of its
-    block starts has the same blocks."""
-    if t is None:
-        return np.append(np.arange(0, n, min_rows), n)
-    starts = np.flatnonzero(markovian.block_starts(t))
-    if min_rows > 1 and starts.size:
-        merged = [0]
-        while (k := int(np.searchsorted(starts, merged[-1] + min_rows))) < starts.size:
-            merged.append(int(starts[k]))
-        starts = np.array(merged)
-    return np.append(starts, n)
-
-
 def run_chunks(runner, data: Columns, chunk_rows: int):
     """Step ``runner`` over ``data`` as ``seqgp run`` does, yielding (record,
     StepResult) row by row: ``prepare`` each chunk, then ``step`` its records in
     order.  A chunk ends at the first block start of the runner's partition
-    (``block_bounds`` with its ``block_rows``) at or after ``chunk_rows`` rows,
-    so it never splits a block: the blocks, and so the report, do not depend
-    on the chunk size.  A non-finite predictive mean or variance is a
-    NumericalError, and a data or numerical error raised here names its
-    1-based row.  ``chunk_rows`` below 1 is a ValueError."""
+    (``markovian.block_bounds`` with its ``block_rows``) at or after
+    ``chunk_rows`` rows, so it never splits a block: the blocks, and so the
+    report, do not depend on the chunk size.  A non-finite predictive mean
+    or variance is a NumericalError, and a data or numerical error raised
+    here names its 1-based row.  ``chunk_rows`` below 1 is a ValueError."""
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
     n = len(data)
-    bounds = block_bounds(data.t, n, runner.block_rows)
+    bounds = markovian.block_bounds(data.t, n, runner.block_rows)
     start = 0
     while start < n:
         stop = int(bounds[np.searchsorted(bounds, min(start + chunk_rows, n))])

@@ -58,6 +58,7 @@ BLOCK_FOLD = "the sparse, vsgp and linear routes are conditioned a block of rows
 CHUNK_COMBINER = "the ensemble combines a chunk at a time"
 ONE_RULE = "one failure rule for every block route"
 ONE_GATHER = "one observation gather for every Markov model"
+ONE_PARTITION = "one block partition and one stepper entry"
 
 MUTANTS = (
     Mutant(
@@ -195,10 +196,10 @@ MUTANTS = (
         BLOCK_UPDATE),
     Mutant(
         "time-step-block-without-its-row-bound", "src/seqgp/markovian.py",
-        "    return (np.arange(n) - np.repeat(first, np.diff(np.append(first, n)))) % UPDATE_BLOCK_ROWS == 0\n",
-        "    return new\n",
+        "    starts = np.flatnonzero(offset % UPDATE_BLOCK_ROWS == 0)\n",
+        "    starts = first\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::test_memory_per_block_is_bounded_whatever_the_rows_at_one_time",
-         "tests/test_markovian.py::TestTimeStepBlocks::test_block_starts_split_each_time_step_every_block_rows"),
+         "tests/test_markovian.py::TestTimeStepBlocks::test_block_bounds_split_each_time_step_every_block_rows"),
         BLOCK_UPDATE),
     Mutant(
         "run-chunks-cuts-inside-a-block", "src/seqgp/runners.py",
@@ -233,7 +234,7 @@ MUTANTS = (
          "tests/test_linear_filter.py::TestDynamics::test_random_walk_adds_to_the_diagonal_bit_for_bit"),
         SHIPPED_STEP),
     Mutant(
-        "stepper-run-without-its-cut-at-the-first-bad-row", "src/seqgp/markovian.py",
+        "stepper-block-without-its-cut-at-the-first-bad-row", "src/seqgp/markovian.py",
         "        if bad.size:  # the block's first bad row, with the message that row gives alone\n",
         "        if False:  # the block's first bad row, with the message that row gives alone\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::"
@@ -256,8 +257,8 @@ MUTANTS = (
         ROW_PROTOCOL),
     Mutant(
         "exact-blocks-cut-at-each-chunk-start", "src/seqgp/runners.py",
-        "    bounds = block_bounds(data.t, n, runner.block_rows)\n",
-        "    bounds = block_bounds(data.t, n, 1)\n",
+        "    bounds = markovian.block_bounds(data.t, n, runner.block_rows)\n",
+        "    bounds = markovian.block_bounds(data.t, n, 1)\n",
         ("tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report_over_several_blocks",
          "tests/test_chunked_run.py::test_every_chunk_size_gives_the_same_report"),
         EXACT_BLOCKS),
@@ -428,6 +429,28 @@ MUTANTS = (
         "        return positions, np.where(pad, 1.0, np.take_along_axis(self.obs, positions, axis=1))\n",
         ("tests/test_markovian.py::TestObserveStep::test_hand_built_model_derives_its_row_structure_from_obs",),
         ONE_GATHER),
+    Mutant(
+        "linear-blocks-under-expanding-dynamics", "src/seqgp/runners.py",
+        '        blocks = likelihood == "gaussian" and dynamics.cov_scale <= 1.0\n',
+        '        blocks = likelihood == "gaussian"\n',
+        ("tests/test_linear_filter.py::TestLinearRunner::test_matches_the_pure_fold",
+         "tests/test_linear_filter.py::TestLinearRunner::"
+         "test_an_expanding_stream_whose_blocks_lost_a_pivot_runs_to_the_end"),
+        ONE_PARTITION),
+    Mutant(
+        "hida-matern-kernel-without-its-zero-variance-check", "src/seqgp/kernels.py",
+        "            if not 0.0 < self.total_variance < math.inf:  # an underflow to 0 makes every variance 0\n",
+        "            if not self.total_variance < math.inf:  # an underflow to 0 makes every variance 0\n",
+        ("tests/test_cli.py::TestExitCodes::test_config_error_names_its_key",
+         "tests/test_cli.py::TestExitCodes::test_check_and_fit_exact_name_their_keys"),
+        ONE_PARTITION),
+    Mutant(
+        "hsgp-basis-without-its-zero-variance-check", "src/seqgp/features.py",
+        "    if not weights.any():  # a basis of zero variance would report pred_var 0 on every row\n",
+        "    if False:  # a basis of zero variance would report pred_var 0 on every row\n",
+        ("tests/test_cli.py::TestExitCodes::test_config_error_names_its_key",
+         "tests/test_cli.py::TestExitCodes::test_check_and_fit_exact_name_their_keys"),
+        ONE_PARTITION),
 )
 
 

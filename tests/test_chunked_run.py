@@ -1,7 +1,7 @@
 """``seqgp run`` in chunks: every chunk size gives the same report, a runner
 stepped over columns in other chunks gives the same cells, and a runner
 steps only the records of the chunk it last prepared, each once and in order.
-A chunk ends at a block start of the runner's partition (``block_bounds``)."""
+A chunk ends at a block start of the runner's partition (``markovian.block_bounds``)."""
 
 import io
 import json
@@ -11,7 +11,8 @@ import pytest
 
 from conftest import parse_report, run_cli, runner_for
 from seqgp import cli, markovian, sparse
-from seqgp.runners import StreamRecord, block_bounds, run_chunks
+from seqgp.markovian import block_bounds
+from seqgp.runners import StreamRecord, run_chunks
 
 ENSEMBLE = ["model=ensemble", "member.1.model=markov", "member.1.kernel.family=matern12",
             "member.2.model=linear", "member.2.kernel.family=matern32", "member.2.features.kind=rff",
@@ -306,7 +307,11 @@ class TestBlockBounds:
         assert bounds[0] == 0 and bounds[-1] == t.size
         assert (sizes[:-1] >= 64).all() and (sizes <= 127).all()
         assert sizes.max() > 64  # a merge went past 64 rows
-        stream = np.flatnonzero(markovian.block_starts(t)).tolist()
+        stream, run = [], 0  # the stream's blocks, row by row: runs of equal t, split every 64 rows
+        for i in range(t.size):
+            run = run + 1 if i and t[i] == t[i - 1] else 0
+            if run % markovian.UPDATE_BLOCK_ROWS == 0:
+                stream.append(i)
         assert set(bounds[:-1]) <= set(stream)
         for a, b in zip(bounds, bounds[1:-1]):  # each block ends at the first stream block start 64 rows on
             assert not [s for s in stream if a + 64 <= s < b]

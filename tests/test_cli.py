@@ -607,6 +607,14 @@ class TestExitCodes:
         (["model=sparse", "kernel.family=se", "noise_var=0.1", "sparse.M=2", "sparse.seed=-1"],
          "x1,x2,y\n0,0,0.1\n1,1,0.2\n2,0,0.3\n", "sparse.seed"),
         (["model=linear", "kernel.family=se", "features.F=8", "noise_var=0.1", "--seed", "-1"], "t,y\n0,0.1\n", "seed"),
+        # a Hida-Matern mixture whose variance underflows to 0 would report pred_var 0 on every row
+        (["model=markov", "kernel.family=hm", "kernel.hm_components=1e-300:0:0.5:1:1e-300", "noise_var=0.1"],
+         "t,y\n0,0.1\n1,0.2\n", "kernel.hm_components"),
+        (["model=exact", "kernel.family=hm", "kernel.hm_components=1e-300:0:0.5:1:1e-300", "noise_var=0.1"],
+         "t,y\n0,0.1\n1,0.2\n", "kernel.hm_components"),
+        # so would an HSGP basis whose every frequency overflows the kernel's spectral density
+        (["model=linear", "kernel.family=matern32", "features.kind=hsgp", "features.F=2", "features.L=1e-300",
+          "noise_var=0.1"], "t,y\n0,0.1\n", "features.L"),
     ])
     def test_config_error_names_its_key(self, args, csv, key):
         code, out, err = run_cli(["run", *args], stdin_text=csv)
@@ -624,12 +632,15 @@ class TestExitCodes:
         (["fit-exact", "kernel.family=se", "grid.sigma_f2=0", "noise_var=0.1"], "grid.sigma_f2"),
         (["fit-exact", "kernel.family=se", "grid.lengthscale=,", "noise_var=0.1"], "grid.lengthscale"),
         (["fit-exact", "kernel.family=se", "noise_var=0"], "noise_var"),
+        (["check", "kernel.family=hm", "kernel.hm_components=1e-300:0:0.5:1:1e-300"], "kernel.hm_components"),
+        (["check", "kernel.family=matern32", "features.kind=hsgp", "features.F=2", "features.L=1e-300"], "features.L"),
     ])
     def test_check_and_fit_exact_name_their_keys(self, args, key):
         code, out, err = run_cli(args, stdin_text="t,y\n0,0.1\n1,0.2\n")
         assert code == 2
         assert err.startswith(f"seqgp: configuration error: {key}: ")
         assert "Traceback" not in err
+        assert out == ""  # every key is read before the first line is written
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_failed_pivot_in_a_time_step_is_4_with_its_row(self):

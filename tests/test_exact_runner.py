@@ -10,7 +10,8 @@ from scipy.linalg import lapack
 from conftest import rows_until_error, run_cli, run_runner, stream_columns
 from seqgp import exact, kernels
 from seqgp.errors import ConfigurationError, NumericalError
-from seqgp.runners import ExactRunner, block_bounds, run_chunks
+from seqgp.markovian import block_bounds
+from seqgp.runners import ExactRunner, run_chunks
 
 NOISE_VAR = 0.05
 

@@ -1,13 +1,16 @@
 """Weight-space filtering: dynamics algebra, conjugate and Laplace updates."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import rows_until_error, run_runner, runner_for, stream_columns
+from conftest import parse_report, rows_until_error, run_cli, run_runner, runner_for, stream_columns
 from seqgp import exact, features, kernels, linear_filter as lf, markovian
 from seqgp.config import build_dynamics
 from seqgp.errors import ConfigurationError, DataError, NumericalError, ShapeError
-from seqgp.runners import LinearRunner, block_bounds, run_chunks
+from seqgp.markovian import block_bounds
+from seqgp.runners import LinearRunner, run_chunks
 
 
 def quad_posterior(m0, v0, y, lik, n=10_000):
@@ -100,35 +103,56 @@ class TestLinearRunner:
         return ends
 
     @pytest.mark.parametrize("likelihood", ["gaussian", "poisson_log"])
-    @pytest.mark.parametrize("dynamics", [
-        lf.static(), lf.random_walk(0.03), lf.b2p(0.9, prior_var=1.7), lf.general(0.95, 0.05, 0.003),
-    ], ids=["static", "random_walk", "b2p", "general"])
-    def test_matches_the_pure_fold(self, dynamics, likelihood):
+    @pytest.mark.parametrize("dynamics, n", [
+        (lf.static(), 150), (lf.random_walk(0.03), 150), (lf.b2p(0.9, prior_var=1.7), 150),
+        (lf.general(0.95, 0.05, 0.003), 150), (lf.general(1.2, 0.05, 1.0), 40),
+    ], ids=["static", "random_walk", "b2p", "general", "general_expanding"])
+    def test_matches_the_pure_fold(self, dynamics, n, likelihood):
+        # an expanding general step (a = 1.2: cs^tau grows across a block) runs row by row; its
+        # predict-only rows read phi^T P phi from a P that grows too, so their rounding grows with it
         fmap = features.sample_rff(kernels.se(1.7, 0.6), 64, seed=3)
         rng = np.random.default_rng(11)
-        x = np.sort(rng.uniform(-2.0, 2.0, 150))
+        x = np.sort(rng.uniform(-2.0, 2.0, n))
         y = rng.poisson(1.5, x.size).astype(float) if likelihood == "poisson_log" else np.sin(x)
         y[3::7] = np.nan
         y[60:70] = np.nan  # a run of predict-only rows across a block edge
         runner = LinearRunner(fmap, dynamics, 0.1, likelihood)
         ends = self.assert_matches_the_pure_fold(runner, stream_columns(y, x=x))
-        assert len(ends) == (3 if likelihood == "gaussian" else 150)  # blocks of 64, 64 and 22 rows
+        blocks = likelihood == "gaussian" and dynamics.cov_scale <= 1.0
+        assert len(ends) == (3 if blocks else n)  # blocks of 64, 64 and 22 rows
 
-    def test_poisson_log_runs_row_by_row(self):
+    def test_poisson_log_and_expanding_dynamics_run_row_by_row(self):
         fmap = features.sample_rff(kernels.se(1.7, 0.6), 8, seed=3)
         assert LinearRunner(fmap, lf.random_walk(0.03), 0.1, "poisson_log").block_rows == 1
+        assert LinearRunner(fmap, lf.general(1.2, 0.0, 0.01), 0.1).block_rows == 1
+        assert LinearRunner(fmap, lf.general(-1.0, 0.0, 0.01), 0.1).block_rows == markovian.UPDATE_BLOCK_ROWS
         assert LinearRunner(fmap, lf.random_walk(0.03), 0.1).block_rows == markovian.UPDATE_BLOCK_ROWS
 
+    def test_an_expanding_stream_whose_blocks_lost_a_pivot_runs_to_the_end(self):
+        # a = 1.5 on 8 HSGP features: a block's Gram from cs^tau = 2.25^tau once lost its pivot at row 54
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-1.0, 1.0, 128)
+        y = np.cos(x) + 0.1 * rng.standard_normal(x.size)
+        y[5::9] = np.nan
+        csv = "x1,y\n" + "".join(f"{a!r},{'' if b != b else repr(b)}\n" for a, b in zip(x.tolist(), y.tolist()))
+        code, out, err = run_cli(["run", "model=linear", "kernel.family=matern32", "kernel.lengthscale=0.5",
+                                  "features.kind=hsgp", "features.F=8", "features.L=4", "dynamics.mode=general",
+                                  "dynamics.a=1.5", "dynamics.c=0.01", "noise_var=0.1"], stdin_text=csv)
+        assert code == 0, err
+        _, rows, summary = parse_report(out)
+        assert len(rows) == 128 and summary["scored"] == 128 - 14
+        assert all(math.isfinite(r["pred_mean"]) and math.isfinite(r["pred_var"]) for r in rows)
+
     def test_a_block_whose_powers_overflow_runs_row_by_row(self, monkeypatch):
-        # a = 1e6: cov_scale^26 overflows, but with one feature each y-row pins the weight down,
-        # so the row-by-row filter stays finite where a block's tick powers would not (at a = 1e100
-        # the row-by-row update itself overflows at the second row: TestExitCodes in test_cli.py)
+        # cov_scale 1 with c = 0.01 but u = 1e307: the tick shifts s_tau overflow within a block, but with
+        # one feature each y-row pins the weight down, so the row-by-row filter stays finite where a
+        # block's moments would not
         fmap = features.build_hsgp(kernels.matern32(1.0, 0.5), 1, 4.0)
         rng = np.random.default_rng(14)
         x = rng.uniform(-1.0, 1.0, 100)
         y = np.cos(x) + 0.1 * rng.standard_normal(x.size)
         y[5::9] = np.nan
-        runner = LinearRunner(fmap, lf.general(1e6, 0.5, 0.01), 0.1)
+        runner = LinearRunner(fmap, lf.general(1.0, 1e307, 0.01), 0.1)
         scalar_rows = []
         rows = LinearRunner._rows
         monkeypatch.setattr(LinearRunner, "_rows",

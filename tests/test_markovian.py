@@ -817,7 +817,7 @@ class TestStepperHistory:
         y[rng.random(t.size) < 0.25] = np.nan
         stepper = markovian.MarkovStepper(sde, 0.2, history_times=t)
         advanced = {}  # block start -> the state ``advance`` left
-        bounds = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
+        bounds = markovian.block_bounds(t, t.size, 1).tolist()
         for start, stop in zip(bounds, bounds[1:]):
             stepper.advance(float(t[start]))
             advanced[start] = (stepper.mean.copy(), stepper.cov.copy())
@@ -991,7 +991,7 @@ class TestStepperHistory:
         t = np.array([0.0, 0.5, 0.5, 1.25, 2.0, 2.0, 2.0, 3.0])
         stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
         filtered = []
-        bounds = np.flatnonzero(markovian.block_starts(t)).tolist() + [t.size]
+        bounds = markovian.block_bounds(t, t.size, 1).tolist()
         for start, stop in zip(bounds, bounds[1:]):
             ti = float(t[start])
             if before == "advance":
@@ -1072,15 +1072,16 @@ def spacetime_csv(t, rows, y):
 
 class TestTimeStepBlocks:
     """``MarkovStepper.step`` conditions on a block of rows at one timestamp at once; the
-    blocks come from the timestamps alone (``block_starts``), and ``run_chunks`` cuts chunks
+    blocks come from the timestamps alone (``block_bounds``), and ``run_chunks`` cuts chunks
     only at block starts."""
 
-    def test_block_starts_split_each_time_step_every_block_rows(self, monkeypatch):
+    def test_block_bounds_split_each_time_step_every_block_rows(self, monkeypatch):
         monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
         t = np.array([0.0] * 7 + [1.0] * 2 + [2.0] * 4 + [np.nan, np.nan, 3.0])
-        assert np.flatnonzero(markovian.block_starts(t)).tolist() == [0, 3, 6, 7, 9, 12, 13, 14, 15]
-        assert markovian.block_starts(t[3:]).tolist() == markovian.block_starts(t)[3:].tolist()  # from a start
-        assert markovian.block_starts(t[:11]).tolist() == markovian.block_starts(t)[:11].tolist()  # a prefix
+        bounds = markovian.block_bounds(t, t.size, 1).tolist()
+        assert bounds == [0, 3, 6, 7, 9, 12, 13, 14, 15, 16]
+        assert markovian.block_bounds(t[3:], t.size - 3, 1).tolist() == [b - 3 for b in bounds[1:]]  # from a start
+        assert markovian.block_bounds(t[:11], 11, 1).tolist() == [b for b in bounds if b < 11] + [11]  # a prefix
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 256])
     def test_chunks_end_at_the_first_block_start_after_chunk_rows(self, chunk_rows, monkeypatch):
@@ -1092,7 +1093,7 @@ class TestTimeStepBlocks:
         chunks, prepare = [], runner.prepare
         runner.prepare = lambda chunk: chunks.append((chunk.first_row - 1, len(chunk))) or prepare(chunk)
         assert len(run_runner(runner, data, chunk_rows)) == t.size
-        starts = set(np.flatnonzero(markovian.block_starts(t)).tolist())
+        starts = set(markovian.block_bounds(t, t.size, 1)[:-1].tolist())
         assert [first for first, _ in chunks] == sorted(first for first, _ in chunks)
         assert sum(n for _, n in chunks) == t.size
         for first, n in chunks:
@@ -1227,17 +1228,24 @@ class TestTimeStepBlocks:
         with pytest.raises(error, match=f"^step {row - 1}: {message}$"):
             markovian.kalman_filter(sde, t, y, 1e-300)
 
-    def test_stepper_run_is_bit_equal_to_the_runners_cells(self, monkeypatch):
+    def test_kalman_filter_is_bit_equal_to_the_runners_cells(self, monkeypatch):
+        # kalman_filter steps the blocks that the runner steps: the same log densities and record
         monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
         t, rows, y = tied_spacetime()
         sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
-        cells = run_runner(MarkovRunner(sde, 0.1, locations=GRID), stream_columns(y, t=t, x=GRID[rows]), 5)
-        got = list(markovian.MarkovStepper(sde, 0.1).run(t, y, rows))
-        assert got == [(c.mean, c.var, c.logdensity) for c in cells]
-        assert sum(ll is None for _, _, ll in got) > 5
+        runner = MarkovRunner(sde, 0.1, locations=GRID, history_times=t)
+        cells = run_runner(runner, stream_columns(y, t=t, x=GRID[rows]), 5)
+        got = markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
+        want = [np.nan if c.logdensity is None else c.logdensity for c in cells]
+        np.testing.assert_array_equal(got.logliks, want)
+        assert np.isnan(want).sum() > 5
+        record = runner.stepper.result()
+        assert got.loglik_total == record.loglik_total
+        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(record, name))
 
     def test_a_row_stepped_out_of_order_is_a_value_error(self):
-        # the runner draws each row's result from the stepper's run in order: a later row cannot come first
+        # the runner draws each row's result from the stepper's blocks in order: a later row cannot come first
         t = np.array([0.0, 0.0, 0.5, 1.0])
         data = stream_columns([0.1, 0.2, 0.3, 0.4], t=t)
         runner = MarkovRunner(markovian.build_lti(kernels.matern12()), 0.1)

@@ -14,8 +14,9 @@ from scipy.special import logsumexp as scipy_logsumexp
 from seqgp import ensemble as ens
 from seqgp import features, kernels, linear_filter as lf, markovian
 from seqgp.errors import DataError, NumericalError
+from seqgp.markovian import block_bounds
 from seqgp.runners import (Columns, EnsembleRunner, ExactRunner, LinearRunner, MarkovRunner, SparseRunner, StepResult,
-                           block_bounds, run_chunks)
+                           run_chunks)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 hyper = st.floats(min_value=0.05, max_value=20.0, **finite)
@@ -291,6 +292,9 @@ PLANAR_ROWS = [("0.0", "0.5", "0.0"), ("0.25", "1", "0.5"), ("1.0", "", "1.5"), 
          combiner="bma")
 @example(model="ensemble", params=PLAIN, rows=PLANAR_ROWS, ordered=True, smoothed=False, planar=False, seed=None,
          combiner="stacking")
+# an HSGP basis beyond the kernel's spectrum warned of an overflow before noise_var's error (it is now features.L's)
+@example(model="hsgp", params=PLAIN | {"noise_var": "nan", "L": "1e-300", "F": "2"}, rows=[], ordered=False,
+         smoothed=False, planar=False, seed=None, combiner="bma")
 @given(model=st.sampled_from(["matern12", "matern32", "hm", "spacetime", "sparse", "vsgp", "exact", "hsgp",
                                "ensemble"]),
        params=st.fixed_dictionaries({key: usable_number for key in ("lengthscale", "sigma_f2", "noise_var", "L")}
@@ -332,6 +336,40 @@ def test_every_model_exits_cleanly_on_any_config_and_stream(grid_file, model, pa
             assert math.isfinite(float(row["pred_mean"])) and math.isfinite(float(row["pred_var"]))
             if smoothed:
                 assert math.isfinite(float(row["smoothed_mean"])) and math.isfinite(float(row["smoothed_var"]))
+
+
+planar_point = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 4.0)] * 2)  # distinct points 0.25 apart or more
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["matern32", "se"]), lengthscale=st.floats(0.3, 3.0),
+       noise_var=st.floats(0.01, 1.0), points=st.lists(planar_point, min_size=1, max_size=12, unique=True),
+       seed=st.integers(0, 2**31 - 1))
+def test_usable_planar_runs_pass_and_vsgp_reports_what_sparse_does(data, family, lengthscale, noise_var, points,
+                                                                      seed):
+    # only usable keys, so every planar run reaches exit 0 (random keys seldom do): finite cells, and
+    # vsgp's report is sparse's, apart from its model name and wall time
+    ys = data.draw(st.lists(st.none() | st.floats(-3.0, 3.0), min_size=len(points), max_size=len(points)))
+    M = data.draw(st.integers(1, len(points)))
+    csv = "x1,x2,y\n" + "".join(f"{a!r},{b!r},{'' if y is None else repr(y)}\n" for (a, b), y in zip(points, ys))
+    keys = [f"kernel.family={family}", f"kernel.lengthscale={lengthscale!r}", f"noise_var={noise_var!r}"]
+    reports = {}
+    for model in sorted(PLANAR_MODELS):
+        sparse_keys = [] if model == "exact" else [f"sparse.M={M}", f"sparse.seed={seed}"]
+        code, out, err = run_cli(["run", f"model={model}", *keys, *sparse_keys], stdin_text=csv)
+        assert code == 0, err
+        lines = out.splitlines()
+        summary = json.loads(lines[-1], parse_constant=_reject_constant)
+        header = lines[0].split(",")
+        assert len(lines) == len(points) + 2
+        for line, y in zip(lines[1:-1], ys):
+            row = dict(zip(header, line.split(",")))
+            assert math.isfinite(float(row["pred_mean"])) and math.isfinite(float(row["pred_var"]))
+            assert (row["pred_logdensity"] == "") == (y is None)
+            assert y is None or math.isfinite(float(row["pred_logdensity"]))
+        assert summary.pop("model") == model and summary.pop("wall_time_s") >= 0.0
+        reports[model] = lines[:-1], summary
+    assert reports["vsgp"] == reports["sparse"]
 
 
 SPACE = np.array([[0.0], [0.5], [1.5]])  # the space-time route's locations; 1.0 lies off them

@@ -6,7 +6,8 @@ import pytest
 from conftest import rows_until_error, run_runner, runner_for, stream_columns
 from seqgp import exact, kernels, sparse
 from seqgp.errors import ConfigurationError, DataError
-from seqgp.runners import SparseRunner, block_bounds, run_chunks
+from seqgp.markovian import block_bounds
+from seqgp.runners import SparseRunner, run_chunks
 
 THREE_KERNELS = [
     kernels.se(1.0, 0.6),
