@@ -24,37 +24,50 @@ No matrix exponential is computed and nothing is cached per step length.
 ``predict`` adds Q = P_inf - A P_inf A^T without forming it, for one state
 or a stack of states, and Kalman filtering and Rauch-Tung-Striebel smoothing
 give exact GP inference in O(N d^3).  The rows at one timestamp are one
-vector measurement: ``MarkovStepper.step`` conditions on a block of them at
-once (one Cholesky factor of the block's innovation covariance), the blocks
-being runs of equal timestamps split every ``UPDATE_BLOCK_ROWS`` rows
-(``block_bounds``, the one partition of a stream into blocks, which every
-block route of the CLI's runners merges up to its own ``block_rows``), and
-``kalman_filter`` and the CLI's runner hand them to ``step`` in turn through
-the one block loop ``linalg.run_blocks``: a block that fails at a row (a
-failed pivot, an observation row out of range, an infinite y) runs the rows
-before it as a block and the row alone, so only a one-row failure raises.
-A block of one row is the observe -> condition hand-off of every filter
-route: the stepper's ``predict_obs`` returns the observe triple (h^T m, h^T
-s, s) and its ``update`` hands it to ``linalg.condition``, the one scored
-update.  The filter record keeps only the filtered moments, one row per distinct
-timestamp; the smoother walks back over those time steps in blocks, forms
-each block's transitions from the stored timestamps, recomputes the
-predicted moments with the forward pass's ``predict``, solves for all of the
-block's gains at once, and overwrites the filtered moments with the smoothed
-ones: three matrix products a step.  ``scipy.linalg.expm`` stays the
-reference that the tests and ``seqgp check`` compare ``transition`` against.
+vector measurement, a time step: runs of equal timestamps split every
+``UPDATE_BLOCK_ROWS`` rows (``block_bounds`` with ``min_rows`` 1, the one
+partition of a stream, which every block route of the CLI's runners merges
+up to its own ``block_rows``).  ``MarkovStepper.step`` conditions on a block
+of rows, and the one block loop ``linalg.run_blocks`` hands it each block in
+turn: ``kalman_filter``, the per-time-step reference, one time step at a
+time, and the CLI's runner the blocks of 64 rows or more that every Gaussian
+runner uses.  Within a block, each time step of tied rows, and each lone
+one-row step, advances to its time and conditions on its rows at once (one
+Cholesky factor of their innovation covariance; a step of one row is the
+observe -> condition hand-off of every filter route, ``predict_obs`` and
+``update`` on ``linalg.condition``).  Each run of two or more consecutive
+one-row time steps is conditioned as one vector measurement too, under the
+prior that the SDE implies from the state before it: its rows' covariance is
+the kernel that the SDE implies, formed from the transition basis, plus the
+part carried by the state's covariance.  A block that fails at a row (a
+failed pivot, an observation row out of range, an infinite y, a timestamp
+that is not finite or decreases) leaves the stepper as it was, and
+``run_blocks`` runs the rows before it as a block and the row alone, so only
+a one-row failure raises.
+
+The filter record keeps one row of filtered moments per distinct timestamp,
+written by the time steps and by each run at its last time, and, per run,
+its rows' moments given the data to its end and the moments of the states it
+started from and ended at; the time rows under a run are never written.  The
+smoother walks back over the time steps between runs in blocks (it forms
+their transitions from the stored timestamps, recomputes the predicted
+moments with the forward pass's ``predict``, solves for all of the block's
+gains at once, and overwrites the filtered moments with the smoothed ones:
+three matrix products a step) and over each run in one block step.
+``scipy.linalg.expm`` stays the reference that the tests and ``seqgp check``
+compare ``transition`` against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag, solve_continuous_lyapunov
 
-from .errors import ConfigurationError, DataError, NumericalError, UnsupportedKernelError
+from .errors import ConfigurationError, DataError, NumericalError, SeqgpError, UnsupportedKernelError
 from .kernels import Kernel, as_points, gram, hida_matern_components
 from .linalg import chol_jitter, condition, condition_block, fold_state, run_blocks, symmetrize
 
@@ -96,6 +109,13 @@ class LtiSde:
         pad = np.arange(positions.shape[1]) >= count[:, None]
         positions = np.where(pad, positions[:, :1], positions)
         return positions, np.where(pad, 0.0, np.take_along_axis(self.obs, positions, axis=1))
+
+    @cached_property
+    def basis_rows(self) -> np.ndarray:
+        """(d*K, d): row a*K + k is row a of basis matrix k, so ``basis_rows @ U``,
+        reshaped (d, K, n), stacks B_k u_j for every basis matrix and column of U."""
+        d = self.dim
+        return np.ascontiguousarray(self.basis.reshape(d, d, -1).transpose(0, 2, 1).reshape(-1, d))
 
 
 @dataclass(frozen=True)
@@ -214,11 +234,16 @@ def transition(sde: LtiSde, delta) -> np.ndarray:
         raise ConfigurationError("the state-space model has no closed-form transition basis")
     z = np.asarray(delta, dtype=float)
     z = z[:, None] if z.ndim else z  # one step per row; a scalar stays 0-d
+    d = sde.dim
+    return (sde.basis @ _weights(sde, z)[..., None]).reshape(z.shape[:1] + (d, d))
+
+
+def _weights(sde: LtiSde, z: np.ndarray) -> np.ndarray:
+    """The weights of ``sde.basis`` in A = expm(F z): for steps z (..., 1), the
+    (..., K) array {1, z} exp(-lambda z) {cos, sin}(b z), block by block."""
     with np.errstate(over="ignore", invalid="ignore"):  # (cos, sin) pairs, block by block
         rotated = np.where(np.exp(z * sde.poles.real) == 0.0, 0.0, np.exp(z * sde.poles)).view(float)
-    weights = np.concatenate((rotated, z * rotated), axis=-1)
-    d = sde.dim
-    return (sde.basis @ weights[..., None]).reshape(z.shape[:1] + (d, d))
+    return np.concatenate((rotated, z * rotated), axis=-1)
 
 
 def discretize(sde: LtiSde, delta: float) -> DiscreteStep:
@@ -250,28 +275,42 @@ def predict(sde: LtiSde, A: np.ndarray, mean: np.ndarray, cov: np.ndarray):
 
 class MarkovStepper:
     """Streaming filter state: advance to a timestamp, then condition on the
-    time step's observations.
+    rows observed there.
 
-    ``step`` is the one entry point: it takes a block of rows at one timestamp
-    (``block_bounds``) and conditions on them as one vector measurement.
-    ``kalman_filter`` and the CLI's runner hand it a stream's blocks in turn
-    through ``linalg.run_blocks``.  Each step of nonzero length computes its
-    transition in closed form, so memory does not grow with the number of
-    distinct step lengths.  A zero-length step after the first row leaves the
-    state untouched (A = I, Q = 0 is exact on a symmetric covariance).
+    ``step`` is the one entry point.  It takes a block of rows and conditions
+    on its time steps (``block_bounds`` of its timestamps) in turn: a time
+    step of tied rows, or a lone one-row step, at its own time (``advance``,
+    then ``predict_obs`` and ``update`` for one row or ``_condition_block``
+    for more), and each run of two or more consecutive one-row time steps at
+    once, under the prior that the SDE implies from the state before it
+    (``_run``).  ``kalman_filter`` hands it one time step at a time, the
+    per-time-step reference, and the CLI's runner the blocks of
+    ``block_bounds`` with ``UPDATE_BLOCK_ROWS`` rows, both through
+    ``linalg.run_blocks``.  A block that raises leaves the state, the clock
+    and the record as they were before it.  Each step of nonzero length
+    computes its transition in closed form, so memory does not grow with the
+    number of distinct step lengths.  A zero-length step after the first row
+    leaves the state untouched (A = I, Q = 0 is exact on a symmetric
+    covariance).
+
     ``history_times`` (the stream's timestamps) allocates ``history``, a
-    ``FilterResult`` with one row of moments per distinct timestamp that each
-    block at that time overwrites: d^2 + d + 1 doubles per time, 3 per row.
+    ``FilterResult`` with one row of moments per distinct timestamp and 3
+    values per input row.  A time step writes its time row (a tie overwrites
+    it), so the row holds the moments after the time's last input row.  A run
+    writes only the time row of its last row and appends a ``RunRecord``: 2 + d
+    values per row and five arrays of at most d^2 for the run, from which the
+    smoother gets its rows and its start state.  The time rows under a run are
+    never written, so their pages are never touched.
 
-    The stepper owns ``mean`` and ``cov``.  ``step`` and ``update`` condition
-    both in place, and a zero-length ``advance`` leaves them as they are; an
-    ``advance`` of nonzero length replaces them with new arrays.  Callers read
-    them, copy what they keep, and never write them.  A history row is the
-    only copy a step makes.  A block of one row is the observe -> condition
-    hand-off of the linear and sparse routes: ``predict_obs`` returns the
-    observe triple (h^T mean, h^T s, s), with s = cov h formed once through the
-    row's entries (``LtiSde.obs_entries``), and ``update`` conditions on that
-    triple (``linalg.condition``).  A longer block reads H through the same
+    The stepper owns ``mean`` and ``cov``.  A time step conditions both in
+    place, and a zero-length ``advance`` leaves them as they are; an
+    ``advance`` of nonzero length and a run replace them with new arrays.
+    Callers read them, copy what they keep, and never write them.  A block of
+    one row is the observe -> condition hand-off of the linear and sparse
+    routes: ``predict_obs`` returns the observe triple (h^T mean, h^T s, s),
+    with s = cov h formed once through the row's entries
+    (``LtiSde.obs_entries``), and ``update`` conditions on that triple
+    (``linalg.condition``).  A longer time step reads H through the same
     entries and factors the innovation covariance of its y-rows once
     (``_condition_block``, through ``linalg.condition_block``).
     """
@@ -290,13 +329,9 @@ class MarkovStepper:
             self.history = FilterResult(np.empty(m), np.empty((m, d)), np.empty((m, d, d)), np.empty(n, dtype=int),
                                         np.empty(n, dtype=int), np.empty(n), 0.0)
 
-    def advance(self, t: float, prepared: tuple | None = None) -> None:
-        """Propagate the state to time ``t`` (finite, >= the current time).
-
-        The predicted moments are ``predict``'s over the step's transition.
-        ``prepared`` = (delta, A) is a transition the caller formed in advance
-        (``transition(sde, delta)``); it is used when this step has length delta.
-        """
+    def advance(self, t: float) -> None:
+        """Propagate the state to time ``t`` (finite, >= the current time): the
+        predicted moments are ``predict``'s over the step's transition."""
         delta = 0.0 if self.time is None else t - self.time
         if not (math.isfinite(t) and math.isfinite(delta)):
             raise DataError(f"non-finite timestamp or step ({self.time} -> {t})")
@@ -304,8 +339,7 @@ class MarkovStepper:
             raise DataError(f"timestamps decrease ({self.time} -> {t})")
         if delta == 0.0 and self.time is not None:
             return
-        A = prepared[1] if prepared is not None and prepared[0] == delta else transition(self.sde, delta)
-        self.mean, self.cov = predict(self.sde, A, self.mean, self.cov)
+        self.mean, self.cov = predict(self.sde, transition(self.sde, delta), self.mean, self.cov)
         self.time = t
 
     def predict_obs(self, row: int = 0):
@@ -333,17 +367,90 @@ class MarkovStepper:
         predictive log density of y."""
         return condition(self.mean, self.cov, observed, y, self.noise_var)
 
-    def step(self, t: float, ys, rows, prepared: tuple | None = None):
-        """Advance to ``t`` (with ``advance``'s ``prepared`` transition) and condition
-        on one block of rows at that time: ``ys`` (n,) their observations, NaN on a
-        predict-only row, and ``rows`` (n,) their observation rows.  Returns three
-        lists, each row's latent predictive mean and variance through its
-        observation row given the y-rows before it, and the log density of its y
-        (None on a predict-only row).  A block of one row is ``predict_obs`` and
-        ``update``; a longer one is ``_condition_block``.  An error whose
-        ``detail["row"]`` is p leaves the state advanced but unconditioned, so the
-        block's rows before p, row p and the rest can each be conditioned on as
-        a block of their own, as ``linalg.run_blocks`` does."""
+    def step(self, t, ys, rows):
+        """Condition on one block of rows: ``ys`` (n,) their observations, NaN on a
+        predict-only row, ``rows`` (n,) their observation rows, and ``t`` their
+        timestamp (a float), or a sequence of n timestamps, one per row.
+        Returns three lists, each row's latent predictive mean and variance
+        through its observation row given the y-rows before it, and the log
+        density of its y (None on a predict-only row).
+
+        Rows at one timestamp are one time step, conditioned by ``_time_step``;
+        per-row timestamps are split into time steps by ``block_bounds``, and
+        each run of two or more consecutive one-row time steps is one ``_run``.  A block that raises leaves the state, the clock
+        and the record as they were before it.  An error whose
+        ``detail["row"]`` is p names the block's row at fault, so the rows
+        before p, row p and the rest can each be conditioned on as a block of
+        their own, as ``linalg.run_blocks`` does."""
+        one_time = isinstance(t, (int, float))
+        pieces = [(0, len(ys), False)] if one_time else self._pieces(t, len(ys))
+        saved = self._state() if len(pieces) > 1 else None
+        out = [], [], []
+        for a, b, run in pieces:
+            try:
+                if run:
+                    part = self._run(t[a:b], ys[a:b], rows[a:b])
+                else:
+                    part = self._time_step(t if one_time else t[a], ys[a:b], rows[a:b])
+            except SeqgpError as exc:
+                if a:  # a piece that raises has changed nothing: undo the pieces before it
+                    self._restore(saved)
+                    exc.detail = {**(exc.detail or {}), "row": a + (exc.detail or {}).get("row", 0)}
+                raise
+            if len(pieces) == 1:
+                return part
+            for values, more in zip(out, part):
+                values += more
+        return out
+
+    def _pieces(self, ts, n: int) -> list:
+        """(start, stop, run) for each time step of the block with timestamps ``ts``,
+        with runs of two or more consecutive one-row time steps joined into one
+        piece (run True).  A run starts from a state in the record: where
+        ``advance`` moved the clock past the record's last time row, the run's
+        first row is a time step of its own."""
+        if n <= UPDATE_BLOCK_ROWS and len(set(ts)) == 1:  # one time step, as on a space-time grid
+            return [(0, n, False)]
+        bounds = block_bounds(ts, n, 1).tolist()
+        pieces = []
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a == 1 and pieces and pieces[-1][2]:  # one more one-row step
+                pieces[-1][1] = b
+            else:
+                pieces.append([a, b, b - a == 1])
+        pieces = [(a, b, ones and b - a > 1) for a, b, ones in pieces]
+        h, k = self.history, self.rows_written
+        if h is not None and pieces[0][2] and self.time is not None and (
+                k == 0 or self.time != h.times[h.steps[k - 1]]):
+            a, b, _ = pieces[0]
+            pieces[:1] = [(a, a + 1, False), (a + 1, b, b - a > 2)]
+        return pieces
+
+    def _state(self) -> list:
+        """What ``_restore`` needs to undo the pieces of a block: copies of the moments
+        (a tie at the clock conditions them in place), the clock, and the record's
+        row count, total, runs and a copy of its last time row (which such a tie
+        overwrites)."""
+        state = [self.mean.copy(), self.cov.copy(), self.time, self.rows_written]
+        h = self.history
+        if h is not None:
+            p = int(h.steps[self.rows_written - 1]) if self.rows_written else -1
+            state += [h.loglik_total, len(h.runs), (p, h.means[p].copy(), h.covs[p].copy()) if p >= 0 else None]
+        return state
+
+    def _restore(self, state: list) -> None:
+        self.mean, self.cov, self.time, self.rows_written = state[:4]
+        h = self.history
+        if h is not None:
+            h.loglik_total, runs, row = state[4:]
+            del h.runs[runs:]
+            if row is not None:
+                p, h.means[p], h.covs[p] = row
+
+    def _time_step(self, t: float, ys, rows):
+        """``step`` on rows at one timestamp ``t``: advance to ``t``, then condition
+        on them as one vector measurement.  A block of one row is ``predict_obs``
+        and ``update``; a longer one is ``_condition_block``."""
         k, h, n = self.rows_written, self.history, len(ys)
         if h is not None:
             p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
@@ -351,12 +458,17 @@ class MarkovStepper:
             if k + n > h.steps.size or j == h.times.size:
                 raise DataError(f"the history holds {h.steps.size} rows at {h.times.size} times; "
                                 f"step {k + 1} does not fit")
-        self.advance(t, prepared)
-        if n == 1:
-            y, observed = ys[0], self.predict_obs(rows[0])
-            out = [observed[0]], [observed[1]], [None if y != y else self.update(y, observed)]
-        else:
-            out = self._condition_block(np.asarray(ys, dtype=float), np.asarray(rows, dtype=int))
+        before = self.mean, self.cov, self.time
+        self.advance(t)
+        try:
+            if n == 1:
+                y, observed = ys[0], self.predict_obs(rows[0])
+                out = [observed[0]], [observed[1]], [None if y != y else self.update(y, observed)]
+            else:
+                out = self._condition_block(np.asarray(ys, dtype=float), np.asarray(rows, dtype=int))
+        except SeqgpError:  # raised before conditioning: undo the advance, which replaced the arrays
+            self.mean, self.cov, self.time = before
+            raise
         if h is not None:
             h.times[j], h.means[j], h.covs[j] = t, self.mean, self.cov
             for row, ll in zip(rows, out[2]):
@@ -367,7 +479,7 @@ class MarkovStepper:
         return out
 
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
-        """``step`` on a block of rows at the current time, as one vector measurement.
+        """``_time_step`` on a block of rows at the current time, as one vector measurement.
 
         With H the block's observation rows, the rows' latent values are a priori
         N(H m, H P H^T), and ``linalg.condition_block`` gives each row's
@@ -408,6 +520,116 @@ class MarkovStepper:
         fold_state(m, P, out, HP[out.scored])
         return out.means, out.variances, out.logdensities
 
+    def _run(self, ts, ys, rows):
+        """``step`` on a run of n >= 2 one-row time steps as one vector measurement.
+
+        With x_s ~ N(m, P) the state at the clock t_s (the first row's time when
+        the clock is unset), P_inf the stationary covariance and h_i row i's
+        observation row, let b_i = A(t_i - t_s)^T h_i.  A priori the rows'
+        latent values have means b_i^T m and covariances C_ij = kappa_ij + b_i^T
+        (P - P_inf) b_j, where kappa_ij = h_i^T A(t_i - t_j) P_inf h_j for t_i >=
+        t_j is the kernel that the SDE implies: the pair's transition weights
+        (``transition``'s) times the constants h_i^T B_k P_inf h_j, one product
+        with ``sde.basis``.  ``linalg.condition_block`` conditions them; the
+        state moves to the last row's time t_e in one ``predict`` over A(t_e -
+        t_s), and ``linalg.fold_state`` folds the y-rows in with cross terms
+        Cov(f_j, x_e) = (A(t_e - t_j) P_inf h_j)^T + b_j^T (P - P_inf) A(t_e -
+        t_s)^T.  The rows are read through ``sde.obs_entries`` and B_k^T h_i
+        through the basis, so the temporaries are O(n^2 + n d + d^2) arrays,
+        times the K basis weights, and no (n, d, d) stack is formed.
+
+        Every row's inputs are checked first: a finite timestamp at or after the
+        one before it (the clock, for the first), an observation row in range,
+        a y that is not infinite, and room in the record.  The first row that
+        fails is a DataError naming it (``detail["row"]``), as a failed pivot is
+        ``condition_block``'s NumericalError, each raised before the state
+        changes.  With a history, the run appends its ``RunRecord``."""
+        sde, h, k = self.sde, self.history, self.rows_written
+        n, d = len(ts), sde.dim
+        t, y, r = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), np.asarray(rows, dtype=int)
+        start = t[0] if self.time is None else self.time
+        positions, weights = sde.obs_entries
+        n_obs = len(positions)
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = np.concatenate(([start], t[:-1]))
+            moves = np.isfinite(t - before) & (t >= before) & np.isfinite(t - start)
+        fits, p = n, -1
+        if h is not None:
+            p = int(h.steps[k - 1]) if k else -1  # the record's last time row: the start state's
+            first = p + (p < 0 or ts[0] != h.times[p])  # the first row's time row
+            fits = min(h.steps.size - k, h.times.size - first)
+        bad = ~moves | (r < 0) | (r >= n_obs) | np.isinf(y) | (np.arange(n) >= fits)
+        if bad.any():  # the run's first bad row
+            i = int(np.argmax(bad))
+            prev = self.time if i == 0 else ts[i - 1]
+            if not moves[i]:
+                message = (f"timestamps decrease ({prev} -> {ts[i]})" if prev is not None and t[i] < prev
+                           else f"non-finite timestamp or step ({prev} -> {ts[i]})")
+            elif not 0 <= r[i] < n_obs:
+                message = f"observation row {r[i]} is not in [0, {n_obs})"
+            elif math.isinf(y[i]):
+                message = f"non-finite observation {float(y[i])!r}"
+            else:
+                message = (f"the history holds {h.steps.size} rows at {h.times.size} times; "
+                           f"step {k + i + 1} does not fit")
+            raise DataError(message, detail={"row": i})
+
+        m, P, Pinf = self.mean, self.cov, sde.stationary
+        pos, w = positions[r], weights[r]  # (n, r): each row's entries
+        basis = sde.basis.reshape(d, d, -1)  # [a, b, k] = B_k[a, b]
+        HB = basis[pos[:, 0]] * w[:, :1, None]  # (n, d, K): B_k^T h_i
+        U = Pinf[pos[:, 0]] * w[:, :1]  # (n, d): (P_inf h_i)^T, as P_inf is symmetric
+        for e in range(1, pos.shape[1]):
+            HB += basis[pos[:, e]] * w[:, e:e + 1, None]
+            U += Pinf[pos[:, e]] * w[:, e:e + 1]
+        B = np.einsum("ibk,ik->ib", HB, _weights(sde, (t - start)[:, None]))  # row i: b_i
+        i, j = np.tril_indices(n)  # the pairs t_i >= t_j
+        kappa = np.einsum("pk,pk->p", _weights(sde, (t[i] - t[j])[:, None]), (HB.transpose(0, 2, 1) @ U.T)[i, :, j])
+        C = np.empty((n, n))
+        C[i, j] = C[j, i] = kappa
+        BD = B @ (P - Pinf)
+        C += BD @ B.T
+        A = transition(sde, t[-1] - start)
+        BU = (sde.basis_rows @ U.T).reshape(d, -1, n)  # [a, k, j] = (B_k P_inf h_j)_a
+        cross = np.einsum("akj,jk->ja", BU, _weights(sde, (t[-1] - t)[:, None])) + BD @ A.T
+        mu = B @ m
+        out = condition_block(mu, C, y, self.noise_var)
+        mean, cov = predict(sde, A, m, P)
+        fold_state(mean, cov, out, cross[out.scored])
+        if h is not None:
+            self._record_run(t, r, C, mu, B, cross, A, out, mean, cov, p)
+        self.mean, self.cov, self.time = mean, cov, ts[-1]
+        return out.means, out.variances, out.logdensities
+
+    def _record_run(self, t, r, C, mu, B, cross, A, out, mean, cov, p: int) -> None:
+        """Write a run to the history: its rows' time rows, the end state's time row,
+        and its ``RunRecord``, from the run's prior (mu, C, the b_i in B and the
+        cross terms), its end transition A and its conditioning ``out``.  With
+        W = L^-1 C_Y, G_e = L^-1 Cov(f_Y, x_e) and G_s = L^-1 Cov(f_Y, x_s)
+        (Cov(f_j, x_s) = b_j^T P), every row and the start state are conditioned
+        on the run's y-rows: E[f | y] = mu + W^T z, Cov(f, x_e | y) = Cov(f,
+        x_e) - W^T G_e, E[x_s | y] = m + G_s^T z, Cov(x_s | y) = P - G_s^T G_s
+        and Cov(x_s, x_e | y) = P A^T - G_s^T G_e."""
+        h, k, n = self.history, self.rows_written, len(t)
+        m, P = self.mean, self.cov  # the start state
+        Y = out.scored
+        if Y.size:
+            z, W, G_e, G_s = out.z, out.inverse @ C[Y], out.inverse @ cross[Y], out.inverse @ (B[Y] @ P)
+        else:
+            z, W, G_e, G_s = np.zeros(0), np.zeros((0, n)), np.zeros((0, m.size)), np.zeros((0, m.size))
+        first = int(p + (p < 0 or t[0] != h.times[p]))
+        end = first + n - 1
+        h.times[first:end + 1] = t
+        h.means[end], h.covs[end] = mean, cov
+        h.steps[k:k + n], h.obs_rows[k:k + n] = np.arange(first, end + 1), r
+        for i, ll in enumerate(out.logdensities):
+            h.logliks[k + i] = np.nan if ll is None else ll
+            h.loglik_total += 0.0 if ll is None else ll
+        rows = np.column_stack((mu + z @ W, C.diagonal() - np.einsum("ij,ij->j", W, W)))
+        h.runs.append(RunRecord(k, p if self.time is not None else -1, end, rows, cross - W.T @ G_e,
+                                m + z @ G_s, P - G_s.T @ G_s, P @ A.T - G_s.T @ G_e, mean.copy(), cov.copy()))
+        self.rows_written = k + n
+
     def result(self) -> FilterResult:
         """The history rows written so far, as views of ``history`` (no copy)."""
         if self.history is None:
@@ -415,7 +637,26 @@ class MarkovStepper:
         h, n = self.history, self.rows_written
         m = int(h.steps[n - 1]) + 1 if n else 0
         return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], h.logliks[:n],
-                            h.loglik_total)
+                            h.loglik_total, h.runs)
+
+
+@dataclass
+class RunRecord:
+    """A run's share of the smoothing record (``MarkovStepper._run``).  x_s and x_e
+    are the states the run started from and ended at, and y every observation up
+    to its last row; given x_e, the run's rows and x_s are independent of every
+    later observation, which is what ``rts_smoother`` uses."""
+
+    first: int  # the run's first input row
+    start: int  # the time row of x_s; -1 where x_s is the stationary prior at the stream's first row
+    end: int  # the time row of x_e, the run's last row's
+    rows: np.ndarray  # (n, 2) E[f_i | y] and Var(f_i | y); smoothed after rts_smoother
+    cross: np.ndarray  # (n, d) Cov(f_i, x_e | y)
+    start_mean: np.ndarray  # (d,) E[x_s | y]
+    start_cov: np.ndarray  # (d, d) Cov(x_s | y)
+    start_cross: np.ndarray  # (d, d) Cov(x_s, x_e | y)
+    end_mean: np.ndarray  # (d,) E[x_e | y], the filtered moments after the run
+    end_cov: np.ndarray  # (d, d) Cov(x_e | y)
 
 
 @dataclass
@@ -424,7 +665,9 @@ class FilterResult:
     moments after the time's last input row; ``steps`` maps each input row to
     its time's row.  What the smoother reads, and what ``emit_smoothed`` keeps.
     Step k's transition is ``transition(sde, times[k] - times[k - 1])`` and its
-    predicted moments are ``predict`` of row k - 1 over it: neither is stored."""
+    predicted moments are ``predict`` of row k - 1 over it: neither is stored.
+    A run (``MarkovStepper._run``) writes only the time row of its last row;
+    the moments of its rows and its start state are in its ``RunRecord``."""
 
     times: np.ndarray  # (T,) the distinct timestamps, increasing
     means: np.ndarray  # (T, d) filtered; smoothed after rts_smoother
@@ -433,6 +676,7 @@ class FilterResult:
     obs_rows: np.ndarray  # (N,) index of the H row used per input row
     logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
     loglik_total: float
+    runs: list = field(default_factory=list)  # RunRecords in row order; none from kalman_filter
 
 
 # A time step's rows are conditioned in blocks of at most this many rows, counted
@@ -470,16 +714,19 @@ def block_bounds(t, n: int, min_rows: int) -> np.ndarray:
 
 
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
-    """Forward filter over an ordered stream of scalar observations.
+    """Forward filter over an ordered stream of scalar observations, one time step
+    at a time: the per-time-step reference that the runner's runs are tested against.
 
     ``times`` must be finite and non-decreasing.  A NaN in ``values`` marks a
     predict-only step: the state advances to that time without a measurement
     update.  ``obs_rows`` selects which observation row of ``sde.obs`` each
     step uses (always row 0 for temporal models).  The rows go to
-    ``MarkovStepper.step`` through ``linalg.run_blocks``, in the blocks of
-    ``block_bounds`` that the CLI's runner steps, so the two give the same
-    bits.  A row that the stepper rejects (its timestamp, its observation
-    row, an infinite value or a failed one-row update) is its DataError or
+    ``MarkovStepper.step`` through ``linalg.run_blocks`` one time step at a
+    time (``block_bounds`` with ``min_rows`` 1), so the record has no runs: a
+    row of moments per distinct timestamp.  A stream without one-row runs
+    (every time step tied, as on a space-time grid) gives the runner's bits.
+    A row that the stepper rejects (its timestamp, its observation row, an
+    infinite value or a failed one-row update) is its DataError or
     NumericalError, prefixed with ``step k: ``, k the rows run before it.
     Starts from the stationary law N(0, P_inf).  Under ties the result has
     fewer rows of times and moments than inputs: one per distinct timestamp.
@@ -529,27 +776,46 @@ def _gains(Pp: np.ndarray, APf: np.ndarray, start: int) -> np.ndarray:
 def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
     """Backward Rauch-Tung-Striebel pass over a completed filter result, in place.
 
-    The smoothed moments of step k are m_k = c_k + G_k m_{k+1} and P_k = D_k +
-    G_k P_{k+1} G_k^T (Sarkka 2013, section 8.2, rearranged), where G_k = P_f
-    A^T P_p^-1 is the gain, c_k = m_f - G_k m_p and D_k = P_f - G_k A P_f =
-    P_f - G_k P_p G_k^T depend only on step k's filtered moments and its step
-    to row k + 1, of nonzero length as the record has a row per timestamp.
+    The pass walks back over the record's time rows and runs.  Between runs
+    (everywhere, in a record of ``kalman_filter``'s) it takes the time steps
+    in blocks (``_smooth_steps``): the smoothed moments of step k are m_k = c_k
+    + G_k m_{k+1} and P_k = D_k + G_k P_{k+1} G_k^T (Sarkka 2013, section 8.2,
+    rearranged), where G_k = P_f A^T P_p^-1 is the gain, c_k = m_f - G_k m_p
+    and D_k = P_f - G_k A P_f = P_f - G_k P_p G_k^T depend only on step k's
+    filtered moments and its step to row k + 1, of nonzero length as the
+    record has a row per timestamp.  A run takes one block step
+    (``_smooth_run``) from its end state's smoothed moments to its rows' and
+    its start state's, which it writes into the start state's time row.
+    Returns ``result``, whose filtered moments are gone and whose runs hold
+    their rows' smoothed moments.  A singular predicted covariance is a
+    NumericalError whose ``detail["step"]`` is its time row; of several, the
+    highest, which the pass meets first."""
+    n = result.times.size
+    if any(len(moments) != n for moments in (result.means, result.covs)):
+        raise DataError("filter result is missing the stored per-step moments")
+    block = max(1, SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
+    stop = n - 1
+    for run in reversed(result.runs):
+        _smooth_steps(sde, result, run.end, stop, block)
+        _smooth_run(result, run)
+        stop = run.start
+    _smooth_steps(sde, result, 0, stop, block)
+    return result
+
+
+def _smooth_steps(sde: LtiSde, result: FilterResult, first: int, last: int, block: int) -> None:
+    """Smooth time rows first .. last - 1 from row ``last``'s smoothed moments.
+
     The pass walks back in blocks of at most ``SMOOTH_BLOCK_BYTES`` of d x d
     matrices.  A block forms the transitions in one ``transition`` call, the
     predicted moments in one stacked ``predict`` (bit-equal to the forward
     pass's), every A P_f in one stacked product, the gains in one stacked
     solve, and c and D; step k then takes three matrix products and two adds
-    into its own row.  Returns ``result``, whose filtered moments are gone.  A
-    singular predicted covariance is a NumericalError whose ``detail["step"]``
-    is its time row; of several, the highest, which the pass meets first."""
-    n = result.times.size
+    into its own row."""
     means, covs = result.means, result.covs
-    if any(len(moments) != n for moments in (means, covs)):
-        raise DataError("filter result is missing the stored per-step moments")
-    block = max(1, SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
     spread = np.empty((sde.dim, sde.dim))  # G_k P_{k+1}
-    for stop in range(n - 1, 0, -block):  # smooth steps start..stop-1, whose filtered moments are intact
-        start = max(stop - block, 0)
+    for stop in range(last, first, -block):  # smooth steps start..stop-1, whose filtered moments are intact
+        start = max(stop - block, first)
         A = transition(sde, np.diff(result.times[start:stop + 1]))  # row i: step start + i -> start + i + 1
         mf, Pf = means[start:stop], covs[start:stop]
         mp, Pp = predict(sde, A, mf, Pf)
@@ -567,7 +833,28 @@ def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
             P += D[i]
             np.dot(G[i], m_rows[i + 1], m)
             m += c[i]
-    return result
+
+
+def _smooth_run(result: FilterResult, run: RunRecord) -> None:
+    """The block step over a run, from the smoothed moments of its end state x_e
+    (time row ``run.end``).  With Gamma = Cov(., x_e | y) P_e^-1, P_e the run's
+    filtered end covariance, dm = m^s_e - m_e and dP = P^s_e - P_e, each row's
+    mean gains Gamma_f dm and its variance Gamma_f dP Gamma_f^T, and the start
+    state likewise with Gamma_s: given x_e, the run's rows and x_s are
+    independent of every later observation.  A singular P_e is a
+    NumericalError naming the end's time row."""
+    means, covs, n = result.means, result.covs, len(run.rows)
+    dm, dP = means[run.end] - run.end_mean, covs[run.end] - run.end_cov
+    try:
+        gains = np.linalg.solve(run.end_cov, np.concatenate((run.cross, run.start_cross)).T).T
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"singular filtered covariance at step {run.end}", detail={"step": run.end}) from None
+    G_f, G_s = gains[:n], gains[n:]
+    run.rows[:, 0] += G_f @ dm
+    run.rows[:, 1] += np.einsum("ij,ij->i", G_f @ dP, G_f)
+    if run.start >= 0:
+        means[run.start] = run.start_mean + G_s @ dm
+        covs[run.start] = symmetrize(run.start_cov + G_s @ dP @ G_s.T)
 
 
 def build_spatiotemporal(temporal_kernel: Kernel, spatial_kernel: Kernel, locations) -> LtiSde:

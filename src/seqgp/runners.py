@@ -5,12 +5,12 @@ Every runner follows one row protocol, and ``run_chunks`` drives it the way
 (``markovian.block_bounds``): the stream's blocks (runs of equal
 timestamps, split every ``UPDATE_BLOCK_ROWS`` rows; every row, without
 timestamps) merged until each has at least the runner's ``block_rows`` rows:
-``UPDATE_BLOCK_ROWS`` for the exact, sparse and vsgp runners and the linear
-runner under the Gaussian likelihood and non-expanding dynamics, the
+``UPDATE_BLOCK_ROWS`` for the exact, Markov, sparse and vsgp runners and the
+linear runner under the Gaussian likelihood and non-expanding dynamics, the
 members' largest for an ensemble, and 1 otherwise.  ``prepare(chunk)`` does
 the work that depends only on the inputs of a chunk of rows (``Columns``)
-in one call (sparse projections, feature rows, Markov transitions and
-observation rows, or the exact runner's points) and starts, without running
+in one call (sparse projections, feature rows, Markov observation rows, or
+the exact runner's points) and starts, without running
 it, the chunk's row generator over those arrays and ``chunk.y`` (NaN marks a
 predict-only row).
 ``step(record)``, one method for every runner, draws the record's row from
@@ -30,15 +30,19 @@ when the block's first row is drawn: the block's latent values are a priori
 jointly Gaussian, ``linalg.condition_block`` gives each row its prequential
 moments and log density, and the runner folds the block's y-rows into its
 state (``linalg.fold_state`` for the Markov, sparse and linear states; a row
-panel of the Cholesky factor for the exact GP).  One block loop,
-``linalg.run_blocks``, started by ``_RowRunner._start_blocks``, drives the
-exact, sparse, linear and Markov runners with one failure rule: a block
-that fails at a row (a failed pivot; kernel, projection or feature entries
-that are not finite; an unknown location, an observation row out of range
-or an infinite y) runs the rows before it as a block, the row alone, and
-the rest as a new block, so only a one-row failure raises.  Row by row (a
-Markov block of one row, and the linear runner under a Laplace likelihood
-or expanding dynamics, or where a block's powers overflow),
+panel of the Cholesky factor for the exact GP).  A Markov block is its time
+steps in turn, each tied step at once and each run of one-row time steps at
+once under the prior that the SDE implies (``MarkovStepper.step``).  One
+block loop, ``linalg.run_blocks``, started by ``_RowRunner._start_blocks``,
+drives the exact, sparse, linear and Markov runners with one failure rule:
+a block that fails at a row (a failed pivot; kernel, projection or feature
+entries that are not finite; an unknown location, an observation row out
+of range, an infinite y, or in a Markov run a timestamp that is not finite
+or decreases) runs the rows before it as a block, the row alone, and the
+rest as a new block, so only a one-row failure raises.  Row by row (a
+Markov time step of one row outside a run, and the linear runner under a
+Laplace likelihood or expanding dynamics, or where a block's powers
+overflow),
 ``linear_filter.observe_f`` or ``MarkovStepper.predict_obs`` forms (h^T m,
 h^T s, s) with s = P h once, and a y-row hands that triple to
 ``linalg.condition``, the one scored update (through
@@ -373,17 +377,19 @@ class MarkovRunner(_RowRunner):
 
     Every row carries ``t``, and ``x`` exactly when ``locations`` is given;
     ``cli.validate_stream_for_model`` checks the columns before any row.
-    ``prepare`` stacks the transitions of the chunk's rows whose finite step
-    (from the stepper's time for the first row) moves the clock in one
-    ``markovian.transition`` call, looks up every row's observation row in one
-    vectorised pass (the first location equal to its coordinates, else the
-    nearest one within 1e-9 (1 + ||location||)), and starts the stepper's
-    blocks (``markovian.block_bounds`` with ``block_rows`` 1) through
-    ``_start_blocks``.  A block whose first row has no location raises it;
-    elsewhere in a block, such a row is out of range for the stepper.  A row
-    is charged the flops of its own predict and update, as if stepped alone,
-    and a block's first row the move if its transition was prepared, as the
-    stream's first row is."""
+    ``prepare`` looks up every row's observation row in one vectorised pass
+    (the first location equal to its coordinates, else the nearest one
+    within 1e-9 (1 + ||location||)) and starts the stepper's blocks
+    (``markovian.block_bounds`` with ``block_rows``, 64 rows or more, as for
+    every Gaussian runner) through ``_start_blocks``.  ``MarkovStepper.step``
+    conditions each block's tied time steps one at a time and each run of
+    one-row time steps at once.  A block whose first row has no location
+    raises it; elsewhere in a block, such a row is out of range for the
+    stepper, which names it.  A row is charged the flops of its own predict
+    and update, as if stepped alone, and the move if it moves the clock, as
+    the stream's first row does."""
+
+    block_rows = markovian.UPDATE_BLOCK_ROWS
 
     def __init__(self, sde, noise_var: float, locations=None, history_times=None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
@@ -414,11 +420,7 @@ class MarkovRunner(_RowRunner):
         prev = stepper.time
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is the stepper's DataError
             deltas = np.diff(t, prepend=t[:1] if prev is None else prev)
-        moving = np.flatnonzero((deltas > 0.0) & (deltas < math.inf))
-        steps = [None] * len(chunk)  # per row, (delta, A) of a step that moves the clock
-        for i, delta, A in zip(moving.tolist(), deltas[moving].tolist(),
-                               markovian.transition(stepper.sde, deltas[moving])):
-            steps[i] = (delta, A)
+        moving = (deltas > 0.0) & (deltas < math.inf)
         predict, move, update = self._costs
         costs = predict + update * ~np.isnan(chunk.y)  # per row: its predict, its update if it has a y
         costs[moving] += move  # and the move of a step that moves the clock
@@ -430,7 +432,7 @@ class MarkovRunner(_RowRunner):
         def block(start, stop):
             if rows[start] < 0:
                 raise DataError(f"location {chunk.x[start]} is not in spatial.locations", detail={"row": 0})
-            return zip(*stepper.step(ts[start], ys[start:stop], rows[start:stop], steps[start]))
+            return zip(*stepper.step(ts[start:stop], ys[start:stop], rows[start:stop]))
 
         self._start_blocks(chunk, block, costs.tolist())
 
@@ -442,11 +444,12 @@ class MarkovRunner(_RowRunner):
         a NumericalError whose ``detail["step"]`` names the input row at fault
         (for a singular gain, the first input row of its time step).
 
-        A row with entries (i_j, w_j) (``sde.obs_entries``) reads its time row's
-        sum_j w_j m_i_j and sum_j w_j sum_l P_i_j,i_l w_l: r^2 + r gathers of one
-        value per input row, summed in (N,) arrays.  A time row with a
+        A row of a run reads its smoothed moments from the run's record.  Any
+        other row, with entries (i_j, w_j) (``sde.obs_entries``), reads its time
+        row's sum_j w_j m_i_j and sum_j w_j sum_l P_i_j,i_l w_l: r^2 + r gathers
+        of one value per input row, summed in (N,) arrays.  A time row with a
         non-finite entry that this does not read gives its input rows a NaN
-        variance."""
+        variance; the time rows under a run are never read."""
         if self._smoothed:
             raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
         self._smoothed = True
@@ -458,6 +461,13 @@ class MarkovRunner(_RowRunner):
             exc.args = (f"{str(exc).rpartition(' ')[0]} {k}",)  # the same exception, now naming the input row
             raise
         means, covs, k, rows = record.means, record.covs, record.steps, record.obs_rows
+        read = np.arange(record.times.size)  # the time rows that some input row reads
+        if record.runs:
+            plain = np.ones(k.size, dtype=bool)
+            for run in record.runs:
+                plain[run.first:run.first + len(run.rows)] = False
+            k, rows = k[plain], rows[plain]
+            read = np.unique(k)
         positions, weights = sde.obs_entries
         smoothed = np.zeros((k.size, 2))  # the sums start at 0.0, which turns a lone -0.0 term into 0.0
         for j in range(positions.shape[1]):  # entry j of every input row, as (N,) arrays
@@ -468,11 +478,16 @@ class MarkovRunner(_RowRunner):
             smoothed[:, 0] += means[k, i] * weights[rows, j]
             smoothed[:, 1] += Pw * weights[rows, j]
         block = max(1, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
-        finite = np.empty(record.times.size, dtype=bool)  # per time row, every entry, read or not
-        for start in range(0, finite.size, block):
-            span = slice(start, start + block)
+        finite = np.empty(record.times.size, dtype=bool)  # per time row read, every entry, read or not
+        for start in range(0, read.size, block):
+            span = read[start:start + block]
             finite[span] = np.isfinite(covs[span]).all(axis=(1, 2)) & np.isfinite(means[span]).all(axis=1)
         smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan
+        if record.runs:
+            smoothed, rest = np.empty((plain.size, 2)), smoothed
+            smoothed[plain] = rest
+            for run in record.runs:
+                smoothed[run.first:run.first + len(run.rows)] = run.rows
         bad = np.flatnonzero(~np.isfinite(smoothed).all(axis=1))
         if bad.size:  # the pass carries a non-finite moment back to every step before it: name the last
             k = int(bad[-1])

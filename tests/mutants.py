@@ -59,6 +59,7 @@ CHUNK_COMBINER = "the ensemble combines a chunk at a time"
 ONE_RULE = "one failure rule for every block route"
 ONE_GATHER = "one observation gather for every Markov model"
 ONE_PARTITION = "one block partition and one stepper entry"
+RUNS = "each run of one-row time steps is conditioned as one vector measurement"
 
 MUTANTS = (
     Mutant(
@@ -451,6 +452,29 @@ MUTANTS = (
         ("tests/test_cli.py::TestExitCodes::test_config_error_names_its_key",
          "tests/test_cli.py::TestExitCodes::test_check_and_fit_exact_name_their_keys"),
         ONE_PARTITION),
+    Mutant(
+        "markov-run-commits-before-its-checks", "src/seqgp/markovian.py",
+        "        if bad.any():  # the run's first bad row\n",
+        "        self.time = ts[-1]  # the clock moves before the rows are checked\n"
+        "        if bad.any():  # the run's first bad row\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_a_block_that_raises_leaves_the_stepper_as_it_was",
+         "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
+        RUNS),
+    Mutant(
+        "markov-run-prior-without-the-carried-covariance", "src/seqgp/markovian.py",
+        "        C += BD @ B.T\n",
+        "",
+        ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
+         "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
+        RUNS),
+    Mutant(
+        "markov-run-smoothing-gain-from-the-predicted-covariance", "src/seqgp/markovian.py",
+        "                                m + z @ G_s, P - G_s.T @ G_s, P @ A.T - G_s.T @ G_e, mean.copy(), cov.copy()))\n",
+        "                                m + z @ G_s, P - G_s.T @ G_s, P @ A.T - G_s.T @ G_e, mean.copy(),\n"
+        "                                cov + G_e.T @ G_e))  # the end state's predicted covariance\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
+         "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
+        RUNS),
 )
 
 

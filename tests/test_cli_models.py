@@ -184,10 +184,15 @@ class TestSpatiotemporal:
         columns = [f"x{j + 1}" for j in range(locs.shape[1])]
         loc_file = tmp_path / "locations.csv"
         loc_file.write_text(",".join(columns) + "\n" + "".join(",".join(map(repr, p)) + "\n" for p in locs.tolist()))
-        rows = []
-        predict_obs = markovian.MarkovStepper.predict_obs
-        monkeypatch.setattr(markovian.MarkovStepper, "predict_obs",
-                            lambda stepper, row=0: rows.append(row) or predict_obs(stepper, row))
+        rows = []  # the observation rows of every block the stepper conditioned
+        step = markovian.MarkovStepper.step
+
+        def spied(stepper, t, ys, obs_rows):
+            out = step(stepper, t, ys, obs_rows)
+            rows.extend(obs_rows)
+            return out
+
+        monkeypatch.setattr(markovian.MarkovStepper, "step", spied)
         csv = f"t,{','.join(columns)},y\n" + "".join(f"{0.1 * i!r},{','.join(map(repr, p))},{0.5 - 0.01 * i!r}\n"
                                                       for i, p in enumerate(pts.tolist()))
         args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2",

@@ -220,6 +220,52 @@ def assert_cells_close(got, ref, atol=1e-12):
     np.testing.assert_allclose(got, ref, rtol=0, atol=atol, equal_nan=True)
 
 
+def stepped_blocks(sde, t, y, rows, noise_var):
+    """A stepper with a history, driven over ``block_bounds(t, n, UPDATE_BLOCK_ROWS)`` one
+    ``step`` per block, as the runner drives it: the stepper and each row's (mean, var, loglik)."""
+    stepper = markovian.MarkovStepper(sde, noise_var, history_times=t)
+    bounds = markovian.block_bounds(t, t.size, markovian.UPDATE_BLOCK_ROWS).tolist()
+    cells = []
+    for a, b in zip(bounds, bounds[1:]):
+        cells += zip(*stepper.step(t[a:b].tolist(), y[a:b].tolist(), np.asarray(rows)[a:b].tolist()))
+    return stepper, cells
+
+
+def written_rows(record):
+    """The time rows a record wrote: those of the input rows outside runs, and each run's end."""
+    plain = np.ones(record.steps.size, dtype=bool)
+    for run in record.runs:
+        plain[run.first:run.first + len(run.rows)] = False
+    return np.union1d(record.steps[plain], [run.end for run in record.runs]).astype(int)
+
+
+def assert_records_equal(got, want):
+    """Two records, bit for bit: every row and field, the time rows each wrote, and its runs."""
+    for name in ("times", "steps", "obs_rows", "logliks"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.loglik_total == want.loglik_total
+    written = written_rows(want)
+    np.testing.assert_array_equal(written_rows(got), written)
+    np.testing.assert_array_equal(got.means[written], want.means[written])
+    np.testing.assert_array_equal(got.covs[written], want.covs[written])
+    assert len(got.runs) == len(want.runs)
+    for a, b in zip(got.runs, want.runs):
+        for field in dataclasses.fields(b):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+def assert_record_matches_the_batch_filter(record, batch, atol=1e-12):
+    """A record with runs against ``kalman_filter``'s: the same rows, and moments and
+    log densities within ``atol`` on every time row the record wrote."""
+    for name in ("times", "steps", "obs_rows"):
+        np.testing.assert_array_equal(getattr(record, name), getattr(batch, name))
+    np.testing.assert_allclose(record.logliks, batch.logliks, rtol=0, atol=atol, equal_nan=True)
+    assert record.loglik_total == pytest.approx(batch.loglik_total, rel=0, abs=atol * record.logliks.size)
+    written = written_rows(record)
+    np.testing.assert_allclose(record.means[written], batch.means[written], rtol=0, atol=atol)
+    np.testing.assert_allclose(record.covs[written], batch.covs[written], rtol=0, atol=atol)
+
+
 def assert_within_ulps(got, ref, magnitude, ulps=4):
     """|got - ref| <= ulps * spacing(magnitude), entry by entry."""
     assert np.all(np.abs(np.asarray(got) - ref) <= ulps * np.spacing(magnitude)), (got, ref)
@@ -738,34 +784,33 @@ class TestLongStream:
 
 class TestStepperHistory:
     def test_runner_smoothing_is_the_batch_filter_and_smoother(self):
-        # repeated timestamps (a zero step predicts the filtered moments unchanged)
-        # and predict-only rows (predicted and filtered moments are equal) in one stream
+        # repeated timestamps (a zero step predicts the filtered moments unchanged), predict-only rows
+        # (predicted and filtered moments are equal) and runs of one-row time steps in one stream: the
+        # runner's cells and record are a stepper's driven over block_bounds(t, n, UPDATE_BLOCK_ROWS),
+        # bit for bit, and its cells, record and smoothed moments are the per-time-step filter's and
+        # smoother's to 1e-12
         sde = markovian.build_lti(kernels.matern32(1.1, 0.6))
         rng = np.random.default_rng(41)
         t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 40)), rng.integers(1, 4, 40))
         y = np.sin(t) + 0.2 * rng.standard_normal(t.size)
         y[rng.random(t.size) < 0.25] = np.nan
+        zeros = np.zeros(t.size, dtype=int)
         runner = MarkovRunner(sde, 0.2, history_times=t)
         h = sde.obs[0]
-        predicted, filtered = [], []  # each row's result, and the state once its block is conditioned on
-        for _, res in run_chunks(runner, stream_columns(y, t=t), CHUNK_ROWS):
-            predicted.append((res.mean, res.var, res.logdensity))
-            filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
+        predicted = [(r.mean, r.var, r.logdensity) for r in run_runner(runner, stream_columns(y, t=t), 5)]
+        stepper, cells = stepped_blocks(sde, t, y, zeros, 0.2)
+        assert predicted == cells
         record = runner.stepper.result()
-        first, last = first_and_last_rows(record)
-        assert [predicted[i][:2] for i in first] == [(float(h @ m), float(h @ c @ h))
-                                                     for m, c in zip(*predicted_moments(sde, record))]
-        tied = np.setdiff1d(np.arange(t.size), first)  # a tie predicts from the y-rows before it in its block
-        assert tied.size > 10
-        assert_cells_close(predicted, sequential_rows(sde, t, y, np.zeros(t.size, dtype=int), 0.2)[0])
-        np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
-        np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
+        assert_records_equal(record, stepper.result())
+        assert len(record.runs) >= 3 and np.unique(t).size < t.size - 10  # runs and ties
+        assert_cells_close(predicted, sequential_rows(sde, t, y, zeros, 0.2)[0])
+        batch = markovian.kalman_filter(sde, t, y, 0.2)
+        assert_record_matches_the_batch_filter(record, batch)
         streamed = runner.smooth()
 
-        res = markovian.kalman_filter(sde, t, y, 0.2)
-        sm = markovian.rts_smoother(sde, res)
-        batch = [(float(h @ sm.means[k]), float(h @ sm.covs[k] @ h)) for k in sm.steps]
-        np.testing.assert_array_equal(np.array(streamed), np.array(batch))
+        sm = markovian.rts_smoother(sde, batch)
+        reference = [(float(h @ sm.means[k]), float(h @ sm.covs[k] @ h)) for k in sm.steps]
+        np.testing.assert_allclose(streamed, np.array(reference), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
     def test_runner_smoothing_projects_like_the_row_loop(self, name):
@@ -944,8 +989,10 @@ class TestStepperHistory:
         assert per_step <= 0.75 * 1024
 
     def test_one_record_row_per_distinct_time(self):
-        # a tied space-time stream: each time row holds the moments after the time's last input
-        # row, and ``steps`` maps every input row to its time's row; the batch filter agrees
+        # a tied space-time stream with runs of one-row time steps: the record has a row per distinct
+        # time and ``steps`` maps every input row to its time's row; a run's rows are one-row time
+        # steps and it ends at its last row's time row.  The record is a stepper's driven over
+        # block_bounds(t, n, UPDATE_BLOCK_ROWS), bit for bit, and the batch filter's to 1e-12
         sde, locations = ZERO_STEP_SDES["spacetime"], np.array([[0.0], [0.5]])
         rng = np.random.default_rng(51)
         t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 30)), rng.integers(1, 6, 30))
@@ -953,9 +1000,7 @@ class TestStepperHistory:
         y = rng.standard_normal(t.size)
         y[::4] = np.nan
         runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
-        filtered = []
-        for _ in run_chunks(runner, stream_columns(y, t=t, x=locations[rows]), 7):
-            filtered.append((runner.stepper.mean.copy(), runner.stepper.cov.copy()))
+        run_runner(runner, stream_columns(y, t=t, x=locations[rows]), 7)
         record = runner.stepper.result()
         times, steps = np.unique(t, return_inverse=True)
         assert times.size == 30 < t.size
@@ -964,13 +1009,12 @@ class TestStepperHistory:
         np.testing.assert_array_equal(record.steps, steps)
         np.testing.assert_array_equal(record.obs_rows, rows)
         np.testing.assert_array_equal(np.isnan(record.logliks), np.isnan(y))
-        _, last = first_and_last_rows(record)
-        np.testing.assert_array_equal(last, np.r_[np.flatnonzero(np.diff(t)), t.size - 1])
-        np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
-        np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
-        batch = markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows)
-        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
-            np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
+        assert record.runs
+        for run in record.runs:
+            n = len(run.rows)
+            assert np.unique(steps[run.first:run.first + n]).size == n and run.end == steps[run.first + n - 1]
+        assert_records_equal(record, stepped_blocks(sde, t, y, rows, 0.2)[0].result())
+        assert_record_matches_the_batch_filter(record, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
 
     def test_step_past_the_history_times_is_a_data_error(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0, 0.0])
@@ -985,8 +1029,8 @@ class TestStepperHistory:
 
     @pytest.mark.parametrize("before", ["advance", "failed_step"])
     def test_a_moved_clock_still_opens_a_new_time_row(self, before):
-        # the clock reaches t before ``step(t)`` runs, through the public ``advance`` or through a
-        # step that advanced and then failed on its y: the record still gives t a row of its own
+        # the clock reaches t before ``step(t)`` runs, through the public ``advance``, or a step at t
+        # fails on its y (and leaves the clock where it was): the record still gives t a row of its own
         sde = markovian.build_lti(kernels.matern32(1.0, 1.0))
         t = np.array([0.0, 0.5, 0.5, 1.25, 2.0, 2.0, 2.0, 3.0])
         stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
@@ -997,8 +1041,10 @@ class TestStepperHistory:
             if before == "advance":
                 stepper.advance(ti)
             else:
+                clock = stepper.time
                 with pytest.raises(DataError, match="non-finite observation"):
                     stepper.step(ti, [np.inf], [0])
+                assert stepper.time == clock
             stepper.step(ti, np.sin(t[start:stop]), [0] * (stop - start))
             filtered += [(stepper.mean.copy(), stepper.cov.copy())] * (stop - start)
         record = stepper.result()
@@ -1011,6 +1057,31 @@ class TestStepperHistory:
         batch = markovian.kalman_filter(sde, t, np.sin(t), 0.1)
         for name in ("times", "means", "covs", "steps", "logliks"):
             np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
+
+    @pytest.mark.parametrize("moved_to", [0.45, 0.5])
+    def test_a_run_after_a_moved_clock_starts_from_a_state_in_the_record(self, moved_to):
+        # ``advance`` moves the clock past the record's last time row (to a time of no row, or to the
+        # next row's): the block's first row takes a time step of its own, so the run after it starts
+        # from a time row, and smoothing gives the per-time-step filter's and smoother's moments
+        sde = markovian.build_lti(kernels.matern32(1.0, 0.8))
+        t = np.array([0.0, 0.2, 0.3, 0.5, 0.8, 0.9, 1.3])
+        y = np.sin(3.0 * t)
+        stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
+        stepper.step(t[:3].tolist(), y[:3].tolist(), [0] * 3)
+        stepper.advance(moved_to)
+        stepper.step(t[3:].tolist(), y[3:].tolist(), [0] * 4)
+        record = stepper.result()
+        assert [(run.first, run.start, run.end) for run in record.runs] == [(0, -1, 2), (4, 3, 6)]
+        sm = markovian.rts_smoother(sde, record)
+        batch = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.1))
+        for k in (2, 3, 6):  # the time rows the record wrote
+            np.testing.assert_allclose(sm.means[k], batch.means[k], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sm.covs[k], batch.covs[k], rtol=0, atol=1e-12)
+        for run in record.runs:
+            rows = slice(run.first, run.first + len(run.rows))
+            h = sde.obs[0]
+            want = [(h @ batch.means[k], h @ batch.covs[k] @ h) for k in batch.steps[rows]]
+            np.testing.assert_allclose(run.rows, np.array(want), rtol=0, atol=1e-12)
 
     def test_smoothing_memory_is_per_time_not_per_row(self, monkeypatch):
         # 16 input rows per time on the d = 8 benchmark mixture, stepped and smoothed as
@@ -1085,7 +1156,11 @@ class TestTimeStepBlocks:
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 256])
     def test_chunks_end_at_the_first_block_start_after_chunk_rows(self, chunk_rows, monkeypatch):
+        # time steps split every 3 rows and merged into blocks of at least 3 rows (the runner's
+        # partition, with its block_rows shrunk to match): each chunk ends at the partition's first
+        # block start at or after chunk_rows rows
         monkeypatch.setattr(markovian, "UPDATE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(MarkovRunner, "block_rows", 3)
         t, rows, y = tied_spacetime()
         data = stream_columns(y, t=t, x=GRID[rows])
         runner = MarkovRunner(markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID),
@@ -1093,13 +1168,13 @@ class TestTimeStepBlocks:
         chunks, prepare = [], runner.prepare
         runner.prepare = lambda chunk: chunks.append((chunk.first_row - 1, len(chunk))) or prepare(chunk)
         assert len(run_runner(runner, data, chunk_rows)) == t.size
-        starts = set(markovian.block_bounds(t, t.size, 1)[:-1].tolist())
+        bounds = markovian.block_bounds(t, t.size, 3).tolist()
+        assert set(bounds) < set(markovian.block_bounds(t, t.size, 1).tolist())  # merged stream blocks
         assert [first for first, _ in chunks] == sorted(first for first, _ in chunks)
         assert sum(n for _, n in chunks) == t.size
         for first, n in chunks:
-            assert first in starts
-            assert chunk_rows <= n < chunk_rows + 3 or first + n == t.size
-            assert first + n == t.size or first + n in starts
+            assert first in bounds
+            assert first + n == min(b for b in bounds if b >= min(first + chunk_rows, t.size))
 
     def test_tied_stream_is_chunk_invariant_and_matches_the_row_by_row_filter(self, tmp_path, monkeypatch):
         # blocks of 3 rows, time steps of 4 to 9: every step is split, and chunks of 1, 3 and 7 rows
@@ -1243,6 +1318,46 @@ class TestTimeStepBlocks:
         assert got.loglik_total == record.loglik_total
         for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
             np.testing.assert_array_equal(getattr(got, name), getattr(record, name))
+
+    @pytest.mark.parametrize("case", ["run-after-a-tie-at-the-clock", "pivot-in-a-run-after-a-tie",
+                                      "run-alone", "pivot-in-a-run-alone", "tie-alone"])
+    def test_a_block_that_raises_leaves_the_stepper_as_it_was(self, case, monkeypatch):
+        # a block whose last piece fails, after pieces that conditioned the state (a tie at the clock
+        # conditions it in place and overwrites the record's last time row), and a block of one
+        # failing piece: the moments, the clock, the record and its total are as before the block,
+        # the error names the block's row, and the stream then runs as if the block had never run
+        sde = ZERO_STEP_SDES["spacetime"]
+        t = np.array([0.0, 0.2, 0.3, 0.5, 0.5, 0.5, 0.7, 0.9, 1.1, 1.4])
+        y = np.array([0.1, -0.2, 0.3, 0.4, np.nan, -0.1, 0.2, 0.5, -0.3, 0.1])
+        rows = np.array([0, 1, 0, 1, 0, 1, 1, 0, 1, 0])
+        first, block = (0, 4), {"run-after-a-tie-at-the-clock": (4, 9), "pivot-in-a-run-after-a-tie": (4, 9),
+                                "run-alone": (6, 9), "pivot-in-a-run-alone": (6, 9), "tie-alone": (4, 6)}[case]
+        if case in ("run-alone", "pivot-in-a-run-alone"):
+            first = (0, 6)
+        bad = {"run-after-a-tie-at-the-clock": 4, "run-alone": 2, "tie-alone": 1}.get(case)
+        if bad is not None:
+            y[block[0] + bad] = np.inf
+        stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
+
+        def step(a, b):
+            return stepper.step(t[a:b].tolist(), y[a:b].tolist(), rows[a:b].tolist())
+
+        step(*first)
+        if bad is None:  # the run's factor fails at its second y-row (its three y-rows are its last three)
+            real = lapack.dpotrf
+            monkeypatch.setattr(lapack, "dpotrf", lambda a, **kw: (real(a, **kw)[0], 2) if len(a) >= 3
+                                else real(a, **kw))
+            bad = block[1] - block[0] - 2
+        mean, cov, clock, record = stepper.mean.copy(), stepper.cov.copy(), stepper.time, stepper.result()
+        record = dataclasses.replace(record, means=record.means.copy(), covs=record.covs.copy(), runs=list(record.runs))
+        with pytest.raises((DataError, NumericalError)) as caught:
+            step(*block)
+        assert caught.value.detail["row"] == bad
+        np.testing.assert_array_equal(stepper.mean, mean)
+        np.testing.assert_array_equal(stepper.cov, cov)
+        assert stepper.time == clock
+        assert_records_equal(stepper.result(), record)
+        assert stepper.result().loglik_total == record.loglik_total
 
     def test_a_row_stepped_out_of_order_is_a_value_error(self):
         # the runner draws each row's result from the stepper's blocks in order: a later row cannot come first

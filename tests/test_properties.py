@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from seqgp import ensemble as ens
-from seqgp import features, kernels, linear_filter as lf, markovian
+from seqgp import exact, features, kernels, linear_filter as lf, markovian
 from seqgp.errors import DataError, NumericalError
 from seqgp.markovian import block_bounds
 from seqgp.runners import (Columns, EnsembleRunner, ExactRunner, LinearRunner, MarkovRunner, SparseRunner, StepResult,
@@ -435,6 +435,105 @@ def test_a_bad_row_ends_every_block_route_after_the_rows_before_it(data, route, 
         got, exc = rows_until_error(_block_route(route)[0], stream, chunk_rows)
         assert type(exc) is error and str(exc) == f"row {fail + 1}: {message}"
         assert got == before
+
+
+class SeparableKernel:
+    """k((t, x), (t', x')) = k_t(t, t') k_s(x, x') / k_s(0): the kernel of
+    ``markovian.build_spatiotemporal``, with the ``gram`` and ``total_variance``
+    that ``exact.posterior`` reads."""
+
+    def __init__(self, temporal, spatial):
+        self.temporal, self.spatial, self.total_variance = temporal, spatial, temporal.total_variance
+
+    def gram(self, X, X2=None):
+        X2 = X if X2 is None else X2
+        return self.temporal.gram(X[:, :1], X2[:, :1]) * self.spatial.gram(X[:, 1:], X2[:, 1:]) \
+            / self.spatial.total_variance
+
+
+MARKOV_ORACLE_KERNELS = {
+    "matern12": kernels.matern12(1.2, 0.7),
+    "matern32": kernels.matern32(0.9, 1.1),
+    "hm": kernels.hida_matern([(0.6, 1.3, 1.5, 0.9, 1.0), (0.4, 0.0, 0.5, 1.4, 1.0)]),
+}
+
+
+def _markov_oracle_route(model, noise_var, t):
+    """A fresh Markov runner that keeps its history for ``t``, and the kernel of the exact GP it must equal."""
+    if model == "spacetime":
+        temporal, spatial = kernels.matern32(1.0, 0.8), kernels.se(1.0, 0.9)
+        sde = markovian.build_spatiotemporal(temporal, spatial, SPACE)
+        return MarkovRunner(sde, noise_var, locations=SPACE, history_times=t), SeparableKernel(temporal, spatial)
+    kernel = MARKOV_ORACLE_KERNELS[model]
+    return MarkovRunner(markovian.build_lti(kernel), noise_var, history_times=t), kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), model=st.sampled_from(["matern12", "matern32", "hm", "spacetime"]),
+       seed=st.integers(0, 2**31 - 1), n=st.integers(2, 150), tie_share=st.sampled_from([0.0, 0.3, 0.7]),
+       noise_var=st.floats(0.05, 0.5), bad=st.sampled_from([None, "nan t", "decreasing t", "inf y", "location"]))
+def test_the_markov_route_is_the_exact_gp_row_by_row(data, model, seed, n, tie_share, noise_var, bad):
+    # irregular steps, ties, predict-only rows and runs of one-row time steps: each row's predictive
+    # moments are the exact GP's on the y-rows before it and its smoothed moments the exact GP's on
+    # every y-row, to 1e-8 relative, and chunks of 1, 3 and 256 rows give the same report.  A bad row
+    # inside a run (a NaN or decreasing timestamp, an infinite y, an unknown location) ends the run
+    # after the rows before it, bit-equal to a run of the stream cut there, and is named
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(np.where(rng.random(n) < tie_share, 0.0, rng.uniform(0.01, 0.5, n)))
+    y = np.sin(2.0 * t) + 0.3 * rng.standard_normal(n)
+    y[rng.random(n) < 0.2] = np.nan
+    where = rng.integers(0, len(SPACE), n) if model == "spacetime" else np.zeros(n, dtype=int)
+    x = SPACE[where].copy() if model == "spacetime" else None
+    times, counts = np.unique(t, return_counts=True)
+    alone = counts[np.searchsorted(times, t)] == 1  # the rows that are one-row time steps
+    inside = np.flatnonzero(alone[1:] & alone[:-1]) + 1  # a one-row step after another: inside a run
+    if bad is not None and inside.size:
+        p = int(data.draw(st.sampled_from(inside.tolist())))
+        if bad == "nan t":
+            t[p] = np.nan
+            message = f"non-finite timestamp or step ({t[p - 1].item()} -> nan)"
+        elif bad == "decreasing t":
+            t[p] = t[p - 1] - rng.uniform(0.01, 0.5)
+            message = f"timestamps decrease ({t[p - 1].item()} -> {t[p].item()})"
+        elif bad == "location" and x is not None:
+            x[p] = 9.0
+            message = "location [9.] is not in spatial.locations"
+        else:
+            y[p] = data.draw(st.sampled_from([np.inf, -np.inf]))
+            message = f"non-finite observation {float(y[p])!r}"
+        stream = stream_columns(y, t=t, x=x)
+        before = run_runner(_markov_oracle_route(model, noise_var, t)[0], stream.rows(0, p))
+        for chunk_rows in (1, 3, 256):
+            got, exc = rows_until_error(_markov_oracle_route(model, noise_var, t)[0], stream, chunk_rows)
+            assert type(exc) is DataError and str(exc) == f"row {p + 1}: {message}"
+            assert got == [(r.mean, r.var, r.logdensity) for r in before]
+        return
+
+    stream = stream_columns(y, t=t, x=x)
+    reports = []
+    for chunk_rows in (1, 3, 256):
+        runner, kernel = _markov_oracle_route(model, noise_var, t)
+        cells = [(r.mean, r.var, r.logdensity) for r in run_runner(runner, stream, chunk_rows)]
+        reports.append((cells, runner.smooth().tolist()))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    cells, smoothed = reports[0]
+    X = np.column_stack((t, x)) if x is not None else t[:, None]
+    scale = kernel.total_variance
+    Y = np.flatnonzero(~np.isnan(y))
+    for i in range(n):
+        seen = Y[Y < i]
+        if seen.size:
+            post = exact.posterior(kernel, noise_var, X[seen], y[seen], X[i:i + 1])
+            want = (post.mean[0], post.covariance[0, 0])
+        else:
+            want = (0.0, scale)
+        np.testing.assert_allclose(cells[i][:2], want, rtol=1e-8, atol=1e-8 * scale)
+    if Y.size:
+        post = exact.posterior(kernel, noise_var, X[Y], y[Y], X)
+        want = np.column_stack((post.mean, post.covariance.diagonal()))
+    else:
+        want = np.column_stack((np.zeros(n), np.full(n, scale)))
+    np.testing.assert_allclose(smoothed, want, rtol=1e-8, atol=1e-8 * scale)
 
 
 grid_list = st.lists(usable_number, max_size=3).map(",".join)
