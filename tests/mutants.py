@@ -60,6 +60,7 @@ ONE_RULE = "one failure rule for every block route"
 ONE_GATHER = "one observation gather for every Markov model"
 ONE_PARTITION = "one block partition and one stepper entry"
 RUNS = "each run of one-row time steps is conditioned as one vector measurement"
+RUN_ROWS = "each run's prior is built from O(n) state rows"
 
 MUTANTS = (
     Mutant(
@@ -475,6 +476,34 @@ MUTANTS = (
         ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
          "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
         RUNS),
+    Mutant(
+        "markov-run-not-split-at-the-span-bound", "src/seqgp/markovian.py",
+        "        bounds = run_segments(t, -sde.poles.real.min())\n",
+        "        bounds = np.array([0, n])  # one segment\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_a_run_past_the_span_bound_is_split",
+         "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
+        RUN_ROWS),
+    Mutant(
+        "markov-run-columns-not-carried-between-segments", "src/seqgp/markovian.py",
+        "                X[:, :lo[q]] = steps[q - 1] @ X[:, :lo[q]]\n",
+        "                pass\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_a_run_past_the_span_bound_is_split",
+         "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
+        RUN_ROWS),
+    Mutant(
+        "markov-run-prior-mirrored-from-the-upper-triangle", "src/seqgp/markovian.py",
+        "        C = np.where(np.tri(n, dtype=bool), kappa, kappa.T)  # the lower triangle, mirrored\n",
+        "        C = np.where(np.tri(n, dtype=bool), kappa.T, kappa)  # the upper triangle, mirrored\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
+         "tests/test_markovian.py::TestStepperHistory::test_a_run_past_the_span_bound_is_split"),
+        RUN_ROWS),
+    Mutant(
+        "markov-run-cross-terms-without-the-carried-part", "src/seqgp/markovian.py",
+        "        cross = X.T @ steps[-2].T + BD @ A.T  # row j: Cov(f_j, x_e)\n",
+        "        cross = X.T @ steps[-2].T  # row j: Cov(f_j, x_e)\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
+         "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
+        RUN_ROWS),
 )
 
 

@@ -1083,6 +1083,43 @@ class TestStepperHistory:
             want = [(h @ batch.means[k], h @ batch.covs[k] @ h) for k in batch.steps[rows]]
             np.testing.assert_allclose(run.rows, np.array(want), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("stream", ["crossing", "gap"])
+    def test_a_run_past_the_span_bound_is_split(self, stream):
+        # one-row steps whose decay times span passes RUN_SPAN partway through the first 64-row
+        # block, or a gap of 1,000 lengthscales inside it (a prior factored at one anchor would
+        # overflow across it): the block is still one run, its prior is factored in two or more
+        # segments, each within RUN_SPAN / decay, the cells and smoothed moments are the
+        # per-time-step filter's and smoother's to 1e-12, and chunks of 1, 3 and 256 rows give
+        # the same report
+        sde = markovian.build_lti(kernels.matern32(1.0, 0.8))
+        decay = -sde.poles.real.min()
+        rng = np.random.default_rng(47)
+        t = np.cumsum(rng.uniform(0.2, 0.4, 100))
+        if stream == "gap":
+            t[30:] += 1000 * 0.8
+        bounds = markovian.run_segments(t[:64], decay)
+        assert bounds.size >= 3 and bounds[0] == 0 and bounds[-1] == 64
+        assert all(decay * (t[b - 1] - t[a]) <= markovian.RUN_SPAN for a, b in zip(bounds, bounds[1:]))
+        y = np.sin(2.0 * t) + 0.3 * rng.standard_normal(t.size)
+        y[rng.random(t.size) < 0.2] = np.nan
+        zeros = np.zeros(t.size, dtype=int)
+        batch = markovian.kalman_filter(sde, t, y, 0.2)
+        reports = []
+        for chunk_rows in (1, 3, 256):
+            runner = MarkovRunner(sde, 0.2, history_times=t)
+            cells = [(r.mean, r.var, r.logdensity) for r in run_runner(runner, stream_columns(y, t=t), chunk_rows)]
+            record = runner.stepper.result()
+            assert_record_matches_the_batch_filter(record, batch)
+            reports.append((cells, runner.smooth().tolist()))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        cells, streamed = reports[0]
+        assert [(run.first, len(run.rows)) for run in record.runs] == [(0, 64), (64, 36)]
+        assert_cells_close(cells, sequential_rows(sde, t, y, zeros, 0.2)[0])
+        sm = markovian.rts_smoother(sde, batch)
+        h = sde.obs[0]
+        reference = [(float(h @ sm.means[k]), float(h @ sm.covs[k] @ h)) for k in sm.steps]
+        np.testing.assert_allclose(streamed, np.array(reference), rtol=0, atol=1e-12)
+
     def test_smoothing_memory_is_per_time_not_per_row(self, monkeypatch):
         # 16 input rows per time on the d = 8 benchmark mixture, stepped and smoothed as
         # ``seqgp run ... emit_smoothed=true`` does: the floor per time is one row of moments,

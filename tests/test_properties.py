@@ -477,9 +477,14 @@ def test_the_markov_route_is_the_exact_gp_row_by_row(data, model, seed, n, tie_s
     # moments are the exact GP's on the y-rows before it and its smoothed moments the exact GP's on
     # every y-row, to 1e-8 relative, and chunks of 1, 3 and 256 rows give the same report.  A bad row
     # inside a run (a NaN or decreasing timestamp, an infinite y, an unknown location) ends the run
-    # after the rows before it, bit-equal to a run of the stream cut there, and is named
+    # after the rows before it, bit-equal to a run of the stream cut there, and is named.  A run's
+    # prior is factored in segments of at most markovian.RUN_SPAN / decay (7.4 to 11.2 time units
+    # here): steps averaging 0.25 cross that bound partway through a block, and a step of 10 to
+    # 1,000 (one in 30) crosses it alone (across the longest, a prior factored at one anchor would
+    # overflow)
     rng = np.random.default_rng(seed)
-    t = np.cumsum(np.where(rng.random(n) < tie_share, 0.0, rng.uniform(0.01, 0.5, n)))
+    steps = np.where(rng.random(n) < 1 / 30, 10.0 ** rng.uniform(1.0, 3.0, n), rng.uniform(0.01, 0.5, n))
+    t = np.cumsum(np.where(rng.random(n) < tie_share, 0.0, steps))
     y = np.sin(2.0 * t) + 0.3 * rng.standard_normal(n)
     y[rng.random(n) < 0.2] = np.nan
     where = rng.integers(0, len(SPACE), n) if model == "spacetime" else np.zeros(n, dtype=int)

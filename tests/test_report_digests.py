@@ -8,10 +8,11 @@ round differently on several threads), and compares the SHA-256 of its CSV
 body and its summary without ``wall_time_s`` against a stored digest.  A change that moves any cell, by any
 amount, moves the digest: one that means to must say so and store the new
 digest.  The ``spacetime-grid`` and ``oracle-exact`` digests have held since
-the Markov runner began conditioning runs of one-row time steps at once, which
-changed only the ``markov-irregular`` and ``ensemble-mixed`` cells, by
-rounding.  Digests depend on floating-point rounding, so a different numpy,
-scipy or BLAS build may move them; the failure message names the ones in use.
+the Markov runner began conditioning runs of one-row time steps at once, and
+since it began building a run's prior from O(n) state rows; each changed only
+the ``markov-irregular`` and ``ensemble-mixed`` cells, by rounding.  Digests
+depend on floating-point rounding, so a different numpy, scipy or BLAS build
+may move them; the failure message names the ones in use.
 """
 
 import hashlib
@@ -36,10 +37,10 @@ SEED = 7
 # (workload, rows, emit_smoothed) -> SHA-256 of the body and the summary without wall_time_s
 DIGESTS = {
     ("markov-irregular", 1000, False):
-        "f44954b0c8a082ae9b3fd2634c2d3c2d494c55e9e83073485e3041f15bb960ed",
+        "415dbf6ac6353812a3cfc9faf9011b8f4eacea429e1f42bc0478f022175cd374",
     ("spacetime-grid", 384, False): "73f6f85aeb785aaece3f26dee53c92cbf5aee486a70dd68dcc1e58113cfbe38f",
     ("spacetime-grid", 384, True): "6f128a995d502f879577eadf3d6b64898d67fe2b08bc50fb74407e4001ff62f0",
-    ("ensemble-mixed", 400, False): "5720f96dc2172b42a4a8f5924e382f74ab3cff62c54dee3fa58db836e95279a9",
+    ("ensemble-mixed", 400, False): "77fc12567b6f0751736198aff5c458cea69dffdb4b0ca9b579e1a95203287979",
     ("oracle-exact", 300, False): "f9c44e888964df6c61dc0f56b6828abaf40c19910472f52f8b57624bd56c2a2f",
 }
 
