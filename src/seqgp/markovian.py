@@ -50,15 +50,15 @@ infinite y, a timestamp that is not finite or decreases) leaves the stepper
 as it was, and ``run_blocks`` runs the rows before it as a block and the row
 alone, so only a one-row failure raises.
 
-The filter record keeps one row of filtered moments per distinct timestamp,
-written by the time steps and by each run at its last time, and, per run,
-its rows' moments given the data to its end and the moments of the states it
-started from and ended at; the time rows under a run are never written.  The
-smoother walks back over the time steps between runs in blocks (it forms
-their transitions from the stored timestamps, recomputes the predicted
-moments with the forward pass's ``predict``, solves for all of the block's
-gains at once, and overwrites the filtered moments with the smoothed ones:
-three matrix products a step) and over each run in one block step.
+The filter record keeps one row of filtered moments per stored state (a time
+step outside a run, or a run at its last time), written in order, and per run
+its rows' moments given the data to its end and those of the states it
+started from and ended at.  The smoother walks back over the time steps
+between runs in blocks (it forms their transitions from the stored
+timestamps, recomputes the predicted moments with the forward pass's
+``predict``, solves for all of the block's gains at once, and overwrites the
+filtered moments with the smoothed ones: three matrix products a step) and
+over each run in one block step.
 ``scipy.linalg.expm`` stays the reference that the tests and ``seqgp check``
 compare ``transition`` against.
 """
@@ -299,13 +299,13 @@ class MarkovStepper:
     covariance).
 
     ``history_times`` (the stream's timestamps) allocates ``history``, a
-    ``FilterResult`` with one row of moments per distinct timestamp and 3
-    values per input row.  A time step writes its time row (a tie overwrites
-    it), so the row holds the moments after the time's last input row.  A run
-    writes only the time row of its last row and appends a ``RunRecord``: 2 + d
-    values per row and five arrays of at most d^2 for the run, from which the
-    smoother gets its rows and its start state.  The time rows under a run are
-    never written, so their pages are never touched.
+    ``FilterResult`` with room for a row of moments per distinct timestamp and
+    3 values per input row.  Its rows are written in order, one per stored
+    state, so only the written prefix is ever touched.  A time step writes its
+    time row (a tie overwrites it: the moments after the time's last row).  A
+    run writes the row after its start state's with the moments at its last
+    time, maps each of its input rows to it, and appends a ``RunRecord``: 2 + d
+    values per row and five arrays of at most d^2 for the run.
 
     The stepper owns ``mean`` and ``cov``.  A time step conditions both in
     place, and a zero-length ``advance`` leaves them as they are; an
@@ -573,8 +573,7 @@ class MarkovStepper:
         fits, p = n, -1
         if h is not None:
             p = int(h.steps[k - 1]) if k else -1  # the record's last time row: the start state's
-            first = p + (p < 0 or ts[0] != h.times[p])  # the first row's time row
-            fits = min(h.steps.size - k, h.times.size - first)
+            fits = h.steps.size - k if p + 1 < h.times.size else 0  # the run writes one time row, p + 1
         bad = ~moves | (r < 0) | (r >= n_obs) | np.isinf(y) | (np.arange(n) >= fits)
         if bad.any():  # the run's first bad row
             i = int(np.argmax(bad))
@@ -592,6 +591,7 @@ class MarkovStepper:
             raise DataError(message, detail={"row": i})
 
         m, P, Pinf = self.mean, self.cov, sde.stationary
+        A = transition(sde, t[-1] - start)  # A(t_e - t_s); a model without a basis raises here, changing nothing
         pos, w = positions[r], weights[r]  # (n, r): each row's entries
         basis = sde.basis.reshape(d, d, -1)  # [a, b, k] = B_k[a, b]
         HB = basis[pos[:, 0]] * w[:, :1, None]  # (n, d, K): B_k^T h_i
@@ -607,7 +607,7 @@ class MarkovStepper:
         B, Ba = (HB @ W[:2, ..., None])[..., 0]  # rows b_i = A(t_i - t_s)^T h_i and A(t_i - a_i)^T h_i
         BU = (sde.basis_rows @ U.T).reshape(d, -1, n)  # [a, k, j] = (B_k P_inf h_j)_a
         X = np.einsum("akj,jk->aj", BU, W[2])  # column j: psi_j = A(a_j - t_j) P_inf h_j
-        steps = transition(sde, np.concatenate((anchor[1:] - anchor[:-1], [t[-1] - anchor[-1], t[-1] - start])))
+        steps = transition(sde, np.concatenate((anchor[1:] - anchor[:-1], [t[-1] - anchor[-1]])))
         kappa = np.empty((n, n))
         for q in range(lo.size):  # carry the columns before segment q to its anchor, then its rows
             if q:
@@ -617,8 +617,7 @@ class MarkovStepper:
         C.flat[::n + 1] = (U[np.arange(n)[:, None], pos] * w).sum(1)  # h_i^T P_inf h_i, as it is
         BD = B @ (P - Pinf)
         C += BD @ B.T
-        A = steps[-1]  # A(t_e - t_s)
-        cross = X.T @ steps[-2].T + BD @ A.T  # row j: Cov(f_j, x_e)
+        cross = X.T @ steps[-1].T + BD @ A.T  # row j: Cov(f_j, x_e)
         mu = B @ m
         out = condition_block(mu, C, y, self.noise_var)
         mean, cov = predict(sde, A, m, P)
@@ -629,14 +628,15 @@ class MarkovStepper:
         return out.means, out.variances, out.logdensities
 
     def _record_run(self, t, r, C, mu, B, cross, A, out, mean, cov, p: int) -> None:
-        """Write a run to the history: its rows' time rows, the end state's time row,
-        and its ``RunRecord``, from the run's prior (mu, C, the b_i in B and the
-        cross terms), its end transition A and its conditioning ``out``.  With
-        W = L^-1 C_Y, G_e = L^-1 Cov(f_Y, x_e) and G_s = L^-1 Cov(f_Y, x_s)
-        (Cov(f_j, x_s) = b_j^T P), every row and the start state are conditioned
-        on the run's y-rows: E[f | y] = mu + W^T z, Cov(f, x_e | y) = Cov(f,
-        x_e) - W^T G_e, E[x_s | y] = m + G_s^T z, Cov(x_s | y) = P - G_s^T G_s
-        and Cov(x_s, x_e | y) = P A^T - G_s^T G_e."""
+        """Write a run to the history: the end state's time row p + 1 (p the start
+        state's, -1 at the stream's first row), its rows, and its ``RunRecord``,
+        from the run's prior (mu, C, the b_i in B and the cross terms), its end
+        transition A and its conditioning ``out``.  With W = L^-1 C_Y, G_e = L^-1
+        Cov(f_Y, x_e) and G_s = L^-1 Cov(f_Y, x_s) (Cov(f_j, x_s) = b_j^T P),
+        every row and the start state are conditioned on the run's y-rows: E[f |
+        y] = mu + W^T z, Cov(f, x_e | y) = Cov(f, x_e) - W^T G_e, E[x_s | y] = m
+        + G_s^T z, Cov(x_s | y) = P - G_s^T G_s and Cov(x_s, x_e | y) = P A^T -
+        G_s^T G_e."""
         h, k, n = self.history, self.rows_written, len(t)
         m, P = self.mean, self.cov  # the start state
         Y = out.scored
@@ -644,11 +644,9 @@ class MarkovStepper:
             z, W, G_e, G_s = out.z, out.inverse @ C[Y], out.inverse @ cross[Y], out.inverse @ (B[Y] @ P)
         else:
             z, W, G_e, G_s = np.zeros(0), np.zeros((0, n)), np.zeros((0, m.size)), np.zeros((0, m.size))
-        first = int(p + (p < 0 or t[0] != h.times[p]))
-        end = first + n - 1
-        h.times[first:end + 1] = t
-        h.means[end], h.covs[end] = mean, cov
-        h.steps[k:k + n], h.obs_rows[k:k + n] = np.arange(first, end + 1), r
+        end = p + 1
+        h.times[end], h.means[end], h.covs[end] = t[-1], mean, cov
+        h.steps[k:k + n], h.obs_rows[k:k + n] = end, r
         for i, ll in enumerate(out.logdensities):
             h.logliks[k + i] = np.nan if ll is None else ll
             h.loglik_total += 0.0 if ll is None else ll
@@ -676,7 +674,7 @@ class RunRecord:
 
     first: int  # the run's first input row
     start: int  # the time row of x_s; -1 where x_s is the stationary prior at the stream's first row
-    end: int  # the time row of x_e, the run's last row's
+    end: int  # the time row of x_e, start + 1 (0 for a run from the stream's first row); every row's step
     rows: np.ndarray  # (n, 2) E[f_i | y] and Var(f_i | y); smoothed after rts_smoother
     cross: np.ndarray  # (n, d) Cov(f_i, x_e | y)
     start_mean: np.ndarray  # (d,) E[x_s | y]
@@ -688,18 +686,18 @@ class RunRecord:
 
 @dataclass
 class FilterResult:
-    """Filtered moments, one row per distinct timestamp (time step), each the
-    moments after the time's last input row; ``steps`` maps each input row to
-    its time's row.  What the smoother reads, and what ``emit_smoothed`` keeps.
-    Step k's transition is ``transition(sde, times[k] - times[k - 1])`` and its
-    predicted moments are ``predict`` of row k - 1 over it: neither is stored.
-    A run (``MarkovStepper._run``) writes only the time row of its last row;
-    the moments of its rows and its start state are in its ``RunRecord``."""
+    """Filtered moments, one row per stored state, each the moments after the
+    last input row at its time; ``steps`` maps each input row to its row.  What
+    the smoother reads, and what ``emit_smoothed`` keeps.  A run
+    (``MarkovStepper._run``) has one row, ``run.end``, right after its start
+    state's; its rows' and its start state's moments are in its ``RunRecord``.
+    Row k's transition is ``transition(sde, times[k] - times[k - 1])`` and its
+    predicted moments are ``predict`` of row k - 1 over it: neither is stored."""
 
-    times: np.ndarray  # (T,) the distinct timestamps, increasing
+    times: np.ndarray  # (T,) the stored states' timestamps, strictly increasing
     means: np.ndarray  # (T, d) filtered; smoothed after rts_smoother
     covs: np.ndarray  # (T, d, d)
-    steps: np.ndarray  # (N,) each input row's time row
+    steps: np.ndarray  # (N,) each input row's time row, non-decreasing
     obs_rows: np.ndarray  # (N,) index of the H row used per input row
     logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
     loglik_total: float
@@ -834,7 +832,7 @@ def rts_smoother(sde: LtiSde, result: FilterResult) -> FilterResult:
     rearranged), where G_k = P_f A^T P_p^-1 is the gain, c_k = m_f - G_k m_p
     and D_k = P_f - G_k A P_f = P_f - G_k P_p G_k^T depend only on step k's
     filtered moments and its step to row k + 1, of nonzero length as the
-    record has a row per timestamp.  A run takes one block step
+    record's rows have distinct times.  A run takes one block step
     (``_smooth_run``) from its end state's smoothed moments to its rows' and
     its start state's, which it writes into the start state's time row.
     Returns ``result``, whose filtered moments are gone and whose runs hold
@@ -893,13 +891,15 @@ def _smooth_run(result: FilterResult, run: RunRecord) -> None:
     mean gains Gamma_f dm and its variance Gamma_f dP Gamma_f^T, and the start
     state likewise with Gamma_s: given x_e, the run's rows and x_s are
     independent of every later observation.  A singular P_e is a
-    NumericalError naming the end's time row."""
+    NumericalError naming the end's time row, and in ``detail["row"]`` the
+    run's last input row."""
     means, covs, n = result.means, result.covs, len(run.rows)
     dm, dP = means[run.end] - run.end_mean, covs[run.end] - run.end_cov
     try:
         gains = np.linalg.solve(run.end_cov, np.concatenate((run.cross, run.start_cross)).T).T
     except np.linalg.LinAlgError:
-        raise NumericalError(f"singular filtered covariance at step {run.end}", detail={"step": run.end}) from None
+        raise NumericalError(f"singular filtered covariance at step {run.end}",
+                             detail={"step": run.end, "row": run.first + n - 1}) from None
     G_f, G_s = gains[:n], gains[n:]
     run.rows[:, 0] += G_f @ dm
     run.rows[:, 1] += np.einsum("ij,ij->i", G_f @ dP, G_f)

@@ -440,24 +440,24 @@ class MarkovRunner(_RowRunner):
         """Backward pass over the stored history, in place: an (N, 2) array of each
         input row's smoothed (mean, var) through its observation row.  The pass
         overwrites the filtered moments it reads, so a runner smooths once; a
-        second call raises.  A failed pass, or a non-finite smoothed moment, is
-        a NumericalError whose ``detail["step"]`` names the input row at fault
-        (for a singular gain, the first input row of its time step).
+        second call raises.  A failed pass, or a non-finite smoothed moment, is a
+        NumericalError whose ``detail["step"]`` names the input row at fault (a
+        singular gain, its time step's first; a run's singular end, its last).
 
         A row of a run reads its smoothed moments from the run's record.  Any
         other row, with entries (i_j, w_j) (``sde.obs_entries``), reads its time
         row's sum_j w_j m_i_j and sum_j w_j sum_l P_i_j,i_l w_l: r^2 + r gathers
         of one value per input row, summed in (N,) arrays.  A time row with a
         non-finite entry that this does not read gives its input rows a NaN
-        variance; the time rows under a run are never read."""
+        variance; a row of a run reads no time row."""
         if self._smoothed:
             raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
         self._smoothed = True
         sde, record = self.stepper.sde, self.stepper.result()
         try:
             markovian.rts_smoother(sde, record)
-        except NumericalError as exc:  # the pass names a time row, last in its message: name its first input row
-            exc.detail["step"] = k = int(np.searchsorted(record.steps, exc.detail["step"]))
+        except NumericalError as exc:  # the pass names a time row, last in its message: name its input row
+            exc.detail["step"] = k = exc.detail.get("row", int(np.searchsorted(record.steps, exc.detail["step"])))
             exc.args = (f"{str(exc).rpartition(' ')[0]} {k}",)  # the same exception, now naming the input row
             raise
         means, covs, k, rows = record.means, record.covs, record.steps, record.obs_rows

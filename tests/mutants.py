@@ -61,6 +61,7 @@ ONE_GATHER = "one observation gather for every Markov model"
 ONE_PARTITION = "one block partition and one stepper entry"
 RUNS = "each run of one-row time steps is conditioned as one vector measurement"
 RUN_ROWS = "each run's prior is built from O(n) state rows"
+STATE_ROWS = "the smoothing record has one row per stored state"
 
 MUTANTS = (
     Mutant(
@@ -151,11 +152,11 @@ MUTANTS = (
         "one-record-row-per-input-row", "src/seqgp/markovian.py",
         "            j = p + (p < 0 or t != h.times[p])  # this step's time row\n",
         "            j = k  # this step's time row\n",
-        ("tests/test_markovian.py::TestStepperHistory::test_one_record_row_per_distinct_time",),
+        ("tests/test_markovian.py::TestStepperHistory::test_one_record_row_per_stored_state",),
         TIME_ROWS),
     Mutant(
         "smoothing-error-names-the-time-row", "src/seqgp/runners.py",
-        '            exc.detail["step"] = k = int(np.searchsorted(record.steps, exc.detail["step"]))\n',
+        '            exc.detail["step"] = k = exc.detail.get("row", int(np.searchsorted(record.steps, exc.detail["step"])))\n',
         '            exc.detail["step"] = k = int(exc.detail["step"])\n',
         ("tests/test_cli.py::TestRun::test_failed_smoothing_names_the_row",),
         TIME_ROWS),
@@ -499,11 +500,25 @@ MUTANTS = (
         RUN_ROWS),
     Mutant(
         "markov-run-cross-terms-without-the-carried-part", "src/seqgp/markovian.py",
-        "        cross = X.T @ steps[-2].T + BD @ A.T  # row j: Cov(f_j, x_e)\n",
-        "        cross = X.T @ steps[-2].T  # row j: Cov(f_j, x_e)\n",
+        "        cross = X.T @ steps[-1].T + BD @ A.T  # row j: Cov(f_j, x_e)\n",
+        "        cross = X.T @ steps[-1].T  # row j: Cov(f_j, x_e)\n",
         ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother",
          "tests/test_properties.py::test_the_markov_route_is_the_exact_gp_row_by_row"),
         RUN_ROWS),
+    Mutant(
+        "markov-run-writes-every-time-row", "src/seqgp/markovian.py",
+        "        end = p + 1\n",
+        "        end = p + len(t)  # a time row per input row, the last one written\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_the_record_writes_only_its_prefix",
+         "tests/test_markovian.py::TestStepperHistory::test_one_record_row_per_stored_state"),
+        STATE_ROWS),
+    Mutant(
+        "markov-run-end-overwrites-its-start", "src/seqgp/markovian.py",
+        "        end = p + 1\n",
+        "        end = p\n",
+        ("tests/test_markovian.py::TestStepperHistory::test_the_record_writes_only_its_prefix",
+         "tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother"),
+        STATE_ROWS),
 )
 
 

@@ -17,7 +17,7 @@ def _decimals(value: float) -> int:
     return len(text.split(".")[1]) if "." in text and "e" not in text else 0
 
 
-@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json"])
+@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json", "BENCH_33.json"])
 def test_stored_summaries_are_rebuilt_from_their_pairs(name):
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
     assert doc["summary"]
@@ -34,7 +34,7 @@ def test_stored_summaries_are_rebuilt_from_their_pairs(name):
             assert have == want, (workload, metric)
 
 
-@pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json"])
+@pytest.mark.parametrize("name", ["BENCH_31.json", "BENCH_32.json", "BENCH_33.json"])
 def test_the_stored_claim_is_rebuilt_from_its_pairs(name):
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
     stored = doc["claim"]
@@ -45,6 +45,11 @@ def test_the_stored_claim_is_rebuilt_from_its_pairs(name):
     assert got == stored
 
 
+def _pairs(parent, change):
+    return [{"workload": "w", "seed": s, "first": "parent", "parent": {"m": p, "failed": 0, "correct": True},
+             "change": {"m": c, "failed": 0, "correct": True}} for s, (p, c) in enumerate(zip(parent, change))]
+
+
 @pytest.mark.parametrize("better, parent, change, verdict", [
     ("higher", [100, 101, 102, 103], [99, 100, 101, 102], "no regression beyond bound"),
     ("higher", [100, 101, 102, 103], [70, 71, 72, 73], "regression beyond bound"),
@@ -53,9 +58,7 @@ def test_the_stored_claim_is_rebuilt_from_its_pairs(name):
     ("lower", [1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "regression beyond bound"),
 ])
 def test_verdicts(better, parent, change, verdict):
-    pairs = [{"workload": "w", "seed": s, "first": "parent", "parent": {"m": p, "failed": 0, "correct": True},
-              "change": {"m": c, "failed": 0, "correct": True}} for s, (p, c) in enumerate(zip(parent, change))]
-    summary = bench_pairs.summarize(pairs, {"m": (better, 0.25)})
+    summary = bench_pairs.summarize(_pairs(parent, change), {"m": (better, 0.25)})
     assert summary["m"]["verdict"] == verdict
 
 
@@ -77,3 +80,25 @@ def test_a_failed_run_counts_in_no_median_and_its_pair_is_no_win():
         p["change"] = failed
     assert bench_pairs.claim(pairs, "w", "m", "higher") == {
         "workload": "w", "metric": "m", "better": "higher", "change_better_in": "0 of 10", "met": False}
+
+
+def test_a_lower_is_better_claim_needs_nine_wins_and_a_median_drop_past_the_parent_iqr():
+    # the parent reads 74.0 to 75.8 (quartiles 74.45 and 75.35, IQR 0.9); the change reads 65.x,
+    # so its median is lower by far more than the IQR, and it wins wherever it reads lower
+    parent = [74.0 + 0.2 * s for s in range(10)]
+    change = [65.0 + 0.1 * s for s in range(10)]
+    change[4] = 80.0  # one pair the change loses: 9 of 10
+    got = bench_pairs.claim(_pairs(parent, change), "w", "m", "lower")
+    assert got["change_better_in"] == "9 of 10" and got["met"]
+    assert got["parent_iqr"] == pytest.approx(0.9) and got["parent_median"] - got["change_median"] > 0.9
+    change[6] = 81.0  # a second lost pair: 8 of 10, with the median still far lower
+    got = bench_pairs.claim(_pairs(parent, change), "w", "m", "lower")
+    assert got["change_better_in"] == "8 of 10" and not got["met"]
+    assert got["parent_median"] - got["change_median"] > got["parent_iqr"]
+
+
+def test_a_lower_is_better_claim_within_the_parent_iqr_is_not_met():
+    # every pair reads lower, but the median falls by 0.5 against a parent IQR of 0.9
+    parent = [74.0 + 0.2 * s for s in range(10)]
+    got = bench_pairs.claim(_pairs(parent, [p - 0.5 for p in parent]), "w", "m", "lower")
+    assert got["change_better_in"] == "10 of 10" and not got["met"]

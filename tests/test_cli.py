@@ -236,10 +236,15 @@ class TestRun:
         # first input row
         (["kernel.family=matern12", "kernel.lengthscale=1e100", "noise_var=1e-300"],
          "t,y\n0,1\n0,\n1,3\n1,4\n1,5\n", "row 3: singular predicted covariance at step 2"),
+        # rows 1 to 3 are one run of one-row time steps, whose end state noise_var=1e-300 conditions
+        # to a zero covariance: the run's block step has no gain, and the pass names the run's last
+        # input row, whose filtered state that is
+        (["kernel.family=matern12", "noise_var=1e-300"], "t,y\n0,1\n0.5,2\n1,3\n",
+         "row 3: singular filtered covariance at step 2"),
         # the last filtered covariance overflows to -inf; no later row predicts from it
         (["kernel.family=matern12", "kernel.lengthscale=1e100", "kernel.sigma_f2=1e200", "noise_var=1e308"],
          "t,y\n0,0\n", "row 1: non-finite smoothed moment at step 0: mean 0.0, variance -inf"),
-    ], ids=["singular", "singular-tied", "non-finite"])
+    ], ids=["singular", "singular-tied", "singular-run-end", "non-finite"])
     def test_failed_smoothing_names_the_row(self, cfg, csv, message):
         code, out, err = run_cli(["run", "model=markov", *cfg, "emit_smoothed=true"], stdin_text=csv)
         assert (code, out, err) == (4, "", f"seqgp: numerical error: {message}\n")

@@ -231,23 +231,11 @@ def stepped_blocks(sde, t, y, rows, noise_var):
     return stepper, cells
 
 
-def written_rows(record):
-    """The time rows a record wrote: those of the input rows outside runs, and each run's end."""
-    plain = np.ones(record.steps.size, dtype=bool)
-    for run in record.runs:
-        plain[run.first:run.first + len(run.rows)] = False
-    return np.union1d(record.steps[plain], [run.end for run in record.runs]).astype(int)
-
-
 def assert_records_equal(got, want):
-    """Two records, bit for bit: every row and field, the time rows each wrote, and its runs."""
-    for name in ("times", "steps", "obs_rows", "logliks"):
+    """Two records, bit for bit: every row and field, and its runs."""
+    for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.loglik_total == want.loglik_total
-    written = written_rows(want)
-    np.testing.assert_array_equal(written_rows(got), written)
-    np.testing.assert_array_equal(got.means[written], want.means[written])
-    np.testing.assert_array_equal(got.covs[written], want.covs[written])
     assert len(got.runs) == len(want.runs)
     for a, b in zip(got.runs, want.runs):
         for field in dataclasses.fields(b):
@@ -255,15 +243,29 @@ def assert_records_equal(got, want):
 
 
 def assert_record_matches_the_batch_filter(record, batch, atol=1e-12):
-    """A record with runs against ``kalman_filter``'s: the same rows, and moments and
-    log densities within ``atol`` on every time row the record wrote."""
-    for name in ("times", "steps", "obs_rows"):
-        np.testing.assert_array_equal(getattr(record, name), getattr(batch, name))
+    """A record with runs against ``kalman_filter``'s, which has a row per distinct time.  The
+    record has a row per stored state, with strictly increasing times: one per time step outside
+    a run, and one per run, right after its start state's (``run.end == run.start + 1``, so 0 for a
+    run from the stream's first row), at its last time, which every one of its rows maps to.  Its
+    rows, log densities and moments are the batch filter's, the moments at the same times, to ``atol``."""
+    t = batch.times[batch.steps]  # each input row's time
+    np.testing.assert_array_equal(record.obs_rows, batch.obs_rows)
     np.testing.assert_allclose(record.logliks, batch.logliks, rtol=0, atol=atol, equal_nan=True)
     assert record.loglik_total == pytest.approx(batch.loglik_total, rel=0, abs=atol * record.logliks.size)
-    written = written_rows(record)
-    np.testing.assert_allclose(record.means[written], batch.means[written], rtol=0, atol=atol)
-    np.testing.assert_allclose(record.covs[written], batch.covs[written], rtol=0, atol=atol)
+    assert np.all(np.diff(record.times) > 0)
+    plain = np.ones(t.size, dtype=bool)
+    for run in record.runs:
+        rows = slice(run.first, run.first + len(run.rows))
+        assert run.end == run.start + 1
+        np.testing.assert_array_equal(record.steps[rows], run.end)
+        assert record.times[run.end] == t[rows][-1]
+        plain[rows] = False
+    np.testing.assert_array_equal(record.times[record.steps[plain]], t[plain])
+    assert record.times.size == np.unique(t[plain]).size + len(record.runs)
+    same = np.searchsorted(batch.times, record.times)  # the batch row at each record row's time
+    np.testing.assert_array_equal(batch.times[same], record.times)
+    np.testing.assert_allclose(record.means, batch.means[same], rtol=0, atol=atol)
+    np.testing.assert_allclose(record.covs, batch.covs[same], rtol=0, atol=atol)
 
 
 def assert_within_ulps(got, ref, magnitude, ulps=4):
@@ -422,6 +424,21 @@ class TestTransition:
             markovian.transition(sde, 0.5)
         with pytest.raises(ConfigurationError, match="closed-form"):
             markovian.transition(sde, np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("history", [False, True], ids=["no-history", "history"])
+    def test_a_run_on_a_model_without_a_basis_is_the_configuration_error(self, history):
+        # a block of two one-row time steps is one run: it raises what the rows stepped one at a time
+        # raise, and changes nothing
+        sde = dataclasses.replace(markovian.build_lti(kernels.matern32(1, 1)), basis=None, poles=None)
+        stepper = markovian.MarkovStepper(sde, 0.1, history_times=[0.0, 1.0] if history else None)
+        with pytest.raises(ConfigurationError, match="no closed-form transition basis"):
+            stepper.step(0.0, [1.0], [0])
+        with pytest.raises(ConfigurationError, match="no closed-form transition basis"):
+            stepper.step([0.0, 1.0], [1.0, 2.0], [0, 0])
+        assert stepper.time is None and stepper.rows_written == 0
+        np.testing.assert_array_equal(stepper.mean, np.zeros(2))
+        np.testing.assert_array_equal(stepper.cov, sde.stationary)
+        assert not history or stepper.history.runs == []
 
     @pytest.mark.parametrize("name", ["mixture", "spacetime"])
     def test_array_of_steps_is_bit_equal_to_the_scalar_calls(self, name):
@@ -988,11 +1005,12 @@ class TestStepperHistory:
         per_step = (traced_peak(20_000) - traced_peak(2_000)) / 18_000
         assert per_step <= 0.75 * 1024
 
-    def test_one_record_row_per_distinct_time(self):
-        # a tied space-time stream with runs of one-row time steps: the record has a row per distinct
-        # time and ``steps`` maps every input row to its time's row; a run's rows are one-row time
-        # steps and it ends at its last row's time row.  The record is a stepper's driven over
-        # block_bounds(t, n, UPDATE_BLOCK_ROWS), bit for bit, and the batch filter's to 1e-12
+    def test_one_record_row_per_stored_state(self):
+        # a tied space-time stream with runs of one-row time steps: the record is allocated with a row
+        # per distinct time, and has a row per time step outside a run and one per run; a run's rows
+        # are one-row time steps, all mapped to its row, right after its start state's.  The record is
+        # a stepper's driven over block_bounds(t, n, UPDATE_BLOCK_ROWS), bit for bit, and the batch
+        # filter's to 1e-12
         sde, locations = ZERO_STEP_SDES["spacetime"], np.array([[0.0], [0.5]])
         rng = np.random.default_rng(51)
         t = np.repeat(np.cumsum(rng.uniform(0.05, 0.3, 30)), rng.integers(1, 6, 30))
@@ -1002,19 +1020,43 @@ class TestStepperHistory:
         runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
         run_runner(runner, stream_columns(y, t=t, x=locations[rows]), 7)
         record = runner.stepper.result()
-        times, steps = np.unique(t, return_inverse=True)
-        assert times.size == 30 < t.size
+        assert np.unique(t).size == 30 < t.size
         assert runner.stepper.history.times.size == 30  # sized from the timestamps, not the rows
-        np.testing.assert_array_equal(record.times, times)
-        np.testing.assert_array_equal(record.steps, steps)
         np.testing.assert_array_equal(record.obs_rows, rows)
         np.testing.assert_array_equal(np.isnan(record.logliks), np.isnan(y))
-        assert record.runs
+        assert record.runs and record.times.size < 30
         for run in record.runs:
             n = len(run.rows)
-            assert np.unique(steps[run.first:run.first + n]).size == n and run.end == steps[run.first + n - 1]
+            assert np.unique(t[run.first:run.first + n]).size == n
+            assert run.end == run.start + 1 and (record.steps[run.first:run.first + n] == run.end).all()
         assert_records_equal(record, stepped_blocks(sde, t, y, rows, 0.2)[0].result())
         assert_record_matches_the_batch_filter(record, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
+
+    def test_the_record_writes_only_its_prefix(self):
+        # a few thousand irregular rows, most in runs of one-row time steps, some tied, through the
+        # runner into a record whose moment rows were NaN: it has one row per run and per time step
+        # outside a run, all written, and every row past them is still NaN (never written, so the
+        # pages past the prefix are never touched)
+        sde = markovian.build_lti(kernels.matern32(1.0, 0.5))
+        rng = np.random.default_rng(53)
+        t = np.repeat(np.cumsum(rng.uniform(0.01, 0.05, 3000)), np.where(rng.random(3000) < 0.02, 3, 1))
+        y = np.sin(t) + 0.1 * rng.standard_normal(t.size)
+        runner = MarkovRunner(sde, 0.2, history_times=t)
+        h = runner.stepper.history
+        assert h.times.size == 3000  # room for a row per distinct time
+        h.means.fill(np.nan)
+        h.covs.fill(np.nan)
+        run_runner(runner, stream_columns(y, t=t))
+        record = runner.stepper.result()
+        plain = np.ones(t.size, dtype=bool)
+        for run in record.runs:
+            plain[run.first:run.first + len(run.rows)] = False
+        m = record.times.size
+        assert m == np.unique(t[plain]).size + len(record.runs) < 300
+        assert np.count_nonzero(~plain) > 0.9 * t.size
+        assert np.isfinite(record.means).all() and np.isfinite(record.covs).all()
+        assert np.isnan(h.means[m:]).all() and np.isnan(h.covs[m:]).all()
+        assert_record_matches_the_batch_filter(record, markovian.kalman_filter(sde, t, y, 0.2))
 
     def test_step_past_the_history_times_is_a_data_error(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0, 0.0])
@@ -1071,12 +1113,13 @@ class TestStepperHistory:
         stepper.advance(moved_to)
         stepper.step(t[3:].tolist(), y[3:].tolist(), [0] * 4)
         record = stepper.result()
-        assert [(run.first, run.start, run.end) for run in record.runs] == [(0, -1, 2), (4, 3, 6)]
+        assert [(run.first, run.start, run.end) for run in record.runs] == [(0, -1, 0), (4, 1, 2)]
+        assert record.times.tolist() == [0.3, 0.5, 1.3] and record.steps.tolist() == [0, 0, 0, 1, 2, 2, 2]
         sm = markovian.rts_smoother(sde, record)
         batch = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.1))
-        for k in (2, 3, 6):  # the time rows the record wrote
-            np.testing.assert_allclose(sm.means[k], batch.means[k], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(sm.covs[k], batch.covs[k], rtol=0, atol=1e-12)
+        for k, j in zip((0, 1, 2), (2, 3, 6)):  # each record row and the batch row at its time
+            np.testing.assert_allclose(sm.means[k], batch.means[j], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sm.covs[k], batch.covs[j], rtol=0, atol=1e-12)
         for run in record.runs:
             rows = slice(run.first, run.first + len(run.rows))
             h = sde.obs[0]
