@@ -37,7 +37,7 @@ Cholesky factor of their innovation covariance; a step of one row is the
 observe -> condition hand-off of every filter route, ``predict_obs`` and
 ``update`` on ``linalg.condition``).  Each run of two or more consecutive
 one-row time steps is conditioned as one vector measurement too, under the
-prior that the SDE implies from the state before it: its rows' covariance is
+prior that the SDE implies from the last stored state: its rows' covariance is
 the kernel that the SDE implies plus the part carried by the state's
 covariance.  The kernel is semiseparable, so it is built from O(n) state
 rows, not one transition per pair: each row's observation row is carried to
@@ -52,21 +52,20 @@ alone, so only a one-row failure raises.
 
 The filter record keeps one row of filtered moments per stored state (a time
 step outside a run, or a run at its last time), written in order, and per run
-its rows' moments given the data to its end and those of the states it
-started from and ended at.  The smoother walks back over the time steps
-between runs in blocks (it forms their transitions from the stored
-timestamps, recomputes the predicted moments with the forward pass's
-``predict``, solves for all of the block's gains at once, and overwrites the
-filtered moments with the smoothed ones: three matrix products a step) and
-over each run in one block step.
-``scipy.linalg.expm`` stays the reference that the tests and ``seqgp check``
-compare ``transition`` against.
+its rows' moments given the data to its end and those of the states it started
+from and ended at; no scores, which ``step`` returns.  The smoother walks back
+over the time steps between runs in blocks (it forms their transitions from
+the stored timestamps, recomputes the predicted moments with the forward
+pass's ``predict``, solves for all of the block's gains at once, and
+overwrites the filtered moments with the smoothed ones: three matrix products
+a step) and over each run in one block step.  ``scipy.linalg.expm`` stays the
+reference that the tests and ``seqgp check`` compare ``transition`` against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -114,6 +113,16 @@ class LtiSde:
         pad = np.arange(positions.shape[1]) >= count[:, None]
         positions = np.where(pad, positions[:, :1], positions)
         return positions, np.where(pad, 0.0, np.take_along_axis(self.obs, positions, axis=1))
+
+    def gather(self, rows: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """H[rows] M for ``rows`` (n,) and M (d, ...), through the rows' entries
+        (``obs_entries``): row i sums w_ie M[p_ie] over its entries e, in order."""
+        positions, weights = self.obs_entries
+        pos, w = positions[rows], weights[rows].reshape(len(rows), -1, *(1,) * (M.ndim - 1))
+        out = M[pos[:, 0]] * w[:, 0]
+        for e in range(1, pos.shape[1]):
+            out += M[pos[:, e]] * w[:, e]
+        return out
 
     @cached_property
     def basis_rows(self) -> np.ndarray:
@@ -287,25 +296,27 @@ class MarkovStepper:
     step of tied rows, or a lone one-row step, at its own time (``advance``,
     then ``predict_obs`` and ``update`` for one row or ``_condition_block``
     for more), and each run of two or more consecutive one-row time steps at
-    once, under the prior that the SDE implies from the state before it
-    (``_run``).  ``kalman_filter`` hands it one time step at a time, the
-    per-time-step reference, and the CLI's runner the blocks of
-    ``block_bounds`` with ``UPDATE_BLOCK_ROWS`` rows, both through
-    ``linalg.run_blocks``.  A block that raises leaves the state, the clock
-    and the record as they were before it.  Each step of nonzero length
-    computes its transition in closed form, so memory does not grow with the
-    number of distinct step lengths.  A zero-length step after the first row
+    once, under the prior that the SDE implies from the last stored state
+    (``_run``: the record's last time row, the stationary prior before the
+    first, and the state at the clock without a history).  ``kalman_filter``
+    hands it one time step at a time, the per-time-step reference, and the
+    CLI's runner the blocks of ``block_bounds`` with ``UPDATE_BLOCK_ROWS``
+    rows, both through ``linalg.run_blocks``.  A block that raises leaves the
+    state, the clock and the record as they were before it.  Each step of
+    nonzero length computes its transition in closed form, so memory does not
+    grow with the number of distinct step lengths.  A zero-length step after the first row
     leaves the state untouched (A = I, Q = 0 is exact on a symmetric
     covariance).
 
     ``history_times`` (the stream's timestamps) allocates ``history``, a
     ``FilterResult`` with room for a row of moments per distinct timestamp and
-    3 values per input row.  Its rows are written in order, one per stored
-    state, so only the written prefix is ever touched.  A time step writes its
-    time row (a tie overwrites it: the moments after the time's last row).  A
-    run writes the row after its start state's with the moments at its last
-    time, maps each of its input rows to it, and appends a ``RunRecord``: 2 + d
-    values per row and five arrays of at most d^2 for the run.
+    2 values per input row (no scores, which ``step`` returns).  Its rows are
+    written in order, one per stored state, so only the written prefix is ever
+    touched.  A time step writes its time row (a tie overwrites it: the
+    moments after the time's last row).  A run writes the row after its start
+    state's with the moments at its last time, maps each of its input rows to
+    it, and appends a ``RunRecord``: 2 + d values per row and five arrays of
+    at most d^2 for the run.
 
     The stepper owns ``mean`` and ``cov``.  A time step conditions both in
     place, and a zero-length ``advance`` leaves them as they are; an
@@ -316,8 +327,8 @@ class MarkovStepper:
     with s = cov h formed once through the row's entries
     (``LtiSde.obs_entries``), and ``update`` conditions on that triple
     (``linalg.condition``).  A longer time step reads H through the same
-    entries and factors the innovation covariance of its y-rows once
-    (``_condition_block``, through ``linalg.condition_block``).
+    entries (``LtiSde.gather``) and factors the innovation covariance of its
+    y-rows once (``_condition_block``, through ``linalg.condition_block``).
     """
 
     def __init__(self, sde: LtiSde, noise_var: float, history_times=None):
@@ -332,7 +343,7 @@ class MarkovStepper:
             t = np.asarray(history_times, dtype=float).ravel()
             n, m, d = t.size, min(t.size, 1 + np.count_nonzero(np.diff(t))), sde.dim
             self.history = FilterResult(np.empty(m), np.empty((m, d)), np.empty((m, d, d)), np.empty(n, dtype=int),
-                                        np.empty(n, dtype=int), np.empty(n), 0.0)
+                                        np.empty(n, dtype=int))
 
     def advance(self, t: float) -> None:
         """Propagate the state to time ``t`` (finite, >= the current time): the
@@ -352,16 +363,11 @@ class MarkovStepper:
         the latent predictive mean and variance and s = cov h, for an ``update``
         of this state.  Formed from the row's r entries (``LtiSde.obs_entries``):
         s gathers rows of cov (equal to its columns, as cov is bit-symmetric),
-        and h^T mean and h^T s read only those entries.  A model with r = 1 makes
-        s the scaled row w_i cov[i], bit-equal to cov @ h.  A row outside
-        [0, n_obs) is a DataError."""
+        and h^T mean and h^T s read only those entries.  A row outside [0, n_obs)
+        is a DataError."""
         positions, weights = self.sde.obs_entries
         if not 0 <= row < len(positions):
             raise DataError(f"observation row {row} is not in [0, {len(positions)})")
-        if positions.shape[1] == 1:
-            i, wi = positions[row, 0], weights[row, 0]
-            s = self.cov[i] * wi
-            return float(self.mean[i] * wi), float(s[i] * wi), s
         idx, w = positions[row], weights[row]
         s = w @ self.cov[idx]
         return float(w @ self.mean[idx]), float(w @ s[idx]), s
@@ -375,20 +381,23 @@ class MarkovStepper:
     def step(self, t, ys, rows):
         """Condition on one block of rows: ``ys`` (n,) their observations, NaN on a
         predict-only row, ``rows`` (n,) their observation rows, and ``t`` their
-        timestamp (a float), or a sequence of n timestamps, one per row.
-        Returns three lists, each row's latent predictive mean and variance
-        through its observation row given the y-rows before it, and the log
+        timestamp (any 0-d real, taken as a float), or a sequence of n timestamps,
+        one per row.  Returns three lists, each row's latent predictive mean and
+        variance through its observation row given the y-rows before it, and the log
         density of its y (None on a predict-only row).
 
         Rows at one timestamp are one time step, conditioned by ``_time_step``;
         per-row timestamps are split into time steps by ``block_bounds``, and
-        each run of two or more consecutive one-row time steps is one ``_run``.  A block that raises leaves the state, the clock
-        and the record as they were before it.  An error whose
-        ``detail["row"]`` is p names the block's row at fault, so the rows
-        before p, row p and the rest can each be conditioned on as a block of
-        their own, as ``linalg.run_blocks`` does."""
-        one_time = isinstance(t, (int, float))
-        pieces = [(0, len(ys), False)] if one_time else self._pieces(t, len(ys))
+        each run of two or more consecutive one-row time steps is one ``_run``.
+        A block that raises leaves the state, the clock and the record as they
+        were before it.  An error whose ``detail["row"]`` is p names the block's
+        row at fault, so the rows before p, row p and the rest can each be
+        conditioned on as a block of their own, as ``linalg.run_blocks``
+        does."""
+        one_time = np.ndim(t) == 0
+        if one_time:
+            t = float(t)
+        pieces = [(0, len(ys), False)] if one_time else _pieces(t, len(ys))
         saved = self._state() if len(pieces) > 1 else None
         out = [], [], []
         for a, b, run in pieces:
@@ -408,46 +417,28 @@ class MarkovStepper:
                 values += more
         return out
 
-    def _pieces(self, ts, n: int) -> list:
-        """(start, stop, run) for each time step of the block with timestamps ``ts``,
-        with runs of two or more consecutive one-row time steps joined into one
-        piece (run True).  A run starts from a state in the record: where
-        ``advance`` moved the clock past the record's last time row, the run's
-        first row is a time step of its own."""
-        if n <= UPDATE_BLOCK_ROWS and len(set(ts)) == 1:  # one time step, as on a space-time grid
-            return [(0, n, False)]
-        bounds = block_bounds(ts, n, 1).tolist()
-        pieces = []
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a == 1 and pieces and pieces[-1][2]:  # one more one-row step
-                pieces[-1][1] = b
-            else:
-                pieces.append([a, b, b - a == 1])
-        pieces = [(a, b, ones and b - a > 1) for a, b, ones in pieces]
-        h, k = self.history, self.rows_written
-        if h is not None and pieces[0][2] and self.time is not None and (
-                k == 0 or self.time != h.times[h.steps[k - 1]]):
-            a, b, _ = pieces[0]
-            pieces[:1] = [(a, a + 1, False), (a + 1, b, b - a > 2)]
-        return pieces
+    def _last_row(self) -> int:
+        """The record's last time row, the last stored state's; -1 while none is written."""
+        k = self.rows_written
+        return int(self.history.steps[k - 1]) if k else -1
 
     def _state(self) -> list:
         """What ``_restore`` needs to undo the pieces of a block: copies of the moments
         (a tie at the clock conditions them in place), the clock, and the record's
-        row count, total, runs and a copy of its last time row (which such a tie
+        row count, runs and a copy of its last time row (which such a tie
         overwrites)."""
         state = [self.mean.copy(), self.cov.copy(), self.time, self.rows_written]
         h = self.history
         if h is not None:
-            p = int(h.steps[self.rows_written - 1]) if self.rows_written else -1
-            state += [h.loglik_total, len(h.runs), (p, h.means[p].copy(), h.covs[p].copy()) if p >= 0 else None]
+            p = self._last_row()
+            state += [len(h.runs), (p, h.means[p].copy(), h.covs[p].copy()) if p >= 0 else None]
         return state
 
     def _restore(self, state: list) -> None:
         self.mean, self.cov, self.time, self.rows_written = state[:4]
         h = self.history
         if h is not None:
-            h.loglik_total, runs, row = state[4:]
+            runs, row = state[4:]
             del h.runs[runs:]
             if row is not None:
                 p, h.means[p], h.covs[p] = row
@@ -458,7 +449,7 @@ class MarkovStepper:
         and ``update``; a longer one is ``_condition_block``."""
         k, h, n = self.rows_written, self.history, len(ys)
         if h is not None:
-            p = int(h.steps[k - 1]) if k else -1  # the record's last time row (``advance`` may have moved the clock)
+            p = self._last_row()  # not the clock's: ``advance`` may have moved the clock past it
             j = p + (p < 0 or t != h.times[p])  # this step's time row
             if k + n > h.steps.size or j == h.times.size:
                 raise DataError(f"the history holds {h.steps.size} rows at {h.times.size} times; "
@@ -476,11 +467,8 @@ class MarkovStepper:
             raise
         if h is not None:
             h.times[j], h.means[j], h.covs[j] = t, self.mean, self.cov
-            for row, ll in zip(rows, out[2]):
-                h.steps[k], h.obs_rows[k], h.logliks[k] = j, row, np.nan if ll is None else ll
-                h.loglik_total += 0.0 if ll is None else ll  # left to right: sum() compensates on Python >= 3.12
-                k += 1
-            self.rows_written = k
+            h.steps[k:k + n], h.obs_rows[k:k + n] = j, rows
+            self.rows_written = k + n
         return out
 
     def _condition_block(self, ys: np.ndarray, rows: np.ndarray):
@@ -491,8 +479,8 @@ class MarkovStepper:
         prequential moments and log density, and L^-1 and z = L^-1 (y - H_y m)
         for the block's y-rows.  ``linalg.fold_state`` folds them into the state
         with cross term HP: G = L^-1 H_y P, m += G^T z and P -= G^T G, which
-        stays bit-symmetric.  HP, H m and H P H^T are weighted sums over the
-        rows' r gathered entries (``LtiSde.obs_entries``).  The block's first row whose
+        stays bit-symmetric.  HP, H m and H P H^T = H (HP)^T are each one
+        ``LtiSde.gather`` over the rows' r entries.  The block's first row whose
         observation row is out of range or whose y is infinite is a DataError,
         with the message that row gives alone, and a failed pivot is
         ``condition_block``'s NumericalError; each names its row of the block
@@ -504,76 +492,68 @@ class MarkovStepper:
         d = 128 block that solved with scipy's ``dtrsm`` between numpy's
         products ran about 20 times slower with both pools threaded on 2 vCPUs.
         """
-        positions, weights = self.sde.obs_entries
-        n_obs = len(positions)
+        sde, n_obs = self.sde, len(self.sde.obs)
         bad_rows = (rows < 0) | (rows >= n_obs)
         bad = np.flatnonzero(bad_rows | np.isinf(ys))
         if bad.size:  # the block's first bad row, with the message that row gives alone
             p = int(bad[0])
             raise DataError(f"observation row {rows[p]} is not in [0, {n_obs})" if bad_rows[p]
                             else f"non-finite observation {float(ys[p])!r}", detail={"row": p})
-        m, P = self.mean, self.cov
-        idx, w = positions[rows].T, weights[rows].T  # (r, n): entry j of every row in row j
-        HP, mu = P[idx[0]] * w[0, :, None], m[idx[0]] * w[0]
-        for i, wi in zip(idx[1:], w[1:]):
-            HP += P[i] * wi[:, None]
-            mu += m[i] * wi
-        C = HP[:, idx[0]] * w[0]
-        for i, wi in zip(idx[1:], w[1:]):
-            C += HP[:, i] * wi
-        out = condition_block(mu, C, ys, self.noise_var)
-        fold_state(m, P, out, HP[out.scored])
+        HP = sde.gather(rows, self.cov)
+        out = condition_block(sde.gather(rows, self.mean), sde.gather(rows, HP.T).T, ys, self.noise_var)
+        fold_state(self.mean, self.cov, out, HP[out.scored])
         return out.means, out.variances, out.logdensities
 
     def _run(self, ts, ys, rows):
         """``step`` on a run of n >= 2 one-row time steps as one vector measurement.
 
-        With x_s ~ N(m, P) the state at the clock t_s (the first row's time when
-        the clock is unset), P_inf the stationary covariance and h_i row i's
-        observation row, let b_i = A(t_i - t_s)^T h_i.  A priori the rows'
-        latent values have means b_i^T m and covariances C_ij = kappa_ij + b_i^T
-        (P - P_inf) b_j, where kappa_ij = h_i^T A(t_i - t_j) P_inf h_j for t_i >=
-        t_j is the kernel that the SDE implies.  It is semiseparable: with the
+        With x_s ~ N(m, P) the last stored state, at t_s (the stationary prior at
+        the first row's time before the first), P_inf the stationary covariance and
+        h_i row i's observation row, let b_i = A(t_i - t_s)^T h_i.  A priori the
+        rows' latent values have means b_i^T m and covariances C_ij = kappa_ij +
+        b_i^T (P - P_inf) b_j, where kappa_ij = h_i^T A(t_i - t_j) P_inf h_j for t_i
+        >= t_j is the kernel that the SDE implies.  It is semiseparable: with the
         run cut into segments by ``run_segments`` and segment q anchored at its
         midpoint a_q, c_i = A(t_i - a_q)^T h_i and psi_j = A(a_q - t_j) P_inf h_j
-        for the rows of segment q (``transition``'s weights at the steps to and
-        from the anchor, times the basis products B_k^T h_i and B_k P_inf h_j),
-        kappa_ij = c_i^T A(a_q - a_p) psi_j for row i in segment q and row j in
-        segment p <= q.  So, segment by segment, the columns psi_j before segment
-        q are carried to a_q by one transition and the rows c_i of segment q
-        multiply them; the lower triangle is mirrored, its diagonal set to h_i^T
-        P_inf h_i as it is, and B (P - P_inf) B^T added.  Within a segment
-        lambda |t - a_q| <= ``RUN_SPAN`` / 2, lambda the largest decay rate of
-        the model's blocks, so c_i and psi_j stay small and so does the
-        rounding of their products.  ``linalg.condition_block`` conditions the
-        rows; the state moves to the last row's time t_e in one ``predict`` over
-        A(t_e - t_s), and ``linalg.fold_state`` folds the y-rows in with cross
-        terms Cov(f_j, x_e) = (A(t_e - t_j) P_inf h_j)^T + b_j^T (P - P_inf)
-        A(t_e - t_s)^T, the first the columns psi_j as carried to the last
-        anchor, times A(t_e - a_last).  The rows are read through
-        ``sde.obs_entries`` and B_k^T h_i through the basis, so the temporaries
-        are O(n^2 + n d + d^2) arrays, times the K basis weights, and no (n, d,
-        d) stack is formed.
+        for the rows of segment q (``transition``'s weights at the steps to and from
+        the anchor, times the basis products B_k^T h_i and B_k P_inf h_j), kappa_ij
+        = c_i^T A(a_q - a_p) psi_j for row i in segment q and row j in segment p <=
+        q.  So, segment by segment, the columns psi_j before segment q are carried
+        to a_q by one transition and the rows c_i of segment q multiply them; the
+        lower triangle is mirrored, its diagonal set to h_i^T P_inf h_i as it is,
+        and B (P - P_inf) B^T added.  Within a segment lambda |t - a_q| <=
+        ``RUN_SPAN`` / 2, lambda the largest decay rate of the model's blocks, so
+        c_i and psi_j stay small and so does the rounding of their products.
+        ``linalg.condition_block`` conditions the rows; the state moves to the last
+        row's time t_e in one ``predict`` over A(t_e - t_s), formed from the weights
+        of the last row's b_i, and ``linalg.fold_state`` folds the y-rows in with
+        cross terms Cov(f_j, x_e) = (A(t_e - t_j) P_inf h_j)^T + b_j^T (P - P_inf)
+        A(t_e - t_s)^T, the first the columns psi_j as carried to the last anchor,
+        times A(t_e - a_last).  B_k^T h_i and P_inf h_i are each one
+        ``LtiSde.gather`` of the basis and of P_inf, so the temporaries are O(n^2 +
+        n d + d^2) arrays, times the K basis weights, and no (n, d, d) stack is
+        formed.
 
         Every row's inputs are checked first: a finite timestamp at or after the
         one before it (the clock, for the first), an observation row in range,
         a y that is not infinite, and room in the record.  The first row that
         fails is a DataError naming it (``detail["row"]``), as a failed pivot is
-        ``condition_block``'s NumericalError, each raised before the state
-        changes.  With a history, the run appends its ``RunRecord``."""
+        ``condition_block``'s NumericalError, and a model without a transition
+        basis a ConfigurationError, each raised before the state changes.
+        With a history, the run appends its ``RunRecord``."""
         sde, h, k = self.sde, self.history, self.rows_written
         n, d = len(ts), sde.dim
         t, y, r = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), np.asarray(rows, dtype=int)
-        start = t[0] if self.time is None else self.time
-        positions, weights = sde.obs_entries
-        n_obs = len(positions)
-        with np.errstate(over="ignore", invalid="ignore"):
-            before = np.concatenate(([start], t[:-1]))
-            moves = np.isfinite(t - before) & (t >= before) & np.isfinite(t - start)
-        fits, p = n, -1
-        if h is not None:
-            p = int(h.steps[k - 1]) if k else -1  # the record's last time row: the start state's
+        m, P, start, fits, p = self.mean, self.cov, self.time, n, -1  # without a history, the clock's state
+        if h is not None:  # the last stored state, time row p, or the stationary prior before the first
+            p = self._last_row()
+            m, P, start = (h.means[p], h.covs[p], h.times[p]) if p >= 0 else (np.zeros(d), sde.stationary, None)
             fits = h.steps.size - k if p + 1 < h.times.size else 0  # the run writes one time row, p + 1
+        start = t[0] if start is None else start
+        n_obs = len(sde.obs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = np.concatenate(([t[0] if self.time is None else self.time], t[:-1]))  # the clock, then each row
+            moves = np.isfinite(t - before) & (t >= before) & np.isfinite(t - start)
         bad = ~moves | (r < 0) | (r >= n_obs) | np.isinf(y) | (np.arange(n) >= fits)
         if bad.any():  # the run's first bad row
             i = int(np.argmax(bad))
@@ -590,20 +570,17 @@ class MarkovStepper:
                            f"step {k + i + 1} does not fit")
             raise DataError(message, detail={"row": i})
 
-        m, P, Pinf = self.mean, self.cov, sde.stationary
-        A = transition(sde, t[-1] - start)  # A(t_e - t_s); a model without a basis raises here, changing nothing
-        pos, w = positions[r], weights[r]  # (n, r): each row's entries
-        basis = sde.basis.reshape(d, d, -1)  # [a, b, k] = B_k[a, b]
-        HB = basis[pos[:, 0]] * w[:, :1, None]  # (n, d, K): B_k^T h_i
-        U = Pinf[pos[:, 0]] * w[:, :1]  # (n, d): (P_inf h_i)^T, as P_inf is symmetric
-        for e in range(1, pos.shape[1]):
-            HB += basis[pos[:, e]] * w[:, e:e + 1, None]
-            U += Pinf[pos[:, e]] * w[:, e:e + 1]
+        if sde.basis is None:
+            raise ConfigurationError("the state-space model has no closed-form transition basis")
+        Pinf = sde.stationary
+        HB = sde.gather(r, sde.basis.reshape(d, d, -1))  # (n, d, K): B_k^T h_i
+        U = sde.gather(r, Pinf)  # (n, d): (P_inf h_i)^T, as P_inf is symmetric
         bounds = run_segments(t, -sde.poles.real.min())
         lo, hi = bounds[:-1], bounds[1:]  # segment q: rows lo[q] to hi[q]
         anchor = t[lo] + 0.5 * (t[hi - 1] - t[lo])  # each segment's midpoint
         a = np.repeat(anchor, hi - lo)  # row i: its segment's anchor a_i
         W = _weights(sde, np.concatenate((t - start, t - a, a - t))[:, None]).reshape(3, n, -1)
+        A = (sde.basis @ W[0, -1][:, None]).reshape(d, d)  # A(t_e - t_s), as ``transition`` forms it
         B, Ba = (HB @ W[:2, ..., None])[..., 0]  # rows b_i = A(t_i - t_s)^T h_i and A(t_i - a_i)^T h_i
         BU = (sde.basis_rows @ U.T).reshape(d, -1, n)  # [a, k, j] = (B_k P_inf h_j)_a
         X = np.einsum("akj,jk->aj", BU, W[2])  # column j: psi_j = A(a_j - t_j) P_inf h_j
@@ -614,7 +591,8 @@ class MarkovStepper:
                 X[:, :lo[q]] = steps[q - 1] @ X[:, :lo[q]]
             kappa[lo[q]:hi[q], :hi[q]] = Ba[lo[q]:hi[q]] @ X[:, :hi[q]]
         C = np.where(np.tri(n, dtype=bool), kappa, kappa.T)  # the lower triangle, mirrored
-        C.flat[::n + 1] = (U[np.arange(n)[:, None], pos] * w).sum(1)  # h_i^T P_inf h_i, as it is
+        positions, weights = sde.obs_entries
+        C.flat[::n + 1] = (np.take_along_axis(U, positions[r], 1) * weights[r]).sum(1)  # h_i^T P_inf h_i, as it is
         BD = B @ (P - Pinf)
         C += BD @ B.T
         cross = X.T @ steps[-1].T + BD @ A.T  # row j: Cov(f_j, x_e)
@@ -623,22 +601,21 @@ class MarkovStepper:
         mean, cov = predict(sde, A, m, P)
         fold_state(mean, cov, out, cross[out.scored])
         if h is not None:
-            self._record_run(t, r, C, mu, B, cross, A, out, mean, cov, p)
+            self._record_run(t, r, C, mu, B, cross, A, out, m, P, mean, cov, p)
         self.mean, self.cov, self.time = mean, cov, ts[-1]
         return out.means, out.variances, out.logdensities
 
-    def _record_run(self, t, r, C, mu, B, cross, A, out, mean, cov, p: int) -> None:
+    def _record_run(self, t, r, C, mu, B, cross, A, out, m, P, mean, cov, p: int) -> None:
         """Write a run to the history: the end state's time row p + 1 (p the start
-        state's, -1 at the stream's first row), its rows, and its ``RunRecord``,
-        from the run's prior (mu, C, the b_i in B and the cross terms), its end
-        transition A and its conditioning ``out``.  With W = L^-1 C_Y, G_e = L^-1
-        Cov(f_Y, x_e) and G_s = L^-1 Cov(f_Y, x_s) (Cov(f_j, x_s) = b_j^T P),
-        every row and the start state are conditioned on the run's y-rows: E[f |
-        y] = mu + W^T z, Cov(f, x_e | y) = Cov(f, x_e) - W^T G_e, E[x_s | y] = m
-        + G_s^T z, Cov(x_s | y) = P - G_s^T G_s and Cov(x_s, x_e | y) = P A^T -
-        G_s^T G_e."""
+        state's, -1 for the stationary prior), its rows, and its ``RunRecord``,
+        from the run's start state N(m, P), its prior (mu, C, the b_i in B and the
+        cross terms), its end transition A and its conditioning ``out``.  With W =
+        L^-1 C_Y, G_e = L^-1 Cov(f_Y, x_e) and G_s = L^-1 Cov(f_Y, x_s) (Cov(f_j,
+        x_s) = b_j^T P), every row and the start state are conditioned on the
+        run's y-rows: E[f | y] = mu + W^T z, Cov(f, x_e | y) = Cov(f, x_e) - W^T
+        G_e, E[x_s | y] = m + G_s^T z, Cov(x_s | y) = P - G_s^T G_s and Cov(x_s,
+        x_e | y) = P A^T - G_s^T G_e."""
         h, k, n = self.history, self.rows_written, len(t)
-        m, P = self.mean, self.cov  # the start state
         Y = out.scored
         if Y.size:
             z, W, G_e, G_s = out.z, out.inverse @ C[Y], out.inverse @ cross[Y], out.inverse @ (B[Y] @ P)
@@ -647,22 +624,18 @@ class MarkovStepper:
         end = p + 1
         h.times[end], h.means[end], h.covs[end] = t[-1], mean, cov
         h.steps[k:k + n], h.obs_rows[k:k + n] = end, r
-        for i, ll in enumerate(out.logdensities):
-            h.logliks[k + i] = np.nan if ll is None else ll
-            h.loglik_total += 0.0 if ll is None else ll
         rows = np.column_stack((mu + z @ W, C.diagonal() - np.einsum("ij,ij->j", W, W)))
-        h.runs.append(RunRecord(k, p if self.time is not None else -1, end, rows, cross - W.T @ G_e,
+        h.runs.append(RunRecord(k, p, end, rows, cross - W.T @ G_e,
                                 m + z @ G_s, P - G_s.T @ G_s, P @ A.T - G_s.T @ G_e, mean.copy(), cov.copy()))
         self.rows_written = k + n
 
     def result(self) -> FilterResult:
-        """The history rows written so far, as views of ``history`` (no copy)."""
+        """The history rows written so far, as views of ``history`` (no copy),
+        without scores (``logliks`` and ``loglik_total`` None)."""
         if self.history is None:
             raise ConfigurationError("the filter history requires history_times")
-        h, n = self.history, self.rows_written
-        m = int(h.steps[n - 1]) + 1 if n else 0
-        return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], h.logliks[:n],
-                            h.loglik_total, h.runs)
+        h, n, m = self.history, self.rows_written, self._last_row() + 1
+        return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], runs=h.runs)
 
 
 @dataclass
@@ -692,15 +665,16 @@ class FilterResult:
     (``MarkovStepper._run``) has one row, ``run.end``, right after its start
     state's; its rows' and its start state's moments are in its ``RunRecord``.
     Row k's transition is ``transition(sde, times[k] - times[k - 1])`` and its
-    predicted moments are ``predict`` of row k - 1 over it: neither is stored."""
+    predicted moments are ``predict`` of row k - 1 over it: neither is stored.
+    Only ``kalman_filter`` fills ``logliks`` and ``loglik_total``."""
 
     times: np.ndarray  # (T,) the stored states' timestamps, strictly increasing
     means: np.ndarray  # (T, d) filtered; smoothed after rts_smoother
     covs: np.ndarray  # (T, d, d)
     steps: np.ndarray  # (N,) each input row's time row, non-decreasing
     obs_rows: np.ndarray  # (N,) index of the H row used per input row
-    logliks: np.ndarray  # (N,) one-step predictive log densities (NaN if no y)
-    loglik_total: float
+    logliks: np.ndarray | None = None  # (N,) one-step predictive log densities (NaN if no y)
+    loglik_total: float | None = None  # their sum, left to right
     runs: list = field(default_factory=list)  # RunRecords in row order; none from kalman_filter
 
 
@@ -762,6 +736,22 @@ def block_bounds(t, n: int, min_rows: int) -> np.ndarray:
     return np.append(starts, n)
 
 
+def _pieces(ts, n: int) -> list:
+    """(start, stop, run) for each time step of a block with timestamps ``ts``
+    (``block_bounds`` with ``min_rows`` 1), with runs of two or more
+    consecutive one-row time steps joined into one piece (run True)."""
+    if n <= UPDATE_BLOCK_ROWS and len(set(ts)) == 1:  # one time step, as on a space-time grid
+        return [(0, n, False)]
+    bounds = block_bounds(ts, n, 1).tolist()
+    pieces = []
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a == 1 and pieces and pieces[-1][2]:  # one more one-row step
+            pieces[-1][1] = b
+        else:
+            pieces.append([a, b, b - a == 1])
+    return [(a, b, ones and b - a > 1) for a, b, ones in pieces]
+
+
 def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -> FilterResult:
     """Forward filter over an ordered stream of scalar observations, one time step
     at a time: the per-time-step reference that the runner's runs are tested against.
@@ -779,6 +769,8 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
     NumericalError, prefixed with ``step k: ``, k the rows run before it.
     Starts from the stationary law N(0, P_inf).  Under ties the result has
     fewer rows of times and moments than inputs: one per distinct timestamp.
+    ``logliks`` holds the score that ``step`` returned for each row (NaN on a
+    predict-only row), and ``loglik_total`` their sum, left to right.
     """
     t = np.asarray(times, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()
@@ -790,15 +782,18 @@ def kalman_filter(sde: LtiSde, times, values, noise_var: float, obs_rows=None) -
 
     stepper = MarkovStepper(sde, noise_var, history_times=t)
     ts, ys, rs = t.tolist(), y.tolist(), rows.tolist()
-    k = 0
+    logliks, total, k = np.full(t.size, np.nan), 0.0, 0
     try:
-        for _ in run_blocks(block_bounds(t, t.size, 1).tolist(),
-                            lambda a, b: zip(*stepper.step(ts[a], ys[a:b], rs[a:b]))):
+        for _, _, ll in run_blocks(block_bounds(t, t.size, 1).tolist(),
+                                   lambda a, b: zip(*stepper.step(ts[a], ys[a:b], rs[a:b]))):
+            if ll is not None:
+                logliks[k] = ll
+                total += ll  # left to right: sum() compensates on Python >= 3.12
             k += 1
     except (DataError, NumericalError) as exc:
         exc.args = (f"step {k}: {exc}",)  # same class, now naming the step
         raise
-    return stepper.result()
+    return replace(stepper.result(), logliks=logliks, loglik_total=total)
 
 
 # The backward pass holds at most this many bytes of d x d matrices per stack

@@ -32,22 +32,21 @@ moments and log density, and the runner folds the block's y-rows into its
 state (``linalg.fold_state`` for the Markov, sparse and linear states; a row
 panel of the Cholesky factor for the exact GP).  A Markov block is its time
 steps in turn, each tied step at once and each run of one-row time steps at
-once under the prior that the SDE implies (``MarkovStepper.step``).  One
-block loop, ``linalg.run_blocks``, started by ``_RowRunner._start_blocks``,
-drives the exact, sparse, linear and Markov runners with one failure rule:
-a block that fails at a row (a failed pivot; kernel, projection or feature
-entries that are not finite; an unknown location, an observation row out
-of range, an infinite y, or in a Markov run a timestamp that is not finite
-or decreases) runs the rows before it as a block, the row alone, and the
-rest as a new block, so only a one-row failure raises.  Row by row (a
-Markov time step of one row outside a run, and the linear runner under a
-Laplace likelihood or expanding dynamics, or where a block's powers
-overflow),
-``linear_filter.observe_f`` or ``MarkovStepper.predict_obs`` forms (h^T m,
-h^T s, s) with s = P h once, and a y-row hands that triple to
-``linalg.condition``, the one scored update (through
-``linear_filter.condition_in_place``, which adds the Laplace step of a
-non-Gaussian likelihood).  The pure functions of those modules are the
+once under the prior that the SDE implies from the last stored state
+(``MarkovStepper.step``).  One block loop, ``linalg.run_blocks``, started by
+``_RowRunner._start_blocks``, drives the exact, sparse, linear and Markov
+runners with one failure rule: a block that fails at a row (a failed pivot;
+kernel, projection or feature entries that are not finite; an unknown
+location, an observation row out of range, an infinite y, or in a Markov run
+a timestamp that is not finite or decreases) runs the rows before it as a
+block, the row alone, and the rest as a new block, so only a one-row failure
+raises.  Row by row (a Markov time step of one row outside a run, and the
+linear runner under a Laplace likelihood or expanding dynamics, or where a
+block's powers overflow), ``linear_filter.observe_f`` or
+``MarkovStepper.predict_obs`` forms (h^T m, h^T s, s) with s = P h once, and
+a y-row hands that triple to ``linalg.condition``, the one scored update
+(through ``linear_filter.condition_in_place``, which adds the Laplace step
+of a non-Gaussian likelihood).  The pure functions of those modules are the
 same arithmetic on new states, for library callers.
 
 Runner construction happens after the whole input is parsed (the CLI reads
@@ -383,7 +382,8 @@ class MarkovRunner(_RowRunner):
     (``markovian.block_bounds`` with ``block_rows``, 64 rows or more, as for
     every Gaussian runner) through ``_start_blocks``.  ``MarkovStepper.step``
     conditions each block's tied time steps one at a time and each run of
-    one-row time steps at once.  A block whose first row has no location
+    one-row time steps at once; each row's score comes from its return, as
+    the record keeps none.  A block whose first row has no location
     raises it; elsewhere in a block, such a row is out of range for the
     stepper, which names it.  A row is charged the flops of its own predict
     and update, as if stepped alone, and the move if it moves the clock, as

@@ -62,6 +62,7 @@ ONE_PARTITION = "one block partition and one stepper entry"
 RUNS = "each run of one-row time steps is conditioned as one vector measurement"
 RUN_ROWS = "each run's prior is built from O(n) state rows"
 STATE_ROWS = "the smoothing record has one row per stored state"
+TRIMMED = "the Markov stepper's record keeps no scores"
 
 MUTANTS = (
     Mutant(
@@ -351,10 +352,9 @@ MUTANTS = (
         BLOCK_FOLD),
     Mutant(
         "filter-result-copies-the-history", "src/seqgp/markovian.py",
-        "        return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], "
-        "h.logliks[:n],\n",
+        "        return FilterResult(h.times[:m], h.means[:m], h.covs[:m], h.steps[:n], h.obs_rows[:n], runs=h.runs)\n",
         "        return FilterResult(h.times[:m].copy(), h.means[:m].copy(), h.covs[:m].copy(), h.steps[:n].copy(),\n"
-        "                            h.obs_rows[:n].copy(), h.logliks[:n].copy(),\n",
+        "                            h.obs_rows[:n].copy(), runs=h.runs)\n",
         ("tests/test_markovian.py::TestStepperHistory::test_history_rows_are_copies_and_result_is_a_view",),
         BLOCK_FOLD),
     Mutant(
@@ -421,8 +421,8 @@ MUTANTS = (
         ONE_GATHER),
     Mutant(
         "block-gather-reads-each-rows-first-entry-only", "src/seqgp/markovian.py",
-        "        idx, w = positions[rows].T, weights[rows].T  # (r, n): entry j of every row in row j\n",
-        "        idx, w = positions[rows, :1].T, weights[rows, :1].T  # (r, n): entry j of every row in row j\n",
+        "        for e in range(1, pos.shape[1]):\n",
+        "        for e in range(1, 1):  # the first entry only\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::test_tied_hida_matern_space_time_stream_matches_the_row_loops",
          "tests/test_markovian.py::TestObserveStep::test_hand_built_model_derives_its_row_structure_from_obs"),
         ONE_GATHER),
@@ -519,6 +519,19 @@ MUTANTS = (
         ("tests/test_markovian.py::TestStepperHistory::test_the_record_writes_only_its_prefix",
          "tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_is_the_batch_filter_and_smoother"),
         STATE_ROWS),
+    Mutant(
+        "stepper-rollback-keeps-the-overwritten-time-row", "src/seqgp/markovian.py",
+        "                p, h.means[p], h.covs[p] = row\n",
+        "                pass\n",
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_a_block_that_raises_leaves_the_stepper_as_it_was",),
+        TRIMMED),
+    Mutant(
+        "stepper-block-error-names-its-piece-row", "src/seqgp/markovian.py",
+        '                exc.detail = {**(exc.detail or {}), "row": a + (exc.detail or {}).get("row", 0)}\n',
+        '                exc.detail = {**(exc.detail or {}), "row": (exc.detail or {}).get("row", 0)}\n',
+        ("tests/test_markovian.py::TestTimeStepBlocks::test_a_block_that_raises_leaves_the_stepper_as_it_was",
+         "tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it"),
+        TRIMMED),
 )
 
 

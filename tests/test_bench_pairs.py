@@ -17,7 +17,8 @@ def _decimals(value: float) -> int:
     return len(text.split(".")[1]) if "." in text and "e" not in text else 0
 
 
-@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json", "BENCH_33.json"])
+@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json", "BENCH_33.json",
+                                  "BENCH_34.json"])
 def test_stored_summaries_are_rebuilt_from_their_pairs(name):
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
     assert doc["summary"]

@@ -231,27 +231,39 @@ def stepped_blocks(sde, t, y, rows, noise_var):
     return stepper, cells
 
 
+def scores(cells):
+    """The log densities of rows (mean, var, loglik) or of StepResults, as ``kalman_filter``'s
+    ``logliks`` holds them (NaN on a predict-only row), and their sum left to right, as its
+    ``loglik_total`` is summed."""
+    lls = [c[2] if isinstance(c, tuple) else c.logdensity for c in cells]
+    total = 0.0
+    for ll in lls:
+        total += 0.0 if ll is None else ll
+    return np.array([np.nan if ll is None else ll for ll in lls]), total
+
+
 def assert_records_equal(got, want):
-    """Two records, bit for bit: every row and field, and its runs."""
-    for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+    """Two stepper records, bit for bit: every row and field, and its runs."""
+    for name in ("times", "means", "covs", "steps", "obs_rows"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert got.loglik_total == want.loglik_total
     assert len(got.runs) == len(want.runs)
     for a, b in zip(got.runs, want.runs):
         for field in dataclasses.fields(b):
             np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
-def assert_record_matches_the_batch_filter(record, batch, atol=1e-12):
-    """A record with runs against ``kalman_filter``'s, which has a row per distinct time.  The
-    record has a row per stored state, with strictly increasing times: one per time step outside
-    a run, and one per run, right after its start state's (``run.end == run.start + 1``, so 0 for a
-    run from the stream's first row), at its last time, which every one of its rows maps to.  Its
-    rows, log densities and moments are the batch filter's, the moments at the same times, to ``atol``."""
+def assert_record_matches_the_batch_filter(record, cells, batch, atol=1e-12):
+    """A record with runs, and the rows that filled it, against ``kalman_filter``'s, which has a row
+    per distinct time.  The record has a row per stored state, with strictly increasing times: one
+    per time step outside a run, and one per run, right after its start state's (``run.end ==
+    run.start + 1``, so 0 for a run from the stream's first row), at its last time, which every one
+    of its rows maps to.  Its rows and moments, and the rows' log densities, are the batch filter's,
+    the moments at the same times, to ``atol``."""
     t = batch.times[batch.steps]  # each input row's time
+    logliks, total = scores(cells)
     np.testing.assert_array_equal(record.obs_rows, batch.obs_rows)
-    np.testing.assert_allclose(record.logliks, batch.logliks, rtol=0, atol=atol, equal_nan=True)
-    assert record.loglik_total == pytest.approx(batch.loglik_total, rel=0, abs=atol * record.logliks.size)
+    np.testing.assert_allclose(logliks, batch.logliks, rtol=0, atol=atol, equal_nan=True)
+    assert total == pytest.approx(batch.loglik_total, rel=0, abs=atol * logliks.size)
     assert np.all(np.diff(record.times) > 0)
     plain = np.ones(t.size, dtype=bool)
     for run in record.runs:
@@ -822,7 +834,7 @@ class TestStepperHistory:
         assert len(record.runs) >= 3 and np.unique(t).size < t.size - 10  # runs and ties
         assert_cells_close(predicted, sequential_rows(sde, t, y, zeros, 0.2)[0])
         batch = markovian.kalman_filter(sde, t, y, 0.2)
-        assert_record_matches_the_batch_filter(record, batch)
+        assert_record_matches_the_batch_filter(record, predicted, batch)
         streamed = runner.smooth()
 
         sm = markovian.rts_smoother(sde, batch)
@@ -960,17 +972,17 @@ class TestStepperHistory:
         post_mean, post_cov = record.means[-1], record.covs[-1]
         assert float(sde.obs[0] @ pred_mean) == mean and float(sde.obs[0] @ pred_cov @ sde.obs[0]) == var
         assert np.array_equal(post_mean, stepper.mean) and np.array_equal(post_cov, stepper.cov)
-        assert (record.obs_rows[-1], record.logliks[-1]) == (0, ll)
+        assert record.obs_rows[-1] == 0 and record.logliks is None and record.loglik_total is None
 
     def test_history_rows_are_copies_and_result_is_a_view(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern32(1.0, 0.5)), 0.2,
                                           history_times=0.1 * np.arange(5))
-        for i in range(3):
-            stepper.step(0.1 * i, [0.3 if i else np.nan], [0])
+        lls = [stepper.step(0.1 * i, [0.3 if i else np.nan], [0])[2][0] for i in range(3)]
         record = stepper.result()
         assert record.times.tolist() == [0.0, 0.1, 0.2] and record.means.shape == (3, 2)
-        assert np.isnan(record.logliks[0]) and record.loglik_total == record.logliks[1] + record.logliks[2]
-        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+        assert lls[0] is None and None not in lls[1:]  # the scores are step's, not the record's
+        assert record.logliks is None and record.loglik_total is None
+        for name in ("times", "means", "covs", "steps", "obs_rows"):
             assert np.shares_memory(getattr(record, name), getattr(stepper.history, name))
         assert not np.shares_memory(stepper.history.covs, stepper.cov)
         assert not np.shares_memory(stepper.history.means, stepper.mean)
@@ -1018,19 +1030,21 @@ class TestStepperHistory:
         y = rng.standard_normal(t.size)
         y[::4] = np.nan
         runner = MarkovRunner(sde, 0.2, locations=locations, history_times=t)
-        run_runner(runner, stream_columns(y, t=t, x=locations[rows]), 7)
+        cells = run_runner(runner, stream_columns(y, t=t, x=locations[rows]), 7)
         record = runner.stepper.result()
         assert np.unique(t).size == 30 < t.size
         assert runner.stepper.history.times.size == 30  # sized from the timestamps, not the rows
         np.testing.assert_array_equal(record.obs_rows, rows)
-        np.testing.assert_array_equal(np.isnan(record.logliks), np.isnan(y))
+        np.testing.assert_array_equal(np.isnan(scores(cells)[0]), np.isnan(y))
         assert record.runs and record.times.size < 30
         for run in record.runs:
             n = len(run.rows)
             assert np.unique(t[run.first:run.first + n]).size == n
             assert run.end == run.start + 1 and (record.steps[run.first:run.first + n] == run.end).all()
-        assert_records_equal(record, stepped_blocks(sde, t, y, rows, 0.2)[0].result())
-        assert_record_matches_the_batch_filter(record, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
+        stepper, stepped = stepped_blocks(sde, t, y, rows, 0.2)
+        np.testing.assert_array_equal(scores(cells)[0], scores(stepped)[0])
+        assert_records_equal(record, stepper.result())
+        assert_record_matches_the_batch_filter(record, cells, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
 
     def test_the_record_writes_only_its_prefix(self):
         # a few thousand irregular rows, most in runs of one-row time steps, some tied, through the
@@ -1046,7 +1060,7 @@ class TestStepperHistory:
         assert h.times.size == 3000  # room for a row per distinct time
         h.means.fill(np.nan)
         h.covs.fill(np.nan)
-        run_runner(runner, stream_columns(y, t=t))
+        cells = run_runner(runner, stream_columns(y, t=t))
         record = runner.stepper.result()
         plain = np.ones(t.size, dtype=bool)
         for run in record.runs:
@@ -1056,7 +1070,7 @@ class TestStepperHistory:
         assert np.count_nonzero(~plain) > 0.9 * t.size
         assert np.isfinite(record.means).all() and np.isfinite(record.covs).all()
         assert np.isnan(h.means[m:]).all() and np.isnan(h.covs[m:]).all()
-        assert_record_matches_the_batch_filter(record, markovian.kalman_filter(sde, t, y, 0.2))
+        assert_record_matches_the_batch_filter(record, cells, markovian.kalman_filter(sde, t, y, 0.2))
 
     def test_step_past_the_history_times_is_a_data_error(self):
         stepper = markovian.MarkovStepper(markovian.build_lti(kernels.matern12()), 0.1, history_times=[0.0, 0.0])
@@ -1076,7 +1090,7 @@ class TestStepperHistory:
         sde = markovian.build_lti(kernels.matern32(1.0, 1.0))
         t = np.array([0.0, 0.5, 0.5, 1.25, 2.0, 2.0, 2.0, 3.0])
         stepper = markovian.MarkovStepper(sde, 0.1, history_times=t)
-        filtered = []
+        filtered, cells = [], []
         bounds = markovian.block_bounds(t, t.size, 1).tolist()
         for start, stop in zip(bounds, bounds[1:]):
             ti = float(t[start])
@@ -1087,7 +1101,7 @@ class TestStepperHistory:
                 with pytest.raises(DataError, match="non-finite observation"):
                     stepper.step(ti, [np.inf], [0])
                 assert stepper.time == clock
-            stepper.step(ti, np.sin(t[start:stop]), [0] * (stop - start))
+            cells += zip(*stepper.step(ti, np.sin(t[start:stop]), [0] * (stop - start)))
             filtered += [(stepper.mean.copy(), stepper.cov.copy())] * (stop - start)
         record = stepper.result()
         times, steps = np.unique(t, return_inverse=True)
@@ -1097,14 +1111,15 @@ class TestStepperHistory:
         np.testing.assert_array_equal(record.means, np.array([filtered[i][0] for i in last]))
         np.testing.assert_array_equal(record.covs, np.array([filtered[i][1] for i in last]))
         batch = markovian.kalman_filter(sde, t, np.sin(t), 0.1)
-        for name in ("times", "means", "covs", "steps", "logliks"):
+        for name in ("times", "means", "covs", "steps"):
             np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
+        np.testing.assert_array_equal(batch.logliks, scores(cells)[0])
 
     @pytest.mark.parametrize("moved_to", [0.45, 0.5])
     def test_a_run_after_a_moved_clock_starts_from_a_state_in_the_record(self, moved_to):
         # ``advance`` moves the clock past the record's last time row (to a time of no row, or to the
-        # next row's): the block's first row takes a time step of its own, so the run after it starts
-        # from a time row, and smoothing gives the per-time-step filter's and smoother's moments
+        # next row's): the block is still one run, from the record's last stored state, and
+        # smoothing gives the per-time-step filter's and smoother's moments
         sde = markovian.build_lti(kernels.matern32(1.0, 0.8))
         t = np.array([0.0, 0.2, 0.3, 0.5, 0.8, 0.9, 1.3])
         y = np.sin(3.0 * t)
@@ -1113,11 +1128,11 @@ class TestStepperHistory:
         stepper.advance(moved_to)
         stepper.step(t[3:].tolist(), y[3:].tolist(), [0] * 4)
         record = stepper.result()
-        assert [(run.first, run.start, run.end) for run in record.runs] == [(0, -1, 0), (4, 1, 2)]
-        assert record.times.tolist() == [0.3, 0.5, 1.3] and record.steps.tolist() == [0, 0, 0, 1, 2, 2, 2]
+        assert [(run.first, run.start, run.end) for run in record.runs] == [(0, -1, 0), (3, 0, 1)]
+        assert record.times.tolist() == [0.3, 1.3] and record.steps.tolist() == [0, 0, 0, 1, 1, 1, 1]
         sm = markovian.rts_smoother(sde, record)
         batch = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.1))
-        for k, j in zip((0, 1, 2), (2, 3, 6)):  # each record row and the batch row at its time
+        for k, j in zip((0, 1), (2, 6)):  # each record row and the batch row at its time
             np.testing.assert_allclose(sm.means[k], batch.means[j], rtol=0, atol=1e-12)
             np.testing.assert_allclose(sm.covs[k], batch.covs[j], rtol=0, atol=1e-12)
         for run in record.runs:
@@ -1152,7 +1167,7 @@ class TestStepperHistory:
             runner = MarkovRunner(sde, 0.2, history_times=t)
             cells = [(r.mean, r.var, r.logdensity) for r in run_runner(runner, stream_columns(y, t=t), chunk_rows)]
             record = runner.stepper.result()
-            assert_record_matches_the_batch_filter(record, batch)
+            assert_record_matches_the_batch_filter(record, cells, batch)
             reports.append((cells, runner.smooth().tolist()))
         assert reports[1] == reports[0] and reports[2] == reports[0]
         cells, streamed = reports[0]
@@ -1281,14 +1296,16 @@ class TestTimeStepBlocks:
         got = [(c["pred_mean"], c["pred_var"], c["pred_logdensity"]) for c in cells]
         ref, states = sequential_rows(sde, t, y, rows, 0.1)
         assert_cells_close(got, ref)
-        run_runner(runner, data, 5)
+        cells = run_runner(runner, data, 5)
         record = runner.stepper.result()
         np.testing.assert_allclose(record.means, np.array([m for m, _ in states]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.covs, np.array([c for _, c in states]), rtol=0, atol=1e-12)
         batch = markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
-        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+        for name in ("times", "means", "covs", "steps", "obs_rows"):
             np.testing.assert_array_equal(getattr(batch, name), getattr(record, name))
-        assert batch.loglik_total == record.loglik_total
+        logliks, total = scores(cells)
+        np.testing.assert_array_equal(batch.logliks, logliks)
+        assert batch.loglik_total == total
 
     def test_tied_hida_matern_space_time_stream_matches_the_row_loops(self, monkeypatch):
         # a two-component temporal kernel: every observation row reads two entries of its location's
@@ -1359,7 +1376,7 @@ class TestTimeStepBlocks:
         np.testing.assert_allclose(record.covs, np.array([c for _, c in states]), rtol=0, atol=1e-12)
         assert sum(n >= 3 for n in sizes) >= 5 and 2 in sizes  # failed blocks, and blocks after them
         batch = markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
-        np.testing.assert_array_equal(batch.logliks, record.logliks)
+        np.testing.assert_array_equal(batch.logliks, scores(got)[0])
 
     @pytest.mark.parametrize("sigma2, ys, row, error, message", [
         (0.2, [np.nan, 1.0, 2.0, np.inf, 3.0], 3, NumericalError,
@@ -1391,12 +1408,12 @@ class TestTimeStepBlocks:
         runner = MarkovRunner(sde, 0.1, locations=GRID, history_times=t)
         cells = run_runner(runner, stream_columns(y, t=t, x=GRID[rows]), 5)
         got = markovian.kalman_filter(sde, t, y, 0.1, obs_rows=rows)
-        want = [np.nan if c.logdensity is None else c.logdensity for c in cells]
+        want, total = scores(cells)
         np.testing.assert_array_equal(got.logliks, want)
         assert np.isnan(want).sum() > 5
+        assert got.loglik_total == total
         record = runner.stepper.result()
-        assert got.loglik_total == record.loglik_total
-        for name in ("times", "means", "covs", "steps", "obs_rows", "logliks"):
+        for name in ("times", "means", "covs", "steps", "obs_rows"):
             np.testing.assert_array_equal(getattr(got, name), getattr(record, name))
 
     @pytest.mark.parametrize("case", ["run-after-a-tie-at-the-clock", "pivot-in-a-run-after-a-tie",
@@ -1404,7 +1421,7 @@ class TestTimeStepBlocks:
     def test_a_block_that_raises_leaves_the_stepper_as_it_was(self, case, monkeypatch):
         # a block whose last piece fails, after pieces that conditioned the state (a tie at the clock
         # conditions it in place and overwrites the record's last time row), and a block of one
-        # failing piece: the moments, the clock, the record and its total are as before the block,
+        # failing piece: the moments, the clock and the record are as before the block,
         # the error names the block's row, and the stream then runs as if the block had never run
         sde = ZERO_STEP_SDES["spacetime"]
         t = np.array([0.0, 0.2, 0.3, 0.5, 0.5, 0.5, 0.7, 0.9, 1.1, 1.4])
@@ -1437,7 +1454,6 @@ class TestTimeStepBlocks:
         np.testing.assert_array_equal(stepper.cov, cov)
         assert stepper.time == clock
         assert_records_equal(stepper.result(), record)
-        assert stepper.result().loglik_total == record.loglik_total
 
     def test_a_row_stepped_out_of_order_is_a_value_error(self):
         # the runner draws each row's result from the stepper's blocks in order: a later row cannot come first
@@ -1464,6 +1480,25 @@ class TestTimeStepBlocks:
         np.testing.assert_array_equal(stepper.cov, cov)
         assert means == [float(sde.obs[r] @ mean) for r in (1, 0, 1, 2)]
         assert variances == [float(sde.obs[r] @ cov @ sde.obs[r]) for r in (1, 0, 1, 2)]
+
+    @pytest.mark.parametrize("t", [3, np.int64(3), np.float32(3.0), np.array(3.0)],
+                             ids=["int", "int64", "float32", "0-d-array"])
+    def test_a_zero_d_timestamp_is_the_time_of_the_whole_block(self, t):
+        # a 0-d real timestamp of any type is one time step, as the float 3.0 is: a block of one row
+        # and a tie after it give the same cells, state, clock and record
+        sde = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8), GRID)
+
+        def stepped(time):
+            stepper = markovian.MarkovStepper(sde, 0.1, history_times=[0.5, 3.0, 3.0, 3.0])
+            return stepper, [stepper.step(0.5, [0.3], [0]), stepper.step(time, [0.2], [1]),
+                             stepper.step(time, [np.nan, -0.1], [2, 0])]
+
+        (stepper, cells), (ref, want) = stepped(t), stepped(3.0)
+        assert cells == want
+        assert type(stepper.time) is float and stepper.time == 3.0
+        np.testing.assert_array_equal(stepper.mean, ref.mean)
+        np.testing.assert_array_equal(stepper.cov, ref.cov)
+        assert_records_equal(stepper.result(), ref.result())
 
     def test_memory_per_block_is_bounded_whatever_the_rows_at_one_time(self):
         # 2 and 8 blocks' worth of rows at each of 3 times: a block is at most UPDATE_BLOCK_ROWS

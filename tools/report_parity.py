@@ -4,7 +4,9 @@
 
 PARENT_SRC and CHANGE_SRC are the ``src/`` directories of two checkouts.  Each
 workload of ``perfbench/workloads.py`` (imported read-only, from this
-checkout), and ``spacetime-grid`` with ``emit_smoothed=true``, is generated at
+checkout), ``spacetime-grid`` with ``emit_smoothed=true``, and the smoothed
+mixed-tie stream of ``tests/test_report_digests.py`` (``mixed_tie_stream``:
+blocks that mix tied time steps and runs of one-row time steps) is generated at
 each seed and run through ``python -m seqgp.cli run`` under both trees, with
 BLAS pinned to one thread as the benchmark pins it.  The two runs are
 compared on the exit code, the CSV body, the summary without
@@ -26,8 +28,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+from test_report_digests import MIXED_TIES, mixed_tie_stream  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -36,7 +39,7 @@ SMOOTHED = "spacetime-grid emit_smoothed=true"
 
 def cases(workdir: str, seed: int):
     """(label, input path, overrides) for every report compared at ``seed``."""
-    for name, make in WORKLOADS.items():
+    for name, make in {**WORKLOADS, MIXED_TIES: mixed_tie_stream}.items():
         subdir = os.path.join(workdir, f"{name}-{seed}")
         os.makedirs(subdir)
         w = make(seed, subdir)
@@ -131,8 +134,9 @@ def main(argv=None) -> int:
         doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
         doc["report_parity"] = {
             "method": "python -m seqgp.cli run --input STREAM OVERRIDES under each tree's src/, BLAS on one "
-                      "thread, on each workload of perfbench/workloads.py and spacetime-grid with "
-                      "emit_smoothed=true; compared: exit code, CSV body, summary without wall_time_s "
+                      "thread, on each workload of perfbench/workloads.py, spacetime-grid with "
+                      "emit_smoothed=true and the smoothed mixed-tie stream of tests/test_report_digests.py; "
+                      "compared: exit code, CSV body, summary without wall_time_s "
                       "(flops included) and stderr; max_abs and max_rel per differing column",
             "seeds": args.seeds,
             "reports": reports,
