@@ -47,7 +47,8 @@ block's powers overflow), ``linear_filter.observe_f`` or
 a y-row hands that triple to ``linalg.condition``, the one scored update
 (through ``linear_filter.condition_in_place``, which adds the Laplace step
 of a non-Gaussian likelihood).  The pure functions of those modules are the
-same arithmetic on new states, for library callers.
+same arithmetic on new states, for library callers.  A Markov runner's
+smoothed rows are ``MarkovStepper.smooth``'s, read through ``LtiSde.gather``.
 
 Runner construction happens after the whole input is parsed (the CLI reads
 its CSV into columns up front), which lets the sparse models place inducing
@@ -383,18 +384,17 @@ class MarkovRunner(_RowRunner):
     every Gaussian runner) through ``_start_blocks``.  ``MarkovStepper.step``
     conditions each block's tied time steps one at a time and each run of
     one-row time steps at once; each row's score comes from its return, as
-    the record keeps none.  A block whose first row has no location
-    raises it; elsewhere in a block, such a row is out of range for the
-    stepper, which names it.  A row is charged the flops of its own predict
-    and update, as if stepped alone, and the move if it moves the clock, as
-    the stream's first row does."""
+    the record keeps none.  A block with a row that has no location raises
+    at its first such row (``detail["row"]``), so the stepper is never handed
+    one.  A row is charged the flops of its own predict and update, as if
+    stepped alone, and the move if it moves the clock, as the stream's first
+    row does.  ``smooth`` is the stepper's, so the record stays in ``markovian``."""
 
     block_rows = markovian.UPDATE_BLOCK_ROWS
 
     def __init__(self, sde, noise_var: float, locations=None, history_times=None):
         self.stepper = markovian.MarkovStepper(sde, noise_var, history_times=history_times)
         self.locations = locations  # (N_s, D) when spatiotemporal
-        self._smoothed = False
         d = sde.dim  # a row's flops: its predict, 30d^3 more if it moves the clock (the first row does), its update
         self._costs = (4 * d**3 + 4 * d * d, 30 * d**3, 8 * d * d + 12 * d)
         self.flops = 0
@@ -427,74 +427,19 @@ class MarkovRunner(_RowRunner):
         if prev is None:
             costs[:1] += move  # as the stream's first row does
         rows = np.zeros(len(chunk), dtype=int) if self.locations is None else self._location_rows(chunk.x)
-        ts, ys, rows = t.tolist(), chunk.y.tolist(), rows.tolist()
+        unknown, ts, ys, rows = rows < 0, t.tolist(), chunk.y.tolist(), rows.tolist()
 
         def block(start, stop):
-            if rows[start] < 0:
-                raise DataError(f"location {chunk.x[start]} is not in spatial.locations", detail={"row": 0})
+            if unknown[start:stop].any():  # the block's first row without a location
+                p = int(np.argmax(unknown[start:stop]))
+                raise DataError(f"location {chunk.x[start + p]} is not in spatial.locations", detail={"row": p})
             return zip(*stepper.step(ts[start:stop], ys[start:stop], rows[start:stop]))
 
         self._start_blocks(chunk, block, costs.tolist())
 
     def smooth(self) -> np.ndarray:
-        """Backward pass over the stored history, in place: an (N, 2) array of each
-        input row's smoothed (mean, var) through its observation row.  The pass
-        overwrites the filtered moments it reads, so a runner smooths once; a
-        second call raises.  A failed pass, or a non-finite smoothed moment, is a
-        NumericalError whose ``detail["step"]`` names the input row at fault (a
-        singular gain, its time step's first; a run's singular end, its last).
-
-        A row of a run reads its smoothed moments from the run's record.  Any
-        other row, with entries (i_j, w_j) (``sde.obs_entries``), reads its time
-        row's sum_j w_j m_i_j and sum_j w_j sum_l P_i_j,i_l w_l: r^2 + r gathers
-        of one value per input row, summed in (N,) arrays.  A time row with a
-        non-finite entry that this does not read gives its input rows a NaN
-        variance; a row of a run reads no time row."""
-        if self._smoothed:
-            raise ConfigurationError("the history is already smoothed; a second pass would smooth it again")
-        self._smoothed = True
-        sde, record = self.stepper.sde, self.stepper.result()
-        try:
-            markovian.rts_smoother(sde, record)
-        except NumericalError as exc:  # the pass names a time row, last in its message: name its input row
-            exc.detail["step"] = k = exc.detail.get("row", int(np.searchsorted(record.steps, exc.detail["step"])))
-            exc.args = (f"{str(exc).rpartition(' ')[0]} {k}",)  # the same exception, now naming the input row
-            raise
-        means, covs, k, rows = record.means, record.covs, record.steps, record.obs_rows
-        read = np.arange(record.times.size)  # the time rows that some input row reads
-        if record.runs:
-            plain = np.ones(k.size, dtype=bool)
-            for run in record.runs:
-                plain[run.first:run.first + len(run.rows)] = False
-            k, rows = k[plain], rows[plain]
-            read = np.unique(k)
-        positions, weights = sde.obs_entries
-        smoothed = np.zeros((k.size, 2))  # the sums start at 0.0, which turns a lone -0.0 term into 0.0
-        for j in range(positions.shape[1]):  # entry j of every input row, as (N,) arrays
-            i = positions[rows, j]
-            Pw = covs[k, i, positions[rows, 0]] * weights[rows, 0]  # (P w)_i over the row's entries
-            for l in range(1, positions.shape[1]):
-                Pw += covs[k, i, positions[rows, l]] * weights[rows, l]
-            smoothed[:, 0] += means[k, i] * weights[rows, j]
-            smoothed[:, 1] += Pw * weights[rows, j]
-        block = max(1, markovian.SMOOTH_BLOCK_BYTES // (8 * sde.dim**2))
-        finite = np.empty(record.times.size, dtype=bool)  # per time row read, every entry, read or not
-        for start in range(0, read.size, block):
-            span = read[start:start + block]
-            finite[span] = np.isfinite(covs[span]).all(axis=(1, 2)) & np.isfinite(means[span]).all(axis=1)
-        smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan
-        if record.runs:
-            smoothed, rest = np.empty((plain.size, 2)), smoothed
-            smoothed[plain] = rest
-            for run in record.runs:
-                smoothed[run.first:run.first + len(run.rows)] = run.rows
-        bad = np.flatnonzero(~np.isfinite(smoothed).all(axis=1))
-        if bad.size:  # the pass carries a non-finite moment back to every step before it: name the last
-            k = int(bad[-1])
-            mean, var = smoothed[k].tolist()
-            raise NumericalError(f"non-finite smoothed moment at step {k}: mean {mean!r}, variance {var!r}",
-                                 detail={"step": k})
-        return smoothed
+        """Each input row's smoothed (mean, var), an (N, 2) array: ``MarkovStepper.smooth``."""
+        return self.stepper.smooth()
 
 
 class SparseRunner(_RowRunner):

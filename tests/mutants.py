@@ -63,6 +63,7 @@ RUNS = "each run of one-row time steps is conditioned as one vector measurement"
 RUN_ROWS = "each run's prior is built from O(n) state rows"
 STATE_ROWS = "the smoothing record has one row per stored state"
 TRIMMED = "the Markov stepper's record keeps no scores"
+READ_IN_MARKOVIAN = "smoothed rows are read in `markovian` through `LtiSde.gather`"
 
 MUTANTS = (
     Mutant(
@@ -156,7 +157,7 @@ MUTANTS = (
         ("tests/test_markovian.py::TestStepperHistory::test_one_record_row_per_stored_state",),
         TIME_ROWS),
     Mutant(
-        "smoothing-error-names-the-time-row", "src/seqgp/runners.py",
+        "smoothing-error-names-the-time-row", "src/seqgp/markovian.py",
         '            exc.detail["step"] = k = exc.detail.get("row", int(np.searchsorted(record.steps, exc.detail["step"])))\n',
         '            exc.detail["step"] = k = int(exc.detail["step"])\n',
         ("tests/test_cli.py::TestRun::test_failed_smoothing_names_the_row",),
@@ -250,8 +251,7 @@ MUTANTS = (
         "runner-without-its-cut-at-an-unknown-location", "src/seqgp/markovian.py",
         "        bad_rows = (rows < 0) | (rows >= n_obs)\n",
         "        bad_rows = rows >= n_obs\n",
-        ("tests/test_markovian.py::TestTimeStepBlocks::test_unknown_location_inside_a_time_step_is_3_with_its_row",
-         "tests/test_cli_models.py::TestSpatiotemporal::test_location_lookup"),
+        ("tests/test_markovian.py::TestStepperHistory::test_step_rejects_a_row_the_model_lacks",),
         ONE_DRIVER),
     Mutant(
         "runner-step-without-its-order-check", "src/seqgp/runners.py",
@@ -391,17 +391,18 @@ MUTANTS = (
         ("tests/test_ensemble.py::TestMemberErrors::test_at_one_row_the_lower_numbered_member_raises",),
         CHUNK_COMBINER),
     Mutant(
-        "smoothing-without-its-non-finite-check", "src/seqgp/runners.py",
-        "        smoothed[~finite[k] & np.isfinite(smoothed).all(axis=1), 1] = np.nan\n",
+        "smoothing-without-its-non-finite-check", "src/seqgp/markovian.py",
+        "        values[~finite[k] & np.isfinite(values).all(axis=1), 1] = np.nan\n",
         "        pass\n",
         ("tests/test_markovian.py::TestStepperHistory::"
          "test_a_non_finite_entry_off_the_observed_one_names_its_time_row",),
         ONE_GATHER),
     Mutant(
         "markov-block-without-its-location-check", "src/seqgp/runners.py",
-        "            if rows[start] < 0:\n",
-        "            if False:\n",
+        "            if unknown[start:stop].any():  # the block's first row without a location\n",
+        "            if False:  # the block's first row without a location\n",
         ("tests/test_markovian.py::TestTimeStepBlocks::test_unknown_location_inside_a_time_step_is_3_with_its_row",
+         "tests/test_markovian.py::TestTimeStepBlocks::test_a_row_without_a_location_never_reaches_the_stepper",
          "tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it"),
         ONE_RULE),
     Mutant(
@@ -411,11 +412,10 @@ MUTANTS = (
         ("tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it",),
         ONE_RULE),
     Mutant(
-        "smoothed-variance-without-its-cross-terms", "src/seqgp/runners.py",
-        "            Pw = covs[k, i, positions[rows, 0]] * weights[rows, 0]  # (P w)_i over the row's entries\n"
-        "            for l in range(1, positions.shape[1]):\n"
-        "                Pw += covs[k, i, positions[rows, l]] * weights[rows, l]\n",
-        "            Pw = covs[k, i, i] * weights[rows, j]  # (P w)_i over the row's entries\n",
+        "smoothed-variance-without-its-cross-terms", "src/seqgp/markovian.py",
+        "            out[:, 1] += sde.gather(r, sde.gather(r, covs.swapaxes(1, 2), at), np.arange(r.size))\n",
+        "            out[:, 1] += sde.gather(r, np.diagonal(covs, 0, 1, 2)[at] * sde.gather(r, np.eye(sde.dim)),"
+        " np.arange(r.size))\n",
         ("tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_projects_like_the_row_loop",
          "tests/test_markovian.py::TestTimeStepBlocks::test_tied_hida_matern_space_time_stream_matches_the_row_loops"),
         ONE_GATHER),
@@ -532,6 +532,20 @@ MUTANTS = (
         ("tests/test_markovian.py::TestTimeStepBlocks::test_a_block_that_raises_leaves_the_stepper_as_it_was",
          "tests/test_properties.py::test_a_bad_row_ends_every_block_route_after_the_rows_before_it"),
         TRIMMED),
+    Mutant(
+        "stacked-gather-ignores-at", "src/seqgp/markovian.py",
+        "        stack = () if at is None else (at,)\n",
+        "        stack = () if at is None else (0,)\n",
+        ("tests/test_markovian.py::TestObserveStep::test_a_stacked_gather_is_one_gather_per_row",
+         "tests/test_markovian.py::TestStepperHistory::test_runner_smoothing_projects_like_the_row_loop"),
+        READ_IN_MARKOVIAN),
+    Mutant(
+        "smoothed-variance-gathered-by-rows", "src/seqgp/markovian.py",
+        "            out[:, 1] += sde.gather(r, sde.gather(r, covs.swapaxes(1, 2), at), np.arange(r.size))\n",
+        "            out[:, 1] += sde.gather(r, sde.gather(r, covs, at), np.arange(r.size))\n",
+        ("tests/test_report_digests.py::test_report_digest",
+         "tests/test_markovian.py::TestObserveStep::test_smoothed_rows_are_the_entry_loop_bit_for_bit"),
+        READ_IN_MARKOVIAN),
 )
 
 

@@ -18,7 +18,7 @@ def _decimals(value: float) -> int:
 
 
 @pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json", "BENCH_33.json",
-                                  "BENCH_34.json"])
+                                  "BENCH_34.json", "BENCH_35.json"])
 def test_stored_summaries_are_rebuilt_from_their_pairs(name):
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
     assert doc["summary"]

@@ -167,6 +167,9 @@ class TestStepperSymmetry:
 
 SPACETIME_SDE = markovian.build_spatiotemporal(kernels.matern32(1.0, 0.7), kernels.se(1.0, 0.8),
                                                [[0.0, 0.0], [0.5, 0.1], [1.1, -0.4], [2.0, 0.3]])
+# the mixture's row (r = 3) and the row without its second component, which pads an entry of weight 0.0
+PADDED_MIXTURE_SDE = dataclasses.replace(ZERO_STEP_SDES["mixture"], obs=ZERO_STEP_SDES["mixture"].obs[[0, 0]]
+                                         * np.array([[1.0] * 8, [1.0] * 4 + [0.0] + [1.0] * 3]))
 
 
 def stepped(sde, n=25, seed=6):
@@ -352,6 +355,53 @@ class TestObserveStep:
         sm = markovian.rts_smoother(sde, markovian.kalman_filter(sde, t, y, 0.2, obs_rows=rows))
         loop = [(obs[r] @ sm.means[k], obs[r] @ sm.covs[k] @ obs[r]) for r, k in zip(rows, sm.steps)]
         np.testing.assert_allclose(runner.smooth(), np.array(loop), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["spacetime", "padded-mixture"])
+    def test_a_stacked_gather_is_one_gather_per_row(self, name):
+        # space-time rows have r = 1; the mixture's second row has 2 of its 3 entries and pads the third
+        sde = SPACETIME_SDE if name == "spacetime" else PADDED_MIXTURE_SDE
+        rng = np.random.default_rng(17)
+        rows, at = rng.integers(0, len(sde.obs), 40), rng.integers(0, 5, 40)
+        for M in (rng.standard_normal((5, sde.dim)), rng.standard_normal((5, sde.dim, sde.dim))):
+            got = sde.gather(rows, M, at)
+            alone = np.array([sde.gather(rows[i:i + 1], M[at[i]])[0] for i in range(rows.size)])
+            assert got.shape == alone.shape and got.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("name", ["spacetime", "padded-mixture"])
+    def test_smoothed_rows_are_the_entry_loop_bit_for_bit(self, name, monkeypatch):
+        # a record whose covariances are not bit-symmetric, and one time row of -0.0 means: the
+        # gathers (P h by columns, added into zeros) give each row the bits of a loop over its entries
+        sde = SPACETIME_SDE if name == "spacetime" else PADDED_MIXTURE_SDE
+        rng = np.random.default_rng(19)
+        t = np.repeat(np.cumsum(rng.uniform(0.1, 0.4, 12)), rng.integers(2, 6, 12))
+        rows, y = rng.integers(0, len(sde.obs), t.size), rng.standard_normal(t.size)
+        stepper = markovian.MarkovStepper(sde, 0.2, history_times=t)
+        bounds = markovian.block_bounds(t, t.size, 1).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            stepper.step(float(t[a]), y[a:b], rows[a:b])
+
+        def skewed(sde, record):  # the backward pass's G P G^T, as it rounds
+            G = np.eye(sde.dim) + 0.3 * rng.standard_normal(record.covs.shape)
+            record.covs[:] = G @ record.covs @ G.swapaxes(1, 2)
+            record.means[2] = -0.0
+
+        monkeypatch.setattr(markovian, "rts_smoother", skewed)
+        monkeypatch.setattr(markovian, "SMOOTH_BLOCK_BYTES", 3 * 8 * sde.dim)  # blocks of 3 rows
+        got = stepper.smooth()
+        record = stepper.result()
+        assert not np.array_equal(record.covs, record.covs.swapaxes(1, 2))
+        positions, weights = sde.obs_entries
+        k, r = record.steps, record.obs_rows
+        loop = np.zeros((k.size, 2))  # each row's entries, summed in (N,) arrays from 0.0
+        for j in range(positions.shape[1]):
+            i = positions[r, j]
+            Pw = record.covs[k, i, positions[r, 0]] * weights[r, 0]
+            for l in range(1, positions.shape[1]):
+                Pw += record.covs[k, i, positions[r, l]] * weights[r, l]
+            loop[:, 0] += record.means[k, i] * weights[r, j]
+            loop[:, 1] += Pw * weights[r, j]
+        assert got.tobytes() == loop.tobytes()
+        assert not np.signbit(got[k == 2, 0]).any()
 
     def test_update_conditions_in_place_on_the_triple_it_is_handed(self):
         sde = SPACETIME_SDE  # bit-equal gathers: every update must match the pure one exactly
@@ -1331,6 +1381,25 @@ class TestTimeStepBlocks:
         csv = "t,x1,y\n0,0.0,0.1\n0,1.0,0.2\n1,1.0,0.3\n1,0.0,\n1,0.37,0.5\n1,1.0,0.6\n"
         code, out, err = run_cli(args, stdin_text=csv)
         assert (code, out, err) == (3, "", "seqgp: data error: row 5: location [0.37] is not in spatial.locations\n")
+
+    def test_a_row_without_a_location_never_reaches_the_stepper(self, tmp_path, monkeypatch):
+        # the runner names the block's first row without a location itself: the rows before it run
+        # as one block, and the stepper is never handed observation row -1
+        calls, step = [], markovian.MarkovStepper.step
+
+        def spied(stepper, t, ys, rows):
+            calls.append(list(rows))
+            return step(stepper, t, ys, rows)
+
+        monkeypatch.setattr(markovian.MarkovStepper, "step", spied)
+        loc_file = tmp_path / "locations.csv"
+        loc_file.write_text("x1\n0.0\n1.0\n")
+        args = ["run", "model=markov", "kernel.family=matern12", "noise_var=0.2", f"spatial.locations={loc_file}",
+                "spatial.kernel.family=se"]
+        csv = "t,x1,y\n0,0.0,0.1\n0,1.0,0.2\n1,1.0,0.3\n1,0.0,\n1,0.37,0.5\n1,1.0,0.6\n2,0.0,0.7\n"
+        code, out, err = run_cli(args, stdin_text=csv)
+        assert (code, out, err) == (3, "", "seqgp: data error: row 5: location [0.37] is not in spatial.locations\n")
+        assert calls == [[0, 1, 1, 0]]
 
     def test_infinite_y_inside_a_time_step_names_its_row_after_the_rows_before_it(self):
         t, rows, y = tied_spacetime()
